@@ -16,7 +16,7 @@ import numpy as np
 
 from .bayesnet import TransitionNetwork, parent_marginal
 from .ingest import DiscretizationScheme, SensorDataset, apply_standardization, discretize_row
-from .spectra import PcaModel, q_statistic, t2_statistic
+from .spectra import PcaModel, limit_from_json, limit_to_json, q_statistic, t2_statistic
 
 __all__ = [
     "RowScreen",
@@ -152,7 +152,7 @@ def tqbayes_detect(
 
 def report_to_dict(report: DetectionReport) -> dict:
     return {
-        "q_limit": float(report.q_limit),
+        "q_limit": limit_to_json(report.q_limit),
         "t2_limit": float(report.t2_limit),
         "rows": [
             {"row": s.row, "q": float(s.q), "t2": float(s.t2), "flagged": s.flagged}
@@ -178,7 +178,7 @@ def report_from_dict(doc: dict) -> DetectionReport:
         NodeVerdict(v["row"], v["node"], v["observed"], v["predicted"], v["abnormal"], v["uninferable"])
         for v in doc["verdicts"]
     )
-    return DetectionReport(doc["q_limit"], doc["t2_limit"], rows, verdicts)
+    return DetectionReport(limit_from_json(doc["q_limit"]), doc["t2_limit"], rows, verdicts)
 
 
 def write_report_csv(report: DetectionReport, path: str | Path) -> None:

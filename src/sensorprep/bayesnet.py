@@ -29,6 +29,8 @@ __all__ = [
     "family_score",
     "penalized_family_score",
     "k2_search",
+    "MAX_CPT_CELLS",
+    "check_cpt_cells",
     "repair_cycles",
     "learn_static",
     "learn_transition",
@@ -37,6 +39,11 @@ __all__ = [
     "static_from_dict",
     "transition_from_dict",
 ]
+
+# Cap on K^max_parents * K, the cells of one CPT at the largest parent set.
+# Structure search scores all candidate parents of a node in one block of
+# (n - 1) * K^max_parents * K counts, so this bounds its memory too.
+MAX_CPT_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -71,21 +78,7 @@ class Dag:
         return [(p, c) for c in range(self.n) for p in self.parents[c]]
 
     def is_acyclic(self) -> bool:
-        indeg = [len(ps) for ps in self.parents]
-        children: list[list[int]] = [[] for _ in range(self.n)]
-        for c in range(self.n):
-            for p in self.parents[c]:
-                children[p].append(c)
-        queue = [i for i in range(self.n) if indeg[i] == 0]
-        seen = 0
-        while queue:
-            node = queue.pop()
-            seen += 1
-            for c in children[node]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        return seen == self.n
+        return self.find_cycle() is None
 
     def check_acyclic(self) -> None:
         if not self.is_acyclic():
@@ -104,29 +97,28 @@ class Dag:
             ch.sort()
 
         color = [0] * self.n  # 0 unvisited, 1 on stack, 2 done
-        stack: list[int] = []
-
-        def visit(node: int) -> list[tuple[int, int]] | None:
-            color[node] = 1
-            stack.append(node)
-            for child in children[node]:
-                if color[child] == 1:
-                    start = stack.index(child)
-                    cyc = stack[start:] + [child]
-                    return list(zip(cyc, cyc[1:]))
-                if color[child] == 0:
-                    found = visit(child)
-                    if found is not None:
-                        return found
-            stack.pop()
-            color[node] = 2
-            return None
-
-        for i in range(self.n):
-            if color[i] == 0:
-                found = visit(i)
-                if found is not None:
-                    return found
+        for root in range(self.n):
+            if color[root]:
+                continue
+            # Iterative DFS, so long chains cannot hit the recursion limit:
+            # `stack` is the current path, `pending` each path node's
+            # children still to visit.
+            color[root] = 1
+            stack = [root]
+            pending = [iter(children[root])]
+            while stack:
+                for child in pending[-1]:
+                    if color[child] == 1:
+                        cyc = stack[stack.index(child) :] + [child]
+                        return list(zip(cyc, cyc[1:]))
+                    if color[child] == 0:
+                        color[child] = 1
+                        stack.append(child)
+                        pending.append(iter(children[child]))
+                        break
+                else:
+                    color[stack.pop()] = 2
+                    pending.pop()
         return None
 
 
@@ -290,6 +282,51 @@ def score(states: StateMatrix, dag: Dag, lag: int = 0) -> float:
     return sum(family_score(states, i, dag.parents[i], lag) for i in range(dag.n))
 
 
+def check_cpt_cells(k_states: int, max_parents: int) -> None:
+    """Reject a state count and parent cap whose CPTs exceed MAX_CPT_CELLS cells.
+
+    The exponent is clipped before the power is taken: any k_states >= 2
+    raised to MAX_CPT_CELLS.bit_length() already exceeds the cap, so huge
+    max_parents values are rejected without building a huge integer.
+    """
+    exponent = min(max_parents + 1, MAX_CPT_CELLS.bit_length())
+    if k_states**exponent > MAX_CPT_CELLS:
+        raise ValueError(
+            f"k_states={k_states} with max_parents={max_parents} needs k_states**(max_parents + 1) "
+            f"CPT cells per node, more than MAX_CPT_CELLS={MAX_CPT_CELLS}"
+        )
+
+
+def _trial_scores(
+    cand_rows: np.ndarray, child: np.ndarray, base: np.ndarray, n_parents: int, k: int, m: int
+) -> np.ndarray:
+    """Penalized family score of every candidate parent set from one bincount.
+
+    cand_rows holds one 0-based state column per candidate (parent rows,
+    already lag-shifted), child the node's 0-based states on the matching
+    rows, and base the configuration index of the parents already chosen.
+    Candidate c extends those parents to n_parents; its counts occupy the
+    c-th block of K^n_parents x K cells, laid out exactly as count_states
+    lays out the table of the extended parent list.
+    """
+    c = cand_rows.shape[1]
+    h = k**n_parents
+    flat = cand_rows + (base * k)[:, None]
+    flat *= k
+    flat += child[:, None]
+    flat += np.arange(c) * (h * k)
+    counts = np.bincount(flat.ravel(order="K"), minlength=c * h * k).reshape(c, h, k)
+    # The elementwise terms of family_score; each candidate's H*K cells are
+    # then summed as one contiguous row, which keeps numpy's pairwise
+    # summation order and so the scalar score bit for bit.
+    totals = counts.sum(axis=2, keepdims=True)
+    mask = counts > 0
+    ratio = np.where(mask, counts / np.where(totals > 0, totals, 1), 1.0)
+    loglik = np.sum(np.where(mask, counts * np.log(ratio), 0.0).reshape(c, h * k), axis=1)
+    free = h * (k - 1)
+    return loglik - 0.5 * free * math.log(m)
+
+
 def k2_search(states: StateMatrix, max_parents: int = 3, lag: int = 0) -> Dag:
     """Greedy per-node parent selection maximizing the penalized score.
 
@@ -298,23 +335,32 @@ def k2_search(states: StateMatrix, max_parents: int = 3, lag: int = 0) -> Dag:
     max_parents is reached. Ties break toward the lowest node index. The
     unconstrained per-node search can create cycles in the same-slice case,
     so lag=0 results pass through repair_cycles.
+
+    Each greedy step counts all remaining candidates in one bincount
+    (_trial_scores); every trial score equals penalized_family_score of the
+    extended parent list bit for bit. Rejects k_states/max_parents pairs
+    over MAX_CPT_CELLS before counting anything.
     """
     if max_parents < 0:
         raise ValueError(f"max_parents must be >= 0, got {max_parents}")
+    k = states.state_count
+    check_cpt_cells(k, max_parents)
     n = states.n
+    grid = states.states - 1
+    parent_rows, child_rows = (grid, grid) if lag == 0 else (grid[:-1], grid[1:])
     parent_sets: list[tuple[int, ...]] = []
     for node in range(n):
         chosen: list[int] = []
         current = penalized_family_score(states, node, chosen, lag)
-        while len(chosen) < max_parents:
+        base = np.zeros(parent_rows.shape[0], dtype=np.int64)  # chosen parents' configuration index
+        while len(chosen) < min(max_parents, n - 1):
+            cands = [c for c in range(n) if c != node and c not in chosen]
+            trials = _trial_scores(parent_rows[:, cands], child_rows[:, node], base, len(chosen) + 1, k, states.m)
             best_gain = 0.0
             best_candidate = -1
             # Ascending candidate order makes equal-gain ties land on the
             # lowest node index.
-            for cand in range(n):
-                if cand == node or cand in chosen:
-                    continue
-                trial = penalized_family_score(states, node, chosen + [cand], lag)
+            for cand, trial in zip(cands, trials.tolist()):
                 gain = trial - current
                 if gain > best_gain + 1e-12:
                     best_gain = gain
@@ -323,6 +369,7 @@ def k2_search(states: StateMatrix, max_parents: int = 3, lag: int = 0) -> Dag:
                 break
             chosen.append(best_candidate)
             current += best_gain
+            base = base * k + parent_rows[:, best_candidate]
         parent_sets.append(tuple(chosen))
     dag = Dag(n, tuple(parent_sets))
     if lag == 0:

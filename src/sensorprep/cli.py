@@ -56,9 +56,10 @@ class RunConfig:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
+        for name, value in (("alpha_warning", self.alpha_warning), ("alpha_alarm", self.alpha_alarm)):
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {value}")
         for name, value in (
-            ("alpha_warning", self.alpha_warning),
-            ("alpha_alarm", self.alpha_alarm),
             ("contribution_ratio", self.contribution_ratio),
             ("tau", self.tau),
             ("train_frac", self.train_frac),
@@ -78,12 +79,13 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.max_parents < 0:
             raise ValueError("max_parents must be >= 0")
+        bayesnet.check_cpt_cells(self.k_states, self.max_parents)
         if self.error_pct < 0:
             raise ValueError("error_pct must be >= 0")
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _read_json(path: Path) -> dict:
@@ -164,9 +166,11 @@ def cmd_learn(cfg: RunConfig) -> dict:
     total_score = bayesnet.score(states, static.dag, lag=0) + bayesnet.score(states, transition.dag, lag=1)
     return {
         "k": model.k,
-        "q_limit": model.q_limit,
+        "q_limit": spectra.limit_to_json(model.q_limit),
         "t2_limit": model.t2_limit,
-        "q_limit_alarm": math.inf if model.k == train.n else spectra.q_threshold(model.eigenvalues, model.k, cfg.alpha_alarm),
+        "q_limit_alarm": spectra.limit_to_json(
+            math.inf if model.k == train.n else spectra.q_threshold(model.eigenvalues, model.k, cfg.alpha_alarm)
+        ),
         "t2_limit_alarm": spectra.t2_threshold(model.k, train.m, cfg.alpha_alarm),
         "static_edges": len(static.dag.edges()),
         "transition_edges": len(transition.dag.edges()),
@@ -450,10 +454,11 @@ def main(argv: list[str] | None = None) -> int:
             summary = cmd_evaluate(args.report, args.truth, args.out, args.redundancy)
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown command {args.command!r}")
+        text = json.dumps(summary, sort_keys=True, allow_nan=False)
     except Exception as exc:  # deliberate catch-all: the CLI contract is JSON errors
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}, sort_keys=True), file=sys.stderr)
         return 1
-    print(json.dumps(summary, sort_keys=True))
+    print(text)
     return 0
 
 

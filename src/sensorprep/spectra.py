@@ -27,6 +27,8 @@ __all__ = [
     "fit_pca_model",
     "model_to_dict",
     "model_from_dict",
+    "limit_to_json",
+    "limit_from_json",
 ]
 
 _EIG_CLAMP = 1e-9
@@ -236,6 +238,16 @@ def fit_pca_model(
     return PcaModel(std, lam, vec, k, q_lim, t2_lim, alpha)
 
 
+def limit_to_json(limit: float) -> float | None:
+    """Control limit as strict JSON: the disabled Q test (+inf) becomes null."""
+    return None if math.isinf(limit) else float(limit)
+
+
+def limit_from_json(value: float | None) -> float:
+    """Inverse of limit_to_json."""
+    return math.inf if value is None else float(value)
+
+
 def model_to_dict(model: PcaModel) -> dict:
     """JSON-ready representation (eigenvectors row-major)."""
     return {
@@ -244,7 +256,7 @@ def model_to_dict(model: PcaModel) -> dict:
         "eigenvalues": [float(v) for v in model.eigenvalues],
         "eigenvectors": [[float(v) for v in row] for row in model.eigenvectors],
         "k": int(model.k),
-        "q_limit": float(model.q_limit),
+        "q_limit": limit_to_json(model.q_limit),
         "t2_limit": float(model.t2_limit),
         "alpha": float(model.alpha),
     }
@@ -256,7 +268,7 @@ def model_from_dict(doc: dict) -> PcaModel:
         np.array(doc["eigenvalues"]),
         np.array(doc["eigenvectors"]),
         int(doc["k"]),
-        float(doc["q_limit"]),
+        limit_from_json(doc["q_limit"]),
         float(doc["t2_limit"]),
         float(doc["alpha"]),
     )

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's computation paths:
 quantiles come from Simpson quadrature plus bisection, inference from
 dictionary-based enumeration, and structure search from exhaustive DAG
-enumeration.
+enumeration or from one penalized_family_score call per candidate.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork, penalized_family_score
+from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork, penalized_family_score, repair_cycles
 from sensorprep.ingest import DiscretizationScheme, StateMatrix
 
 
@@ -143,6 +143,39 @@ def exhaustive_argmax(states: StateMatrix, tol: float = 1e-9):
         elif abs(s - best_score) <= tol:
             best.append(dag)
     return best_score, best
+
+
+def scalar_k2_search(states: StateMatrix, max_parents: int = 3, lag: int = 0) -> Dag:
+    """Greedy parent search scoring each candidate with its own count.
+
+    The reference for the batched k2_search: same greedy rule, same
+    1e-12 gain margin and lowest-index tie break, same cycle repair.
+    """
+    n = states.n
+    parent_sets = []
+    for node in range(n):
+        chosen: list[int] = []
+        current = penalized_family_score(states, node, chosen, lag)
+        while len(chosen) < max_parents:
+            best_gain = 0.0
+            best_candidate = -1
+            for cand in range(n):
+                if cand == node or cand in chosen:
+                    continue
+                trial = penalized_family_score(states, node, chosen + [cand], lag)
+                gain = trial - current
+                if gain > best_gain + 1e-12:
+                    best_gain = gain
+                    best_candidate = cand
+            if best_candidate < 0:
+                break
+            chosen.append(best_candidate)
+            current += best_gain
+        parent_sets.append(tuple(chosen))
+    dag = Dag(n, tuple(parent_sets))
+    if lag == 0:
+        dag = repair_cycles(dag, states)
+    return dag
 
 
 def trivial_scheme(n: int, k: int) -> DiscretizationScheme:

@@ -1,14 +1,19 @@
 """Counting, CPT estimation, scoring, greedy search, and cycle repair."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import exhaustive_argmax, penalized_total, states_from_grid
+from oracles import exhaustive_argmax, penalized_total, scalar_k2_search, states_from_grid
 from sensorprep.bayesnet import (
     Cpt,
     Dag,
+    _trial_scores,
+    check_cpt_cells,
     count_states,
     estimate_cpt,
     family_score,
@@ -54,6 +59,12 @@ class TestDag:
     def test_find_cycle_returns_edges(self):
         cyc = Dag(3, ((2,), (0,), (1,))).find_cycle()
         assert cyc is not None and len(cyc) == 3
+
+    def test_long_chain_and_ring(self):
+        n = 5000  # deeper than the default recursion limit
+        assert Dag(n, ((),) + tuple((i,) for i in range(n - 1))).is_acyclic()
+        ring = Dag(n, ((n - 1,),) + tuple((i,) for i in range(n - 1)))
+        assert ring.find_cycle() == [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
 
     def test_edges_listing(self):
         assert Dag(3, ((), (0,), (0, 1))).edges() == [(0, 1), (0, 2), (1, 2)]
@@ -205,6 +216,77 @@ class TestK2Search:
             if abs(penalized_total(states, greedy) - best_score) <= 1e-9:
                 hits += 1
         assert hits >= 90
+
+
+@st.composite
+def search_cases(draw):
+    """Small state matrices with constant columns and planted (lagged) copies."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.integers(1, k + 1, size=(m, n))
+    for j in range(n):
+        kind = draw(st.sampled_from(["random", "constant", "copy", "lagged-copy", "noisy-copy"]))
+        if kind == "constant":
+            grid[:, j] = draw(st.integers(1, k))
+        elif kind != "random" and j > 0:
+            col = grid[:, draw(st.integers(0, j - 1))].copy()
+            if kind == "lagged-copy":
+                col = np.roll(col, 1)
+            elif kind == "noisy-copy":
+                flip = rng.random(m) < 0.2
+                col[flip] = rng.integers(1, k + 1, size=int(flip.sum()))
+            grid[:, j] = col
+    return states_from_grid(grid, k)
+
+
+class TestBatchedSearch:
+    """The one-bincount-per-step search against the per-candidate oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_cases(), st.integers(0, 3), st.sampled_from([0, 1]))
+    def test_matches_scalar_oracle(self, states, max_parents, lag):
+        assert k2_search(states, max_parents, lag) == scalar_k2_search(states, max_parents, lag)
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_cases(), st.sampled_from([0, 1]), st.data())
+    def test_trial_scores_equal_family_scores(self, states, lag, data):
+        n, k = states.n, states.state_count
+        node = data.draw(st.integers(0, n - 1))
+        others = [c for c in range(n) if c != node]
+        chosen = data.draw(st.permutations(others))[: data.draw(st.integers(0, min(2, n - 2)))]
+        grid = states.states - 1
+        parent_rows, child_rows = (grid, grid) if lag == 0 else (grid[:-1], grid[1:])
+        base = np.zeros(parent_rows.shape[0], dtype=np.int64)
+        for p in chosen:
+            base = base * k + parent_rows[:, p]
+        cands = [c for c in others if c not in chosen]
+        trials = _trial_scores(parent_rows[:, cands], child_rows[:, node], base, len(chosen) + 1, k, states.m)
+        for cand, trial in zip(cands, trials.tolist()):
+            assert trial == penalized_family_score(states, node, chosen + [cand], lag)
+
+
+class TestCptCellCap:
+    @pytest.mark.parametrize("k, max_parents", [(3, 3), (4, 5), (2, 11), (64, 1), (1, 10**9)])
+    def test_at_or_under_cap_accepted(self, k, max_parents):
+        check_cpt_cells(k, max_parents)
+
+    @pytest.mark.parametrize("k, max_parents", [(4, 6), (2, 12), (65, 1), (64, 5), (2, 10**9)])
+    def test_over_cap_rejected(self, k, max_parents):
+        with pytest.raises(ValueError, match="MAX_CPT_CELLS"):
+            check_cpt_cells(k, max_parents)
+
+    def test_search_rejects_before_allocating(self):
+        states = states_from_grid(np.tile(np.arange(1, 65), (2, 1)).T, 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="k_states=64 with max_parents=5"):
+                k2_search(states, max_parents=5, lag=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRepairCycles:

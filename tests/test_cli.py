@@ -1,11 +1,13 @@
 """End-to-end command-line pipeline tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from sensorprep.cli import main
+from sensorprep.cli import RunConfig, main
+from sensorprep.spectra import model_from_dict
 
 
 def run(capsys, argv):
@@ -153,6 +155,68 @@ class TestPipeline:
         ])
         assert code == 1
         assert "alpha_warning" in json.loads(err)["error"]
+
+    def test_alpha_of_one_rejected_at_config(self, tmp_path, capsys):
+        code, out, err = run(capsys, [
+            "learn", "--profile", "correlated-drift", "--alpha", "1.0", "--out-dir", str(tmp_path / "art"),
+        ])
+        assert code == 1
+        assert "alpha_warning must lie in (0, 1)" in json.loads(err)["error"]
+        assert not (tmp_path / "art").exists()
+        with pytest.raises(ValueError, match=r"alpha_alarm must lie in \(0, 1\)"):
+            RunConfig(alpha_alarm=1.0)
+
+    def test_oversized_tables_rejected_at_config(self, tmp_path, capsys):
+        code, out, err = run(capsys, [
+            "learn", "--profile", "correlated-drift", "--k-states", "64", "--max-parents", "5",
+            "--out-dir", str(tmp_path / "art"),
+        ])
+        assert code == 1
+        assert "MAX_CPT_CELLS" in json.loads(err)["error"]
+        assert not (tmp_path / "art").exists()
+        RunConfig(k_states=3, max_parents=3)  # the defaults: 81 cells
+
+    def test_disabled_q_test_round_trips_as_strict_json(self, tmp_path, capsys):
+        def strict(text):
+            def reject(token):
+                raise ValueError(f"non-standard JSON token {token}")
+
+            return json.loads(text, parse_constant=reject)
+
+        code, out, err = run(capsys, [
+            "synth", "--profile", "correlated-drift", "--seed", "4", "--rows", "200", "--cols", "5",
+            "--split", "150", "--out-train", str(tmp_path / "train.csv"), "--out-test", str(tmp_path / "test.csv"),
+        ])
+        assert code == 0, err
+        art = tmp_path / "art"
+        code, out, err = run(capsys, [
+            "learn", "--train", str(tmp_path / "train.csv"), "--contribution-ratio", "1.0", "--out-dir", str(art),
+        ])
+        assert code == 0, err
+        summary = strict(out)
+        assert summary["k"] == 5
+        assert summary["q_limit"] is None and summary["q_limit_alarm"] is None
+        model_doc = strict((art / "pca_model.json").read_text())
+        assert model_doc["q_limit"] is None
+        assert model_from_dict(model_doc).q_limit == math.inf
+
+        code, out, err = run(capsys, [
+            "inject", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "test.csv"),
+            "--last-rows", "10", "--out", str(tmp_path / "bad.csv"), "--sidecar", str(tmp_path / "truth.json"),
+        ])
+        assert code == 0, err
+        code, out, err = run(capsys, [
+            "detect", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "bad.csv"),
+            "--artifacts", str(art), "--out-dir", str(art),
+        ])
+        assert code == 0, err
+        strict(out)
+        assert strict((art / "detection_report.json").read_text())["q_limit"] is None
+        code, out, err = run(capsys, [
+            "evaluate", "--report", str(art / "detection_report.json"), "--truth", str(tmp_path / "truth.json"),
+        ])
+        assert code == 0, err
+        strict(out)
 
     def test_env_var_out_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SENSORPREP_OUT_DIR", str(tmp_path / "from_env"))
