@@ -19,8 +19,8 @@ from .ingest import DiscretizationScheme, SensorDataset, apply_standardization, 
 from .spectra import PcaModel, limit_from_json, limit_to_json, q_statistic, t2_statistic
 
 __all__ = [
-    "RowScreen",
-    "NodeVerdict",
+    "ROW_DTYPE",
+    "VERDICT_DTYPE",
     "DetectionReport",
     "tq_screen",
     "nb_predict_state",
@@ -30,39 +30,40 @@ __all__ = [
     "write_report_csv",
 ]
 
-
-@dataclass(frozen=True)
-class RowScreen:
-    row: int
-    q: float
-    t2: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
-class NodeVerdict:
-    row: int
-    node: int
-    observed: int
-    predicted: int
-    abnormal: bool
-    uninferable: bool
+# One record per screened test row.
+ROW_DTYPE = np.dtype([("row", np.int64), ("q", np.float64), ("t2", np.float64), ("flagged", np.bool_)])
+# One record per (flagged row, node).
+VERDICT_DTYPE = np.dtype(
+    [
+        ("row", np.int64),
+        ("node", np.int64),
+        ("observed", np.int64),
+        ("predicted", np.int64),
+        ("abnormal", np.bool_),
+        ("uninferable", np.bool_),
+    ]
+)
 
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Screening values for every test row plus node verdicts for flagged rows."""
+    """Screening values for every test row plus node verdicts for flagged rows.
+
+    `rows` and `verdicts` are record arrays (`ROW_DTYPE`, `VERDICT_DTYPE`)
+    whose fields are columns, e.g. `report.rows.q`.
+    """
 
     q_limit: float
     t2_limit: float
-    rows: tuple[RowScreen, ...]
-    verdicts: tuple[NodeVerdict, ...]
+    rows: np.recarray
+    verdicts: np.recarray
 
     def flagged_rows(self) -> list[int]:
-        return [r.row for r in self.rows if r.flagged]
+        return self.rows.row[self.rows.flagged].tolist()
 
     def abnormal_cells(self) -> list[tuple[int, int]]:
-        return [(v.row, v.node) for v in self.verdicts if v.abnormal]
+        hit = self.verdicts[self.verdicts.abnormal]
+        return list(zip(hit.row.tolist(), hit.node.tolist()))
 
 
 def tq_screen(row: np.ndarray, model: PcaModel) -> tuple[float, float, bool]:
@@ -132,11 +133,11 @@ def tqbayes_detect(
     if last_train_row.shape != (test.n,):
         raise ValueError(f"last training row has shape {last_train_row.shape}, expected ({test.n},)")
 
-    rows: list[RowScreen] = []
-    verdicts: list[NodeVerdict] = []
+    rows = []
+    verdicts = []
     for r in range(test.m):
         q, t2, flagged = tq_screen(test.values[r], model)
-        rows.append(RowScreen(r, q, t2, flagged))
+        rows.append((r, q, t2, flagged))
         if not flagged:
             continue
         prev_raw = last_train_row if r == 0 else test.values[r - 1]
@@ -146,39 +147,33 @@ def tqbayes_detect(
             predicted, _ = nb_predict_state(node, prev_states, tn)
             uninferable = not tn.dag.parents[node]
             abnormal = (not uninferable) and predicted != int(observed[node])
-            verdicts.append(NodeVerdict(r, node, int(observed[node]), predicted, abnormal, uninferable))
-    return DetectionReport(model.q_limit, model.t2_limit, tuple(rows), tuple(verdicts))
+            verdicts.append((r, node, int(observed[node]), predicted, abnormal, uninferable))
+    return DetectionReport(
+        model.q_limit,
+        model.t2_limit,
+        np.rec.fromrecords(rows, dtype=ROW_DTYPE),
+        np.rec.fromrecords(verdicts, dtype=VERDICT_DTYPE),
+    )
 
 
 def report_to_dict(report: DetectionReport) -> dict:
     return {
         "q_limit": limit_to_json(report.q_limit),
         "t2_limit": float(report.t2_limit),
-        "rows": [
-            {"row": s.row, "q": float(s.q), "t2": float(s.t2), "flagged": s.flagged}
-            for s in report.rows
-        ],
-        "verdicts": [
-            {
-                "row": v.row,
-                "node": v.node,
-                "observed": v.observed,
-                "predicted": v.predicted,
-                "abnormal": v.abnormal,
-                "uninferable": v.uninferable,
-            }
-            for v in report.verdicts
-        ],
+        "rows": [dict(zip(ROW_DTYPE.names, s)) for s in report.rows.tolist()],
+        "verdicts": [dict(zip(VERDICT_DTYPE.names, v)) for v in report.verdicts.tolist()],
     }
 
 
 def report_from_dict(doc: dict) -> DetectionReport:
-    rows = tuple(RowScreen(s["row"], s["q"], s["t2"], s["flagged"]) for s in doc["rows"])
-    verdicts = tuple(
-        NodeVerdict(v["row"], v["node"], v["observed"], v["predicted"], v["abnormal"], v["uninferable"])
-        for v in doc["verdicts"]
+    rows = [tuple(s[f] for f in ROW_DTYPE.names) for s in doc["rows"]]
+    verdicts = [tuple(v[f] for f in VERDICT_DTYPE.names) for v in doc["verdicts"]]
+    return DetectionReport(
+        limit_from_json(doc["q_limit"]),
+        doc["t2_limit"],
+        np.rec.fromrecords(rows, dtype=ROW_DTYPE),
+        np.rec.fromrecords(verdicts, dtype=VERDICT_DTYPE),
     )
-    return DetectionReport(limit_from_json(doc["q_limit"]), doc["t2_limit"], rows, verdicts)
 
 
 def write_report_csv(report: DetectionReport, path: str | Path) -> None:
@@ -187,26 +182,17 @@ def write_report_csv(report: DetectionReport, path: str | Path) -> None:
     Unflagged rows emit a single line with empty node columns; flagged rows
     emit one line per node. Uninferable nodes leave `predicted` empty.
     """
-    by_row: dict[int, list[NodeVerdict]] = {}
-    for v in report.verdicts:
-        by_row.setdefault(v.row, []).append(v)
+    by_row: dict[int, list[list]] = {}
+    for row, node, observed, predicted, abnormal, uninferable in report.verdicts.tolist():
+        by_row.setdefault(row, []).append([node, observed, "" if uninferable else predicted, int(abnormal)])
+    lines = []
+    for row, q, t2, flagged in report.rows.tolist():
+        screen = [row, q, t2, int(flagged)]
+        if flagged:
+            lines.extend(screen + cells for cells in by_row.get(row, []))
+        else:
+            lines.append(screen + ["", "", "", ""])
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "q", "t2", "flagged", "node", "observed", "predicted", "abnormal"])
-        for s in report.rows:
-            if not s.flagged:
-                writer.writerow([s.row, repr(s.q), repr(s.t2), int(s.flagged), "", "", "", ""])
-                continue
-            for v in by_row.get(s.row, []):
-                writer.writerow(
-                    [
-                        s.row,
-                        repr(s.q),
-                        repr(s.t2),
-                        int(s.flagged),
-                        v.node,
-                        v.observed,
-                        "" if v.uninferable else v.predicted,
-                        int(v.abnormal),
-                    ]
-                )
+        writer.writerows(lines)

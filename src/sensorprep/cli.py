@@ -3,8 +3,8 @@ find redundant nodes, and evaluate against ground truth.
 
 Configuration comes from an optional JSON document plus flag overrides;
 every command is deterministic given the same config and seed, artifacts
-are JSON with sorted keys, and errors leave as machine-readable JSON on
-stderr with a nonzero exit code.
+are compact JSON with sorted keys, and errors leave as machine-readable
+JSON on stderr with a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +85,7 @@ class RunConfig:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _read_json(path: Path) -> dict:
@@ -214,8 +214,10 @@ def cmd_detect(cfg: RunConfig, artifacts: str) -> dict:
     test = ingest.load_csv(cfg.data_csv)
     model = spectra.model_from_dict(_read_json(art / _ARTIFACTS["model"]))
     scheme = _scheme_from_dict(_read_json(art / _ARTIFACTS["scheme"]))
+    if scheme.node_ids:
+        _check_node_ids(scheme.node_ids, test.node_ids, f"detect {_ARTIFACTS['scheme']}")
     tn_doc = _read_json(art / _ARTIFACTS["transition"])
-    _check_node_ids(tn_doc["node_ids"], test.node_ids, "detect")
+    _check_node_ids(tn_doc["node_ids"], test.node_ids, f"detect {_ARTIFACTS['transition']}")
     tn = bayesnet.transition_from_dict(tn_doc)
 
     report = anomaly.tqbayes_detect(test, model, tn, scheme, train.values[-1])
@@ -241,8 +243,7 @@ def cmd_redundancy_static(cfg: RunConfig, artifacts: str) -> dict:
     net = bayesnet.static_from_dict(net_doc)
 
     report = redundancy.ssdrda(net.dag, net.cpts, cfg.tau)
-    recoveries = redundancy.static_recovery(data, net.dag, report.redundant_nodes())
-    report = redundancy.StaticRedundancyReport(report.tau, report.nodes, recoveries)
+    report = replace(report, recoveries=redundancy.static_recovery(data, net.dag, report.redundant_nodes()))
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -268,7 +269,7 @@ def cmd_redundancy_realtime(cfg: RunConfig) -> dict:
     _write_json(out_dir / "redundancy_realtime.json", redundancy.realtime_report_to_dict(report, data.node_ids))
     redundancy.write_realtime_csv(report, data.node_ids, out_dir / "redundancy_realtime.csv")
     redundancy.write_recovery_csv(report.recoveries, data.node_ids, out_dir / "recovery_realtime.csv")
-    sleeping = sorted({e.node for e in report.entries if e.sleeping})
+    sleeping = np.unique(report.entries.node[report.entries.sleeping]).tolist()
     return {
         "inference_entries": len(report.entries),
         "sleeping_nodes": [data.node_ids[i] for i in sleeping],
@@ -346,6 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=int, help="write the first N rows and the rest separately")
     p.add_argument("--out-train")
     p.add_argument("--out-test")
+    p.set_defaults(func=lambda cfg, a: cmd_synth(cfg, a.out, a.split, a.out_train, a.out_test))
 
     p = sub.add_parser("learn", help="fit the PCA model and both networks")
     p.add_argument("--train", dest="train_csv")
@@ -360,6 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-states", dest="k_states", type=int)
     p.add_argument("--max-parents", dest="max_parents", type=int)
     add_common(p)
+    p.set_defaults(func=lambda cfg, a: cmd_learn(cfg))
 
     p = sub.add_parser("inject", help="corrupt rows of a test set per the error model")
     p.add_argument("--train", dest="train_csv", required=True)
@@ -369,18 +372,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pct", dest="error_pct", type=float)
     p.add_argument("--out", required=True)
     p.add_argument("--sidecar", required=True)
+    p.set_defaults(func=lambda cfg, a: cmd_inject(cfg, a.out, a.sidecar, a.rows_list))
 
     p = sub.add_parser("detect", help="run the two-stage detector")
     p.add_argument("--train", dest="train_csv", required=True)
     p.add_argument("--data", dest="data_csv", required=True)
     p.add_argument("--artifacts", required=True)
     add_common(p)
+    p.set_defaults(func=lambda cfg, a: cmd_detect(cfg, a.artifacts))
 
     p = sub.add_parser("redundancy-static", help="static redundant-node detection")
     p.add_argument("--data", dest="data_csv", required=True)
     p.add_argument("--artifacts", required=True)
     p.add_argument("--tau", type=float)
     add_common(p)
+    p.set_defaults(func=lambda cfg, a: cmd_redundancy_static(cfg, a.artifacts))
 
     p = sub.add_parser("redundancy-realtime", help="sleep/wake scheduling over time slices")
     p.add_argument("--data", dest="data_csv", required=True)
@@ -390,12 +396,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-states", dest="k_states", type=int)
     p.add_argument("--max-parents", dest="max_parents", type=int)
     add_common(p)
+    p.set_defaults(func=lambda cfg, a: cmd_redundancy_realtime(cfg))
 
     p = sub.add_parser("evaluate", help="precision/recall and recovery RMSE")
     p.add_argument("--report", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--redundancy")
     p.add_argument("--out")
+    p.set_defaults(func=lambda cfg, a: cmd_evaluate(a.report, a.truth, a.out, a.redundancy))
 
     return parser
 
@@ -437,23 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        if args.command == "synth":
-            summary = cmd_synth(cfg, args.out, args.split, args.out_train, args.out_test)
-        elif args.command == "learn":
-            summary = cmd_learn(cfg)
-        elif args.command == "inject":
-            summary = cmd_inject(cfg, args.out, args.sidecar, args.rows_list)
-        elif args.command == "detect":
-            summary = cmd_detect(cfg, args.artifacts)
-        elif args.command == "redundancy-static":
-            summary = cmd_redundancy_static(cfg, args.artifacts)
-        elif args.command == "redundancy-realtime":
-            summary = cmd_redundancy_realtime(cfg)
-        elif args.command == "evaluate":
-            summary = cmd_evaluate(args.report, args.truth, args.out, args.redundancy)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
+        summary = args.func(_merge_config(args), args)
         text = json.dumps(summary, sort_keys=True, allow_nan=False)
     except Exception as exc:  # deliberate catch-all: the CLI contract is JSON errors
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}, sort_keys=True), file=sys.stderr)

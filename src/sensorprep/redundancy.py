@@ -12,6 +12,7 @@ are reconstructed as a similarity-weighted mean of parent readings.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,8 +25,8 @@ from .ingest import DiscretizationScheme, SensorDataset, discretize
 __all__ = [
     "StaticNodeResult",
     "StaticRedundancyReport",
-    "ScheduleEntry",
-    "RecoveryEntry",
+    "SCHEDULE_DTYPE",
+    "RECOVERY_DTYPE",
     "RealtimeRedundancyReport",
     "ssdrda",
     "rsdrda_infer",
@@ -40,6 +41,15 @@ __all__ = [
 ]
 
 
+# One sleep/wake record per (inference step, node); max_posterior is NaN for
+# parentless nodes, which never sleep.
+SCHEDULE_DTYPE = np.dtype(
+    [("t", np.int64), ("node", np.int64), ("sleeping", np.bool_), ("max_posterior", np.float64)]
+)
+# One recovered reading per (step, sleeping or redundant node).
+RECOVERY_DTYPE = np.dtype([("t", np.int64), ("node", np.int64), ("estimate", np.float64), ("actual", np.float64)])
+
+
 @dataclass(frozen=True)
 class StaticNodeResult:
     node: int
@@ -52,26 +62,10 @@ class StaticNodeResult:
 class StaticRedundancyReport:
     tau: float
     nodes: tuple[StaticNodeResult, ...]
-    recoveries: tuple["RecoveryEntry", ...] = ()
+    recoveries: np.recarray  # RECOVERY_DTYPE
 
     def redundant_nodes(self) -> list[int]:
         return [r.node for r in self.nodes if r.redundant]
-
-
-@dataclass(frozen=True)
-class ScheduleEntry:
-    t: int
-    node: int
-    sleeping: bool
-    max_posterior: float | None  # None for parentless nodes, which never sleep
-
-
-@dataclass(frozen=True)
-class RecoveryEntry:
-    t: int
-    node: int
-    estimate: float
-    actual: float
 
 
 @dataclass(frozen=True)
@@ -79,14 +73,12 @@ class RealtimeRedundancyReport:
     tau: float
     slice_len: int
     train_frac: float
-    entries: tuple[ScheduleEntry, ...]
-    recoveries: tuple[RecoveryEntry, ...]
+    entries: np.recarray  # SCHEDULE_DTYPE
+    recoveries: np.recarray  # RECOVERY_DTYPE
 
     def sleeping_fraction(self, node: int) -> float:
-        relevant = [e for e in self.entries if e.node == node]
-        if not relevant:
-            return 0.0
-        return sum(e.sleeping for e in relevant) / len(relevant)
+        sleeping = self.entries.sleeping[self.entries.node == node]
+        return float(sleeping.mean()) if sleeping.size else 0.0
 
 
 def ssdrda(dag: Dag, cpts: Sequence[Cpt], tau: float = 0.95) -> StaticRedundancyReport:
@@ -107,7 +99,7 @@ def ssdrda(dag: Dag, cpts: Sequence[Cpt], tau: float = 0.95) -> StaticRedundancy
         maxima = cpts[node].table.max(axis=1)
         criterion = float(maxima.mean())
         results.append(StaticNodeResult(node, criterion >= tau, criterion, tuple(float(v) for v in maxima)))
-    return StaticRedundancyReport(tau, tuple(results))
+    return StaticRedundancyReport(tau, tuple(results), np.rec.fromrecords([], dtype=RECOVERY_DTYPE))
 
 
 def rsdrda_infer(node: int, tn: TransitionNetwork, parent_evidence: Sequence[np.ndarray]) -> np.ndarray:
@@ -160,13 +152,13 @@ def recover(parent_values: Sequence[float], dissimilarities: Sequence[float]) ->
     return sum(wi * vi for wi, vi in zip(w, values)) / sum(w)
 
 
-def static_recovery(data: SensorDataset, dag: Dag, redundant_nodes: Sequence[int]) -> tuple[RecoveryEntry, ...]:
+def static_recovery(data: SensorDataset, dag: Dag, redundant_nodes: Sequence[int]) -> np.recarray:
     """Reconstruct every reading of each redundant node from its same-time parents.
 
     Weights follow the inverse of the RMS distance between standardized
-    columns of the full dataset.
+    columns of the full dataset. Returns a `RECOVERY_DTYPE` record array.
     """
-    out: list[RecoveryEntry] = []
+    out = []
     for node in redundant_nodes:
         parents = dag.parents[node]
         if not parents:
@@ -174,8 +166,8 @@ def static_recovery(data: SensorDataset, dag: Dag, redundant_nodes: Sequence[int
         dists = _training_dissimilarities(data.values, node, parents)
         for t in range(data.m):
             estimate = recover([data.values[t, p] for p in parents], dists)
-            out.append(RecoveryEntry(t, node, estimate, float(data.values[t, node])))
-    return tuple(out)
+            out.append((t, node, estimate, float(data.values[t, node])))
+    return np.rec.fromrecords(out, dtype=RECOVERY_DTYPE)
 
 
 def _point_mass(state: int, k: int) -> np.ndarray:
@@ -236,8 +228,8 @@ def rsdrda_schedule(
     k = scheme.state_count
     n = data.n
 
-    entries: list[ScheduleEntry] = []
-    recoveries: list[RecoveryEntry] = []
+    entries = []
+    recoveries = []
     for start in range(0, data.m - slice_len + 1, slice_len):
         window = data.values[start : start + train_len]
         train_states = discretize(
@@ -257,33 +249,33 @@ def rsdrda_schedule(
             for node in range(n):
                 parents = tn.dag.parents[node]
                 if not parents:
-                    entries.append(ScheduleEntry(t, node, False, None))
+                    entries.append((t, node, False, math.nan))
                     next_evidence[node] = _point_mass(int(states_all[t, node]), k)
                     continue
                 posterior = rsdrda_infer(node, tn, [evidence[p] for p in parents])
                 max_post = float(posterior.max())
                 sleeping = max_post >= tau
-                entries.append(ScheduleEntry(t, node, sleeping, max_post))
+                entries.append((t, node, sleeping, max_post))
                 if sleeping:
                     estimate = recover([data.values[t - 1, p] for p in parents], dissim[node])
-                    recoveries.append(RecoveryEntry(t, node, estimate, float(data.values[t, node])))
+                    recoveries.append((t, node, estimate, float(data.values[t, node])))
                     next_evidence[node] = posterior
                 else:
                     next_evidence[node] = _point_mass(int(states_all[t, node]), k)
             evidence = next_evidence
-    return RealtimeRedundancyReport(tau, slice_len, train_frac, tuple(entries), tuple(recoveries))
+    return RealtimeRedundancyReport(
+        tau,
+        slice_len,
+        train_frac,
+        np.rec.fromrecords(entries, dtype=SCHEDULE_DTYPE),
+        np.rec.fromrecords(recoveries, dtype=RECOVERY_DTYPE),
+    )
 
 
-def _recoveries_to_dicts(recoveries: Sequence[RecoveryEntry], node_ids: Sequence[str]) -> list[dict]:
+def _recoveries_to_dicts(recoveries: np.recarray, node_ids: Sequence[str]) -> list[dict]:
     return [
-        {
-            "t": r.t,
-            "node": r.node,
-            "node_id": node_ids[r.node],
-            "estimate": float(r.estimate),
-            "actual": float(r.actual),
-        }
-        for r in recoveries
+        {"t": t, "node": node, "node_id": node_ids[node], "estimate": estimate, "actual": actual}
+        for t, node, estimate, actual in recoveries.tolist()
     ]
 
 
@@ -313,13 +305,13 @@ def realtime_report_to_dict(report: RealtimeRedundancyReport, node_ids: Sequence
         "train_frac": float(report.train_frac),
         "entries": [
             {
-                "t": e.t,
-                "node": e.node,
-                "node_id": node_ids[e.node],
-                "state": "sleeping" if e.sleeping else "waking",
-                "max_posterior": None if e.max_posterior is None else float(e.max_posterior),
+                "t": t,
+                "node": node,
+                "node_id": node_ids[node],
+                "state": "sleeping" if sleeping else "waking",
+                "max_posterior": None if math.isnan(max_post) else max_post,
             }
-            for e in report.entries
+            for t, node, sleeping, max_post in report.entries.tolist()
         ],
         "recoveries": _recoveries_to_dicts(report.recoveries, node_ids),
     }
@@ -329,30 +321,24 @@ def write_static_csv(report: StaticRedundancyReport, node_ids: Sequence[str], pa
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "redundant", "criterion"])
-        for r in report.nodes:
-            writer.writerow([node_ids[r.node], int(r.redundant), repr(r.criterion)])
+        writer.writerows([node_ids[r.node], int(r.redundant), r.criterion] for r in report.nodes)
 
 
 def write_realtime_csv(report: RealtimeRedundancyReport, node_ids: Sequence[str], path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "node", "state", "max_posterior"])
-        for e in report.entries:
-            writer.writerow(
-                [
-                    e.t,
-                    node_ids[e.node],
-                    "sleeping" if e.sleeping else "waking",
-                    "" if e.max_posterior is None else repr(e.max_posterior),
-                ]
-            )
+        writer.writerows(
+            [t, node_ids[node], "sleeping" if sleeping else "waking", "" if math.isnan(max_post) else max_post]
+            for t, node, sleeping, max_post in report.entries.tolist()
+        )
 
 
-def write_recovery_csv(recoveries: Sequence[RecoveryEntry], node_ids: Sequence[str], path: str | Path) -> None:
+def write_recovery_csv(recoveries: np.recarray, node_ids: Sequence[str], path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "node", "estimate", "actual", "abs_error"])
-        for r in recoveries:
-            writer.writerow(
-                [r.t, node_ids[r.node], repr(r.estimate), repr(r.actual), repr(abs(r.estimate - r.actual))]
-            )
+        writer.writerows(
+            [t, node_ids[node], estimate, actual, abs(estimate - actual)]
+            for t, node, estimate, actual in recoveries.tolist()
+        )

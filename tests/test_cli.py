@@ -1,12 +1,16 @@
 """End-to-end command-line pipeline tests."""
 
+import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from sensorprep.bayesnet import learn_transition
 from sensorprep.cli import RunConfig, main
+from sensorprep.ingest import SensorDataset, discretize, fit_discretization, load_csv
 from sensorprep.spectra import model_from_dict
 
 
@@ -124,6 +128,80 @@ class TestPipeline:
         ])
         assert code == 1
         assert "rogue" in json.loads(err)["error"]
+
+    def test_detect_scheme_node_id_mismatch(self, tmp_path, capsys):
+        art, _ = run_full_pipeline(tmp_path, capsys, seed=3)
+        scheme_path = art / "scheme.json"
+        scheme = json.loads(scheme_path.read_text())
+        scheme["node_ids"][2] = "rogue"
+        scheme_path.write_text(json.dumps(scheme))
+        code, out, err = run(capsys, [
+            "detect", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "test_bad.csv"),
+            "--artifacts", str(art), "--out-dir", str(art),
+        ])
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert "node id mismatch" in error and "rogue" in error
+
+    def test_report_files_hold_plain_values(self, tmp_path, capsys):
+        """Numbers are written as plain literals; missing values exactly where a node has no parents."""
+        # lagged-copy: node 1 copies node 0 one step late, every other node is i.i.d.
+        art = tmp_path / "artifacts"
+        numpy_repr = re.compile(r"\bnp\.\w")  # repr of a numpy scalar, e.g. np.float64(0.5) or np.True_
+        for argv in (
+            ["synth", "--profile", "lagged-copy", "--seed", "5", "--rows", "360", "--cols", "6", "--split", "240",
+             "--out-train", str(tmp_path / "train.csv"), "--out-test", str(tmp_path / "test.csv")],
+            ["learn", "--train", str(tmp_path / "train.csv"), "--out-dir", str(art)],
+            ["inject", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "test.csv"),
+             "--last-rows", "30", "--out", str(tmp_path / "bad.csv"), "--sidecar", str(tmp_path / "truth.json")],
+            ["detect", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "bad.csv"),
+             "--artifacts", str(art), "--out-dir", str(art)],
+            ["redundancy-static", "--data", str(tmp_path / "train.csv"), "--artifacts", str(art), "--out-dir", str(art)],
+            ["redundancy-realtime", "--data", str(tmp_path / "train.csv"), "--slice-len", "80", "--out-dir", str(art)],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 0, err
+            assert not numpy_repr.search(out)
+        for path in sorted(art.iterdir()):
+            assert not numpy_repr.search(path.read_text()), path.name
+
+        def read_rows(name):
+            with (art / name).open(newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        # Detection: `predicted` is blank exactly for nodes without transition parents.
+        tn_parents = json.loads((art / "transition_network.json").read_text())["parents"]
+        uninferable = {j for j, ps in enumerate(tn_parents) if not ps}
+        assert uninferable and len(uninferable) < len(tn_parents)
+        node_lines = [r for r in read_rows("detection_report.csv") if r["node"]]
+        assert node_lines
+        for r in node_lines:
+            assert (r["predicted"] == "") == (int(r["node"]) in uninferable), r
+        verdicts = json.loads((art / "detection_report.json").read_text())["verdicts"]
+        assert len(verdicts) == len(node_lines)
+        assert all(v["uninferable"] == (v["node"] in uninferable) for v in verdicts)
+
+        # Real-time schedule: `max_posterior` is null/blank exactly for nodes
+        # without parents in their slice's network (slice 80, 48 training rows).
+        data = load_csv(tmp_path / "train.csv")
+        scheme = fit_discretization(data, 3)
+        parentless = {}
+        for start in range(0, data.m - 80 + 1, 80):
+            window = SensorDataset(data.values[start : start + 48], data.node_ids)
+            tn = learn_transition(discretize(window, scheme), 3)
+            for t in range(start + 48, start + 80):
+                for j in range(data.n):
+                    parentless[t, data.node_ids[j]] = not tn.dag.parents[j]
+        assert any(parentless.values()) and not all(parentless.values())
+        schedule_csv = read_rows("redundancy_realtime.csv")
+        assert {(int(r["t"]), r["node"]) for r in schedule_csv} == set(parentless)
+        for r in schedule_csv:
+            assert (r["max_posterior"] == "") == parentless[int(r["t"]), r["node"]], r
+        entries = json.loads((art / "redundancy_realtime.json").read_text())["entries"]
+        assert len(entries) == len(schedule_csv)
+        for e in entries:
+            assert (e["max_posterior"] is None) == parentless[e["t"], e["node_id"]], e
 
     def test_unknown_profile_fails_cleanly(self, tmp_path, capsys):
         code, out, err = run(capsys, [

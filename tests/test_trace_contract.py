@@ -1,0 +1,70 @@
+"""The benchmark's tracer binds to sensorprep functions by name.
+
+`perfbench/spans.py` wraps every function listed in its `TRACED` table and
+its hooks read some arguments and results of those functions after each
+call. These tests fail when a rename or deletion in sensorprep would break
+`perfbench/run.py --trace 1`.
+"""
+
+import csv
+import importlib
+import importlib.util
+from pathlib import Path
+
+from sensorprep.cli import main
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_is_a_function():
+    spans = load_spans()
+    for module_name, names in spans.TRACED.items():
+        module = importlib.import_module(f"sensorprep.{module_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"sensorprep.{module_name}.{name}"
+    traced = {f"{m}.{name}" for m, names in spans.TRACED.items() for name in names}
+    assert set(spans.HOOKS) <= traced
+
+
+def test_hooks_read_traced_calls(tmp_path, capsys):
+    spans = load_spans()
+    art = tmp_path / "art"
+    assert main(["synth", "--profile", "lagged-copy", "--seed", "2", "--rows", "300", "--cols", "5", "--split", "200",
+                 "--out-train", str(tmp_path / "train.csv"), "--out-test", str(tmp_path / "test.csv")]) == 0
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for argv in (
+            ["learn", "--train", str(tmp_path / "train.csv"), "--out-dir", str(art)],
+            ["inject", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "test.csv"),
+             "--last-rows", "20", "--out", str(tmp_path / "bad.csv"), "--sidecar", str(tmp_path / "truth.json")],
+            ["detect", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "bad.csv"),
+             "--artifacts", str(art), "--out-dir", str(art)],
+            ["evaluate", "--report", str(art / "detection_report.json"), "--truth", str(tmp_path / "truth.json")],
+            ["redundancy-realtime", "--data", str(tmp_path / "train.csv"), "--slice-len", "100", "--out-dir", str(art)],
+        ):
+            assert main(argv) == 0, capsys.readouterr().err
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    counters = {key: value for (_, key), value in tracer.counters.items()}
+    for key in (
+        "ingest.load_csv.bytes",
+        "bayesnet.repair_cycles.edges_removed",
+        "anomaly.screened",
+        "metrics.precision_recall.universe_size",
+    ):
+        assert key in counters, key
+    assert counters["anomaly.screened"] == 100
+    with (art / "redundancy_realtime.csv").open(newline="") as fh:
+        schedule = list(csv.DictReader(fh))
+    assert counters["redundancy.entries"] == len(schedule) > 0
+    assert counters["redundancy.sleeping"] == sum(r["state"] == "sleeping" for r in schedule) > 0
