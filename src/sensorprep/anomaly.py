@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bayesnet import TransitionNetwork, parent_marginal
-from .ingest import DiscretizationScheme, SensorDataset, apply_standardization, discretize_row
+from .bayesnet import TransitionNetwork, parent_marginal, parent_marginals
+from .ingest import DiscretizationScheme, SensorDataset, apply_standardization, discretize
 from .spectra import PcaModel, limit_from_json, limit_to_json, q_statistic, t2_statistic
 
 __all__ = [
@@ -118,11 +118,12 @@ def tqbayes_detect(
 ) -> DetectionReport:
     """Run the full two-stage detector over a test set.
 
-    Every row is screened; flagged rows are discretized together with their
-    predecessor and each inferable node is marked abnormal when its
-    predicted state disagrees with the observed one. The first test row
-    uses the supplied last training row as its predecessor; later rows use
-    the observed previous test row even if it was itself corrupted.
+    Every row is screened one at a time. Stage two then runs over all
+    flagged rows at once: each inferable node is marked abnormal when the
+    state predicted from its parents' previous states disagrees with the
+    observed one. The first test row uses the supplied last training row as
+    its predecessor; later rows use the observed previous test row even if
+    it was itself corrupted.
     """
     if test.n != model.n or test.n != tn.dag.n or test.n != scheme.n:
         raise ValueError(
@@ -133,27 +134,45 @@ def tqbayes_detect(
     if last_train_row.shape != (test.n,):
         raise ValueError(f"last training row has shape {last_train_row.shape}, expected ({test.n},)")
 
-    rows = []
-    verdicts = []
-    for r in range(test.m):
-        q, t2, flagged = tq_screen(test.values[r], model)
-        rows.append((r, q, t2, flagged))
-        if not flagged:
-            continue
-        prev_raw = last_train_row if r == 0 else test.values[r - 1]
-        prev_states = discretize_row(prev_raw, scheme)
-        observed = discretize_row(test.values[r], scheme)
-        for node in range(test.n):
-            predicted, _ = nb_predict_state(node, prev_states, tn)
-            uninferable = not tn.dag.parents[node]
-            abnormal = (not uninferable) and predicted != int(observed[node])
-            verdicts.append((r, node, int(observed[node]), predicted, abnormal, uninferable))
-    return DetectionReport(
-        model.q_limit,
-        model.t2_limit,
-        np.rec.fromrecords(rows, dtype=ROW_DTYPE),
-        np.rec.fromrecords(verdicts, dtype=VERDICT_DTYPE),
+    rows = np.rec.fromrecords(
+        [(r, *tq_screen(values, model)) for r, values in enumerate(test.values)], dtype=ROW_DTYPE
     )
+    flagged = np.flatnonzero(rows.flagged)
+    # Row 0 of `states` is the last training row, so test row r sits at r + 1.
+    states = discretize(SensorDataset(np.vstack([last_train_row, test.values]), test.node_ids), scheme).states
+    prev, observed = states[flagged], states[flagged + 1]
+    predicted = np.column_stack([_predict_states(node, prev, tn) for node in range(test.n)])
+
+    verdicts = np.recarray(observed.size, dtype=VERDICT_DTYPE)
+    verdicts.row = np.repeat(flagged, test.n)
+    verdicts.node = np.tile(np.arange(test.n), len(flagged))
+    verdicts.observed = observed.ravel()
+    verdicts.predicted = predicted.ravel()
+    verdicts.uninferable = np.tile([not ps for ps in tn.dag.parents], len(flagged))
+    verdicts.abnormal = ~verdicts.uninferable & (verdicts.predicted != verdicts.observed)
+    return DetectionReport(model.q_limit, model.t2_limit, rows, verdicts)
+
+
+def _predict_states(node: int, prev: np.ndarray, tn: TransitionNetwork) -> np.ndarray:
+    """`nb_predict_state`'s prediction for every row of previous states at once.
+
+    Multiplies the same single-parent conditionals onto the prior in the
+    same parent order, so each posterior, and its argmax, is bit-identical.
+    """
+    prior = tn.priors[node]
+    fallback = np.argmax(prior / prior.sum()) + 1
+    parents = tn.dag.parents[node]
+    if not parents:
+        return np.full(len(prev), fallback)
+    marginals = parent_marginals(tn.cpts[node])
+    unnorm = prior
+    for position, parent in enumerate(parents):
+        unnorm = unnorm * marginals[position, prev[:, parent] - 1]
+    total = unnorm.sum(axis=1)
+    # Parents with disjoint supports leave a zero row: fall back to the prior.
+    inferable = total > 0.0
+    posterior = unnorm / np.where(inferable, total, 1.0)[:, None]
+    return np.where(inferable, np.argmax(posterior, axis=1) + 1, fallback)
 
 
 def report_to_dict(report: DetectionReport) -> dict:

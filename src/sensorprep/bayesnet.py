@@ -35,6 +35,7 @@ __all__ = [
     "learn_static",
     "learn_transition",
     "parent_marginal",
+    "parent_marginals",
     "network_to_dict",
     "static_from_dict",
     "transition_from_dict",
@@ -428,12 +429,28 @@ def learn_transition(states: StateMatrix, max_parents: int = 3) -> TransitionNet
     return TransitionNetwork(dag, cpts, priors)
 
 
+def parent_marginals(cpt: Cpt) -> np.ndarray:
+    """Every single-parent conditional of a CPT as a (p, K, K) table.
+
+    Entry [position, s - 1] is P(node | parent at `position` in state s),
+    count-weighted: the joint counts, viewed as a (K,)*p + (K,) array, are
+    summed over the other parents' axes, then normalized by `estimate_cpt`,
+    so a slice that was never observed is uniform.
+    """
+    p = len(cpt.parents)
+    k = cpt.state_count
+    joint = cpt.counts.reshape((k,) * p + (k,))
+    sums = np.empty((p, k, k), dtype=np.int64)
+    for position in range(p):
+        sums[position] = joint.sum(axis=tuple(a for a in range(p) if a != position))
+    return estimate_cpt(sums.reshape(p * k, k)).reshape(p, k, k)
+
+
 def parent_marginal(cpt: Cpt, position: int, parent_state: int) -> np.ndarray:
     """Single-parent conditional P(node | one parent), marginalizing the others.
 
-    Count-weighted: joint-configuration counts are summed over every
-    configuration in which the parent at `position` sits in `parent_state`
-    (1-based), then normalized (uniform if that slice was never observed).
+    One row of `parent_marginals`: the parent at `position` in
+    `parent_state` (1-based).
     """
     p = len(cpt.parents)
     if not 0 <= position < p:
@@ -441,13 +458,7 @@ def parent_marginal(cpt: Cpt, position: int, parent_state: int) -> np.ndarray:
     k = cpt.state_count
     if not 1 <= parent_state <= k:
         raise ValueError(f"parent state {parent_state} outside 1..{k}")
-    digits = (np.arange(cpt.counts.shape[0]) // (k ** (p - 1 - position))) % k
-    rows = cpt.counts[digits == parent_state - 1]
-    sums = rows.sum(axis=0).astype(float)
-    total = sums.sum()
-    if total <= 0:
-        return np.full(k, 1.0 / k)
-    return sums / total
+    return parent_marginals(cpt)[position, parent_state - 1]
 
 
 def _cpt_to_dict(cpt: Cpt) -> dict:

@@ -56,14 +56,14 @@ class RunConfig:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        for name, value in (("alpha_warning", self.alpha_warning), ("alpha_alarm", self.alpha_alarm)):
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {value}")
         for name, value in (
-            ("contribution_ratio", self.contribution_ratio),
-            ("tau", self.tau),
+            ("alpha_warning", self.alpha_warning),
+            ("alpha_alarm", self.alpha_alarm),
             ("train_frac", self.train_frac),
         ):
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {value}")
+        for name, value in (("contribution_ratio", self.contribution_ratio), ("tau", self.tau)):
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")
         if self.alpha_alarm > self.alpha_warning:
@@ -284,14 +284,16 @@ def cmd_evaluate(report_path: str, truth_path: str, out: str | None, redundancy_
     n = len(truth_doc["node_ids"])
     test_rows = int(truth_doc["test_rows"])
 
-    universe_rows = set(range(test_rows))
-    predicted_rows = set(report.flagged_rows())
-    row_p, row_r, row_counts = metrics.precision_recall(truth_rows, predicted_rows, universe_rows)
+    row_p, row_r, row_counts = metrics.precision_recall(truth_rows, report.flagged_rows(), range(test_rows))
 
-    universe_cells = {(r, j) for r in range(test_rows) for j in range(n)}
-    truth_cells = {(r, j) for r in truth_rows for j in range(n)}
-    predicted_cells = set(report.abnormal_cells())
-    cell_p, cell_r, cell_counts = metrics.precision_recall(truth_cells, predicted_cells, universe_cells)
+    # Cell (r, j) is the integer r * n + j, so the universe is a range.
+    hit = report.verdicts[report.verdicts.abnormal]
+    outside = hit.node[(hit.node < 0) | (hit.node >= n)]
+    if outside.size:
+        raise ValueError(f"report names node {outside[0]}, outside the truth file's {n} nodes")
+    truth_cells = [r * n + j for r in truth_rows for j in range(n)]
+    predicted_cells = (hit.row * n + hit.node).tolist()
+    cell_p, cell_r, cell_counts = metrics.precision_recall(truth_cells, predicted_cells, range(test_rows * n))
 
     doc = {
         "row_level": {

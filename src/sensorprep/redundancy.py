@@ -158,16 +158,38 @@ def static_recovery(data: SensorDataset, dag: Dag, redundant_nodes: Sequence[int
     Weights follow the inverse of the RMS distance between standardized
     columns of the full dataset. Returns a `RECOVERY_DTYPE` record array.
     """
-    out = []
-    for node in redundant_nodes:
+    nodes = [int(node) for node in redundant_nodes]
+    out = np.recarray(len(nodes) * data.m, dtype=RECOVERY_DTYPE)
+    for i, node in enumerate(nodes):
         parents = dag.parents[node]
         if not parents:
             raise ValueError(f"node {node} has no parents to recover from")
         dists = _training_dissimilarities(data.values, node, parents)
-        for t in range(data.m):
-            estimate = recover([data.values[t, p] for p in parents], dists)
-            out.append((t, node, estimate, float(data.values[t, node])))
-    return np.rec.fromrecords(out, dtype=RECOVERY_DTYPE)
+        block = out[i * data.m : (i + 1) * data.m]
+        block.t = np.arange(data.m)
+        block.node = node
+        block.estimate = _recover_columns(data.values[:, parents], dists)
+        block.actual = data.values[:, node]
+    return out
+
+
+def _recover_columns(columns: np.ndarray, dissimilarities: Sequence[float]) -> np.ndarray:
+    """`recover` for every row of an m x p matrix of parent readings at once.
+
+    The weights are fixed per column, so the same three cases apply to the
+    whole matrix, and the weighted sum accumulates from zero, parent by
+    parent, as `recover` does, so every estimate is bit-identical.
+    """
+    if len(dissimilarities) == 1:
+        return columns[:, 0]
+    for column, d in zip(columns.T, dissimilarities):
+        if d == 0.0:
+            return column
+    weights = [1.0 / d for d in dissimilarities]
+    total = np.zeros(len(columns))
+    for w, column in zip(weights, columns.T):
+        total = total + w * column
+    return total / sum(weights)
 
 
 def _point_mass(state: int, k: int) -> np.ndarray:

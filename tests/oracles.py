@@ -4,6 +4,10 @@ Everything here deliberately avoids the library's computation paths:
 quantiles come from Simpson quadrature plus bisection, inference from
 dictionary-based enumeration, and structure search from exhaustive DAG
 enumeration or from one penalized_family_score call per candidate.
+Batched detection is checked against one nb_predict_state call per
+(flagged row, node), its marginal tables against the per-slice
+mixed-radix digit sum, and static recovery against one recover call per
+reading.
 """
 
 from __future__ import annotations
@@ -13,8 +17,11 @@ import math
 
 import numpy as np
 
+from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, nb_predict_state, tq_screen
 from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork, penalized_family_score, repair_cycles
-from sensorprep.ingest import DiscretizationScheme, StateMatrix
+from sensorprep.ingest import DiscretizationScheme, SensorDataset, StateMatrix, discretize_row
+from sensorprep.redundancy import RECOVERY_DTYPE, _training_dissimilarities, recover
+from sensorprep.spectra import PcaModel
 
 
 def simpson(f, a: float, b: float, n: int = 4000) -> float:
@@ -99,6 +106,65 @@ def brute_nb_posterior(node: int, prev_states, tn: TransitionNetwork) -> np.ndar
         prior = np.asarray(tn.priors[node], dtype=float)
         return prior / prior.sum()
     return np.array(scores) / total
+
+
+def digit_parent_marginal(cpt: Cpt, position: int, parent_state: int) -> np.ndarray:
+    """Single-parent conditional from the mixed-radix digit of every configuration row."""
+    p = len(cpt.parents)
+    k = cpt.state_count
+    digits = (np.arange(cpt.counts.shape[0]) // (k ** (p - 1 - position))) % k
+    sums = cpt.counts[digits == parent_state - 1].sum(axis=0).astype(float)
+    total = sums.sum()
+    if total <= 0:
+        return np.full(k, 1.0 / k)
+    return sums / total
+
+
+def scalar_tqbayes_detect(
+    test: SensorDataset,
+    model: PcaModel,
+    tn: TransitionNetwork,
+    scheme: DiscretizationScheme,
+    last_train_row: np.ndarray,
+) -> DetectionReport:
+    """Per-row two-stage detection: one discretize_row per flagged row and
+    its predecessor, one nb_predict_state call per node.
+
+    The reference for the batched stage two of tqbayes_detect.
+    """
+    rows = []
+    verdicts = []
+    for r in range(test.m):
+        q, t2, flagged = tq_screen(test.values[r], model)
+        rows.append((r, q, t2, flagged))
+        if not flagged:
+            continue
+        prev_raw = last_train_row if r == 0 else test.values[r - 1]
+        prev_states = discretize_row(prev_raw, scheme)
+        observed = discretize_row(test.values[r], scheme)
+        for node in range(test.n):
+            predicted, _ = nb_predict_state(node, prev_states, tn)
+            uninferable = not tn.dag.parents[node]
+            abnormal = (not uninferable) and predicted != int(observed[node])
+            verdicts.append((r, node, int(observed[node]), predicted, abnormal, uninferable))
+    return DetectionReport(
+        model.q_limit,
+        model.t2_limit,
+        np.rec.fromrecords(rows, dtype=ROW_DTYPE),
+        np.rec.fromrecords(verdicts, dtype=VERDICT_DTYPE),
+    )
+
+
+def scalar_static_recovery(data: SensorDataset, dag: Dag, redundant_nodes) -> np.recarray:
+    """One recover call per reading: the reference for the per-node static_recovery."""
+    out = []
+    for node in redundant_nodes:
+        parents = dag.parents[node]
+        dists = _training_dissimilarities(data.values, node, parents)
+        for t in range(data.m):
+            estimate = recover([data.values[t, p] for p in parents], dists)
+            out.append((t, node, estimate, float(data.values[t, node])))
+    return np.rec.fromrecords(out, dtype=RECOVERY_DTYPE)
 
 
 def brute_soft_posterior(node: int, tn: TransitionNetwork, parent_evidence) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_nb_posterior, random_transition_network
+from oracles import brute_nb_posterior, random_transition_network, scalar_tqbayes_detect, trivial_scheme
 from sensorprep.anomaly import (
     nb_predict_state,
     report_from_dict,
@@ -13,7 +15,7 @@ from sensorprep.anomaly import (
     write_report_csv,
 )
 from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork, estimate_cpt, learn_transition
-from sensorprep.ingest import SensorDataset, discretize, fit_discretization, synth_generate
+from sensorprep.ingest import SensorDataset, Standardization, discretize, fit_discretization, synth_generate
 from sensorprep.spectra import PcaModel, fit_pca_model
 
 
@@ -29,6 +31,20 @@ def single_parent_tn(counts, prior=None):
     )
     priors = np.full((2, k), 1.0 / k) if prior is None else np.array([np.full(k, 1.0 / k), prior])
     return TransitionNetwork(Dag(2, ((), (0,))), cpts, priors)
+
+
+def t2_model(n, t2_limit):
+    """Identity PCA model keeping all n components: Q is 0 and T2 is the squared norm."""
+    return PcaModel(Standardization(np.zeros(n), np.ones(n)), np.ones(n), np.eye(n), n, np.inf, t2_limit, 0.05)
+
+
+def assert_reports_equal(ours, theirs):
+    assert (ours.q_limit, ours.t2_limit) == (theirs.q_limit, theirs.t2_limit)
+    for table in ("rows", "verdicts"):
+        a, b = getattr(ours, table), getattr(theirs, table)
+        assert a.dtype == b.dtype and a.shape == b.shape, table
+        for name in a.dtype.names:
+            assert np.array_equal(a[name], b[name]), (table, name)
 
 
 class TestTqScreen:
@@ -195,13 +211,7 @@ class TestTqBayesDetect:
     def test_report_roundtrip_and_csv(self, fitted, tmp_path):
         train, test, model, scheme, tn = fitted
         report = tqbayes_detect(test, model, tn, scheme, train.values[-1])
-        back = report_from_dict(report_to_dict(report))
-        assert (back.q_limit, back.t2_limit) == (report.q_limit, report.t2_limit)
-        for table in ("rows", "verdicts"):
-            ours, theirs = getattr(report, table), getattr(back, table)
-            assert ours.dtype == theirs.dtype
-            for name in ours.dtype.names:
-                assert np.array_equal(ours[name], theirs[name]), (table, name)
+        assert_reports_equal(report_from_dict(report_to_dict(report)), report)
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         header = path.read_text().splitlines()[0]
@@ -212,3 +222,78 @@ class TestTqBayesDetect:
         narrow = SensorDataset(test.values[:, :5], test.node_ids[:5])
         with pytest.raises(ValueError, match="disagree"):
             tqbayes_detect(narrow, model, tn, scheme, train.values[-1])
+
+
+@st.composite
+def detection_cases(draw):
+    """Random network, readings near integer levels 1..K, and a flag pattern."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "sparse", "uniform"]))
+    parent_sets = []
+    cpts = []
+    for node in range(n):
+        others = [j for j in range(n) if j != node]
+        count = draw(st.integers(0, min(3, len(others))))
+        parents = tuple(int(p) for p in rng.permutation(others)[:count])
+        counts = np.zeros((k ** count, k), dtype=np.int64)
+        if kind == "random":
+            counts = rng.integers(0, 30, size=counts.shape)
+        elif kind == "sparse":  # mostly empty rows and disjoint supports
+            counts = rng.integers(1, 5, size=counts.shape) * (rng.random(counts.shape) < 0.25)
+        parent_sets.append(parents)
+        cpts.append(Cpt(node, parents, estimate_cpt(counts), counts))
+    priors = np.full((n, k), 1.0 / k)
+    if kind != "uniform":
+        priors = rng.random((n, k)) + 0.05
+        priors /= priors.sum(axis=1, keepdims=True)
+    tn = TransitionNetwork(Dag(n, tuple(parent_sets)), tuple(cpts), priors)
+
+    levels = rng.integers(1, k + 1, size=(m + 1, n)) + rng.uniform(-0.4, 0.4, size=(m + 1, n))
+    test = SensorDataset(levels[1:], [f"n{j}" for j in range(n)])
+    flags = draw(st.sampled_from(["all", "none", "some"]))
+    if flags == "all":
+        limit = -1.0
+    elif flags == "none":
+        limit = np.inf
+    else:
+        limit = float(np.quantile((test.values**2).sum(axis=1), draw(st.floats(0.0, 1.0))))
+    return test, t2_model(n, limit), tn, trivial_scheme(n, k), levels[0]
+
+
+class TestBatchedStageTwo:
+    """tqbayes_detect against one nb_predict_state call per (flagged row, node)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(detection_cases())
+    def test_matches_per_row_oracle(self, case):
+        assert_reports_equal(tqbayes_detect(*case), scalar_tqbayes_detect(*case))
+
+    def test_disjoint_supports_fall_back_to_prior(self):
+        # Node 2 has parents (0, 1). Parent 0 in state 1 only ever saw child
+        # state 1, parent 1 in state 2 only child state 2: their product is
+        # zero everywhere, so the prediction is the prior's argmax.
+        k = 2
+        counts = np.array([[5, 0], [0, 0], [0, 0], [0, 5]])
+        flat = np.full((1, k), 10)
+        cpts = (
+            Cpt(0, (), estimate_cpt(flat), flat),
+            Cpt(1, (), estimate_cpt(flat), flat),
+            Cpt(2, (0, 1), estimate_cpt(counts), counts),
+        )
+        priors = np.array([[0.5, 0.5], [0.5, 0.5], [0.3, 0.7]])
+        tn = TransitionNetwork(Dag(3, ((), (), (0, 1))), cpts, priors)
+        # Every test row is flagged. Rows 0 and 2 follow parent states (1, 2)
+        # and (2, 1), both disjoint; row 1 follows (1, 1), which predicts 1.
+        # Without the fallback, 0/0 would make the argmax state 1.
+        values = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        last_train_row = np.array([1.0, 2.0, 2.0])
+        case = (SensorDataset(values, ["a", "b", "c"]), t2_model(3, -1.0), tn, trivial_scheme(3, k), last_train_row)
+        report = tqbayes_detect(*case)
+        assert_reports_equal(report, scalar_tqbayes_detect(*case))
+        node2 = report.verdicts[report.verdicts.node == 2]
+        assert node2.row.tolist() == [0, 1, 2]
+        assert node2.predicted.tolist() == [2, 1, 2]
+        assert node2.abnormal.tolist() == [True, False, True]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_argmax, penalized_total, scalar_k2_search, states_from_grid
+from oracles import digit_parent_marginal, exhaustive_argmax, penalized_total, scalar_k2_search, states_from_grid
 from sensorprep.bayesnet import (
     Cpt,
     Dag,
@@ -23,6 +23,7 @@ from sensorprep.bayesnet import (
     make_cpt,
     network_to_dict,
     parent_marginal,
+    parent_marginals,
     penalized_family_score,
     repair_cycles,
     score,
@@ -367,6 +368,30 @@ class TestParentMarginal:
         counts = np.array([[3, 1], [0, 0]])
         cpt = Cpt(1, (0,), estimate_cpt(counts), counts)
         np.testing.assert_allclose(parent_marginal(cpt, 0, 2), [0.5, 0.5])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 2**32 - 1), st.booleans())
+    def test_table_matches_per_slice_digit_sums(self, k, p, seed, sparse):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 40, size=(k**p, k))
+        if sparse:  # empty configuration rows and never-observed slices
+            counts *= rng.random(counts.shape) < 0.2
+        cpt = Cpt(p, tuple(range(p)), estimate_cpt(counts), counts)
+        table = parent_marginals(cpt)
+        assert table.shape == (p, k, k)
+        for position in range(p):
+            for state in range(1, k + 1):
+                expected = digit_parent_marginal(cpt, position, state)
+                assert np.array_equal(table[position, state - 1], expected)
+                assert np.array_equal(parent_marginal(cpt, position, state), expected)
+
+    def test_rejects_position_and_state_out_of_range(self):
+        counts = np.array([[3, 1], [0, 0]])
+        cpt = Cpt(1, (0,), estimate_cpt(counts), counts)
+        with pytest.raises(ValueError, match="position"):
+            parent_marginal(cpt, 1, 1)
+        with pytest.raises(ValueError, match="outside"):
+            parent_marginal(cpt, 0, 3)
 
 
 class TestSerialization:

@@ -107,6 +107,20 @@ class TestPipeline:
         metrics_doc = json.loads((art / "metrics.json").read_text())
         assert metrics_doc["row_level"]["tp"] == len(flagged & set(truth["rows"]))
 
+    def test_evaluate_rejects_nodes_outside_truth(self, tmp_path, capsys):
+        # Cells are encoded as row * n + node, so a node index >= n would
+        # alias a cell of the next row instead of failing.
+        art, _ = run_full_pipeline(tmp_path, capsys, seed=2)
+        truth = json.loads((tmp_path / "truth.json").read_text())
+        truth["node_ids"] = truth["node_ids"][:1]
+        narrow = tmp_path / "narrow_truth.json"
+        narrow.write_text(json.dumps(truth))
+        code, out, err = run(capsys, [
+            "evaluate", "--report", str(art / "detection_report.json"), "--truth", str(narrow),
+        ])
+        assert code == 1 and out == ""
+        assert "outside the truth file's 1 nodes" in json.loads(err)["error"]
+
     def test_constant_column_fails_with_named_node(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,5\n2,5\n3,5\n")
@@ -243,6 +257,18 @@ class TestPipeline:
         assert not (tmp_path / "art").exists()
         with pytest.raises(ValueError, match=r"alpha_alarm must lie in \(0, 1\)"):
             RunConfig(alpha_alarm=1.0)
+
+    def test_train_frac_of_one_rejected_at_config(self, tmp_path, capsys):
+        # The data file does not exist: the config must fail before it is read.
+        code, out, err = run(capsys, [
+            "redundancy-realtime", "--data", str(tmp_path / "missing.csv"), "--train-frac", "1.0",
+            "--out-dir", str(tmp_path / "art"),
+        ])
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["type"] == "ValueError"
+        assert "train_frac must lie in (0, 1)" in error["error"]
+        assert not (tmp_path / "art").exists()
 
     def test_oversized_tables_rejected_at_config(self, tmp_path, capsys):
         code, out, err = run(capsys, [

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_soft_posterior, random_transition_network, states_from_grid
+from oracles import brute_soft_posterior, random_transition_network, scalar_static_recovery, states_from_grid
 from sensorprep.bayesnet import Cpt, Dag, estimate_cpt, make_cpt
 from sensorprep.ingest import SensorDataset, fit_discretization, synth_generate
 from sensorprep.metrics import rmse
@@ -231,6 +231,31 @@ class TestStaticRecovery:
         entries = static_recovery(data, Dag(3, ((), (0,), ())), [1])
         assert len(entries) == 150
         assert all(r.estimate == r.actual for r in entries)
+
+    def test_matches_per_reading_recover(self):
+        # Node 1 copies node 0 (zero dissimilarity, listed second among its
+        # parents), node 3 has one parent, node 4 three weighted ones, and
+        # node 5 is constant like both its parents 2 and 6 (two zeros: the
+        # first wins). Row 7 gives node 4 only -0.0 readings: the weighted
+        # sum starts from +0.0, as recover's does.
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(120, 7))
+        values[7, [0, 3]] = -0.0
+        values[:, 1] = values[:, 0]
+        values[:, 2] = -0.0
+        values[:, 5] = 3.0
+        values[:, 6] = 7.0
+        data = SensorDataset(values, [f"n{j}" for j in range(7)])
+        dag = Dag(7, ((), (3, 0, 2), (), (1,), (0, 3, 2), (2, 6), ()))
+        ours = static_recovery(data, dag, [1, 3, 4, 5])
+        theirs = scalar_static_recovery(data, dag, [1, 3, 4, 5])
+        assert ours.dtype == theirs.dtype and len(ours) == 4 * 120
+        for name in ours.dtype.names:
+            assert np.array_equal(ours[name], theirs[name]), name
+        assert np.array_equal(np.signbit(ours.estimate), np.signbit(theirs.estimate))
+        assert np.array_equal(ours.estimate[ours.node == 1], values[:, 0])
+        assert np.array_equal(ours.estimate[ours.node == 5], values[:, 2])
+        assert len(static_recovery(data, dag, [])) == 0
 
     def test_requires_parents(self):
         data = synth_generate(6, 50, 2, "copy-child")

@@ -44,7 +44,8 @@ def test_hooks_read_traced_calls(tmp_path, capsys):
         for argv in (
             ["learn", "--train", str(tmp_path / "train.csv"), "--out-dir", str(art)],
             ["inject", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "test.csv"),
-             "--last-rows", "20", "--out", str(tmp_path / "bad.csv"), "--sidecar", str(tmp_path / "truth.json")],
+             "--last-rows", "20", "--pct", "2", "--out", str(tmp_path / "bad.csv"),
+             "--sidecar", str(tmp_path / "truth.json")],
             ["detect", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "bad.csv"),
              "--artifacts", str(art), "--out-dir", str(art)],
             ["evaluate", "--report", str(art / "detection_report.json"), "--truth", str(tmp_path / "truth.json")],
@@ -63,7 +64,11 @@ def test_hooks_read_traced_calls(tmp_path, capsys):
         "metrics.precision_recall.universe_size",
     ):
         assert key in counters, key
+    # Stage one screens one row per tq_screen call, so the hook sees every flag.
     assert counters["anomaly.screened"] == 100
+    with (art / "detection_report.csv").open(newline="") as fh:
+        flagged = {r["row"] for r in csv.DictReader(fh) if r["flagged"] == "1"}
+    assert counters["anomaly.flagged"] == len(flagged) > 0
     with (art / "redundancy_realtime.csv").open(newline="") as fh:
         schedule = list(csv.DictReader(fh))
     assert counters["redundancy.entries"] == len(schedule) > 0
