@@ -8,14 +8,20 @@ step and comparing against the observed state.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bayesnet import TransitionNetwork, parent_marginal, parent_marginals
-from .ingest import DiscretizationScheme, SensorDataset, apply_standardization, discretize
+from .ingest import (
+    DiscretizationScheme,
+    SensorDataset,
+    _number_cells,
+    _write_columns,
+    apply_standardization,
+    discretize,
+)
 from .spectra import PcaModel, limit_from_json, limit_to_json, q_statistic, t2_statistic
 
 __all__ = [
@@ -199,19 +205,30 @@ def write_report_csv(report: DetectionReport, path: str | Path) -> None:
     """Flat per-row / per-(row, node) layout for external plotting.
 
     Unflagged rows emit a single line with empty node columns; flagged rows
-    emit one line per node. Uninferable nodes leave `predicted` empty.
+    emit one line per verdict naming them, in verdict order. Uninferable
+    nodes leave `predicted` empty.
     """
-    by_row: dict[int, list[list]] = {}
-    for row, node, observed, predicted, abnormal, uninferable in report.verdicts.tolist():
-        by_row.setdefault(row, []).append([node, observed, "" if uninferable else predicted, int(abnormal)])
-    lines = []
-    for row, q, t2, flagged in report.rows.tolist():
-        screen = [row, q, t2, int(flagged)]
-        if flagged:
-            lines.extend(screen + cells for cells in by_row.get(row, []))
-        else:
-            lines.append(screen + ["", "", "", ""])
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "q", "t2", "flagged", "node", "observed", "predicted", "abnormal"])
-        writer.writerows(lines)
+    rows, verdicts = report.rows, report.verdicts[np.argsort(report.verdicts.row, kind="stable")]
+    first = np.searchsorted(verdicts.row, rows.row, side="left")
+    count = np.searchsorted(verdicts.row, rows.row, side="right") - first
+    # An unflagged row gets one line, from a blank record appended after the verdicts.
+    first = np.where(rows.flagged, first, len(verdicts))
+    count = np.where(rows.flagged, count, 1)
+    screen = np.repeat(np.arange(len(rows)), count)
+    position = first[screen] + np.arange(len(screen)) - np.repeat(np.cumsum(count) - count, count)
+    line = np.concatenate([verdicts, np.zeros(1, VERDICT_DTYPE)])[position]
+    blank = ~rows.flagged[screen]
+    _write_columns(
+        path,
+        ["row", "q", "t2", "flagged", "node", "observed", "predicted", "abnormal"],
+        [
+            _number_cells(rows.row[screen]),
+            _number_cells(rows.q[screen]),
+            _number_cells(rows.t2[screen]),
+            _number_cells((~blank).astype(np.int64)),
+            _number_cells(line["node"], blank),
+            _number_cells(line["observed"], blank),
+            _number_cells(line["predicted"], blank | line["uninferable"]),
+            _number_cells(line["abnormal"].astype(np.int64), blank),
+        ],
+    )

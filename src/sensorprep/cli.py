@@ -186,7 +186,7 @@ def cmd_inject(cfg: RunConfig, out: str, sidecar: str, rows_list: str | None) ->
     data = ingest.load_csv(cfg.data_csv)
     _check_node_ids(train.node_ids, data.node_ids, "inject")
     if rows_list:
-        rows = sorted(int(tok) for tok in rows_list.split(",") if tok.strip())
+        rows = sorted({int(tok) for tok in rows_list.split(",") if tok.strip()})
     else:
         rows = list(range(data.m - cfg.error_rows, data.m))
     means = train.values.mean(axis=0)

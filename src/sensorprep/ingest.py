@@ -8,7 +8,9 @@ real-valued matrices (m samples x n nodes); discrete state matrices use the
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -171,14 +173,19 @@ class StateMatrix:
 
 
 def load_csv(path: str | Path) -> SensorDataset:
-    """Load a dataset from UTF-8 comma-separated text.
+    """Load a dataset from UTF-8 comma-separated text (a leading byte-order mark is skipped).
 
     First row is the header of node ids; an optional leading column named
     "timestamp" holds integer epoch seconds. Any cell that does not parse
     as a finite real is an error naming its (1-based) data row and column.
+
+    The body is parsed by one `np.loadtxt` call. When that call fails, or
+    its result could differ from parsing cell by cell (a skipped blank
+    line, a non-finite value), the body is parsed again cell by cell, which
+    accepts what Python's `float`/`int` accept and names the first bad cell.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -193,46 +200,121 @@ def load_csv(path: str | Path) -> SensorDataset:
         if dup is not None:
             raise ValueError(f"{path}: duplicate node id {dup!r}")
 
-        rows: list[list[float]] = []
-        stamps: list[int] = []
-        for r, record in enumerate(reader, start=1):
-            if len(record) != len(header):
-                raise ValueError(f"{path}: row {r} has {len(record)} cells, expected {len(header)}")
-            if has_ts:
-                try:
-                    stamps.append(int(record[0]))
-                except ValueError:
-                    raise ValueError(f"{path}: row {r}, column 'timestamp': bad integer {record[0]!r}") from None
-            cells = record[1:] if has_ts else record
-            parsed = []
-            for j, cell in enumerate(cells):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ValueError(f"{path}: row {r}, column {node_ids[j]!r}: not a number ({cell!r})") from None
-                if not math.isfinite(v):
-                    raise ValueError(f"{path}: row {r}, column {node_ids[j]!r}: non-finite value ({cell!r})")
-                parsed.append(v)
-            rows.append(parsed)
+        body = _parse_bulk(fh, len(node_ids), has_ts)
+        if body is None:
+            fh.seek(0)
+            next(reader)  # back to the first data row
+            body = _parse_cells(reader, path, len(header), node_ids, has_ts)
+    values, stamps = body
+    if len(values) < 2:
+        raise ValueError(f"{path}: need at least 2 data rows, got {len(values)}")
+    return SensorDataset(values, tuple(node_ids), stamps)
 
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    return SensorDataset(np.array(rows), tuple(node_ids), tuple(stamps) if has_ts else None)
+
+def _parse_bulk(lines: Iterable[str], width: int, has_ts: bool) -> tuple[np.ndarray, tuple[int, ...] | None] | None:
+    """Parse every remaining line with one `np.loadtxt` call.
+
+    Returns None unless the result is exactly what `_parse_cells` would
+    return: one row per line (loadtxt skips blank lines, which are an
+    error), `width` finite values per row, and integer timestamps.
+    """
+    fields = [("timestamp", np.int64)] if has_ts else []
+    dtype = np.dtype(fields + [("values", np.float64, (width,))])
+    seen = itertools.count()  # advanced once per line handed to loadtxt
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            table = np.loadtxt(
+                (line for line, _ in zip(lines, seen)), dtype=dtype, delimiter=",", comments=None, ndmin=2
+            )
+    except ValueError:
+        return None
+    table = table[:, 0]
+    values = table["values"]
+    if len(table) != next(seen) or not np.isfinite(values).all():
+        return None
+    return values, tuple(table["timestamp"].tolist()) if has_ts else None
+
+
+def _parse_cells(
+    reader: Iterable[list[str]], path: Path, width: int, node_ids: list[str], has_ts: bool
+) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    """Parse the data rows one cell at a time; the first bad cell is a ValueError naming it."""
+    rows: list[list[float]] = []
+    stamps: list[int] = []
+    for r, record in enumerate(reader, start=1):
+        if len(record) != width:
+            raise ValueError(f"{path}: row {r} has {len(record)} cells, expected {width}")
+        if has_ts:
+            try:
+                stamps.append(int(record[0]))
+            except ValueError:
+                raise ValueError(f"{path}: row {r}, column 'timestamp': bad integer {record[0]!r}") from None
+        cells = record[1:] if has_ts else record
+        parsed = []
+        for j, cell in enumerate(cells):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: row {r}, column {node_ids[j]!r}: not a number ({cell!r})") from None
+            if not math.isfinite(v):
+                raise ValueError(f"{path}: row {r}, column {node_ids[j]!r}: non-finite value ({cell!r})")
+            parsed.append(v)
+        rows.append(parsed)
+    return np.array(rows), tuple(stamps) if has_ts else None
 
 
 def write_csv(data: SensorDataset, path: str | Path) -> None:
     """Write a dataset in the format load_csv reads, with full float precision."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if data.timestamps is not None:
-            writer.writerow(("timestamp",) + data.node_ids)
-            for ts, row in zip(data.timestamps, data.values):
-                writer.writerow([ts] + [repr(float(v)) for v in row])
-        else:
-            writer.writerow(data.node_ids)
-            for row in data.values:
-                writer.writerow([repr(float(v)) for v in row])
+    header = list(data.node_ids)
+    columns = [_number_cells(column) for column in data.values.T]
+    if data.timestamps is not None:
+        header.insert(0, "timestamp")
+        columns.insert(0, map(repr, data.timestamps))
+    _write_columns(path, header, columns)
+
+
+# Rows of one column that exist as Python objects at once while a CSV is written.
+_CHUNK_ROWS = 256
+
+
+def _python_values(column: np.ndarray) -> Iterable:
+    """The column's values as plain Python numbers, converted `_CHUNK_ROWS` at a time."""
+    return itertools.chain.from_iterable(
+        column[i : i + _CHUNK_ROWS].tolist() for i in range(0, len(column), _CHUNK_ROWS)
+    )
+
+
+def _number_cells(column: np.ndarray, blank: np.ndarray | None = None) -> Iterable[str]:
+    """Cell text of a numeric column: `repr` of each Python int or float, "" where `blank` is true."""
+    text = map(repr, _python_values(column))
+    if blank is None:
+        return text
+    return ("" if skip else cell for cell, skip in zip(text, _python_values(blank)))
+
+
+def _label_cells(labels: Iterable[str], index: np.ndarray) -> Iterable[str]:
+    """Cell text of `labels[i]` for each i in `index`, each distinct label quoted once."""
+    return map([_quote(label) for label in labels].__getitem__, _python_values(index))
+
+
+def _quote(text: str) -> str:
+    """Minimal csv quoting: wrap in quotes, doubling inner ones, if the text holds a comma, quote or newline."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_columns(path: str | Path, header: Iterable[str], columns: Iterable[Iterable[str]]) -> None:
+    """Write a header and equal-length columns of cell text as the csv module's default dialect does.
+
+    That is minimal quoting and "\\r\\n" after every line. Number cells never
+    need quotes and `_label_cells` quotes label cells, so data lines are
+    joined directly and streamed, one line at a time.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(cells) + "\r\n" for cells in zip(*columns, strict=True))
 
 
 def standardize(data: SensorDataset) -> tuple[np.ndarray, Standardization]:

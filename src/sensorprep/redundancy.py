@@ -11,7 +11,6 @@ are reconstructed as a similarity-weighted mean of parent readings.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .bayesnet import Cpt, Dag, TransitionNetwork, learn_transition
-from .ingest import DiscretizationScheme, SensorDataset, discretize
+from .ingest import DiscretizationScheme, SensorDataset, _label_cells, _number_cells, _write_columns, discretize
 
 __all__ = [
     "StaticNodeResult",
@@ -340,27 +339,41 @@ def realtime_report_to_dict(report: RealtimeRedundancyReport, node_ids: Sequence
 
 
 def write_static_csv(report: StaticRedundancyReport, node_ids: Sequence[str], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "redundant", "criterion"])
-        writer.writerows([node_ids[r.node], int(r.redundant), r.criterion] for r in report.nodes)
+    nodes = report.nodes
+    _write_columns(
+        path,
+        ["node", "redundant", "criterion"],
+        [
+            _label_cells(node_ids, np.array([r.node for r in nodes], dtype=np.int64)),
+            _number_cells(np.array([r.redundant for r in nodes], dtype=np.int64)),
+            _number_cells(np.array([r.criterion for r in nodes], dtype=np.float64)),
+        ],
+    )
 
 
 def write_realtime_csv(report: RealtimeRedundancyReport, node_ids: Sequence[str], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "node", "state", "max_posterior"])
-        writer.writerows(
-            [t, node_ids[node], "sleeping" if sleeping else "waking", "" if math.isnan(max_post) else max_post]
-            for t, node, sleeping, max_post in report.entries.tolist()
-        )
+    entries = report.entries
+    _write_columns(
+        path,
+        ["t", "node", "state", "max_posterior"],
+        [
+            _number_cells(entries.t),
+            _label_cells(node_ids, entries.node),
+            _label_cells(("waking", "sleeping"), entries.sleeping),
+            _number_cells(entries.max_posterior, np.isnan(entries.max_posterior)),
+        ],
+    )
 
 
 def write_recovery_csv(recoveries: np.recarray, node_ids: Sequence[str], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "node", "estimate", "actual", "abs_error"])
-        writer.writerows(
-            [t, node_ids[node], estimate, actual, abs(estimate - actual)]
-            for t, node, estimate, actual in recoveries.tolist()
-        )
+    _write_columns(
+        path,
+        ["t", "node", "estimate", "actual", "abs_error"],
+        [
+            _number_cells(recoveries.t),
+            _label_cells(node_ids, recoveries.node),
+            _number_cells(recoveries.estimate),
+            _number_cells(recoveries.actual),
+            _number_cells(np.abs(recoveries.estimate - recoveries.actual)),
+        ],
+    )

@@ -189,11 +189,13 @@ def t2_statistic(xbar_row: np.ndarray, model: PcaModel) -> float:
 def q_threshold(eigenvalues: np.ndarray, k: int, alpha: float) -> float:
     """Control limit for the Q statistic at test level alpha.
 
-    Closed form from the discarded-eigenvalue moments, keeping the
-    absolute value around the inner bracket so the result stays defined
-    when the bracket goes negative. When every discarded eigenvalue is
-    zero the residual test carries no information and +inf is returned as
-    a "test disabled" sentinel.
+    Closed form from the discarded-eigenvalue moments (Jackson-Mudholkar),
+    keeping the absolute value around the inner bracket so the result
+    stays defined when the bracket goes negative. (Q/theta1)^h0 is taken
+    as normal; when h0 < 0 it falls as Q grows, so the normal deviate
+    changes sign to keep the limit in Q's upper tail. When every
+    discarded eigenvalue is zero the residual test carries no information
+    and +inf is returned as a "test disabled" sentinel.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     n = lam.shape[0]
@@ -211,7 +213,8 @@ def q_threshold(eigenvalues: np.ndarray, k: int, alpha: float) -> float:
     if h0 == 0.0:
         raise ArithmeticError("degenerate spectrum: h0 = 0")
     c_alpha = normal_quantile(alpha)
-    bracket = c_alpha * math.sqrt(2.0 * theta2 * h0 * h0) / theta1 + theta2 * h0 * (h0 - 1.0) / (theta1 * theta1) + 1.0
+    spread = math.copysign(math.sqrt(2.0 * theta2 * h0 * h0), h0)
+    bracket = c_alpha * spread / theta1 + theta2 * h0 * (h0 - 1.0) / (theta1 * theta1) + 1.0
     return theta1 * abs(bracket) ** (1.0 / h0)
 
 

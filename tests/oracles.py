@@ -7,20 +7,30 @@ enumeration or from one penalized_family_score call per candidate.
 Batched detection is checked against one nb_predict_state call per
 (flagged row, node), its marginal tables against the per-slice
 mixed-radix digit sum, and static recovery against one recover call per
-reading.
+reading. CSV reading is checked against a loader that parses one cell at
+a time, and every CSV writer against one that formats rows through the
+csv module.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
 from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, nb_predict_state, tq_screen
 from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork, penalized_family_score, repair_cycles
 from sensorprep.ingest import DiscretizationScheme, SensorDataset, StateMatrix, discretize_row
-from sensorprep.redundancy import RECOVERY_DTYPE, _training_dissimilarities, recover
+from sensorprep.redundancy import (
+    RECOVERY_DTYPE,
+    RealtimeRedundancyReport,
+    StaticRedundancyReport,
+    _training_dissimilarities,
+    recover,
+)
 from sensorprep.spectra import PcaModel
 
 
@@ -278,3 +288,100 @@ def random_transition_network(rng: np.random.Generator, n_max: int = 4, k_max: i
     priors = rng.random((n, k)) + 0.1
     priors /= priors.sum(axis=1, keepdims=True)
     return TransitionNetwork(dag, tuple(cpts), priors)
+
+
+def scalar_load_csv(path) -> SensorDataset:
+    """`ingest.load_csv` as one float()/int() call per cell."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        has_ts = bool(header) and header[0] == "timestamp"
+        node_ids = header[1:] if has_ts else header
+        if not node_ids:
+            raise ValueError(f"{path}: header contains no node ids")
+        if len(set(node_ids)) != len(node_ids):
+            dup = next(h for i, h in enumerate(node_ids) if h in node_ids[:i])
+            raise ValueError(f"{path}: duplicate node id {dup!r}")
+
+        rows: list[list[float]] = []
+        stamps: list[int] = []
+        for r, record in enumerate(reader, start=1):
+            if len(record) != len(header):
+                raise ValueError(f"{path}: row {r} has {len(record)} cells, expected {len(header)}")
+            if has_ts:
+                try:
+                    stamps.append(int(record[0]))
+                except ValueError:
+                    raise ValueError(f"{path}: row {r}, column 'timestamp': bad integer {record[0]!r}") from None
+            cells = record[1:] if has_ts else record
+            parsed = []
+            for j, cell in enumerate(cells):
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise ValueError(f"{path}: row {r}, column {node_ids[j]!r}: not a number ({cell!r})") from None
+                if not math.isfinite(v):
+                    raise ValueError(f"{path}: row {r}, column {node_ids[j]!r}: non-finite value ({cell!r})")
+                parsed.append(v)
+            rows.append(parsed)
+
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need at least 2 data rows, got {len(rows)}")
+    return SensorDataset(np.array(rows), tuple(node_ids), tuple(stamps) if has_ts else None)
+
+
+def _scalar_write_rows(path, header, rows) -> None:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def scalar_write_csv(data: SensorDataset, path) -> None:
+    if data.timestamps is not None:
+        header = ("timestamp",) + data.node_ids
+        rows = ([ts] + [repr(float(v)) for v in row] for ts, row in zip(data.timestamps, data.values))
+    else:
+        header = data.node_ids
+        rows = ([repr(float(v)) for v in row] for row in data.values)
+    _scalar_write_rows(path, header, rows)
+
+
+def scalar_write_report_csv(report: DetectionReport, path) -> None:
+    by_row: dict[int, list[list]] = {}
+    for row, node, observed, predicted, abnormal, uninferable in report.verdicts.tolist():
+        by_row.setdefault(row, []).append([node, observed, "" if uninferable else predicted, int(abnormal)])
+    lines = []
+    for row, q, t2, flagged in report.rows.tolist():
+        screen = [row, q, t2, int(flagged)]
+        if flagged:
+            lines.extend(screen + cells for cells in by_row.get(row, []))
+        else:
+            lines.append(screen + ["", "", "", ""])
+    _scalar_write_rows(path, ["row", "q", "t2", "flagged", "node", "observed", "predicted", "abnormal"], lines)
+
+
+def scalar_write_static_csv(report: StaticRedundancyReport, node_ids, path) -> None:
+    rows = ([node_ids[r.node], int(r.redundant), r.criterion] for r in report.nodes)
+    _scalar_write_rows(path, ["node", "redundant", "criterion"], rows)
+
+
+def scalar_write_realtime_csv(report: RealtimeRedundancyReport, node_ids, path) -> None:
+    rows = (
+        [t, node_ids[node], "sleeping" if sleeping else "waking", "" if math.isnan(max_post) else max_post]
+        for t, node, sleeping, max_post in report.entries.tolist()
+    )
+    _scalar_write_rows(path, ["t", "node", "state", "max_posterior"], rows)
+
+
+def scalar_write_recovery_csv(recoveries: np.recarray, node_ids, path) -> None:
+    rows = (
+        [t, node_ids[node], estimate, actual, abs(estimate - actual)]
+        for t, node, estimate, actual in recoveries.tolist()
+    )
+    _scalar_write_rows(path, ["t", "node", "estimate", "actual", "abs_error"], rows)

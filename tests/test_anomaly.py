@@ -79,6 +79,40 @@ class TestTqScreen:
             tq_screen(np.zeros(3), model)
 
 
+class TestCalibration:
+    """Each chart flags about alpha of clean i.i.d. rows; their OR flags about 1-(1-alpha)^2."""
+
+    ALPHA = 0.05
+    TEST_ROWS = 4000
+
+    @staticmethod
+    def tolerance(p, rows):
+        return 4 * np.sqrt(p * (1 - p) / rows)
+
+    # Seeds 2 and 7 give a discarded spectrum with h0 < 0 (see q_threshold).
+    @pytest.mark.parametrize("seed", range(8))
+    def test_flag_rates_on_iid_three_factor_data(self, seed):
+        n, factors = 20, 3
+        rng = np.random.default_rng(seed)
+        loadings = rng.standard_normal((factors, n))
+
+        def draw(rows):
+            return 10.0 + rng.standard_normal((rows, factors)) @ loadings + 0.3 * rng.standard_normal((rows, n))
+
+        model = fit_pca_model(SensorDataset(draw(2000), [f"n{j}" for j in range(n)]), 0.85, self.ALPHA)
+        screens = np.array([tq_screen(row, model) for row in draw(self.TEST_ROWS)])
+        q_flags = screens[:, 0] > model.q_limit
+        t2_flags = screens[:, 1] > model.t2_limit
+        single = self.tolerance(self.ALPHA, self.TEST_ROWS)
+        assert abs(q_flags.mean() - self.ALPHA) < single
+        assert abs(t2_flags.mean() - self.ALPHA) < single
+        combined = 1 - (1 - self.ALPHA) ** 2
+        either = (q_flags | t2_flags).mean()
+        assert abs(either - combined) < self.tolerance(combined, self.TEST_ROWS)
+        assert either - self.ALPHA > single
+        np.testing.assert_array_equal(screens[:, 2].astype(bool), q_flags | t2_flags)
+
+
 class TestNbPredictState:
     def test_identity_cpt_copies_parent_state(self):
         tn = single_parent_tn(np.array([[20, 0], [0, 20]]))

@@ -107,6 +107,22 @@ class TestPipeline:
         metrics_doc = json.loads((art / "metrics.json").read_text())
         assert metrics_doc["row_level"]["tp"] == len(flagged & set(truth["rows"]))
 
+    def test_inject_rows_list_counts_each_row_once(self, tmp_path, capsys):
+        code, out, err = run(capsys, [
+            "synth", "--profile", "correlated-drift", "--seed", "3", "--rows", "60", "--cols", "3",
+            "--split", "40", "--out-train", str(tmp_path / "train.csv"), "--out-test", str(tmp_path / "test.csv"),
+        ])
+        assert code == 0, err
+        code, out, err = run(capsys, [
+            "inject", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "test.csv"),
+            "--rows-list", "5,3,3,5", "--out", str(tmp_path / "bad.csv"), "--sidecar", str(tmp_path / "truth.json"),
+        ])
+        assert code == 0, err
+        assert json.loads(out)["corrupted_rows"] == 2
+        assert json.loads((tmp_path / "truth.json").read_text())["rows"] == [3, 5]
+        changed = (load_csv(tmp_path / "bad.csv").values != load_csv(tmp_path / "test.csv").values).any(axis=1)
+        assert np.flatnonzero(changed).tolist() == [3, 5]
+
     def test_evaluate_rejects_nodes_outside_truth(self, tmp_path, capsys):
         # Cells are encoded as row * n + node, so a node index >= n would
         # alias a cell of the next row instead of failing.

@@ -1,0 +1,272 @@
+"""CSV reading and writing against the cell-by-cell oracles in tests/oracles.py.
+
+`load_csv` must return bit-identical values or raise the oracle's exact
+message on any body, and every writer must produce the oracle's bytes.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    scalar_load_csv,
+    scalar_write_csv,
+    scalar_write_realtime_csv,
+    scalar_write_recovery_csv,
+    scalar_write_report_csv,
+    scalar_write_static_csv,
+)
+from sensorprep import ingest
+from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, write_report_csv
+from sensorprep.ingest import SensorDataset, load_csv, write_csv
+from sensorprep.redundancy import (
+    RECOVERY_DTYPE,
+    SCHEDULE_DTYPE,
+    RealtimeRedundancyReport,
+    StaticNodeResult,
+    StaticRedundancyReport,
+    write_realtime_csv,
+    write_recovery_csv,
+    write_static_csv,
+)
+
+# Cells float() parses to the same finite value np.loadtxt gives, padded or not.
+CLEAN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["-0.0", "1e-05", "1e16", "5e-324", "+3", ".5", "5.", " 1.5 ", "\t2\t", "\xa07", "1E5"]),
+)
+# Cells one or both parsers reject, or that parse to a non-finite value.
+ODD_CELLS = st.one_of(
+    st.sampled_from(
+        ["", " ", "1_0", '"1.0"', '"2', "nan", "NaN", "inf", "-Infinity", "1e999", "x", "1.5.", "0x10",
+         "١٢", "1 2", "nan(1)", "1d5", "--1"]
+    ),
+    st.text(alphabet="0123456789.-+eE_ \t\"xn", max_size=5),
+)
+ODD_STAMPS = st.sampled_from(["1.0", "x", "", " 7 ", "+5", "99999999999999999999", "١٢", "1_0", "-3"])
+SEPARATORS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A header plus a body: clean (every cell parses) or odd (blank lines, ragged rows, bad cells)."""
+    has_ts = draw(st.booleans())
+    width = draw(st.integers(1, 3))
+    clean = draw(st.booleans())
+    header = ",".join((["timestamp"] if has_ts else []) + [f"n{j}" for j in range(width)])
+    lines = [header]
+    base = draw(st.sampled_from([0, 2**63 - 4]))  # the second overflows int64 within a few rows
+    for r in range(draw(st.integers(0, 6))):
+        if not clean and draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        cells_of = CLEAN_CELLS if clean else st.one_of(CLEAN_CELLS, ODD_CELLS)
+        count = width if clean else draw(st.sampled_from([width, width, width, width - 1, width + 1]))
+        cells = [draw(cells_of) for _ in range(max(count, 0))]
+        if has_ts:
+            stamp = str(base + 10 * r)
+            cells.insert(0, stamp if clean else draw(st.one_of(st.just(stamp), ODD_STAMPS)))
+        lines.append(",".join(cells))
+    text = "".join(line + draw(SEPARATORS) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line terminator
+    return text
+
+
+def outcome(loader, path):
+    try:
+        data = loader(path)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", data.node_ids, data.timestamps, data.values.shape, data.values.view(np.int64).tolist())
+
+
+class TestLoadCsv:
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_texts())
+    def test_matches_cell_by_cell_oracle(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("load") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(load_csv, path) == outcome(scalar_load_csv, path)
+
+    def test_clean_file_is_parsed_in_bulk(self, tmp_path, monkeypatch):
+        data = ingest.synth_generate(2, 30, 3, "correlated-drift")
+        path = tmp_path / "d.csv"
+        write_csv(SensorDataset(data.values, data.node_ids, tuple(range(100, 130))), path)
+
+        def no_cells(*args):
+            raise AssertionError("the cell-by-cell parser ran on a clean file")
+
+        monkeypatch.setattr(ingest, "_parse_cells", no_cells)
+        back = load_csv(path)
+        np.testing.assert_array_equal(back.values, data.values)
+        assert back.timestamps == tuple(range(100, 130))
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbftimestamp,a\n1,2.0\n2,3.5\n")
+        data = load_csv(path)
+        assert data.node_ids == ("a",)
+        assert data.timestamps == (1, 2)
+        np.testing.assert_array_equal(data.values, [[2.0], [3.5]])
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,2\n\n3,4\n", "row 2 has 0 cells, expected 2"),
+            ("1,2\n3,4\n\n", "row 3 has 0 cells, expected 2"),
+            ("1,2\n3,1e999\n", "row 2, column 'b': non-finite value ('1e999')"),
+        ],
+    )
+    def test_lines_loadtxt_accepts_keep_their_error(self, tmp_path, body, message):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n" + body)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_csv(path)
+
+    def test_float_spellings_only_python_accepts(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('a,b\n1_0,"2.5"\n3,4\n')
+        np.testing.assert_array_equal(load_csv(path).values, [[10.0, 2.5], [3.0, 4.0]])
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e-05, 1e16, 5e-324, 0.1, 1.0, 123456789.0]),
+)
+ANY_FLOATS = st.one_of(FLOATS, st.sampled_from([math.nan, math.inf, -math.inf]))
+NODE_IDS = st.one_of(
+    st.sampled_from(["a,b", 'say "hi"', "line\nbreak", "cr\r", " pad ", "", "plain", "node07"]),
+    st.text(max_size=4),
+)
+
+
+def same_bytes(tmp_path_factory, write, oracle, *args):
+    d = tmp_path_factory.mktemp("write")
+    write(*args, d / "new.csv")
+    oracle(*args, d / "old.csv")
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+class TestWriters:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.lists(FLOATS, min_size=3, max_size=3), min_size=2, max_size=5),
+        ids=st.lists(NODE_IDS, min_size=3, max_size=3, unique=True),
+        start=st.one_of(st.none(), st.integers(-(10**20), 10**20)),
+    )
+    def test_write_csv(self, tmp_path_factory, values, ids, start):
+        stamps = None if start is None else tuple(range(start, start + len(values)))
+        data = SensorDataset(np.array(values), ids, stamps)
+        same_bytes(tmp_path_factory, write_csv, scalar_write_csv, data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        screens=st.lists(st.tuples(st.integers(0, 6), ANY_FLOATS, ANY_FLOATS, st.booleans()), max_size=6),
+        verdicts=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3),
+                      st.booleans(), st.booleans()),
+            max_size=10,
+        ),
+    )
+    def test_write_report_csv(self, tmp_path_factory, screens, verdicts):
+        # Rows may repeat or lack verdicts, and verdicts come in any order.
+        report = DetectionReport(
+            1.0, 2.0, np.rec.fromrecords(screens, dtype=ROW_DTYPE), np.rec.fromrecords(verdicts, dtype=VERDICT_DTYPE)
+        )
+        same_bytes(tmp_path_factory, write_report_csv, scalar_write_report_csv, report)
+
+    def test_flagged_row_without_verdicts_emits_no_line(self, tmp_path):
+        rows = np.rec.fromrecords([(0, 1.5, 2.5, True), (1, 0.5, 0.25, False)], dtype=ROW_DTYPE)
+        report = DetectionReport(1.0, 2.0, rows, np.rec.fromrecords([], dtype=VERDICT_DTYPE))
+        write_report_csv(report, tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_bytes() == (
+            b"row,q,t2,flagged,node,observed,predicted,abnormal\r\n1,0.5,0.25,0,,,,\r\n"
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        nodes=st.lists(st.tuples(st.booleans(), FLOATS), max_size=4),
+        ids=st.lists(NODE_IDS, min_size=4, max_size=4),
+    )
+    def test_write_static_csv(self, tmp_path_factory, nodes, ids):
+        report = StaticRedundancyReport(
+            0.9,
+            tuple(StaticNodeResult(j, red, crit, ()) for j, (red, crit) in enumerate(nodes)),
+            np.rec.fromrecords([], dtype=RECOVERY_DTYPE),
+        )
+        same_bytes(tmp_path_factory, write_static_csv, scalar_write_static_csv, report, ids)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 2), st.booleans(),
+                      st.one_of(FLOATS, st.just(math.nan))),
+            max_size=8,
+        ),
+        ids=st.lists(NODE_IDS, min_size=3, max_size=3),
+    )
+    def test_write_realtime_csv(self, tmp_path_factory, entries, ids):
+        report = RealtimeRedundancyReport(
+            0.9, 10, 0.6, np.rec.fromrecords(entries, dtype=SCHEDULE_DTYPE), np.rec.fromrecords([], dtype=RECOVERY_DTYPE)
+        )
+        same_bytes(tmp_path_factory, write_realtime_csv, scalar_write_realtime_csv, report, ids)
+
+    def test_tables_longer_than_one_chunk(self, tmp_path_factory):
+        # Columns are converted to Python values a chunk of rows at a time.
+        rng = np.random.default_rng(11)
+        rows = 3 * ingest._CHUNK_ROWS + 7
+        ids = ("a,b", "plain", 'q"uote')
+        t = np.arange(rows)
+        node = rng.integers(0, 3, rows)
+        posterior = np.where(rng.random(rows) < 0.3, np.nan, rng.random(rows))
+        entries = np.rec.fromarrays([t, node, rng.random(rows) < 0.5, posterior], dtype=SCHEDULE_DTYPE)
+        recoveries = np.rec.fromarrays([t, node, rng.normal(size=rows), rng.normal(size=rows)], dtype=RECOVERY_DTYPE)
+        report = RealtimeRedundancyReport(0.9, 10, 0.6, entries, recoveries)
+        same_bytes(tmp_path_factory, write_realtime_csv, scalar_write_realtime_csv, report, ids)
+        same_bytes(tmp_path_factory, write_recovery_csv, scalar_write_recovery_csv, recoveries, ids)
+        data = SensorDataset(rng.normal(size=(rows, 2)), ids[:2], tuple(range(rows)))
+        same_bytes(tmp_path_factory, write_csv, scalar_write_csv, data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        recoveries=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 2), FLOATS.filter(lambda v: abs(v) < 1e300),
+                      FLOATS.filter(lambda v: abs(v) < 1e300)),
+            max_size=8,
+        ),
+        ids=st.lists(NODE_IDS, min_size=3, max_size=3),
+    )
+    def test_write_recovery_csv(self, tmp_path_factory, recoveries, ids):
+        table = np.rec.fromrecords(recoveries, dtype=RECOVERY_DTYPE)
+        same_bytes(tmp_path_factory, write_recovery_csv, scalar_write_recovery_csv, table, ids)
+
+
+class TestRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.lists(FLOATS, min_size=2, max_size=2), min_size=2, max_size=6),
+        ids=st.lists(
+            st.text(alphabet='ab ,"\n\ré', min_size=1, max_size=4).filter(
+                lambda s: s == s.strip() and s != "timestamp"
+            ),
+            min_size=2,
+            max_size=2,
+            unique=True,
+        ),
+        start=st.one_of(st.none(), st.integers(-(10**20), 10**20)),
+    )
+    def test_write_then_load_is_exact(self, tmp_path_factory, values, ids, start):
+        stamps = None if start is None else tuple(range(start, start + len(values)))
+        data = SensorDataset(np.array(values), ids, stamps)
+        path = tmp_path_factory.mktemp("rt") / "d.csv"
+        write_csv(data, path)
+        back = load_csv(path)
+        assert back.node_ids == data.node_ids
+        assert back.timestamps == data.timestamps
+        assert back.values.view(np.int64).tolist() == data.values.view(np.int64).tolist()

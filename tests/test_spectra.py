@@ -176,6 +176,18 @@ class TestQThreshold:
         vals = [q_threshold(lam, k, a) for a in (0.01, 0.05, 0.10)]
         assert vals[0] > vals[1] > vals[2]
 
+    def test_negative_h0_limit_lies_in_upper_tail(self):
+        # One dominant discarded eigenvalue over many small ones gives h0 < 0.
+        lam = np.array([10.0, 1.0] + [0.02] * 50)
+        tail = lam[1:]
+        t1, t2_, t3 = tail.sum(), (tail**2).sum(), (tail**3).sum()
+        assert 1 - 2 * t1 * t3 / (3 * t2_**2) < 0
+        vals = [q_threshold(lam, 1, a) for a in (0.01, 0.05, 0.10)]
+        assert vals[0] > vals[1] > vals[2] > t1  # t1 is the mean of Q
+        # Q of a Gaussian row is sum(tail * z^2): the limit cuts off about alpha of it.
+        q = (np.random.default_rng(3).standard_normal((100_000, tail.size)) ** 2) @ tail
+        assert 0.025 < (q > vals[1]).mean() < 0.1
+
     def test_zero_tail_disables_test(self):
         assert q_threshold(np.array([2.0, 0.0]), 1, 0.05) == math.inf
 
