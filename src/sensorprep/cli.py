@@ -156,7 +156,7 @@ def cmd_learn(cfg: RunConfig) -> dict:
     static = bayesnet.learn_static(states, cfg.max_parents)
     transition = bayesnet.learn_transition(states, cfg.max_parents)
 
-    _write_json(out_dir / _ARTIFACTS["model"], spectra.model_to_dict(model))
+    _write_json(out_dir / _ARTIFACTS["model"], spectra.model_to_dict(model, train.node_ids))
     _write_json(out_dir / _ARTIFACTS["scheme"], _scheme_to_dict(scheme))
     _write_json(out_dir / _ARTIFACTS["static"], bayesnet.network_to_dict(static, train.node_ids))
     _write_json(out_dir / _ARTIFACTS["transition"], bayesnet.network_to_dict(transition, train.node_ids))
@@ -212,12 +212,15 @@ def cmd_detect(cfg: RunConfig, artifacts: str) -> dict:
     art = Path(artifacts)
     train = ingest.load_csv(cfg.train_csv)
     test = ingest.load_csv(cfg.data_csv)
-    model = spectra.model_from_dict(_read_json(art / _ARTIFACTS["model"]))
+    _check_node_ids(train.node_ids, test.node_ids, "detect --train")
+    model_doc = _read_json(art / _ARTIFACTS["model"])
     scheme = _scheme_from_dict(_read_json(art / _ARTIFACTS["scheme"]))
-    if scheme.node_ids:
-        _check_node_ids(scheme.node_ids, test.node_ids, f"detect {_ARTIFACTS['scheme']}")
     tn_doc = _read_json(art / _ARTIFACTS["transition"])
-    _check_node_ids(tn_doc["node_ids"], test.node_ids, f"detect {_ARTIFACTS['transition']}")
+    artifact_ids = {"model": model_doc.get("node_ids"), "scheme": scheme.node_ids, "transition": tn_doc["node_ids"]}
+    for name, ids in artifact_ids.items():
+        if ids:
+            _check_node_ids(ids, test.node_ids, f"detect {_ARTIFACTS[name]}")
+    model = spectra.model_from_dict(model_doc)
     tn = bayesnet.transition_from_dict(tn_doc)
 
     report = anomaly.tqbayes_detect(test, model, tn, scheme, train.values[-1])

@@ -1,14 +1,15 @@
 """PCA over standardized data and the Q (squared prediction error) and
 Hotelling T-squared statistics with analytic control limits.
 
-The eigensolver is a cyclic Jacobi rotation scheme on the sample
-correlation matrix: simple, symmetric by construction, and dependency-free.
+The eigenpairs of the sample correlation matrix come from LAPACK's
+symmetric solver, in descending order with a fixed sign per eigenvector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -75,62 +76,22 @@ class PcaModel:
         return self.eigenvalues.shape[0]
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues descending, eigenvector columns) of a symmetric matrix from LAPACK's np.linalg.eigh.
 
-    Sweeps annihilate off-diagonal entries until the off-diagonal Frobenius
-    norm falls below tol relative to the matrix norm. Returns (eigenvalues
-    descending, eigenvector columns in matching order).
+    Each column's largest-magnitude entry is made positive, so the result does not depend on the
+    LAPACK build. The benchmark tracer binds to this name until ROADMAP item 1 refreshes it.
     """
-    a = np.array(matrix, dtype=float)
+    a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"matrix must be square, got {a.shape}")
     if np.abs(a - a.T).max(initial=0.0) > 1e-10:
         raise ValueError("matrix must be symmetric")
-    v = np.eye(n)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    upper = np.triu_indices(n, 1)
-
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * float(np.sum(a[upper] ** 2)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # A pivot too small to perturb the diagonal is treated as
-                # already annihilated; likewise the tangent formula switches
-                # to its small-angle limit when the diagonal gap dwarfs the
-                # pivot, avoiding overflow in theta**2.
-                g = 100.0 * abs(apq)
-                if abs(a[p, p]) + g == abs(a[p, p]) and abs(a[q, q]) + g == abs(a[q, q]):
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                h = a[q, q] - a[p, p]
-                if abs(h) + g == abs(h):
-                    t = apq / h
-                else:
-                    theta = h / (2.0 * apq)
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # Apply J^T A J and accumulate V J for the Givens rotation J
-                # with J[p,p]=J[q,q]=c, J[p,q]=s, J[q,p]=-s; this tangent
-                # choice annihilates a[p,q].
-                rot = np.array([[c, s], [-s, c]])
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-                a[p, q] = a[q, p] = 0.0
-    else:
-        raise ArithmeticError(f"Jacobi sweep cap ({max_sweeps}) exceeded without convergence")
-
-    lam = np.diag(a).copy()
-    order = np.argsort(-lam, kind="stable")
-    return lam[order], v[:, order]
+    lam, vec = np.linalg.eigh(a)
+    lam, vec = lam[::-1], vec[:, ::-1]
+    peak = vec[np.argmax(np.abs(vec), axis=0), np.arange(n)]
+    return lam, vec * np.where(peak < 0.0, -1.0, 1.0)
 
 
 def fit_pca(xbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,9 +212,10 @@ def limit_from_json(value: float | None) -> float:
     return math.inf if value is None else float(value)
 
 
-def model_to_dict(model: PcaModel) -> dict:
-    """JSON-ready representation (eigenvectors row-major)."""
+def model_to_dict(model: PcaModel, node_ids: Sequence[str]) -> dict:
+    """JSON-ready representation (eigenvectors row-major) naming the nodes it was fitted on."""
     return {
+        "node_ids": list(node_ids),
         "means": [float(v) for v in model.standardization.means],
         "variances": [float(v) for v in model.standardization.variances],
         "eigenvalues": [float(v) for v in model.eigenvalues],

@@ -1,9 +1,10 @@
 """Independent oracles used to freeze expected values.
 
 Everything here deliberately avoids the library's computation paths:
-quantiles come from Simpson quadrature plus bisection, inference from
-dictionary-based enumeration, and structure search from exhaustive DAG
-enumeration or from one penalized_family_score call per candidate.
+quantiles come from Simpson quadrature plus bisection, eigenpairs from
+cyclic Jacobi rotations, inference from dictionary-based enumeration, and
+structure search from exhaustive DAG enumeration or from one
+penalized_family_score call per candidate.
 Batched detection is checked against one nb_predict_state call per
 (flagged row, node), its marginal tables against the per-slice
 mixed-radix digit sum, and static recovery against one recover call per
@@ -89,6 +90,94 @@ def oracle_f_upper(d1: int, d2: int, alpha: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+
+    Sweeps annihilate off-diagonal entries until the off-diagonal Frobenius
+    norm falls below tol relative to the matrix norm. Returns (eigenvalues
+    descending, eigenvector columns in matching order).
+    """
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError(f"matrix must be square, got {a.shape}")
+    if np.abs(a - a.T).max(initial=0.0) > 1e-10:
+        raise ValueError("matrix must be symmetric")
+    v = np.eye(n)
+    scale = max(1.0, float(np.linalg.norm(a)))
+    upper = np.triu_indices(n, 1)
+
+    for _ in range(max_sweeps):
+        off = math.sqrt(2.0 * float(np.sum(a[upper] ** 2)))
+        if off <= tol * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                # A pivot too small to perturb the diagonal is treated as
+                # already annihilated; likewise the tangent formula switches
+                # to its small-angle limit when the diagonal gap dwarfs the
+                # pivot, avoiding overflow in theta**2.
+                g = 100.0 * abs(apq)
+                if abs(a[p, p]) + g == abs(a[p, p]) and abs(a[q, q]) + g == abs(a[q, q]):
+                    a[p, q] = a[q, p] = 0.0
+                    continue
+                h = a[q, q] - a[p, p]
+                if abs(h) + g == abs(h):
+                    t = apq / h
+                else:
+                    theta = h / (2.0 * apq)
+                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                # Apply J^T A J and accumulate V J for the Givens rotation J
+                # with J[p,p]=J[q,q]=c, J[p,q]=s, J[q,p]=-s; this tangent
+                # choice annihilates a[p,q].
+                rot = np.array([[c, s], [-s, c]])
+                a[[p, q], :] = rot.T @ a[[p, q], :]
+                a[:, [p, q]] = a[:, [p, q]] @ rot
+                v[:, [p, q]] = v[:, [p, q]] @ rot
+                a[p, q] = a[q, p] = 0.0
+    else:
+        raise ArithmeticError(f"Jacobi sweep cap ({max_sweeps}) exceeded without convergence")
+
+    lam = np.diag(a).copy()
+    order = np.argsort(-lam, kind="stable")
+    return lam[order], v[:, order]
+
+
+def assert_pca_equivalent(got: PcaModel, want: PcaModel, rows: np.ndarray) -> None:
+    """Float-output policy for two PCA models fitted to the same data.
+
+    k and the flag of every raw sample in rows must be equal. Eigenvalues,
+    q, t2 and both control limits must agree within 1e-10 relative, and
+    the retained projectors P_k P_k^T within 1e-12 absolute. Eigenvector
+    entries are never compared: a near-degenerate discarded spectrum has
+    no unique basis. The retained subspace is unique only when k sits at a
+    spectral gap, so callers must pick such a k.
+
+    q and t2 are taken relative to their bounds for the row, |z|^2 and
+    |z|^2 / lambda_k for the standardized row z. A row almost inside, or
+    almost orthogonal to, the retained subspace has a statistic near zero
+    that is a cancellation, and its error scales with the row, not with
+    the statistic.
+    """
+    assert got.k == want.k
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose([got.q_limit, got.t2_limit], [want.q_limit, want.t2_limit], rtol=1e-10, atol=0.0)
+    screened = [np.array([tq_screen(row, model) for row in rows]) for model in (got, want)]
+    np.testing.assert_array_equal(screened[0][:, 2], screened[1][:, 2])
+    std = want.standardization
+    norm2 = np.sum(((np.asarray(rows, dtype=float) - std.means) / np.sqrt(std.variances)) ** 2, axis=1)
+    bounds = np.column_stack([norm2, norm2 / want.eigenvalues[want.k - 1]])
+    drift = np.abs(screened[0][:, :2] - screened[1][:, :2]) / bounds
+    assert drift.max() <= 1e-10, f"q/t2 drift {drift.max():.3e} relative"
+    projectors = [m.eigenvectors[:, : m.k] @ m.eigenvectors[:, : m.k].T for m in (got, want)]
+    np.testing.assert_allclose(projectors[0], projectors[1], rtol=0.0, atol=1e-12)
 
 
 def config_rows(parents: int, k: int):

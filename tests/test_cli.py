@@ -10,7 +10,7 @@ import pytest
 
 from sensorprep.bayesnet import learn_transition
 from sensorprep.cli import RunConfig, main
-from sensorprep.ingest import SensorDataset, discretize, fit_discretization, load_csv
+from sensorprep.ingest import SensorDataset, discretize, fit_discretization, load_csv, write_csv
 from sensorprep.spectra import model_from_dict
 
 
@@ -173,6 +173,42 @@ class TestPipeline:
         assert out == ""
         error = json.loads(err)["error"]
         assert "node id mismatch" in error and "rogue" in error
+
+    def test_detect_train_node_id_mismatch(self, tmp_path, capsys):
+        # The last training row is the predecessor of test row 0, so its
+        # columns must name the same nodes in the same order.
+        art, _ = run_full_pipeline(tmp_path, capsys, seed=3)
+        train = load_csv(tmp_path / "train.csv")
+        order = [1, 0] + list(range(2, train.n))
+        permuted = tmp_path / "permuted_train.csv"
+        write_csv(SensorDataset(train.values[:, order], [train.node_ids[j] for j in order]), permuted)
+        code, out, err = run(capsys, [
+            "detect", "--train", str(permuted), "--data", str(tmp_path / "test_bad.csv"),
+            "--artifacts", str(art), "--out-dir", str(art),
+        ])
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert "detect --train" in error and "node id mismatch" in error
+
+    def test_detect_model_node_id_mismatch(self, tmp_path, capsys):
+        art, _ = run_full_pipeline(tmp_path, capsys, seed=3)
+        model_path = art / "pca_model.json"
+        model = json.loads(model_path.read_text())
+        assert model["node_ids"] == list(load_csv(tmp_path / "train.csv").node_ids)
+        argv = [
+            "detect", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "test_bad.csv"),
+            "--artifacts", str(art), "--out-dir", str(art),
+        ]
+        model["node_ids"][2] = "rogue"
+        model_path.write_text(json.dumps(model))
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert "pca_model.json" in error and "rogue" in error
+        del model["node_ids"]  # a model written without node ids still loads
+        model_path.write_text(json.dumps(model))
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
 
     def test_report_files_hold_plain_values(self, tmp_path, capsys):
         """Numbers are written as plain literals; missing values exactly where a node has no parents."""

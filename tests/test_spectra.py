@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import oracle_f_upper, oracle_normal_upper
-from sensorprep.ingest import SensorDataset, Standardization, standardize
+from oracles import assert_pca_equivalent, oracle_f_upper, oracle_normal_upper
+from oracles import jacobi_eigh as oracle_jacobi_eigh
+from sensorprep import spectra
+from sensorprep.anomaly import tq_screen
+from sensorprep.ingest import SensorDataset, Standardization, standardize, synth_generate
 from sensorprep.spectra import (
     PcaModel,
     fit_pca,
@@ -40,6 +43,13 @@ def identity_model(n, k, eigenvalues=None, q_limit=1.0, t2_limit=1.0, alpha=0.05
     return PcaModel(std, lam, np.eye(n), k, q_limit, t2_limit, alpha)
 
 
+def standardized_model(lam, vec, k, m, alpha=0.05):
+    """Model over already standardized rows, with both analytic limits for m training rows."""
+    n = lam.shape[0]
+    q_lim = math.inf if k == n else q_threshold(lam, k, alpha)
+    return PcaModel(Standardization(np.zeros(n), np.ones(n)), lam, vec, k, q_lim, t2_threshold(k, m, alpha), alpha)
+
+
 class TestJacobi:
     def test_matches_numpy_on_random_matrices(self):
         rng = np.random.default_rng(7)
@@ -61,6 +71,62 @@ class TestJacobi:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            jacobi_eigh(np.ones((2, 3)))
+
+    def test_repeated_eigenvalues(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((60, 3))
+        identical_columns = np.corrcoef(x[:, [0, 0, 1, 1, 1, 2]], rowvar=False)
+        for c in (np.eye(6), identical_columns):
+            lam, vec = jacobi_eigh(c)
+            assert np.abs(vec.T @ vec - np.eye(6)).max() < 1e-10
+            assert (np.diff(lam) <= 0.0).all()
+            assert abs(lam.sum() - np.trace(c)) < 1e-9
+            assert np.abs(c @ vec - vec * lam).max() < 1e-8
+
+    def test_sign_convention_is_deterministic(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            c = random_correlation(rng, int(rng.integers(2, 21)))
+            lam, vec = jacobi_eigh(c)
+            peaks = vec[np.argmax(np.abs(vec), axis=0), np.arange(vec.shape[1])]
+            assert (peaks > 0.0).all()
+            again_lam, again_vec = jacobi_eigh(c.copy())
+            assert (lam.tobytes(), vec.tobytes()) == (again_lam.tobytes(), again_vec.tobytes())
+
+
+class TestAgainstJacobiOracle:
+    """The solver in use against cyclic Jacobi rotations, under the float-output policy."""
+
+    def test_random_correlation_matrices(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            n = int(rng.integers(3, 21))
+            c = random_correlation(rng, n)
+            lam, vec = jacobi_eigh(c)
+            ref_lam, ref_vec = oracle_jacobi_eigh(c)
+            k = int(np.argmax(ref_lam[:-1] - ref_lam[1:])) + 1  # widest spectral gap
+            rows = rng.standard_normal((200, n)) * 2.0
+            assert_pca_equivalent(
+                standardized_model(lam, vec, k, n + 30), standardized_model(ref_lam, ref_vec, k, n + 30), rows
+            )
+
+    def test_one_latent_drift_spectrum(self, monkeypatch):
+        # One latent over 40 channels leaves 39 near-equal noise
+        # eigenvalues, whose basis each solver picks differently.
+        data = synth_generate(7, 1500, 40, "correlated-drift", latents=1)
+        train = SensorDataset(data.values[:1000], data.node_ids)
+        rows = data.values[1000:].copy()
+        rows[::10] += 0.10 * train.values.mean(axis=0)
+        model = fit_pca_model(train, 0.85, 0.05)
+        monkeypatch.setattr(spectra, "jacobi_eigh", oracle_jacobi_eigh)
+        reference = fit_pca_model(train, 0.85, 0.05)
+        assert model.eigenvalues[model.k - 1] > 10.0 * model.eigenvalues[model.k]
+        assert 0 < sum(tq_screen(row, model)[2] for row in rows) < len(rows)
+        assert_pca_equivalent(model, reference, rows)
 
 
 class TestFitPca:
@@ -296,7 +362,7 @@ class TestPcaModel:
         rng = np.random.default_rng(17)
         data = SensorDataset(rng.standard_normal((80, 5)) * 2 + 30, tuple("abcde"))
         model = fit_pca_model(data, 0.85, 0.05)
-        back = model_from_dict(model_to_dict(model))
+        back = model_from_dict(model_to_dict(model, data.node_ids))
         np.testing.assert_array_equal(back.eigenvalues, model.eigenvalues)
         np.testing.assert_array_equal(back.eigenvectors, model.eigenvectors)
         np.testing.assert_array_equal(back.standardization.means, model.standardization.means)
