@@ -300,8 +300,8 @@ def check_cpt_cells(k_states: int, max_parents: int) -> None:
 
 def _trial_scores(
     cand_rows: np.ndarray, child: np.ndarray, base: np.ndarray, n_parents: int, k: int, m: int
-) -> np.ndarray:
-    """Penalized family score of every candidate parent set from one bincount.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Penalized family score and counts of every candidate parent set from one bincount.
 
     cand_rows holds one 0-based state column per candidate (parent rows,
     already lag-shifted), child the node's 0-based states on the matching
@@ -317,7 +317,13 @@ def _trial_scores(
     flat += child[:, None]
     flat += np.arange(c) * (h * k)
     counts = np.bincount(flat.ravel(order="K"), minlength=c * h * k).reshape(c, h, k)
-    # The elementwise terms of family_score; each candidate's H*K cells are
+    return _penalized_scores(counts, m), counts
+
+
+def _penalized_scores(counts: np.ndarray, m: int) -> np.ndarray:
+    """penalized_family_score of each H x K block of a c x H x K count stack."""
+    c, h, k = counts.shape
+    # The elementwise terms of family_score; each block's H*K cells are
     # then summed as one contiguous row, which keeps numpy's pairwise
     # summation order and so the scalar score bit for bit.
     totals = counts.sum(axis=2, keepdims=True)
@@ -337,45 +343,60 @@ def k2_search(states: StateMatrix, max_parents: int = 3, lag: int = 0) -> Dag:
     unconstrained per-node search can create cycles in the same-slice case,
     so lag=0 results pass through repair_cycles.
 
-    Each greedy step counts all remaining candidates in one bincount
-    (_trial_scores); every trial score equals penalized_family_score of the
-    extended parent list bit for bit. Rejects k_states/max_parents pairs
-    over MAX_CPT_CELLS before counting anything.
+    All empty parent sets are scored from one bincount, and each greedy
+    step counts all remaining candidates in one more (_trial_scores); every
+    trial score equals penalized_family_score of the extended parent list
+    bit for bit. Rejects k_states/max_parents pairs over MAX_CPT_CELLS
+    before counting anything.
     """
+    return _searched_network(states, max_parents, lag)[0]
+
+
+def _searched_network(states: StateMatrix, max_parents: int, lag: int) -> tuple[Dag, tuple[Cpt, ...]]:
+    """k2_search's network plus each family's CPT, estimated from the counts
+    of the bincount that scored the family (its count_states table); only a
+    family that repair_cycles changed is counted again."""
     if max_parents < 0:
         raise ValueError(f"max_parents must be >= 0, got {max_parents}")
+    if lag not in (0, 1) or states.m < 1 + lag:
+        raise ValueError(f"need lag 0 or 1 and more than lag rows, got lag {lag} with {states.m} rows")
     k = states.state_count
     check_cpt_cells(k, max_parents)
-    n = states.n
+    m, n = states.m, states.n
     grid = states.states - 1
     parent_rows, child_rows = (grid, grid) if lag == 0 else (grid[:-1], grid[1:])
+    empty = np.bincount((child_rows + np.arange(n) * k).ravel(), minlength=n * k).reshape(n, 1, k)
+    family_counts = list(empty)
     parent_sets: list[tuple[int, ...]] = []
-    for node in range(n):
+    for node, current in enumerate(_penalized_scores(empty, m).tolist()):
         chosen: list[int] = []
-        current = penalized_family_score(states, node, chosen, lag)
         base = np.zeros(parent_rows.shape[0], dtype=np.int64)  # chosen parents' configuration index
         while len(chosen) < min(max_parents, n - 1):
             cands = [c for c in range(n) if c != node and c not in chosen]
-            trials = _trial_scores(parent_rows[:, cands], child_rows[:, node], base, len(chosen) + 1, k, states.m)
+            trials, counts = _trial_scores(parent_rows[:, cands], child_rows[:, node], base, len(chosen) + 1, k, m)
             best_gain = 0.0
-            best_candidate = -1
+            best = -1
             # Ascending candidate order makes equal-gain ties land on the
             # lowest node index.
-            for cand, trial in zip(cands, trials.tolist()):
+            for i, trial in enumerate(trials.tolist()):
                 gain = trial - current
                 if gain > best_gain + 1e-12:
                     best_gain = gain
-                    best_candidate = cand
-            if best_candidate < 0:
+                    best = i
+            if best < 0:
                 break
-            chosen.append(best_candidate)
+            chosen.append(cands[best])
             current += best_gain
-            base = base * k + parent_rows[:, best_candidate]
+            base = base * k + parent_rows[:, cands[best]]
+            family_counts[node] = counts[best].copy()
         parent_sets.append(tuple(chosen))
     dag = Dag(n, tuple(parent_sets))
     if lag == 0:
         dag = repair_cycles(dag, states)
-    return dag
+        for node, (searched, kept) in enumerate(zip(parent_sets, dag.parents)):
+            if kept != searched:
+                family_counts[node] = count_states(states, node, kept, lag)
+    return dag, tuple(Cpt(i, dag.parents[i], estimate_cpt(c), c) for i, c in enumerate(family_counts))
 
 
 def repair_cycles(dag: Dag, states: StateMatrix) -> Dag:
@@ -406,9 +427,7 @@ def repair_cycles(dag: Dag, states: StateMatrix) -> Dag:
 
 def learn_static(states: StateMatrix, max_parents: int = 3) -> StaticNetwork:
     """Greedy structure search plus CPT estimation for the same-slice network."""
-    dag = k2_search(states, max_parents, lag=0)
-    cpts = tuple(make_cpt(states, i, dag.parents[i], lag=0) for i in range(dag.n))
-    return StaticNetwork(dag, cpts)
+    return StaticNetwork(*_searched_network(states, max_parents, lag=0))
 
 
 def learn_transition(states: StateMatrix, max_parents: int = 3) -> TransitionNetwork:
@@ -420,8 +439,7 @@ def learn_transition(states: StateMatrix, max_parents: int = 3) -> TransitionNet
     """
     if states.m < 2:
         raise ValueError("need at least 2 rows to learn transitions")
-    dag = k2_search(states, max_parents, lag=1)
-    cpts = tuple(make_cpt(states, i, dag.parents[i], lag=1) for i in range(dag.n))
+    dag, cpts = _searched_network(states, max_parents, lag=1)
     k = states.state_count
     priors = np.empty((states.n, k))
     for i in range(states.n):

@@ -116,14 +116,14 @@ def _resolve_training(cfg: RunConfig) -> ingest.SensorDataset:
     raise ValueError("no training data: provide train_csv or a synthetic profile")
 
 
-def _check_node_ids(expected, got, what: str) -> None:
+def _check_node_ids(expected, got, what: str, reference: str) -> None:
     expected = tuple(expected)
     got = tuple(got)
     if expected != got:
         for e, g in zip(expected, got):
             if e != g:
-                raise ValueError(f"{what}: node id mismatch, artifact has {e!r} but data has {g!r}")
-        raise ValueError(f"{what}: artifact covers {len(expected)} nodes but data has {len(got)}")
+                raise ValueError(f"{what}: node id mismatch, {reference} has {e!r} but data has {g!r}")
+        raise ValueError(f"{what}: {reference} covers {len(expected)} nodes but data has {len(got)}")
 
 
 def cmd_synth(cfg: RunConfig, out: str, split: int | None, out_train: str | None, out_test: str | None) -> dict:
@@ -184,7 +184,7 @@ def cmd_inject(cfg: RunConfig, out: str, sidecar: str, rows_list: str | None) ->
         raise ValueError("inject needs --train (for the means) and --data (rows to corrupt)")
     train = ingest.load_csv(cfg.train_csv)
     data = ingest.load_csv(cfg.data_csv)
-    _check_node_ids(train.node_ids, data.node_ids, "inject")
+    _check_node_ids(train.node_ids, data.node_ids, "inject", "training CSV")
     if rows_list:
         rows = sorted({int(tok) for tok in rows_list.split(",") if tok.strip()})
     else:
@@ -212,14 +212,14 @@ def cmd_detect(cfg: RunConfig, artifacts: str) -> dict:
     art = Path(artifacts)
     train = ingest.load_csv(cfg.train_csv)
     test = ingest.load_csv(cfg.data_csv)
-    _check_node_ids(train.node_ids, test.node_ids, "detect --train")
+    _check_node_ids(train.node_ids, test.node_ids, "detect --train", "training CSV")
     model_doc = _read_json(art / _ARTIFACTS["model"])
     scheme = _scheme_from_dict(_read_json(art / _ARTIFACTS["scheme"]))
     tn_doc = _read_json(art / _ARTIFACTS["transition"])
     artifact_ids = {"model": model_doc.get("node_ids"), "scheme": scheme.node_ids, "transition": tn_doc["node_ids"]}
     for name, ids in artifact_ids.items():
         if ids:
-            _check_node_ids(ids, test.node_ids, f"detect {_ARTIFACTS[name]}")
+            _check_node_ids(ids, test.node_ids, "detect", _ARTIFACTS[name])
     model = spectra.model_from_dict(model_doc)
     tn = bayesnet.transition_from_dict(tn_doc)
 
@@ -242,7 +242,7 @@ def cmd_redundancy_static(cfg: RunConfig, artifacts: str) -> dict:
     art = Path(artifacts)
     data = ingest.load_csv(cfg.data_csv)
     net_doc = _read_json(art / _ARTIFACTS["static"])
-    _check_node_ids(net_doc["node_ids"], data.node_ids, "redundancy-static")
+    _check_node_ids(net_doc["node_ids"], data.node_ids, "redundancy-static", _ARTIFACTS["static"])
     net = bayesnet.static_from_dict(net_doc)
 
     report = redundancy.ssdrda(net.dag, net.cpts, cfg.tau)
@@ -272,10 +272,14 @@ def cmd_redundancy_realtime(cfg: RunConfig) -> dict:
     _write_json(out_dir / "redundancy_realtime.json", redundancy.realtime_report_to_dict(report, data.node_ids))
     redundancy.write_realtime_csv(report, data.node_ids, out_dir / "redundancy_realtime.csv")
     redundancy.write_recovery_csv(report.recoveries, data.node_ids, out_dir / "recovery_realtime.csv")
-    sleeping = np.unique(report.entries.node[report.entries.sleeping]).tolist()
+    rec = report.recoveries
+    per_node = [metrics.rmse(rec.actual[rec.node == j], rec.estimate[rec.node == j]) for j in np.unique(rec.node)]
     return {
         "inference_entries": len(report.entries),
-        "sleeping_nodes": [data.node_ids[i] for i in sleeping],
+        "sleeping_entries": int(report.entries.sleeping.sum()),
+        "sleeping_nodes": [data.node_ids[i] for i in np.unique(rec.node).tolist()],
+        "recovered_readings": len(rec),
+        "recovery_rmse": metrics.mean_rmse(per_node) if per_node else None,
         "out_dir": str(out_dir),
     }
 

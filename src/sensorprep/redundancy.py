@@ -12,7 +12,7 @@ are reconstructed as a similarity-weighted mean of parent readings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -191,12 +191,6 @@ def _recover_columns(columns: np.ndarray, dissimilarities: Sequence[float]) -> n
     return total / sum(weights)
 
 
-def _point_mass(state: int, k: int) -> np.ndarray:
-    out = np.zeros(k)
-    out[state - 1] = 1.0
-    return out
-
-
 def _training_dissimilarities(window: np.ndarray, node: int, parents: Sequence[int]) -> list[float]:
     """RMS distance between standardized training columns of node and each parent.
 
@@ -229,11 +223,18 @@ def rsdrda_schedule(
     Sleeping readings are recovered from parent readings at t-1 and never
     fed back into later training. Trailing rows that do not fill a slice
     are skipped.
+
+    A step reads only the evidence of step t-1, so all its nodes update at
+    once: the nodes with d parents are one stacked product of their joint
+    parent weights with their K^d x K tables, the same arithmetic as
+    rsdrda_infer.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     if not 0.0 < train_frac < 1.0:
         raise ValueError(f"train_frac must lie in (0, 1), got {train_frac}")
+    if slice_len < 1:
+        raise ValueError(f"slice_len must be >= 1, got {slice_len}")
     if slice_len > data.m:
         raise ValueError(f"data has {data.m} rows, shorter than one slice of {slice_len}")
     train_len = int(round(slice_len * train_frac))
@@ -245,52 +246,53 @@ def rsdrda_schedule(
         from .ingest import fit_discretization
 
         scheme = fit_discretization(data)
-    states_all = discretize(data, scheme).states
-    k = scheme.state_count
-    n = data.n
-
-    entries = []
-    recoveries = []
-    for start in range(0, data.m - slice_len + 1, slice_len):
-        window = data.values[start : start + train_len]
-        train_states = discretize(
-            SensorDataset(window, data.node_ids), scheme
-        )
-        tn = learn_transition(train_states, max_parents)
-        dissim = {
-            node: _training_dissimilarities(window, node, tn.dag.parents[node])
-            for node in range(n)
-            if tn.dag.parents[node]
-        }
+    states = discretize(data, scheme)
+    point_mass = np.eye(scheme.state_count)
+    starts = range(0, data.m - slice_len + 1, slice_len)
+    # Indexed by (slice, inference step, node); NaN marks a node without parents.
+    max_post = np.full((len(starts), slice_len - train_len, data.n), math.nan)
+    estimates = np.empty(max_post.shape)
+    for i, start in enumerate(starts):
+        tn = learn_transition(replace(states, states=states.states[start : start + train_len]), max_parents)
+        groups = []
+        for d in sorted({len(ps) for ps in tn.dag.parents} - {0}):
+            nodes = np.array([j for j, ps in enumerate(tn.dag.parents) if len(ps) == d])
+            tables = np.stack([tn.cpts[j].table for j in nodes])
+            groups.append((nodes, np.array([tn.dag.parents[j] for j in nodes]), tables))
 
         # Evidence at the last training step: everything is awake.
-        evidence = [_point_mass(int(states_all[start + train_len - 1, j]), k) for j in range(n)]
-        for t in range(start + train_len, start + slice_len):
-            next_evidence: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-            for node in range(n):
-                parents = tn.dag.parents[node]
-                if not parents:
-                    entries.append((t, node, False, math.nan))
-                    next_evidence[node] = _point_mass(int(states_all[t, node]), k)
-                    continue
-                posterior = rsdrda_infer(node, tn, [evidence[p] for p in parents])
-                max_post = float(posterior.max())
-                sleeping = max_post >= tau
-                entries.append((t, node, sleeping, max_post))
-                if sleeping:
-                    estimate = recover([data.values[t - 1, p] for p in parents], dissim[node])
-                    recoveries.append((t, node, estimate, float(data.values[t, node])))
-                    next_evidence[node] = posterior
-                else:
-                    next_evidence[node] = _point_mass(int(states_all[t, node]), k)
+        evidence = point_mass[states.states[start + train_len - 1] - 1]
+        for step, observed in enumerate(states.states[start + train_len : start + slice_len]):
+            next_evidence = point_mass[observed - 1]
+            for nodes, parents, tables in groups:
+                weights = np.ones((len(nodes), 1))
+                for column in parents.T:
+                    weights = (weights[:, :, None] * evidence[column][:, None, :]).reshape(len(nodes), -1)
+                posterior = (weights[:, None, :] @ tables)[:, 0]
+                total = posterior.sum(axis=1, keepdims=True)
+                if (total <= 0.0).any():
+                    raise ArithmeticError("evidence assigns zero mass to every configuration")
+                posterior = posterior / total
+                max_post[i, step, nodes] = posterior.max(axis=1)
+                asleep = max_post[i, step, nodes] >= tau
+                next_evidence[nodes[asleep]] = posterior[asleep]
             evidence = next_evidence
-    return RealtimeRedundancyReport(
-        tau,
-        slice_len,
-        train_frac,
-        np.rec.fromrecords(entries, dtype=SCHEDULE_DTYPE),
-        np.rec.fromrecords(recoveries, dtype=RECOVERY_DTYPE),
-    )
+
+        # Recover each sleeping node's readings from its parents at t-1.
+        for node, parents in enumerate(tn.dag.parents):
+            asleep = np.flatnonzero(max_post[i, :, node] >= tau)
+            if asleep.size:
+                previous = data.values[start + train_len - 1 + asleep][:, parents]
+                dissim = _training_dissimilarities(data.values[start : start + train_len], node, parents)
+                estimates[i, asleep, node] = _recover_columns(previous, dissim)
+
+    t = np.repeat(np.add.outer(starts, np.arange(train_len, slice_len)), data.n)
+    node = np.tile(np.arange(data.n), len(t) // data.n)
+    asleep = (max_post >= tau).ravel()
+    entries = np.rec.fromarrays([t, node, asleep, max_post.ravel()], dtype=SCHEDULE_DTYPE)
+    t, node = t[asleep], node[asleep]
+    recoveries = np.rec.fromarrays([t, node, estimates.ravel()[asleep], data.values[t, node]], dtype=RECOVERY_DTYPE)
+    return RealtimeRedundancyReport(tau, slice_len, train_frac, entries, recoveries)
 
 
 def _recoveries_to_dicts(recoveries: np.recarray, node_ids: Sequence[str]) -> list[dict]:

@@ -7,8 +7,9 @@ structure search from exhaustive DAG enumeration or from one
 penalized_family_score call per candidate.
 Batched detection is checked against one nb_predict_state call per
 (flagged row, node), its marginal tables against the per-slice
-mixed-radix digit sum, and static recovery against one recover call per
-reading. CSV reading is checked against a loader that parses one cell at
+mixed-radix digit sum, static recovery against one recover call per
+reading, and the step-parallel RSDRDA schedule against one rsdrda_infer
+and one recover call per (step, node). CSV reading is checked against a loader that parses one cell at
 a time, and every CSV writer against one that formats rows through the
 csv module.
 """
@@ -23,14 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, nb_predict_state, tq_screen
-from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork, penalized_family_score, repair_cycles
-from sensorprep.ingest import DiscretizationScheme, SensorDataset, StateMatrix, discretize_row
+from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork, learn_transition, penalized_family_score, repair_cycles
+from sensorprep.ingest import DiscretizationScheme, SensorDataset, StateMatrix, discretize, discretize_row
 from sensorprep.redundancy import (
     RECOVERY_DTYPE,
+    SCHEDULE_DTYPE,
     RealtimeRedundancyReport,
     StaticRedundancyReport,
     _training_dissimilarities,
     recover,
+    rsdrda_infer,
 )
 from sensorprep.spectra import PcaModel
 
@@ -264,6 +267,54 @@ def scalar_static_recovery(data: SensorDataset, dag: Dag, redundant_nodes) -> np
             estimate = recover([data.values[t, p] for p in parents], dists)
             out.append((t, node, estimate, float(data.values[t, node])))
     return np.rec.fromrecords(out, dtype=RECOVERY_DTYPE)
+
+
+def _point_mass(state: int, k: int) -> np.ndarray:
+    out = np.zeros(k)
+    out[state - 1] = 1.0
+    return out
+
+
+def scalar_rsdrda_schedule(
+    data: SensorDataset, slice_len: int, train_frac: float, tau: float, scheme: DiscretizationScheme, max_parents: int
+) -> RealtimeRedundancyReport:
+    """One rsdrda_infer call per (step, node with parents) and one recover
+    call per sleeping reading: the reference for the step-parallel
+    rsdrda_schedule. Each training window is discretized on its own."""
+    train_len = int(round(slice_len * train_frac))
+    states_all = discretize(data, scheme).states
+    k = scheme.state_count
+    n = data.n
+    entries = []
+    recoveries = []
+    for start in range(0, data.m - slice_len + 1, slice_len):
+        window = data.values[start : start + train_len]
+        tn = learn_transition(discretize(SensorDataset(window, data.node_ids), scheme), max_parents)
+        evidence = [_point_mass(int(states_all[start + train_len - 1, j]), k) for j in range(n)]
+        for t in range(start + train_len, start + slice_len):
+            next_evidence = [_point_mass(int(states_all[t, j]), k) for j in range(n)]
+            for node in range(n):
+                parents = tn.dag.parents[node]
+                if not parents:
+                    entries.append((t, node, False, math.nan))
+                    continue
+                posterior = rsdrda_infer(node, tn, [evidence[p] for p in parents])
+                max_post = float(posterior.max())
+                sleeping = max_post >= tau
+                entries.append((t, node, sleeping, max_post))
+                if sleeping:
+                    dissim = _training_dissimilarities(window, node, parents)
+                    estimate = recover([data.values[t - 1, p] for p in parents], dissim)
+                    recoveries.append((t, node, estimate, float(data.values[t, node])))
+                    next_evidence[node] = posterior
+            evidence = next_evidence
+    return RealtimeRedundancyReport(
+        tau,
+        slice_len,
+        train_frac,
+        np.rec.fromrecords(entries, dtype=SCHEDULE_DTYPE),
+        np.rec.fromrecords(recoveries, dtype=RECOVERY_DTYPE),
+    )
 
 
 def brute_soft_posterior(node: int, tn: TransitionNetwork, parent_evidence) -> np.ndarray:

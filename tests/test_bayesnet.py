@@ -1,7 +1,9 @@
 """Counting, CPT estimation, scoring, greedy search, and cycle repair."""
 
+import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import digit_parent_marginal, exhaustive_argmax, penalized_total, scalar_k2_search, states_from_grid
+from sensorprep import bayesnet
 from sensorprep.bayesnet import (
     Cpt,
     Dag,
@@ -263,9 +266,50 @@ class TestBatchedSearch:
         for p in chosen:
             base = base * k + parent_rows[:, p]
         cands = [c for c in others if c not in chosen]
-        trials = _trial_scores(parent_rows[:, cands], child_rows[:, node], base, len(chosen) + 1, k, states.m)
-        for cand, trial in zip(cands, trials.tolist()):
+        trials, counts = _trial_scores(parent_rows[:, cands], child_rows[:, node], base, len(chosen) + 1, k, states.m)
+        for cand, trial, block in zip(cands, trials.tolist(), counts):
             assert trial == penalized_family_score(states, node, chosen + [cand], lag)
+            assert np.array_equal(block, count_states(states, node, chosen + [cand], lag))
+
+
+def assert_counts_reused(net, states, lag):
+    """Every CPT holds count_states of its family, and the network's JSON
+    equals that of CPTs made by make_cpt."""
+    for i, cpt in enumerate(net.cpts):
+        assert np.array_equal(cpt.counts, count_states(states, i, net.dag.parents[i], lag))
+    recounted = replace(net, cpts=tuple(make_cpt(states, i, ps, lag) for i, ps in enumerate(net.dag.parents)))
+    ids = [f"n{j}" for j in range(states.n)]
+    assert json.dumps(network_to_dict(net, ids), sort_keys=True) == json.dumps(
+        network_to_dict(recounted, ids), sort_keys=True
+    )
+
+
+class TestReusedFamilyCounts:
+    """learn_static and learn_transition build CPTs from the search's own counts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_cases(), st.integers(0, 3))
+    def test_counts_equal_recount(self, states, max_parents):
+        assert_counts_reused(learn_static(states, max_parents), states, 0)
+        assert_counts_reused(learn_transition(states, max_parents), states, 1)
+
+    def test_family_changed_by_cycle_repair(self, monkeypatch):
+        # x1 and x2 copy each other, so each picks the other and repair
+        # drops one edge of the two-cycle.
+        repairs = []
+
+        def spy(dag, states):
+            repaired = repair_cycles(dag, states)
+            repairs.append((dag, repaired))
+            return repaired
+
+        monkeypatch.setattr(bayesnet, "repair_cycles", spy)
+        states = chain_states(seed=4)
+        net = learn_static(states, max_parents=2)
+        [(searched, repaired)] = repairs
+        assert len(repaired.edges()) < len(searched.edges())
+        assert net.dag == repaired
+        assert_counts_reused(net, states, 0)
 
 
 class TestCptCellCap:

@@ -65,6 +65,7 @@ def run_full_pipeline(base, capsys, seed=1):
         "--slice-len", "80", "--out-dir", str(art),
     ])
     assert code == 0, err
+    outputs["redundancy-realtime"] = json.loads(out)
 
     code, out, err = run(capsys, [
         "evaluate", "--report", str(art / "detection_report.json"),
@@ -97,6 +98,34 @@ class TestPipeline:
         row_metrics = outputs["evaluate"]["row_level"]
         assert row_metrics["recall"] == 1.0
         assert row_metrics["tp"] == 30
+
+    def test_realtime_summary_reports_the_trade_off(self, tmp_path, capsys):
+        art, outputs = run_full_pipeline(tmp_path, capsys)
+        summary = outputs["redundancy-realtime"]
+        assert sorted(summary) == [
+            "inference_entries",
+            "out_dir",
+            "recovered_readings",
+            "recovery_rmse",
+            "sleeping_entries",
+            "sleeping_nodes",
+        ]
+        doc = json.loads((art / "redundancy_realtime.json").read_text())
+        assert summary["inference_entries"] == len(doc["entries"])
+        assert summary["sleeping_entries"] == sum(e["state"] == "sleeping" for e in doc["entries"]) > 0
+        assert summary["recovered_readings"] == len(doc["recoveries"])
+        assert summary["recovery_rmse"] == outputs["evaluate"]["recovery"]["mean_rmse"]
+
+    def test_realtime_summary_without_recoveries(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        write_csv(SensorDataset(rng.normal(size=(200, 3)), ["a", "b", "c"]), tmp_path / "noise.csv")
+        code, out, err = run(capsys, [
+            "redundancy-realtime", "--data", str(tmp_path / "noise.csv"), "--out-dir", str(tmp_path),
+        ])
+        assert code == 0, err
+        summary = json.loads(out)
+        assert (summary["sleeping_entries"], summary["recovered_readings"]) == (0, 0)
+        assert summary["recovery_rmse"] is None and summary["sleeping_nodes"] == []
 
     def test_sidecar_matches_truth_universe(self, tmp_path, capsys):
         art, _ = run_full_pipeline(tmp_path, capsys, seed=2)
@@ -188,7 +217,27 @@ class TestPipeline:
         ])
         assert code == 1 and out == ""
         error = json.loads(err)["error"]
-        assert "detect --train" in error and "node id mismatch" in error
+        assert "detect --train: node id mismatch, training CSV has 'node01' but data has 'node00'" in error
+
+    def test_inject_train_node_id_mismatch(self, tmp_path, capsys):
+        code, out, err = run(capsys, [
+            "synth", "--profile", "correlated-drift", "--seed", "3", "--rows", "60", "--cols", "3",
+            "--split", "40", "--out-train", str(tmp_path / "train.csv"), "--out-test", str(tmp_path / "test.csv"),
+        ])
+        assert code == 0, err
+        train = load_csv(tmp_path / "train.csv")
+        write_csv(SensorDataset(train.values[:, :2], train.node_ids[:2]), tmp_path / "narrow_train.csv")
+        write_csv(SensorDataset(train.values[:, [1, 0, 2]], [train.node_ids[j] for j in (1, 0, 2)]),
+                  tmp_path / "permuted_train.csv")
+        argv = ["inject", "--data", str(tmp_path / "test.csv"), "--last-rows", "5",
+                "--out", str(tmp_path / "bad.csv"), "--sidecar", str(tmp_path / "truth.json")]
+        for name, message in (
+            ("permuted_train.csv", "inject: node id mismatch, training CSV has 'node01' but data has 'node00'"),
+            ("narrow_train.csv", "inject: training CSV covers 2 nodes but data has 3"),
+        ):
+            code, out, err = run(capsys, argv + ["--train", str(tmp_path / name)])
+            assert code == 1 and out == ""
+            assert message in json.loads(err)["error"]
 
     def test_detect_model_node_id_mismatch(self, tmp_path, capsys):
         art, _ = run_full_pipeline(tmp_path, capsys, seed=3)

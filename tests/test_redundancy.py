@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_soft_posterior, random_transition_network, scalar_static_recovery, states_from_grid
-from sensorprep.bayesnet import Cpt, Dag, estimate_cpt, make_cpt
-from sensorprep.ingest import SensorDataset, fit_discretization, synth_generate
+from oracles import (
+    brute_soft_posterior,
+    random_transition_network,
+    scalar_rsdrda_schedule,
+    scalar_static_recovery,
+    states_from_grid,
+    trivial_scheme,
+)
+from sensorprep.bayesnet import Cpt, Dag, estimate_cpt, learn_transition, make_cpt
+from sensorprep.ingest import SensorDataset, discretize, fit_discretization, synth_generate
 from sensorprep.metrics import rmse
 from sensorprep.redundancy import (
     recover,
@@ -223,6 +232,78 @@ class TestRsdrdaSchedule:
             rsdrda_schedule(data, slice_len=10, train_frac=0.1)
         with pytest.raises(ValueError, match="train_frac"):
             rsdrda_schedule(data, slice_len=10, train_frac=1.5)
+        for slice_len in (0, -100):
+            with pytest.raises(ValueError, match="slice_len must be >= 1"):
+                rsdrda_schedule(data, slice_len=slice_len)
+
+
+@st.composite
+def schedule_cases(draw):
+    """Persistent level data (levels 1..k plus in-bin noise) with constant
+    columns, exact copies, lagged copies and lagged medians of several columns,
+    binned on the levels by a fixed scheme."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 6))
+    slice_len, train_frac = draw(st.sampled_from([(100, 0.6), (40, 0.75), (20, 0.8), (7, 0.3)]))
+    m = slice_len * draw(st.integers(1, 3)) + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.integers(1, k + 1, size=(m, n)).astype(float)
+    stay = rng.random((m, n)) < draw(st.sampled_from([0.0, 0.6, 0.85]))
+    for t in range(1, m):
+        levels[t, stay[t]] = levels[t - 1, stay[t]]
+    values = levels + rng.uniform(-0.4, 0.4, size=(m, n))
+    for j in range(n):
+        kind = draw(st.sampled_from(["lagged-copy", "lagged-median", "copy", "constant", "levels", "random"]))
+        if kind == "levels":
+            values[:, j] = levels[:, j]
+        elif kind == "constant":
+            values[:, j] = draw(st.integers(1, k))
+        elif kind == "lagged-median" and j > 1:
+            # The (rounded-up) median of two or three levels at t-1 plants
+            # families of several parents.
+            sources = draw(st.permutations(range(j)))[: draw(st.integers(2, 3))]
+            values[:, j] = np.roll(np.ceil(np.median(np.round(values[:, sources]), axis=1)), 1)
+        elif kind in ("copy", "lagged-copy") and j > 0:
+            values[:, j] = values[:, draw(st.integers(0, j - 1))]
+            if kind == "lagged-copy":
+                values[:, j] = np.roll(values[:, j], 1)
+    data = SensorDataset(values, [f"n{j}" for j in range(n)])
+    tau = draw(st.sampled_from([0.5, 0.8, 0.95, 1.0]))
+    return data, slice_len, train_frac, tau, trivial_scheme(n, k), draw(st.sampled_from([2, 3, 1, 0]))
+
+
+class TestStepParallelSchedule:
+    """The stacked per-step update against one rsdrda_infer call per (step, node)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(schedule_cases())
+    def test_matches_scalar_oracle(self, case):
+        ours = rsdrda_schedule(*case)
+        theirs = scalar_rsdrda_schedule(*case)
+        assert ours.entries.tobytes() == theirs.entries.tobytes()
+        assert ours.recoveries.tobytes() == theirs.recoveries.tobytes()
+
+    def test_groups_of_one_two_and_three_parents(self):
+        # Nodes 3, 4 and 5 follow one, two and three i.i.d. drivers at t-1
+        # with 3% flips, so each step stacks three parent-count groups and
+        # sleeping parents pass on posteriors that are not point masses.
+        rng = np.random.default_rng(0)
+        levels = rng.integers(1, 3, size=(400, 6)).astype(float)
+        levels[:, 3] = np.roll(levels[:, 2], 1)
+        levels[:, 4] = np.roll(np.maximum(levels[:, 0], levels[:, 1]), 1)
+        levels[:, 5] = np.roll(np.median(levels[:, :3], axis=1), 1)
+        flip = rng.random((400, 3)) < 0.03
+        levels[:, 3:][flip] = 3 - levels[:, 3:][flip]
+        data = SensorDataset(levels + rng.uniform(-0.4, 0.4, size=levels.shape), [f"n{j}" for j in range(6)])
+        case = (data, 100, 0.6, 0.9, trivial_scheme(6, 2), 3)
+        first = learn_transition(discretize(SensorDataset(data.values[:60], data.node_ids), case[4]), 3)
+        assert {len(ps) for ps in first.dag.parents} == {0, 1, 2, 3}
+        ours = rsdrda_schedule(*case)
+        theirs = scalar_rsdrda_schedule(*case)
+        posteriors = ours.entries.max_posterior
+        assert ours.entries.sleeping.any() and ((posteriors > 0.9) & (posteriors < 1.0)).any()
+        assert ours.entries.tobytes() == theirs.entries.tobytes()
+        assert ours.recoveries.tobytes() == theirs.recoveries.tobytes()
 
 
 class TestStaticRecovery:
