@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .bayesnet import TransitionNetwork, parent_marginal, parent_marginals
 from .ingest import (
     DiscretizationScheme,
@@ -182,23 +183,18 @@ def _predict_states(node: int, prev: np.ndarray, tn: TransitionNetwork) -> np.nd
 
 
 def report_to_dict(report: DetectionReport) -> dict:
+    """The `detection_report` artifact body: both record arrays as columns."""
     return {
         "q_limit": limit_to_json(report.q_limit),
         "t2_limit": float(report.t2_limit),
-        "rows": [dict(zip(ROW_DTYPE.names, s)) for s in report.rows.tolist()],
-        "verdicts": [dict(zip(VERDICT_DTYPE.names, v)) for v in report.verdicts.tolist()],
+        "rows": artifacts.columns(report.rows),
+        "verdicts": artifacts.columns(report.verdicts),
     }
 
 
 def report_from_dict(doc: dict) -> DetectionReport:
-    rows = [tuple(s[f] for f in ROW_DTYPE.names) for s in doc["rows"]]
-    verdicts = [tuple(v[f] for f in VERDICT_DTYPE.names) for v in doc["verdicts"]]
-    return DetectionReport(
-        limit_from_json(doc["q_limit"]),
-        doc["t2_limit"],
-        np.rec.fromrecords(rows, dtype=ROW_DTYPE),
-        np.rec.fromrecords(verdicts, dtype=VERDICT_DTYPE),
-    )
+    rows, verdicts = artifacts.records(doc["rows"], ROW_DTYPE), artifacts.records(doc["verdicts"], VERDICT_DTYPE)
+    return DetectionReport(limit_from_json(doc["q_limit"]), doc["t2_limit"], rows, verdicts)
 
 
 def write_report_csv(report: DetectionReport, path: str | Path) -> None:

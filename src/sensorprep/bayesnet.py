@@ -26,6 +26,7 @@ __all__ = [
     "estimate_cpt",
     "make_cpt",
     "score",
+    "fitted_score",
     "family_score",
     "penalized_family_score",
     "k2_search",
@@ -260,11 +261,15 @@ def family_score(states: StateMatrix, node: int, parents: Sequence[int], lag: in
 
     Sum of N log(theta) over all cells, with empty cells contributing zero.
     """
-    counts = count_states(states, node, parents, lag)
-    totals = counts.sum(axis=1, keepdims=True)
+    return float(np.sum(_loglik_terms(count_states(states, node, parents, lag))))
+
+
+def _loglik_terms(counts: np.ndarray) -> np.ndarray:
+    """N log(theta) of every cell of a count table (or stack of tables), 0 for empty cells."""
+    totals = counts.sum(axis=-1, keepdims=True)
     mask = counts > 0
     ratio = np.where(mask, counts / np.where(totals > 0, totals, 1), 1.0)
-    return float(np.sum(np.where(mask, counts * np.log(ratio), 0.0)))
+    return np.where(mask, counts * np.log(ratio), 0.0)
 
 
 def penalized_family_score(states: StateMatrix, node: int, parents: Sequence[int], lag: int = 0) -> float:
@@ -281,6 +286,11 @@ def penalized_family_score(states: StateMatrix, node: int, parents: Sequence[int
 def score(states: StateMatrix, dag: Dag, lag: int = 0) -> float:
     """Network log-likelihood: the sum of per-family scores (decomposable)."""
     return sum(family_score(states, i, dag.parents[i], lag) for i in range(dag.n))
+
+
+def fitted_score(net: StaticNetwork | TransitionNetwork) -> float:
+    """`score` of a learned network on its training states, from the counts its CPTs hold."""
+    return sum(float(np.sum(_loglik_terms(cpt.counts))) for cpt in net.cpts)
 
 
 def check_cpt_cells(k_states: int, max_parents: int) -> None:
@@ -323,13 +333,9 @@ def _trial_scores(
 def _penalized_scores(counts: np.ndarray, m: int) -> np.ndarray:
     """penalized_family_score of each H x K block of a c x H x K count stack."""
     c, h, k = counts.shape
-    # The elementwise terms of family_score; each block's H*K cells are
-    # then summed as one contiguous row, which keeps numpy's pairwise
-    # summation order and so the scalar score bit for bit.
-    totals = counts.sum(axis=2, keepdims=True)
-    mask = counts > 0
-    ratio = np.where(mask, counts / np.where(totals > 0, totals, 1), 1.0)
-    loglik = np.sum(np.where(mask, counts * np.log(ratio), 0.0).reshape(c, h * k), axis=1)
+    # Each block's H*K cells are summed as one contiguous row, which keeps
+    # numpy's pairwise summation order and so the scalar score bit for bit.
+    loglik = np.sum(_loglik_terms(counts).reshape(c, h * k), axis=1)
     free = h * (k - 1)
     return loglik - 0.5 * free * math.log(m)
 
@@ -479,36 +485,27 @@ def parent_marginal(cpt: Cpt, position: int, parent_state: int) -> np.ndarray:
     return parent_marginals(cpt)[position, parent_state - 1]
 
 
-def _cpt_to_dict(cpt: Cpt) -> dict:
-    return {
-        "node": int(cpt.node),
-        "parents": [int(p) for p in cpt.parents],
-        "table": [[float(v) for v in row] for row in cpt.table],
-        "counts": [[int(v) for v in row] for row in cpt.counts],
-    }
-
-
-def _cpt_from_dict(doc: dict) -> Cpt:
-    return Cpt(int(doc["node"]), tuple(doc["parents"]), np.array(doc["table"]), np.array(doc["counts"]))
-
-
-def network_to_dict(net: StaticNetwork | TransitionNetwork, node_ids: Sequence[str]) -> dict:
-    """JSON-ready representation shared by both network kinds."""
+def network_to_dict(net: StaticNetwork | TransitionNetwork) -> dict:
+    """The `static_network` or `transition_network` artifact body: parent lists, CPT tables and counts."""
     doc = {
-        "node_ids": list(node_ids),
         "parents": [list(ps) for ps in net.dag.parents],
-        "cpts": [_cpt_to_dict(c) for c in net.cpts],
+        "tables": [c.table.tolist() for c in net.cpts],
+        "counts": [c.counts.tolist() for c in net.cpts],
     }
     if isinstance(net, TransitionNetwork):
-        doc["priors"] = [[float(v) for v in row] for row in net.priors]
+        doc["priors"] = net.priors.tolist()
     return doc
 
 
-def static_from_dict(doc: dict) -> StaticNetwork:
+def _network_from_dict(doc: dict) -> tuple[Dag, tuple[Cpt, ...]]:
     dag = Dag(len(doc["parents"]), tuple(tuple(ps) for ps in doc["parents"]))
-    return StaticNetwork(dag, tuple(_cpt_from_dict(c) for c in doc["cpts"]))
+    families = zip(dag.parents, doc["tables"], doc["counts"], strict=True)
+    return dag, tuple(Cpt(i, ps, np.array(table), np.array(counts)) for i, (ps, table, counts) in enumerate(families))
+
+
+def static_from_dict(doc: dict) -> StaticNetwork:
+    return StaticNetwork(*_network_from_dict(doc))
 
 
 def transition_from_dict(doc: dict) -> TransitionNetwork:
-    dag = Dag(len(doc["parents"]), tuple(tuple(ps) for ps in doc["parents"]))
-    return TransitionNetwork(dag, tuple(_cpt_from_dict(c) for c in doc["cpts"]), np.array(doc["priors"]))
+    return TransitionNetwork(*_network_from_dict(doc), np.array(doc["priors"]))

@@ -1,10 +1,12 @@
 """Command-line pipeline: learn artifacts, inject errors, detect anomalies,
 find redundant nodes, and evaluate against ground truth.
 
-Configuration comes from an optional JSON document plus flag overrides;
-every command is deterministic given the same config and seed, artifacts
-are compact JSON with sorted keys, and errors leave as machine-readable
-JSON on stderr with a nonzero exit code.
+Configuration comes from an optional JSON document plus flag overrides,
+checked against each field's type and range before any file is read.
+Every command is deterministic given the same config and seed. Artifacts
+and reports are versioned JSON documents (see `artifacts`) whose node ids
+are checked against the data on every load. Errors leave as
+machine-readable JSON on stderr with a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -14,22 +16,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import anomaly, bayesnet, ingest, metrics, redundancy, spectra
+from . import anomaly, artifacts, bayesnet, ingest, metrics, redundancy, spectra
 
 ENV_OUT_DIR = "SENSORPREP_OUT_DIR"
-
-_ARTIFACTS = {
-    "model": "pca_model.json",
-    "static": "static_network.json",
-    "transition": "transition_network.json",
-    "scheme": "scheme.json",
-    "train": "train.csv",
-}
 
 
 @dataclass(frozen=True)
@@ -56,27 +50,23 @@ class RunConfig:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("alpha_warning", self.alpha_warning),
-            ("alpha_alarm", self.alpha_alarm),
-            ("train_frac", self.train_frac),
-        ):
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {value}")
-        for name, value in (("contribution_ratio", self.contribution_ratio), ("tau", self.tau)):
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {value}")
+        for f in fields(self):  # f.type is the annotation's text, as annotations are postponed
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+        for name in ("alpha_warning", "alpha_alarm", "train_frac"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
+        for name in ("contribution_ratio", "tau"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
         if self.alpha_alarm > self.alpha_warning:
             raise ValueError("alpha_alarm must not exceed alpha_warning")
-        for name, value in (
-            ("rows", self.rows),
-            ("cols", self.cols),
-            ("k_states", self.k_states),
-            ("slice_len", self.slice_len),
-            ("error_rows", self.error_rows),
-        ):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("rows", "cols", "k_states", "slice_len", "error_rows"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_parents < 0:
             raise ValueError("max_parents must be >= 0")
         bayesnet.check_cpt_cells(self.k_states, self.max_parents)
@@ -84,28 +74,12 @@ class RunConfig:
             raise ValueError("error_pct must be >= 0")
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
-
-
-def _read_json(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def _scheme_to_dict(scheme: ingest.DiscretizationScheme) -> dict:
-    return {
-        "node_ids": list(scheme.node_ids) if scheme.node_ids else None,
-        "state_count": int(scheme.state_count),
-        "edges": [[float(v) for v in e] for e in scheme.edges],
-    }
+    return {"state_count": int(scheme.state_count), "edges": [e.tolist() for e in scheme.edges]}
 
 
 def _scheme_from_dict(doc: dict) -> ingest.DiscretizationScheme:
-    return ingest.DiscretizationScheme(
-        tuple(np.array(e) for e in doc["edges"]),
-        int(doc["state_count"]),
-        tuple(doc["node_ids"]) if doc.get("node_ids") else None,
-    )
+    return ingest.DiscretizationScheme(tuple(np.array(e) for e in doc["edges"]), int(doc["state_count"]))
 
 
 def _resolve_training(cfg: RunConfig) -> ingest.SensorDataset:
@@ -114,16 +88,6 @@ def _resolve_training(cfg: RunConfig) -> ingest.SensorDataset:
     if cfg.profile:
         return ingest.synth_generate(cfg.seed, cfg.rows, cfg.cols, cfg.profile, **(cfg.profile_params or {}))
     raise ValueError("no training data: provide train_csv or a synthetic profile")
-
-
-def _check_node_ids(expected, got, what: str, reference: str) -> None:
-    expected = tuple(expected)
-    got = tuple(got)
-    if expected != got:
-        for e, g in zip(expected, got):
-            if e != g:
-                raise ValueError(f"{what}: node id mismatch, {reference} has {e!r} but data has {g!r}")
-        raise ValueError(f"{what}: {reference} covers {len(expected)} nodes but data has {len(got)}")
 
 
 def cmd_synth(cfg: RunConfig, out: str, split: int | None, out_train: str | None, out_test: str | None) -> dict:
@@ -156,14 +120,16 @@ def cmd_learn(cfg: RunConfig) -> dict:
     static = bayesnet.learn_static(states, cfg.max_parents)
     transition = bayesnet.learn_transition(states, cfg.max_parents)
 
-    _write_json(out_dir / _ARTIFACTS["model"], spectra.model_to_dict(model, train.node_ids))
-    _write_json(out_dir / _ARTIFACTS["scheme"], _scheme_to_dict(scheme))
-    _write_json(out_dir / _ARTIFACTS["static"], bayesnet.network_to_dict(static, train.node_ids))
-    _write_json(out_dir / _ARTIFACTS["transition"], bayesnet.network_to_dict(transition, train.node_ids))
+    for kind, body in (
+        ("pca_model", spectra.model_to_dict(model)),
+        ("scheme", _scheme_to_dict(scheme)),
+        ("static_network", bayesnet.network_to_dict(static)),
+        ("transition_network", bayesnet.network_to_dict(transition)),
+    ):
+        artifacts.write(out_dir / f"{kind}.json", kind, train.node_ids, body)
     if not cfg.train_csv:
-        ingest.write_csv(train, out_dir / _ARTIFACTS["train"])
+        ingest.write_csv(train, out_dir / "train.csv")
 
-    total_score = bayesnet.score(states, static.dag, lag=0) + bayesnet.score(states, transition.dag, lag=1)
     return {
         "k": model.k,
         "q_limit": spectra.limit_to_json(model.q_limit),
@@ -174,7 +140,7 @@ def cmd_learn(cfg: RunConfig) -> dict:
         "t2_limit_alarm": spectra.t2_threshold(model.k, train.m, cfg.alpha_alarm),
         "static_edges": len(static.dag.edges()),
         "transition_edges": len(transition.dag.edges()),
-        "score": total_score,
+        "score": bayesnet.fitted_score(static) + bayesnet.fitted_score(transition),
         "out_dir": str(out_dir),
     }
 
@@ -184,7 +150,7 @@ def cmd_inject(cfg: RunConfig, out: str, sidecar: str, rows_list: str | None) ->
         raise ValueError("inject needs --train (for the means) and --data (rows to corrupt)")
     train = ingest.load_csv(cfg.train_csv)
     data = ingest.load_csv(cfg.data_csv)
-    _check_node_ids(train.node_ids, data.node_ids, "inject", "training CSV")
+    artifacts.check_node_ids(train.node_ids, data.node_ids, "inject", "training CSV")
     if rows_list:
         rows = sorted({int(tok) for tok in rows_list.split(",") if tok.strip()})
     else:
@@ -192,41 +158,28 @@ def cmd_inject(cfg: RunConfig, out: str, sidecar: str, rows_list: str | None) ->
     means = train.values.mean(axis=0)
     corrupted = ingest.inject_errors(data, rows, cfg.error_pct, means)
     ingest.write_csv(corrupted, out)
-    deltas = [float(v) for v in means * cfg.error_pct]
-    _write_json(
-        Path(sidecar),
-        {
-            "rows": rows,
-            "pct": cfg.error_pct,
-            "delta_per_node": deltas,
-            "node_ids": list(data.node_ids),
-            "test_rows": data.m,
-        },
-    )
+    truth = {"rows": rows, "pct": cfg.error_pct, "delta_per_node": (means * cfg.error_pct).tolist()}
+    artifacts.write_json(sidecar, {**truth, "node_ids": list(data.node_ids), "test_rows": data.m})
     return {"corrupted_rows": len(rows), "out": out, "sidecar": sidecar}
 
 
-def cmd_detect(cfg: RunConfig, artifacts: str) -> dict:
+def cmd_detect(cfg: RunConfig, artifact_dir: str) -> dict:
     if not cfg.train_csv or not cfg.data_csv:
         raise ValueError("detect needs --train (predecessor of the first test row) and --data")
-    art = Path(artifacts)
+    art = Path(artifact_dir)
     train = ingest.load_csv(cfg.train_csv)
     test = ingest.load_csv(cfg.data_csv)
-    _check_node_ids(train.node_ids, test.node_ids, "detect --train", "training CSV")
-    model_doc = _read_json(art / _ARTIFACTS["model"])
-    scheme = _scheme_from_dict(_read_json(art / _ARTIFACTS["scheme"]))
-    tn_doc = _read_json(art / _ARTIFACTS["transition"])
-    artifact_ids = {"model": model_doc.get("node_ids"), "scheme": scheme.node_ids, "transition": tn_doc["node_ids"]}
-    for name, ids in artifact_ids.items():
-        if ids:
-            _check_node_ids(ids, test.node_ids, "detect", _ARTIFACTS[name])
-    model = spectra.model_from_dict(model_doc)
+    artifacts.check_node_ids(train.node_ids, test.node_ids, "detect --train", "training CSV")
+    model = spectra.model_from_dict(artifacts.read(art / "pca_model.json", "pca_model", test.node_ids))
+    scheme = _scheme_from_dict(artifacts.read(art / "scheme.json", "scheme", test.node_ids))
+    tn_doc = artifacts.read(art / "transition_network.json", "transition_network", test.node_ids)
     tn = bayesnet.transition_from_dict(tn_doc)
 
     report = anomaly.tqbayes_detect(test, model, tn, scheme, train.values[-1])
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "detection_report.json", anomaly.report_to_dict(report))
+    body = anomaly.report_to_dict(report)
+    artifacts.write(out_dir / "detection_report.json", "detection_report", test.node_ids, body)
     anomaly.write_report_csv(report, out_dir / "detection_report.csv")
     return {
         "rows": test.m,
@@ -236,13 +189,11 @@ def cmd_detect(cfg: RunConfig, artifacts: str) -> dict:
     }
 
 
-def cmd_redundancy_static(cfg: RunConfig, artifacts: str) -> dict:
+def cmd_redundancy_static(cfg: RunConfig, artifact_dir: str) -> dict:
     if not cfg.data_csv:
         raise ValueError("redundancy-static needs --data")
-    art = Path(artifacts)
     data = ingest.load_csv(cfg.data_csv)
-    net_doc = _read_json(art / _ARTIFACTS["static"])
-    _check_node_ids(net_doc["node_ids"], data.node_ids, "redundancy-static", _ARTIFACTS["static"])
+    net_doc = artifacts.read(Path(artifact_dir) / "static_network.json", "static_network", data.node_ids)
     net = bayesnet.static_from_dict(net_doc)
 
     report = redundancy.ssdrda(net.dag, net.cpts, cfg.tau)
@@ -250,7 +201,8 @@ def cmd_redundancy_static(cfg: RunConfig, artifacts: str) -> dict:
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "redundancy_static.json", redundancy.static_report_to_dict(report, data.node_ids))
+    body = redundancy.static_report_to_dict(report)
+    artifacts.write(out_dir / "redundancy_static.json", "redundancy_static", data.node_ids, body)
     redundancy.write_static_csv(report, data.node_ids, out_dir / "redundancy_static.csv")
     redundancy.write_recovery_csv(report.recoveries, data.node_ids, out_dir / "recovery_static.csv")
     return {
@@ -264,34 +216,32 @@ def cmd_redundancy_realtime(cfg: RunConfig) -> dict:
         raise ValueError("redundancy-realtime needs --data")
     data = ingest.load_csv(cfg.data_csv)
     scheme = ingest.fit_discretization(data, cfg.k_states)
-    report = redundancy.rsdrda_schedule(
-        data, cfg.slice_len, cfg.train_frac, cfg.tau, scheme, cfg.max_parents
-    )
+    report = redundancy.rsdrda_schedule(data, cfg.slice_len, cfg.train_frac, cfg.tau, scheme, cfg.max_parents)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "redundancy_realtime.json", redundancy.realtime_report_to_dict(report, data.node_ids))
+    body = redundancy.realtime_report_to_dict(report)
+    artifacts.write(out_dir / "redundancy_realtime.json", "redundancy_realtime", data.node_ids, body)
     redundancy.write_realtime_csv(report, data.node_ids, out_dir / "redundancy_realtime.csv")
     redundancy.write_recovery_csv(report.recoveries, data.node_ids, out_dir / "recovery_realtime.csv")
-    rec = report.recoveries
-    per_node = [metrics.rmse(rec.actual[rec.node == j], rec.estimate[rec.node == j]) for j in np.unique(rec.node)]
+    per_node = metrics.per_node_rmse(report.recoveries)
     return {
         "inference_entries": len(report.entries),
         "sleeping_entries": int(report.entries.sleeping.sum()),
-        "sleeping_nodes": [data.node_ids[i] for i in np.unique(rec.node).tolist()],
-        "recovered_readings": len(rec),
-        "recovery_rmse": metrics.mean_rmse(per_node) if per_node else None,
+        "sleeping_nodes": [data.node_ids[i] for i in per_node],
+        "recovered_readings": len(report.recoveries),
+        "recovery_rmse": metrics.mean_rmse(list(per_node.values())) if per_node else None,
         "out_dir": str(out_dir),
     }
 
 
 def cmd_evaluate(report_path: str, truth_path: str, out: str | None, redundancy_path: str | None) -> dict:
-    report = anomaly.report_from_dict(_read_json(Path(report_path)))
-    truth_doc = _read_json(Path(truth_path))
+    report = anomaly.report_from_dict(artifacts.read(report_path, "detection_report", None))
+    truth_doc = json.loads(Path(truth_path).read_text(encoding="utf-8"))
     truth_rows = set(int(r) for r in truth_doc["rows"])
     n = len(truth_doc["node_ids"])
     test_rows = int(truth_doc["test_rows"])
 
-    row_p, row_r, row_counts = metrics.precision_recall(truth_rows, report.flagged_rows(), range(test_rows))
+    rows = metrics.precision_recall(truth_rows, report.flagged_rows(), range(test_rows))
 
     # Cell (r, j) is the integer r * n + j, so the universe is a range.
     hit = report.verdicts[report.verdicts.abnormal]
@@ -300,41 +250,21 @@ def cmd_evaluate(report_path: str, truth_path: str, out: str | None, redundancy_
         raise ValueError(f"report names node {outside[0]}, outside the truth file's {n} nodes")
     truth_cells = [r * n + j for r in truth_rows for j in range(n)]
     predicted_cells = (hit.row * n + hit.node).tolist()
-    cell_p, cell_r, cell_counts = metrics.precision_recall(truth_cells, predicted_cells, range(test_rows * n))
+    cells = metrics.precision_recall(truth_cells, predicted_cells, range(test_rows * n))
 
     doc = {
-        "row_level": {
-            "precision": row_p,
-            "recall": row_r,
-            "tp": row_counts.tp,
-            "fp": row_counts.fp,
-            "fn": row_counts.fn,
-            "tn": row_counts.tn,
-        },
-        "node_level": {
-            "precision": cell_p,
-            "recall": cell_r,
-            "tp": cell_counts.tp,
-            "fp": cell_counts.fp,
-            "fn": cell_counts.fn,
-            "tn": cell_counts.tn,
-        },
+        level: {"precision": precision, "recall": recall, **asdict(counts)}
+        for level, (precision, recall, counts) in (("row_level", rows), ("node_level", cells))
     }
     if redundancy_path:
-        red_doc = _read_json(Path(redundancy_path))
-        by_node: dict[int, list[tuple[float, float]]] = {}
-        for r in red_doc.get("recoveries", []):
-            by_node.setdefault(int(r["node"]), []).append((r["actual"], r["estimate"]))
-        per_node = {
-            str(node): metrics.rmse([a for a, _ in pairs], [e for _, e in pairs])
-            for node, pairs in sorted(by_node.items())
-        }
+        red_doc = artifacts.read(redundancy_path, ("redundancy_static", "redundancy_realtime"), None)
+        per_node = metrics.per_node_rmse(artifacts.records(red_doc["recoveries"], redundancy.RECOVERY_DTYPE))
         doc["recovery"] = {
-            "per_node_rmse": per_node,
+            "per_node_rmse": {str(node): value for node, value in per_node.items()},
             "mean_rmse": metrics.mean_rmse(list(per_node.values())) if per_node else None,
         }
     if out:
-        _write_json(Path(out), doc)
+        artifacts.write_json(out, doc)
     return doc
 
 
@@ -433,7 +363,7 @@ def _parse_params(pairs: list[str]) -> dict:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
-        values.update(_read_json(Path(args.config)))
+        values.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
     field_names = {f.name for f in fields(RunConfig)}
     unknown = set(values) - field_names
     if unknown:

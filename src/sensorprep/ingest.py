@@ -123,15 +123,12 @@ class DiscretizationScheme:
 
     edges: tuple[np.ndarray, ...]
     state_count: int
-    node_ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.state_count < 2:
             raise ValueError(f"state_count must be >= 2, got {self.state_count}")
         edges = tuple(np.array(e, dtype=float) for e in self.edges)
         object.__setattr__(self, "edges", edges)
-        if self.node_ids is not None:
-            object.__setattr__(self, "node_ids", tuple(self.node_ids))
         for j, e in enumerate(edges):
             if e.shape != (self.state_count - 1,):
                 raise ValueError(f"node {j}: expected {self.state_count - 1} edges, got {e.shape}")
@@ -353,7 +350,7 @@ def fit_discretization(data: SensorDataset, state_count: int = 3) -> Discretizat
         if lo >= hi:
             raise ValueError(f"node {data.node_ids[j]!r} has degenerate range [{lo}, {hi}]")
         edges.append(np.linspace(lo, hi, state_count + 1)[1:-1])
-    return DiscretizationScheme(tuple(edges), state_count, data.node_ids)
+    return DiscretizationScheme(tuple(edges), state_count)
 
 
 def discretize_row(row: np.ndarray, scheme: DiscretizationScheme) -> np.ndarray:

@@ -8,7 +8,7 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["ConfusionCounts", "precision_recall", "rmse", "mean_rmse"]
+__all__ = ["ConfusionCounts", "precision_recall", "rmse", "per_node_rmse", "mean_rmse"]
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,12 @@ def rmse(actual: Sequence[float], estimated: Sequence[float]) -> float:
     if a.shape != e.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {e.shape}")
     return float(np.sqrt(np.mean((a - e) ** 2)))
+
+
+def per_node_rmse(recoveries: np.recarray) -> dict[int, float]:
+    """`rmse` of each node's recovered readings (`redundancy.RECOVERY_DTYPE`), in ascending node order."""
+    nodes = recoveries.node
+    return {j: rmse(recoveries.actual[nodes == j], recoveries.estimate[nodes == j]) for j in np.unique(nodes).tolist()}
 
 
 def mean_rmse(per_node_rmse: Sequence[float]) -> float:

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import artifacts
 from .bayesnet import Cpt, Dag, TransitionNetwork, learn_transition
 from .ingest import DiscretizationScheme, SensorDataset, _label_cells, _number_cells, _write_columns, discretize
 
@@ -295,48 +296,25 @@ def rsdrda_schedule(
     return RealtimeRedundancyReport(tau, slice_len, train_frac, entries, recoveries)
 
 
-def _recoveries_to_dicts(recoveries: np.recarray, node_ids: Sequence[str]) -> list[dict]:
-    return [
-        {"t": t, "node": node, "node_id": node_ids[node], "estimate": estimate, "actual": actual}
-        for t, node, estimate, actual in recoveries.tolist()
-    ]
-
-
-def static_report_to_dict(report: StaticRedundancyReport, node_ids: Sequence[str]) -> dict:
+def static_report_to_dict(report: StaticRedundancyReport) -> dict:
+    """The `redundancy_static` artifact body: per-node lists indexed by node, recoveries as columns."""
     return {
-        "mode": "static",
         "tau": float(report.tau),
-        "nodes": [
-            {
-                "node": r.node,
-                "node_id": node_ids[r.node],
-                "redundant": r.redundant,
-                "criterion": float(r.criterion),
-                "witness": [float(v) for v in r.witness],
-            }
-            for r in report.nodes
-        ],
-        "recoveries": _recoveries_to_dicts(report.recoveries, node_ids),
+        "redundant": [r.redundant for r in report.nodes],
+        "criterion": [float(r.criterion) for r in report.nodes],
+        "witness": [list(r.witness) for r in report.nodes],
+        "recoveries": artifacts.columns(report.recoveries),
     }
 
 
-def realtime_report_to_dict(report: RealtimeRedundancyReport, node_ids: Sequence[str]) -> dict:
+def realtime_report_to_dict(report: RealtimeRedundancyReport) -> dict:
+    """The `redundancy_realtime` artifact body: schedule entries and recoveries as columns."""
     return {
-        "mode": "realtime",
         "tau": float(report.tau),
         "slice_len": int(report.slice_len),
         "train_frac": float(report.train_frac),
-        "entries": [
-            {
-                "t": t,
-                "node": node,
-                "node_id": node_ids[node],
-                "state": "sleeping" if sleeping else "waking",
-                "max_posterior": None if math.isnan(max_post) else max_post,
-            }
-            for t, node, sleeping, max_post in report.entries.tolist()
-        ],
-        "recoveries": _recoveries_to_dicts(report.recoveries, node_ids),
+        "entries": artifacts.columns(report.entries),
+        "recoveries": artifacts.columns(report.recoveries),
     }
 
 

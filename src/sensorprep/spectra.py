@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .ingest import SensorDataset, Standardization, standardize
@@ -212,14 +210,13 @@ def limit_from_json(value: float | None) -> float:
     return math.inf if value is None else float(value)
 
 
-def model_to_dict(model: PcaModel, node_ids: Sequence[str]) -> dict:
-    """JSON-ready representation (eigenvectors row-major) naming the nodes it was fitted on."""
+def model_to_dict(model: PcaModel) -> dict:
+    """The `pca_model` artifact body: eigenvectors row-major, a disabled Q limit as null."""
     return {
-        "node_ids": list(node_ids),
-        "means": [float(v) for v in model.standardization.means],
-        "variances": [float(v) for v in model.standardization.variances],
-        "eigenvalues": [float(v) for v in model.eigenvalues],
-        "eigenvectors": [[float(v) for v in row] for row in model.eigenvectors],
+        "means": model.standardization.means.tolist(),
+        "variances": model.standardization.variances.tolist(),
+        "eigenvalues": model.eigenvalues.tolist(),
+        "eigenvectors": model.eigenvectors.tolist(),
         "k": int(model.k),
         "q_limit": limit_to_json(model.q_limit),
         "t2_limit": float(model.t2_limit),

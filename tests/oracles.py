@@ -11,7 +11,8 @@ mixed-radix digit sum, static recovery against one recover call per
 reading, and the step-parallel RSDRDA schedule against one rsdrda_infer
 and one recover call per (step, node). CSV reading is checked against a loader that parses one cell at
 a time, and every CSV writer against one that formats rows through the
-csv module.
+csv module. The per-record JSON report layout that the columnar codec
+replaced is kept here as the reference its decodes must match.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from sensorprep.redundancy import (
     recover,
     rsdrda_infer,
 )
-from sensorprep.spectra import PcaModel
+from sensorprep.spectra import PcaModel, limit_from_json, limit_to_json
 
 
 def simpson(f, a: float, b: float, n: int = 4000) -> float:
@@ -525,3 +526,91 @@ def scalar_write_recovery_csv(recoveries: np.recarray, node_ids, path) -> None:
         for t, node, estimate, actual in recoveries.tolist()
     )
     _scalar_write_rows(path, ["t", "node", "estimate", "actual", "abs_error"], rows)
+
+
+# The per-record report layout written before the columnar codec: one dict
+# per record, each naming its node id.
+
+
+def _legacy_recoveries(recoveries: np.recarray, node_ids) -> list[dict]:
+    return [
+        {"t": t, "node": node, "node_id": node_ids[node], "estimate": estimate, "actual": actual}
+        for t, node, estimate, actual in recoveries.tolist()
+    ]
+
+
+def _legacy_recoveries_from_dicts(docs: list[dict]) -> np.recarray:
+    return np.rec.fromrecords([(r["t"], r["node"], r["estimate"], r["actual"]) for r in docs], dtype=RECOVERY_DTYPE)
+
+
+def legacy_report_to_dict(report: DetectionReport) -> dict:
+    return {
+        "q_limit": limit_to_json(report.q_limit),
+        "t2_limit": float(report.t2_limit),
+        "rows": [dict(zip(ROW_DTYPE.names, s)) for s in report.rows.tolist()],
+        "verdicts": [dict(zip(VERDICT_DTYPE.names, v)) for v in report.verdicts.tolist()],
+    }
+
+
+def legacy_report_from_dict(doc: dict) -> DetectionReport:
+    rows = [tuple(s[f] for f in ROW_DTYPE.names) for s in doc["rows"]]
+    verdicts = [tuple(v[f] for f in VERDICT_DTYPE.names) for v in doc["verdicts"]]
+    return DetectionReport(
+        limit_from_json(doc["q_limit"]),
+        doc["t2_limit"],
+        np.rec.fromrecords(rows, dtype=ROW_DTYPE),
+        np.rec.fromrecords(verdicts, dtype=VERDICT_DTYPE),
+    )
+
+
+def legacy_static_report_to_dict(report: StaticRedundancyReport, node_ids) -> dict:
+    return {
+        "mode": "static",
+        "tau": float(report.tau),
+        "nodes": [
+            {
+                "node": r.node,
+                "node_id": node_ids[r.node],
+                "redundant": r.redundant,
+                "criterion": float(r.criterion),
+                "witness": [float(v) for v in r.witness],
+            }
+            for r in report.nodes
+        ],
+        "recoveries": _legacy_recoveries(report.recoveries, node_ids),
+    }
+
+
+def legacy_static_from_dict(doc: dict) -> tuple[list[tuple], np.recarray]:
+    """(node, redundant, criterion, witness) per node, and the recoveries."""
+    nodes = [(r["node"], r["redundant"], r["criterion"], tuple(r["witness"])) for r in doc["nodes"]]
+    return nodes, _legacy_recoveries_from_dicts(doc["recoveries"])
+
+
+def legacy_realtime_report_to_dict(report: RealtimeRedundancyReport, node_ids) -> dict:
+    return {
+        "mode": "realtime",
+        "tau": float(report.tau),
+        "slice_len": int(report.slice_len),
+        "train_frac": float(report.train_frac),
+        "entries": [
+            {
+                "t": t,
+                "node": node,
+                "node_id": node_ids[node],
+                "state": "sleeping" if sleeping else "waking",
+                "max_posterior": None if math.isnan(max_post) else max_post,
+            }
+            for t, node, sleeping, max_post in report.entries.tolist()
+        ],
+        "recoveries": _legacy_recoveries(report.recoveries, node_ids),
+    }
+
+
+def legacy_realtime_from_dict(doc: dict) -> tuple[np.recarray, np.recarray]:
+    """The schedule entries and the recoveries."""
+    entries = [
+        (e["t"], e["node"], e["state"] == "sleeping", math.nan if e["max_posterior"] is None else e["max_posterior"])
+        for e in doc["entries"]
+    ]
+    return np.rec.fromrecords(entries, dtype=SCHEDULE_DTYPE), _legacy_recoveries_from_dicts(doc["recoveries"])

@@ -20,6 +20,7 @@ from sensorprep.bayesnet import (
     count_states,
     estimate_cpt,
     family_score,
+    fitted_score,
     k2_search,
     learn_static,
     learn_transition,
@@ -273,15 +274,14 @@ class TestBatchedSearch:
 
 
 def assert_counts_reused(net, states, lag):
-    """Every CPT holds count_states of its family, and the network's JSON
-    equals that of CPTs made by make_cpt."""
+    """Every CPT holds count_states of its family, the network's JSON
+    equals that of CPTs made by make_cpt, and the score from the kept
+    counts equals the recounted score bit for bit."""
     for i, cpt in enumerate(net.cpts):
         assert np.array_equal(cpt.counts, count_states(states, i, net.dag.parents[i], lag))
+    assert fitted_score(net) == score(states, net.dag, lag)
     recounted = replace(net, cpts=tuple(make_cpt(states, i, ps, lag) for i, ps in enumerate(net.dag.parents)))
-    ids = [f"n{j}" for j in range(states.n)]
-    assert json.dumps(network_to_dict(net, ids), sort_keys=True) == json.dumps(
-        network_to_dict(recounted, ids), sort_keys=True
-    )
+    assert json.dumps(network_to_dict(net), sort_keys=True) == json.dumps(network_to_dict(recounted), sort_keys=True)
 
 
 class TestReusedFamilyCounts:
@@ -443,7 +443,7 @@ class TestSerialization:
         rng = np.random.default_rng(13)
         states = states_from_grid(rng.integers(1, 3, size=(300, 3)), 2)
         net = learn_static(states, max_parents=2)
-        back = static_from_dict(network_to_dict(net, ("a", "b", "c")))
+        back = static_from_dict(network_to_dict(net))
         assert back.dag.parents == net.dag.parents
         for orig, copy in zip(net.cpts, back.cpts):
             np.testing.assert_array_equal(orig.table, copy.table)
@@ -453,6 +453,6 @@ class TestSerialization:
         rng = np.random.default_rng(14)
         states = states_from_grid(rng.integers(1, 3, size=(300, 3)), 2)
         tn = learn_transition(states, max_parents=2)
-        back = transition_from_dict(network_to_dict(tn, ("a", "b", "c")))
+        back = transition_from_dict(network_to_dict(tn))
         assert back.dag.parents == tn.dag.parents
         np.testing.assert_array_equal(back.priors, tn.priors)

@@ -8,9 +8,11 @@ import re
 import numpy as np
 import pytest
 
-from sensorprep.bayesnet import learn_transition
+from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE
+from sensorprep.bayesnet import learn_transition, score, static_from_dict, transition_from_dict
 from sensorprep.cli import RunConfig, main
 from sensorprep.ingest import SensorDataset, discretize, fit_discretization, load_csv, write_csv
+from sensorprep.redundancy import RECOVERY_DTYPE, SCHEDULE_DTYPE
 from sensorprep.spectra import model_from_dict
 
 
@@ -95,6 +97,12 @@ class TestPipeline:
         ):
             assert (art / name).exists(), name
         assert outputs["learn"]["k"] >= 1
+        # The summary's score comes from the counts the search kept; it equals a full recount.
+        train = load_csv(tmp_path / "train.csv")
+        states = discretize(train, fit_discretization(train, 3))
+        static = static_from_dict(json.loads((art / "static_network.json").read_text()))
+        transition = transition_from_dict(json.loads((art / "transition_network.json").read_text()))
+        assert outputs["learn"]["score"] == score(states, static.dag, 0) + score(states, transition.dag, 1)
         row_metrics = outputs["evaluate"]["row_level"]
         assert row_metrics["recall"] == 1.0
         assert row_metrics["tp"] == 30
@@ -111,9 +119,11 @@ class TestPipeline:
             "sleeping_nodes",
         ]
         doc = json.loads((art / "redundancy_realtime.json").read_text())
-        assert summary["inference_entries"] == len(doc["entries"])
-        assert summary["sleeping_entries"] == sum(e["state"] == "sleeping" for e in doc["entries"]) > 0
-        assert summary["recovered_readings"] == len(doc["recoveries"])
+        entries = dict(zip(SCHEDULE_DTYPE.names, doc["entries"]))
+        recoveries = dict(zip(RECOVERY_DTYPE.names, doc["recoveries"]))
+        assert summary["inference_entries"] == len(entries["t"])
+        assert summary["sleeping_entries"] == sum(entries["sleeping"]) > 0
+        assert summary["recovered_readings"] == len(recoveries["t"])
         assert summary["recovery_rmse"] == outputs["evaluate"]["recovery"]["mean_rmse"]
 
     def test_realtime_summary_without_recoveries(self, tmp_path, capsys):
@@ -131,8 +141,8 @@ class TestPipeline:
         art, _ = run_full_pipeline(tmp_path, capsys, seed=2)
         truth = json.loads((tmp_path / "truth.json").read_text())
         assert truth["rows"] == list(range(90, 120))
-        report = json.loads((art / "detection_report.json").read_text())
-        flagged = {r["row"] for r in report["rows"] if r["flagged"]}
+        rows = dict(zip(ROW_DTYPE.names, json.loads((art / "detection_report.json").read_text())["rows"]))
+        flagged = {r for r, f in zip(rows["row"], rows["flagged"]) if f}
         metrics_doc = json.loads((art / "metrics.json").read_text())
         assert metrics_doc["row_level"]["tp"] == len(flagged & set(truth["rows"]))
 
@@ -254,10 +264,11 @@ class TestPipeline:
         assert code == 1 and out == ""
         error = json.loads(err)["error"]
         assert "pca_model.json" in error and "rogue" in error
-        del model["node_ids"]  # a model written without node ids still loads
+        del model["node_ids"]  # a model without node ids is rejected by name
         model_path.write_text(json.dumps(model))
         code, out, err = run(capsys, argv)
-        assert code == 0, err
+        assert code == 1 and out == ""
+        assert "pca_model.json: missing node_ids" in json.loads(err)["error"]
 
     def test_report_files_hold_plain_values(self, tmp_path, capsys):
         """Numbers are written as plain literals; missing values exactly where a node has no parents."""
@@ -293,9 +304,9 @@ class TestPipeline:
         assert node_lines
         for r in node_lines:
             assert (r["predicted"] == "") == (int(r["node"]) in uninferable), r
-        verdicts = json.loads((art / "detection_report.json").read_text())["verdicts"]
-        assert len(verdicts) == len(node_lines)
-        assert all(v["uninferable"] == (v["node"] in uninferable) for v in verdicts)
+        verdicts = dict(zip(VERDICT_DTYPE.names, json.loads((art / "detection_report.json").read_text())["verdicts"]))
+        assert len(verdicts["node"]) == len(node_lines)
+        assert all(u == (node in uninferable) for node, u in zip(verdicts["node"], verdicts["uninferable"]))
 
         # Real-time schedule: `max_posterior` is null/blank exactly for nodes
         # without parents in their slice's network (slice 80, 48 training rows).
@@ -313,10 +324,11 @@ class TestPipeline:
         assert {(int(r["t"]), r["node"]) for r in schedule_csv} == set(parentless)
         for r in schedule_csv:
             assert (r["max_posterior"] == "") == parentless[int(r["t"]), r["node"]], r
-        entries = json.loads((art / "redundancy_realtime.json").read_text())["entries"]
-        assert len(entries) == len(schedule_csv)
-        for e in entries:
-            assert (e["max_posterior"] is None) == parentless[e["t"], e["node_id"]], e
+        doc = json.loads((art / "redundancy_realtime.json").read_text())
+        entries = dict(zip(SCHEDULE_DTYPE.names, doc["entries"]))
+        assert len(entries["t"]) == len(schedule_csv)
+        for t, node, max_post in zip(entries["t"], entries["node"], entries["max_posterior"]):
+            assert (max_post is None) == parentless[t, doc["node_ids"][node]], (t, node)
 
     def test_unknown_profile_fails_cleanly(self, tmp_path, capsys):
         code, out, err = run(capsys, [
@@ -341,6 +353,30 @@ class TestPipeline:
         code, out, err = run(capsys, ["--config", str(cfg), "learn", "--out-dir", str(tmp_path)])
         assert code == 1
         assert "unknown config keys" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        ("config", "message"),
+        [
+            ({"rows": "10"}, "rows must be an integer, got '10'"),
+            ({"k_states": 2.5}, "k_states must be an integer, got 2.5"),
+            ({"max_parents": True}, "max_parents must be an integer, got True"),
+            ({"tau": True}, "tau must be a number, got True"),
+            ({"error_pct": "0.1"}, "error_pct must be a number, got '0.1'"),
+        ],
+    )
+    def test_mistyped_config_values_rejected(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, [
+            "--config", str(cfg), "learn", "--profile", "copy-child", "--out-dir", str(tmp_path / "art"),
+        ])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": message, "type": "ValueError"}
+        assert not (tmp_path / "art").exists()
+
+    def test_integer_accepted_for_float_fields(self):
+        cfg = RunConfig(tau=1, error_pct=0, contribution_ratio=1)
+        assert (cfg.tau, cfg.error_pct, cfg.contribution_ratio) == (1, 0, 1)
 
     def test_invalid_config_values_rejected(self, tmp_path, capsys):
         code, out, err = run(capsys, [

@@ -362,7 +362,7 @@ class TestPcaModel:
         rng = np.random.default_rng(17)
         data = SensorDataset(rng.standard_normal((80, 5)) * 2 + 30, tuple("abcde"))
         model = fit_pca_model(data, 0.85, 0.05)
-        back = model_from_dict(model_to_dict(model, data.node_ids))
+        back = model_from_dict(model_to_dict(model))
         np.testing.assert_array_equal(back.eigenvalues, model.eigenvalues)
         np.testing.assert_array_equal(back.eigenvectors, model.eigenvectors)
         np.testing.assert_array_equal(back.standardization.means, model.standardization.means)
