@@ -43,9 +43,11 @@ __all__ = [
 ]
 
 # Cap on K^max_parents * K, the cells of one CPT at the largest parent set.
-# Structure search scores all candidate parents of a node in one block of
-# (n - 1) * K^max_parents * K counts, so this bounds its memory too.
 MAX_CPT_CELLS = 4096
+
+# Cap on the cells of each one-hot block and each count stack that structure
+# search builds; a stack still holds at least one node's n * MAX_CPT_CELLS.
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -194,14 +196,6 @@ class TransitionNetwork:
             raise ValueError("every prior must sum to 1")
 
 
-def _config_index(states_0based: np.ndarray, k: int) -> np.ndarray:
-    """Mixed-radix parent-configuration index; first column most significant."""
-    idx = np.zeros(states_0based.shape[0], dtype=np.int64)
-    for col in range(states_0based.shape[1]):
-        idx = idx * k + states_0based[:, col]
-    return idx
-
-
 def count_states(states: StateMatrix, node: int, parents: Sequence[int], lag: int = 0) -> np.ndarray:
     """Tally node-state occurrences per parent configuration.
 
@@ -225,15 +219,11 @@ def count_states(states: StateMatrix, node: int, parents: Sequence[int], lag: in
         raise ValueError("need at least 2 rows for transition counts")
 
     grid = states.states - 1
-    if lag == 0:
-        child = grid[:, node]
-        pa = grid[:, parents] if parents else np.zeros((states.m, 0), dtype=np.int64)
-    else:
-        child = grid[1:, node]
-        pa = grid[:-1, parents] if parents else np.zeros((states.m - 1, 0), dtype=np.int64)
+    parent_rows, child_rows = (grid, grid) if lag == 0 else (grid[:-1], grid[1:])
+    # Mixed-radix configuration index, first parent most significant.
+    config = parent_rows[:, parents] @ k ** np.arange(len(parents) - 1, -1, -1)
     h = k ** len(parents)
-    flat = _config_index(pa, k) * k + child
-    return np.bincount(flat, minlength=h * k).reshape(h, k)
+    return np.bincount(config * k + child_rows[:, node], minlength=h * k).reshape(h, k)
 
 
 def estimate_cpt(counts: np.ndarray) -> np.ndarray:
@@ -308,26 +298,35 @@ def check_cpt_cells(k_states: int, max_parents: int) -> None:
         )
 
 
-def _trial_scores(
-    cand_rows: np.ndarray, child: np.ndarray, base: np.ndarray, n_parents: int, k: int, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Penalized family score and counts of every candidate parent set from one bincount.
+def _one_hot(values: np.ndarray, width: int) -> np.ndarray:
+    """float32 one-hot of an r x c array of values in [0, width), as r x (c * width)."""
+    r, c = values.shape
+    out = np.zeros((r, c * width), dtype=np.float32)
+    out.reshape(-1)[values + np.arange(c) * width + (np.arange(r) * (c * width))[:, None]] = 1
+    return out
 
-    cand_rows holds one 0-based state column per candidate (parent rows,
-    already lag-shifted), child the node's 0-based states on the matching
-    rows, and base the configuration index of the parents already chosen.
-    Candidate c extends those parents to n_parents; its counts occupy the
-    c-th block of K^n_parents x K cells, laid out exactly as count_states
-    lays out the table of the extended parent list.
+
+def _depth_counts(
+    parent_rows: np.ndarray, child_rows: np.ndarray, bases: np.ndarray, nodes: list[int], d: int, k: int
+) -> np.ndarray:
+    """count_states table of every (node, candidate) family with d parents.
+
+    parent_rows and child_rows hold lag-shifted 0-based states, bases the
+    configuration index of each node's d - 1 chosen parents. Block i * n + j
+    of the (len(nodes) * n, K^d, K) stack counts nodes[i] given its chosen
+    parents then candidate j. The float32 one-hot product of each row block
+    is exact, as a block has far fewer than 2^24 rows.
     """
-    c = cand_rows.shape[1]
-    h = k**n_parents
-    flat = cand_rows + (base * k)[:, None]
-    flat *= k
-    flat += child[:, None]
-    flat += np.arange(c) * (h * k)
-    counts = np.bincount(flat.ravel(order="K"), minlength=c * h * k).reshape(c, h, k)
-    return _penalized_scores(counts, m), counts
+    rows, n = parent_rows.shape
+    cols = len(nodes) * k**d
+    total = np.zeros((cols, n * k), dtype=np.int64)
+    step = max(1, _BLOCK // max(cols, n * k))
+    for lo in range(0, rows, step):
+        o = _one_hot(bases[lo : lo + step] * k + child_rows[lo : lo + step, nodes], k**d)
+        total += (o.T @ _one_hot(parent_rows[lo : lo + step], k)).astype(np.int64)
+    # (node, chosen configuration, child, candidate, candidate state) ->
+    # (node, candidate, chosen configuration, candidate state, child)
+    return total.reshape(len(nodes), k ** (d - 1), k, n, k).transpose(0, 3, 1, 4, 2).reshape(-1, k**d, k)
 
 
 def _penalized_scores(counts: np.ndarray, m: int) -> np.ndarray:
@@ -349,19 +348,20 @@ def k2_search(states: StateMatrix, max_parents: int = 3, lag: int = 0) -> Dag:
     unconstrained per-node search can create cycles in the same-slice case,
     so lag=0 results pass through repair_cycles.
 
-    All empty parent sets are scored from one bincount, and each greedy
-    step counts all remaining candidates in one more (_trial_scores); every
-    trial score equals penalized_family_score of the extended parent list
-    bit for bit. Rejects k_states/max_parents pairs over MAX_CPT_CELLS
-    before counting anything.
+    Every still-searching node advances one parent depth at a time; the
+    counts of all its candidates at depth d come from one exact float32
+    one-hot product per chunk of nodes (_depth_counts), which costs K^(d+1)
+    multiply-adds per (row, node, candidate) and holds at most _BLOCK cells
+    per block. Every trial score equals penalized_family_score bit for bit.
+    Rejects k_states/max_parents pairs over MAX_CPT_CELLS before counting.
     """
     return _searched_network(states, max_parents, lag)[0]
 
 
 def _searched_network(states: StateMatrix, max_parents: int, lag: int) -> tuple[Dag, tuple[Cpt, ...]]:
     """k2_search's network plus each family's CPT, estimated from the counts
-    of the bincount that scored the family (its count_states table); only a
-    family that repair_cycles changed is counted again."""
+    that scored the family (its count_states table); only a family that
+    repair_cycles changed is counted again."""
     if max_parents < 0:
         raise ValueError(f"max_parents must be >= 0, got {max_parents}")
     if lag not in (0, 1) or states.m < 1 + lag:
@@ -373,34 +373,32 @@ def _searched_network(states: StateMatrix, max_parents: int, lag: int) -> tuple[
     parent_rows, child_rows = (grid, grid) if lag == 0 else (grid[:-1], grid[1:])
     empty = np.bincount((child_rows + np.arange(n) * k).ravel(), minlength=n * k).reshape(n, 1, k)
     family_counts = list(empty)
-    parent_sets: list[tuple[int, ...]] = []
-    for node, current in enumerate(_penalized_scores(empty, m).tolist()):
-        chosen: list[int] = []
-        base = np.zeros(parent_rows.shape[0], dtype=np.int64)  # chosen parents' configuration index
-        while len(chosen) < min(max_parents, n - 1):
-            cands = [c for c in range(n) if c != node and c not in chosen]
-            trials, counts = _trial_scores(parent_rows[:, cands], child_rows[:, node], base, len(chosen) + 1, k, m)
-            best_gain = 0.0
-            best = -1
-            # Ascending candidate order makes equal-gain ties land on the
-            # lowest node index.
-            for i, trial in enumerate(trials.tolist()):
-                gain = trial - current
-                if gain > best_gain + 1e-12:
-                    best_gain = gain
-                    best = i
-            if best < 0:
-                break
-            chosen.append(cands[best])
-            current += best_gain
-            base = base * k + parent_rows[:, cands[best]]
-            family_counts[node] = counts[best].copy()
-        parent_sets.append(tuple(chosen))
-    dag = Dag(n, tuple(parent_sets))
+    current = _penalized_scores(empty, m).tolist()
+    parent_sets: list[list[int]] = [[] for _ in range(n)]
+    bases = np.zeros(parent_rows.shape, dtype=np.int64)  # each node's chosen parents' configuration index
+    searching = list(range(n))
+    for d in range(1, min(max_parents, n - 1) + 1):
+        chunk = max(1, _BLOCK // (n * k ** (d + 1)))
+        chunks, searching = [searching[lo : lo + chunk] for lo in range(0, len(searching), chunk)], []
+        for nodes in chunks:
+            counts = _depth_counts(parent_rows, child_rows, bases[:, nodes], nodes, d, k)
+            for i, trials in enumerate(_penalized_scores(counts, m).reshape(len(nodes), n).tolist()):
+                node, chosen = nodes[i], parent_sets[nodes[i]]
+                best_gain, best = 0.0, -1
+                for cand, trial in enumerate(trials):  # ascending, so equal gains keep the lowest index
+                    if cand != node and cand not in chosen and trial - current[node] > best_gain + 1e-12:
+                        best_gain, best = trial - current[node], cand
+                if best >= 0:
+                    chosen.append(best)
+                    current[node] += best_gain
+                    bases[:, node] = bases[:, node] * k + parent_rows[:, best]
+                    family_counts[node] = counts[i * n + best].copy()
+                    searching.append(node)
+    dag = Dag(n, tuple(tuple(ps) for ps in parent_sets))
     if lag == 0:
         dag = repair_cycles(dag, states)
         for node, (searched, kept) in enumerate(zip(parent_sets, dag.parents)):
-            if kept != searched:
+            if kept != tuple(searched):
                 family_counts[node] = count_states(states, node, kept, lag)
     return dag, tuple(Cpt(i, dag.parents[i], estimate_cpt(c), c) for i, c in enumerate(family_counts))
 
@@ -447,9 +445,8 @@ def learn_transition(states: StateMatrix, max_parents: int = 3) -> TransitionNet
         raise ValueError("need at least 2 rows to learn transitions")
     dag, cpts = _searched_network(states, max_parents, lag=1)
     k = states.state_count
-    priors = np.empty((states.n, k))
-    for i in range(states.n):
-        priors[i] = np.bincount(states.states[:, i] - 1, minlength=k) / states.m
+    flat = (states.states - 1 + np.arange(states.n) * k).ravel()
+    priors = np.bincount(flat, minlength=states.n * k).reshape(states.n, k) / states.m
     return TransitionNetwork(dag, cpts, priors)
 
 

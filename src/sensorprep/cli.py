@@ -56,6 +56,8 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if f.type == "dict | None" and not isinstance(value, (dict, type(None))):
+                raise ValueError(f"{f.name} must be a JSON object, got {value!r}")
         for name in ("alpha_warning", "alpha_alarm", "train_frac"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
@@ -64,9 +66,11 @@ class RunConfig:
                 raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
         if self.alpha_alarm > self.alpha_warning:
             raise ValueError("alpha_alarm must not exceed alpha_warning")
-        for name in ("rows", "cols", "k_states", "slice_len", "error_rows"):
+        for name in ("rows", "cols", "slice_len", "error_rows"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.k_states < 2:
+            raise ValueError(f"k_states must be >= 2, got {self.k_states}")
         if self.max_parents < 0:
             raise ValueError("max_parents must be >= 0")
         bayesnet.check_cpt_cells(self.k_states, self.max_parents)
@@ -363,7 +367,10 @@ def _parse_params(pairs: list[str]) -> dict:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
-        values.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError(f"--config must hold a JSON object of config keys, got {type(doc).__name__}")
+        values.update(doc)
     field_names = {f.name for f in fields(RunConfig)}
     unknown = set(values) - field_names
     if unknown:
@@ -372,12 +379,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    params = _parse_params(getattr(args, "param", []) or [])
-    if params:
-        values["profile_params"] = {**(values.get("profile_params") or {}), **params}
     if "out_dir" not in values or values["out_dir"] is None:
         values["out_dir"] = os.environ.get(ENV_OUT_DIR, ".")
-    return RunConfig(**values)
+    config = RunConfig(**values)
+    params = _parse_params(getattr(args, "param", []) or [])
+    return replace(config, profile_params={**(config.profile_params or {}), **params}) if params else config
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,7 +3,9 @@
 import json
 import math
 import tracemalloc
+from contextlib import nullcontext
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from sensorprep import bayesnet
 from sensorprep.bayesnet import (
     Cpt,
     Dag,
-    _trial_scores,
+    _depth_counts,
+    _penalized_scores,
     check_cpt_cells,
     count_states,
     estimate_cpt,
@@ -247,30 +250,42 @@ def search_cases(draw):
 
 
 class TestBatchedSearch:
-    """The one-bincount-per-step search against the per-candidate oracle."""
+    """The one-product-per-depth search against the per-candidate oracle."""
 
     @settings(max_examples=150, deadline=None)
-    @given(search_cases(), st.integers(0, 3), st.sampled_from([0, 1]))
-    def test_matches_scalar_oracle(self, states, max_parents, lag):
-        assert k2_search(states, max_parents, lag) == scalar_k2_search(states, max_parents, lag)
+    @given(search_cases(), st.sampled_from([0, 1]), st.sampled_from([8, 64]), st.data())
+    def test_matches_scalar_oracle(self, states, lag, block, data):
+        max_parents = data.draw(st.integers(0, 5 if states.state_count == 2 else 3))
+        expected = scalar_k2_search(states, max_parents, lag)
+        assert k2_search(states, max_parents, lag) == expected
+        # Tiny blocks split both the node chunks and the row blocks.
+        with patch.object(bayesnet, "_BLOCK", block):
+            assert k2_search(states, max_parents, lag) == expected
 
     @settings(max_examples=150, deadline=None)
-    @given(search_cases(), st.sampled_from([0, 1]), st.data())
-    def test_trial_scores_equal_family_scores(self, states, lag, data):
+    @given(search_cases(), st.sampled_from([0, 1]), st.sampled_from([8, 64, bayesnet._BLOCK]), st.data())
+    def test_trial_scores_equal_family_scores(self, states, lag, block, data):
         n, k = states.n, states.state_count
-        node = data.draw(st.integers(0, n - 1))
-        others = [c for c in range(n) if c != node]
-        chosen = data.draw(st.permutations(others))[: data.draw(st.integers(0, min(2, n - 2)))]
+        depth = data.draw(st.integers(0, min(2, n - 2)))
+        nodes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         grid = states.states - 1
         parent_rows, child_rows = (grid, grid) if lag == 0 else (grid[:-1], grid[1:])
-        base = np.zeros(parent_rows.shape[0], dtype=np.int64)
-        for p in chosen:
-            base = base * k + parent_rows[:, p]
-        cands = [c for c in others if c not in chosen]
-        trials, counts = _trial_scores(parent_rows[:, cands], child_rows[:, node], base, len(chosen) + 1, k, states.m)
-        for cand, trial, block in zip(cands, trials.tolist(), counts):
-            assert trial == penalized_family_score(states, node, chosen + [cand], lag)
-            assert np.array_equal(block, count_states(states, node, chosen + [cand], lag))
+        chosen = {}
+        bases = np.zeros((parent_rows.shape[0], len(nodes)), dtype=np.int64)
+        for i, node in enumerate(nodes):
+            chosen[node] = data.draw(st.permutations([c for c in range(n) if c != node]))[:depth]
+            for p in chosen[node]:
+                bases[:, i] = bases[:, i] * k + parent_rows[:, p]
+        with patch.object(bayesnet, "_BLOCK", block):
+            counts = _depth_counts(parent_rows, child_rows, bases, nodes, depth + 1, k)
+        trials = _penalized_scores(counts, states.m).tolist()
+        for i, node in enumerate(nodes):
+            for cand in range(n):
+                if cand == node or cand in chosen[node]:
+                    continue
+                family = chosen[node] + [cand]
+                assert trials[i * n + cand] == penalized_family_score(states, node, family, lag)
+                assert np.array_equal(counts[i * n + cand], count_states(states, node, family, lag))
 
 
 def assert_counts_reused(net, states, lag):
@@ -288,10 +303,13 @@ class TestReusedFamilyCounts:
     """learn_static and learn_transition build CPTs from the search's own counts."""
 
     @settings(max_examples=150, deadline=None)
-    @given(search_cases(), st.integers(0, 3))
-    def test_counts_equal_recount(self, states, max_parents):
-        assert_counts_reused(learn_static(states, max_parents), states, 0)
-        assert_counts_reused(learn_transition(states, max_parents), states, 1)
+    @given(search_cases(), st.sampled_from([8, 64]), st.data())
+    def test_counts_equal_recount(self, states, block, data):
+        max_parents = data.draw(st.integers(0, 5 if states.state_count == 2 else 3))
+        for blocking in (nullcontext(), patch.object(bayesnet, "_BLOCK", block)):
+            with blocking:
+                assert_counts_reused(learn_static(states, max_parents), states, 0)
+                assert_counts_reused(learn_transition(states, max_parents), states, 1)
 
     def test_family_changed_by_cycle_repair(self, monkeypatch):
         # x1 and x2 copy each other, so each picks the other and repair
@@ -332,6 +350,24 @@ class TestCptCellCap:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("k, max_parents", [(64, 1), (2, 11), (4, 5)])
+    def test_learning_memory_bounded(self, k, max_parents):
+        # Noisy copies of one latent column, so that at small K nodes search
+        # several parents deep. A full rows x n*K one-hot of the candidates
+        # alone would take 20 MB at K=64.
+        rng = np.random.default_rng(15)
+        latent = rng.integers(1, k + 1, size=2000)
+        grid = np.where(rng.random((2000, 40)) < 0.3, rng.integers(1, k + 1, size=(2000, 40)), latent[:, None])
+        states = states_from_grid(grid, k)
+        tracemalloc.start()
+        try:
+            learn_static(states, max_parents)
+            learn_transition(states, max_parents)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 class TestRepairCycles:

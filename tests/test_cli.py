@@ -362,6 +362,8 @@ class TestPipeline:
             ({"max_parents": True}, "max_parents must be an integer, got True"),
             ({"tau": True}, "tau must be a number, got True"),
             ({"error_pct": "0.1"}, "error_pct must be a number, got '0.1'"),
+            ([{"k_states": 3}], "--config must hold a JSON object of config keys, got list"),
+            ({"profile_params": [1, 2]}, "profile_params must be a JSON object, got [1, 2]"),
         ],
     )
     def test_mistyped_config_values_rejected(self, tmp_path, capsys, config, message):
@@ -374,6 +376,18 @@ class TestPipeline:
         assert json.loads(err) == {"error": message, "type": "ValueError"}
         assert not (tmp_path / "art").exists()
 
+    def test_param_flags_merge_over_config_profile_params(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        synth = ["synth", "--profile", "copy-child", "--rows", "20", "--cols", "3", "--param", "flip=0.5"]
+        cfg.write_text(json.dumps({"profile_params": [1, 2]}))
+        code, out, err = run(capsys, ["--config", str(cfg), *synth, "--out", str(tmp_path / "bad.csv")])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "profile_params must be a JSON object, got [1, 2]", "type": "ValueError"}
+        cfg.write_text(json.dumps({"profile_params": {"flip": 0.0}}))
+        assert run(capsys, ["--config", str(cfg), *synth, "--out", str(tmp_path / "merged.csv")])[0] == 0
+        assert run(capsys, [*synth, "--out", str(tmp_path / "flag.csv")])[0] == 0
+        assert (tmp_path / "merged.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
     def test_integer_accepted_for_float_fields(self):
         cfg = RunConfig(tau=1, error_pct=0, contribution_ratio=1)
         assert (cfg.tau, cfg.error_pct, cfg.contribution_ratio) == (1, 0, 1)
@@ -384,6 +398,12 @@ class TestPipeline:
         ])
         assert code == 1
         assert "alpha_warning" in json.loads(err)["error"]
+        code, out, err = run(capsys, [
+            "learn", "--profile", "correlated-drift", "--k-states", "1", "--out-dir", str(tmp_path / "art"),
+        ])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "k_states must be >= 2, got 1", "type": "ValueError"}
+        assert not (tmp_path / "art").exists()
 
     def test_alpha_of_one_rejected_at_config(self, tmp_path, capsys):
         code, out, err = run(capsys, [
