@@ -132,10 +132,11 @@ def tqbayes_detect(
     its predecessor; later rows use the observed previous test row even if
     it was itself corrupted.
     """
-    if test.n != model.n or test.n != tn.dag.n or test.n != scheme.n:
+    k = tn.cpts[0].state_count
+    if test.n != model.n or test.n != tn.dag.n or test.n != scheme.n or scheme.state_count != k:
         raise ValueError(
             f"artifact shapes disagree: data n={test.n}, model n={model.n}, "
-            f"network n={tn.dag.n}, scheme n={scheme.n}"
+            f"network n={tn.dag.n}, scheme n={scheme.n}, network K={k}, scheme K={scheme.state_count}"
         )
     last_train_row = np.asarray(last_train_row, dtype=float)
     if last_train_row.shape != (test.n,):

@@ -10,7 +10,7 @@ first listed parent most significant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -130,37 +130,30 @@ class Dag:
 class Cpt:
     """Conditional probability table of one node given its ordered parents.
 
-    table is H x K where H = K^|parents| parent configurations in
-    mixed-radix order; counts is the tally the table was estimated from.
-    Rows sum to one (empty-count rows are smoothed to uniform).
+    counts is the H x K tally over H = K^|parents| parent configurations in
+    mixed-radix order; table is derived from it by `estimate_cpt`, so its
+    rows sum to one (empty-count rows are uniform).
     """
 
     node: int
     parents: tuple[int, ...]
-    table: np.ndarray
     counts: np.ndarray
+    table: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        table = np.array(self.table, dtype=float)
         counts = np.array(self.counts, dtype=np.int64)
-        object.__setattr__(self, "table", table)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "parents", tuple(int(p) for p in self.parents))
-        if table.shape != counts.shape or table.ndim != 2:
-            raise ValueError("table and counts must be 2-D and congruent")
-        k = table.shape[1]
-        if table.shape[0] != k ** len(self.parents):
-            raise ValueError(f"expected {k ** len(self.parents)} configuration rows, got {table.shape[0]}")
-        if (table < 0).any() or (table > 1).any():
-            raise ValueError("probabilities must lie in [0, 1]")
-        if np.abs(table.sum(axis=1) - 1.0).max() > 1e-12:
-            raise ValueError("every table row must sum to 1")
-        if (counts < 0).any():
-            raise ValueError("counts must be nonnegative")
+        if counts.ndim != 2:
+            raise ValueError("counts must be 2-D")
+        k = counts.shape[1]
+        if counts.shape[0] != k ** len(self.parents):
+            raise ValueError(f"expected {k ** len(self.parents)} configuration rows, got {counts.shape[0]}")
+        object.__setattr__(self, "table", estimate_cpt(counts))
 
     @property
     def state_count(self) -> int:
-        return self.table.shape[1]
+        return self.counts.shape[1]
 
 
 @dataclass(frozen=True)
@@ -242,8 +235,7 @@ def estimate_cpt(counts: np.ndarray) -> np.ndarray:
 
 def make_cpt(states: StateMatrix, node: int, parents: Sequence[int], lag: int = 0) -> Cpt:
     """Count and estimate in one step."""
-    counts = count_states(states, node, parents, lag)
-    return Cpt(node, tuple(parents), estimate_cpt(counts), counts)
+    return Cpt(node, tuple(parents), count_states(states, node, parents, lag))
 
 
 def family_score(states: StateMatrix, node: int, parents: Sequence[int], lag: int = 0) -> float:
@@ -400,7 +392,7 @@ def _searched_network(states: StateMatrix, max_parents: int, lag: int) -> tuple[
         for node, (searched, kept) in enumerate(zip(parent_sets, dag.parents)):
             if kept != tuple(searched):
                 family_counts[node] = count_states(states, node, kept, lag)
-    return dag, tuple(Cpt(i, dag.parents[i], estimate_cpt(c), c) for i, c in enumerate(family_counts))
+    return dag, tuple(Cpt(i, dag.parents[i], c) for i, c in enumerate(family_counts))
 
 
 def repair_cycles(dag: Dag, states: StateMatrix) -> Dag:
@@ -483,12 +475,11 @@ def parent_marginal(cpt: Cpt, position: int, parent_state: int) -> np.ndarray:
 
 
 def network_to_dict(net: StaticNetwork | TransitionNetwork) -> dict:
-    """The `static_network` or `transition_network` artifact body: parent lists, CPT tables and counts."""
-    doc = {
-        "parents": [list(ps) for ps in net.dag.parents],
-        "tables": [c.table.tolist() for c in net.cpts],
-        "counts": [c.counts.tolist() for c in net.cpts],
-    }
+    """The `static_network` or `transition_network` artifact body: parent lists and CPT counts.
+
+    Tables are not stored; loading estimates them from the counts again.
+    """
+    doc = {"parents": [list(ps) for ps in net.dag.parents], "counts": [c.counts.tolist() for c in net.cpts]}
     if isinstance(net, TransitionNetwork):
         doc["priors"] = net.priors.tolist()
     return doc
@@ -496,8 +487,8 @@ def network_to_dict(net: StaticNetwork | TransitionNetwork) -> dict:
 
 def _network_from_dict(doc: dict) -> tuple[Dag, tuple[Cpt, ...]]:
     dag = Dag(len(doc["parents"]), tuple(tuple(ps) for ps in doc["parents"]))
-    families = zip(dag.parents, doc["tables"], doc["counts"], strict=True)
-    return dag, tuple(Cpt(i, ps, np.array(table), np.array(counts)) for i, (ps, table, counts) in enumerate(families))
+    families = zip(dag.parents, doc["counts"], strict=True)
+    return dag, tuple(Cpt(i, ps, counts) for i, (ps, counts) in enumerate(families))
 
 
 def static_from_dict(doc: dict) -> StaticNetwork:

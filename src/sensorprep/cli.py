@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -38,7 +37,6 @@ class RunConfig:
     rows: int = 300
     cols: int = 6
     alpha_warning: float = 0.05
-    alpha_alarm: float = 0.01
     contribution_ratio: float = 0.85
     k_states: int = 3
     max_parents: int = 3
@@ -58,14 +56,12 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
             if f.type == "dict | None" and not isinstance(value, (dict, type(None))):
                 raise ValueError(f"{f.name} must be a JSON object, got {value!r}")
-        for name in ("alpha_warning", "alpha_alarm", "train_frac"):
+        for name in ("alpha_warning", "train_frac"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         for name in ("contribution_ratio", "tau"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
-        if self.alpha_alarm > self.alpha_warning:
-            raise ValueError("alpha_alarm must not exceed alpha_warning")
         for name in ("rows", "cols", "slice_len", "error_rows"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -84,14 +80,6 @@ def _scheme_to_dict(scheme: ingest.DiscretizationScheme) -> dict:
 
 def _scheme_from_dict(doc: dict) -> ingest.DiscretizationScheme:
     return ingest.DiscretizationScheme(tuple(np.array(e) for e in doc["edges"]), int(doc["state_count"]))
-
-
-def _resolve_training(cfg: RunConfig) -> ingest.SensorDataset:
-    if cfg.train_csv:
-        return ingest.load_csv(cfg.train_csv)
-    if cfg.profile:
-        return ingest.synth_generate(cfg.seed, cfg.rows, cfg.cols, cfg.profile, **(cfg.profile_params or {}))
-    raise ValueError("no training data: provide train_csv or a synthetic profile")
 
 
 def cmd_synth(cfg: RunConfig, out: str, split: int | None, out_train: str | None, out_test: str | None) -> dict:
@@ -114,7 +102,9 @@ def cmd_synth(cfg: RunConfig, out: str, split: int | None, out_train: str | None
 
 
 def cmd_learn(cfg: RunConfig) -> dict:
-    train = _resolve_training(cfg)
+    if not cfg.train_csv:
+        raise ValueError("learn needs --train")
+    train = ingest.load_csv(cfg.train_csv)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -131,17 +121,11 @@ def cmd_learn(cfg: RunConfig) -> dict:
         ("transition_network", bayesnet.network_to_dict(transition)),
     ):
         artifacts.write(out_dir / f"{kind}.json", kind, train.node_ids, body)
-    if not cfg.train_csv:
-        ingest.write_csv(train, out_dir / "train.csv")
 
     return {
         "k": model.k,
         "q_limit": spectra.limit_to_json(model.q_limit),
         "t2_limit": model.t2_limit,
-        "q_limit_alarm": spectra.limit_to_json(
-            math.inf if model.k == train.n else spectra.q_threshold(model.eigenvalues, model.k, cfg.alpha_alarm)
-        ),
-        "t2_limit_alarm": spectra.t2_threshold(model.k, train.m, cfg.alpha_alarm),
         "static_edges": len(static.dag.edges()),
         "transition_edges": len(transition.dag.edges()),
         "score": bayesnet.fitted_score(static) + bayesnet.fitted_score(transition),
@@ -239,8 +223,8 @@ def cmd_redundancy_realtime(cfg: RunConfig) -> dict:
 
 
 def cmd_evaluate(report_path: str, truth_path: str, out: str | None, redundancy_path: str | None) -> dict:
-    report = anomaly.report_from_dict(artifacts.read(report_path, "detection_report", None))
     truth_doc = json.loads(Path(truth_path).read_text(encoding="utf-8"))
+    report = anomaly.report_from_dict(artifacts.read(report_path, "detection_report", truth_doc["node_ids"]))
     truth_rows = set(int(r) for r in truth_doc["rows"])
     n = len(truth_doc["node_ids"])
     test_rows = int(truth_doc["test_rows"])
@@ -294,13 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="fit the PCA model and both networks")
     p.add_argument("--train", dest="train_csv")
-    p.add_argument("--profile")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
-    p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--alpha", dest="alpha_warning", type=float)
-    p.add_argument("--alpha-alarm", dest="alpha_alarm", type=float)
     p.add_argument("--contribution-ratio", dest="contribution_ratio", type=float)
     p.add_argument("--k-states", dest="k_states", type=int)
     p.add_argument("--max-parents", dest="max_parents", type=int)

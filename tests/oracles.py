@@ -423,9 +423,7 @@ def random_transition_network(rng: np.random.Generator, n_max: int = 4, k_max: i
         counts = rng.integers(0, 30, size=(h, k))
         if rng.random() < 0.3:
             counts[rng.integers(h)] = 0  # exercise the uniform-smoothing path
-        totals = counts.sum(axis=1, keepdims=True)
-        table = np.where(totals > 0, counts / np.where(totals > 0, totals, 1), 1.0 / k)
-        cpts.append(Cpt(node, parent_sets[node], table, counts))
+        cpts.append(Cpt(node, parent_sets[node], counts))
     priors = rng.random((n, k)) + 0.1
     priors /= priors.sum(axis=1, keepdims=True)
     return TransitionNetwork(dag, tuple(cpts), priors)

@@ -22,7 +22,7 @@ from oracles import (
     states_from_grid,
 )
 from sensorprep.anomaly import nb_predict_state, tq_screen, tqbayes_detect
-from sensorprep.bayesnet import Cpt, Dag, estimate_cpt, k2_search, learn_static, learn_transition
+from sensorprep.bayesnet import Cpt, Dag, k2_search, learn_static, learn_transition
 from sensorprep.cli import main as cli_main
 from sensorprep.ingest import (
     SensorDataset,
@@ -265,9 +265,9 @@ def test_criterion_09_ssdrda():
     parent_counts = np.full((1, 3), 10)
     dag = Dag(3, ((), (0,), (0,)))
     cpts = (
-        Cpt(0, (), estimate_cpt(parent_counts), parent_counts),
-        Cpt(1, (0,), estimate_cpt(identity_counts), identity_counts),
-        Cpt(2, (0,), estimate_cpt(uniform_counts), uniform_counts),
+        Cpt(0, (), parent_counts),
+        Cpt(1, (0,), identity_counts),
+        Cpt(2, (0,), uniform_counts),
     )
     rep = ssdrda(dag, cpts, tau=0.95)
     direct_ok = rep.nodes[1].redundant and not rep.nodes[2].redundant

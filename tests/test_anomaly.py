@@ -14,7 +14,7 @@ from sensorprep.anomaly import (
     tqbayes_detect,
     write_report_csv,
 )
-from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork, estimate_cpt, learn_transition
+from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork, learn_transition
 from sensorprep.ingest import SensorDataset, Standardization, discretize, fit_discretization, synth_generate
 from sensorprep.spectra import PcaModel, fit_pca_model
 
@@ -23,12 +23,7 @@ def single_parent_tn(counts, prior=None):
     """Two-node network where node 1 has transition parent node 0."""
     counts = np.asarray(counts)
     k = counts.shape[1]
-    table = estimate_cpt(counts)
-    parent_counts = np.full((1, k), 10)
-    cpts = (
-        Cpt(0, (), estimate_cpt(parent_counts), parent_counts),
-        Cpt(1, (0,), table, counts),
-    )
+    cpts = (Cpt(0, (), np.full((1, k), 10)), Cpt(1, (0,), counts))
     priors = np.full((2, k), 1.0 / k) if prior is None else np.array([np.full(k, 1.0 / k), prior])
     return TransitionNetwork(Dag(2, ((), (0,))), cpts, priors)
 
@@ -133,9 +128,9 @@ class TestNbPredictState:
         counts = np.array([[8, 1], [1, 0], [0, 1], [5, 5]])
         k = 2
         cpts = (
-            Cpt(0, (), np.array([[0.5, 0.5]]), np.array([[5, 5]])),
-            Cpt(1, (), np.array([[0.5, 0.5]]), np.array([[5, 5]])),
-            Cpt(2, (0, 1), estimate_cpt(counts), counts),
+            Cpt(0, (), np.array([[5, 5]])),
+            Cpt(1, (), np.array([[5, 5]])),
+            Cpt(2, (0, 1), counts),
         )
         tn = TransitionNetwork(Dag(3, ((), (), (0, 1))), cpts, np.full((3, k), 0.5))
         predicted, posterior = nb_predict_state(2, np.array([1, 1, 1]), tn)
@@ -278,7 +273,7 @@ def detection_cases(draw):
         elif kind == "sparse":  # mostly empty rows and disjoint supports
             counts = rng.integers(1, 5, size=counts.shape) * (rng.random(counts.shape) < 0.25)
         parent_sets.append(parents)
-        cpts.append(Cpt(node, parents, estimate_cpt(counts), counts))
+        cpts.append(Cpt(node, parents, counts))
     priors = np.full((n, k), 1.0 / k)
     if kind != "uniform":
         priors = rng.random((n, k)) + 0.05
@@ -313,9 +308,9 @@ class TestBatchedStageTwo:
         counts = np.array([[5, 0], [0, 0], [0, 0], [0, 5]])
         flat = np.full((1, k), 10)
         cpts = (
-            Cpt(0, (), estimate_cpt(flat), flat),
-            Cpt(1, (), estimate_cpt(flat), flat),
-            Cpt(2, (0, 1), estimate_cpt(counts), counts),
+            Cpt(0, (), flat),
+            Cpt(1, (), flat),
+            Cpt(2, (0, 1), counts),
         )
         priors = np.array([[0.5, 0.5], [0.5, 0.5], [0.3, 0.7]])
         tn = TransitionNetwork(Dag(3, ((), (), (0, 1))), cpts, priors)

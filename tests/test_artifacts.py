@@ -215,7 +215,7 @@ class TestEquivalenceWithPerRecordLayout:
 
     def test_empty_recoveries(self, tmp_path):
         n = len(NODE_IDS)
-        cpts = tuple(Cpt(i, (), np.full((1, 2), 0.5), np.ones((1, 2), dtype=np.int64)) for i in range(n))
+        cpts = tuple(Cpt(i, (), np.ones((1, 2), dtype=np.int64)) for i in range(n))
         empty = ssdrda(Dag(n, ((),) * n), cpts, 0.9)
         doc = round_trip(tmp_path, "redundancy_static", static_report_to_dict(empty))
         _, old_recoveries = legacy_static_from_dict(legacy_json(legacy_static_report_to_dict(empty, NODE_IDS)))

@@ -142,6 +142,15 @@ class TestEstimateCpt:
         np.testing.assert_allclose(cpt.table.sum(axis=1), 1.0, atol=1e-12)
         assert cpt.table.shape == cpt.counts.shape == (9, 3)
 
+    def test_cpt_table_is_estimated_from_counts(self):
+        counts = np.array([[3, 1], [0, 0]])
+        cpt = Cpt(1, (0,), counts)
+        assert cpt.table.tobytes() == estimate_cpt(counts).tobytes()
+        with pytest.raises(ValueError, match="expected 2 configuration rows, got 1"):
+            Cpt(1, (0,), counts[:1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            Cpt(1, (0,), -counts)
+
 
 class TestScore:
     def test_deterministic_copy_contributes_zero(self):
@@ -439,14 +448,13 @@ class TestParentMarginal:
         # counts rows in (a, b) mixed-radix order; marginal over b for a=1
         # sums rows 0 and 1.
         counts = np.array([[8, 1], [1, 0], [0, 1], [5, 5]])
-        table = estimate_cpt(counts)
-        cpt = Cpt(2, (0, 1), table, counts)
+        cpt = Cpt(2, (0, 1), counts)
         np.testing.assert_allclose(parent_marginal(cpt, 0, 1), [0.9, 0.1])
         np.testing.assert_allclose(parent_marginal(cpt, 1, 1), [0.8, 0.2])
 
     def test_unseen_slice_is_uniform(self):
         counts = np.array([[3, 1], [0, 0]])
-        cpt = Cpt(1, (0,), estimate_cpt(counts), counts)
+        cpt = Cpt(1, (0,), counts)
         np.testing.assert_allclose(parent_marginal(cpt, 0, 2), [0.5, 0.5])
 
     @settings(max_examples=150, deadline=None)
@@ -456,7 +464,7 @@ class TestParentMarginal:
         counts = rng.integers(0, 40, size=(k**p, k))
         if sparse:  # empty configuration rows and never-observed slices
             counts *= rng.random(counts.shape) < 0.2
-        cpt = Cpt(p, tuple(range(p)), estimate_cpt(counts), counts)
+        cpt = Cpt(p, tuple(range(p)), counts)
         table = parent_marginals(cpt)
         assert table.shape == (p, k, k)
         for position in range(p):
@@ -467,7 +475,7 @@ class TestParentMarginal:
 
     def test_rejects_position_and_state_out_of_range(self):
         counts = np.array([[3, 1], [0, 0]])
-        cpt = Cpt(1, (0,), estimate_cpt(counts), counts)
+        cpt = Cpt(1, (0,), counts)
         with pytest.raises(ValueError, match="position"):
             parent_marginal(cpt, 1, 1)
         with pytest.raises(ValueError, match="outside"):
@@ -492,3 +500,25 @@ class TestSerialization:
         back = transition_from_dict(network_to_dict(tn))
         assert back.dag.parents == tn.dag.parents
         np.testing.assert_array_equal(back.priors, tn.priors)
+
+    def test_files_with_tables_load_equal(self):
+        # Files written when each CPT table was stored beside its counts
+        # still load: the tables key is ignored and every table, estimated
+        # from the counts again, equals the stored one bit for bit.
+        rng = np.random.default_rng(15)
+        grid = rng.integers(1, 4, size=(200, 5))
+        grid[:, 0] = rng.integers(1, 3, size=200)  # node 0 never in state 3: a uniform row below
+        grid[:, 1] = grid[:, 0]  # node 1 copies node 0
+        grid[1:, 2] = grid[:-1, 0]  # node 2 copies node 0 one step late
+        states = states_from_grid(grid, 3)
+        for net, from_dict, body in (
+            (learn_static(states), static_from_dict, ["counts", "parents"]),
+            (learn_transition(states), transition_from_dict, ["counts", "parents", "priors"]),
+        ):
+            doc = network_to_dict(net)
+            assert sorted(doc) == body
+            stored = json.loads(json.dumps({**doc, "tables": [c.table.tolist() for c in net.cpts]}))
+            back = from_dict(stored)
+            assert any((c.counts.sum(axis=1) == 0).any() for c in back.cpts)
+            for table, cpt in zip(stored["tables"], back.cpts):
+                assert cpt.table.tobytes() == np.array(table).tobytes()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE
-from sensorprep.bayesnet import learn_transition, score, static_from_dict, transition_from_dict
+from sensorprep.bayesnet import estimate_cpt, learn_transition, score, static_from_dict, transition_from_dict
 from sensorprep.cli import RunConfig, main
 from sensorprep.ingest import SensorDataset, discretize, fit_discretization, load_csv, write_csv
 from sensorprep.redundancy import RECOVERY_DTYPE, SCHEDULE_DTYPE
@@ -164,17 +164,100 @@ class TestPipeline:
 
     def test_evaluate_rejects_nodes_outside_truth(self, tmp_path, capsys):
         # Cells are encoded as row * n + node, so a node index >= n would
-        # alias a cell of the next row instead of failing.
+        # alias a cell of the next row instead of failing. The report's
+        # header matches the truth file; one abnormal verdict names node n.
+        art, _ = run_full_pipeline(tmp_path, capsys, seed=2)
+        n = len(json.loads((tmp_path / "truth.json").read_text())["node_ids"])
+        doc = json.loads((art / "detection_report.json").read_text())
+        verdicts = dict(zip(VERDICT_DTYPE.names, doc["verdicts"]))
+        verdicts["node"][verdicts["abnormal"].index(True)] = n
+        bad = tmp_path / "bad_report.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["evaluate", "--report", str(bad), "--truth", str(tmp_path / "truth.json")])
+        assert code == 1 and out == ""
+        assert f"outside the truth file's {n} nodes" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        ("narrow", "message"),
+        [
+            (lambda ids: ids[::-1], "node id mismatch, .*detection_report.json has 'node00' but data has 'node07'"),
+            (lambda ids: ids[:3], "detection_report.json covers 8 nodes but data has 3"),
+        ],
+        ids=["reversed", "first-3"],
+    )
+    def test_evaluate_rejects_truth_with_other_node_ids(self, tmp_path, capsys, narrow, message):
         art, _ = run_full_pipeline(tmp_path, capsys, seed=2)
         truth = json.loads((tmp_path / "truth.json").read_text())
-        truth["node_ids"] = truth["node_ids"][:1]
-        narrow = tmp_path / "narrow_truth.json"
-        narrow.write_text(json.dumps(truth))
+        truth["node_ids"] = narrow(truth["node_ids"])
+        other = tmp_path / "other_truth.json"
+        other.write_text(json.dumps(truth))
         code, out, err = run(capsys, [
-            "evaluate", "--report", str(art / "detection_report.json"), "--truth", str(narrow),
+            "evaluate", "--report", str(art / "detection_report.json"), "--truth", str(other),
         ])
         assert code == 1 and out == ""
-        assert "outside the truth file's 1 nodes" in json.loads(err)["error"]
+        error = json.loads(err)
+        assert error["type"] == "ArtifactError" and re.search(message, error["error"]), error
+
+    @pytest.mark.parametrize(("scheme_k", "network_k"), [(4, 3), (3, 4)])
+    def test_detect_rejects_state_count_mismatch(self, tmp_path, capsys, scheme_k, network_k):
+        art, _ = run_full_pipeline(tmp_path, capsys, seed=3)
+        art4 = tmp_path / "artifacts4"
+        code, out, err = run(capsys, [
+            "learn", "--train", str(tmp_path / "train.csv"), "--k-states", "4", "--out-dir", str(art4),
+        ])
+        assert code == 0, err
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        by_k = {3: art, 4: art4}
+        for name, source in (("pca_model.json", art), ("scheme.json", by_k[scheme_k]),
+                             ("transition_network.json", by_k[network_k])):
+            (mixed / name).write_bytes((source / name).read_bytes())
+        code, out, err = run(capsys, [
+            "detect", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "test_bad.csv"),
+            "--artifacts", str(mixed), "--out-dir", str(mixed),
+        ])
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["type"] == "ValueError"
+        assert "artifact shapes disagree" in error["error"]
+        assert f"network K={network_k}, scheme K={scheme_k}" in error["error"]
+        assert not (mixed / "detection_report.json").exists()
+
+    def test_learn_needs_train(self, tmp_path, capsys):
+        code, out, err = run(capsys, ["learn", "--out-dir", str(tmp_path / "art")])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "learn needs --train", "type": "ValueError"}
+        assert not (tmp_path / "art").exists()
+
+    def test_static_network_tables_are_derived_from_counts(self, tmp_path, capsys):
+        # A network file that still carries CPT tables, one of them edited,
+        # gives the same redundancy verdicts as the counts alone.
+        data = tmp_path / "data.csv"
+        code, out, err = run(capsys, [
+            "synth", "--profile", "copy-child", "--seed", "4", "--rows", "600", "--cols", "6",
+            "--param", 'copies={"1":0,"3":2}', "--param", "flip=0.2", "--out", str(data),
+        ])
+        assert code == 0, err
+        art = tmp_path / "art"
+        assert run(capsys, ["learn", "--train", str(data), "--out-dir", str(art)])[0] == 0
+        tampered = tmp_path / "tampered"
+        tampered.mkdir()
+        doc = json.loads((art / "static_network.json").read_text())
+        tables = [estimate_cpt(np.array(counts)).tolist() for counts in doc["counts"]]
+        tables[3] = [[1.0, 0.0, 0.0]] * len(tables[3])
+        (tampered / "static_network.json").write_text(json.dumps({**doc, "tables": tables}))
+        outputs = {}
+        for name, source in (("plain", art), ("tampered", tampered)):
+            out_dir = tmp_path / f"out_{name}"
+            code, out, err = run(capsys, [
+                "redundancy-static", "--data", str(data), "--artifacts", str(source), "--out-dir", str(out_dir),
+            ])
+            assert code == 0, err
+            summary = json.loads(out)
+            del summary["out_dir"]
+            outputs[name] = summary, [path.read_bytes() for path in sorted(out_dir.iterdir())]
+        assert outputs["plain"][0] == {"redundant_nodes": []}
+        assert outputs["tampered"] == outputs["plain"]
 
     def test_constant_column_fails_with_named_node(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -341,10 +424,10 @@ class TestPipeline:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"profile": "copy-child", "rows": 120, "cols": 3, "seed": 5}))
         code, out, err = run(capsys, [
-            "--config", str(cfg), "learn", "--rows", "150", "--out-dir", str(tmp_path / "art"),
+            "--config", str(cfg), "synth", "--rows", "150", "--out", str(tmp_path / "train.csv"),
         ])
         assert code == 0, err
-        train = (tmp_path / "art" / "train.csv").read_text().splitlines()
+        train = (tmp_path / "train.csv").read_text().splitlines()
         assert len(train) == 151  # header + overridden row count
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
@@ -353,6 +436,10 @@ class TestPipeline:
         code, out, err = run(capsys, ["--config", str(cfg), "learn", "--out-dir", str(tmp_path)])
         assert code == 1
         assert "unknown config keys" in json.loads(err)["error"]
+        cfg.write_text(json.dumps({"alpha_alarm": 0.01}))  # the alarm level was removed
+        code, out, err = run(capsys, ["--config", str(cfg), "learn", "--out-dir", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "unknown config keys: ['alpha_alarm']", "type": "ValueError"}
 
     @pytest.mark.parametrize(
         ("config", "message"),
@@ -370,7 +457,7 @@ class TestPipeline:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code, out, err = run(capsys, [
-            "--config", str(cfg), "learn", "--profile", "copy-child", "--out-dir", str(tmp_path / "art"),
+            "--config", str(cfg), "learn", "--out-dir", str(tmp_path / "art"),
         ])
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": message, "type": "ValueError"}
@@ -394,12 +481,12 @@ class TestPipeline:
 
     def test_invalid_config_values_rejected(self, tmp_path, capsys):
         code, out, err = run(capsys, [
-            "learn", "--profile", "correlated-drift", "--alpha", "1.5", "--out-dir", str(tmp_path),
+            "learn", "--alpha", "1.5", "--out-dir", str(tmp_path),
         ])
         assert code == 1
         assert "alpha_warning" in json.loads(err)["error"]
         code, out, err = run(capsys, [
-            "learn", "--profile", "correlated-drift", "--k-states", "1", "--out-dir", str(tmp_path / "art"),
+            "learn", "--k-states", "1", "--out-dir", str(tmp_path / "art"),
         ])
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "k_states must be >= 2, got 1", "type": "ValueError"}
@@ -407,13 +494,11 @@ class TestPipeline:
 
     def test_alpha_of_one_rejected_at_config(self, tmp_path, capsys):
         code, out, err = run(capsys, [
-            "learn", "--profile", "correlated-drift", "--alpha", "1.0", "--out-dir", str(tmp_path / "art"),
+            "learn", "--alpha", "1.0", "--out-dir", str(tmp_path / "art"),
         ])
         assert code == 1
         assert "alpha_warning must lie in (0, 1)" in json.loads(err)["error"]
         assert not (tmp_path / "art").exists()
-        with pytest.raises(ValueError, match=r"alpha_alarm must lie in \(0, 1\)"):
-            RunConfig(alpha_alarm=1.0)
 
     def test_train_frac_of_one_rejected_at_config(self, tmp_path, capsys):
         # The data file does not exist: the config must fail before it is read.
@@ -429,7 +514,7 @@ class TestPipeline:
 
     def test_oversized_tables_rejected_at_config(self, tmp_path, capsys):
         code, out, err = run(capsys, [
-            "learn", "--profile", "correlated-drift", "--k-states", "64", "--max-parents", "5",
+            "learn", "--k-states", "64", "--max-parents", "5",
             "--out-dir", str(tmp_path / "art"),
         ])
         assert code == 1
@@ -456,7 +541,7 @@ class TestPipeline:
         assert code == 0, err
         summary = strict(out)
         assert summary["k"] == 5
-        assert summary["q_limit"] is None and summary["q_limit_alarm"] is None
+        assert summary["q_limit"] is None
         model_doc = strict((art / "pca_model.json").read_text())
         assert model_doc["q_limit"] is None
         assert model_from_dict(model_doc).q_limit == math.inf
@@ -481,9 +566,12 @@ class TestPipeline:
 
     def test_env_var_out_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SENSORPREP_OUT_DIR", str(tmp_path / "from_env"))
+        train = str(tmp_path / "train.csv")
         code, out, err = run(capsys, [
-            "learn", "--profile", "copy-child", "--rows", "120", "--cols", "3",
+            "synth", "--profile", "copy-child", "--rows", "120", "--cols", "3", "--out", train,
         ])
+        assert code == 0, err
+        code, out, err = run(capsys, ["learn", "--train", train])
         assert code == 0, err
         assert (tmp_path / "from_env" / "pca_model.json").exists()
 

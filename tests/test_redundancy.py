@@ -13,7 +13,7 @@ from oracles import (
     states_from_grid,
     trivial_scheme,
 )
-from sensorprep.bayesnet import Cpt, Dag, estimate_cpt, learn_transition, make_cpt
+from sensorprep.bayesnet import Cpt, Dag, learn_transition, make_cpt
 from sensorprep.ingest import SensorDataset, discretize, fit_discretization, synth_generate
 from sensorprep.metrics import rmse
 from sensorprep.redundancy import (
@@ -29,11 +29,7 @@ def one_node_family(table_counts, k=None):
     """Dag 0 -> 1 with an explicit CPT for node 1."""
     counts = np.asarray(table_counts)
     k = k or counts.shape[1]
-    parent_counts = np.full((1, k), 10)
-    cpts = (
-        Cpt(0, (), estimate_cpt(parent_counts), parent_counts),
-        Cpt(1, (0,), estimate_cpt(counts), counts),
-    )
+    cpts = (Cpt(0, (), np.full((1, k), 10)), Cpt(1, (0,), counts))
     return Dag(2, ((), (0,))), cpts
 
 
@@ -127,7 +123,7 @@ class TestRsdrdaInfer:
         table = np.array([[0.25, 0.75], [0.5, 0.5]])
         counts = np.array([[1, 3], [2, 2]])
         dag = Dag(2, ((), (0,)))
-        cpts = (Cpt(0, (), np.array([[0.5, 0.5]]), np.array([[5, 5]])), Cpt(1, (0,), table, counts))
+        cpts = (Cpt(0, (), np.array([[5, 5]])), Cpt(1, (0,), counts))
         from sensorprep.bayesnet import TransitionNetwork
 
         tn = TransitionNetwork(dag, cpts, np.full((2, 2), 0.5))
