@@ -74,11 +74,8 @@ def write(path: str | Path, kind: str, node_ids: Sequence[str], body: dict) -> N
     write_json(path, {**body, "format_version": FORMAT_VERSION, "kind": kind, "node_ids": list(node_ids)})
 
 
-def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str] | None) -> dict:
-    """Load a document of `kind` (or of any kind in a tuple) after checking its header.
-
-    Its node ids must equal `node_ids`; with None they need only be present.
-    """
+def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str]) -> dict:
+    """Load a document of `kind` (or of any kind in a tuple) whose node ids equal `node_ids`."""
     kinds = (kind,) if isinstance(kind, str) else kind
     rerun = "re-run " + " or ".join(dict.fromkeys(f"`sensorprep {KINDS[k]}`" for k in kinds))
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -91,6 +88,5 @@ def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str] 
         raise ArtifactError(f"{path}: wrong kind {doc.get('kind')!r}, expected {' or '.join(map(repr, kinds))}")
     if not isinstance(doc.get("node_ids"), list):
         raise ArtifactError(f"{path}: missing node_ids; {rerun}")
-    if node_ids is not None:
-        check_node_ids(doc["node_ids"], node_ids, doc["kind"], str(path))
+    check_node_ids(doc["node_ids"], node_ids, doc["kind"], str(path))
     return doc

@@ -156,23 +156,30 @@ class Cpt:
         return self.counts.shape[1]
 
 
+def _check_cpts(dag: Dag, cpts: Sequence[Cpt]) -> None:
+    if len(cpts) != dag.n:
+        raise ValueError("need one CPT per node")
+    state_counts = sorted({cpt.state_count for cpt in cpts})
+    if len(state_counts) > 1:
+        raise ValueError(f"one network needs one state count, got {state_counts}")
+
+
 @dataclass(frozen=True)
 class StaticNetwork:
-    """Acyclic same-slice network: structure plus one CPT per node."""
+    """Acyclic same-slice network: structure plus one CPT per node, all over K states."""
 
     dag: Dag
     cpts: tuple[Cpt, ...]
 
     def __post_init__(self) -> None:
         self.dag.check_acyclic()
-        if len(self.cpts) != self.dag.n:
-            raise ValueError("need one CPT per node")
+        _check_cpts(self.dag, self.cpts)
 
 
 @dataclass(frozen=True)
 class TransitionNetwork:
-    """Two-slice network: per-node parents at t-1, transition CPTs, and
-    single-slice marginal state priors."""
+    """Two-slice network: per-node parents at t-1, transition CPTs over K
+    states, and single-slice marginal state priors."""
 
     dag: Dag
     cpts: tuple[Cpt, ...]
@@ -181,8 +188,7 @@ class TransitionNetwork:
     def __post_init__(self) -> None:
         priors = np.array(self.priors, dtype=float)
         object.__setattr__(self, "priors", priors)
-        if len(self.cpts) != self.dag.n:
-            raise ValueError("need one CPT per node")
+        _check_cpts(self.dag, self.cpts)
         if priors.shape != (self.dag.n, self.cpts[0].state_count):
             raise ValueError(f"priors must be {self.dag.n} x {self.cpts[0].state_count}")
         if np.abs(priors.sum(axis=1) - 1.0).max() > 1e-12:

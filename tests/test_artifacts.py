@@ -113,14 +113,13 @@ class TestRejections:
     def test_valid_header_loads(self, tmp_path):
         path = self.write_doc(tmp_path, self.header(k=2))
         assert artifacts.read(path, "pca_model", NODE_IDS)["k"] == 2
-        assert artifacts.read(path, "pca_model", None)["k"] == 2
 
     def test_wrong_kind(self, tmp_path):
         path = self.write_doc(tmp_path, self.header(kind="scheme"))
         with pytest.raises(ArtifactError, match="pca_model.json: wrong kind 'scheme', expected 'pca_model'"):
             artifacts.read(path, "pca_model", NODE_IDS)
         with pytest.raises(ArtifactError, match="expected 'redundancy_static' or 'redundancy_realtime'"):
-            artifacts.read(path, ("redundancy_static", "redundancy_realtime"), None)
+            artifacts.read(path, ("redundancy_static", "redundancy_realtime"), NODE_IDS)
 
     def test_missing_format_version_names_the_step(self, tmp_path):
         doc = self.header()
@@ -139,9 +138,8 @@ class TestRejections:
         doc = self.header()
         del doc["node_ids"]
         path = self.write_doc(tmp_path, doc)
-        for expected in (NODE_IDS, None):
-            with pytest.raises(ArtifactError, match="pca_model.json: missing node_ids"):
-                artifacts.read(path, "pca_model", expected)
+        with pytest.raises(ArtifactError, match="pca_model.json: missing node_ids"):
+            artifacts.read(path, "pca_model", NODE_IDS)
 
     @pytest.mark.parametrize(
         ("ids", "message"),
@@ -161,7 +159,7 @@ class TestRejections:
         path = tmp_path / "redundancy_realtime.json"
         path.write_text(json.dumps({"mode": "realtime", "tau": 0.95, "entries": [], "recoveries": []}))
         with pytest.raises(ArtifactError, match="missing format_version.*re-run `sensorprep redundancy-realtime`"):
-            artifacts.read(path, "redundancy_realtime", None)
+            artifacts.read(path, "redundancy_realtime", NODE_IDS)
 
 
 @pytest.fixture(scope="module")

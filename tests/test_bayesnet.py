@@ -482,6 +482,24 @@ class TestParentMarginal:
             parent_marginal(cpt, 0, 3)
 
 
+class TestOneStateCount:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda dag, cpts: bayesnet.StaticNetwork(dag, cpts),
+            lambda dag, cpts: bayesnet.TransitionNetwork(dag, cpts, np.full((2, 3), 1 / 3)),
+        ],
+        ids=["static", "transition"],
+    )
+    def test_mixed_state_counts_rejected(self, build):
+        # The first CPT has K=3, the second K=4: a check that reads only
+        # cpts[0] would take the network for a K=3 one.
+        dag = Dag(2, ((), (0,)))
+        with pytest.raises(ValueError, match=r"one network needs one state count, got \[3, 4\]"):
+            build(dag, (Cpt(0, (), np.ones((1, 3), int)), Cpt(1, (0,), np.ones((4, 4), int))))
+        build(dag, (Cpt(0, (), np.ones((1, 3), int)), Cpt(1, (0,), np.ones((3, 3), int))))
+
+
 class TestSerialization:
     def test_static_roundtrip(self):
         rng = np.random.default_rng(13)

@@ -10,7 +10,7 @@ import pytest
 
 from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE
 from sensorprep.bayesnet import estimate_cpt, learn_transition, score, static_from_dict, transition_from_dict
-from sensorprep.cli import RunConfig, main
+from sensorprep.cli import main
 from sensorprep.ingest import SensorDataset, discretize, fit_discretization, load_csv, write_csv
 from sensorprep.redundancy import RECOVERY_DTYPE, SCHEDULE_DTYPE
 from sensorprep.spectra import model_from_dict
@@ -224,10 +224,32 @@ class TestPipeline:
         assert not (mixed / "detection_report.json").exists()
 
     def test_learn_needs_train(self, tmp_path, capsys):
-        code, out, err = run(capsys, ["learn", "--out-dir", str(tmp_path / "art")])
-        assert code == 1 and out == ""
-        assert json.loads(err) == {"error": "learn needs --train", "type": "ValueError"}
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", "--out-dir", str(tmp_path / "art")])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "the following arguments are required: --train" in captured.err
         assert not (tmp_path / "art").exists()
+
+    def test_evaluate_rejects_redundancy_report_with_other_node_ids(self, tmp_path, capsys):
+        # A recovery's node is an index into its report's node ids, so the
+        # report must cover the truth file's nodes.
+        art, _ = run_full_pipeline(tmp_path, capsys, seed=2)
+        narrow = tmp_path / "narrow.csv"
+        train = load_csv(tmp_path / "train.csv")
+        write_csv(SensorDataset(train.values[:, :3], train.node_ids[:3]), narrow)
+        code, out, err = run(capsys, [
+            "redundancy-realtime", "--data", str(narrow), "--slice-len", "80", "--out-dir", str(tmp_path / "narrow"),
+        ])
+        assert code == 0, err
+        code, out, err = run(capsys, [
+            "evaluate", "--report", str(art / "detection_report.json"), "--truth", str(tmp_path / "truth.json"),
+            "--redundancy", str(tmp_path / "narrow" / "redundancy_realtime.json"),
+        ])
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["type"] == "ArtifactError"
+        assert "redundancy_realtime.json covers 3 nodes but data has 8" in error["error"]
 
     def test_static_network_tables_are_derived_from_counts(self, tmp_path, capsys):
         # A network file that still carries CPT tables, one of them edited,
@@ -420,73 +442,15 @@ class TestPipeline:
         assert code == 1
         assert "unknown profile" in json.loads(err)["error"]
 
-    def test_config_file_with_flag_override(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"profile": "copy-child", "rows": 120, "cols": 3, "seed": 5}))
-        code, out, err = run(capsys, [
-            "--config", str(cfg), "synth", "--rows", "150", "--out", str(tmp_path / "train.csv"),
-        ])
-        assert code == 0, err
-        train = (tmp_path / "train.csv").read_text().splitlines()
-        assert len(train) == 151  # header + overridden row count
-
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        code, out, err = run(capsys, ["--config", str(cfg), "learn", "--out-dir", str(tmp_path)])
-        assert code == 1
-        assert "unknown config keys" in json.loads(err)["error"]
-        cfg.write_text(json.dumps({"alpha_alarm": 0.01}))  # the alarm level was removed
-        code, out, err = run(capsys, ["--config", str(cfg), "learn", "--out-dir", str(tmp_path)])
-        assert code == 1 and out == ""
-        assert json.loads(err) == {"error": "unknown config keys: ['alpha_alarm']", "type": "ValueError"}
-
-    @pytest.mark.parametrize(
-        ("config", "message"),
-        [
-            ({"rows": "10"}, "rows must be an integer, got '10'"),
-            ({"k_states": 2.5}, "k_states must be an integer, got 2.5"),
-            ({"max_parents": True}, "max_parents must be an integer, got True"),
-            ({"tau": True}, "tau must be a number, got True"),
-            ({"error_pct": "0.1"}, "error_pct must be a number, got '0.1'"),
-            ([{"k_states": 3}], "--config must hold a JSON object of config keys, got list"),
-            ({"profile_params": [1, 2]}, "profile_params must be a JSON object, got [1, 2]"),
-        ],
-    )
-    def test_mistyped_config_values_rejected(self, tmp_path, capsys, config, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        code, out, err = run(capsys, [
-            "--config", str(cfg), "learn", "--out-dir", str(tmp_path / "art"),
-        ])
-        assert code == 1 and out == ""
-        assert json.loads(err) == {"error": message, "type": "ValueError"}
-        assert not (tmp_path / "art").exists()
-
-    def test_param_flags_merge_over_config_profile_params(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        synth = ["synth", "--profile", "copy-child", "--rows", "20", "--cols", "3", "--param", "flip=0.5"]
-        cfg.write_text(json.dumps({"profile_params": [1, 2]}))
-        code, out, err = run(capsys, ["--config", str(cfg), *synth, "--out", str(tmp_path / "bad.csv")])
-        assert code == 1 and out == ""
-        assert json.loads(err) == {"error": "profile_params must be a JSON object, got [1, 2]", "type": "ValueError"}
-        cfg.write_text(json.dumps({"profile_params": {"flip": 0.0}}))
-        assert run(capsys, ["--config", str(cfg), *synth, "--out", str(tmp_path / "merged.csv")])[0] == 0
-        assert run(capsys, [*synth, "--out", str(tmp_path / "flag.csv")])[0] == 0
-        assert (tmp_path / "merged.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
-
-    def test_integer_accepted_for_float_fields(self):
-        cfg = RunConfig(tau=1, error_pct=0, contribution_ratio=1)
-        assert (cfg.tau, cfg.error_pct, cfg.contribution_ratio) == (1, 0, 1)
-
     def test_invalid_config_values_rejected(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
         code, out, err = run(capsys, [
-            "learn", "--alpha", "1.5", "--out-dir", str(tmp_path),
+            "learn", "--train", missing, "--alpha", "1.5", "--out-dir", str(tmp_path),
         ])
         assert code == 1
         assert "alpha_warning" in json.loads(err)["error"]
         code, out, err = run(capsys, [
-            "learn", "--k-states", "1", "--out-dir", str(tmp_path / "art"),
+            "learn", "--train", missing, "--k-states", "1", "--out-dir", str(tmp_path / "art"),
         ])
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "k_states must be >= 2, got 1", "type": "ValueError"}
@@ -494,14 +458,14 @@ class TestPipeline:
 
     def test_alpha_of_one_rejected_at_config(self, tmp_path, capsys):
         code, out, err = run(capsys, [
-            "learn", "--alpha", "1.0", "--out-dir", str(tmp_path / "art"),
+            "learn", "--train", str(tmp_path / "missing.csv"), "--alpha", "1.0", "--out-dir", str(tmp_path / "art"),
         ])
         assert code == 1
         assert "alpha_warning must lie in (0, 1)" in json.loads(err)["error"]
         assert not (tmp_path / "art").exists()
 
     def test_train_frac_of_one_rejected_at_config(self, tmp_path, capsys):
-        # The data file does not exist: the config must fail before it is read.
+        # The data file does not exist: the value must fail before it is read.
         code, out, err = run(capsys, [
             "redundancy-realtime", "--data", str(tmp_path / "missing.csv"), "--train-frac", "1.0",
             "--out-dir", str(tmp_path / "art"),
@@ -514,13 +478,72 @@ class TestPipeline:
 
     def test_oversized_tables_rejected_at_config(self, tmp_path, capsys):
         code, out, err = run(capsys, [
-            "learn", "--k-states", "64", "--max-parents", "5",
+            "learn", "--train", str(tmp_path / "missing.csv"), "--k-states", "64", "--max-parents", "5",
             "--out-dir", str(tmp_path / "art"),
         ])
         assert code == 1
         assert "MAX_CPT_CELLS" in json.loads(err)["error"]
         assert not (tmp_path / "art").exists()
-        RunConfig(k_states=3, max_parents=3)  # the defaults: 81 cells
+
+    @pytest.mark.parametrize(
+        ("argv", "error"),
+        [
+            pytest.param(["learn", "--alpha", "1.0"], "alpha_warning must lie in (0, 1), got 1.0", id="alpha"),
+            pytest.param(["redundancy-realtime", "--train-frac", "0"], "train_frac must lie in (0, 1), got 0.0",
+                         id="train_frac"),
+            pytest.param(["learn", "--contribution-ratio", "1.5"], "contribution_ratio must lie in (0, 1], got 1.5",
+                         id="contribution_ratio"),
+            pytest.param(["redundancy-static", "--tau", "0"], "tau must lie in (0, 1], got 0.0", id="tau"),
+            pytest.param(["synth", "--rows", "0"], "rows must be positive, got 0", id="rows"),
+            pytest.param(["synth", "--cols", "-2"], "cols must be positive, got -2", id="cols"),
+            pytest.param(["redundancy-realtime", "--slice-len", "0"], "slice_len must be positive, got 0",
+                         id="slice_len"),
+            pytest.param(["inject", "--last-rows", "0"], "last_rows must be positive, got 0", id="last_rows"),
+            pytest.param(["redundancy-realtime", "--k-states", "1"], "k_states must be >= 2, got 1", id="k_states"),
+            pytest.param(["learn", "--max-parents", "-1"], "max_parents must be >= 0, got -1", id="max_parents"),
+            pytest.param(["inject", "--pct", "-0.1"], "pct must be >= 0, got -0.1", id="pct"),
+            pytest.param(["inject", "--pct", "nan"], "pct must be >= 0, got nan", id="pct-nan"),
+            pytest.param(["redundancy-realtime", "--k-states", "3", "--max-parents", "8"],
+                         "k_states=3 with max_parents=8 needs k_states**(max_parents + 1) CPT cells per node, "
+                         "more than MAX_CPT_CELLS=4096", id="cpt_cells"),
+            pytest.param(["redundancy-static", "--tau", "1"], None, id="tau-1-accepted"),
+            pytest.param(["inject", "--pct", "0"], None, id="pct-0-accepted"),
+            pytest.param(["learn", "--contribution-ratio", "1"], None, id="contribution_ratio-1-accepted"),
+        ],
+    )
+    def test_range_checks_run_before_any_file_is_read(self, tmp_path, capsys, argv, error):
+        # Every input path is missing: an out-of-range value must fail first,
+        # by name, and a boundary value passes its check and fails on the file.
+        missing, art = str(tmp_path / "missing.csv"), tmp_path / "art"
+        inputs = {
+            "synth": ["--out", str(art / "synth.csv")],
+            "learn": ["--train", missing, "--out-dir", str(art)],
+            "inject": ["--train", missing, "--data", missing, "--out", str(art / "bad.csv"),
+                       "--sidecar", str(art / "truth.json")],
+            "redundancy-static": ["--data", missing, "--artifacts", str(tmp_path / "none"), "--out-dir", str(art)],
+            "redundancy-realtime": ["--data", missing, "--out-dir", str(art)],
+        }
+        code, out, err = run(capsys, argv + inputs[argv[0]])
+        assert code == 1 and out == ""
+        if error is None:
+            assert json.loads(err) == {
+                "error": f"[Errno 2] No such file or directory: '{missing}'", "type": "FileNotFoundError",
+            }
+        else:
+            assert json.loads(err) == {"error": error, "type": "ValueError"}
+        assert not art.exists()
+
+    @pytest.mark.parametrize(
+        ("flag", "value"),
+        [("--rows", "10.5"), ("--cols", "true"), ("--seed", "1e3"), ("--split", "half")],
+    )
+    def test_unparseable_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", flag, value, "--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument {flag}: invalid int value: '{value}'" in captured.err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_disabled_q_test_round_trips_as_strict_json(self, tmp_path, capsys):
         def strict(text):
@@ -564,16 +587,6 @@ class TestPipeline:
         assert code == 0, err
         strict(out)
 
-    def test_env_var_out_dir(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SENSORPREP_OUT_DIR", str(tmp_path / "from_env"))
-        train = str(tmp_path / "train.csv")
-        code, out, err = run(capsys, [
-            "synth", "--profile", "copy-child", "--rows", "120", "--cols", "3", "--out", train,
-        ])
-        assert code == 0, err
-        code, out, err = run(capsys, ["learn", "--train", train])
-        assert code == 0, err
-        assert (tmp_path / "from_env" / "pca_model.json").exists()
 
 
 class TestEntryPoint:
