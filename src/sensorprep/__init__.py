@@ -55,6 +55,6 @@ from .redundancy import (
     ssdrda,
     static_recovery,
 )
-from .metrics import ConfusionCounts, mean_rmse, precision_recall, rmse
+from .metrics import ConfusionCounts, mean_rmse, per_node_rmse, precision_recall, rmse
 
 __version__ = "0.1.0"

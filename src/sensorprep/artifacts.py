@@ -18,7 +18,7 @@ __all__ = [
     "FORMAT_VERSION", "KINDS", "ArtifactError", "check_node_ids", "columns", "records", "write_json", "write", "read"
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # Every kind with the command that writes it, which the error for an unreadable file names.
 KINDS = dict.fromkeys(("pca_model", "scheme", "static_network", "transition_network"), "learn") | {
     "detection_report": "detect",
@@ -77,9 +77,12 @@ def write(path: str | Path, kind: str, node_ids: Sequence[str], body: dict) -> N
 def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str]) -> dict:
     """Load a document of `kind` (or of any kind in a tuple) whose node ids equal `node_ids`."""
     kinds = (kind,) if isinstance(kind, str) else kind
-    rerun = "re-run " + " or ".join(dict.fromkeys(f"`sensorprep {KINDS[k]}`" for k in kinds))
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = doc.get("format_version") if isinstance(doc, dict) else None
+    doc = doc if isinstance(doc, dict) else {}
+    # The command to re-run is the one that writes this file's kind, if it is one of `kinds`.
+    named = (doc["kind"],) if doc.get("kind") in kinds else kinds
+    rerun = "re-run " + " or ".join(dict.fromkeys(f"`sensorprep {KINDS[k]}`" for k in named))
+    version = doc.get("format_version")
     if version is None:
         raise ArtifactError(f"{path}: missing format_version, so an older sensorprep wrote it; {rerun}")
     if type(version) is not int or version != FORMAT_VERSION:

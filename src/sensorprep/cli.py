@@ -65,6 +65,8 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def cmd_synth(args: argparse.Namespace) -> dict:
+    if args.split is not None and args.out is not None:
+        raise ValueError("--out does not combine with --split, which writes --out-train and --out-test")
     data = ingest.synth_generate(args.seed, args.rows, args.cols, args.profile, **_parse_params(args.param))
     if args.split is not None:
         if not 2 <= args.split <= data.m - 2:
@@ -77,8 +79,8 @@ def cmd_synth(args: argparse.Namespace) -> dict:
         ingest.write_csv(test, args.out_test)
         written = [args.out_train, args.out_test]
     else:
-        ingest.write_csv(data, args.out)
-        written = [args.out]
+        written = [args.out or "synth.csv"]
+        ingest.write_csv(data, written[0])
     return {"rows": data.m, "cols": data.n, "written": written}
 
 
@@ -118,6 +120,11 @@ def cmd_inject(args: argparse.Namespace) -> dict:
     artifacts.check_node_ids(train.node_ids, data.node_ids, "inject", "training CSV")
     if args.rows_list:
         rows = sorted({int(tok) for tok in args.rows_list.split(",") if tok.strip()})
+        outside = [r for r in rows if not 0 <= r < data.m]
+        if outside:
+            raise ValueError(f"rows_list index {outside[0]} is outside the test set's rows 0..{data.m - 1}")
+    elif args.last_rows > data.m:
+        raise ValueError(f"last_rows must be at most the test set's {data.m} rows, got {args.last_rows}")
     else:
         rows = list(range(data.m - args.last_rows, data.m))
     means = train.values.mean(axis=0)
@@ -165,7 +172,7 @@ def cmd_redundancy_static(args: argparse.Namespace) -> dict:
     body = redundancy.static_report_to_dict(report)
     artifacts.write(out_dir / "redundancy_static.json", "redundancy_static", data.node_ids, body)
     redundancy.write_static_csv(report, data.node_ids, out_dir / "redundancy_static.csv")
-    redundancy.write_recovery_csv(report.recoveries, data.node_ids, out_dir / "recovery_static.csv")
+    redundancy.write_recovery_csv(report.recoveries, data, out_dir / "recovery_static.csv")
     return {
         "redundant_nodes": [data.node_ids[i] for i in report.redundant_nodes()],
         "out_dir": str(out_dir),
@@ -181,8 +188,8 @@ def cmd_redundancy_realtime(args: argparse.Namespace) -> dict:
     body = redundancy.realtime_report_to_dict(report)
     artifacts.write(out_dir / "redundancy_realtime.json", "redundancy_realtime", data.node_ids, body)
     redundancy.write_realtime_csv(report, data.node_ids, out_dir / "redundancy_realtime.csv")
-    redundancy.write_recovery_csv(report.recoveries, data.node_ids, out_dir / "recovery_realtime.csv")
-    per_node = metrics.per_node_rmse(report.recoveries)
+    redundancy.write_recovery_csv(report.recoveries, data, out_dir / "recovery_realtime.csv")
+    per_node = metrics.per_node_rmse(report.recoveries, data.values)
     return {
         "inference_entries": len(report.entries),
         "sleeping_entries": int(report.entries.sleeping.sum()),
@@ -193,13 +200,35 @@ def cmd_redundancy_realtime(args: argparse.Namespace) -> dict:
     }
 
 
+# (key, test, rule) of every truth sidecar key that `evaluate` reads.
+_TRUTH_KEYS = (
+    ("rows", lambda v: isinstance(v, list) and all(type(r) is int for r in v), "a list of integers"),
+    ("node_ids", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings"),
+    ("test_rows", lambda v: type(v) is int and v >= 0, "a nonnegative integer"),
+)
+
+
+def _read_truth(path: str) -> dict:
+    """The truth sidecar that `inject` writes, with every key that `evaluate` reads checked."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    for key, test, rule in _TRUTH_KEYS:
+        if not (isinstance(doc, dict) and key in doc and test(doc[key])):
+            raise ValueError(f"{path}: truth file needs {key!r} as {rule}")
+    outside = [r for r in doc["rows"] if not 0 <= r < doc["test_rows"]]
+    if outside:
+        raise ValueError(f"{path}: truth file row {outside[0]} is outside the test rows 0..{doc['test_rows'] - 1}")
+    return doc
+
+
 def cmd_evaluate(args: argparse.Namespace) -> dict:
-    truth_doc = json.loads(Path(args.truth).read_text(encoding="utf-8"))
+    if (args.redundancy is None) != (args.data is None):
+        raise ValueError("--redundancy and --data go together: --data is the CSV the redundancy report was made from")
+    truth_doc = _read_truth(args.truth)
     node_ids = truth_doc["node_ids"]
     report = anomaly.report_from_dict(artifacts.read(args.report, "detection_report", node_ids))
-    truth_rows = set(int(r) for r in truth_doc["rows"])
+    truth_rows = set(truth_doc["rows"])
     n = len(node_ids)
-    test_rows = int(truth_doc["test_rows"])
+    test_rows = truth_doc["test_rows"]
 
     rows = metrics.precision_recall(truth_rows, report.flagged_rows(), range(test_rows))
 
@@ -216,9 +245,12 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
         level: {"precision": precision, "recall": recall, **asdict(counts)}
         for level, (precision, recall, counts) in (("row_level", rows), ("node_level", cells))
     }
-    if args.redundancy:
+    if args.redundancy is not None:
+        data = ingest.load_csv(args.data)
+        artifacts.check_node_ids(node_ids, data.node_ids, "evaluate --data", f"truth file {args.truth}")
         red_doc = artifacts.read(args.redundancy, ("redundancy_static", "redundancy_realtime"), node_ids)
-        per_node = metrics.per_node_rmse(artifacts.records(red_doc["recoveries"], redundancy.RECOVERY_DTYPE))
+        recoveries = artifacts.records(red_doc["recoveries"], redundancy.RECOVERY_DTYPE)
+        per_node = metrics.per_node_rmse(recoveries, data.values)
         doc["recovery"] = {
             "per_node_rmse": {str(node): value for node, value in per_node.items()},
             "mean_rmse": metrics.mean_rmse(list(per_node.values())) if per_node else None,
@@ -245,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=300)
     p.add_argument("--cols", type=int, default=6)
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE", help="profile parameter (JSON value)")
-    p.add_argument("--out", default="synth.csv")
+    p.add_argument("--out", help="output CSV without --split (default synth.csv)")
     p.add_argument("--split", type=int, help="write the first N rows and the rest separately")
     p.add_argument("--out-train")
     p.add_argument("--out-test")
@@ -295,7 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="precision/recall and recovery RMSE")
     p.add_argument("--report", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--redundancy")
+    p.add_argument("--redundancy", help="redundancy report whose recoveries to score; needs --data")
+    p.add_argument("--data", help="the CSV the --redundancy report was made from")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 

@@ -73,10 +73,13 @@ def rmse(actual: Sequence[float], estimated: Sequence[float]) -> float:
     return float(np.sqrt(np.mean((a - e) ** 2)))
 
 
-def per_node_rmse(recoveries: np.recarray) -> dict[int, float]:
-    """`rmse` of each node's recovered readings (`redundancy.RECOVERY_DTYPE`), in ascending node order."""
-    nodes = recoveries.node
-    return {j: rmse(recoveries.actual[nodes == j], recoveries.estimate[nodes == j]) for j in np.unique(nodes).tolist()}
+def per_node_rmse(recoveries: np.recarray, values: np.ndarray) -> dict[int, float]:
+    """`rmse` of each node's recoveries (`redundancy.RECOVERY_DTYPE`) against `values[t, node]`, by ascending node."""
+    outside = recoveries.t[(recoveries.t < 0) | (recoveries.t >= len(values))]
+    if outside.size:
+        raise ValueError(f"recovery at row {outside[0]} is outside the data's rows 0..{len(values) - 1}")
+    nodes, actual = recoveries.node, values[recoveries.t, recoveries.node]
+    return {j: rmse(actual[nodes == j], recoveries.estimate[nodes == j]) for j in np.unique(nodes).tolist()}
 
 
 def mean_rmse(per_node_rmse: Sequence[float]) -> float:

@@ -46,8 +46,9 @@ __all__ = [
 SCHEDULE_DTYPE = np.dtype(
     [("t", np.int64), ("node", np.int64), ("sleeping", np.bool_), ("max_posterior", np.float64)]
 )
-# One recovered reading per (step, sleeping or redundant node).
-RECOVERY_DTYPE = np.dtype([("t", np.int64), ("node", np.int64), ("estimate", np.float64), ("actual", np.float64)])
+# One recovered reading per (step, sleeping or redundant node). The reading it
+# replaces is the input's `values[t, node]`, so a report never copies it.
+RECOVERY_DTYPE = np.dtype([("t", np.int64), ("node", np.int64), ("estimate", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,6 @@ def static_recovery(data: SensorDataset, dag: Dag, redundant_nodes: Sequence[int
         block.t = np.arange(data.m)
         block.node = node
         block.estimate = _recover_columns(data.values[:, parents], dists)
-        block.actual = data.values[:, node]
     return out
 
 
@@ -291,8 +291,7 @@ def rsdrda_schedule(
     node = np.tile(np.arange(data.n), len(t) // data.n)
     asleep = (max_post >= tau).ravel()
     entries = np.rec.fromarrays([t, node, asleep, max_post.ravel()], dtype=SCHEDULE_DTYPE)
-    t, node = t[asleep], node[asleep]
-    recoveries = np.rec.fromarrays([t, node, estimates.ravel()[asleep], data.values[t, node]], dtype=RECOVERY_DTYPE)
+    recoveries = np.rec.fromarrays([t[asleep], node[asleep], estimates.ravel()[asleep]], dtype=RECOVERY_DTYPE)
     return RealtimeRedundancyReport(tau, slice_len, train_frac, entries, recoveries)
 
 
@@ -345,15 +344,15 @@ def write_realtime_csv(report: RealtimeRedundancyReport, node_ids: Sequence[str]
     )
 
 
-def write_recovery_csv(recoveries: np.recarray, node_ids: Sequence[str], path: str | Path) -> None:
+def write_recovery_csv(recoveries: np.recarray, data: SensorDataset, path: str | Path) -> None:
+    """Each recovery beside the reading it replaces, `actual`, which is read from `data`."""
     _write_columns(
         path,
-        ["t", "node", "estimate", "actual", "abs_error"],
+        ["t", "node", "estimate", "actual"],
         [
             _number_cells(recoveries.t),
-            _label_cells(node_ids, recoveries.node),
+            _label_cells(data.node_ids, recoveries.node),
             _number_cells(recoveries.estimate),
-            _number_cells(recoveries.actual),
-            _number_cells(np.abs(recoveries.estimate - recoveries.actual)),
+            _number_cells(data.values[recoveries.t, recoveries.node]),
         ],
     )

@@ -266,7 +266,7 @@ def scalar_static_recovery(data: SensorDataset, dag: Dag, redundant_nodes) -> np
         dists = _training_dissimilarities(data.values, node, parents)
         for t in range(data.m):
             estimate = recover([data.values[t, p] for p in parents], dists)
-            out.append((t, node, estimate, float(data.values[t, node])))
+            out.append((t, node, estimate))
     return np.rec.fromrecords(out, dtype=RECOVERY_DTYPE)
 
 
@@ -306,7 +306,7 @@ def scalar_rsdrda_schedule(
                 if sleeping:
                     dissim = _training_dissimilarities(window, node, parents)
                     estimate = recover([data.values[t - 1, p] for p in parents], dissim)
-                    recoveries.append((t, node, estimate, float(data.values[t, node])))
+                    recoveries.append((t, node, estimate))
                     next_evidence[node] = posterior
             evidence = next_evidence
     return RealtimeRedundancyReport(
@@ -518,12 +518,12 @@ def scalar_write_realtime_csv(report: RealtimeRedundancyReport, node_ids, path) 
     _scalar_write_rows(path, ["t", "node", "state", "max_posterior"], rows)
 
 
-def scalar_write_recovery_csv(recoveries: np.recarray, node_ids, path) -> None:
+def scalar_write_recovery_csv(recoveries: np.recarray, data: SensorDataset, path) -> None:
     rows = (
-        [t, node_ids[node], estimate, actual, abs(estimate - actual)]
-        for t, node, estimate, actual in recoveries.tolist()
+        [t, data.node_ids[node], estimate, float(data.values[t, node])]
+        for t, node, estimate in recoveries.tolist()
     )
-    _scalar_write_rows(path, ["t", "node", "estimate", "actual", "abs_error"], rows)
+    _scalar_write_rows(path, ["t", "node", "estimate", "actual"], rows)
 
 
 # The per-record report layout written before the columnar codec: one dict
@@ -532,13 +532,13 @@ def scalar_write_recovery_csv(recoveries: np.recarray, node_ids, path) -> None:
 
 def _legacy_recoveries(recoveries: np.recarray, node_ids) -> list[dict]:
     return [
-        {"t": t, "node": node, "node_id": node_ids[node], "estimate": estimate, "actual": actual}
-        for t, node, estimate, actual in recoveries.tolist()
+        {"t": t, "node": node, "node_id": node_ids[node], "estimate": estimate}
+        for t, node, estimate in recoveries.tolist()
     ]
 
 
 def _legacy_recoveries_from_dicts(docs: list[dict]) -> np.recarray:
-    return np.rec.fromrecords([(r["t"], r["node"], r["estimate"], r["actual"]) for r in docs], dtype=RECOVERY_DTYPE)
+    return np.rec.fromrecords([(r["t"], r["node"], r["estimate"]) for r in docs], dtype=RECOVERY_DTYPE)
 
 
 def legacy_report_to_dict(report: DetectionReport) -> dict:

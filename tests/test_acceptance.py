@@ -290,7 +290,7 @@ def test_criterion_10_rsdrda_experiment():
     exact = synth_generate(1, 300, 4, "lagged-copy", copies={1: 0})
     rep_exact = rsdrda_schedule(exact, slice_len=100, train_frac=0.6, tau=0.95)
     sleep_frac = rep_exact.sleeping_fraction(1)
-    pairs = [(r.actual, r.estimate) for r in rep_exact.recoveries if r.node == 1]
+    pairs = [(exact.values[r.t, r.node], r.estimate) for r in rep_exact.recoveries if r.node == 1]
     exact_rmse = rmse([a for a, _ in pairs], [e for _, e in pairs])
 
     noisy = synth_generate(1, 300, 4, "lagged-copy", copies={1: 0}, noise_frac=0.1)
@@ -298,7 +298,7 @@ def test_criterion_10_rsdrda_experiment():
     rep_noisy = rsdrda_schedule(noisy, slice_len=100, train_frac=0.6, tau=0.95)
     by_node: dict[int, list] = {}
     for r in rep_noisy.recoveries:
-        by_node.setdefault(r.node, []).append((r.actual, r.estimate))
+        by_node.setdefault(r.node, []).append((noisy.values[r.t, r.node], r.estimate))
     per_node = [rmse([a for a, _ in p], [e for _, e in p]) for p in by_node.values()]
     noisy_mean = mean_rmse(per_node)
 
@@ -334,7 +334,8 @@ def _run_pipeline(base):
         ["redundancy-realtime", "--data", str(base / "train.csv"), "--slice-len", "100",
          "--out-dir", str(art)],
         ["evaluate", "--report", str(art / "detection_report.json"), "--truth", str(base / "truth.json"),
-         "--redundancy", str(art / "redundancy_realtime.json"), "--out", str(art / "metrics.json")],
+         "--redundancy", str(art / "redundancy_realtime.json"), "--data", str(base / "train.csv"),
+         "--out", str(art / "metrics.json")],
     ]
     for argv in steps:
         assert cli_main(argv) == 0, argv

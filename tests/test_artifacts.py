@@ -95,10 +95,10 @@ class TestRoundTrip:
         assert back.rows.tobytes() == rows.tobytes() and back.verdicts.tobytes() == verdicts.tobytes()
 
     def test_ragged_columns_rejected(self):
-        with pytest.raises(ArtifactError, match="4 columns of equal length"):
-            artifacts.records([[1, 2], [3], [0.5, 0.5], [1.0, 1.0]], RECOVERY_DTYPE)
-        with pytest.raises(ArtifactError, match="4 columns of equal length"):
-            artifacts.records([[1], [3], [0.5]], RECOVERY_DTYPE)
+        with pytest.raises(ArtifactError, match="3 columns of equal length"):
+            artifacts.records([[1, 2], [3], [0.5, 0.5]], RECOVERY_DTYPE)
+        with pytest.raises(ArtifactError, match="3 columns of equal length"):
+            artifacts.records([[1], [3]], RECOVERY_DTYPE)
 
 
 class TestRejections:
@@ -108,7 +108,7 @@ class TestRejections:
         return path
 
     def header(self, **changes):
-        return {"format_version": 1, "kind": "pca_model", "node_ids": list(NODE_IDS), **changes}
+        return {"format_version": artifacts.FORMAT_VERSION, "kind": "pca_model", "node_ids": list(NODE_IDS), **changes}
 
     def test_valid_header_loads(self, tmp_path):
         path = self.write_doc(tmp_path, self.header(k=2))
@@ -128,7 +128,7 @@ class TestRejections:
         with pytest.raises(ArtifactError, match="pca_model.json: missing format_version.*re-run `sensorprep learn`"):
             artifacts.read(path, "pca_model", NODE_IDS)
 
-    @pytest.mark.parametrize("version", [2, 0, "1", True, 1.5])
+    @pytest.mark.parametrize("version", [1, 3, 0, "2", True, 1.5])
     def test_unknown_format_version(self, tmp_path, version):
         path = self.write_doc(tmp_path, self.header(format_version=version))
         with pytest.raises(ArtifactError, match="unknown format_version"):
@@ -160,6 +160,19 @@ class TestRejections:
         path.write_text(json.dumps({"mode": "realtime", "tau": 0.95, "entries": [], "recoveries": []}))
         with pytest.raises(ArtifactError, match="missing format_version.*re-run `sensorprep redundancy-realtime`"):
             artifacts.read(path, "redundancy_realtime", NODE_IDS)
+
+
+@pytest.mark.parametrize("kind", ["redundancy_static", "redundancy_realtime"])
+def test_version_1_redundancy_report_rejected(tmp_path, reports, kind):
+    # Version 1 stored a fourth recovery column, `actual`, copied from the data.
+    ids, _, static, realtime = reports
+    body = static_report_to_dict(static) if kind == "redundancy_static" else realtime_report_to_dict(realtime)
+    body["recoveries"].append(body["recoveries"][2])
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps({**body, "format_version": 1, "kind": kind, "node_ids": list(ids)}))
+    message = f"{kind}.json: unknown format_version 1, expected 2; re-run `sensorprep {kind.replace('_', '-')}`$"
+    with pytest.raises(ArtifactError, match=message):
+        artifacts.read(path, ("redundancy_static", "redundancy_realtime"), ids)
 
 
 @pytest.fixture(scope="module")
@@ -217,5 +230,5 @@ class TestEquivalenceWithPerRecordLayout:
         empty = ssdrda(Dag(n, ((),) * n), cpts, 0.9)
         doc = round_trip(tmp_path, "redundancy_static", static_report_to_dict(empty))
         _, old_recoveries = legacy_static_from_dict(legacy_json(legacy_static_report_to_dict(empty, NODE_IDS)))
-        assert doc["recoveries"] == [[], [], [], []]
+        assert doc["recoveries"] == [[], [], []]
         assert artifacts.records(doc["recoveries"], RECOVERY_DTYPE).tobytes() == old_recoveries.tobytes() == b""

@@ -1,9 +1,13 @@
 """End-to-end command-line pipeline tests."""
 
 import csv
+import importlib.util
 import json
 import math
 import re
+import shlex
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,18 @@ from sensorprep.cli import main
 from sensorprep.ingest import SensorDataset, discretize, fit_discretization, load_csv, write_csv
 from sensorprep.redundancy import RECOVERY_DTYPE, SCHEDULE_DTYPE
 from sensorprep.spectra import model_from_dict
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_workloads():
+    """perfbench's workload module, which reads outputs with the standard library only."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def run(capsys, argv):
@@ -72,7 +88,7 @@ def run_full_pipeline(base, capsys, seed=1):
     code, out, err = run(capsys, [
         "evaluate", "--report", str(art / "detection_report.json"),
         "--truth", str(base / "truth.json"),
-        "--redundancy", str(art / "redundancy_realtime.json"),
+        "--redundancy", str(art / "redundancy_realtime.json"), "--data", str(base / "train.csv"),
         "--out", str(art / "metrics.json"),
     ])
     assert code == 0, err
@@ -124,7 +140,19 @@ class TestPipeline:
         assert summary["inference_entries"] == len(entries["t"])
         assert summary["sleeping_entries"] == sum(entries["sleeping"]) > 0
         assert summary["recovered_readings"] == len(recoveries["t"])
+        # One number three ways: the summary, `evaluate --data` and perfbench's formula over the CSV,
+        # which sums the same squares in another order.
         assert summary["recovery_rmse"] == outputs["evaluate"]["recovery"]["mean_rmse"]
+        perfbench_rmse = load_workloads()._mean_rmse(art / "recovery_realtime.csv")
+        assert summary["recovery_rmse"] == pytest.approx(perfbench_rmse, rel=1e-12, abs=0)
+        train = load_csv(tmp_path / "train.csv")
+        with (art / "recovery_realtime.csv").open(newline="") as fh:
+            lines = list(csv.DictReader(fh))
+        assert list(lines[0]) == ["t", "node", "estimate", "actual"]
+        assert len(lines) == len(recoveries["t"])
+        for line, t, node, estimate in zip(lines, recoveries["t"], recoveries["node"], recoveries["estimate"]):
+            assert (int(line["t"]), line["node"], float(line["estimate"])) == (t, train.node_ids[node], estimate)
+            assert float(line["actual"]) == train.values[t, node]
 
     def test_realtime_summary_without_recoveries(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -245,6 +273,7 @@ class TestPipeline:
         code, out, err = run(capsys, [
             "evaluate", "--report", str(art / "detection_report.json"), "--truth", str(tmp_path / "truth.json"),
             "--redundancy", str(tmp_path / "narrow" / "redundancy_realtime.json"),
+            "--data", str(tmp_path / "train.csv"),
         ])
         assert code == 1 and out == ""
         error = json.loads(err)
@@ -587,6 +616,135 @@ class TestPipeline:
         assert code == 0, err
         strict(out)
 
+    @pytest.mark.parametrize("given", ["--redundancy", "--data"])
+    def test_evaluate_needs_redundancy_and_data_together(self, tmp_path, capsys, given):
+        # No input exists: the pairing must fail before any file is read.
+        missing = str(tmp_path / "missing")
+        code, out, err = run(capsys, ["evaluate", "--report", missing, "--truth", missing, given, missing])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "--redundancy and --data go together: --data is the CSV the redundancy report was made from",
+            "type": "ValueError",
+        }
+
+    def test_evaluate_data_checks(self, tmp_path, capsys):
+        art, _ = run_full_pipeline(tmp_path, capsys, seed=2)
+        argv = ["evaluate", "--report", str(art / "detection_report.json"), "--truth", str(tmp_path / "truth.json"),
+                "--redundancy", str(art / "redundancy_realtime.json"), "--data"]
+        # --data must have the truth file's node ids.
+        test = load_csv(tmp_path / "test.csv")
+        renamed = tmp_path / "renamed.csv"
+        write_csv(SensorDataset(test.values, ("x",) + test.node_ids[1:]), renamed)
+        code, out, err = run(capsys, argv + [str(renamed)])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": f"evaluate --data: node id mismatch, truth file {tmp_path / 'truth.json'} has 'node00' "
+                     "but data has 'x'",
+            "type": "ArtifactError",
+        }
+        # The report was made from train.csv (240 rows); test.csv has 120, which some recoveries lie beyond.
+        t = json.loads((art / "redundancy_realtime.json").read_text())["recoveries"][0]
+        beyond = min(v for v in t if v >= 120)
+        code, out, err = run(capsys, argv + [str(tmp_path / "test.csv")])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": f"recovery at row {beyond} is outside the data's rows 0..119", "type": "ValueError",
+        }
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            pytest.param(lambda d: d.pop("node_ids"), "needs 'node_ids' as a list of strings", id="no-node_ids"),
+            pytest.param(lambda d: d.pop("rows"), "needs 'rows' as a list of integers", id="no-rows"),
+            pytest.param(lambda d: d.pop("test_rows"), "needs 'test_rows' as a nonnegative integer",
+                         id="no-test_rows"),
+            pytest.param(lambda d: d.update(rows="3"), "needs 'rows' as a list of integers", id="rows-string"),
+            pytest.param(lambda d: d.update(rows=[1.0]), "needs 'rows' as a list of integers", id="rows-float"),
+            pytest.param(lambda d: d.update(node_ids=[0, 1]), "needs 'node_ids' as a list of strings",
+                         id="node_ids-ints"),
+            pytest.param(lambda d: d.update(test_rows="20"), "needs 'test_rows' as a nonnegative integer",
+                         id="test_rows-string"),
+            pytest.param(lambda d: d.update(rows=[3, 20]), "row 20 is outside the test rows 0..19",
+                         id="row-past-end"),
+            pytest.param(lambda d: d.update(rows=[-1, 3]), "row -1 is outside the test rows 0..19",
+                         id="row-negative"),
+        ],
+    )
+    def test_evaluate_checks_its_truth_file(self, tmp_path, capsys, edit, message):
+        truth = {"rows": [3, 5], "node_ids": ["a", "b"], "test_rows": 20, "pct": 0.1, "delta_per_node": [1.0, 1.0]}
+        edit(truth)
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(truth))
+        # The report does not exist: the truth file is checked before it is read.
+        code, out, err = run(capsys, ["evaluate", "--report", str(tmp_path / "missing.json"), "--truth", str(path)])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"{path}: truth file {message}", "type": "ValueError"}
+
+    def test_synth_out_and_split(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        split = ["synth", "--rows", "60", "--cols", "3", "--split", "40", "--out-train", "a.csv", "--out-test", "b.csv"]
+        code, out, err = run(capsys, split + ["--out", "x.csv"])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "--out does not combine with --split, which writes --out-train and --out-test",
+            "type": "ValueError",
+        }
+        assert not any(tmp_path.iterdir())
+        code, out, err = run(capsys, split)
+        assert code == 0, err
+        assert json.loads(out)["written"] == ["a.csv", "b.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+        code, out, err = run(capsys, ["synth", "--rows", "60", "--cols", "3"])
+        assert code == 0, err
+        assert json.loads(out)["written"] == ["synth.csv"] and (tmp_path / "synth.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("rows", "message"),
+        [
+            (["--last-rows", "30"], "last_rows must be at most the test set's 20 rows, got 30"),
+            (["--rows-list", "3,20"], "rows_list index 20 is outside the test set's rows 0..19"),
+            (["--rows-list=-1,3"], "rows_list index -1 is outside the test set's rows 0..19"),
+        ],
+        ids=["last-rows", "rows-list-past-end", "rows-list-negative"],
+    )
+    def test_inject_row_range_names_the_flag(self, tmp_path, capsys, rows, message):
+        code, out, err = run(capsys, [
+            "synth", "--rows", "60", "--cols", "3", "--split", "40",
+            "--out-train", str(tmp_path / "train.csv"), "--out-test", str(tmp_path / "test.csv"),
+        ])
+        assert code == 0, err
+        code, out, err = run(capsys, [
+            "inject", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "test.csv"), *rows,
+            "--out", str(tmp_path / "bad.csv"), "--sidecar", str(tmp_path / "truth.json"),
+        ])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": message, "type": "ValueError"}
+        assert not (tmp_path / "bad.csv").exists()
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """Every command of README's `## CLI` bash block, `\\` continuations joined, without `sensorprep`."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            assert words[0] == "sensorprep", line
+            commands.append(words[1:])
+    return commands
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    commands = readme_cli_commands()
+    assert [argv[0] for argv in commands] == [
+        "synth", "learn", "inject", "detect", "redundancy-static", "redundancy-realtime", "evaluate",
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, out, err = run(capsys, argv)
+        assert code == 0, (argv, err)
+    assert json.loads((tmp_path / "artifacts" / "metrics.json").read_text())["recovery"]["mean_rmse"] is not None
 
 
 class TestEntryPoint:

@@ -226,25 +226,24 @@ class TestWriters:
         node = rng.integers(0, 3, rows)
         posterior = np.where(rng.random(rows) < 0.3, np.nan, rng.random(rows))
         entries = np.rec.fromarrays([t, node, rng.random(rows) < 0.5, posterior], dtype=SCHEDULE_DTYPE)
-        recoveries = np.rec.fromarrays([t, node, rng.normal(size=rows), rng.normal(size=rows)], dtype=RECOVERY_DTYPE)
+        recoveries = np.rec.fromarrays([t, node, rng.normal(size=rows)], dtype=RECOVERY_DTYPE)
         report = RealtimeRedundancyReport(0.9, 10, 0.6, entries, recoveries)
+        data = SensorDataset(rng.normal(size=(rows, 3)), ids, tuple(range(rows)))
         same_bytes(tmp_path_factory, write_realtime_csv, scalar_write_realtime_csv, report, ids)
-        same_bytes(tmp_path_factory, write_recovery_csv, scalar_write_recovery_csv, recoveries, ids)
-        data = SensorDataset(rng.normal(size=(rows, 2)), ids[:2], tuple(range(rows)))
+        same_bytes(tmp_path_factory, write_recovery_csv, scalar_write_recovery_csv, recoveries, data)
         same_bytes(tmp_path_factory, write_csv, scalar_write_csv, data)
 
     @settings(max_examples=100, deadline=None)
     @given(
-        recoveries=st.lists(
-            st.tuples(st.integers(0, 10**6), st.integers(0, 2), FLOATS.filter(lambda v: abs(v) < 1e300),
-                      FLOATS.filter(lambda v: abs(v) < 1e300)),
-            max_size=8,
-        ),
-        ids=st.lists(NODE_IDS, min_size=3, max_size=3),
+        values=st.lists(st.lists(FLOATS, min_size=3, max_size=3), min_size=2, max_size=6),
+        recoveries=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2), FLOATS), max_size=8),
+        ids=st.lists(NODE_IDS, min_size=3, max_size=3, unique=True),
     )
-    def test_write_recovery_csv(self, tmp_path_factory, recoveries, ids):
-        table = np.rec.fromrecords(recoveries, dtype=RECOVERY_DTYPE)
-        same_bytes(tmp_path_factory, write_recovery_csv, scalar_write_recovery_csv, table, ids)
+    def test_write_recovery_csv(self, tmp_path_factory, values, recoveries, ids):
+        # `actual` is each recovery's reading in the data it was made from.
+        data = SensorDataset(values, ids)
+        table = np.rec.fromrecords([(t % data.m, node, e) for t, node, e in recoveries], dtype=RECOVERY_DTYPE)
+        same_bytes(tmp_path_factory, write_recovery_csv, scalar_write_recovery_csv, table, data)
 
 
 class TestRoundTrip:

@@ -200,7 +200,7 @@ class TestRsdrdaSchedule:
     def test_exact_copy_recovery_rmse_zero(self):
         data = synth_generate(2, 200, 3, "lagged-copy", copies={1: 0})
         report = rsdrda_schedule(data, slice_len=100, train_frac=0.6, tau=0.95)
-        pairs = [(r.actual, r.estimate) for r in report.recoveries if r.node == 1]
+        pairs = [(data.values[r.t, r.node], r.estimate) for r in report.recoveries if r.node == 1]
         assert pairs
         assert rmse([a for a, _ in pairs], [e for _, e in pairs]) == 0.0
 
@@ -307,7 +307,7 @@ class TestStaticRecovery:
         data = synth_generate(5, 150, 3, "copy-child", copies={1: 0}, flip=0.0, child_noise=0.0)
         entries = static_recovery(data, Dag(3, ((), (0,), ())), [1])
         assert len(entries) == 150
-        assert all(r.estimate == r.actual for r in entries)
+        assert all(r.estimate == data.values[r.t, r.node] for r in entries)
 
     def test_matches_per_reading_recover(self):
         # Node 1 copies node 0 (zero dissimilarity, listed second among its
