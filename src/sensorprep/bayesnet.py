@@ -9,8 +9,9 @@ first listed parent most significant.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -131,14 +132,13 @@ class Cpt:
     """Conditional probability table of one node given its ordered parents.
 
     counts is the H x K tally over H = K^|parents| parent configurations in
-    mixed-radix order; table is derived from it by `estimate_cpt`, so its
-    rows sum to one (empty-count rows are uniform).
+    mixed-radix order; table is derived from it by `estimate_cpt` when it
+    is first read, so its rows sum to one (empty-count rows are uniform).
     """
 
     node: int
     parents: tuple[int, ...]
     counts: np.ndarray
-    table: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         counts = np.array(self.counts, dtype=np.int64)
@@ -149,7 +149,12 @@ class Cpt:
         k = counts.shape[1]
         if counts.shape[0] != k ** len(self.parents):
             raise ValueError(f"expected {k ** len(self.parents)} configuration rows, got {counts.shape[0]}")
-        object.__setattr__(self, "table", estimate_cpt(counts))
+        if (counts < 0).any():
+            raise ValueError("counts must be nonnegative")
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        return estimate_cpt(self.counts)
 
     @property
     def state_count(self) -> int:
@@ -406,8 +411,9 @@ def repair_cycles(dag: Dag, states: StateMatrix) -> Dag:
 
     While a cycle exists, the edge on it whose removal costs the least
     penalized score is dropped; exact ties remove the lexicographically
-    smallest (child, parent) pair.
+    smallest (child, parent) pair. Each family is scored once per call.
     """
+    family = functools.cache(lambda child, ps: penalized_family_score(states, child, ps, lag=0))
     parents = [list(ps) for ps in dag.parents]
     while True:
         current = Dag(dag.n, tuple(tuple(ps) for ps in parents))
@@ -416,10 +422,8 @@ def repair_cycles(dag: Dag, states: StateMatrix) -> Dag:
             return current
         best: tuple[float, int, int] | None = None
         for parent, child in cycle:
-            with_parent = penalized_family_score(states, child, parents[child], lag=0)
-            reduced = [p for p in parents[child] if p != parent]
-            without = penalized_family_score(states, child, reduced, lag=0)
-            loss = with_parent - without
+            reduced = tuple(p for p in parents[child] if p != parent)
+            loss = family(child, tuple(parents[child])) - family(child, reduced)
             key = (loss, child, parent)
             if best is None or key < best:
                 best = key

@@ -37,8 +37,9 @@ _RANGES = (
 
 def _check_ranges(args: argparse.Namespace) -> None:
     for dest, test, rule in _RANGES:
-        if hasattr(args, dest) and not test(getattr(args, dest)):
-            raise ValueError(f"{dest} must {rule}, got {getattr(args, dest)}")
+        value = getattr(args, dest, None)
+        if value is not None and not test(value):
+            raise ValueError(f"{dest} must {rule}, got {value}")
     if hasattr(args, "max_parents"):
         bayesnet.check_cpt_cells(args.k_states, args.max_parents)
 
@@ -67,6 +68,9 @@ def _parse_params(pairs: list[str]) -> dict:
 def cmd_synth(args: argparse.Namespace) -> dict:
     if args.split is not None and args.out is not None:
         raise ValueError("--out does not combine with --split, which writes --out-train and --out-test")
+    for flag, value in (("--out-train", args.out_train), ("--out-test", args.out_test)):
+        if args.split is None and value is not None:
+            raise ValueError(f"{flag} needs --split; without it synth writes --out")
     data = ingest.synth_generate(args.seed, args.rows, args.cols, args.profile, **_parse_params(args.param))
     if args.split is not None:
         if not 2 <= args.split <= data.m - 2:
@@ -115,18 +119,27 @@ def cmd_learn(args: argparse.Namespace) -> dict:
 
 
 def cmd_inject(args: argparse.Namespace) -> dict:
+    if args.rows_list is not None and args.last_rows is not None:
+        raise ValueError("--rows-list does not combine with --last-rows, which corrupts trailing rows instead")
+    listed = set()
+    for tok in filter(str.strip, (args.rows_list or "").split(",")):
+        try:
+            listed.add(int(tok))
+        except ValueError:
+            raise ValueError(f"--rows-list takes comma-separated integers, got {tok.strip()!r}") from None
     train = ingest.load_csv(args.train)
     data = ingest.load_csv(args.data)
     artifacts.check_node_ids(train.node_ids, data.node_ids, "inject", "training CSV")
-    if args.rows_list:
-        rows = sorted({int(tok) for tok in args.rows_list.split(",") if tok.strip()})
+    if listed:
+        rows = sorted(listed)
         outside = [r for r in rows if not 0 <= r < data.m]
         if outside:
             raise ValueError(f"rows_list index {outside[0]} is outside the test set's rows 0..{data.m - 1}")
-    elif args.last_rows > data.m:
-        raise ValueError(f"last_rows must be at most the test set's {data.m} rows, got {args.last_rows}")
     else:
-        rows = list(range(data.m - args.last_rows, data.m))
+        last_rows = 50 if args.last_rows is None else args.last_rows
+        if last_rows > data.m:
+            raise ValueError(f"last_rows must be at most the test set's {data.m} rows, got {last_rows}")
+        rows = list(range(data.m - last_rows, data.m))
     means = train.values.mean(axis=0)
     corrupted = ingest.inject_errors(data, rows, args.pct, means)
     ingest.write_csv(corrupted, args.out)
@@ -294,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inject", help="corrupt rows of a test set per the error model")
     p.add_argument("--train", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--last-rows", type=int, default=50, help="corrupt this many trailing rows")
+    p.add_argument("--last-rows", type=int, help="corrupt this many trailing rows (default 50 without --rows-list)")
     p.add_argument("--rows-list", help="explicit comma-separated row indices")
     p.add_argument("--pct", type=float, default=0.10, help="error as a fraction of the training means")
     p.add_argument("--out", required=True)

@@ -161,15 +161,15 @@ def static_recovery(data: SensorDataset, dag: Dag, redundant_nodes: Sequence[int
     """
     nodes = [int(node) for node in redundant_nodes]
     out = np.recarray(len(nodes) * data.m, dtype=RECOVERY_DTYPE)
+    z = _standardized(data.values.T)
     for i, node in enumerate(nodes):
         parents = dag.parents[node]
         if not parents:
             raise ValueError(f"node {node} has no parents to recover from")
-        dists = _training_dissimilarities(data.values, node, parents)
         block = out[i * data.m : (i + 1) * data.m]
         block.t = np.arange(data.m)
         block.node = node
-        block.estimate = _recover_columns(data.values[:, parents], dists)
+        block.estimate = _recover_columns(data.values[:, parents], _dissimilarities(z, node, parents))
     return out
 
 
@@ -192,17 +192,18 @@ def _recover_columns(columns: np.ndarray, dissimilarities: Sequence[float]) -> n
     return total / sum(weights)
 
 
-def _training_dissimilarities(window: np.ndarray, node: int, parents: Sequence[int]) -> list[float]:
-    """RMS distance between standardized training columns of node and each parent.
+def _standardized(columns: np.ndarray) -> np.ndarray:
+    """Each row (readings along the last axis) minus its mean over its sample
+    sd, constant rows as zeros. A contiguous copy sums every row in the same
+    pairwise order as a one-column reduction, so the values are bit-identical."""
+    z = np.ascontiguousarray(columns)
+    sd = z.std(axis=-1, ddof=1, keepdims=True)
+    return np.where(sd > 0, (z - z.mean(axis=-1, keepdims=True)) / np.where(sd > 0, sd, 1.0), 0.0)
 
-    Columns that are constant within the window standardize to zeros.
-    """
-    cols = {}
-    for j in set([node, *parents]):
-        col = window[:, j]
-        sd = col.std(ddof=1)
-        cols[j] = (col - col.mean()) / sd if sd > 0 else np.zeros_like(col)
-    return [float(np.sqrt(np.mean((cols[node] - cols[p]) ** 2))) for p in parents]
+
+def _dissimilarities(z: np.ndarray, node: int, parents: Sequence[int]) -> list[float]:
+    """RMS distance between the standardized rows of node and of each parent."""
+    return np.sqrt(np.mean((z[node] - z[list(parents)]) ** 2, axis=1)).tolist()
 
 
 def rsdrda_schedule(
@@ -225,10 +226,11 @@ def rsdrda_schedule(
     fed back into later training. Trailing rows that do not fill a slice
     are skipped.
 
-    A step reads only the evidence of step t-1, so all its nodes update at
-    once: the nodes with d parents are one stacked product of their joint
-    parent weights with their K^d x K tables, the same arithmetic as
-    rsdrda_infer.
+    A step reads only the evidence of step t-1, and each slice starts from
+    its own window with every node awake, so every (slice, node) updates at
+    once: the families with d parents, across all slices, are one stacked
+    product of their joint parent weights with their K^d x K tables, the
+    same arithmetic as rsdrda_infer.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
@@ -249,43 +251,45 @@ def rsdrda_schedule(
         scheme = fit_discretization(data)
     states = discretize(data, scheme)
     point_mass = np.eye(scheme.state_count)
-    starts = range(0, data.m - slice_len + 1, slice_len)
+    starts = np.arange(0, data.m - slice_len + 1, slice_len)
+    nets = [learn_transition(replace(states, states=states.states[s : s + train_len]), max_parents) for s in starts]
+    families = [(i, j, ps) for i, tn in enumerate(nets) for j, ps in enumerate(tn.dag.parents) if ps]
+    groups = []
+    for d in sorted({len(ps) for _, _, ps in families}):
+        members = [(i, j) for i, j, ps in families if len(ps) == d]
+        slices, nodes = np.array(members).T
+        parents = np.array([nets[i].dag.parents[j] for i, j in members])
+        groups.append((slices, nodes, parents, np.stack([nets[i].cpts[j].table for i, j in members])))
+
     # Indexed by (slice, inference step, node); NaN marks a node without parents.
     max_post = np.full((len(starts), slice_len - train_len, data.n), math.nan)
     estimates = np.empty(max_post.shape)
-    for i, start in enumerate(starts):
-        tn = learn_transition(replace(states, states=states.states[start : start + train_len]), max_parents)
-        groups = []
-        for d in sorted({len(ps) for ps in tn.dag.parents} - {0}):
-            nodes = np.array([j for j, ps in enumerate(tn.dag.parents) if len(ps) == d])
-            tables = np.stack([tn.cpts[j].table for j in nodes])
-            groups.append((nodes, np.array([tn.dag.parents[j] for j in nodes]), tables))
+    # Evidence at each slice's last training step: everything is awake.
+    evidence = point_mass[states.states[starts + train_len - 1] - 1]
+    for step in range(slice_len - train_len):
+        next_evidence = point_mass[states.states[starts + train_len + step] - 1]
+        for slices, nodes, parents, tables in groups:
+            weights = np.ones((len(nodes), 1))
+            for column in parents.T:
+                weights = (weights[:, :, None] * evidence[slices, column][:, None, :]).reshape(len(nodes), -1)
+            posterior = (weights[:, None, :] @ tables)[:, 0]
+            total = posterior.sum(axis=1, keepdims=True)
+            if (total <= 0.0).any():
+                raise ArithmeticError("evidence assigns zero mass to every configuration")
+            posterior = posterior / total
+            max_post[slices, step, nodes] = posterior.max(axis=1)
+            asleep = max_post[slices, step, nodes] >= tau
+            next_evidence[slices[asleep], nodes[asleep]] = posterior[asleep]
+        evidence = next_evidence
 
-        # Evidence at the last training step: everything is awake.
-        evidence = point_mass[states.states[start + train_len - 1] - 1]
-        for step, observed in enumerate(states.states[start + train_len : start + slice_len]):
-            next_evidence = point_mass[observed - 1]
-            for nodes, parents, tables in groups:
-                weights = np.ones((len(nodes), 1))
-                for column in parents.T:
-                    weights = (weights[:, :, None] * evidence[column][:, None, :]).reshape(len(nodes), -1)
-                posterior = (weights[:, None, :] @ tables)[:, 0]
-                total = posterior.sum(axis=1, keepdims=True)
-                if (total <= 0.0).any():
-                    raise ArithmeticError("evidence assigns zero mass to every configuration")
-                posterior = posterior / total
-                max_post[i, step, nodes] = posterior.max(axis=1)
-                asleep = max_post[i, step, nodes] >= tau
-                next_evidence[nodes[asleep]] = posterior[asleep]
-            evidence = next_evidence
-
-        # Recover each sleeping node's readings from its parents at t-1.
-        for node, parents in enumerate(tn.dag.parents):
-            asleep = np.flatnonzero(max_post[i, :, node] >= tau)
-            if asleep.size:
-                previous = data.values[start + train_len - 1 + asleep][:, parents]
-                dissim = _training_dissimilarities(data.values[start : start + train_len], node, parents)
-                estimates[i, asleep, node] = _recover_columns(previous, dissim)
+    # Recover each sleeping node's readings from its parents at t-1.
+    windows = data.values[: len(starts) * slice_len].reshape(len(starts), slice_len, data.n)[:, :train_len]
+    z = _standardized(windows.transpose(0, 2, 1))
+    for i, node, parents in families:
+        asleep = np.flatnonzero(max_post[i, :, node] >= tau)
+        if asleep.size:
+            previous = data.values[starts[i] + train_len - 1 + asleep][:, parents]
+            estimates[i, asleep, node] = _recover_columns(previous, _dissimilarities(z[i], node, parents))
 
     t = np.repeat(np.add.outer(starts, np.arange(train_len, slice_len)), data.n)
     node = np.tile(np.arange(data.n), len(t) // data.n)

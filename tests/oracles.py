@@ -8,10 +8,10 @@ penalized_family_score call per candidate.
 Batched detection is checked against one nb_predict_state call per
 (flagged row, node), its marginal tables against the per-slice
 mixed-radix digit sum, static recovery against one recover call per
-reading, and the step-parallel RSDRDA schedule against one rsdrda_infer
-and one recover call per (step, node). CSV reading is checked against a loader that parses one cell at
-a time, and every CSV writer against one that formats rows through the
-csv module. The per-record JSON report layout that the columnar codec
+reading, and the slice- and step-parallel RSDRDA schedule against one
+rsdrda_infer and one recover call per (slice, step, node). CSV reading is
+checked against a loader that parses one cell at a time, and every CSV
+writer against one that formats rows through the csv module. The per-record JSON report layout that the columnar codec
 replaced is kept here as the reference its decodes must match.
 """
 
@@ -32,7 +32,6 @@ from sensorprep.redundancy import (
     SCHEDULE_DTYPE,
     RealtimeRedundancyReport,
     StaticRedundancyReport,
-    _training_dissimilarities,
     recover,
     rsdrda_infer,
 )
@@ -258,6 +257,17 @@ def scalar_tqbayes_detect(
     )
 
 
+def _training_dissimilarities(window: np.ndarray, node: int, parents) -> list[float]:
+    """RMS distance between standardized columns of node and each parent,
+    each column standardized on its own; constant columns become zeros."""
+    cols = {}
+    for j in {node, *parents}:
+        col = window[:, j]
+        sd = col.std(ddof=1)
+        cols[j] = (col - col.mean()) / sd if sd > 0 else np.zeros_like(col)
+    return [float(np.sqrt(np.mean((cols[node] - cols[p]) ** 2))) for p in parents]
+
+
 def scalar_static_recovery(data: SensorDataset, dag: Dag, redundant_nodes) -> np.recarray:
     """One recover call per reading: the reference for the per-node static_recovery."""
     out = []
@@ -279,9 +289,10 @@ def _point_mass(state: int, k: int) -> np.ndarray:
 def scalar_rsdrda_schedule(
     data: SensorDataset, slice_len: int, train_frac: float, tau: float, scheme: DiscretizationScheme, max_parents: int
 ) -> RealtimeRedundancyReport:
-    """One rsdrda_infer call per (step, node with parents) and one recover
-    call per sleeping reading: the reference for the step-parallel
-    rsdrda_schedule. Each training window is discretized on its own."""
+    """One slice after another, one rsdrda_infer call per (step, node with
+    parents) and one recover call per sleeping reading: the reference for
+    the slice- and step-parallel rsdrda_schedule. Each training window is
+    discretized on its own and standardized one column at a time."""
     train_len = int(round(slice_len * train_frac))
     states_all = discretize(data, scheme).states
     k = scheme.state_count

@@ -414,6 +414,24 @@ class TestRepairCycles:
         assert repaired.is_acyclic()
         assert len(repaired.edges()) == 2
 
+    def test_each_family_counted_once(self, monkeypatch):
+        # Every node has all three others as parents, so the repair takes
+        # several passes over cycles that share families; each family is
+        # still counted once per call.
+        rng = np.random.default_rng(12)
+        states = states_from_grid(rng.integers(1, 3, size=(300, 4)), 2)
+        dag = Dag(4, tuple(tuple(p for p in range(4) if p != c) for c in range(4)))
+        counted = []
+
+        def spy(states, node, parents, lag=0):
+            counted.append((node, tuple(parents)))
+            return count_states(states, node, parents, lag)
+
+        monkeypatch.setattr(bayesnet, "count_states", spy)
+        repaired = repair_cycles(dag, states)
+        assert repaired.is_acyclic()
+        assert len(counted) > 8 and len(set(counted)) == len(counted)
+
 
 class TestLearnTransition:
     def test_lagged_copy_identity_cpt(self):

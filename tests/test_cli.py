@@ -532,6 +532,20 @@ class TestPipeline:
             pytest.param(["learn", "--max-parents", "-1"], "max_parents must be >= 0, got -1", id="max_parents"),
             pytest.param(["inject", "--pct", "-0.1"], "pct must be >= 0, got -0.1", id="pct"),
             pytest.param(["inject", "--pct", "nan"], "pct must be >= 0, got nan", id="pct-nan"),
+            pytest.param(["inject", "--rows-list", "3,x"], "--rows-list takes comma-separated integers, got 'x'",
+                         id="rows_list-token"),
+            pytest.param(["inject", "--rows-list", "3, 4.5"], "--rows-list takes comma-separated integers, got '4.5'",
+                         id="rows_list-float-token"),
+            pytest.param(["inject", "--rows-list", "3", "--last-rows", "5"],
+                         "--rows-list does not combine with --last-rows, which corrupts trailing rows instead",
+                         id="rows_list-and-last_rows"),
+            pytest.param(["inject", "--last-rows", "5", "--rows-list", ""],
+                         "--rows-list does not combine with --last-rows, which corrupts trailing rows instead",
+                         id="empty-rows_list-and-last_rows"),
+            pytest.param(["synth", "--out-train", "a.csv"], "--out-train needs --split; without it synth writes --out",
+                         id="out_train-without-split"),
+            pytest.param(["synth", "--out-test", "b.csv"], "--out-test needs --split; without it synth writes --out",
+                         id="out_test-without-split"),
             pytest.param(["redundancy-realtime", "--k-states", "3", "--max-parents", "8"],
                          "k_states=3 with max_parents=8 needs k_states**(max_parents + 1) CPT cells per node, "
                          "more than MAX_CPT_CELLS=4096", id="cpt_cells"),
@@ -720,6 +734,19 @@ class TestPipeline:
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": message, "type": "ValueError"}
         assert not (tmp_path / "bad.csv").exists()
+
+    def test_inject_defaults_to_the_last_50_rows(self, tmp_path, capsys):
+        code, out, err = run(capsys, [
+            "synth", "--rows", "100", "--cols", "3", "--split", "40",
+            "--out-train", str(tmp_path / "train.csv"), "--out-test", str(tmp_path / "test.csv"),
+        ])
+        assert code == 0, err
+        code, out, err = run(capsys, [
+            "inject", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "test.csv"),
+            "--out", str(tmp_path / "bad.csv"), "--sidecar", str(tmp_path / "truth.json"),
+        ])
+        assert code == 0, err
+        assert json.loads((tmp_path / "truth.json").read_text())["rows"] == list(range(10, 60))
 
 
 def readme_cli_commands() -> list[list[str]]:

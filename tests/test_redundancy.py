@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -300,6 +300,42 @@ class TestStepParallelSchedule:
         assert ours.entries.sleeping.any() and ((posteriors > 0.9) & (posteriors < 1.0)).any()
         assert ours.entries.tobytes() == theirs.entries.tobytes()
         assert ours.recoveries.tobytes() == theirs.recoveries.tobytes()
+
+
+class TestSliceIndependence:
+    """Each slice learns from its own training window and starts with every
+    node awake, so no slice reads another: the property that lets
+    rsdrda_schedule step all slices at once. The scheme is fixed, so it
+    does not depend on the data either."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(schedule_cases())
+    def test_whole_run_is_the_single_slice_runs_concatenated(self, case):
+        data, slice_len, *rest = case
+        parts = []
+        for start in range(0, data.m - slice_len + 1, slice_len):
+            alone = SensorDataset(data.values[start : start + slice_len], data.node_ids)
+            part = rsdrda_schedule(alone, slice_len, *rest)
+            part.entries.t += start
+            part.recoveries.t += start
+            parts.append(part)
+        whole = rsdrda_schedule(*case)
+        assert whole.entries.tobytes() == np.concatenate([p.entries for p in parts]).tobytes()
+        assert whole.recoveries.tobytes() == np.concatenate([p.recoveries for p in parts]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(schedule_cases(), st.data())
+    def test_a_later_value_leaves_earlier_slices_unchanged(self, case, draw):
+        data, slice_len, *rest = case
+        assume(data.m > slice_len)
+        row = draw.draw(st.integers(slice_len, data.m - 1), label="row")
+        values = data.values.copy()
+        values[row, draw.draw(st.integers(0, data.n - 1), label="node")] = draw.draw(st.floats(-1.0, 6.0))
+        before = rsdrda_schedule(*case)
+        after = rsdrda_schedule(SensorDataset(values, data.node_ids), slice_len, *rest)
+        first = row // slice_len * slice_len  # the first step of the changed slice
+        for a, b in ((before.entries, after.entries), (before.recoveries, after.recoveries)):
+            assert a[a.t < first].tobytes() == b[b.t < first].tobytes()
 
 
 class TestStaticRecovery:
