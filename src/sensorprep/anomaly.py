@@ -15,15 +15,8 @@ import numpy as np
 
 from . import artifacts
 from .bayesnet import TransitionNetwork, parent_marginal, parent_marginals
-from .ingest import (
-    DiscretizationScheme,
-    SensorDataset,
-    _number_cells,
-    _write_columns,
-    apply_standardization,
-    discretize,
-)
-from .spectra import PcaModel, limit_from_json, limit_to_json, q_statistic, t2_statistic
+from .ingest import DiscretizationScheme, SensorDataset, _indexed_cells, _number_cells, _write_columns, discretize
+from .spectra import PcaModel, limit_from_json, limit_to_json
 
 __all__ = [
     "ROW_DTYPE",
@@ -77,11 +70,16 @@ def tq_screen(row: np.ndarray, model: PcaModel) -> tuple[float, float, bool]:
     """Standardize one raw sample and test it against both control limits.
 
     Returns (q, t2, flagged) with flagged true when either statistic
-    exceeds its limit.
+    exceeds its limit. Both equal, bit for bit, `q_statistic` and `t2_statistic` of the standardized row.
     """
-    xbar = apply_standardization(np.asarray(row, dtype=float), model.standardization)
-    q = q_statistic(xbar, model)
-    t2 = t2_statistic(xbar, model)
+    row = np.asarray(row, dtype=float)
+    if row.shape != (model.standardization.n,):
+        raise ValueError(f"row has shape {row.shape}, expected ({model.standardization.n},)")
+    means, scale, pk, lam = model.screening
+    xbar = (row - means) / scale
+    scores = pk.T @ xbar
+    residual = xbar - pk @ scores
+    q, t2 = float(residual @ residual), float(np.sum(scores * scores / lam))
     return q, t2, q > model.q_limit or t2 > model.t2_limit
 
 
@@ -215,14 +213,13 @@ def write_report_csv(report: DetectionReport, path: str | Path) -> None:
     position = first[screen] + np.arange(len(screen)) - np.repeat(np.cumsum(count) - count, count)
     line = np.concatenate([verdicts, np.zeros(1, VERDICT_DTYPE)])[position]
     blank = ~rows.flagged[screen]
+    # The screening cells of a row repeat on each of its lines, so each is formatted once per row.
+    row_cells = [list(_number_cells(column)) for column in (rows.row, rows.q, rows.t2, rows.flagged.astype(np.int64))]
     _write_columns(
         path,
         ["row", "q", "t2", "flagged", "node", "observed", "predicted", "abnormal"],
         [
-            _number_cells(rows.row[screen]),
-            _number_cells(rows.q[screen]),
-            _number_cells(rows.t2[screen]),
-            _number_cells((~blank).astype(np.int64)),
+            *(_indexed_cells(cells, screen) for cells in row_cells),
             _number_cells(line["node"], blank),
             _number_cells(line["observed"], blank),
             _number_cells(line["predicted"], blank | line["uninferable"]),

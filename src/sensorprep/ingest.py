@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -271,7 +272,7 @@ def write_csv(data: SensorDataset, path: str | Path) -> None:
     _write_columns(path, header, columns)
 
 
-# Rows of one column that exist as Python objects at once while a CSV is written.
+# Lines of a CSV, and rows of each of its columns, that exist as Python objects at once while it is written.
 _CHUNK_ROWS = 256
 
 
@@ -287,12 +288,18 @@ def _number_cells(column: np.ndarray, blank: np.ndarray | None = None) -> Iterab
     text = map(repr, _python_values(column))
     if blank is None:
         return text
-    return ("" if skip else cell for cell, skip in zip(text, _python_values(blank)))
+    # A string times True is itself, and times False is "".
+    return map(operator.mul, text, _python_values(~blank))
+
+
+def _indexed_cells(cells: Sequence[str], index: np.ndarray) -> Iterable[str]:
+    """`cells[i]` for each i in `index`, so the text of a repeated value is made once."""
+    return map(cells.__getitem__, _python_values(index))
 
 
 def _label_cells(labels: Iterable[str], index: np.ndarray) -> Iterable[str]:
     """Cell text of `labels[i]` for each i in `index`, each distinct label quoted once."""
-    return map([_quote(label) for label in labels].__getitem__, _python_values(index))
+    return _indexed_cells([_quote(label) for label in labels], index)
 
 
 def _quote(text: str) -> str:
@@ -307,11 +314,13 @@ def _write_columns(path: str | Path, header: Iterable[str], columns: Iterable[It
 
     That is minimal quoting and "\\r\\n" after every line. Number cells never
     need quotes and `_label_cells` quotes label cells, so data lines are
-    joined directly and streamed, one line at a time.
+    joined directly, and written `_CHUNK_ROWS` lines at a time.
     """
+    lines = map(",".join, zip(*columns, strict=True))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(",".join(cells) + "\r\n" for cells in zip(*columns, strict=True))
+        while block := list(itertools.islice(lines, _CHUNK_ROWS)):
+            fh.write("\r\n".join(block) + "\r\n")
 
 
 def standardize(data: SensorDataset) -> tuple[np.ndarray, Standardization]:

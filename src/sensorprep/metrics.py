@@ -37,14 +37,15 @@ def precision_recall(
     Empty denominators get a defined value so perfect-on-empty runs do not
     fail: with no predictions, precision is 1.0 when the truth set is also
     empty and 0.0 otherwise; recall mirrors this when the truth set is
-    empty.
+    empty. A `range` universe is used as it is: it answers membership of an
+    integer from its bounds, without a set of every cell.
     """
     truth = set(truth)
     predicted = set(predicted)
-    universe = set(universe)
-    if not truth <= universe:
+    universe = universe if isinstance(universe, range) else set(universe)
+    if not all(map(universe.__contains__, truth)):
         raise ValueError("truth set is not a subset of the decision universe")
-    if not predicted <= universe:
+    if not all(map(universe.__contains__, predicted)):
         raise ValueError("predicted set is not a subset of the decision universe")
     tp = len(truth & predicted)
     fp = len(predicted - truth)

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import artifacts
 from .bayesnet import Cpt, Dag, TransitionNetwork, learn_transition
-from .ingest import DiscretizationScheme, SensorDataset, _label_cells, _number_cells, _write_columns, discretize
+from .ingest import DiscretizationScheme, SensorDataset, discretize
+from .ingest import _indexed_cells, _label_cells, _number_cells, _write_columns
 
 __all__ = [
     "StaticNodeResult",
@@ -336,11 +337,12 @@ def write_static_csv(report: StaticRedundancyReport, node_ids: Sequence[str], pa
 
 def write_realtime_csv(report: RealtimeRedundancyReport, node_ids: Sequence[str], path: str | Path) -> None:
     entries = report.entries
+    steps, step = np.unique(entries.t, return_inverse=True)  # t repeats on every node's line: format it once
     _write_columns(
         path,
         ["t", "node", "state", "max_posterior"],
         [
-            _number_cells(entries.t),
+            _indexed_cells(list(_number_cells(steps)), step),
             _label_cells(node_ids, entries.node),
             _label_cells(("waking", "sleeping"), entries.sleeping),
             _number_cells(entries.max_posterior, np.isnan(entries.max_posterior)),

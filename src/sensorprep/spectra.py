@@ -7,6 +7,7 @@ symmetric solver, in descending order with a fixed sign per eigenvector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -73,6 +74,14 @@ class PcaModel:
     def n(self) -> int:
         return self.eigenvalues.shape[0]
 
+    @functools.cached_property
+    def screening(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(means, standard deviations, P_k, lambda_k): what screening a row reads, derived once per model."""
+        pk, lam = self.eigenvectors[:, : self.k], self.eigenvalues[: self.k]
+        if lam.min() <= 0.0:
+            raise ValueError("all retained eigenvalues must be strictly positive")
+        return self.standardization.means, np.sqrt(self.standardization.variances), pk, lam
+
 
 def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues descending, eigenvector columns) of a symmetric matrix from LAPACK's np.linalg.eigh.
@@ -138,10 +147,8 @@ def t2_statistic(xbar_row: np.ndarray, model: PcaModel) -> float:
     x = np.asarray(xbar_row, dtype=float)
     if x.shape != (model.n,):
         raise ValueError(f"row has shape {x.shape}, expected ({model.n},)")
-    lam = model.eigenvalues[: model.k]
-    if lam.min() <= 0.0:
-        raise ValueError("all retained eigenvalues must be strictly positive")
-    scores = model.eigenvectors[:, : model.k].T @ x
+    _, _, pk, lam = model.screening  # raises unless every retained eigenvalue is strictly positive
+    scores = pk.T @ x
     return float(np.sum(scores * scores / lam))
 
 

@@ -15,8 +15,15 @@ from sensorprep.anomaly import (
     write_report_csv,
 )
 from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork, learn_transition
-from sensorprep.ingest import SensorDataset, Standardization, discretize, fit_discretization, synth_generate
-from sensorprep.spectra import PcaModel, fit_pca_model
+from sensorprep.ingest import (
+    SensorDataset,
+    Standardization,
+    apply_standardization,
+    discretize,
+    fit_discretization,
+    synth_generate,
+)
+from sensorprep.spectra import PcaModel, fit_pca_model, q_statistic, t2_statistic
 
 
 def single_parent_tn(counts, prior=None):
@@ -72,6 +79,43 @@ class TestTqScreen:
         model = fit_pca_model(data)
         with pytest.raises(ValueError, match="shape"):
             tq_screen(np.zeros(3), model)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        extra=st.integers(1, 40),
+        ratio=st.floats(0.05, 1.0),
+        alpha=st.floats(0.001, 0.5),
+        shift=st.floats(0.0, 5.0),
+    )
+    def test_equals_the_reference_statistics(self, seed, n, extra, ratio, alpha, shift):
+        # Bit-for-bit equality with q_statistic and t2_statistic of the standardized row.
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(0.1, 10.0, n)
+        mix = rng.standard_normal((n, n))
+        train = rng.uniform(-50, 50, n) + (rng.standard_normal((n + extra, n)) @ mix) * scale
+        model = fit_pca_model(SensorDataset(train, [f"n{j}" for j in range(n)]), ratio, alpha)
+        rows = train[: min(len(train), 5)] + shift * scale * rng.standard_normal((min(len(train), 5), n))
+        for row in [*rows, model.standardization.means, rows[0].tolist()]:
+            xbar = apply_standardization(row, model.standardization)
+            q, t2 = q_statistic(xbar, model), t2_statistic(xbar, model)
+            assert tq_screen(row, model) == (q, t2, q > model.q_limit or t2 > model.t2_limit)
+
+    def test_nonpositive_retained_eigenvalue_raises_on_every_call(self):
+        model = PcaModel(Standardization(np.zeros(2), np.ones(2)), [1.0, 0.0], np.eye(2), 2, np.inf, 1.0, 0.05)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="all retained eigenvalues must be strictly positive"):
+                tq_screen(np.ones(2), model)
+
+    @pytest.mark.parametrize("row", [np.zeros(3), np.zeros(5), np.zeros((1, 4)), 1.0])
+    def test_wrong_shape_message_is_apply_standardization_s(self, row):
+        model = fit_pca_model(synth_generate(1, 100, 4, "correlated-drift"))
+        with pytest.raises(ValueError) as reference:
+            apply_standardization(row, model.standardization)
+        with pytest.raises(ValueError) as got:
+            tq_screen(row, model)
+        assert str(got.value) == str(reference.value)
 
 
 class TestCalibration:

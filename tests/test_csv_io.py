@@ -6,6 +6,7 @@ message on any body, and every writer must produce the oracle's bytes.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,63 @@ class TestWriters:
         same_bytes(tmp_path_factory, write_realtime_csv, scalar_write_realtime_csv, report, ids)
         same_bytes(tmp_path_factory, write_recovery_csv, scalar_write_recovery_csv, recoveries, data)
         same_bytes(tmp_path_factory, write_csv, scalar_write_csv, data)
+
+    @pytest.mark.parametrize(
+        "lines", [0, 1, ingest._CHUNK_ROWS - 1, ingest._CHUNK_ROWS, ingest._CHUNK_ROWS + 1, 3 * ingest._CHUNK_ROWS + 7]
+    )
+    def test_block_edges(self, tmp_path_factory, lines):
+        # Lines are written in blocks of _CHUNK_ROWS. Lines 2i-1 and 2i share a report row and a step t,
+        # so every block edge falls inside a repeated value, and between two blank cells.
+        rng = np.random.default_rng(lines)
+        line = np.arange(lines)
+        pair = (line + 1) // 2
+        at_edge = (line % ingest._CHUNK_ROWS == 0) | (line % ingest._CHUNK_ROWS == ingest._CHUNK_ROWS - 1)
+        ids = ("a,b", "plain", 'q"uote')
+
+        # Row 0 is unflagged (one blank line); every later row is flagged, with the verdicts of its pair.
+        screened = pair[-1] + 1 if lines else 0
+        rows = np.rec.fromarrays(
+            [np.arange(screened), rng.random(screened), rng.random(screened), np.arange(screened) > 0], dtype=ROW_DTYPE
+        )
+        verdict = line[1:]
+        verdicts = np.rec.fromarrays(
+            [pair[verdict], verdict % 3, rng.integers(1, 4, len(verdict)), rng.integers(1, 4, len(verdict)),
+             rng.random(len(verdict)) < 0.5, at_edge[verdict]],
+            dtype=VERDICT_DTYPE,
+        )
+        same_bytes(tmp_path_factory, write_report_csv, scalar_write_report_csv, DetectionReport(1.0, 2.0, rows, verdicts))
+
+        posterior = np.where(at_edge, np.nan, rng.random(lines))
+        entries = np.rec.fromarrays([pair, line % 3, rng.random(lines) < 0.5, posterior], dtype=SCHEDULE_DTYPE)
+        recoveries = np.rec.fromarrays([pair, line % 3, rng.normal(size=lines)], dtype=RECOVERY_DTYPE)
+        report = RealtimeRedundancyReport(0.9, 10, 0.6, entries, recoveries)
+        same_bytes(tmp_path_factory, write_realtime_csv, scalar_write_realtime_csv, report, ids)
+        data = SensorDataset(rng.normal(size=(max(lines, 2) + 1, 3)), ids)
+        same_bytes(tmp_path_factory, write_recovery_csv, scalar_write_recovery_csv, recoveries, data)
+        if lines >= 2:
+            stamped = SensorDataset(rng.normal(size=(lines, 3)), ids, tuple(range(lines)))
+            same_bytes(tmp_path_factory, write_csv, scalar_write_csv, stamped)
+
+    @pytest.mark.parametrize("short", [0, 1, ingest._CHUNK_ROWS, ingest._CHUNK_ROWS + 5])
+    def test_unequal_columns_raise(self, tmp_path, short):
+        with pytest.raises(ValueError, match="zip"):
+            ingest._write_columns(tmp_path / "x.csv", ["a", "b"], [["1"] * (short + 1), ["2"] * short])
+
+    def test_memory_is_bounded_by_the_block_not_the_table(self, tmp_path):
+        # A 40-column, 5,000-line table is about 4 MB of text. Writing it may hold a few blocks of
+        # _CHUNK_ROWS lines (their cells, lines, text and encoded bytes) at once, never the table.
+        rows, width = 5000, 40
+        data = SensorDataset(np.random.default_rng(3).normal(size=(rows, width)), [f"n{j}" for j in range(width)])
+        line_bytes = 20 * width  # a repr float is at most 24 characters, about 19 here
+        bound = 8 * ingest._CHUNK_ROWS * line_bytes
+        tracemalloc.start()
+        try:
+            write_csv(data, tmp_path / "wide.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bound < (tmp_path / "wide.csv").stat().st_size / 2
+        assert peak < bound, (peak, bound)
 
     @settings(max_examples=100, deadline=None)
     @given(

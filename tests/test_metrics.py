@@ -64,6 +64,27 @@ class TestPrecisionRecall:
         assert 0.0 <= r <= 1.0
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bounds=st.tuples(st.integers(-5, 30), st.integers(-5, 30), st.sampled_from([1, 1, 2, 3, -1, -2])),
+        cells=st.one_of(st.integers(-8, 33), st.sampled_from([2.0, 3.5, -0.0, True, "3", (1,), None])),
+        data=st.data(),
+    )
+    def test_range_universe_equals_its_set(self, bounds, cells, data):
+        # evaluate passes a range; the result, errors included, is that of the set of its cells.
+        universe = range(*bounds)
+        truth = data.draw(st.sets(st.one_of(st.sampled_from(list(universe) or [0]), st.just(cells))))
+        predicted = data.draw(st.sets(st.one_of(st.sampled_from(list(universe) or [0]), st.just(cells))))
+
+        def outcome(u):
+            try:
+                return precision_recall(truth, predicted, u)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(universe) == outcome(set(universe))
+
+
 class TestRmse:
     def test_identical_is_zero(self):
         assert rmse([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
