@@ -11,7 +11,6 @@ from .ingest import (
     SensorDataset,
     Standardization,
     StateMatrix,
-    apply_standardization,
     discretize,
     discretize_row,
     fit_discretization,

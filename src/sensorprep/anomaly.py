@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .bayesnet import TransitionNetwork, parent_marginal, parent_marginals
+from .bayesnet import TransitionNetwork, parent_marginals
 from .ingest import DiscretizationScheme, SensorDataset, _indexed_cells, _number_cells, _write_columns, discretize
 from .spectra import PcaModel, limit_from_json, limit_to_json
 
@@ -90,28 +90,18 @@ def nb_predict_state(node: int, prev_states: np.ndarray, tn: TransitionNetwork) 
     joint transition table) with the node's prior, then normalizes. A node
     with no transition parents falls back to its prior; callers report such
     nodes as uninferable. Returns (predicted state, posterior), where the
-    argmax breaks ties toward the lowest state.
+    argmax breaks ties toward the lowest state. It runs stage two's kernel on one row.
     """
     prev_states = np.asarray(prev_states, dtype=np.int64)
     if prev_states.shape != (tn.dag.n,):
         raise ValueError(f"previous states have shape {prev_states.shape}, expected ({tn.dag.n},)")
-    parents = tn.dag.parents[node]
-    prior = tn.priors[node]
-    if not parents:
-        posterior = prior / prior.sum()
-        return int(np.argmax(posterior)) + 1, posterior
-    cpt = tn.cpts[node]
-    unnorm = prior.copy()
-    for position, parent in enumerate(parents):
-        unnorm = unnorm * parent_marginal(cpt, position, int(prev_states[parent]))
-    total = unnorm.sum()
-    if total <= 0.0:
-        # Parents with disjoint supports: no state is jointly possible, so
-        # fall back to the prior alone.
-        posterior = prior / prior.sum()
-    else:
-        posterior = unnorm / total
-    return int(np.argmax(posterior)) + 1, posterior
+    k = tn.cpts[node].state_count
+    for parent in tn.dag.parents[node]:
+        # The kernel's table lookup would wrap a state of 0 round to K instead of failing.
+        if not 1 <= prev_states[parent] <= k:
+            raise ValueError(f"parent state {prev_states[parent]} outside 1..{k}")
+    predicted, posteriors = _predict_states(node, prev_states[None], tn)
+    return int(predicted[0]), posteriors[0]
 
 
 def tqbayes_detect(
@@ -147,7 +137,7 @@ def tqbayes_detect(
     # Row 0 of `states` is the last training row, so test row r sits at r + 1.
     states = discretize(SensorDataset(np.vstack([last_train_row, test.values]), test.node_ids), scheme).states
     prev, observed = states[flagged], states[flagged + 1]
-    predicted = np.column_stack([_predict_states(node, prev, tn) for node in range(test.n)])
+    predicted = np.column_stack([_predict_states(node, prev, tn)[0] for node in range(test.n)])
 
     verdicts = np.recarray(observed.size, dtype=VERDICT_DTYPE)
     verdicts.row = np.repeat(flagged, test.n)
@@ -159,26 +149,18 @@ def tqbayes_detect(
     return DetectionReport(model.q_limit, model.t2_limit, rows, verdicts)
 
 
-def _predict_states(node: int, prev: np.ndarray, tn: TransitionNetwork) -> np.ndarray:
-    """`nb_predict_state`'s prediction for every row of previous states at once.
-
-    Multiplies the same single-parent conditionals onto the prior in the
-    same parent order, so each posterior, and its argmax, is bit-identical.
-    """
+def _predict_states(node: int, prev: np.ndarray, tn: TransitionNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """`nb_predict_state`'s predicted states and posteriors for every row of previous states at once."""
     prior = tn.priors[node]
-    fallback = np.argmax(prior / prior.sum()) + 1
-    parents = tn.dag.parents[node]
-    if not parents:
-        return np.full(len(prev), fallback)
     marginals = parent_marginals(tn.cpts[node])
-    unnorm = prior
-    for position, parent in enumerate(parents):
+    unnorm = np.tile(prior, (len(prev), 1))
+    for position, parent in enumerate(tn.dag.parents[node]):
         unnorm = unnorm * marginals[position, prev[:, parent] - 1]
     total = unnorm.sum(axis=1)
     # Parents with disjoint supports leave a zero row: fall back to the prior.
     inferable = total > 0.0
-    posterior = unnorm / np.where(inferable, total, 1.0)[:, None]
-    return np.where(inferable, np.argmax(posterior, axis=1) + 1, fallback)
+    posterior = np.where(inferable[:, None], unnorm / np.where(inferable, total, 1.0)[:, None], prior / prior.sum())
+    return np.argmax(posterior, axis=1) + 1, posterior
 
 
 def report_to_dict(report: DetectionReport) -> dict:

@@ -25,7 +25,6 @@ __all__ = [
     "TransitionNetwork",
     "count_states",
     "estimate_cpt",
-    "make_cpt",
     "score",
     "fitted_score",
     "family_score",
@@ -244,11 +243,6 @@ def estimate_cpt(counts: np.ndarray) -> np.ndarray:
     return np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / k)
 
 
-def make_cpt(states: StateMatrix, node: int, parents: Sequence[int], lag: int = 0) -> Cpt:
-    """Count and estimate in one step."""
-    return Cpt(node, tuple(parents), count_states(states, node, parents, lag))
-
-
 def family_score(states: StateMatrix, node: int, parents: Sequence[int], lag: int = 0) -> float:
     """Maximum-likelihood log score of one node given its parents.
 
@@ -269,11 +263,10 @@ def penalized_family_score(states: StateMatrix, node: int, parents: Sequence[int
     """Family log-likelihood minus a BIC penalty of (free parameters / 2) log m.
 
     The raw likelihood never decreases when parents are added, so greedy
-    search without a node ordering needs the penalty to stop.
+    search without a node ordering needs the penalty to stop. This is
+    `_penalized_scores`, the score of structure search, of one count table.
     """
-    k = states.state_count
-    free = (k ** len(parents)) * (k - 1)
-    return family_score(states, node, parents, lag) - 0.5 * free * math.log(states.m)
+    return float(_penalized_scores(count_states(states, node, parents, lag)[None], states.m)[0])
 
 
 def score(states: StateMatrix, dag: Dag, lag: int = 0) -> float:
@@ -336,7 +329,7 @@ def _penalized_scores(counts: np.ndarray, m: int) -> np.ndarray:
     """penalized_family_score of each H x K block of a c x H x K count stack."""
     c, h, k = counts.shape
     # Each block's H*K cells are summed as one contiguous row, which keeps
-    # numpy's pairwise summation order and so the scalar score bit for bit.
+    # numpy's pairwise summation order and so family_score's sum bit for bit.
     loglik = np.sum(_loglik_terms(counts).reshape(c, h * k), axis=1)
     free = h * (k - 1)
     return loglik - 0.5 * free * math.log(m)

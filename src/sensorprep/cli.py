@@ -242,6 +242,10 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
     truth_rows = set(truth_doc["rows"])
     n = len(node_ids)
     test_rows = truth_doc["test_rows"]
+    screened = report.rows.row.tolist()
+    if screened != list(range(test_rows)):
+        row = next((r for i, r in enumerate(screened) if r != i or r >= test_rows), len(screened))
+        raise ValueError(f"report {args.report} does not screen rows 0..{test_rows - 1} of {args.truth}: row {row}")
 
     rows = metrics.precision_recall(truth_rows, report.flagged_rows(), range(test_rows))
 

@@ -8,6 +8,7 @@ real-valued matrices (m samples x n nodes); discrete state matrices use the
 from __future__ import annotations
 
 import csv
+import inspect
 import itertools
 import math
 import operator
@@ -26,7 +27,6 @@ __all__ = [
     "load_csv",
     "write_csv",
     "standardize",
-    "apply_standardization",
     "fit_discretization",
     "discretize",
     "discretize_row",
@@ -340,14 +340,6 @@ def standardize(data: SensorDataset) -> tuple[np.ndarray, Standardization]:
     return xbar, std
 
 
-def apply_standardization(row: np.ndarray, std: Standardization) -> np.ndarray:
-    """Standardize one raw sample with training parameters (never refit)."""
-    row = np.asarray(row, dtype=float)
-    if row.shape != (std.n,):
-        raise ValueError(f"row has shape {row.shape}, expected ({std.n},)")
-    return (row - std.means) / np.sqrt(std.variances)
-
-
 def fit_discretization(data: SensorDataset, state_count: int = 3) -> DiscretizationScheme:
     """Fit equal-width bins over each training column's [min, max] range."""
     if state_count < 2:
@@ -367,21 +359,23 @@ def discretize_row(row: np.ndarray, scheme: DiscretizationScheme) -> np.ndarray:
     row = np.asarray(row, dtype=float)
     if row.shape != (scheme.n,):
         raise ValueError(f"row has shape {row.shape}, expected ({scheme.n},)")
-    out = np.empty(scheme.n, dtype=np.int64)
-    for j in range(scheme.n):
-        # side='right' sends a value equal to an edge into the higher bin
-        out[j] = 1 + np.searchsorted(scheme.edges[j], row[j], side="right")
-    return out
+    return _states(row[None], scheme)[0]
 
 
 def discretize(data: SensorDataset, scheme: DiscretizationScheme) -> StateMatrix:
     """Map every sample onto the scheme's state alphabet."""
     if data.n != scheme.n:
         raise ValueError(f"dataset has {data.n} nodes but scheme covers {scheme.n}")
-    states = np.empty(data.values.shape, dtype=np.int64)
-    for j in range(data.n):
-        states[:, j] = 1 + np.searchsorted(scheme.edges[j], data.values[:, j], side="right")
-    return StateMatrix(states, scheme)
+    return StateMatrix(_states(data.values, scheme), scheme)
+
+
+def _states(values: np.ndarray, scheme: DiscretizationScheme) -> np.ndarray:
+    """The states of every row of an m x n matrix, one column at a time."""
+    states = np.empty(values.shape, dtype=np.int64)
+    for j in range(scheme.n):
+        # side='right' sends a value equal to an edge into the higher bin
+        states[:, j] = 1 + np.searchsorted(scheme.edges[j], values[:, j], side="right")
+    return states
 
 
 def inject_errors(
@@ -450,6 +444,16 @@ def _gen_correlated_drift(
     return offsets + lat @ weights + noise * rng.standard_normal((m, n))
 
 
+def _copy_assignment(copies: Mapping[int, int] | None, n: int) -> dict[int, int]:
+    if copies is None:
+        copies = {1: 0} if n >= 2 else {}
+    copies = {int(c): int(p) for c, p in copies.items()}
+    for c, p in copies.items():
+        if not (0 <= c < n and 0 <= p < n) or c == p or p in copies:
+            raise ValueError(f"bad copy assignment {c} <- {p}")
+    return copies
+
+
 def _gen_copy_child(
     rng: np.random.Generator,
     m: int,
@@ -470,12 +474,7 @@ def _gen_copy_child(
     exactly; otherwise the child re-reads the parent's level signal with a
     per-sample flip probability and its own measurement noise.
     """
-    if copies is None:
-        copies = {1: 0} if n >= 2 else {}
-    copies = {int(c): int(p) for c, p in copies.items()}
-    for c, p in copies.items():
-        if not (0 <= c < n and 0 <= p < n) or c == p or p in copies:
-            raise ValueError(f"bad copy assignment {c} <- {p}")
+    copies = _copy_assignment(copies, n)
     if child_noise is None:
         child_noise = meas_noise
     parent_nodes = set(copies.values())
@@ -518,12 +517,7 @@ def _gen_lagged_copy(
     noise_frac scales additive child noise relative to the driver signal's
     standard deviation ("signal scale").
     """
-    if copies is None:
-        copies = {1: 0} if n >= 2 else {}
-    copies = {int(c): int(p) for c, p in copies.items()}
-    for c, p in copies.items():
-        if not (0 <= c < n and 0 <= p < n) or c == p or p in copies:
-            raise ValueError(f"bad copy assignment {c} <- {p}")
+    copies = _copy_assignment(copies, n)
 
     # One extra leading step so the child has a parent value at t=0.
     steps = {p: rng.integers(0, levels, size=m + 1).astype(float) for p in set(copies.values())}
@@ -566,6 +560,10 @@ def synth_generate(seed: int, m: int, n: int, profile: str, **params) -> SensorD
         gen = _PROFILES[profile]
     except KeyError:
         raise ValueError(f"unknown profile {profile!r}; expected one of {sorted(_PROFILES)}") from None
+    accepted = list(inspect.signature(gen).parameters)[3:]  # the parameters after rng, m and n
+    for key in params:
+        if key not in accepted:
+            raise ValueError(f"--param {key!r} is not a parameter of profile {profile!r}: it takes {accepted}")
     rng = np.random.default_rng(seed)
     values = gen(rng, m, n, **params)
     node_ids = tuple(f"node{j:02d}" for j in range(n))

@@ -109,7 +109,7 @@ def rsdrda_infer(node: int, tn: TransitionNetwork, parent_evidence: Sequence[np.
 
     Sums the transition table over every joint parent configuration,
     weighting each configuration by the product of the per-parent evidence
-    distributions, then normalizes.
+    distributions, then normalizes: `rsdrda_schedule`'s update on one family.
     """
     parents = tn.dag.parents[node]
     if not parents:
@@ -117,15 +117,22 @@ def rsdrda_infer(node: int, tn: TransitionNetwork, parent_evidence: Sequence[np.
     if len(parent_evidence) != len(parents):
         raise ValueError(f"expected {len(parents)} evidence vectors, got {len(parent_evidence)}")
     k = tn.cpts[node].state_count
-    weights = np.ones(1)
-    for ev in parent_evidence:
-        ev = np.asarray(ev, dtype=float)
+    evidence = [np.asarray(ev, dtype=float) for ev in parent_evidence]
+    for ev in evidence:
         if ev.shape != (k,):
             raise ValueError(f"evidence vector has shape {ev.shape}, expected ({k},)")
-        weights = np.outer(weights, ev).ravel()
-    posterior = weights @ tn.cpts[node].table
-    total = posterior.sum()
-    if total <= 0.0:
+    return _soft_posteriors(tn.cpts[node].table[None], [ev[None] for ev in evidence])[0]
+
+
+def _soft_posteriors(tables: np.ndarray, evidence: Sequence[np.ndarray]) -> np.ndarray:
+    """Posteriors of g families of d parents: their g x K^d x K tables weighted by the
+    joint parent weights that the g x K evidence rows of each parent position make."""
+    weights = np.ones((len(tables), 1))
+    for rows in evidence:
+        weights = (weights[:, :, None] * rows[:, None, :]).reshape(len(tables), -1)
+    posterior = (weights[:, None, :] @ tables)[:, 0]
+    total = posterior.sum(axis=1, keepdims=True)
+    if (total <= 0.0).any():
         raise ArithmeticError("evidence assigns zero mass to every configuration")
     return posterior / total
 
@@ -135,7 +142,7 @@ def recover(parent_values: Sequence[float], dissimilarities: Sequence[float]) ->
 
     A zero dissimilarity short-circuits to that parent's value (first such
     parent wins); a single parent is returned unchanged regardless of its
-    weight.
+    weight. This is `_recover_columns` on one row.
     """
     values = [float(v) for v in parent_values]
     dists = [float(d) for d in dissimilarities]
@@ -145,13 +152,7 @@ def recover(parent_values: Sequence[float], dissimilarities: Sequence[float]) ->
         raise ValueError("values and dissimilarities must align")
     if any(d < 0 for d in dists):
         raise ValueError("dissimilarities must be nonnegative")
-    if len(values) == 1:
-        return values[0]
-    for v, d in zip(values, dists):
-        if d == 0.0:
-            return v
-    w = [1.0 / d for d in dists]
-    return sum(wi * vi for wi, vi in zip(w, values)) / sum(w)
+    return float(_recover_columns(np.array([values]), dists)[0])
 
 
 def static_recovery(data: SensorDataset, dag: Dag, redundant_nodes: Sequence[int]) -> np.recarray:
@@ -178,8 +179,7 @@ def _recover_columns(columns: np.ndarray, dissimilarities: Sequence[float]) -> n
     """`recover` for every row of an m x p matrix of parent readings at once.
 
     The weights are fixed per column, so the same three cases apply to the
-    whole matrix, and the weighted sum accumulates from zero, parent by
-    parent, as `recover` does, so every estimate is bit-identical.
+    whole matrix. The weighted sum accumulates from zero, parent by parent.
     """
     if len(dissimilarities) == 1:
         return columns[:, 0]
@@ -210,9 +210,9 @@ def _dissimilarities(z: np.ndarray, node: int, parents: Sequence[int]) -> list[f
 def rsdrda_schedule(
     data: SensorDataset,
     slice_len: int,
-    train_frac: float = 0.6,
-    tau: float = 0.95,
-    scheme: DiscretizationScheme | None = None,
+    train_frac: float,
+    tau: float,
+    scheme: DiscretizationScheme,
     max_parents: int = 3,
 ) -> RealtimeRedundancyReport:
     """Per-slice cycle of collecting, learning, and working-state inference.
@@ -229,9 +229,8 @@ def rsdrda_schedule(
 
     A step reads only the evidence of step t-1, and each slice starts from
     its own window with every node awake, so every (slice, node) updates at
-    once: the families with d parents, across all slices, are one stacked
-    product of their joint parent weights with their K^d x K tables, the
-    same arithmetic as rsdrda_infer.
+    once: the families with d parents, across all slices, are one
+    `_soft_posteriors` call per step.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
@@ -246,10 +245,6 @@ def rsdrda_schedule(
         raise ValueError(f"training portion of {train_len} samples is too short")
     if train_len >= slice_len:
         raise ValueError("training portion leaves no inference steps")
-    if scheme is None:
-        from .ingest import fit_discretization
-
-        scheme = fit_discretization(data)
     states = discretize(data, scheme)
     point_mass = np.eye(scheme.state_count)
     starts = np.arange(0, data.m - slice_len + 1, slice_len)
@@ -270,14 +265,7 @@ def rsdrda_schedule(
     for step in range(slice_len - train_len):
         next_evidence = point_mass[states.states[starts + train_len + step] - 1]
         for slices, nodes, parents, tables in groups:
-            weights = np.ones((len(nodes), 1))
-            for column in parents.T:
-                weights = (weights[:, :, None] * evidence[slices, column][:, None, :]).reshape(len(nodes), -1)
-            posterior = (weights[:, None, :] @ tables)[:, 0]
-            total = posterior.sum(axis=1, keepdims=True)
-            if (total <= 0.0).any():
-                raise ArithmeticError("evidence assigns zero mass to every configuration")
-            posterior = posterior / total
+            posterior = _soft_posteriors(tables, [evidence[slices, column] for column in parents.T])
             max_post[slices, step, nodes] = posterior.max(axis=1)
             asleep = max_post[slices, step, nodes] >= tau
             next_evidence[slices[asleep], nodes[asleep]] = posterior[asleep]

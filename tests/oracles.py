@@ -5,14 +5,23 @@ quantiles come from Simpson quadrature plus bisection, eigenpairs from
 cyclic Jacobi rotations, inference from dictionary-based enumeration, and
 structure search from exhaustive DAG enumeration or from one
 penalized_family_score call per candidate.
-Batched detection is checked against one nb_predict_state call per
+
+The package computes each quantity once, in the batched kernel its
+pipelines run; its per-item entry points (nb_predict_state, rsdrda_infer,
+recover, discretize_row, penalized_family_score) are one-row calls of
+those kernels. The per-item arithmetic they used to have lives on here
+under the same names, with nb_predict_state built on
+digit_parent_marginal, as the references of the equivalence tests:
+batched detection is checked against one nb_predict_state call per
 (flagged row, node), its marginal tables against the per-slice
 mixed-radix digit sum, static recovery against one recover call per
-reading, and the slice- and step-parallel RSDRDA schedule against one
-rsdrda_infer and one recover call per (slice, step, node). CSV reading is
+reading, the slice- and step-parallel RSDRDA schedule against one
+rsdrda_infer and one recover call per (slice, step, node), and structure
+search against one penalized_family_score per candidate. CSV reading is
 checked against a loader that parses one cell at a time, and every CSV
-writer against one that formats rows through the csv module. The per-record JSON report layout that the columnar codec
-replaced is kept here as the reference its decodes must match.
+writer against one that formats rows through the csv module. The
+per-record JSON report layout that the columnar codec replaced is kept
+here as the reference its decodes must match.
 """
 
 from __future__ import annotations
@@ -24,17 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, nb_predict_state, tq_screen
-from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork, learn_transition, penalized_family_score, repair_cycles
-from sensorprep.ingest import DiscretizationScheme, SensorDataset, StateMatrix, discretize, discretize_row
-from sensorprep.redundancy import (
-    RECOVERY_DTYPE,
-    SCHEDULE_DTYPE,
-    RealtimeRedundancyReport,
-    StaticRedundancyReport,
-    recover,
-    rsdrda_infer,
-)
+from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, tq_screen
+from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork, count_states, family_score, learn_transition, repair_cycles
+from sensorprep.ingest import DiscretizationScheme, SensorDataset, Standardization, StateMatrix, discretize
+from sensorprep.redundancy import RECOVERY_DTYPE, SCHEDULE_DTYPE, RealtimeRedundancyReport, StaticRedundancyReport
 from sensorprep.spectra import PcaModel, limit_from_json, limit_to_json
 
 
@@ -220,6 +222,129 @@ def digit_parent_marginal(cpt: Cpt, position: int, parent_state: int) -> np.ndar
     if total <= 0:
         return np.full(k, 1.0 / k)
     return sums / total
+
+
+# The per-item paths that the batched kernels replaced. The package keeps
+# nb_predict_state, rsdrda_infer, recover, discretize_row and
+# penalized_family_score as one-row calls of those kernels; these copies
+# keep the per-item arithmetic, so that a kernel is never checked against
+# itself.
+
+
+def apply_standardization(row: np.ndarray, std: Standardization) -> np.ndarray:
+    """Standardize one raw sample with training parameters (never refit)."""
+    row = np.asarray(row, dtype=float)
+    if row.shape != (std.n,):
+        raise ValueError(f"row has shape {row.shape}, expected ({std.n},)")
+    return (row - std.means) / np.sqrt(std.variances)
+
+
+def discretize_row(row: np.ndarray, scheme: DiscretizationScheme) -> np.ndarray:
+    """Map one raw sample onto states {1..K}; out-of-range values clamp to edge bins."""
+    row = np.asarray(row, dtype=float)
+    if row.shape != (scheme.n,):
+        raise ValueError(f"row has shape {row.shape}, expected ({scheme.n},)")
+    out = np.empty(scheme.n, dtype=np.int64)
+    for j in range(scheme.n):
+        # side='right' sends a value equal to an edge into the higher bin
+        out[j] = 1 + np.searchsorted(scheme.edges[j], row[j], side="right")
+    return out
+
+
+def make_cpt(states: StateMatrix, node: int, parents, lag: int = 0) -> Cpt:
+    """Count and estimate in one step."""
+    return Cpt(node, tuple(parents), count_states(states, node, parents, lag))
+
+
+def penalized_family_score(states: StateMatrix, node: int, parents, lag: int = 0) -> float:
+    """Family log-likelihood minus a BIC penalty of (free parameters / 2) log m.
+
+    The raw likelihood never decreases when parents are added, so greedy
+    search without a node ordering needs the penalty to stop.
+    """
+    k = states.state_count
+    free = (k ** len(parents)) * (k - 1)
+    return family_score(states, node, parents, lag) - 0.5 * free * math.log(states.m)
+
+
+def nb_predict_state(node: int, prev_states: np.ndarray, tn: TransitionNetwork) -> tuple[int, np.ndarray]:
+    """Predict a node's state from its parents' states at the previous step.
+
+    Multiplies single-parent conditionals, each from `digit_parent_marginal`,
+    with the node's prior, then normalizes. A node with no transition parents
+    falls back to its prior. Returns (predicted state, posterior), where the
+    argmax breaks ties toward the lowest state.
+    """
+    prev_states = np.asarray(prev_states, dtype=np.int64)
+    if prev_states.shape != (tn.dag.n,):
+        raise ValueError(f"previous states have shape {prev_states.shape}, expected ({tn.dag.n},)")
+    parents = tn.dag.parents[node]
+    prior = tn.priors[node]
+    if not parents:
+        posterior = prior / prior.sum()
+        return int(np.argmax(posterior)) + 1, posterior
+    cpt = tn.cpts[node]
+    unnorm = prior.copy()
+    for position, parent in enumerate(parents):
+        unnorm = unnorm * digit_parent_marginal(cpt, position, int(prev_states[parent]))
+    total = unnorm.sum()
+    if total <= 0.0:
+        # Parents with disjoint supports: no state is jointly possible, so
+        # fall back to the prior alone.
+        posterior = prior / prior.sum()
+    else:
+        posterior = unnorm / total
+    return int(np.argmax(posterior)) + 1, posterior
+
+
+def rsdrda_infer(node: int, tn: TransitionNetwork, parent_evidence) -> np.ndarray:
+    """Posterior over a node's states given soft evidence on its parents.
+
+    Sums the transition table over every joint parent configuration,
+    weighting each configuration by the product of the per-parent evidence
+    distributions, then normalizes.
+    """
+    parents = tn.dag.parents[node]
+    if not parents:
+        raise ValueError(f"node {node} has no transition parents")
+    if len(parent_evidence) != len(parents):
+        raise ValueError(f"expected {len(parents)} evidence vectors, got {len(parent_evidence)}")
+    k = tn.cpts[node].state_count
+    weights = np.ones(1)
+    for ev in parent_evidence:
+        ev = np.asarray(ev, dtype=float)
+        if ev.shape != (k,):
+            raise ValueError(f"evidence vector has shape {ev.shape}, expected ({k},)")
+        weights = np.outer(weights, ev).ravel()
+    posterior = weights @ tn.cpts[node].table
+    total = posterior.sum()
+    if total <= 0.0:
+        raise ArithmeticError("evidence assigns zero mass to every configuration")
+    return posterior / total
+
+
+def recover(parent_values, dissimilarities) -> float:
+    """Weighted mean of parent readings, weights inverse to dissimilarity.
+
+    A zero dissimilarity short-circuits to that parent's value (first such
+    parent wins); a single parent is returned unchanged regardless of its
+    weight.
+    """
+    values = [float(v) for v in parent_values]
+    dists = [float(d) for d in dissimilarities]
+    if not values:
+        raise ValueError("need at least one parent value")
+    if len(values) != len(dists):
+        raise ValueError("values and dissimilarities must align")
+    if any(d < 0 for d in dists):
+        raise ValueError("dissimilarities must be nonnegative")
+    if len(values) == 1:
+        return values[0]
+    for v, d in zip(values, dists):
+        if d == 0.0:
+            return v
+    w = [1.0 / d for d in dists]
+    return sum(wi * vi for wi, vi in zip(w, values)) / sum(w)
 
 
 def scalar_tqbayes_detect(

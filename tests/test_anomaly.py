@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_nb_posterior, random_transition_network, scalar_tqbayes_detect, trivial_scheme
+from oracles import (
+    apply_standardization,
+    brute_nb_posterior,
+    random_transition_network,
+    scalar_tqbayes_detect,
+    trivial_scheme,
+)
 from sensorprep.anomaly import (
     nb_predict_state,
     report_from_dict,
@@ -15,14 +21,7 @@ from sensorprep.anomaly import (
     write_report_csv,
 )
 from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork, learn_transition
-from sensorprep.ingest import (
-    SensorDataset,
-    Standardization,
-    apply_standardization,
-    discretize,
-    fit_discretization,
-    synth_generate,
-)
+from sensorprep.ingest import SensorDataset, Standardization, discretize, fit_discretization, synth_generate
 from sensorprep.spectra import PcaModel, fit_pca_model, q_statistic, t2_statistic
 
 

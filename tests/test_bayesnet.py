@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import digit_parent_marginal, exhaustive_argmax, penalized_total, scalar_k2_search, states_from_grid
+import oracles
+from oracles import (
+    digit_parent_marginal,
+    exhaustive_argmax,
+    make_cpt,
+    penalized_total,
+    scalar_k2_search,
+    states_from_grid,
+)
 from sensorprep import bayesnet
 from sensorprep.bayesnet import (
     Cpt,
@@ -27,7 +35,6 @@ from sensorprep.bayesnet import (
     k2_search,
     learn_static,
     learn_transition,
-    make_cpt,
     network_to_dict,
     parent_marginal,
     parent_marginals,
@@ -293,7 +300,8 @@ class TestBatchedSearch:
                 if cand == node or cand in chosen[node]:
                     continue
                 family = chosen[node] + [cand]
-                assert trials[i * n + cand] == penalized_family_score(states, node, family, lag)
+                reference = oracles.penalized_family_score(states, node, family, lag)
+                assert trials[i * n + cand] == reference == penalized_family_score(states, node, family, lag)
                 assert np.array_equal(counts[i * n + cand], count_states(states, node, family, lag))
 
 

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE
+from sensorprep import artifacts
+from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, report_to_dict
 from sensorprep.bayesnet import estimate_cpt, learn_transition, score, static_from_dict, transition_from_dict
 from sensorprep.cli import main
 from sensorprep.ingest import SensorDataset, discretize, fit_discretization, load_csv, write_csv
@@ -693,6 +694,40 @@ class TestPipeline:
         code, out, err = run(capsys, ["evaluate", "--report", str(tmp_path / "missing.json"), "--truth", str(path)])
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": f"{path}: truth file {message}", "type": "ValueError"}
+
+    @pytest.mark.parametrize(
+        ("screened", "row"),
+        [
+            pytest.param(np.arange(100), 50, id="longer"),
+            pytest.param(np.arange(30), 30, id="shorter"),
+            pytest.param(np.r_[0:3, 4, 3, 5:50], 4, id="out-of-order"),
+        ],
+    )
+    def test_evaluate_rejects_report_of_other_test_rows(self, tmp_path, capsys, screened, row):
+        # The truth file has 50 test rows; the report must screen exactly rows 0..49, in order.
+        rows = np.recarray(len(screened), dtype=ROW_DTYPE)
+        rows.row, rows.q, rows.t2, rows.flagged = screened, 0.0, 0.0, False
+        report = tmp_path / "report.json"
+        body = report_to_dict(DetectionReport(1.0, 1.0, rows, np.recarray(0, dtype=VERDICT_DTYPE)))
+        artifacts.write(report, "detection_report", ["a", "b"], body)
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"rows": [3, 5], "node_ids": ["a", "b"], "test_rows": 50}))
+        code, out, err = run(capsys, ["evaluate", "--report", str(report), "--truth", str(truth)])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": f"report {report} does not screen rows 0..49 of {truth}: row {row}", "type": "ValueError",
+        }
+
+    @pytest.mark.parametrize("key", ["bogus", "rng"])
+    def test_synth_rejects_unknown_param_before_generating(self, tmp_path, capsys, key):
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run(capsys, ["synth", "--profile", "copy-child", "--param", f"{key}=1", "--out", str(out_csv)])
+        assert code == 1 and out == "" and not out_csv.exists()
+        accepted = ["copies", "levels", "stay", "flip", "meas_noise", "child_noise"]
+        assert json.loads(err) == {
+            "error": f"--param {key!r} is not a parameter of profile 'copy-child': it takes {accepted}",
+            "type": "ValueError",
+        }
 
     def test_synth_out_and_split(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import apply_standardization
 from sensorprep.ingest import (
     DiscretizationScheme,
     SensorDataset,
     Standardization,
-    apply_standardization,
     discretize,
     discretize_row,
     fit_discretization,

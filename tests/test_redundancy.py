@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_soft_posterior,
+    make_cpt,
     random_transition_network,
     scalar_rsdrda_schedule,
     scalar_static_recovery,
     states_from_grid,
     trivial_scheme,
 )
-from sensorprep.bayesnet import Cpt, Dag, learn_transition, make_cpt
+from sensorprep.bayesnet import Cpt, Dag, learn_transition
 from sensorprep.ingest import SensorDataset, discretize, fit_discretization, synth_generate
 from sensorprep.metrics import rmse
 from sensorprep.redundancy import (
@@ -191,7 +192,7 @@ class TestRecover:
 class TestRsdrdaSchedule:
     def test_lagged_copy_child_sleeps(self):
         data = synth_generate(1, 300, 4, "lagged-copy", copies={1: 0})
-        report = rsdrda_schedule(data, slice_len=100, train_frac=0.6, tau=0.95)
+        report = rsdrda_schedule(data, slice_len=100, train_frac=0.6, tau=0.95, scheme=fit_discretization(data))
         assert report.sleeping_fraction(1) == 1.0
         # i.i.d. drivers and fillers never sleep
         for node in (0, 2, 3):
@@ -199,7 +200,7 @@ class TestRsdrdaSchedule:
 
     def test_exact_copy_recovery_rmse_zero(self):
         data = synth_generate(2, 200, 3, "lagged-copy", copies={1: 0})
-        report = rsdrda_schedule(data, slice_len=100, train_frac=0.6, tau=0.95)
+        report = rsdrda_schedule(data, slice_len=100, train_frac=0.6, tau=0.95, scheme=fit_discretization(data))
         pairs = [(data.values[r.t, r.node], r.estimate) for r in report.recoveries if r.node == 1]
         assert pairs
         assert rmse([a for a, _ in pairs], [e for _, e in pairs]) == 0.0
@@ -207,12 +208,12 @@ class TestRsdrdaSchedule:
     def test_iid_noise_nobody_sleeps(self):
         rng = np.random.default_rng(34)
         data = SensorDataset(rng.integers(0, 3, size=(200, 4)).astype(float), tuple("abcd"))
-        report = rsdrda_schedule(data, slice_len=100, train_frac=0.6, tau=0.95)
+        report = rsdrda_schedule(data, slice_len=100, train_frac=0.6, tau=0.95, scheme=fit_discretization(data))
         assert all(not e.sleeping for e in report.entries)
 
     def test_sleeping_implies_confident_posterior(self):
         data = synth_generate(3, 300, 4, "lagged-copy", copies={1: 0}, noise_frac=0.1)
-        report = rsdrda_schedule(data, slice_len=100, train_frac=0.6, tau=0.95)
+        report = rsdrda_schedule(data, slice_len=100, train_frac=0.6, tau=0.95, scheme=fit_discretization(data))
         assert np.isnan(report.entries.max_posterior).any()  # the parentless branch is exercised
         for e in report.entries:
             if e.sleeping:
@@ -222,15 +223,16 @@ class TestRsdrdaSchedule:
 
     def test_validation_errors(self):
         data = synth_generate(4, 50, 3, "lagged-copy")
+        scheme = fit_discretization(data)
         with pytest.raises(ValueError, match="shorter than one slice"):
-            rsdrda_schedule(data, slice_len=100)
+            rsdrda_schedule(data, slice_len=100, train_frac=0.6, tau=0.95, scheme=scheme)
         with pytest.raises(ValueError, match="too short"):
-            rsdrda_schedule(data, slice_len=10, train_frac=0.1)
+            rsdrda_schedule(data, slice_len=10, train_frac=0.1, tau=0.95, scheme=scheme)
         with pytest.raises(ValueError, match="train_frac"):
-            rsdrda_schedule(data, slice_len=10, train_frac=1.5)
+            rsdrda_schedule(data, slice_len=10, train_frac=1.5, tau=0.95, scheme=scheme)
         for slice_len in (0, -100):
             with pytest.raises(ValueError, match="slice_len must be >= 1"):
-                rsdrda_schedule(data, slice_len=slice_len)
+                rsdrda_schedule(data, slice_len=slice_len, train_frac=0.6, tau=0.95, scheme=scheme)
 
 
 @st.composite
