@@ -32,7 +32,6 @@ from .spectra import (
     t2_threshold,
 )
 from .bayesnet import (
-    Cpt,
     Dag,
     StaticNetwork,
     TransitionNetwork,

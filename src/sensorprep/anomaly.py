@@ -95,7 +95,7 @@ def nb_predict_state(node: int, prev_states: np.ndarray, tn: TransitionNetwork) 
     prev_states = np.asarray(prev_states, dtype=np.int64)
     if prev_states.shape != (tn.dag.n,):
         raise ValueError(f"previous states have shape {prev_states.shape}, expected ({tn.dag.n},)")
-    k = tn.cpts[node].state_count
+    k = tn.counts[node].shape[1]
     for parent in tn.dag.parents[node]:
         # The kernel's table lookup would wrap a state of 0 round to K instead of failing.
         if not 1 <= prev_states[parent] <= k:
@@ -120,7 +120,7 @@ def tqbayes_detect(
     its predecessor; later rows use the observed previous test row even if
     it was itself corrupted.
     """
-    k = tn.cpts[0].state_count
+    k = tn.counts[0].shape[1]
     if test.n != model.n or test.n != tn.dag.n or test.n != scheme.n or scheme.state_count != k:
         raise ValueError(
             f"artifact shapes disagree: data n={test.n}, model n={model.n}, "
@@ -152,7 +152,7 @@ def tqbayes_detect(
 def _predict_states(node: int, prev: np.ndarray, tn: TransitionNetwork) -> tuple[np.ndarray, np.ndarray]:
     """`nb_predict_state`'s predicted states and posteriors for every row of previous states at once."""
     prior = tn.priors[node]
-    marginals = parent_marginals(tn.cpts[node])
+    marginals = parent_marginals(tn.counts[node], len(tn.dag.parents[node]))
     unnorm = np.tile(prior, (len(prev), 1))
     for position, parent in enumerate(tn.dag.parents[node]):
         unnorm = unnorm * marginals[position, prev[:, parent] - 1]

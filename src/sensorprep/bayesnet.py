@@ -20,7 +20,6 @@ from .ingest import StateMatrix
 
 __all__ = [
     "Dag",
-    "Cpt",
     "StaticNetwork",
     "TransitionNetwork",
     "count_states",
@@ -126,76 +125,54 @@ class Dag:
         return None
 
 
-@dataclass(frozen=True)
-class Cpt:
-    """Conditional probability table of one node given its ordered parents.
-
-    counts is the H x K tally over H = K^|parents| parent configurations in
-    mixed-radix order; table is derived from it by `estimate_cpt` when it
-    is first read, so its rows sum to one (empty-count rows are uniform).
-    """
-
-    node: int
-    parents: tuple[int, ...]
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.array(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "parents", tuple(int(p) for p in self.parents))
-        if counts.ndim != 2:
-            raise ValueError("counts must be 2-D")
-        k = counts.shape[1]
-        if counts.shape[0] != k ** len(self.parents):
-            raise ValueError(f"expected {k ** len(self.parents)} configuration rows, got {counts.shape[0]}")
-        if (counts < 0).any():
-            raise ValueError("counts must be nonnegative")
-
-    @functools.cached_property
-    def table(self) -> np.ndarray:
-        return estimate_cpt(self.counts)
-
-    @property
-    def state_count(self) -> int:
-        return self.counts.shape[1]
-
-
-def _check_cpts(dag: Dag, cpts: Sequence[Cpt]) -> None:
-    if len(cpts) != dag.n:
-        raise ValueError("need one CPT per node")
-    state_counts = sorted({cpt.state_count for cpt in cpts})
-    if len(state_counts) > 1:
-        raise ValueError(f"one network needs one state count, got {state_counts}")
+def _checked_counts(dag: Dag, counts: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """One H x K int64 count table per node of dag, H = K^|parents|, one K across the network."""
+    tables = tuple(np.asarray(c, dtype=np.int64) for c in counts)
+    if len(tables) != dag.n:
+        raise ValueError(f"need one count table per node: {dag.n} nodes, {len(tables)} tables")
+    for i, (table, parents) in enumerate(zip(tables, dag.parents)):
+        if table.ndim != 2:
+            raise ValueError(f"node {i}: count table must be 2-D, got shape {table.shape}")
+        k = tables[0].shape[1]
+        h = k ** len(parents)
+        if table.shape[1] != k:
+            raise ValueError(f"node {i} has {table.shape[1]} states, node 0 has {k}: one network needs one K")
+        if table.shape[0] != h:
+            raise ValueError(f"node {i} needs {k}^{len(parents)} = {h} configuration rows, got {table.shape[0]}")
+        if (table < 0).any():
+            raise ValueError(f"node {i}: counts must be nonnegative")
+    return tables
 
 
 @dataclass(frozen=True)
 class StaticNetwork:
-    """Acyclic same-slice network: structure plus one CPT per node, all over K states."""
+    """Acyclic same-slice network: structure plus one count table per node, all over K states.
+
+    counts[i] is node i's `count_states` table given dag.parents[i]; `estimate_cpt` makes its CPT."""
 
     dag: Dag
-    cpts: tuple[Cpt, ...]
+    counts: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         self.dag.check_acyclic()
-        _check_cpts(self.dag, self.cpts)
+        object.__setattr__(self, "counts", _checked_counts(self.dag, self.counts))
 
 
 @dataclass(frozen=True)
 class TransitionNetwork:
-    """Two-slice network: per-node parents at t-1, transition CPTs over K
-    states, and single-slice marginal state priors."""
+    """Two-slice network: per-node parents at t-1, one transition count table
+    per node over K states, and single-slice marginal state priors."""
 
     dag: Dag
-    cpts: tuple[Cpt, ...]
+    counts: tuple[np.ndarray, ...]
     priors: np.ndarray
 
     def __post_init__(self) -> None:
-        priors = np.array(self.priors, dtype=float)
-        object.__setattr__(self, "priors", priors)
-        _check_cpts(self.dag, self.cpts)
-        if priors.shape != (self.dag.n, self.cpts[0].state_count):
-            raise ValueError(f"priors must be {self.dag.n} x {self.cpts[0].state_count}")
-        if np.abs(priors.sum(axis=1) - 1.0).max() > 1e-12:
+        object.__setattr__(self, "counts", _checked_counts(self.dag, self.counts))
+        object.__setattr__(self, "priors", np.array(self.priors, dtype=float))
+        if self.priors.shape != (self.dag.n, self.counts[0].shape[1]):
+            raise ValueError(f"priors must be {self.dag.n} x {self.counts[0].shape[1]}")
+        if np.abs(self.priors.sum(axis=1) - 1.0).max() > 1e-12:
             raise ValueError("every prior must sum to 1")
 
 
@@ -238,9 +215,8 @@ def estimate_cpt(counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts)
     if (counts < 0).any():
         raise ValueError("counts must be nonnegative")
-    totals = counts.sum(axis=1, keepdims=True).astype(float)
-    k = counts.shape[1]
-    return np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / k)
+    totals = counts.sum(axis=-1, keepdims=True).astype(float)
+    return np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / counts.shape[-1])
 
 
 def family_score(states: StateMatrix, node: int, parents: Sequence[int], lag: int = 0) -> float:
@@ -275,8 +251,8 @@ def score(states: StateMatrix, dag: Dag, lag: int = 0) -> float:
 
 
 def fitted_score(net: StaticNetwork | TransitionNetwork) -> float:
-    """`score` of a learned network on its training states, from the counts its CPTs hold."""
-    return sum(float(np.sum(_loglik_terms(cpt.counts))) for cpt in net.cpts)
+    """`score` of a learned network on its training states, from the count tables it holds."""
+    return sum(float(np.sum(_loglik_terms(counts))) for counts in net.counts)
 
 
 def check_cpt_cells(k_states: int, max_parents: int) -> None:
@@ -354,9 +330,9 @@ def k2_search(states: StateMatrix, max_parents: int = 3, lag: int = 0) -> Dag:
     return _searched_network(states, max_parents, lag)[0]
 
 
-def _searched_network(states: StateMatrix, max_parents: int, lag: int) -> tuple[Dag, tuple[Cpt, ...]]:
-    """k2_search's network plus each family's CPT, estimated from the counts
-    that scored the family (its count_states table); only a family that
+def _searched_network(states: StateMatrix, max_parents: int, lag: int) -> tuple[Dag, list[np.ndarray]]:
+    """k2_search's network plus each family's count table, the counts that
+    scored the family (its count_states table); only a family that
     repair_cycles changed is counted again."""
     if max_parents < 0:
         raise ValueError(f"max_parents must be >= 0, got {max_parents}")
@@ -396,7 +372,7 @@ def _searched_network(states: StateMatrix, max_parents: int, lag: int) -> tuple[
         for node, (searched, kept) in enumerate(zip(parent_sets, dag.parents)):
             if kept != tuple(searched):
                 family_counts[node] = count_states(states, node, kept, lag)
-    return dag, tuple(Cpt(i, dag.parents[i], c) for i, c in enumerate(family_counts))
+    return dag, family_counts
 
 
 def repair_cycles(dag: Dag, states: StateMatrix) -> Dag:
@@ -425,12 +401,12 @@ def repair_cycles(dag: Dag, states: StateMatrix) -> Dag:
 
 
 def learn_static(states: StateMatrix, max_parents: int = 3) -> StaticNetwork:
-    """Greedy structure search plus CPT estimation for the same-slice network."""
+    """Greedy structure search plus each family's counts for the same-slice network."""
     return StaticNetwork(*_searched_network(states, max_parents, lag=0))
 
 
 def learn_transition(states: StateMatrix, max_parents: int = 3) -> TransitionNetwork:
-    """Learn the two-slice network: cross-slice parents, transition CPTs, priors.
+    """Learn the two-slice network: cross-slice parents, transition counts, priors.
 
     Cross-slice edges cannot form cycles in the unrolled graph, so no
     repair pass is needed. Priors are single-slice marginal state
@@ -438,65 +414,61 @@ def learn_transition(states: StateMatrix, max_parents: int = 3) -> TransitionNet
     """
     if states.m < 2:
         raise ValueError("need at least 2 rows to learn transitions")
-    dag, cpts = _searched_network(states, max_parents, lag=1)
+    dag, counts = _searched_network(states, max_parents, lag=1)
     k = states.state_count
     flat = (states.states - 1 + np.arange(states.n) * k).ravel()
     priors = np.bincount(flat, minlength=states.n * k).reshape(states.n, k) / states.m
-    return TransitionNetwork(dag, cpts, priors)
+    return TransitionNetwork(dag, counts, priors)
 
 
-def parent_marginals(cpt: Cpt) -> np.ndarray:
-    """Every single-parent conditional of a CPT as a (p, K, K) table.
+def parent_marginals(counts: np.ndarray, parent_count: int) -> np.ndarray:
+    """Every single-parent conditional of a K^p x K count table, p = parent_count, as a (p, K, K) table.
 
     Entry [position, s - 1] is P(node | parent at `position` in state s),
     count-weighted: the joint counts, viewed as a (K,)*p + (K,) array, are
     summed over the other parents' axes, then normalized by `estimate_cpt`,
     so a slice that was never observed is uniform.
     """
-    p = len(cpt.parents)
-    k = cpt.state_count
-    joint = cpt.counts.reshape((k,) * p + (k,))
+    p, k = parent_count, counts.shape[1]
+    joint = counts.reshape((k,) * p + (k,))
     sums = np.empty((p, k, k), dtype=np.int64)
     for position in range(p):
         sums[position] = joint.sum(axis=tuple(a for a in range(p) if a != position))
     return estimate_cpt(sums.reshape(p * k, k)).reshape(p, k, k)
 
 
-def parent_marginal(cpt: Cpt, position: int, parent_state: int) -> np.ndarray:
+def parent_marginal(counts: np.ndarray, parent_count: int, position: int, parent_state: int) -> np.ndarray:
     """Single-parent conditional P(node | one parent), marginalizing the others.
 
     One row of `parent_marginals`: the parent at `position` in
     `parent_state` (1-based).
     """
-    p = len(cpt.parents)
-    if not 0 <= position < p:
+    if not 0 <= position < parent_count:
         raise ValueError(f"parent position {position} out of range")
-    k = cpt.state_count
+    k = counts.shape[1]
     if not 1 <= parent_state <= k:
         raise ValueError(f"parent state {parent_state} outside 1..{k}")
-    return parent_marginals(cpt)[position, parent_state - 1]
+    return parent_marginals(counts, parent_count)[position, parent_state - 1]
 
 
 def network_to_dict(net: StaticNetwork | TransitionNetwork) -> dict:
-    """The `static_network` or `transition_network` artifact body: parent lists and CPT counts.
+    """The `static_network` or `transition_network` artifact body: parent lists and count tables.
 
-    Tables are not stored; loading estimates them from the counts again.
+    Tables are not stored; they are estimated from the counts where they are read.
     """
-    doc = {"parents": [list(ps) for ps in net.dag.parents], "counts": [c.counts.tolist() for c in net.cpts]}
+    doc = {"parents": [list(ps) for ps in net.dag.parents], "counts": [c.tolist() for c in net.counts]}
     if isinstance(net, TransitionNetwork):
         doc["priors"] = net.priors.tolist()
     return doc
 
 
-def _network_from_dict(doc: dict) -> tuple[Dag, tuple[Cpt, ...]]:
-    dag = Dag(len(doc["parents"]), tuple(tuple(ps) for ps in doc["parents"]))
-    families = zip(dag.parents, doc["counts"], strict=True)
-    return dag, tuple(Cpt(i, ps, counts) for i, (ps, counts) in enumerate(families))
+def _dag_from_dict(doc: dict) -> Dag:
+    return Dag(len(doc["parents"]), tuple(tuple(ps) for ps in doc["parents"]))
 
 
 def static_from_dict(doc: dict) -> StaticNetwork:
-    return StaticNetwork(*_network_from_dict(doc))
+    return StaticNetwork(_dag_from_dict(doc), doc["counts"])
 
 
 def transition_from_dict(doc: dict) -> TransitionNetwork:
-    return TransitionNetwork(*_network_from_dict(doc), np.array(doc["priors"]))
+    return TransitionNetwork(_dag_from_dict(doc), doc["counts"], np.array(doc["priors"]))

@@ -71,7 +71,9 @@ def cmd_synth(args: argparse.Namespace) -> dict:
     for flag, value in (("--out-train", args.out_train), ("--out-test", args.out_test)):
         if args.split is None and value is not None:
             raise ValueError(f"{flag} needs --split; without it synth writes --out")
-    data = ingest.synth_generate(args.seed, args.rows, args.cols, args.profile, **_parse_params(args.param))
+    params = _parse_params(args.param)
+    ingest._profile_generator(args.profile, params)  # a key such as `m` would collide with synth_generate's own
+    data = ingest.synth_generate(args.seed, args.rows, args.cols, args.profile, **params)
     if args.split is not None:
         if not 2 <= args.split <= data.m - 2:
             raise ValueError(f"split must leave at least 2 rows on each side, got {args.split}")
@@ -177,7 +179,7 @@ def cmd_redundancy_static(args: argparse.Namespace) -> dict:
     net_doc = artifacts.read(Path(args.artifacts) / "static_network.json", "static_network", data.node_ids)
     net = bayesnet.static_from_dict(net_doc)
 
-    report = redundancy.ssdrda(net.dag, net.cpts, args.tau)
+    report = redundancy.ssdrda(net, args.tau)
     report = replace(report, recoveries=redundancy.static_recovery(data, net.dag, report.redundant_nodes()))
 
     out_dir = Path(args.out_dir)

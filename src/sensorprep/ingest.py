@@ -15,7 +15,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -546,6 +546,19 @@ _PROFILES = {
 }
 
 
+def _profile_generator(profile: str, params: Iterable[str]) -> Callable[..., np.ndarray]:
+    """The generator of a named profile, once every key in params is one of its parameters."""
+    try:
+        gen = _PROFILES[profile]
+    except KeyError:
+        raise ValueError(f"unknown profile {profile!r}; expected one of {sorted(_PROFILES)}") from None
+    accepted = list(inspect.signature(gen).parameters)[3:]  # the parameters after rng, m and n
+    for key in params:
+        if key not in accepted:
+            raise ValueError(f"--param {key!r} is not a parameter of profile {profile!r}: it takes {accepted}")
+    return gen
+
+
 def synth_generate(seed: int, m: int, n: int, profile: str, **params) -> SensorDataset:
     """Generate a deterministic synthetic dataset for the named profile.
 
@@ -556,14 +569,7 @@ def synth_generate(seed: int, m: int, n: int, profile: str, **params) -> SensorD
     """
     if m < 2 or n < 1:
         raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
-    try:
-        gen = _PROFILES[profile]
-    except KeyError:
-        raise ValueError(f"unknown profile {profile!r}; expected one of {sorted(_PROFILES)}") from None
-    accepted = list(inspect.signature(gen).parameters)[3:]  # the parameters after rng, m and n
-    for key in params:
-        if key not in accepted:
-            raise ValueError(f"--param {key!r} is not a parameter of profile {profile!r}: it takes {accepted}")
+    gen = _profile_generator(profile, params)
     rng = np.random.default_rng(seed)
     values = gen(rng, m, n, **params)
     node_ids = tuple(f"node{j:02d}" for j in range(n))

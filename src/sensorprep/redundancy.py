@@ -19,12 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from . import artifacts
-from .bayesnet import Cpt, Dag, TransitionNetwork, learn_transition
+from .bayesnet import Dag, StaticNetwork, TransitionNetwork, estimate_cpt, learn_transition
 from .ingest import DiscretizationScheme, SensorDataset, discretize
 from .ingest import _indexed_cells, _label_cells, _number_cells, _write_columns
 
 __all__ = [
-    "StaticNodeResult",
     "StaticRedundancyReport",
     "SCHEDULE_DTYPE",
     "RECOVERY_DTYPE",
@@ -53,21 +52,19 @@ RECOVERY_DTYPE = np.dtype([("t", np.int64), ("node", np.int64), ("estimate", np.
 
 
 @dataclass(frozen=True)
-class StaticNodeResult:
-    node: int
-    redundant: bool
-    criterion: float
-    witness: tuple[float, ...]  # per-parent-configuration row maxima
-
-
-@dataclass(frozen=True)
 class StaticRedundancyReport:
+    """SSDRDA's verdict on every node, indexed by node: `redundant` and
+    `criterion` arrays, and each node's `witness`, the row maxima of its table
+    per parent configuration (empty for a parentless node)."""
+
     tau: float
-    nodes: tuple[StaticNodeResult, ...]
+    redundant: np.ndarray  # bool
+    criterion: np.ndarray  # float64
+    witness: tuple[list[float], ...]
     recoveries: np.recarray  # RECOVERY_DTYPE
 
     def redundant_nodes(self) -> list[int]:
-        return [r.node for r in self.nodes if r.redundant]
+        return np.flatnonzero(self.redundant).tolist()
 
 
 @dataclass(frozen=True)
@@ -83,25 +80,18 @@ class RealtimeRedundancyReport:
         return float(sleeping.mean()) if sleeping.size else 0.0
 
 
-def ssdrda(dag: Dag, cpts: Sequence[Cpt], tau: float = 0.95) -> StaticRedundancyReport:
+def ssdrda(net: StaticNetwork, tau: float = 0.95) -> StaticRedundancyReport:
     """Static redundancy detection over a learned same-slice network.
 
     A node is redundant when the mean over parent configurations of the
-    most likely state's conditional mass reaches tau; parentless nodes are
-    never redundant.
+    most likely state's conditional mass reaches tau; parentless nodes have
+    criterion 0 and are never redundant.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    dag.check_acyclic()
-    results = []
-    for node in range(dag.n):
-        if not dag.parents[node]:
-            results.append(StaticNodeResult(node, False, 0.0, ()))
-            continue
-        maxima = cpts[node].table.max(axis=1)
-        criterion = float(maxima.mean())
-        results.append(StaticNodeResult(node, criterion >= tau, criterion, tuple(float(v) for v in maxima)))
-    return StaticRedundancyReport(tau, tuple(results), np.rec.fromrecords([], dtype=RECOVERY_DTYPE))
+    witness = tuple(estimate_cpt(c).max(axis=1).tolist() if ps else [] for c, ps in zip(net.counts, net.dag.parents))
+    criterion = np.array([np.mean(w) if w else 0.0 for w in witness])
+    return StaticRedundancyReport(tau, criterion >= tau, criterion, witness, np.recarray(0, dtype=RECOVERY_DTYPE))
 
 
 def rsdrda_infer(node: int, tn: TransitionNetwork, parent_evidence: Sequence[np.ndarray]) -> np.ndarray:
@@ -116,12 +106,12 @@ def rsdrda_infer(node: int, tn: TransitionNetwork, parent_evidence: Sequence[np.
         raise ValueError(f"node {node} has no transition parents")
     if len(parent_evidence) != len(parents):
         raise ValueError(f"expected {len(parents)} evidence vectors, got {len(parent_evidence)}")
-    k = tn.cpts[node].state_count
+    table = estimate_cpt(tn.counts[node])
     evidence = [np.asarray(ev, dtype=float) for ev in parent_evidence]
     for ev in evidence:
-        if ev.shape != (k,):
-            raise ValueError(f"evidence vector has shape {ev.shape}, expected ({k},)")
-    return _soft_posteriors(tn.cpts[node].table[None], [ev[None] for ev in evidence])[0]
+        if ev.shape != table.shape[1:]:
+            raise ValueError(f"evidence vector has shape {ev.shape}, expected {table.shape[1:]}")
+    return _soft_posteriors(table[None], [ev[None] for ev in evidence])[0]
 
 
 def _soft_posteriors(tables: np.ndarray, evidence: Sequence[np.ndarray]) -> np.ndarray:
@@ -255,7 +245,7 @@ def rsdrda_schedule(
         members = [(i, j) for i, j, ps in families if len(ps) == d]
         slices, nodes = np.array(members).T
         parents = np.array([nets[i].dag.parents[j] for i, j in members])
-        groups.append((slices, nodes, parents, np.stack([nets[i].cpts[j].table for i, j in members])))
+        groups.append((slices, nodes, parents, estimate_cpt(np.stack([nets[i].counts[j] for i, j in members]))))
 
     # Indexed by (slice, inference step, node); NaN marks a node without parents.
     max_post = np.full((len(starts), slice_len - train_len, data.n), math.nan)
@@ -292,9 +282,9 @@ def static_report_to_dict(report: StaticRedundancyReport) -> dict:
     """The `redundancy_static` artifact body: per-node lists indexed by node, recoveries as columns."""
     return {
         "tau": float(report.tau),
-        "redundant": [r.redundant for r in report.nodes],
-        "criterion": [float(r.criterion) for r in report.nodes],
-        "witness": [list(r.witness) for r in report.nodes],
+        "redundant": report.redundant.tolist(),
+        "criterion": report.criterion.tolist(),
+        "witness": list(report.witness),
         "recoveries": artifacts.columns(report.recoveries),
     }
 
@@ -311,14 +301,13 @@ def realtime_report_to_dict(report: RealtimeRedundancyReport) -> dict:
 
 
 def write_static_csv(report: StaticRedundancyReport, node_ids: Sequence[str], path: str | Path) -> None:
-    nodes = report.nodes
     _write_columns(
         path,
         ["node", "redundant", "criterion"],
         [
-            _label_cells(node_ids, np.array([r.node for r in nodes], dtype=np.int64)),
-            _number_cells(np.array([r.redundant for r in nodes], dtype=np.int64)),
-            _number_cells(np.array([r.criterion for r in nodes], dtype=np.float64)),
+            _label_cells(node_ids, np.arange(len(report.redundant))),
+            _number_cells(report.redundant.astype(np.int64)),
+            _number_cells(report.criterion),
         ],
     )
 

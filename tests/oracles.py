@@ -34,7 +34,15 @@ from pathlib import Path
 import numpy as np
 
 from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, tq_screen
-from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork, count_states, family_score, learn_transition, repair_cycles
+from sensorprep.bayesnet import (
+    Dag,
+    TransitionNetwork,
+    count_states,
+    estimate_cpt,
+    family_score,
+    learn_transition,
+    repair_cycles,
+)
 from sensorprep.ingest import DiscretizationScheme, SensorDataset, Standardization, StateMatrix, discretize
 from sensorprep.redundancy import RECOVERY_DTYPE, SCHEDULE_DTYPE, RealtimeRedundancyReport, StaticRedundancyReport
 from sensorprep.spectra import PcaModel, limit_from_json, limit_to_json
@@ -193,16 +201,16 @@ def config_rows(parents: int, k: int):
 def brute_nb_posterior(node: int, prev_states, tn: TransitionNetwork) -> np.ndarray:
     """Naive-Bayes posterior by explicit per-parent marginalization of raw counts."""
     parents = tn.dag.parents[node]
-    cpt = tn.cpts[node]
-    k = cpt.state_count
+    counts = tn.counts[node]
+    k = counts.shape[1]
     rows = config_rows(len(parents), k)
     scores = []
     for c in range(1, k + 1):
         value = tn.priors[node][c - 1]
         for pos, parent in enumerate(parents):
             want = int(prev_states[parent])
-            num = sum(cpt.counts[h][c - 1] for h, cfg in enumerate(rows) if cfg[pos] == want)
-            den = sum(cpt.counts[h].sum() for h, cfg in enumerate(rows) if cfg[pos] == want)
+            num = sum(counts[h][c - 1] for h, cfg in enumerate(rows) if cfg[pos] == want)
+            den = sum(counts[h].sum() for h, cfg in enumerate(rows) if cfg[pos] == want)
             value *= (num / den) if den > 0 else 1.0 / k
         scores.append(value)
     total = sum(scores)
@@ -212,12 +220,12 @@ def brute_nb_posterior(node: int, prev_states, tn: TransitionNetwork) -> np.ndar
     return np.array(scores) / total
 
 
-def digit_parent_marginal(cpt: Cpt, position: int, parent_state: int) -> np.ndarray:
+def digit_parent_marginal(counts: np.ndarray, parent_count: int, position: int, parent_state: int) -> np.ndarray:
     """Single-parent conditional from the mixed-radix digit of every configuration row."""
-    p = len(cpt.parents)
-    k = cpt.state_count
-    digits = (np.arange(cpt.counts.shape[0]) // (k ** (p - 1 - position))) % k
-    sums = cpt.counts[digits == parent_state - 1].sum(axis=0).astype(float)
+    p = parent_count
+    k = counts.shape[1]
+    digits = (np.arange(counts.shape[0]) // (k ** (p - 1 - position))) % k
+    sums = counts[digits == parent_state - 1].sum(axis=0).astype(float)
     total = sums.sum()
     if total <= 0:
         return np.full(k, 1.0 / k)
@@ -251,9 +259,10 @@ def discretize_row(row: np.ndarray, scheme: DiscretizationScheme) -> np.ndarray:
     return out
 
 
-def make_cpt(states: StateMatrix, node: int, parents, lag: int = 0) -> Cpt:
-    """Count and estimate in one step."""
-    return Cpt(node, tuple(parents), count_states(states, node, parents, lag))
+def make_cpt(states: StateMatrix, node: int, parents, lag: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Count and estimate in one step: a family's count table and its conditional probability table."""
+    counts = count_states(states, node, parents, lag)
+    return counts, estimate_cpt(counts)
 
 
 def penalized_family_score(states: StateMatrix, node: int, parents, lag: int = 0) -> float:
@@ -283,10 +292,9 @@ def nb_predict_state(node: int, prev_states: np.ndarray, tn: TransitionNetwork) 
     if not parents:
         posterior = prior / prior.sum()
         return int(np.argmax(posterior)) + 1, posterior
-    cpt = tn.cpts[node]
     unnorm = prior.copy()
     for position, parent in enumerate(parents):
-        unnorm = unnorm * digit_parent_marginal(cpt, position, int(prev_states[parent]))
+        unnorm = unnorm * digit_parent_marginal(tn.counts[node], len(parents), position, int(prev_states[parent]))
     total = unnorm.sum()
     if total <= 0.0:
         # Parents with disjoint supports: no state is jointly possible, so
@@ -309,14 +317,14 @@ def rsdrda_infer(node: int, tn: TransitionNetwork, parent_evidence) -> np.ndarra
         raise ValueError(f"node {node} has no transition parents")
     if len(parent_evidence) != len(parents):
         raise ValueError(f"expected {len(parents)} evidence vectors, got {len(parent_evidence)}")
-    k = tn.cpts[node].state_count
+    k = tn.counts[node].shape[1]
     weights = np.ones(1)
     for ev in parent_evidence:
         ev = np.asarray(ev, dtype=float)
         if ev.shape != (k,):
             raise ValueError(f"evidence vector has shape {ev.shape}, expected ({k},)")
         weights = np.outer(weights, ev).ravel()
-    posterior = weights @ tn.cpts[node].table
+    posterior = weights @ estimate_cpt(tn.counts[node])
     total = posterior.sum()
     if total <= 0.0:
         raise ArithmeticError("evidence assigns zero mass to every configuration")
@@ -457,15 +465,15 @@ def scalar_rsdrda_schedule(
 def brute_soft_posterior(node: int, tn: TransitionNetwork, parent_evidence) -> np.ndarray:
     """Soft-evidence posterior by explicit enumeration of joint configurations."""
     parents = tn.dag.parents[node]
-    cpt = tn.cpts[node]
-    k = cpt.state_count
+    table = estimate_cpt(tn.counts[node])
+    k = table.shape[1]
     rows = config_rows(len(parents), k)
     post = np.zeros(k)
     for h, cfg in enumerate(rows):
         weight = 1.0
         for pos, state in enumerate(cfg):
             weight *= float(parent_evidence[pos][state - 1])
-        post += weight * cpt.table[h]
+        post += weight * table[h]
     return post / post.sum()
 
 
@@ -543,7 +551,7 @@ def states_from_grid(grid: np.ndarray, k: int) -> StateMatrix:
 
 
 def random_transition_network(rng: np.random.Generator, n_max: int = 4, k_max: int = 3) -> TransitionNetwork:
-    """Random small transition network with count-backed CPTs and priors."""
+    """Random small transition network with per-node count tables and priors."""
     n = int(rng.integers(2, n_max + 1))
     k = int(rng.integers(2, k_max + 1))
     parent_sets = []
@@ -553,16 +561,16 @@ def random_transition_network(rng: np.random.Generator, n_max: int = 4, k_max: i
         rng.shuffle(others)
         parent_sets.append(tuple(sorted(others[:count])))
     dag = Dag(n, tuple(parent_sets))
-    cpts = []
+    tables = []
     for node in range(n):
         h = k ** len(parent_sets[node])
         counts = rng.integers(0, 30, size=(h, k))
         if rng.random() < 0.3:
             counts[rng.integers(h)] = 0  # exercise the uniform-smoothing path
-        cpts.append(Cpt(node, parent_sets[node], counts))
+        tables.append(counts)
     priors = rng.random((n, k)) + 0.1
     priors /= priors.sum(axis=1, keepdims=True)
-    return TransitionNetwork(dag, tuple(cpts), priors)
+    return TransitionNetwork(dag, tuple(tables), priors)
 
 
 def scalar_load_csv(path) -> SensorDataset:
@@ -642,7 +650,8 @@ def scalar_write_report_csv(report: DetectionReport, path) -> None:
 
 
 def scalar_write_static_csv(report: StaticRedundancyReport, node_ids, path) -> None:
-    rows = ([node_ids[r.node], int(r.redundant), r.criterion] for r in report.nodes)
+    redundant, criterion = report.redundant.tolist(), report.criterion.tolist()
+    rows = ([node_ids[j], int(redundant[j]), criterion[j]] for j in range(len(redundant)))
     _scalar_write_rows(path, ["node", "redundant", "criterion"], rows)
 
 
@@ -703,13 +712,13 @@ def legacy_static_report_to_dict(report: StaticRedundancyReport, node_ids) -> di
         "tau": float(report.tau),
         "nodes": [
             {
-                "node": r.node,
-                "node_id": node_ids[r.node],
-                "redundant": r.redundant,
-                "criterion": float(r.criterion),
-                "witness": [float(v) for v in r.witness],
+                "node": j,
+                "node_id": node_ids[j],
+                "redundant": bool(report.redundant[j]),
+                "criterion": float(report.criterion[j]),
+                "witness": [float(v) for v in report.witness[j]],
             }
-            for r in report.nodes
+            for j in range(len(report.redundant))
         ],
         "recoveries": _legacy_recoveries(report.recoveries, node_ids),
     }

@@ -22,7 +22,7 @@ from oracles import (
     states_from_grid,
 )
 from sensorprep.anomaly import nb_predict_state, tq_screen, tqbayes_detect
-from sensorprep.bayesnet import Cpt, Dag, k2_search, learn_static, learn_transition
+from sensorprep.bayesnet import Dag, StaticNetwork, k2_search, learn_static, learn_transition
 from sensorprep.cli import main as cli_main
 from sensorprep.ingest import (
     SensorDataset,
@@ -242,7 +242,7 @@ def test_criterion_08_inference_oracles():
     worst_nb = worst_soft = 0.0
     for _ in range(100):
         tn = random_transition_network(rng, n_max=4, k_max=3)
-        k = tn.cpts[0].state_count
+        k = tn.counts[0].shape[1]
         prev = rng.integers(1, k + 1, size=tn.dag.n)
         for node in range(tn.dag.n):
             _, posterior = nb_predict_state(node, prev, tn)
@@ -263,21 +263,16 @@ def test_criterion_09_ssdrda():
     identity_counts = np.array([[40, 0, 0], [0, 40, 0], [0, 0, 40]])
     uniform_counts = np.full((3, 3), 20)
     parent_counts = np.full((1, 3), 10)
-    dag = Dag(3, ((), (0,), (0,)))
-    cpts = (
-        Cpt(0, (), parent_counts),
-        Cpt(1, (0,), identity_counts),
-        Cpt(2, (0,), uniform_counts),
-    )
-    rep = ssdrda(dag, cpts, tau=0.95)
-    direct_ok = rep.nodes[1].redundant and not rep.nodes[2].redundant
+    net = StaticNetwork(Dag(3, ((), (0,), (0,))), (parent_counts, identity_counts, uniform_counts))
+    rep = ssdrda(net, tau=0.95)
+    direct_ok = rep.redundant[1] and not rep.redundant[2]
 
     data = synth_generate(7, 400, 5, "copy-child", copies={1: 0, 3: 2}, flip=0.03)
     net = learn_static(discretize(data, fit_discretization(data, 3)), 2)
     previous = None
     monotone = True
     for tau in (0.8, 0.9, 0.95, 0.99):
-        current = set(ssdrda(net.dag, net.cpts, tau).redundant_nodes())
+        current = set(ssdrda(net, tau).redundant_nodes())
         if previous is not None:
             monotone &= current <= previous
         previous = current

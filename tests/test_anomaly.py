@@ -20,7 +20,7 @@ from sensorprep.anomaly import (
     tqbayes_detect,
     write_report_csv,
 )
-from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork, learn_transition
+from sensorprep.bayesnet import Dag, TransitionNetwork, learn_transition
 from sensorprep.ingest import SensorDataset, Standardization, discretize, fit_discretization, synth_generate
 from sensorprep.spectra import PcaModel, fit_pca_model, q_statistic, t2_statistic
 
@@ -29,9 +29,8 @@ def single_parent_tn(counts, prior=None):
     """Two-node network where node 1 has transition parent node 0."""
     counts = np.asarray(counts)
     k = counts.shape[1]
-    cpts = (Cpt(0, (), np.full((1, k), 10)), Cpt(1, (0,), counts))
     priors = np.full((2, k), 1.0 / k) if prior is None else np.array([np.full(k, 1.0 / k), prior])
-    return TransitionNetwork(Dag(2, ((), (0,))), cpts, priors)
+    return TransitionNetwork(Dag(2, ((), (0,))), (np.full((1, k), 10), counts), priors)
 
 
 def t2_model(n, t2_limit):
@@ -170,12 +169,8 @@ class TestNbPredictState:
         # unnormalized scores 0.36 and 0.01.
         counts = np.array([[8, 1], [1, 0], [0, 1], [5, 5]])
         k = 2
-        cpts = (
-            Cpt(0, (), np.array([[5, 5]])),
-            Cpt(1, (), np.array([[5, 5]])),
-            Cpt(2, (0, 1), counts),
-        )
-        tn = TransitionNetwork(Dag(3, ((), (), (0, 1))), cpts, np.full((3, k), 0.5))
+        tables = (np.array([[5, 5]]), np.array([[5, 5]]), counts)
+        tn = TransitionNetwork(Dag(3, ((), (), (0, 1))), tables, np.full((3, k), 0.5))
         predicted, posterior = nb_predict_state(2, np.array([1, 1, 1]), tn)
         assert predicted == 1
         np.testing.assert_allclose(posterior, [36 / 37, 1 / 37], atol=1e-12)
@@ -190,7 +185,7 @@ class TestNbPredictState:
         rng = np.random.default_rng(20)
         for _ in range(60):
             tn = random_transition_network(rng)
-            k = tn.cpts[0].state_count
+            k = tn.counts[0].shape[1]
             prev = rng.integers(1, k + 1, size=tn.dag.n)
             for node in range(tn.dag.n):
                 _, posterior = nb_predict_state(node, prev, tn)
@@ -305,7 +300,7 @@ def detection_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["random", "sparse", "uniform"]))
     parent_sets = []
-    cpts = []
+    tables = []
     for node in range(n):
         others = [j for j in range(n) if j != node]
         count = draw(st.integers(0, min(3, len(others))))
@@ -316,12 +311,12 @@ def detection_cases(draw):
         elif kind == "sparse":  # mostly empty rows and disjoint supports
             counts = rng.integers(1, 5, size=counts.shape) * (rng.random(counts.shape) < 0.25)
         parent_sets.append(parents)
-        cpts.append(Cpt(node, parents, counts))
+        tables.append(counts)
     priors = np.full((n, k), 1.0 / k)
     if kind != "uniform":
         priors = rng.random((n, k)) + 0.05
         priors /= priors.sum(axis=1, keepdims=True)
-    tn = TransitionNetwork(Dag(n, tuple(parent_sets)), tuple(cpts), priors)
+    tn = TransitionNetwork(Dag(n, tuple(parent_sets)), tuple(tables), priors)
 
     levels = rng.integers(1, k + 1, size=(m + 1, n)) + rng.uniform(-0.4, 0.4, size=(m + 1, n))
     test = SensorDataset(levels[1:], [f"n{j}" for j in range(n)])
@@ -350,13 +345,8 @@ class TestBatchedStageTwo:
         k = 2
         counts = np.array([[5, 0], [0, 0], [0, 0], [0, 5]])
         flat = np.full((1, k), 10)
-        cpts = (
-            Cpt(0, (), flat),
-            Cpt(1, (), flat),
-            Cpt(2, (0, 1), counts),
-        )
         priors = np.array([[0.5, 0.5], [0.5, 0.5], [0.3, 0.7]])
-        tn = TransitionNetwork(Dag(3, ((), (), (0, 1))), cpts, priors)
+        tn = TransitionNetwork(Dag(3, ((), (), (0, 1))), (flat, flat, counts), priors)
         # Every test row is flagged. Rows 0 and 2 follow parent states (1, 2)
         # and (2, 1), both disjoint; row 1 follows (1, 1), which predicts 1.
         # Without the fallback, 0/0 would make the argmax state 1.

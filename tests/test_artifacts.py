@@ -28,7 +28,7 @@ from sensorprep.anomaly import (
     tqbayes_detect,
 )
 from sensorprep.artifacts import ArtifactError
-from sensorprep.bayesnet import Cpt, Dag, learn_static, learn_transition
+from sensorprep.bayesnet import Dag, StaticNetwork, learn_static, learn_transition
 from sensorprep.ingest import SensorDataset, discretize, fit_discretization, synth_generate
 from sensorprep.redundancy import (
     RECOVERY_DTYPE,
@@ -185,7 +185,7 @@ def reports():
     states = discretize(train, scheme)
     detection = tqbayes_detect(test, fit_pca_model(train), learn_transition(states, 3), scheme, train.values[-1])
     net = learn_static(states, 3)
-    static = ssdrda(net.dag, net.cpts, 0.9)
+    static = ssdrda(net, 0.9)
     static = replace(static, recoveries=static_recovery(train, net.dag, static.redundant_nodes()))
     lagged = synth_generate(3, 400, 6, "lagged-copy", copies={1: 0, 3: 2}, noise_frac=0.1)
     realtime = rsdrda_schedule(lagged, 100, 0.6, 0.9, fit_discretization(lagged, 3), 3)
@@ -226,8 +226,7 @@ class TestEquivalenceWithPerRecordLayout:
 
     def test_empty_recoveries(self, tmp_path):
         n = len(NODE_IDS)
-        cpts = tuple(Cpt(i, (), np.ones((1, 2), dtype=np.int64)) for i in range(n))
-        empty = ssdrda(Dag(n, ((),) * n), cpts, 0.9)
+        empty = ssdrda(StaticNetwork(Dag(n, ((),) * n), (np.ones((1, 2), dtype=np.int64),) * n), 0.9)
         doc = round_trip(tmp_path, "redundancy_static", static_report_to_dict(empty))
         _, old_recoveries = legacy_static_from_dict(legacy_json(legacy_static_report_to_dict(empty, NODE_IDS)))
         assert doc["recoveries"] == [[], [], []]

@@ -23,8 +23,9 @@ from oracles import (
 )
 from sensorprep import bayesnet
 from sensorprep.bayesnet import (
-    Cpt,
     Dag,
+    StaticNetwork,
+    TransitionNetwork,
     _depth_counts,
     _penalized_scores,
     check_cpt_cells,
@@ -44,6 +45,7 @@ from sensorprep.bayesnet import (
     static_from_dict,
     transition_from_dict,
 )
+from sensorprep.redundancy import ssdrda
 
 
 def chain_states(seed, m=5000, flip=0.05):
@@ -145,18 +147,20 @@ class TestEstimateCpt:
         rng = np.random.default_rng(2)
         grid = rng.integers(1, 4, size=(300, 3))
         states = states_from_grid(grid, 3)
-        cpt = make_cpt(states, 0, [1, 2], lag=0)
-        np.testing.assert_allclose(cpt.table.sum(axis=1), 1.0, atol=1e-12)
-        assert cpt.table.shape == cpt.counts.shape == (9, 3)
+        counts, table = make_cpt(states, 0, [1, 2], lag=0)
+        np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-12)
+        assert table.shape == counts.shape == (9, 3)
 
     def test_cpt_table_is_estimated_from_counts(self):
+        # A network holds counts only; the table its readers use is estimate_cpt of them.
         counts = np.array([[3, 1], [0, 0]])
-        cpt = Cpt(1, (0,), counts)
-        assert cpt.table.tobytes() == estimate_cpt(counts).tobytes()
-        with pytest.raises(ValueError, match="expected 2 configuration rows, got 1"):
-            Cpt(1, (0,), counts[:1])
-        with pytest.raises(ValueError, match="nonnegative"):
-            Cpt(1, (0,), -counts)
+        dag = Dag(2, ((), (0,)))
+        net = StaticNetwork(dag, (np.array([[1, 1]]), counts))
+        assert ssdrda(net, 0.9).witness[1] == estimate_cpt(counts).max(axis=1).tolist() == [0.75, 0.5]
+        with pytest.raises(ValueError, match=r"node 1 needs 2\^1 = 2 configuration rows, got 1"):
+            StaticNetwork(dag, (np.array([[1, 1]]), counts[:1]))
+        with pytest.raises(ValueError, match="node 1: counts must be nonnegative"):
+            StaticNetwork(dag, (np.array([[1, 1]]), -counts))
 
 
 class TestScore:
@@ -306,18 +310,18 @@ class TestBatchedSearch:
 
 
 def assert_counts_reused(net, states, lag):
-    """Every CPT holds count_states of its family, the network's JSON
-    equals that of CPTs made by make_cpt, and the score from the kept
+    """Every count table is count_states of its family, the network's JSON
+    equals that of counts made by make_cpt, and the score from the kept
     counts equals the recounted score bit for bit."""
-    for i, cpt in enumerate(net.cpts):
-        assert np.array_equal(cpt.counts, count_states(states, i, net.dag.parents[i], lag))
+    for i, counts in enumerate(net.counts):
+        assert np.array_equal(counts, count_states(states, i, net.dag.parents[i], lag))
     assert fitted_score(net) == score(states, net.dag, lag)
-    recounted = replace(net, cpts=tuple(make_cpt(states, i, ps, lag) for i, ps in enumerate(net.dag.parents)))
+    recounted = replace(net, counts=tuple(make_cpt(states, i, ps, lag)[0] for i, ps in enumerate(net.dag.parents)))
     assert json.dumps(network_to_dict(net), sort_keys=True) == json.dumps(network_to_dict(recounted), sort_keys=True)
 
 
 class TestReusedFamilyCounts:
-    """learn_static and learn_transition build CPTs from the search's own counts."""
+    """learn_static and learn_transition hold the search's own count tables."""
 
     @settings(max_examples=150, deadline=None)
     @given(search_cases(), st.sampled_from([8, 64]), st.data())
@@ -449,7 +453,7 @@ class TestLearnTransition:
         states = states_from_grid(grid, 3)
         tn = learn_transition(states, max_parents=2)
         assert tn.dag.parents[1] == (0,)
-        np.testing.assert_allclose(tn.cpts[1].table, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(estimate_cpt(tn.counts[1]), np.eye(3), atol=1e-12)
 
     def test_iid_columns_no_transition_parents(self):
         rng = np.random.default_rng(11)
@@ -474,14 +478,12 @@ class TestParentMarginal:
         # counts rows in (a, b) mixed-radix order; marginal over b for a=1
         # sums rows 0 and 1.
         counts = np.array([[8, 1], [1, 0], [0, 1], [5, 5]])
-        cpt = Cpt(2, (0, 1), counts)
-        np.testing.assert_allclose(parent_marginal(cpt, 0, 1), [0.9, 0.1])
-        np.testing.assert_allclose(parent_marginal(cpt, 1, 1), [0.8, 0.2])
+        np.testing.assert_allclose(parent_marginal(counts, 2, 0, 1), [0.9, 0.1])
+        np.testing.assert_allclose(parent_marginal(counts, 2, 1, 1), [0.8, 0.2])
 
     def test_unseen_slice_is_uniform(self):
         counts = np.array([[3, 1], [0, 0]])
-        cpt = Cpt(1, (0,), counts)
-        np.testing.assert_allclose(parent_marginal(cpt, 0, 2), [0.5, 0.5])
+        np.testing.assert_allclose(parent_marginal(counts, 1, 0, 2), [0.5, 0.5])
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 2**32 - 1), st.booleans())
@@ -490,40 +492,78 @@ class TestParentMarginal:
         counts = rng.integers(0, 40, size=(k**p, k))
         if sparse:  # empty configuration rows and never-observed slices
             counts *= rng.random(counts.shape) < 0.2
-        cpt = Cpt(p, tuple(range(p)), counts)
-        table = parent_marginals(cpt)
+        table = parent_marginals(counts, p)
         assert table.shape == (p, k, k)
         for position in range(p):
             for state in range(1, k + 1):
-                expected = digit_parent_marginal(cpt, position, state)
+                expected = digit_parent_marginal(counts, p, position, state)
                 assert np.array_equal(table[position, state - 1], expected)
-                assert np.array_equal(parent_marginal(cpt, position, state), expected)
+                assert np.array_equal(parent_marginal(counts, p, position, state), expected)
 
     def test_rejects_position_and_state_out_of_range(self):
         counts = np.array([[3, 1], [0, 0]])
-        cpt = Cpt(1, (0,), counts)
         with pytest.raises(ValueError, match="position"):
-            parent_marginal(cpt, 1, 1)
+            parent_marginal(counts, 1, 1, 1)
         with pytest.raises(ValueError, match="outside"):
-            parent_marginal(cpt, 0, 3)
+            parent_marginal(counts, 1, 0, 3)
 
 
 class TestOneStateCount:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda dag, cpts: bayesnet.StaticNetwork(dag, cpts),
-            lambda dag, cpts: bayesnet.TransitionNetwork(dag, cpts, np.full((2, 3), 1 / 3)),
+            lambda dag, counts: bayesnet.StaticNetwork(dag, counts),
+            lambda dag, counts: bayesnet.TransitionNetwork(dag, counts, np.full((2, 3), 1 / 3)),
         ],
         ids=["static", "transition"],
     )
     def test_mixed_state_counts_rejected(self, build):
-        # The first CPT has K=3, the second K=4: a check that reads only
-        # cpts[0] would take the network for a K=3 one.
+        # The first table has K=3, the second K=4: a check that reads only
+        # counts[0] would take the network for a K=3 one.
         dag = Dag(2, ((), (0,)))
-        with pytest.raises(ValueError, match=r"one network needs one state count, got \[3, 4\]"):
-            build(dag, (Cpt(0, (), np.ones((1, 3), int)), Cpt(1, (0,), np.ones((4, 4), int))))
-        build(dag, (Cpt(0, (), np.ones((1, 3), int)), Cpt(1, (0,), np.ones((3, 3), int))))
+        with pytest.raises(ValueError, match="node 1 has 4 states, node 0 has 3: one network needs one K"):
+            build(dag, (np.ones((1, 3), int), np.ones((4, 4), int)))
+        build(dag, (np.ones((1, 3), int), np.ones((3, 3), int)))
+
+
+class TestCountTablesMatchTheDag:
+    """Each network checks its count tables against its own DAG, and every error names the node."""
+
+    BUILDS = [
+        pytest.param(lambda dag, counts: StaticNetwork(dag, counts), id="static"),
+        pytest.param(lambda dag, counts: TransitionNetwork(dag, counts, np.full((dag.n, 3), 1 / 3)), id="transition"),
+    ]
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize(
+        ("counts", "message"),
+        [
+            # Node 0 has parent 1, so its table needs 3 rows; the tables are in the wrong node order.
+            ((np.ones((1, 3)), 5 * np.eye(3)), r"node 0 needs 3\^1 = 3 configuration rows, got 1"),
+            ((np.ones((3, 3)), np.ones((3, 3))), r"node 1 needs 3\^0 = 1 configuration rows, got 3"),
+            ((np.ones((3, 3)), np.array([[1, -1, 1]])), "node 1: counts must be nonnegative"),
+            ((np.ones((3, 3)), np.ones((1, 4))), "node 1 has 4 states, node 0 has 3: one network needs one K"),
+            ((np.ones(3), np.ones((1, 3))), r"node 0: count table must be 2-D, got shape \(3,\)"),
+            ((np.ones((3, 3)),), "need one count table per node: 2 nodes, 1 tables"),
+        ],
+        ids=["rows-node-0", "rows-node-1", "negative", "mixed-K", "not-2-D", "one-per-node"],
+    )
+    def test_rejected_naming_the_node(self, build, counts, message):
+        with pytest.raises(ValueError, match=message):
+            build(Dag(2, ((1,), ())), counts)
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_int64_tables_are_held_without_a_copy(self, build):
+        counts = (5 * np.eye(3, dtype=np.int64), np.ones((1, 3), dtype=np.int64))
+        net = build(Dag(2, ((1,), ())), counts)
+        assert isinstance(net.counts, tuple) and all(held is given for held, given in zip(net.counts, counts))
+
+    def test_node_0_with_a_deterministic_table_is_redundant(self):
+        # Node 0 copies node 1, so node 0 is redundant and parentless node 1 is not.
+        net = StaticNetwork(Dag(2, ((1,), ())), (5 * np.eye(3, dtype=np.int64), np.ones((1, 3), dtype=np.int64)))
+        report = ssdrda(net, 0.95)
+        assert report.redundant.tolist() == [True, False] and report.redundant_nodes() == [0]
+        assert report.criterion.tolist() == [1.0, 0.0] and report.witness == ([1.0, 1.0, 1.0], [])
 
 
 class TestSerialization:
@@ -533,9 +573,9 @@ class TestSerialization:
         net = learn_static(states, max_parents=2)
         back = static_from_dict(network_to_dict(net))
         assert back.dag.parents == net.dag.parents
-        for orig, copy in zip(net.cpts, back.cpts):
-            np.testing.assert_array_equal(orig.table, copy.table)
-            np.testing.assert_array_equal(orig.counts, copy.counts)
+        for orig, copy in zip(net.counts, back.counts):
+            np.testing.assert_array_equal(estimate_cpt(orig), estimate_cpt(copy))
+            np.testing.assert_array_equal(orig, copy)
 
     def test_transition_roundtrip(self):
         rng = np.random.default_rng(14)
@@ -561,8 +601,8 @@ class TestSerialization:
         ):
             doc = network_to_dict(net)
             assert sorted(doc) == body
-            stored = json.loads(json.dumps({**doc, "tables": [c.table.tolist() for c in net.cpts]}))
+            stored = json.loads(json.dumps({**doc, "tables": [estimate_cpt(c).tolist() for c in net.counts]}))
             back = from_dict(stored)
-            assert any((c.counts.sum(axis=1) == 0).any() for c in back.cpts)
-            for table, cpt in zip(stored["tables"], back.cpts):
-                assert cpt.table.tobytes() == np.array(table).tobytes()
+            assert any((c.sum(axis=1) == 0).any() for c in back.counts)
+            for table, counts in zip(stored["tables"], back.counts):
+                assert estimate_cpt(counts).tobytes() == np.array(table).tobytes()

@@ -311,6 +311,33 @@ class TestPipeline:
         assert outputs["plain"][0] == {"redundant_nodes": []}
         assert outputs["tampered"] == outputs["plain"]
 
+    @pytest.mark.parametrize("kind", ["static_network", "transition_network"])
+    @pytest.mark.parametrize("fault", ["rows", "negative"])
+    def test_network_counts_checked_against_the_dag(self, tmp_path, capsys, kind, fault):
+        data = tmp_path / "data.csv"
+        code, _, err = run(capsys, [
+            "synth", "--profile", "copy-child", "--seed", "4", "--rows", "300", "--cols", "4",
+            "--param", 'copies={"1":0}', "--out", str(data),
+        ])
+        assert code == 0, err
+        art = tmp_path / "art"
+        assert run(capsys, ["learn", "--train", str(data), "--out-dir", str(art)])[0] == 0
+        path = art / f"{kind}.json"
+        doc = json.loads(path.read_text())
+        node = next(j for j, ps in enumerate(doc["parents"]) if ps)
+        if fault == "rows":
+            doc["counts"][node] = doc["counts"][node][:1]
+            p = len(doc["parents"][node])
+            message = f"node {node} needs 3^{p} = {3 ** p} configuration rows, got 1"
+        else:
+            doc["counts"][node][0][0] = -1
+            message = f"node {node}: counts must be nonnegative"
+        path.write_text(json.dumps(doc))
+        command = (["redundancy-static"] if kind == "static_network" else ["detect", "--train", str(data)])
+        code, out, err = run(capsys, command + ["--data", str(data), "--artifacts", str(art), "--out-dir", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": message, "type": "ValueError"}
+
     def test_constant_column_fails_with_named_node(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,5\n2,5\n3,5\n")
@@ -718,7 +745,7 @@ class TestPipeline:
             "error": f"report {report} does not screen rows 0..49 of {truth}: row {row}", "type": "ValueError",
         }
 
-    @pytest.mark.parametrize("key", ["bogus", "rng"])
+    @pytest.mark.parametrize("key", ["bogus", "rng", "seed", "m", "n", "profile"])
     def test_synth_rejects_unknown_param_before_generating(self, tmp_path, capsys, key):
         out_csv = tmp_path / "x.csv"
         code, out, err = run(capsys, ["synth", "--profile", "copy-child", "--param", f"{key}=1", "--out", str(out_csv)])

@@ -28,7 +28,6 @@ from sensorprep.redundancy import (
     RECOVERY_DTYPE,
     SCHEDULE_DTYPE,
     RealtimeRedundancyReport,
-    StaticNodeResult,
     StaticRedundancyReport,
     write_realtime_csv,
     write_recovery_csv,
@@ -198,7 +197,9 @@ class TestWriters:
     def test_write_static_csv(self, tmp_path_factory, nodes, ids):
         report = StaticRedundancyReport(
             0.9,
-            tuple(StaticNodeResult(j, red, crit, ()) for j, (red, crit) in enumerate(nodes)),
+            np.array([red for red, _ in nodes], dtype=bool),
+            np.array([crit for _, crit in nodes], dtype=np.float64),
+            ([],) * len(nodes),
             np.rec.fromrecords([], dtype=RECOVERY_DTYPE),
         )
         same_bytes(tmp_path_factory, write_static_csv, scalar_write_static_csv, report, ids)

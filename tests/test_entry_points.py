@@ -14,7 +14,7 @@ import pytest
 
 import sensorprep
 from sensorprep.anomaly import nb_predict_state
-from sensorprep.bayesnet import Cpt, Dag, TransitionNetwork
+from sensorprep.bayesnet import Dag, TransitionNetwork
 from sensorprep.ingest import DiscretizationScheme, discretize_row
 from sensorprep.redundancy import recover, rsdrda_infer
 
@@ -23,8 +23,8 @@ MODULES = [info.name for info in pkgutil.iter_modules(sensorprep.__path__)]
 
 def chain_network() -> TransitionNetwork:
     """Two nodes over three states; node 1 has transition parent node 0."""
-    cpts = (Cpt(0, (), np.full((1, 3), 10)), Cpt(1, (0,), np.arange(9).reshape(3, 3)))
-    return TransitionNetwork(Dag(2, ((), (0,))), cpts, np.full((2, 3), 1 / 3))
+    counts = (np.full((1, 3), 10), np.arange(9).reshape(3, 3))
+    return TransitionNetwork(Dag(2, ((), (0,))), counts, np.full((2, 3), 1 / 3))
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from oracles import (
     states_from_grid,
     trivial_scheme,
 )
-from sensorprep.bayesnet import Cpt, Dag, learn_transition
+from sensorprep.bayesnet import Dag, StaticNetwork, learn_transition
 from sensorprep.ingest import SensorDataset, discretize, fit_discretization, synth_generate
 from sensorprep.metrics import rmse
 from sensorprep.redundancy import (
@@ -27,31 +27,28 @@ from sensorprep.redundancy import (
 
 
 def one_node_family(table_counts, k=None):
-    """Dag 0 -> 1 with an explicit CPT for node 1."""
+    """Dag 0 -> 1 with an explicit count table for node 1."""
     counts = np.asarray(table_counts)
     k = k or counts.shape[1]
-    cpts = (Cpt(0, (), np.full((1, k), 10)), Cpt(1, (0,), counts))
-    return Dag(2, ((), (0,))), cpts
+    return Dag(2, ((), (0,))), (np.full((1, k), 10), counts)
 
 
 class TestSsdrda:
     def test_identity_cpt_redundant(self):
-        dag, cpts = one_node_family(np.array([[30, 0], [0, 30]]))
-        report = ssdrda(dag, cpts, tau=0.95)
-        node = report.nodes[1]
-        assert node.redundant
-        assert node.criterion == 1.0
-        assert node.witness == (1.0, 1.0)
+        report = ssdrda(StaticNetwork(*one_node_family(np.array([[30, 0], [0, 30]]))), tau=0.95)
+        assert report.redundant[1]
+        assert report.criterion[1] == 1.0
+        assert report.witness[1] == [1.0, 1.0]
 
     def test_uniform_cpt_not_redundant(self):
-        dag, cpts = one_node_family(np.array([[10, 10, 10], [10, 10, 10], [10, 10, 10]]))
-        report = ssdrda(dag, cpts, tau=0.95)
-        assert not report.nodes[1].redundant
-        assert report.nodes[1].criterion == pytest.approx(1 / 3)
+        report = ssdrda(StaticNetwork(*one_node_family(np.array([[10, 10, 10], [10, 10, 10], [10, 10, 10]]))), 0.95)
+        assert not report.redundant[1]
+        assert report.criterion[1] == pytest.approx(1 / 3)
 
     def test_parentless_never_redundant(self):
-        dag, cpts = one_node_family(np.array([[30, 0], [0, 30]]))
-        assert not ssdrda(dag, cpts, tau=0.5).nodes[0].redundant
+        report = ssdrda(StaticNetwork(*one_node_family(np.array([[30, 0], [0, 30]]))), tau=0.5)
+        assert not report.redundant[0]
+        assert (report.criterion[0], report.witness[0]) == (0.0, [])
 
     def test_flip_noise_straddles_tau(self):
         # Criterion recomputed from raw counts is the oracle.
@@ -61,15 +58,14 @@ class TestSsdrda:
         flip = rng.random(m) < 0.05
         child = np.where(flip, 3 - parent, parent)
         states = states_from_grid(np.column_stack([parent, child]), 2)
-        dag = Dag(2, ((), (0,)))
-        cpts = (make_cpt(states, 0, [], 0), make_cpt(states, 1, [0], 0))
-        counts = cpts[1].counts
+        counts = make_cpt(states, 1, [0], 0)[0]
+        net = StaticNetwork(Dag(2, ((), (0,))), (make_cpt(states, 0, [], 0)[0], counts))
         expected = np.mean([row.max() / row.sum() for row in counts])
-        report_09 = ssdrda(dag, cpts, tau=0.90)
-        report_097 = ssdrda(dag, cpts, tau=0.97)
-        assert report_09.nodes[1].criterion == pytest.approx(expected, abs=1e-12)
-        assert report_09.nodes[1].redundant
-        assert not report_097.nodes[1].redundant
+        report_09 = ssdrda(net, tau=0.90)
+        report_097 = ssdrda(net, tau=0.97)
+        assert report_09.criterion[1] == pytest.approx(expected, abs=1e-12)
+        assert report_09.redundant[1]
+        assert not report_097.redundant[1]
 
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(31)
@@ -81,41 +77,41 @@ class TestSsdrda:
         net = learn_static(discretize(data, scheme), 2)
         previous = None
         for tau in (0.8, 0.9, 0.95, 0.99):
-            current = set(ssdrda(net.dag, net.cpts, tau).redundant_nodes())
+            current = set(ssdrda(net, tau).redundant_nodes())
             if previous is not None:
                 assert current <= previous
             previous = current
 
     def test_rejects_bad_tau(self):
-        dag, cpts = one_node_family(np.array([[1, 1], [1, 1]]))
+        net = StaticNetwork(*one_node_family(np.array([[1, 1], [1, 1]])))
         with pytest.raises(ValueError, match="tau"):
-            ssdrda(dag, cpts, tau=0.0)
+            ssdrda(net, tau=0.0)
 
 
 class TestRsdrdaInfer:
     def test_point_mass_identity_propagates(self):
-        dag, cpts = one_node_family(np.array([[30, 0], [0, 30]]))
+        dag, counts = one_node_family(np.array([[30, 0], [0, 30]]))
         tn_priors = np.full((2, 2), 0.5)
         from sensorprep.bayesnet import TransitionNetwork
 
-        tn = TransitionNetwork(dag, cpts, tn_priors)
+        tn = TransitionNetwork(dag, counts, tn_priors)
         posterior = rsdrda_infer(1, tn, [np.array([0.0, 1.0])])
         np.testing.assert_array_equal(posterior, [0.0, 1.0])
 
     def test_uniform_in_uniform_out(self):
-        dag, cpts = one_node_family(np.array([[5, 5], [5, 5]]))
+        dag, counts = one_node_family(np.array([[5, 5], [5, 5]]))
         from sensorprep.bayesnet import TransitionNetwork
 
-        tn = TransitionNetwork(dag, cpts, np.full((2, 2), 0.5))
+        tn = TransitionNetwork(dag, counts, np.full((2, 2), 0.5))
         posterior = rsdrda_infer(1, tn, [np.array([0.5, 0.5])])
         np.testing.assert_allclose(posterior, [0.5, 0.5])
 
     def test_hand_worked_mixture(self):
         # 0.7*0.9 + 0.3*0.2 = 0.69
-        dag, cpts = one_node_family(np.array([[9, 1], [2, 8]]))
+        dag, counts = one_node_family(np.array([[9, 1], [2, 8]]))
         from sensorprep.bayesnet import TransitionNetwork
 
-        tn = TransitionNetwork(dag, cpts, np.full((2, 2), 0.5))
+        tn = TransitionNetwork(dag, counts, np.full((2, 2), 0.5))
         posterior = rsdrda_infer(1, tn, [np.array([0.7, 0.3])])
         np.testing.assert_allclose(posterior, [0.69, 0.31], atol=1e-12)
 
@@ -124,10 +120,9 @@ class TestRsdrdaInfer:
         table = np.array([[0.25, 0.75], [0.5, 0.5]])
         counts = np.array([[1, 3], [2, 2]])
         dag = Dag(2, ((), (0,)))
-        cpts = (Cpt(0, (), np.array([[5, 5]])), Cpt(1, (0,), counts))
         from sensorprep.bayesnet import TransitionNetwork
 
-        tn = TransitionNetwork(dag, cpts, np.full((2, 2), 0.5))
+        tn = TransitionNetwork(dag, (np.array([[5, 5]]), counts), np.full((2, 2), 0.5))
         np.testing.assert_array_equal(rsdrda_infer(1, tn, [np.array([1.0, 0.0])]), table[0])
         np.testing.assert_array_equal(rsdrda_infer(1, tn, [np.array([0.0, 1.0])]), table[1])
 
@@ -136,7 +131,7 @@ class TestRsdrdaInfer:
         checked = 0
         while checked < 60:
             tn = random_transition_network(rng)
-            k = tn.cpts[0].state_count
+            k = tn.counts[0].shape[1]
             for node in range(tn.dag.n):
                 parents = tn.dag.parents[node]
                 if not parents:
@@ -152,10 +147,10 @@ class TestRsdrdaInfer:
                 checked += 1
 
     def test_rejects_parentless(self):
-        dag, cpts = one_node_family(np.array([[1, 1], [1, 1]]))
+        dag, counts = one_node_family(np.array([[1, 1], [1, 1]]))
         from sensorprep.bayesnet import TransitionNetwork
 
-        tn = TransitionNetwork(dag, cpts, np.full((2, 2), 0.5))
+        tn = TransitionNetwork(dag, counts, np.full((2, 2), 0.5))
         with pytest.raises(ValueError, match="no transition parents"):
             rsdrda_infer(0, tn, [])
 
