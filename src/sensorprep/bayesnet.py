@@ -127,10 +127,13 @@ class Dag:
 
 def _checked_counts(dag: Dag, counts: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     """One H x K int64 count table per node of dag, H = K^|parents|, one K across the network."""
-    tables = tuple(np.asarray(c, dtype=np.int64) for c in counts)
+    tables = [np.asarray(c) for c in counts]
     if len(tables) != dag.n:
         raise ValueError(f"need one count table per node: {dag.n} nodes, {len(tables)} tables")
     for i, (table, parents) in enumerate(zip(tables, dag.parents)):
+        whole = table.dtype.kind in "iuf" and np.all(np.isfinite(table) & (table == np.trunc(table)) & (table < 2**63))
+        if not whole:
+            raise ValueError(f"node {i}: counts must be whole numbers below 2**63")
         if table.ndim != 2:
             raise ValueError(f"node {i}: count table must be 2-D, got shape {table.shape}")
         k = tables[0].shape[1]
@@ -141,7 +144,8 @@ def _checked_counts(dag: Dag, counts: Sequence[np.ndarray]) -> tuple[np.ndarray,
             raise ValueError(f"node {i} needs {k}^{len(parents)} = {h} configuration rows, got {table.shape[0]}")
         if (table < 0).any():
             raise ValueError(f"node {i}: counts must be nonnegative")
-    return tables
+        tables[i] = table.astype(np.int64, copy=False)
+    return tuple(tables)
 
 
 @dataclass(frozen=True)
@@ -220,19 +224,25 @@ def estimate_cpt(counts: np.ndarray) -> np.ndarray:
 
 
 def family_score(states: StateMatrix, node: int, parents: Sequence[int], lag: int = 0) -> float:
-    """Maximum-likelihood log score of one node given its parents.
+    """Maximum-likelihood log score of one node given its parents: sum of N log(theta), empty cells 0."""
+    return float(_logliks(count_states(states, node, parents, lag)[None])[0])
 
-    Sum of N log(theta) over all cells, with empty cells contributing zero.
+
+def _logliks(counts: np.ndarray) -> np.ndarray:
+    """Sum of N log(theta) over each H x K block of a c x H x K count stack, 0 for empty cells.
+
+    Row totals are K explicit float adds, exact for counts; an empty cell's
+    ratio is 0 / total + 1, whose log is 0. Each block's H*K cells are summed
+    as one contiguous row, in numpy's pairwise order, as `np.sum` of one table.
     """
-    return float(np.sum(_loglik_terms(count_states(states, node, parents, lag))))
-
-
-def _loglik_terms(counts: np.ndarray) -> np.ndarray:
-    """N log(theta) of every cell of a count table (or stack of tables), 0 for empty cells."""
-    totals = counts.sum(axis=-1, keepdims=True)
-    mask = counts > 0
-    ratio = np.where(mask, counts / np.where(totals > 0, totals, 1), 1.0)
-    return np.where(mask, counts * np.log(ratio), 0.0)
+    c, h, k = counts.shape
+    cells = counts.astype(np.float64).reshape(c, h * k)
+    totals = sum(cells[:, j::k] for j in range(k))
+    ratio = cells / np.repeat(np.maximum(totals, 1.0), k, axis=1)
+    ratio += cells == 0
+    np.log(ratio, out=ratio)
+    ratio *= cells
+    return np.sum(ratio, axis=1)
 
 
 def penalized_family_score(states: StateMatrix, node: int, parents: Sequence[int], lag: int = 0) -> float:
@@ -252,7 +262,7 @@ def score(states: StateMatrix, dag: Dag, lag: int = 0) -> float:
 
 def fitted_score(net: StaticNetwork | TransitionNetwork) -> float:
     """`score` of a learned network on its training states, from the count tables it holds."""
-    return sum(float(np.sum(_loglik_terms(counts))) for counts in net.counts)
+    return sum(float(_logliks(counts[None])[0]) for counts in net.counts)
 
 
 def check_cpt_cells(k_states: int, max_parents: int) -> None:
@@ -304,75 +314,128 @@ def _depth_counts(
 def _penalized_scores(counts: np.ndarray, m: int) -> np.ndarray:
     """penalized_family_score of each H x K block of a c x H x K count stack."""
     c, h, k = counts.shape
-    # Each block's H*K cells are summed as one contiguous row, which keeps
-    # numpy's pairwise summation order and so family_score's sum bit for bit.
-    loglik = np.sum(_loglik_terms(counts).reshape(c, h * k), axis=1)
     free = h * (k - 1)
-    return loglik - 0.5 * free * math.log(m)
+    return _logliks(counts) - 0.5 * free * math.log(m)
 
 
 def k2_search(states: StateMatrix, max_parents: int = 3, lag: int = 0) -> Dag:
     """Greedy per-node parent selection maximizing the penalized score.
 
-    Each node independently adds the single other node that most improves
-    its penalized family score until no candidate improves it or
-    max_parents is reached. Ties break toward the lowest node index. The
-    unconstrained per-node search can create cycles in the same-slice case,
-    so lag=0 results pass through repair_cycles.
-
-    Every still-searching node advances one parent depth at a time; the
-    counts of all its candidates at depth d come from one exact float32
-    one-hot product per chunk of nodes (_depth_counts), which costs K^(d+1)
-    multiply-adds per (row, node, candidate) and holds at most _BLOCK cells
-    per block. Every trial score equals penalized_family_score bit for bit.
-    Rejects k_states/max_parents pairs over MAX_CPT_CELLS before counting.
+    Each node independently adds the other node that most improves its
+    penalized family score, by more than 1e-12 (ties: the lowest index),
+    until none does or max_parents is reached. The per-node search can make
+    cycles in the same-slice case, so lag=0 results pass through
+    repair_cycles. This is `_stacked_search` of one window; it rejects
+    k_states/max_parents pairs over MAX_CPT_CELLS before counting.
     """
     return _searched_network(states, max_parents, lag)[0]
 
 
-def _searched_network(states: StateMatrix, max_parents: int, lag: int) -> tuple[Dag, list[np.ndarray]]:
-    """k2_search's network plus each family's count table, the counts that
-    scored the family (its count_states table); only a family that
-    repair_cycles changed is counted again."""
+def _stacked_search(windows: np.ndarray, k: int, max_parents: int, lag: int) -> tuple[list[list[int]], dict]:
+    """k2_search, short of cycle repair, of every window of an S x m x n stack of 1-based states.
+
+    Family s * n + j is node j of window s. Families advance one parent
+    depth at a time: at depth d those that cannot gain a parent stop
+    (`_hopeless`), every candidate of the others is counted by one exact
+    one-hot product per window and chunk of nodes (`_depth_counts`, at most
+    _BLOCK cells per block), and `_picks` chooses from the (families x n)
+    gain matrix. Returns every family's parents and, per parent count p,
+    (the families with p parents, their count_states tables as one stack).
+    """
     if max_parents < 0:
         raise ValueError(f"max_parents must be >= 0, got {max_parents}")
-    if lag not in (0, 1) or states.m < 1 + lag:
-        raise ValueError(f"need lag 0 or 1 and more than lag rows, got lag {lag} with {states.m} rows")
-    k = states.state_count
+    s_count, m, n = windows.shape
+    if lag not in (0, 1) or m < 1 + lag:
+        raise ValueError(f"need lag 0 or 1 and more than lag rows, got lag {lag} with {m} rows")
     check_cpt_cells(k, max_parents)
-    m, n = states.m, states.n
-    grid = states.states - 1
-    parent_rows, child_rows = (grid, grid) if lag == 0 else (grid[:-1], grid[1:])
-    empty = np.bincount((child_rows + np.arange(n) * k).ravel(), minlength=n * k).reshape(n, 1, k)
-    family_counts = list(empty)
-    current = _penalized_scores(empty, m).tolist()
-    parent_sets: list[list[int]] = [[] for _ in range(n)]
-    bases = np.zeros(parent_rows.shape, dtype=np.int64)  # each node's chosen parents' configuration index
-    searching = list(range(n))
+    grid = windows - 1
+    parent_rows, child_rows = (grid, grid) if lag == 0 else (grid[:, :-1], grid[:, 1:])
+    bases = np.zeros(parent_rows.shape, dtype=np.int64)  # each family's chosen parents' configuration index
+    parent_sets: list[list[int]] = [[] for _ in range(s_count * n)]
+    searching = np.arange(s_count * n)
+    current = _penalized_scores(_family_counts(bases, child_rows, searching, 0, k), m)
+    taken = np.arange(n) == (searching % n)[:, None]  # self and chosen parents: never candidates
     for d in range(1, min(max_parents, n - 1) + 1):
+        searching = searching[~_hopeless(current[searching], d, k, m)]
+        if not searching.size:
+            break
+        slices, nodes = np.divmod(searching, n)
+        trials = np.empty((searching.size, n))
         chunk = max(1, _BLOCK // (n * k ** (d + 1)))
-        chunks, searching = [searching[lo : lo + chunk] for lo in range(0, len(searching), chunk)], []
-        for nodes in chunks:
-            counts = _depth_counts(parent_rows, child_rows, bases[:, nodes], nodes, d, k)
-            for i, trials in enumerate(_penalized_scores(counts, m).reshape(len(nodes), n).tolist()):
-                node, chosen = nodes[i], parent_sets[nodes[i]]
-                best_gain, best = 0.0, -1
-                for cand, trial in enumerate(trials):  # ascending, so equal gains keep the lowest index
-                    if cand != node and cand not in chosen and trial - current[node] > best_gain + 1e-12:
-                        best_gain, best = trial - current[node], cand
-                if best >= 0:
-                    chosen.append(best)
-                    current[node] += best_gain
-                    bases[:, node] = bases[:, node] * k + parent_rows[:, best]
-                    family_counts[node] = counts[i * n + best].copy()
-                    searching.append(node)
-    dag = Dag(n, tuple(tuple(ps) for ps in parent_sets))
+        edges = [0, *(np.flatnonzero(np.diff(slices)) + 1).tolist(), searching.size]  # one run per window
+        for lo, hi in zip(edges, edges[1:]):
+            s = slices[lo]
+            for a in range(lo, hi, chunk):
+                b = min(a + chunk, hi)
+                counts = _depth_counts(parent_rows[s], child_rows[s], bases[s][:, nodes[a:b]], nodes[a:b], d, k)
+                trials[a:b] = _penalized_scores(counts, m).reshape(b - a, n)
+        gains = np.where(taken[searching], -math.inf, trials - current[searching, None])
+        best = _picks(gains)
+        picked = np.flatnonzero(best >= 0)
+        searching, best = searching[picked], best[picked]
+        current[searching] += gains[picked, best]
+        taken[searching, best] = True
+        slices, nodes = np.divmod(searching, n)
+        bases[slices, :, nodes] = bases[slices, :, nodes] * k + parent_rows[slices, :, best]
+        for family, parent in zip(searching.tolist(), best.tolist()):
+            parent_sets[family].append(parent)
+    sizes = np.array([len(ps) for ps in parent_sets])
+    # Not np.unique: its first call imports numpy.ma, about 1 MB that no other learn step needs.
+    groups = {p: np.flatnonzero(sizes == p) for p in sorted(set(sizes.tolist()))}
+    return parent_sets, {p: (fam, _family_counts(bases, child_rows, fam, p, k)) for p, fam in groups.items()}
+
+
+def _family_counts(bases: np.ndarray, child_rows: np.ndarray, families: np.ndarray, p: int, k: int) -> np.ndarray:
+    """count_states tables, as one stack, of families s * n + j of a window stack, each with p parents
+    (configuration index bases[s, :, j]) and child states child_rows[s, :, j]."""
+    slices, nodes = np.divmod(families, bases.shape[2])
+    cells = k ** (p + 1)
+    index = bases[slices, :, nodes] * k + child_rows[slices, :, nodes] + (np.arange(len(families)) * cells)[:, None]
+    return np.bincount(index.ravel(), minlength=len(families) * cells).reshape(len(families), k**p, k)
+
+
+def _hopeless(current: np.ndarray, d: int, k: int, m: int) -> np.ndarray:
+    """Which family scores no parent at depth d can raise by more than 1e-12: no log-likelihood
+    exceeds 0, so no trial beats minus the penalty (after de Campos & Ji 2011)."""
+    return -(0.5 * (k**d * (k - 1)) * math.log(m)) - current <= 1e-12
+
+
+def _picks(gains: np.ndarray) -> np.ndarray:
+    """The candidate the sequential scan picks in each row of a gain matrix (masked: -inf), -1 for none.
+
+    The scan takes, in ascending order, each candidate whose gain beats the
+    best so far, from 0, by more than 1e-12. It ends on a top gain that
+    beats 0 and the runner-up by that margin, so there argmax is its pick.
+    """
+    best = gains.argmax(axis=1)
+    top = gains[np.arange(len(gains)), best]
+    runner_up = np.partition(gains, gains.shape[1] - 2, axis=1)[:, -2]
+    for r in np.flatnonzero((top > 1e-12) & ~(top > runner_up + 1e-12)).tolist():
+        best_gain = 0.0
+        for cand, gain in enumerate(gains[r].tolist()):  # ascending, so equal gains keep the lowest index
+            if gain > best_gain + 1e-12:
+                best_gain, best[r] = gain, cand
+    return np.where(top > 1e-12, best, -1)
+
+
+def _searched_network(states: StateMatrix, max_parents: int, lag: int) -> tuple[Dag, list[np.ndarray]]:
+    """k2_search's network plus each family's count_states table. A family
+    that repair_cycles reduced sums its searched table over the dropped axes."""
+    parent_sets, groups = _stacked_search(states.states[None], states.state_count, max_parents, lag)
+    tables = {f: table for families, stack in groups.values() for f, table in zip(families.tolist(), stack)}
+    counts = [tables[node] for node in range(states.n)]
+    dag = Dag(states.n, tuple(map(tuple, parent_sets)))
     if lag == 0:
         dag = repair_cycles(dag, states)
-        for node, (searched, kept) in enumerate(zip(parent_sets, dag.parents)):
-            if kept != tuple(searched):
-                family_counts[node] = count_states(states, node, kept, lag)
-    return dag, family_counts
+        counts = [_summed_out(c, ps, kept) for c, ps, kept in zip(counts, parent_sets, dag.parents)]
+    return dag, counts
+
+
+def _summed_out(counts: np.ndarray, parents: Sequence[int], kept: Sequence[int]) -> np.ndarray:
+    """A family's count table reduced to `kept`, a subsequence of its parents, by summing out the others."""
+    k = counts.shape[1]
+    dropped = tuple(i for i, p in enumerate(parents) if p not in kept)
+    return counts.reshape((k,) * len(parents) + (k,)).sum(axis=dropped).reshape(-1, k) if dropped else counts
 
 
 def repair_cycles(dag: Dag, states: StateMatrix) -> Dag:
@@ -380,9 +443,13 @@ def repair_cycles(dag: Dag, states: StateMatrix) -> Dag:
 
     While a cycle exists, the edge on it whose removal costs the least
     penalized score is dropped; exact ties remove the lexicographically
-    smallest (child, parent) pair. Each family is scored once per call.
+    smallest (child, parent) pair. Each child on a cycle is counted once,
+    with its full parent set, and each family is scored once from that count.
     """
-    family = functools.cache(lambda child, ps: penalized_family_score(states, child, ps, lag=0))
+    counted = functools.cache(lambda child: count_states(states, child, dag.parents[child], lag=0))
+    family = functools.cache(
+        lambda child, ps: _penalized_scores(_summed_out(counted(child), dag.parents[child], ps)[None], states.m)[0]
+    )
     parents = [list(ps) for ps in dag.parents]
     while True:
         current = Dag(dag.n, tuple(tuple(ps) for ps in parents))
@@ -412,8 +479,6 @@ def learn_transition(states: StateMatrix, max_parents: int = 3) -> TransitionNet
     repair pass is needed. Priors are single-slice marginal state
     frequencies.
     """
-    if states.m < 2:
-        raise ValueError("need at least 2 rows to learn transitions")
     dag, counts = _searched_network(states, max_parents, lag=1)
     k = states.state_count
     flat = (states.states - 1 + np.arange(states.n) * k).ravel()

@@ -12,14 +12,14 @@ are reconstructed as a similarity-weighted mean of parent readings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import artifacts
-from .bayesnet import Dag, StaticNetwork, TransitionNetwork, estimate_cpt, learn_transition
+from .bayesnet import Dag, StaticNetwork, TransitionNetwork, _stacked_search, estimate_cpt
 from .ingest import DiscretizationScheme, SensorDataset, discretize
 from .ingest import _indexed_cells, _label_cells, _number_cells, _write_columns
 
@@ -142,7 +142,7 @@ def recover(parent_values: Sequence[float], dissimilarities: Sequence[float]) ->
         raise ValueError("values and dissimilarities must align")
     if any(d < 0 for d in dists):
         raise ValueError("dissimilarities must be nonnegative")
-    return float(_recover_columns(np.array([values]), dists)[0])
+    return float(_recover_columns(np.array([[values]]), np.array([dists]))[0, 0])
 
 
 def static_recovery(data: SensorDataset, dag: Dag, redundant_nodes: Sequence[int]) -> np.recarray:
@@ -161,26 +161,28 @@ def static_recovery(data: SensorDataset, dag: Dag, redundant_nodes: Sequence[int
         block = out[i * data.m : (i + 1) * data.m]
         block.t = np.arange(data.m)
         block.node = node
-        block.estimate = _recover_columns(data.values[:, parents], _dissimilarities(z, node, parents))
+        dists = _dissimilarities(z[node], z[list(parents)])
+        block.estimate = _recover_columns(data.values[None, :, parents], dists[None])[0]
     return out
 
 
-def _recover_columns(columns: np.ndarray, dissimilarities: Sequence[float]) -> np.ndarray:
-    """`recover` for every row of an m x p matrix of parent readings at once.
+def _recover_columns(columns: np.ndarray, dissimilarities: np.ndarray) -> np.ndarray:
+    """`recover` for every row of each g x r x p stack of parent readings, given its g x p dissimilarities.
 
-    The weights are fixed per column, so the same three cases apply to the
-    whole matrix. The weighted sum accumulates from zero, parent by parent.
+    The weights are fixed per (group, parent), so one of the three cases
+    applies to all r rows of a group. The weighted sum accumulates from
+    zero, parent by parent.
     """
-    if len(dissimilarities) == 1:
-        return columns[:, 0]
-    for column, d in zip(columns.T, dissimilarities):
-        if d == 0.0:
-            return column
-    weights = [1.0 / d for d in dissimilarities]
-    total = np.zeros(len(columns))
-    for w, column in zip(weights, columns.T):
-        total = total + w * column
-    return total / sum(weights)
+    if columns.shape[-1] == 1:
+        return columns[..., 0]
+    zero = dissimilarities == 0.0
+    weights = 1.0 / np.where(zero, 1.0, dissimilarities)
+    total, weight_sum = 0.0, 0
+    for j in range(columns.shape[-1]):
+        total = total + weights[:, j, None] * columns[..., j]
+        weight_sum = weight_sum + weights[:, j]
+    short = zero.any(axis=1)  # the first parent at zero distance wins
+    return np.where(short[:, None], columns[np.arange(len(zero)), :, zero.argmax(axis=1)], total / weight_sum[:, None])
 
 
 def _standardized(columns: np.ndarray) -> np.ndarray:
@@ -192,9 +194,9 @@ def _standardized(columns: np.ndarray) -> np.ndarray:
     return np.where(sd > 0, (z - z.mean(axis=-1, keepdims=True)) / np.where(sd > 0, sd, 1.0), 0.0)
 
 
-def _dissimilarities(z: np.ndarray, node: int, parents: Sequence[int]) -> list[float]:
-    """RMS distance between the standardized rows of node and of each parent."""
-    return np.sqrt(np.mean((z[node] - z[list(parents)]) ** 2, axis=1)).tolist()
+def _dissimilarities(node_rows: np.ndarray, parent_rows: np.ndarray) -> np.ndarray:
+    """RMS distance between each standardized node row (..., L) and each of its parents' rows (..., p, L)."""
+    return np.sqrt(np.mean((node_rows[..., None, :] - parent_rows) ** 2, axis=-1))
 
 
 def rsdrda_schedule(
@@ -217,10 +219,11 @@ def rsdrda_schedule(
     fed back into later training. Trailing rows that do not fill a slice
     are skipped.
 
-    A step reads only the evidence of step t-1, and each slice starts from
-    its own window with every node awake, so every (slice, node) updates at
-    once: the families with d parents, across all slices, are one
-    `_soft_posteriors` call per step.
+    One `_stacked_search` learns every slice's network. A step reads only
+    the evidence of step t-1, and each slice starts from its own window with
+    every node awake, so every (slice, node) updates at once: the families
+    with d parents, across all slices, are one group, updated by one
+    `_soft_posteriors` call per step and recovered in one pass.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
@@ -238,14 +241,13 @@ def rsdrda_schedule(
     states = discretize(data, scheme)
     point_mass = np.eye(scheme.state_count)
     starts = np.arange(0, data.m - slice_len + 1, slice_len)
-    nets = [learn_transition(replace(states, states=states.states[s : s + train_len]), max_parents) for s in starts]
-    families = [(i, j, ps) for i, tn in enumerate(nets) for j, ps in enumerate(tn.dag.parents) if ps]
+    windows = states.states[: len(starts) * slice_len].reshape(len(starts), slice_len, data.n)[:, :train_len]
+    parent_sets, searched = _stacked_search(windows, scheme.state_count, max_parents, lag=1)
     groups = []
-    for d in sorted({len(ps) for _, _, ps in families}):
-        members = [(i, j) for i, j, ps in families if len(ps) == d]
-        slices, nodes = np.array(members).T
-        parents = np.array([nets[i].dag.parents[j] for i, j in members])
-        groups.append((slices, nodes, parents, estimate_cpt(np.stack([nets[i].counts[j] for i, j in members]))))
+    for p, (families, counts) in sorted(searched.items()):
+        if p:
+            slices, nodes = np.divmod(families, data.n)
+            groups.append((slices, nodes, np.array([parent_sets[f] for f in families.tolist()]), estimate_cpt(counts)))
 
     # Indexed by (slice, inference step, node); NaN marks a node without parents.
     max_post = np.full((len(starts), slice_len - train_len, data.n), math.nan)
@@ -261,14 +263,13 @@ def rsdrda_schedule(
             next_evidence[slices[asleep], nodes[asleep]] = posterior[asleep]
         evidence = next_evidence
 
-    # Recover each sleeping node's readings from its parents at t-1.
-    windows = data.values[: len(starts) * slice_len].reshape(len(starts), slice_len, data.n)[:, :train_len]
-    z = _standardized(windows.transpose(0, 2, 1))
-    for i, node, parents in families:
-        asleep = np.flatnonzero(max_post[i, :, node] >= tau)
-        if asleep.size:
-            previous = data.values[starts[i] + train_len - 1 + asleep][:, parents]
-            estimates[i, asleep, node] = _recover_columns(previous, _dissimilarities(z[i], node, parents))
+    # Recover each node's readings from its parents at t-1; only the sleeping ones are read.
+    readings = data.values[: len(starts) * slice_len].reshape(len(starts), slice_len, data.n)[:, :train_len]
+    z = _standardized(readings.transpose(0, 2, 1))
+    for slices, nodes, parents, _ in groups:
+        previous = (starts[slices] + train_len - 1)[:, None, None] + np.arange(slice_len - train_len)[:, None]
+        dists = _dissimilarities(z[slices, nodes], z[slices[:, None], parents])
+        estimates[slices, :, nodes] = _recover_columns(data.values[previous, parents[:, None, :]], dists)
 
     t = np.repeat(np.add.outer(starts, np.arange(train_len, slice_len)), data.n)
     node = np.tile(np.arange(data.n), len(t) // data.n)

@@ -17,16 +17,19 @@ batched detection is checked against one nb_predict_state call per
 mixed-radix digit sum, static recovery against one recover call per
 reading, the slice- and step-parallel RSDRDA schedule against one
 rsdrda_infer and one recover call per (slice, step, node), and structure
-search against one penalized_family_score per candidate. CSV reading is
-checked against a loader that parses one cell at a time, and every CSV
-writer against one that formats rows through the csv module. The
-per-record JSON report layout that the columnar codec replaced is kept
-here as the reference its decodes must match.
+search, per window of a stack, against one penalized_family_score per
+candidate, scored by the per-cell loglik_terms that the package's one-pass
+scoring kernel replaced, and a cycle repair that recounts every family it
+scores. CSV reading is checked against a loader that parses one cell at a
+time, and every CSV writer against one that formats rows through the csv
+module. The per-record JSON report layout that the columnar codec
+replaced is kept here as the reference its decodes must match.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from pathlib import Path
@@ -39,9 +42,6 @@ from sensorprep.bayesnet import (
     TransitionNetwork,
     count_states,
     estimate_cpt,
-    family_score,
-    learn_transition,
-    repair_cycles,
 )
 from sensorprep.ingest import DiscretizationScheme, SensorDataset, Standardization, StateMatrix, discretize
 from sensorprep.redundancy import RECOVERY_DTYPE, SCHEDULE_DTYPE, RealtimeRedundancyReport, StaticRedundancyReport
@@ -265,6 +265,19 @@ def make_cpt(states: StateMatrix, node: int, parents, lag: int = 0) -> tuple[np.
     return counts, estimate_cpt(counts)
 
 
+def loglik_terms(counts: np.ndarray) -> np.ndarray:
+    """N log(theta) of every cell of a count table (or stack of tables), 0 for empty cells."""
+    totals = counts.sum(axis=-1, keepdims=True)
+    mask = counts > 0
+    ratio = np.where(mask, counts / np.where(totals > 0, totals, 1), 1.0)
+    return np.where(mask, counts * np.log(ratio), 0.0)
+
+
+def family_score(states: StateMatrix, node: int, parents, lag: int = 0) -> float:
+    """Maximum-likelihood log score of one node given its parents: the sum of its cells' terms."""
+    return float(np.sum(loglik_terms(count_states(states, node, parents, lag))))
+
+
 def penalized_family_score(states: StateMatrix, node: int, parents, lag: int = 0) -> float:
     """Family log-likelihood minus a BIC penalty of (free parameters / 2) log m.
 
@@ -425,7 +438,8 @@ def scalar_rsdrda_schedule(
     """One slice after another, one rsdrda_infer call per (step, node with
     parents) and one recover call per sleeping reading: the reference for
     the slice- and step-parallel rsdrda_schedule. Each training window is
-    discretized on its own and standardized one column at a time."""
+    discretized on its own, learned by its own scalar_k2_search and
+    standardized one column at a time."""
     train_len = int(round(slice_len * train_frac))
     states_all = discretize(data, scheme).states
     k = scheme.state_count
@@ -434,7 +448,7 @@ def scalar_rsdrda_schedule(
     recoveries = []
     for start in range(0, data.m - slice_len + 1, slice_len):
         window = data.values[start : start + train_len]
-        tn = learn_transition(discretize(SensorDataset(window, data.node_ids), scheme), max_parents)
+        tn = scalar_learn_transition(discretize(SensorDataset(window, data.node_ids), scheme), max_parents)
         evidence = [_point_mass(int(states_all[start + train_len - 1, j]), k) for j in range(n)]
         for t in range(start + train_len, start + slice_len):
             next_evidence = [_point_mass(int(states_all[t, j]), k) for j in range(n)]
@@ -506,11 +520,12 @@ def exhaustive_argmax(states: StateMatrix, tol: float = 1e-9):
     return best_score, best
 
 
-def scalar_k2_search(states: StateMatrix, max_parents: int = 3, lag: int = 0) -> Dag:
-    """Greedy parent search scoring each candidate with its own count.
+def scalar_greedy_parents(states: StateMatrix, max_parents: int = 3, lag: int = 0) -> tuple[tuple[int, ...], ...]:
+    """Each node's greedily searched parents, before cycle repair, scoring
+    each candidate with its own count.
 
-    The reference for the batched k2_search: same greedy rule, same
-    1e-12 gain margin and lowest-index tie break, same cycle repair.
+    Same greedy rule as the package's search: same 1e-12 gain margin and
+    lowest-index tie break, one candidate at a time in ascending order.
     """
     n = states.n
     parent_sets = []
@@ -533,10 +548,40 @@ def scalar_k2_search(states: StateMatrix, max_parents: int = 3, lag: int = 0) ->
             chosen.append(best_candidate)
             current += best_gain
         parent_sets.append(tuple(chosen))
-    dag = Dag(n, tuple(parent_sets))
-    if lag == 0:
-        dag = repair_cycles(dag, states)
-    return dag
+    return tuple(parent_sets)
+
+
+def repair_cycles(dag: Dag, states: StateMatrix) -> Dag:
+    """Cycle repair that counts every family it scores on its own: while a
+    cycle exists, drop the edge on it whose removal costs the least
+    penalized score, exact ties removing the smallest (child, parent)."""
+    family = functools.cache(lambda child, ps: penalized_family_score(states, child, ps, lag=0))
+    parents = [list(ps) for ps in dag.parents]
+    while True:
+        current = Dag(dag.n, tuple(tuple(ps) for ps in parents))
+        cycle = current.find_cycle()
+        if cycle is None:
+            return current
+        _, child, parent = min(
+            (family(c, tuple(parents[c])) - family(c, tuple(q for q in parents[c] if q != p)), c, p) for p, c in cycle
+        )
+        parents[child] = [q for q in parents[child] if q != parent]
+
+
+def scalar_k2_search(states: StateMatrix, max_parents: int = 3, lag: int = 0) -> Dag:
+    """Greedy parent search scoring each candidate with its own count: the
+    reference for k2_search, with the recounting cycle repair for lag 0."""
+    dag = Dag(states.n, scalar_greedy_parents(states, max_parents, lag))
+    return repair_cycles(dag, states) if lag == 0 else dag
+
+
+def scalar_learn_transition(states: StateMatrix, max_parents: int = 3) -> TransitionNetwork:
+    """learn_transition from scalar_k2_search and one count_states call per node."""
+    dag = scalar_k2_search(states, max_parents, lag=1)
+    counts = [count_states(states, node, ps, lag=1) for node, ps in enumerate(dag.parents)]
+    k = states.state_count
+    priors = np.array([[np.mean(states.states[:, j] == s) for s in range(1, k + 1)] for j in range(states.n)])
+    return TransitionNetwork(dag, counts, priors)
 
 
 def trivial_scheme(n: int, k: int) -> DiscretizationScheme:

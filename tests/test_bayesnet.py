@@ -18,8 +18,10 @@ from oracles import (
     exhaustive_argmax,
     make_cpt,
     penalized_total,
+    scalar_greedy_parents,
     scalar_k2_search,
     states_from_grid,
+    trivial_scheme,
 )
 from sensorprep import bayesnet
 from sensorprep.bayesnet import (
@@ -27,7 +29,10 @@ from sensorprep.bayesnet import (
     StaticNetwork,
     TransitionNetwork,
     _depth_counts,
+    _logliks,
     _penalized_scores,
+    _picks,
+    _stacked_search,
     check_cpt_cells,
     count_states,
     estimate_cpt,
@@ -45,7 +50,8 @@ from sensorprep.bayesnet import (
     static_from_dict,
     transition_from_dict,
 )
-from sensorprep.redundancy import ssdrda
+from sensorprep.ingest import SensorDataset, discretize, fit_discretization, synth_generate
+from sensorprep.redundancy import rsdrda_schedule, ssdrda
 
 
 def chain_states(seed, m=5000, flip=0.05):
@@ -309,6 +315,143 @@ class TestBatchedSearch:
                 assert np.array_equal(counts[i * n + cand], count_states(states, node, family, lag))
 
 
+@st.composite
+def search_stacks(draw):
+    """Stacks of S = 1..4 same-shape windows with constant columns and
+    exact, lagged, noisy and relabeled copies. A relabeled copy permutes
+    another column's states, so its trial scores tie that column's up to
+    the order of summation: ties far inside the 1e-12 margin."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.integers(1, k + 1, size=(draw(st.integers(1, 4)), m, n))
+    for j in range(n):
+        kind = draw(st.sampled_from(["random", "constant", "copy", "lagged-copy", "noisy-copy", "relabeled"]))
+        if kind == "constant":
+            grid[:, :, j] = draw(st.integers(1, k))
+        elif kind != "random" and j > 0:
+            col = grid[:, :, draw(st.integers(0, j - 1))].copy()
+            if kind == "lagged-copy":
+                col = np.roll(col, 1, axis=1)
+            elif kind == "noisy-copy":
+                flip = rng.random(col.shape) < 0.2
+                col[flip] = rng.integers(1, k + 1, size=int(flip.sum()))
+            elif kind == "relabeled":
+                col = rng.permutation(k)[col - 1] + 1
+            grid[:, :, j] = col
+    return grid, k
+
+
+def scan_pick(gains):
+    """The sequential scan: ascending, a candidate wins when its gain beats the best so far by more than 1e-12."""
+    best_gain, best = 0.0, -1
+    for cand, gain in enumerate(gains):
+        if gain > best_gain + 1e-12:
+            best_gain, best = gain, cand
+    return best
+
+
+def no_pruning(current, d, k, m):
+    return np.zeros(len(current), dtype=bool)
+
+
+class TestStackedSearch:
+    """One search over a stack of windows against one scalar search per window."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_stacks(), st.sampled_from([0, 1]), st.sampled_from([8, 64, bayesnet._BLOCK]), st.data())
+    def test_each_window_matches_the_scalar_oracle(self, stack, lag, block, data):
+        windows, k = stack
+        s_count, _, n = windows.shape
+        max_parents = data.draw(st.integers(0, 5 if k == 2 else 3))
+        with patch.object(bayesnet, "_BLOCK", block):
+            parent_sets, groups = _stacked_search(windows, k, max_parents, lag)
+        tables = {}
+        for p, (families, stack_) in groups.items():
+            assert all(len(parent_sets[f]) == p for f in families.tolist())
+            tables.update(zip(families.tolist(), stack_))
+        assert sorted(tables) == list(range(s_count * n))
+        for s, window in enumerate(windows):
+            states = states_from_grid(window, k)
+            searched = parent_sets[s * n : (s + 1) * n]
+            assert tuple(map(tuple, searched)) == scalar_greedy_parents(states, max_parents, lag)
+            for j, parents in enumerate(searched):
+                assert np.array_equal(tables[s * n + j], count_states(states, j, parents, lag))
+
+    @pytest.mark.parametrize(
+        ("gains", "pick"),
+        [
+            ([1.0, 1.0 + 0.6e-12, 1.0 + 1.2e-12], 2),
+            ([1.0, 1.0 + 0.6e-12], 0),
+            ([-math.inf, 1.0 + 0.6e-12, 1.0], 1),
+            ([0.6e-12, 1.0e-12, -math.inf], -1),
+            ([-math.inf, 1.1e-12], 1),
+            ([-math.inf, -math.inf], -1),
+        ],
+    )
+    def test_picks_hand_worked(self, gains, pick):
+        assert scan_pick(gains) == pick
+        assert _picks(np.array([gains])).tolist() == [pick]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_picks_match_the_scan_on_near_ties(self, data):
+        # Gains a few half-margins apart around 0, the margin itself and
+        # larger values, among masked and arbitrary candidates.
+        n = data.draw(st.integers(2, 8))
+        base = data.draw(st.sampled_from([0.0, 1e-12, 2e-12, 1.0, 1e3]))
+        near = st.integers(-6, 6).map(lambda j: base + j * 0.5e-12)
+        cell = st.one_of(near, near, st.just(-math.inf), st.floats(-5, 5))
+        rows = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=6))
+        assert _picks(np.array(rows)).tolist() == [scan_pick(row) for row in rows]
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_stacks(), st.sampled_from([0, 1]), st.data())
+    def test_pruning_never_changes_a_network(self, stack, lag, data):
+        windows, k = stack
+        max_parents = data.draw(st.integers(0, 5 if k == 2 else 3))
+        parent_sets, groups = _stacked_search(windows, k, max_parents, lag)
+        with patch.object(bayesnet, "_hopeless", no_pruning):
+            unpruned_sets, unpruned = _stacked_search(windows, k, max_parents, lag)
+        assert parent_sets == unpruned_sets and sorted(groups) == sorted(unpruned)
+        for p, (families, counts) in groups.items():
+            assert np.array_equal(families, unpruned[p][0]) and np.array_equal(counts, unpruned[p][1])
+
+    def test_pruning_skips_most_of_depth_2_on_realtime_data(self):
+        # Ten 60-row training windows of lagged copies with 10% noise, as RSDRDA learns them.
+        data = synth_generate(43, 1000, 40, "lagged-copy", copies={2 * i + 1: 2 * i for i in range(10)}, noise_frac=0.1)
+        windows = discretize(data, fit_discretization(data)).states.reshape(10, 100, 40)[:, :60]
+
+        def depth_2_families(hopeless):
+            counted = []
+
+            def spy(parent_rows, child_rows, bases, nodes, d, k):
+                counted.append(len(nodes) if d == 2 else 0)
+                return _depth_counts(parent_rows, child_rows, bases, nodes, d, k)
+
+            with patch.object(bayesnet, "_depth_counts", spy), patch.object(bayesnet, "_hopeless", hopeless):
+                return _stacked_search(windows, 3, 3, 1)[0], sum(counted)
+
+        pruned_sets, pruned = depth_2_families(bayesnet._hopeless)
+        unpruned_sets, unpruned = depth_2_families(no_pruning)
+        assert pruned_sets == unpruned_sets
+        assert 0 < pruned < unpruned / 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 5), st.integers(0, 3), st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 40, 5000])
+    )
+    def test_loglik_kernel_equals_the_per_cell_terms(self, k, p, c, seed, top):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, top + 1, size=(c, k**p, k))
+        counts[rng.random(counts.shape) < 0.3] = 0  # empty cells
+        counts[rng.random(counts.shape[:2]) < 0.3] = 0  # all-zero rows
+        expected = np.sum(oracles.loglik_terms(counts).reshape(c, -1), axis=1)
+        assert _logliks(counts).tobytes() == expected.tobytes()
+        assert _logliks(counts).tolist() == [float(np.sum(oracles.loglik_terms(t))) for t in counts]
+
+
 def assert_counts_reused(net, states, lag):
     """Every count table is count_states of its family, the network's JSON
     equals that of counts made by make_cpt, and the score from the kept
@@ -381,14 +524,29 @@ class TestCptCellCap:
         latent = rng.integers(1, k + 1, size=2000)
         grid = np.where(rng.random((2000, 40)) < 0.3, rng.integers(1, k + 1, size=(2000, 40)), latent[:, None])
         states = states_from_grid(grid, k)
+        data = SensorDataset(grid.astype(float), [f"n{j}" for j in range(40)])
         tracemalloc.start()
         try:
             learn_static(states, max_parents)
             learn_transition(states, max_parents)
+            # Ten slices of 200 rows, each learned from its first 100.
+            rsdrda_schedule(data, 200, 0.5, 0.95, trivial_scheme(40, k), max_parents)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+
+def on_a_cycle(dag, node):
+    """Whether a path of parent -> child edges leads from node back to itself."""
+    reached, frontier = set(), [node]
+    while frontier:
+        current = frontier.pop()
+        for child in range(dag.n):
+            if current in dag.parents[child] and child not in reached:
+                reached.add(child)
+                frontier.append(child)
+    return node in reached
 
 
 class TestRepairCycles:
@@ -428,8 +586,9 @@ class TestRepairCycles:
 
     def test_each_family_counted_once(self, monkeypatch):
         # Every node has all three others as parents, so the repair takes
-        # several passes over cycles that share families; each family is
-        # still counted once per call.
+        # several passes over cycles that share families. Each child is
+        # counted at most once, always with its full parent set, and the
+        # repair removes the same edges as one that counts every family.
         rng = np.random.default_rng(12)
         states = states_from_grid(rng.integers(1, 3, size=(300, 4)), 2)
         dag = Dag(4, tuple(tuple(p for p in range(4) if p != c) for c in range(4)))
@@ -442,7 +601,34 @@ class TestRepairCycles:
         monkeypatch.setattr(bayesnet, "count_states", spy)
         repaired = repair_cycles(dag, states)
         assert repaired.is_acyclic()
-        assert len(counted) > 8 and len(set(counted)) == len(counted)
+        assert 0 < len(counted) == len({node for node, _ in counted}) <= dag.n
+        assert all(parents == dag.parents[node] for node, parents in counted)
+        assert repaired == oracles.repair_cycles(dag, states)
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_cases(), st.data())
+    def test_search_counts_only_children_on_cycles(self, states, data):
+        # learn_static counts nothing itself: repair_cycles counts each child
+        # on a cycle of the searched graph once, with its searched parents,
+        # and the repaired families' tables are that count summed out.
+        max_parents = data.draw(st.integers(0, 3))
+        searched, counted = [], []
+
+        def repair_spy(dag, states):
+            searched.append(dag)
+            return repair_cycles(dag, states)
+
+        def count_spy(states, node, parents, lag=0):
+            counted.append((node, tuple(parents)))
+            return count_states(states, node, parents, lag)
+
+        with patch.object(bayesnet, "repair_cycles", repair_spy), patch.object(bayesnet, "count_states", count_spy):
+            net = learn_static(states, max_parents)
+        [dag] = searched
+        assert len(counted) == len({node for node, _ in counted})
+        assert all(parents == dag.parents[node] and on_a_cycle(dag, node) for node, parents in counted)
+        assert net.dag == oracles.repair_cycles(dag, states)
+        assert_counts_reused(net, states, 0)
 
 
 class TestLearnTransition:
@@ -551,6 +737,26 @@ class TestCountTablesMatchTheDag:
     def test_rejected_naming_the_node(self, build, counts, message):
         with pytest.raises(ValueError, match=message):
             build(Dag(2, ((1,), ())), counts)
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize(
+        "row",
+        [[2.7, 1, 1], [math.nan, 1, 1], [math.inf, 1, 1], [True] * 3, ["1"] * 3, [2**63, 1, 1], [1e19, 1, 1]],
+        ids=["fraction", "nan", "inf", "bool", "str", "2**63", "1e19"],
+    )
+    def test_non_integral_counts_rejected(self, build, row):
+        # A count beyond int64 would wrap to a negative one when cast.
+        with pytest.raises(ValueError, match=r"node 1: counts must be whole numbers below 2\*\*63"):
+            build(Dag(2, ((1,), ())), (5 * np.eye(3), np.array([row])))
+
+    def test_static_from_dict_rejects_a_fraction_and_loads_whole_floats(self):
+        doc = {"parents": [[], [0]], "counts": [[[2.7, 1, 1]], np.eye(3).tolist()]}
+        with pytest.raises(ValueError, match="node 0: counts must be whole numbers"):
+            static_from_dict(doc)
+        doc["counts"][0] = [[2.0, 1.0, 1.0]]
+        net = static_from_dict(doc)
+        assert [c.dtype for c in net.counts] == [np.int64, np.int64]
+        assert net.counts[0].tolist() == [[2, 1, 1]] and net.counts[1].tolist() == np.eye(3, dtype=int).tolist()
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_int64_tables_are_held_without_a_copy(self, build):

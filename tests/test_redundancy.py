@@ -14,6 +14,7 @@ from oracles import (
     states_from_grid,
     trivial_scheme,
 )
+from sensorprep import bayesnet, redundancy
 from sensorprep.bayesnet import Dag, StaticNetwork, learn_transition
 from sensorprep.ingest import SensorDataset, discretize, fit_discretization, synth_generate
 from sensorprep.metrics import rmse
@@ -215,6 +216,26 @@ class TestRsdrdaSchedule:
                 assert e.max_posterior >= 0.95
             if np.isnan(e.max_posterior):
                 assert not e.sleeping
+
+    def test_one_search_learns_every_slice(self, monkeypatch):
+        # Three slices, one stacked search of their 60-row training windows;
+        # no per-slice network and no per-family count.
+        data = synth_generate(3, 300, 4, "lagged-copy", copies={1: 0}, noise_frac=0.1)
+        searches = []
+
+        def spy(windows, k, max_parents, lag):
+            searches.append((windows.shape, k, max_parents, lag))
+            return bayesnet._stacked_search(windows, k, max_parents, lag)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rsdrda_schedule must not learn or count one slice at a time")
+
+        monkeypatch.setattr(redundancy, "_stacked_search", spy)
+        for name in ("learn_transition", "count_states", "k2_search"):
+            monkeypatch.setattr(bayesnet, name, forbidden)
+        report = rsdrda_schedule(data, slice_len=100, train_frac=0.6, tau=0.95, scheme=fit_discretization(data))
+        assert searches == [((3, 60, 4), 3, 3, 1)]
+        assert report.sleeping_fraction(1) > 0.5
 
     def test_validation_errors(self):
         data = synth_generate(4, 50, 3, "lagged-copy")
