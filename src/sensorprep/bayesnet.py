@@ -53,7 +53,7 @@ _BLOCK = 1 << 18
 class Dag:
     """Directed graph over n nodes stored as per-node ordered parent tuples.
 
-    Static networks must be acyclic (check_acyclic). Transition networks
+    Static networks must be acyclic (is_acyclic). Transition networks
     reuse the same structure with edges meaning "parent at t-1 -> child at
     t"; the unrolled two-slice graph is bipartite and cannot cycle, so the
     intra-slice view is allowed to look cyclic there.
@@ -82,10 +82,6 @@ class Dag:
 
     def is_acyclic(self) -> bool:
         return self.find_cycle() is None
-
-    def check_acyclic(self) -> None:
-        if not self.is_acyclic():
-            raise ValueError("graph contains a directed cycle")
 
     def find_cycle(self) -> list[tuple[int, int]] | None:
         """First directed cycle found by DFS in ascending node order.
@@ -158,7 +154,8 @@ class StaticNetwork:
     counts: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        self.dag.check_acyclic()
+        if not self.dag.is_acyclic():
+            raise ValueError("graph contains a directed cycle")
         object.__setattr__(self, "counts", _checked_counts(self.dag, self.counts))
 
 
@@ -206,8 +203,7 @@ def count_states(states: StateMatrix, node: int, parents: Sequence[int], lag: in
     parent_rows, child_rows = (grid, grid) if lag == 0 else (grid[:-1], grid[1:])
     # Mixed-radix configuration index, first parent most significant.
     config = parent_rows[:, parents] @ k ** np.arange(len(parents) - 1, -1, -1)
-    h = k ** len(parents)
-    return np.bincount(config * k + child_rows[:, node], minlength=h * k).reshape(h, k)
+    return _family_counts(config[None], child_rows[None, :, node], len(parents), k)[0]
 
 
 def estimate_cpt(counts: np.ndarray) -> np.ndarray:
@@ -350,10 +346,11 @@ def _stacked_search(windows: np.ndarray, k: int, max_parents: int, lag: int) -> 
     check_cpt_cells(k, max_parents)
     grid = windows - 1
     parent_rows, child_rows = (grid, grid) if lag == 0 else (grid[:, :-1], grid[:, 1:])
-    bases = np.zeros(parent_rows.shape, dtype=np.int64)  # each family's chosen parents' configuration index
+    children = child_rows.transpose(0, 2, 1).reshape(s_count * n, -1)  # row f: family f's child states
+    bases = np.zeros(children.shape, dtype=np.int64)  # row f: family f's chosen parents' configuration index
     parent_sets: list[list[int]] = [[] for _ in range(s_count * n)]
     searching = np.arange(s_count * n)
-    current = _penalized_scores(_family_counts(bases, child_rows, searching, 0, k), m)
+    current = _penalized_scores(_family_counts(bases, children, 0, k), m)
     taken = np.arange(n) == (searching % n)[:, None]  # self and chosen parents: never candidates
     for d in range(1, min(max_parents, n - 1) + 1):
         searching = searching[~_hopeless(current[searching], d, k, m)]
@@ -362,36 +359,32 @@ def _stacked_search(windows: np.ndarray, k: int, max_parents: int, lag: int) -> 
         slices, nodes = np.divmod(searching, n)
         trials = np.empty((searching.size, n))
         chunk = max(1, _BLOCK // (n * k ** (d + 1)))
-        edges = [0, *(np.flatnonzero(np.diff(slices)) + 1).tolist(), searching.size]  # one run per window
-        for lo, hi in zip(edges, edges[1:]):
-            s = slices[lo]
-            for a in range(lo, hi, chunk):
-                b = min(a + chunk, hi)
-                counts = _depth_counts(parent_rows[s], child_rows[s], bases[s][:, nodes[a:b]], nodes[a:b], d, k)
-                trials[a:b] = _penalized_scores(counts, m).reshape(b - a, n)
+        for s in sorted(set(slices.tolist())):
+            window = np.flatnonzero(slices == s)
+            for part in (window[a : a + chunk] for a in range(0, window.size, chunk)):
+                counts = _depth_counts(parent_rows[s], child_rows[s], bases[searching[part]].T, nodes[part], d, k)
+                trials[part] = _penalized_scores(counts, m).reshape(part.size, n)
         gains = np.where(taken[searching], -math.inf, trials - current[searching, None])
         best = _picks(gains)
         picked = np.flatnonzero(best >= 0)
         searching, best = searching[picked], best[picked]
         current[searching] += gains[picked, best]
         taken[searching, best] = True
-        slices, nodes = np.divmod(searching, n)
-        bases[slices, :, nodes] = bases[slices, :, nodes] * k + parent_rows[slices, :, best]
+        bases[searching] = bases[searching] * k + parent_rows[searching // n, :, best]
         for family, parent in zip(searching.tolist(), best.tolist()):
             parent_sets[family].append(parent)
     sizes = np.array([len(ps) for ps in parent_sets])
     # Not np.unique: its first call imports numpy.ma, about 1 MB that no other learn step needs.
     groups = {p: np.flatnonzero(sizes == p) for p in sorted(set(sizes.tolist()))}
-    return parent_sets, {p: (fam, _family_counts(bases, child_rows, fam, p, k)) for p, fam in groups.items()}
+    return parent_sets, {p: (fam, _family_counts(bases[fam], children[fam], p, k)) for p, fam in groups.items()}
 
 
-def _family_counts(bases: np.ndarray, child_rows: np.ndarray, families: np.ndarray, p: int, k: int) -> np.ndarray:
-    """count_states tables, as one stack, of families s * n + j of a window stack, each with p parents
-    (configuration index bases[s, :, j]) and child states child_rows[s, :, j]."""
-    slices, nodes = np.divmod(families, bases.shape[2])
+def _family_counts(configs: np.ndarray, children: np.ndarray, p: int, k: int) -> np.ndarray:
+    """count_states tables, as one F x K^p x K stack, of F families with p parents, from each family's
+    row of parent configuration indices (configs, F x rows) and child states (children, F x rows)."""
     cells = k ** (p + 1)
-    index = bases[slices, :, nodes] * k + child_rows[slices, :, nodes] + (np.arange(len(families)) * cells)[:, None]
-    return np.bincount(index.ravel(), minlength=len(families) * cells).reshape(len(families), k**p, k)
+    index = configs * k + children + (np.arange(len(configs)) * cells)[:, None]
+    return np.bincount(index.ravel(), minlength=len(configs) * cells).reshape(len(configs), k**p, k)
 
 
 def _hopeless(current: np.ndarray, d: int, k: int, m: int) -> np.ndarray:
@@ -456,14 +449,9 @@ def repair_cycles(dag: Dag, states: StateMatrix) -> Dag:
         cycle = current.find_cycle()
         if cycle is None:
             return current
-        best: tuple[float, int, int] | None = None
-        for parent, child in cycle:
-            reduced = tuple(p for p in parents[child] if p != parent)
-            loss = family(child, tuple(parents[child])) - family(child, reduced)
-            key = (loss, child, parent)
-            if best is None or key < best:
-                best = key
-        _, child, parent = best
+        _, child, parent = min(  # (score lost by dropping the edge, child, parent)
+            (family(c, tuple(parents[c])) - family(c, tuple(q for q in parents[c] if q != p)), c, p) for p, c in cycle
+        )
         parents[child] = [p for p in parents[child] if p != parent]
 
 
@@ -480,9 +468,8 @@ def learn_transition(states: StateMatrix, max_parents: int = 3) -> TransitionNet
     frequencies.
     """
     dag, counts = _searched_network(states, max_parents, lag=1)
-    k = states.state_count
-    flat = (states.states - 1 + np.arange(states.n) * k).ravel()
-    priors = np.bincount(flat, minlength=states.n * k).reshape(states.n, k) / states.m
+    grid = states.states.T - 1
+    priors = _family_counts(np.zeros_like(grid), grid, 0, states.state_count)[:, 0] / states.m
     return TransitionNetwork(dag, counts, priors)
 
 
@@ -495,10 +482,7 @@ def parent_marginals(counts: np.ndarray, parent_count: int) -> np.ndarray:
     so a slice that was never observed is uniform.
     """
     p, k = parent_count, counts.shape[1]
-    joint = counts.reshape((k,) * p + (k,))
-    sums = np.empty((p, k, k), dtype=np.int64)
-    for position in range(p):
-        sums[position] = joint.sum(axis=tuple(a for a in range(p) if a != position))
+    sums = np.array([_summed_out(counts, range(p), [position]) for position in range(p)], dtype=np.int64)
     return estimate_cpt(sums.reshape(p * k, k)).reshape(p, k, k)
 
 

@@ -186,10 +186,9 @@ def load_csv(path: str | Path) -> SensorDataset:
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
         has_ts = bool(header) and header[0] == "timestamp"
         node_ids = header[1:] if has_ts else header
         if not node_ids:

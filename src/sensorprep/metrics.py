@@ -51,16 +51,9 @@ def precision_recall(
     fp = len(predicted - truth)
     fn = len(truth - predicted)
     tn = len(universe) - tp - fp - fn
-    counts = ConfusionCounts(tp, fp, fn, tn)
-    if tp + fp == 0:
-        precision = 1.0 if not truth else 0.0
-    else:
-        precision = tp / (tp + fp)
-    if tp + fn == 0:
-        recall = 1.0 if not predicted else 0.0
-    else:
-        recall = tp / (tp + fn)
-    return precision, recall, counts
+    precision = tp / (tp + fp) if tp + fp else (0.0 if truth else 1.0)
+    recall = tp / (tp + fn) if tp + fn else (0.0 if predicted else 1.0)
+    return precision, recall, ConfusionCounts(tp, fp, fn, tn)
 
 
 def rmse(actual: Sequence[float], estimated: Sequence[float]) -> float:

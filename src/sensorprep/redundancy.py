@@ -151,19 +151,16 @@ def static_recovery(data: SensorDataset, dag: Dag, redundant_nodes: Sequence[int
     Weights follow the inverse of the RMS distance between standardized
     columns of the full dataset. Returns a `RECOVERY_DTYPE` record array.
     """
-    nodes = [int(node) for node in redundant_nodes]
-    out = np.recarray(len(nodes) * data.m, dtype=RECOVERY_DTYPE)
+    nodes = np.array([int(node) for node in redundant_nodes], dtype=np.int64)
+    estimates = np.empty((len(nodes), data.m))
     z = _standardized(data.values.T)
-    for i, node in enumerate(nodes):
-        parents = dag.parents[node]
+    for i, node in enumerate(nodes.tolist()):
+        parents = list(dag.parents[node])
         if not parents:
             raise ValueError(f"node {node} has no parents to recover from")
-        block = out[i * data.m : (i + 1) * data.m]
-        block.t = np.arange(data.m)
-        block.node = node
-        dists = _dissimilarities(z[node], z[list(parents)])
-        block.estimate = _recover_columns(data.values[None, :, parents], dists[None])[0]
-    return out
+        estimates[i] = _recover_columns(data.values[None, :, parents], _dissimilarities(z[node], z[parents])[None])[0]
+    t = np.tile(np.arange(data.m), len(nodes))
+    return np.rec.fromarrays([t, np.repeat(nodes, data.m), estimates.ravel()], dtype=RECOVERY_DTYPE)
 
 
 def _recover_columns(columns: np.ndarray, dissimilarities: np.ndarray) -> np.ndarray:
@@ -241,13 +238,12 @@ def rsdrda_schedule(
     states = discretize(data, scheme)
     point_mass = np.eye(scheme.state_count)
     starts = np.arange(0, data.m - slice_len + 1, slice_len)
-    windows = states.states[: len(starts) * slice_len].reshape(len(starts), slice_len, data.n)[:, :train_len]
-    parent_sets, searched = _stacked_search(windows, scheme.state_count, max_parents, lag=1)
-    groups = []
-    for p, (families, counts) in sorted(searched.items()):
-        if p:
-            slices, nodes = np.divmod(families, data.n)
-            groups.append((slices, nodes, np.array([parent_sets[f] for f in families.tolist()]), estimate_cpt(counts)))
+    training = starts[:, None] + np.arange(train_len)  # each slice's training rows
+    parent_sets, searched = _stacked_search(states.states[training], scheme.state_count, max_parents, lag=1)
+    groups = [  # (slices, nodes, parents, tables) of the families with p > 0 parents
+        (*np.divmod(families, data.n), np.array([parent_sets[f] for f in families.tolist()]), estimate_cpt(counts))
+        for p, (families, counts) in sorted(searched.items()) if p
+    ]
 
     # Indexed by (slice, inference step, node); NaN marks a node without parents.
     max_post = np.full((len(starts), slice_len - train_len, data.n), math.nan)
@@ -264,8 +260,7 @@ def rsdrda_schedule(
         evidence = next_evidence
 
     # Recover each node's readings from its parents at t-1; only the sleeping ones are read.
-    readings = data.values[: len(starts) * slice_len].reshape(len(starts), slice_len, data.n)[:, :train_len]
-    z = _standardized(readings.transpose(0, 2, 1))
+    z = _standardized(data.values[training].transpose(0, 2, 1))
     for slices, nodes, parents, _ in groups:
         previous = (starts[slices] + train_len - 1)[:, None, None] + np.arange(slice_len - train_len)[:, None]
         dists = _dissimilarities(z[slices, nodes], z[slices[:, None], parents])

@@ -516,25 +516,42 @@ class TestCptCellCap:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("k, max_parents", [(64, 1), (2, 11), (4, 5)])
-    def test_learning_memory_bounded(self, k, max_parents):
+    def test_learning_memory_bounded(self, k, max_parents, monkeypatch):
         # Noisy copies of one latent column, so that at small K nodes search
         # several parents deep. A full rows x n*K one-hot of the candidates
-        # alone would take 20 MB at K=64.
+        # alone would take 20 MB at K=64. The bound is off, so every family
+        # counts every depth it reaches: at K=64 it would stop them all before
+        # the first parent.
         rng = np.random.default_rng(15)
         latent = rng.integers(1, k + 1, size=2000)
         grid = np.where(rng.random((2000, 40)) < 0.3, rng.integers(1, k + 1, size=(2000, 40)), latent[:, None])
         states = states_from_grid(grid, k)
         data = SensorDataset(grid.astype(float), [f"n{j}" for j in range(40)])
+        counted = []
+
+        def spy(*args):
+            counted.append(1)
+            return _depth_counts(*args)
+
+        monkeypatch.setattr(bayesnet, "_hopeless", no_pruning)
+        monkeypatch.setattr(bayesnet, "_depth_counts", spy)
+        calls = []
         tracemalloc.start()
         try:
-            learn_static(states, max_parents)
-            learn_transition(states, max_parents)
-            # Ten slices of 200 rows, each learned from its first 100.
-            rsdrda_schedule(data, 200, 0.5, 0.95, trivial_scheme(40, k), max_parents)
+            for learn in (
+                lambda: learn_static(states, max_parents),
+                lambda: learn_transition(states, max_parents),
+                # Ten slices of 200 rows, each learned from its first 100.
+                lambda: rsdrda_schedule(data, 200, 0.5, 0.95, trivial_scheme(40, k), max_parents),
+            ):
+                counted.clear()
+                learn()
+                calls.append(len(counted))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+        assert min(calls) > 0
 
 
 def on_a_cycle(dag, node):

@@ -70,7 +70,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--size", choices=("full", "tiny"), default="full", help="the workloads' full or tiny inputs")
-    parser.add_argument("--workload", action="append", help="run only this workload (repeatable); default all")
     args = parser.parse_args(argv)
     # One BLAS thread, as the benchmark runs; set before numpy loads.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -79,13 +78,8 @@ def main(argv: list[str] | None = None) -> int:
     from sensorprep import cli
     from workloads import WORKLOADS
 
-    names = args.workload or list(WORKLOADS)
-    unknown = sorted(set(names) - set(WORKLOADS))
-    if unknown:
-        parser.error(f"unknown workload(s) {unknown}; choose from {sorted(WORKLOADS)}")
     found: dict[str, object] = {}
-    for name in names:
-        workload = WORKLOADS[name]
+    for workload in WORKLOADS.values():
         found.update(workload_digests(cli, workload, args.seed, getattr(workload, args.size)))
     print(json.dumps(found, indent=1, sort_keys=True))
     return 1 if any(v != 0 for k, v in found.items() if "/exit/" in k) else 0
