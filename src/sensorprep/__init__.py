@@ -41,7 +41,6 @@ from .bayesnet import (
     learn_static,
     learn_transition,
     repair_cycles,
-    score,
 )
 from .anomaly import DetectionReport, nb_predict_state, tq_screen, tqbayes_detect
 from .redundancy import (

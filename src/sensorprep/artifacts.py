@@ -3,7 +3,8 @@
 A document is one compact JSON object with sorted keys: the header
 `format_version`, `kind` and `node_ids` beside the body that the kind's
 module builds. A record array is one list per dtype field, in field order,
-with NaN as null. `read` checks the header before the body is used.
+with NaN as null. `read` rejects the NaN and Infinity literals that plain
+JSON lacks, and checks the header before the body is used.
 """
 
 from __future__ import annotations
@@ -77,7 +78,11 @@ def write(path: str | Path, kind: str, node_ids: Sequence[str], body: dict) -> N
 def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str]) -> dict:
     """Load a document of `kind` (or of any kind in a tuple) whose node ids equal `node_ids`."""
     kinds = (kind,) if isinstance(kind, str) else kind
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+
+    def non_finite(literal: str):  # json.loads alone accepts these; `write_json` never writes them
+        raise ArtifactError(f"{path}: {literal} is not JSON; an artifact holds only finite numbers")
+
+    doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=non_finite)
     doc = doc if isinstance(doc, dict) else {}
     # The command to re-run is the one that writes this file's kind, if it is one of `kinds`.
     named = (doc["kind"],) if doc.get("kind") in kinds else kinds

@@ -10,6 +10,8 @@ first listed parent most significant.
 from __future__ import annotations
 
 import functools
+import graphlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,7 +26,6 @@ __all__ = [
     "TransitionNetwork",
     "count_states",
     "estimate_cpt",
-    "score",
     "fitted_score",
     "family_score",
     "penalized_family_score",
@@ -84,40 +85,21 @@ class Dag:
         return self.find_cycle() is None
 
     def find_cycle(self) -> list[tuple[int, int]] | None:
-        """First directed cycle found by DFS in ascending node order.
+        """First directed cycle as (parent, child) edges in traversal order, or None.
 
-        Returned as (parent, child) edges in traversal order, or None.
+        graphlib's depth-first cycle search visits nodes, and each node's
+        successors, in the order they were added: here ascending, so roots
+        and every node's children are visited in ascending order. Which
+        cycle comes back relies on that order; a test holds it to the
+        hand-written search kept as `oracles.find_cycle` in the test suite.
         """
-        children: list[list[int]] = [[] for _ in range(self.n)]
-        for c in range(self.n):
-            for p in self.parents[c]:
-                children[p].append(c)
-        for ch in children:
-            ch.sort()
-
-        color = [0] * self.n  # 0 unvisited, 1 on stack, 2 done
-        for root in range(self.n):
-            if color[root]:
-                continue
-            # Iterative DFS, so long chains cannot hit the recursion limit:
-            # `stack` is the current path, `pending` each path node's
-            # children still to visit.
-            color[root] = 1
-            stack = [root]
-            pending = [iter(children[root])]
-            while stack:
-                for child in pending[-1]:
-                    if color[child] == 1:
-                        cyc = stack[stack.index(child) :] + [child]
-                        return list(zip(cyc, cyc[1:]))
-                    if color[child] == 0:
-                        color[child] = 1
-                        stack.append(child)
-                        pending.append(iter(children[child]))
-                        break
-                else:
-                    color[stack.pop()] = 2
-                    pending.pop()
+        sorter = graphlib.TopologicalSorter({node: () for node in range(self.n)})
+        for child in range(self.n):
+            sorter.add(child, *self.parents[child])
+        try:
+            sorter.prepare()
+        except graphlib.CycleError as err:
+            return list(itertools.pairwise(err.args[1]))
         return None
 
 
@@ -251,13 +233,8 @@ def penalized_family_score(states: StateMatrix, node: int, parents: Sequence[int
     return float(_penalized_scores(count_states(states, node, parents, lag)[None], states.m)[0])
 
 
-def score(states: StateMatrix, dag: Dag, lag: int = 0) -> float:
-    """Network log-likelihood: the sum of per-family scores (decomposable)."""
-    return sum(family_score(states, i, dag.parents[i], lag) for i in range(dag.n))
-
-
 def fitted_score(net: StaticNetwork | TransitionNetwork) -> float:
-    """`score` of a learned network on its training states, from the count tables it holds."""
+    """Network log-likelihood, the sum of `family_score` over its nodes, from the count tables it holds."""
     return sum(float(_logliks(counts[None])[0]) for counts in net.counts)
 
 

@@ -343,14 +343,12 @@ def fit_discretization(data: SensorDataset, state_count: int = 3) -> Discretizat
     """Fit equal-width bins over each training column's [min, max] range."""
     if state_count < 2:
         raise ValueError(f"state_count must be >= 2, got {state_count}")
-    edges = []
-    for j in range(data.n):
-        lo = data.values[:, j].min()
-        hi = data.values[:, j].max()
-        if lo >= hi:
-            raise ValueError(f"node {data.node_ids[j]!r} has degenerate range [{lo}, {hi}]")
-        edges.append(np.linspace(lo, hi, state_count + 1)[1:-1])
-    return DiscretizationScheme(tuple(edges), state_count)
+    lo, hi = data.values.min(axis=0), data.values.max(axis=0)
+    bad = np.flatnonzero(lo >= hi)
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"node {data.node_ids[j]!r} has degenerate range [{lo[j]}, {hi[j]}]")
+    return DiscretizationScheme(tuple(np.linspace(lo, hi, state_count + 1, axis=1)[:, 1:-1]), state_count)
 
 
 def discretize_row(row: np.ndarray, scheme: DiscretizationScheme) -> np.ndarray:

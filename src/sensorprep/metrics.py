@@ -69,11 +69,14 @@ def rmse(actual: Sequence[float], estimated: Sequence[float]) -> float:
 
 def per_node_rmse(recoveries: np.recarray, values: np.ndarray) -> dict[int, float]:
     """`rmse` of each node's recoveries (`redundancy.RECOVERY_DTYPE`) against `values[t, node]`, by ascending node."""
-    outside = recoveries.t[(recoveries.t < 0) | (recoveries.t >= len(values))]
-    if outside.size:
-        raise ValueError(f"recovery at row {outside[0]} is outside the data's rows 0..{len(values) - 1}")
+    for what, index, size in (("row", recoveries.t, len(values)), ("node", recoveries.node, values.shape[1])):
+        outside = index[(index < 0) | (index >= size)]
+        if outside.size:
+            raise ValueError(f"recovery at {what} {outside[0]} is outside the data's {what}s 0..{size - 1}")
     nodes, actual = recoveries.node, values[recoveries.t, recoveries.node]
-    return {j: rmse(actual[nodes == j], recoveries.estimate[nodes == j]) for j in np.unique(nodes).tolist()}
+    # Not np.unique: its first call imports numpy.ma, which no other step of a realtime run needs.
+    present = np.flatnonzero(np.bincount(nodes, minlength=values.shape[1])).tolist()
+    return {j: rmse(actual[nodes == j], recoveries.estimate[nodes == j]) for j in present}
 
 
 def mean_rmse(per_node_rmse: Sequence[float]) -> float:

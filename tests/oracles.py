@@ -20,7 +20,11 @@ rsdrda_infer and one recover call per (slice, step, node), and structure
 search, per window of a stack, against one penalized_family_score per
 candidate, scored by the per-cell loglik_terms that the package's one-pass
 scoring kernel replaced, and a cycle repair that recounts every family it
-scores. CSV reading is checked against a loader that parses one cell at a
+scores and finds each cycle with the hand-written depth-first search
+(find_cycle) that Dag.find_cycle's graphlib call replaced. A network's
+log-likelihood (score) is the sum of those per-cell family scores; the
+package keeps only fitted_score, read from a learned network's counts.
+CSV reading is checked against a loader that parses one cell at a
 time, and every CSV writer against one that formats rows through the csv
 module. The per-record JSON report layout that the columnar codec
 replaced is kept here as the reference its decodes must match.
@@ -276,6 +280,11 @@ def loglik_terms(counts: np.ndarray) -> np.ndarray:
 def family_score(states: StateMatrix, node: int, parents, lag: int = 0) -> float:
     """Maximum-likelihood log score of one node given its parents: the sum of its cells' terms."""
     return float(np.sum(loglik_terms(count_states(states, node, parents, lag))))
+
+
+def score(states: StateMatrix, dag: Dag, lag: int = 0) -> float:
+    """Network log-likelihood: the sum of per-family scores (decomposable)."""
+    return sum(family_score(states, i, dag.parents[i], lag) for i in range(dag.n))
 
 
 def penalized_family_score(states: StateMatrix, node: int, parents, lag: int = 0) -> float:
@@ -551,15 +560,55 @@ def scalar_greedy_parents(states: StateMatrix, max_parents: int = 3, lag: int = 
     return tuple(parent_sets)
 
 
+def find_cycle(dag: Dag) -> list[tuple[int, int]] | None:
+    """First directed cycle found by a hand-written DFS in ascending node
+    order, each node's children in ascending order: the reference for
+    `Dag.find_cycle`. Returned as (parent, child) edges in traversal order,
+    or None.
+    """
+    children: list[list[int]] = [[] for _ in range(dag.n)]
+    for c in range(dag.n):
+        for p in dag.parents[c]:
+            children[p].append(c)
+    for ch in children:
+        ch.sort()
+
+    color = [0] * dag.n  # 0 unvisited, 1 on stack, 2 done
+    for root in range(dag.n):
+        if color[root]:
+            continue
+        # Iterative DFS, so long chains cannot hit the recursion limit:
+        # `stack` is the current path, `pending` each path node's
+        # children still to visit.
+        color[root] = 1
+        stack = [root]
+        pending = [iter(children[root])]
+        while stack:
+            for child in pending[-1]:
+                if color[child] == 1:
+                    cyc = stack[stack.index(child) :] + [child]
+                    return list(zip(cyc, cyc[1:]))
+                if color[child] == 0:
+                    color[child] = 1
+                    stack.append(child)
+                    pending.append(iter(children[child]))
+                    break
+            else:
+                color[stack.pop()] = 2
+                pending.pop()
+    return None
+
+
 def repair_cycles(dag: Dag, states: StateMatrix) -> Dag:
-    """Cycle repair that counts every family it scores on its own: while a
-    cycle exists, drop the edge on it whose removal costs the least
-    penalized score, exact ties removing the smallest (child, parent)."""
+    """Cycle repair that counts every family it scores on its own and finds
+    each cycle with the hand-written `find_cycle`: while a cycle exists,
+    drop the edge on it whose removal costs the least penalized score,
+    exact ties removing the smallest (child, parent)."""
     family = functools.cache(lambda child, ps: penalized_family_score(states, child, ps, lag=0))
     parents = [list(ps) for ps in dag.parents]
     while True:
         current = Dag(dag.n, tuple(tuple(ps) for ps in parents))
-        cycle = current.find_cycle()
+        cycle = find_cycle(current)
         if cycle is None:
             return current
         _, child, parent = min(

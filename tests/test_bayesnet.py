@@ -46,7 +46,6 @@ from sensorprep.bayesnet import (
     parent_marginals,
     penalized_family_score,
     repair_cycles,
-    score,
     static_from_dict,
     transition_from_dict,
 )
@@ -70,6 +69,24 @@ def chain_states(seed, m=5000, flip=0.05):
     return states_from_grid(np.column_stack([x1, x2, x3]), 2)
 
 
+@st.composite
+def digraphs(draw):
+    """Digraphs on 2 to 12 nodes with parents in any order: either acyclic
+    (every edge runs forward in a drawn node order) or arbitrary edges plus
+    a cycle through 2..n drawn nodes."""
+    n = draw(st.integers(2, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, unique=True, max_size=3 * n))
+    order = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        rank = {node: i for i, node in enumerate(order)}
+        edges = [(p, c) for p, c in edges if rank[p] < rank[c]]
+    else:
+        ring = order[: draw(st.integers(2, n))]
+        edges = list(dict.fromkeys(edges + list(zip(ring, ring[1:] + ring[:1]))))
+    return Dag(n, tuple(tuple(p for p, c in edges if c == node) for node in range(n)))
+
+
 class TestDag:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="own parent"):
@@ -91,6 +108,11 @@ class TestDag:
 
     def test_edges_listing(self):
         assert Dag(3, ((), (0,), (0, 1))).edges() == [(0, 1), (0, 2), (1, 2)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(digraphs())
+    def test_find_cycle_matches_the_dfs_oracle(self, dag):
+        assert dag.find_cycle() == oracles.find_cycle(dag)
 
 
 class TestCountStates:
@@ -202,7 +224,7 @@ class TestScore:
         rng = np.random.default_rng(6)
         states = states_from_grid(rng.integers(1, 3, size=(200, 3)), 2)
         dag = Dag(3, ((), (0,), (0, 1)))
-        total = score(states, dag, lag=0)
+        total = oracles.score(states, dag, lag=0)
         parts = sum(family_score(states, i, dag.parents[i], 0) for i in range(3))
         assert total == pytest.approx(parts, abs=1e-12)
 
@@ -458,7 +480,7 @@ def assert_counts_reused(net, states, lag):
     counts equals the recounted score bit for bit."""
     for i, counts in enumerate(net.counts):
         assert np.array_equal(counts, count_states(states, i, net.dag.parents[i], lag))
-    assert fitted_score(net) == score(states, net.dag, lag)
+    assert fitted_score(net) == oracles.score(states, net.dag, lag)
     recounted = replace(net, counts=tuple(make_cpt(states, i, ps, lag)[0] for i, ps in enumerate(net.dag.parents)))
     assert json.dumps(network_to_dict(net), sort_keys=True) == json.dumps(network_to_dict(recounted), sort_keys=True)
 

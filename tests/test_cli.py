@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import math
+import os
 import re
 import shlex
 import sys
@@ -12,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from sensorprep import artifacts
 from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, report_to_dict
-from sensorprep.bayesnet import estimate_cpt, learn_transition, score, static_from_dict, transition_from_dict
+from sensorprep.bayesnet import estimate_cpt, learn_transition, static_from_dict, transition_from_dict
 from sensorprep.cli import main
 from sensorprep.ingest import SensorDataset, discretize, fit_discretization, load_csv, write_csv
 from sensorprep.redundancy import RECOVERY_DTYPE, SCHEDULE_DTYPE
@@ -119,7 +121,7 @@ class TestPipeline:
         states = discretize(train, fit_discretization(train, 3))
         static = static_from_dict(json.loads((art / "static_network.json").read_text()))
         transition = transition_from_dict(json.loads((art / "transition_network.json").read_text()))
-        assert outputs["learn"]["score"] == score(states, static.dag, 0) + score(states, transition.dag, 1)
+        assert outputs["learn"]["score"] == oracles.score(states, static.dag, 0) + oracles.score(states, transition.dag, 1)
         row_metrics = outputs["evaluate"]["row_level"]
         assert row_metrics["recall"] == 1.0
         assert row_metrics["tp"] == 30
@@ -226,6 +228,24 @@ class TestPipeline:
         assert code == 1 and out == ""
         error = json.loads(err)
         assert error["type"] == "ArtifactError" and re.search(message, error["error"]), error
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_detect_rejects_non_finite_json(self, tmp_path, capsys, literal):
+        # json.loads alone accepts these literals; write_json never writes them.
+        art, _ = run_full_pipeline(tmp_path, capsys, seed=3)
+        path = art / "transition_network.json"
+        doc = json.loads(path.read_text())
+        doc["priors"][0][0] = float(literal)
+        path.write_text(json.dumps(doc))
+        assert literal in path.read_text()
+        code, out, err = run(capsys, [
+            "detect", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "test_bad.csv"),
+            "--artifacts", str(art), "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": f"{path}: {literal} is not JSON; an artifact holds only finite numbers", "type": "ArtifactError",
+        }
 
     @pytest.mark.parametrize(("scheme_k", "network_k"), [(4, 3), (3, 4)])
     def test_detect_rejects_state_count_mismatch(self, tmp_path, capsys, scheme_k, network_k):
@@ -692,6 +712,16 @@ class TestPipeline:
         assert json.loads(err) == {
             "error": f"recovery at row {beyond} is outside the data's rows 0..119", "type": "ValueError",
         }
+        # A recovery's node indexes the data's 8 columns: -1 would read the last one, 8 none.
+        doc = json.loads((art / "redundancy_realtime.json").read_text())
+        for node in (-1, 8):
+            doc["recoveries"][1][0] = node
+            (art / "redundancy_realtime.json").write_text(json.dumps(doc))
+            code, out, err = run(capsys, argv + [str(tmp_path / "train.csv")])
+            assert code == 1 and out == ""
+            assert json.loads(err) == {
+                "error": f"recovery at node {node} is outside the data's nodes 0..7", "type": "ValueError",
+            }
 
     @pytest.mark.parametrize(
         ("edit", "message"),
@@ -848,3 +878,27 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "learn" in proc.stdout
+
+
+def test_realtime_run_does_not_import_numpy_ma(tmp_path, capsys):
+    # np.unique's first plain call imports numpy.ma, about 1 MB of a realtime run's peak RSS.
+    import subprocess
+
+    code, out, err = run(capsys, [
+        "synth", "--profile", "correlated-drift", "--seed", "1", "--rows", "240", "--cols", "8",
+        "--out", str(tmp_path / "train.csv"),
+    ])
+    assert code == 0, err
+    script = (
+        "import sys\nfrom sensorprep.cli import main\n"
+        "code = main(sys.argv[1:])\nprint('numpy.ma' in sys.modules, file=sys.stderr)\nsys.exit(code)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "redundancy-realtime", "--data", str(tmp_path / "train.csv"),
+         "--slice-len", "80", "--out-dir", str(tmp_path / "art")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["recovered_readings"] > 0
+    assert proc.stderr == "False\n"
