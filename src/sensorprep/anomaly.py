@@ -174,7 +174,8 @@ def report_to_dict(report: DetectionReport) -> dict:
 
 
 def report_from_dict(doc: dict) -> DetectionReport:
-    rows, verdicts = artifacts.records(doc["rows"], ROW_DTYPE), artifacts.records(doc["verdicts"], VERDICT_DTYPE)
+    rows = artifacts.records(doc["rows"], ROW_DTYPE, doc, "rows")
+    verdicts = artifacts.records(doc["verdicts"], VERDICT_DTYPE, doc, "verdicts")
     return DetectionReport(limit_from_json(doc["q_limit"]), doc["t2_limit"], rows, verdicts)
 
 

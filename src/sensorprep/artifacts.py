@@ -26,10 +26,19 @@ KINDS = dict.fromkeys(("pca_model", "scheme", "static_network", "transition_netw
     "redundancy_static": "redundancy-static",
     "redundancy_realtime": "redundancy-realtime",
 }
+# The body field of a kind that holds an integer, or lists (of lists) of integers.
+_INTEGERS = {"pca_model": "k", "scheme": "state_count", "static_network": "parents", "transition_network": "parents"}
 
 
 class ArtifactError(ValueError):
     """A file that does not fit this format version, the expected kind, or the data's nodes."""
+
+
+class Document(dict):
+    """A document `read` returned: reading a missing field is an ArtifactError naming the file, kind and field."""
+
+    def __missing__(self, key: str):
+        raise ArtifactError(f"{self.path}: {self.get('kind')} has no field {key!r}; {self.rerun}")
 
 
 def check_node_ids(expected: Sequence[str], got: Sequence[str], what: str, reference: str) -> None:
@@ -52,11 +61,17 @@ def columns(table: np.ndarray) -> list[list]:
     return out
 
 
-def records(cols: Sequence[list], dtype: np.dtype) -> np.recarray:
-    """Inverse of `columns`: None reads back as NaN."""
+def records(cols: Sequence[list], dtype: np.dtype, doc: dict | None = None, key: str = "") -> np.recarray:
+    """Inverse of `columns`: None reads back as NaN, and an integer or boolean column holding another type is an
+    error (1.5 is not truncated). An error names the file and field when `cols` is `doc[key]` of a read document."""
+    where = f"{getattr(doc, 'path', 'document')}: field {key!r}" if doc is not None else "record array"
     if len(cols) != len(dtype.names) or len({len(c) for c in cols}) > 1:
-        raise ArtifactError(f"expected {len(dtype.names)} columns of equal length: {', '.join(dtype.names)}")
-    return np.rec.fromarrays([np.array(c, dtype=dtype[name]) for name, c in zip(dtype.names, cols)], dtype=dtype)
+        raise ArtifactError(f"{where}: expected {len(dtype.names)} columns of equal length: {', '.join(dtype.names)}")
+    arrays = [np.array(c, dtype=dtype[name] if dtype[name].kind == "f" else None) for name, c in zip(dtype.names, cols)]
+    for name, array in zip(dtype.names, arrays):
+        if array.size and array.dtype.kind != dtype[name].kind:
+            raise ArtifactError(f"{where}: column {name!r} holds {array.dtype} values, not {dtype[name]}")
+    return np.rec.fromarrays(arrays, dtype=dtype)
 
 
 def write_json(path: str | Path, doc: dict) -> None:
@@ -75,15 +90,17 @@ def write(path: str | Path, kind: str, node_ids: Sequence[str], body: dict) -> N
     write_json(path, {**body, "format_version": FORMAT_VERSION, "kind": kind, "node_ids": list(node_ids)})
 
 
-def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str]) -> dict:
-    """Load a document of `kind` (or of any kind in a tuple) whose node ids equal `node_ids`."""
+def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str]) -> Document:
+    """Load a document of `kind` (or of any kind in a tuple) whose node ids equal `node_ids`.
+
+    The kind's integer field (`_INTEGERS`) must hold integers: 1.7 is an error, not a value to truncate."""
     kinds = (kind,) if isinstance(kind, str) else kind
 
     def non_finite(literal: str):  # json.loads alone accepts these; `write_json` never writes them
         raise ArtifactError(f"{path}: {literal} is not JSON; an artifact holds only finite numbers")
 
     doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=non_finite)
-    doc = doc if isinstance(doc, dict) else {}
+    doc = Document(doc if isinstance(doc, dict) else {})
     # The command to re-run is the one that writes this file's kind, if it is one of `kinds`.
     named = (doc["kind"],) if doc.get("kind") in kinds else kinds
     rerun = "re-run " + " or ".join(dict.fromkeys(f"`sensorprep {KINDS[k]}`" for k in named))
@@ -97,4 +114,11 @@ def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str])
     if not isinstance(doc.get("node_ids"), list):
         raise ArtifactError(f"{path}: missing node_ids; {rerun}")
     check_node_ids(doc["node_ids"], node_ids, doc["kind"], str(path))
+    doc.path, doc.rerun, key = path, rerun, _INTEGERS.get(doc["kind"])
+    leaves = [doc[key]] if key else []
+    for leaf in leaves:  # extended while it is iterated, so the items of nested lists are visited too
+        if isinstance(leaf, list):
+            leaves.extend(leaf)
+        elif type(leaf) is not int:
+            raise ArtifactError(f"{path}: field {key!r} must hold integers, got {leaf!r}")
     return doc

@@ -268,7 +268,7 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
         data = ingest.load_csv(args.data)
         artifacts.check_node_ids(node_ids, data.node_ids, "evaluate --data", f"truth file {args.truth}")
         red_doc = artifacts.read(args.redundancy, ("redundancy_static", "redundancy_realtime"), node_ids)
-        recoveries = artifacts.records(red_doc["recoveries"], redundancy.RECOVERY_DTYPE)
+        recoveries = artifacts.records(red_doc["recoveries"], redundancy.RECOVERY_DTYPE, red_doc, "recoveries")
         per_node = metrics.per_node_rmse(recoveries, data.values)
         doc["recovery"] = {
             "per_node_rmse": {str(node): value for node, value in per_node.items()},

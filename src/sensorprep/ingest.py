@@ -126,8 +126,6 @@ class DiscretizationScheme:
     state_count: int
 
     def __post_init__(self) -> None:
-        if self.state_count < 2:
-            raise ValueError(f"state_count must be >= 2, got {self.state_count}")
         edges = tuple(np.array(e, dtype=float) for e in self.edges)
         object.__setattr__(self, "edges", edges)
         for j, e in enumerate(edges):
@@ -143,17 +141,19 @@ class DiscretizationScheme:
 
 @dataclass(frozen=True)
 class StateMatrix:
-    """Discrete m x n matrix over {1..K} plus the scheme that produced it."""
+    """Discrete m x n matrix over {1..K}, K = state_count >= 2."""
 
     states: np.ndarray
-    scheme: DiscretizationScheme
+    state_count: int
 
     def __post_init__(self) -> None:
         states = np.array(self.states, dtype=np.int64)
         object.__setattr__(self, "states", states)
         if states.ndim != 2:
             raise ValueError("states must be a 2-D matrix")
-        k = self.scheme.state_count
+        k = self.state_count
+        if k < 2:
+            raise ValueError(f"state_count must be >= 2, got {k}")
         if states.size and (states.min() < 1 or states.max() > k):
             raise ValueError(f"states must lie in 1..{k}")
 
@@ -164,10 +164,6 @@ class StateMatrix:
     @property
     def n(self) -> int:
         return self.states.shape[1]
-
-    @property
-    def state_count(self) -> int:
-        return self.scheme.state_count
 
 
 def load_csv(path: str | Path) -> SensorDataset:
@@ -363,7 +359,7 @@ def discretize(data: SensorDataset, scheme: DiscretizationScheme) -> StateMatrix
     """Map every sample onto the scheme's state alphabet."""
     if data.n != scheme.n:
         raise ValueError(f"dataset has {data.n} nodes but scheme covers {scheme.n}")
-    return StateMatrix(_states(data.values, scheme), scheme)
+    return StateMatrix(_states(data.values, scheme), scheme.state_count)
 
 
 def _states(values: np.ndarray, scheme: DiscretizationScheme) -> np.ndarray:
@@ -402,33 +398,31 @@ def inject_errors(
     return SensorDataset(values, data.node_ids, data.timestamps)
 
 
-def _markov_levels(rng: np.random.Generator, m: int, levels: int, stay: float) -> np.ndarray:
-    """Level-switching process: keep the current level w.p. `stay`, else jump uniformly."""
+# The copy profiles' signal levels 0.._LEVELS-1, the chance that a copied
+# parent keeps its level from one step to the next, and copy-child's
+# measurement noise.
+_LEVELS, _STAY, _MEAS_NOISE = 3, 0.9, 0.05
+
+
+def _markov_levels(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Level-switching process: keep the current level w.p. `_STAY`, else jump uniformly."""
     out = np.empty(m, dtype=np.int64)
-    out[0] = rng.integers(levels)
+    out[0] = rng.integers(_LEVELS)
     for t in range(1, m):
-        if rng.random() < stay:
+        if rng.random() < _STAY:
             out[t] = out[t - 1]
         else:
-            step = rng.integers(1, levels)
-            out[t] = (out[t - 1] + step) % levels
+            step = rng.integers(1, _LEVELS)
+            out[t] = (out[t - 1] + step) % _LEVELS
     return out
 
 
-def _gen_correlated_drift(
-    rng: np.random.Generator,
-    m: int,
-    n: int,
-    latents: int = 2,
-    noise: float = 0.25,
-    offset_low: float = 20.0,
-    offset_high: float = 40.0,
-) -> np.ndarray:
-    """Smooth latent signals mixed linearly into n channels plus channel noise.
+def _gen_correlated_drift(rng: np.random.Generator, m: int, n: int, latents: int = 2) -> np.ndarray:
+    """Smooth latent signals mixed linearly into n channels plus channel noise of sd 0.25.
 
-    Channels carry large baseline offsets so that mean-proportional error
-    injection produces visible shifts, mimicking slowly drifting
-    temperature/humidity readings.
+    Channels carry large baseline offsets, drawn from [20, 40), so that
+    mean-proportional error injection produces visible shifts, mimicking
+    slowly drifting temperature/humidity readings.
     """
     t = np.arange(m, dtype=float)
     lat = np.empty((m, latents))
@@ -437,8 +431,8 @@ def _gen_correlated_drift(
         phase = rng.uniform(0.0, 2.0 * np.pi)
         lat[:, l] = np.sin(2.0 * np.pi * cycles * t / m + phase)
     weights = rng.uniform(0.5, 1.5, size=(latents, n)) * rng.choice([-1.0, 1.0], size=(latents, n))
-    offsets = rng.uniform(offset_low, offset_high, size=n)
-    return offsets + lat @ weights + noise * rng.standard_normal((m, n))
+    offsets = rng.uniform(20.0, 40.0, size=n)
+    return offsets + lat @ weights + 0.25 * rng.standard_normal((m, n))
 
 
 def _copy_assignment(copies: Mapping[int, int] | None, n: int) -> dict[int, int]:
@@ -456,10 +450,7 @@ def _gen_copy_child(
     m: int,
     n: int,
     copies: Mapping[int, int] | None = None,
-    levels: int = 3,
-    stay: float = 0.9,
     flip: float = 0.0,
-    meas_noise: float = 0.05,
     child_noise: float | None = None,
 ) -> np.ndarray:
     """Copy children re-reading designated parent nodes at the same instant.
@@ -469,11 +460,11 @@ def _gen_copy_child(
     independent levels each step so they carry no structure at all. With
     flip == 0 and child_noise == 0 a child column equals its parent column
     exactly; otherwise the child re-reads the parent's level signal with a
-    per-sample flip probability and its own measurement noise.
+    per-sample flip probability and its own measurement noise (by default
+    the other nodes', `_MEAS_NOISE`).
     """
     copies = _copy_assignment(copies, n)
-    if child_noise is None:
-        child_noise = meas_noise
+    child_noise = _MEAS_NOISE if child_noise is None else child_noise
     parent_nodes = set(copies.values())
 
     signal = np.empty((m, n))
@@ -481,13 +472,13 @@ def _gen_copy_child(
         if j in copies:
             continue
         if j in parent_nodes:
-            signal[:, j] = _markov_levels(rng, m, levels, stay).astype(float)
+            signal[:, j] = _markov_levels(rng, m).astype(float)
         else:
-            signal[:, j] = rng.integers(0, levels, size=m).astype(float)
+            signal[:, j] = rng.integers(0, _LEVELS, size=m).astype(float)
     values = np.empty((m, n))
     for j in range(n):
         if j not in copies:
-            values[:, j] = signal[:, j] + meas_noise * rng.standard_normal(m)
+            values[:, j] = signal[:, j] + _MEAS_NOISE * rng.standard_normal(m)
     for c, p in sorted(copies.items()):
         if flip == 0.0 and child_noise == 0.0:
             values[:, c] = values[:, p]
@@ -495,8 +486,8 @@ def _gen_copy_child(
         child_sig = signal[:, p].copy()
         flip_mask = rng.random(m) < flip
         for t in np.nonzero(flip_mask)[0]:
-            step = rng.integers(1, levels)
-            child_sig[t] = (child_sig[t] + step) % levels
+            step = rng.integers(1, _LEVELS)
+            child_sig[t] = (child_sig[t] + step) % _LEVELS
         values[:, c] = child_sig + child_noise * rng.standard_normal(m)
     return values
 
@@ -506,7 +497,6 @@ def _gen_lagged_copy(
     m: int,
     n: int,
     copies: Mapping[int, int] | None = None,
-    levels: int = 3,
     noise_frac: float = 0.0,
 ) -> np.ndarray:
     """Children repeat their parent's reading one step late; drivers are i.i.d. levels.
@@ -517,7 +507,7 @@ def _gen_lagged_copy(
     copies = _copy_assignment(copies, n)
 
     # One extra leading step so the child has a parent value at t=0.
-    steps = {p: rng.integers(0, levels, size=m + 1).astype(float) for p in set(copies.values())}
+    steps = {p: rng.integers(0, _LEVELS, size=m + 1).astype(float) for p in set(copies.values())}
     values = np.empty((m, n))
     for j in range(n):
         if j in copies:
@@ -525,7 +515,7 @@ def _gen_lagged_copy(
         if j in steps:
             values[:, j] = steps[j][1:]
         else:
-            values[:, j] = rng.integers(0, levels, size=m).astype(float)
+            values[:, j] = rng.integers(0, _LEVELS, size=m).astype(float)
     for c, p in sorted(copies.items()):
         lagged = steps[p][:-1]
         if noise_frac == 0.0:

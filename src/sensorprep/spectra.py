@@ -87,7 +87,7 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues descending, eigenvector columns) of a symmetric matrix from LAPACK's np.linalg.eigh.
 
     Each column's largest-magnitude entry is made positive, so the result does not depend on the
-    LAPACK build. The benchmark tracer binds to this name until ROADMAP item 1 refreshes it.
+    LAPACK build. The benchmark tracer binds to this name until ROADMAP item 5 renames it.
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]

@@ -640,8 +640,7 @@ def trivial_scheme(n: int, k: int) -> DiscretizationScheme:
 
 
 def states_from_grid(grid: np.ndarray, k: int) -> StateMatrix:
-    grid = np.asarray(grid, dtype=np.int64)
-    return StateMatrix(grid, trivial_scheme(grid.shape[1], k))
+    return StateMatrix(grid, k)
 
 
 def random_transition_network(rng: np.random.Generator, n_max: int = 4, k_max: int = 3) -> TransitionNetwork:

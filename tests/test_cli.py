@@ -99,6 +99,19 @@ def run_full_pipeline(base, capsys, seed=1):
     return art, outputs
 
 
+def reading_command(base, art, name):
+    """The command that reads `art / name` of a `run_full_pipeline(base, ...)` run, writing into `base / "out"`."""
+    data, out = ["--data", str(base / "train.csv")], ["--out-dir", str(base / "out")]
+    if name == "static_network.json":
+        return ["redundancy-static", *data, "--artifacts", str(art), *out]
+    if name in ("pca_model.json", "scheme.json", "transition_network.json"):
+        return ["detect", "--train", str(base / "train.csv"), "--data", str(base / "test_bad.csv"), "--artifacts",
+                str(art), *out]
+    redundancy = art / (name if name.startswith("redundancy") else "redundancy_realtime.json")
+    return ["evaluate", "--report", str(art / "detection_report.json"), "--truth", str(base / "truth.json"),
+            "--redundancy", str(redundancy), *data]
+
+
 class TestPipeline:
     def test_full_pipeline(self, tmp_path, capsys):
         art, outputs = run_full_pipeline(tmp_path, capsys)
@@ -246,6 +259,56 @@ class TestPipeline:
         assert json.loads(err) == {
             "error": f"{path}: {literal} is not JSON; an artifact holds only finite numbers", "type": "ArtifactError",
         }
+
+    @pytest.mark.parametrize(
+        ("name", "edit", "message"),
+        [
+            pytest.param("pca_model.json", lambda d: d.pop("k"),
+                         "pca_model has no field 'k'; re-run `sensorprep learn`", id="missing-k"),
+            pytest.param("scheme.json", lambda d: d.pop("edges"),
+                         "scheme has no field 'edges'; re-run `sensorprep learn`", id="missing-edges"),
+            pytest.param("static_network.json", lambda d: d.pop("counts"),
+                         "static_network has no field 'counts'; re-run `sensorprep learn`", id="missing-counts"),
+            pytest.param("transition_network.json", lambda d: d.pop("priors"),
+                         "transition_network has no field 'priors'; re-run `sensorprep learn`", id="missing-priors"),
+            pytest.param("detection_report.json", lambda d: d.pop("verdicts"),
+                         "detection_report has no field 'verdicts'; re-run `sensorprep detect`", id="missing-verdicts"),
+            pytest.param("redundancy_static.json", lambda d: d.pop("recoveries"),
+                         "redundancy_static has no field 'recoveries'; re-run `sensorprep redundancy-static`",
+                         id="missing-static-recoveries"),
+            pytest.param("redundancy_realtime.json", lambda d: d.pop("recoveries"),
+                         "redundancy_realtime has no field 'recoveries'; re-run `sensorprep redundancy-realtime`",
+                         id="missing-realtime-recoveries"),
+            # The rest used to load, truncated (1.7 -> 1) or coerced ("1" -> 1, 1 -> True).
+            pytest.param("pca_model.json", lambda d: d.update(k=1.7), "field 'k' must hold integers, got 1.7", id="k"),
+            pytest.param("scheme.json", lambda d: d.update(state_count=3.9),
+                         "field 'state_count' must hold integers, got 3.9", id="state_count"),
+            pytest.param("transition_network.json", lambda d: d["parents"].__setitem__(0, [1.5]),
+                         "field 'parents' must hold integers, got 1.5", id="parent-fraction"),
+            pytest.param("transition_network.json", lambda d: d["parents"].__setitem__(0, ["1"]),
+                         "field 'parents' must hold integers, got '1'", id="parent-string"),
+            pytest.param("static_network.json", lambda d: d["parents"].__setitem__(0, [True]),
+                         "field 'parents' must hold integers, got True", id="parent-bool"),
+            pytest.param("redundancy_realtime.json", lambda d: d["recoveries"][0].__setitem__(0, 1.7),
+                         "field 'recoveries': column 't' holds float64 values, not int64", id="recovery-t"),
+            pytest.param("redundancy_static.json", lambda d: d.update(recoveries=[[0], ["1"], [0.5]]),
+                         "field 'recoveries': column 'node' holds <U1 values, not int64", id="recovery-node"),
+            pytest.param("detection_report.json", lambda d: d["rows"][0].__setitem__(0, 0.5),
+                         "field 'rows': column 'row' holds float64 values, not int64", id="report-row"),
+            pytest.param("detection_report.json", lambda d: d["verdicts"][4].__setitem__(0, 1),
+                         "field 'verdicts': column 'abnormal' holds int64 values, not bool", id="verdict-flag"),
+        ],
+    )
+    def test_malformed_artifact_field_names_file_and_field(self, tmp_path, capsys, name, edit, message):
+        art, _ = run_full_pipeline(tmp_path, capsys, seed=3)
+        path = art / name
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, reading_command(tmp_path, art, name))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"{path}: {message}", "type": "ArtifactError"}
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(("scheme_k", "network_k"), [(4, 3), (3, 4)])
     def test_detect_rejects_state_count_mismatch(self, tmp_path, capsys, scheme_k, network_k):
@@ -775,16 +838,21 @@ class TestPipeline:
             "error": f"report {report} does not screen rows 0..49 of {truth}: row {row}", "type": "ValueError",
         }
 
-    @pytest.mark.parametrize("key", ["bogus", "rng", "seed", "m", "n", "profile"])
+    # `noise`, `stay` and `levels` are constants of the profiles, not keys.
+    @pytest.mark.parametrize("key", ["bogus", "rng", "seed", "m", "n", "profile", "noise", "stay", "levels"])
     def test_synth_rejects_unknown_param_before_generating(self, tmp_path, capsys, key):
         out_csv = tmp_path / "x.csv"
-        code, out, err = run(capsys, ["synth", "--profile", "copy-child", "--param", f"{key}=1", "--out", str(out_csv)])
-        assert code == 1 and out == "" and not out_csv.exists()
-        accepted = ["copies", "levels", "stay", "flip", "meas_noise", "child_noise"]
-        assert json.loads(err) == {
-            "error": f"--param {key!r} is not a parameter of profile 'copy-child': it takes {accepted}",
-            "type": "ValueError",
-        }
+        for profile, accepted in (
+            ("correlated-drift", ["latents"]),
+            ("copy-child", ["copies", "flip", "child_noise"]),
+            ("lagged-copy", ["copies", "noise_frac"]),
+        ):
+            code, out, err = run(capsys, ["synth", "--profile", profile, "--param", f"{key}=1", "--out", str(out_csv)])
+            assert code == 1 and out == "" and not any(tmp_path.iterdir())
+            assert json.loads(err) == {
+                "error": f"--param {key!r} is not a parameter of profile {profile!r}: it takes {accepted}",
+                "type": "ValueError",
+            }
 
     def test_synth_out_and_split(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -864,6 +932,17 @@ def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, argv)
         assert code == 0, (argv, err)
     assert json.loads((tmp_path / "artifacts" / "metrics.json").read_text())["recovery"]["mean_rmse"] is not None
+
+
+def test_readme_library_tour_runs(tmp_path, monkeypatch):
+    # The `python` block of README's library quick tour, as a reader would paste it.
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library quick tour\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    tour = {}
+    exec(compile(block, "README.md: Library quick tour", "exec"), tour)
+    assert len(tour["report"].rows) == 200 and tour["state"] in (1, 2, 3)
+    assert not any(tmp_path.iterdir())
 
 
 class TestEntryPoint:

@@ -11,6 +11,7 @@ from sensorprep.ingest import (
     DiscretizationScheme,
     SensorDataset,
     Standardization,
+    StateMatrix,
     discretize,
     discretize_row,
     fit_discretization,
@@ -193,6 +194,11 @@ class TestDiscretization:
         scheme = DiscretizationScheme((np.array([0.5]),), 2)
         with pytest.raises(ValueError, match="nodes"):
             discretize(make_dataset([[0, 1], [1, 0]]), scheme)
+
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_state_matrix_needs_two_states(self, k):
+        with pytest.raises(ValueError, match=f"state_count must be >= 2, got {k}"):
+            StateMatrix(np.ones((3, 2), dtype=np.int64), k)
 
 
 class TestInjectErrors:

@@ -45,7 +45,7 @@ class TestPrecisionRecall:
 
     def test_counts_cover_universe(self):
         _, _, counts = precision_recall({0, 1}, {1, 2}, set(range(7)))
-        assert counts.total == 7
+        assert counts.tp + counts.fp + counts.fn + counts.tn == 7
 
     def test_subset_violations(self):
         with pytest.raises(ValueError, match="truth"):
