@@ -61,10 +61,6 @@ class DetectionReport:
     def flagged_rows(self) -> list[int]:
         return self.rows.row[self.rows.flagged].tolist()
 
-    def abnormal_cells(self) -> list[tuple[int, int]]:
-        hit = self.verdicts[self.verdicts.abnormal]
-        return list(zip(hit.row.tolist(), hit.node.tolist()))
-
 
 def tq_screen(row: np.ndarray, model: PcaModel) -> tuple[float, float, bool]:
     """Standardize one raw sample and test it against both control limits.
@@ -136,16 +132,11 @@ def tqbayes_detect(
     flagged = np.flatnonzero(rows.flagged)
     # Row 0 of `states` is the last training row, so test row r sits at r + 1.
     states = discretize(SensorDataset(np.vstack([last_train_row, test.values]), test.node_ids), scheme).states
-    prev, observed = states[flagged], states[flagged + 1]
-    predicted = np.column_stack([_predict_states(node, prev, tn)[0] for node in range(test.n)])
-
-    verdicts = np.recarray(observed.size, dtype=VERDICT_DTYPE)
-    verdicts.row = np.repeat(flagged, test.n)
-    verdicts.node = np.tile(np.arange(test.n), len(flagged))
-    verdicts.observed = observed.ravel()
-    verdicts.predicted = predicted.ravel()
-    verdicts.uninferable = np.tile([not ps for ps in tn.dag.parents], len(flagged))
-    verdicts.abnormal = ~verdicts.uninferable & (verdicts.predicted != verdicts.observed)
+    prev, observed = states[flagged], states[flagged + 1].ravel()
+    predicted = np.column_stack([_predict_states(node, prev, tn)[0] for node in range(test.n)]).ravel()
+    uninferable = np.tile([not ps for ps in tn.dag.parents], len(flagged))
+    cells = [np.repeat(flagged, test.n), np.tile(np.arange(test.n), len(flagged)), observed, predicted]
+    verdicts = np.rec.fromarrays([*cells, ~uninferable & (predicted != observed), uninferable], dtype=VERDICT_DTYPE)
     return DetectionReport(model.q_limit, model.t2_limit, rows, verdicts)
 
 

@@ -26,8 +26,15 @@ KINDS = dict.fromkeys(("pca_model", "scheme", "static_network", "transition_netw
     "redundancy_static": "redundancy-static",
     "redundancy_realtime": "redundancy-realtime",
 }
-# The body field of a kind that holds an integer, or lists (of lists) of integers.
-_INTEGERS = {"pca_model": "k", "scheme": "state_count", "static_network": "parents", "transition_network": "parents"}
+# What the numbers of a field must be: (the words an error uses, the JSON types they may take).
+_INT, _FLOAT, _NULLABLE = ("integers", {int}), ("numbers", {int, float}), ("numbers or null", {int, float, type(None)})
+# Each number field that a command reads, in whichever kinds hold it: (its numbers' rule, how many lists deep).
+_NUMBERS = {
+    "k": (_INT, 0), "state_count": (_INT, 0), "parents": (_INT, 2), "q_limit": (_NULLABLE, 0),
+    "t2_limit": (_FLOAT, 0), "alpha": (_FLOAT, 0), "means": (_FLOAT, 1), "variances": (_FLOAT, 1),
+    "eigenvalues": (_FLOAT, 1), "eigenvectors": (_FLOAT, 2), "edges": (_FLOAT, 2), "priors": (_FLOAT, 2),
+    "counts": (_FLOAT, 3),
+}
 
 
 class ArtifactError(ValueError):
@@ -65,8 +72,12 @@ def records(cols: Sequence[list], dtype: np.dtype, doc: dict | None = None, key:
     """Inverse of `columns`: None reads back as NaN, and an integer or boolean column holding another type is an
     error (1.5 is not truncated). An error names the file and field when `cols` is `doc[key]` of a read document."""
     where = f"{getattr(doc, 'path', 'document')}: field {key!r}" if doc is not None else "record array"
-    if len(cols) != len(dtype.names) or len({len(c) for c in cols}) > 1:
+    shaped = isinstance(cols, list) and all(isinstance(c, list) for c in cols)
+    if not shaped or len(cols) != len(dtype.names) or len({len(c) for c in cols}) > 1:
         raise ArtifactError(f"{where}: expected {len(dtype.names)} columns of equal length: {', '.join(dtype.names)}")
+    for name, c in zip(dtype.names, cols):
+        if dtype[name].kind == "f" and not set(map(type, c)) <= _NULLABLE[1]:
+            raise ArtifactError(f"{where}: column {name!r} must hold numbers or null")
     arrays = [np.array(c, dtype=dtype[name] if dtype[name].kind == "f" else None) for name, c in zip(dtype.names, cols)]
     for name, array in zip(dtype.names, arrays):
         if array.size and array.dtype.kind != dtype[name].kind:
@@ -86,14 +97,15 @@ def write_json(path: str | Path, doc: dict) -> None:
 
 
 def write(path: str | Path, kind: str, node_ids: Sequence[str], body: dict) -> None:
-    """Write `body` under the header of `kind`."""
+    """Write `body` under the header of `kind`, creating the file's directory if it is missing."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     write_json(path, {**body, "format_version": FORMAT_VERSION, "kind": kind, "node_ids": list(node_ids)})
 
 
 def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str]) -> Document:
     """Load a document of `kind` (or of any kind in a tuple) whose node ids equal `node_ids`.
 
-    The kind's integer field (`_INTEGERS`) must hold integers: 1.7 is an error, not a value to truncate."""
+    A number field (`_NUMBERS`) must nest as `write` nests it and hold its type: 1.7, "1" or true is not converted."""
     kinds = (kind,) if isinstance(kind, str) else kind
 
     def non_finite(literal: str):  # json.loads alone accepts these; `write_json` never writes them
@@ -114,11 +126,12 @@ def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str])
     if not isinstance(doc.get("node_ids"), list):
         raise ArtifactError(f"{path}: missing node_ids; {rerun}")
     check_node_ids(doc["node_ids"], node_ids, doc["kind"], str(path))
-    doc.path, doc.rerun, key = path, rerun, _INTEGERS.get(doc["kind"])
-    leaves = [doc[key]] if key else []
-    for leaf in leaves:  # extended while it is iterated, so the items of nested lists are visited too
-        if isinstance(leaf, list):
-            leaves.extend(leaf)
-        elif type(leaf) is not int:
-            raise ArtifactError(f"{path}: field {key!r} must hold integers, got {leaf!r}")
+    doc.path, doc.rerun = path, rerun
+    for key, (rule, depth) in _NUMBERS.items():
+        items = [doc[key]] if key in doc else []  # a missing field fails where a command reads it
+        for noun, types in [("lists", {list})] * depth + [rule]:
+            bad = [item for item in items if type(item) not in types]
+            if bad:
+                raise ArtifactError(f"{path}: field {key!r} must hold {noun}, got {bad[0]!r}")
+            items = [x for item in items if type(item) is list for x in item]
     return doc

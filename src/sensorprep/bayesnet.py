@@ -389,14 +389,14 @@ def _picks(gains: np.ndarray) -> np.ndarray:
 
 
 def _searched_network(states: StateMatrix, max_parents: int, lag: int) -> tuple[Dag, list[np.ndarray]]:
-    """k2_search's network plus each family's count_states table. A family
-    that repair_cycles reduced sums its searched table over the dropped axes."""
+    """k2_search's network plus each family's count_states table. repair_cycles scores the searched
+    tables, and a family it reduced sums its searched table over the dropped axes."""
     parent_sets, groups = _stacked_search(states.states[None], states.state_count, max_parents, lag)
     tables = {f: table for families, stack in groups.values() for f, table in zip(families.tolist(), stack)}
     counts = [tables[node] for node in range(states.n)]
     dag = Dag(states.n, tuple(map(tuple, parent_sets)))
     if lag == 0:
-        dag = repair_cycles(dag, states)
+        dag = repair_cycles(dag, counts, states.m)
         counts = [_summed_out(c, ps, kept) for c, ps, kept in zip(counts, parent_sets, dag.parents)]
     return dag, counts
 
@@ -408,17 +408,17 @@ def _summed_out(counts: np.ndarray, parents: Sequence[int], kept: Sequence[int])
     return counts.reshape((k,) * len(parents) + (k,)).sum(axis=dropped).reshape(-1, k) if dropped else counts
 
 
-def repair_cycles(dag: Dag, states: StateMatrix) -> Dag:
+def repair_cycles(dag: Dag, counts: Sequence[np.ndarray], m: int) -> Dag:
     """Delete edges until the graph is acyclic, losing as little score as possible.
 
-    While a cycle exists, the edge on it whose removal costs the least
-    penalized score is dropped; exact ties remove the lexicographically
-    smallest (child, parent) pair. Each child on a cycle is counted once,
-    with its full parent set, and each family is scored once from that count.
+    counts[c] is node c's same-slice `count_states` table over m rows given dag.parents[c], as
+    structure search leaves it. While a cycle exists, the edge on it whose removal costs the least
+    penalized score is dropped; exact ties remove the lexicographically smallest (child, parent) pair.
+    Nothing is counted: each family is scored once, from its child's table summed over the dropped parents.
     """
-    counted = functools.cache(lambda child: count_states(states, child, dag.parents[child], lag=0))
+    counts = _checked_counts(dag, counts)
     family = functools.cache(
-        lambda child, ps: _penalized_scores(_summed_out(counted(child), dag.parents[child], ps)[None], states.m)[0]
+        lambda child, ps: _penalized_scores(_summed_out(counts[child], dag.parents[child], ps)[None], m)[0]
     )
     parents = [list(ps) for ps in dag.parents]
     while True:

@@ -18,8 +18,6 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import anomaly, artifacts, bayesnet, ingest, metrics, redundancy, spectra
 
 # (dest, test, rule) of every range-checked flag; a command checks the flags it has.
@@ -42,14 +40,6 @@ def _check_ranges(args: argparse.Namespace) -> None:
             raise ValueError(f"{dest} must {rule}, got {value}")
     if hasattr(args, "max_parents"):
         bayesnet.check_cpt_cells(args.k_states, args.max_parents)
-
-
-def _scheme_to_dict(scheme: ingest.DiscretizationScheme) -> dict:
-    return {"state_count": int(scheme.state_count), "edges": [e.tolist() for e in scheme.edges]}
-
-
-def _scheme_from_dict(doc: dict) -> ingest.DiscretizationScheme:
-    return ingest.DiscretizationScheme(tuple(np.array(e) for e in doc["edges"]), int(doc["state_count"]))
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -93,8 +83,6 @@ def cmd_synth(args: argparse.Namespace) -> dict:
 def cmd_learn(args: argparse.Namespace) -> dict:
     train = ingest.load_csv(args.train)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     model = spectra.fit_pca_model(train, args.contribution_ratio, args.alpha_warning)
     scheme = ingest.fit_discretization(train, args.k_states)
     states = ingest.discretize(train, scheme)
@@ -103,7 +91,7 @@ def cmd_learn(args: argparse.Namespace) -> dict:
 
     for kind, body in (
         ("pca_model", spectra.model_to_dict(model)),
-        ("scheme", _scheme_to_dict(scheme)),
+        ("scheme", {"state_count": scheme.state_count, "edges": scheme.edges.tolist()}),
         ("static_network", bayesnet.network_to_dict(static)),
         ("transition_network", bayesnet.network_to_dict(transition)),
     ):
@@ -156,20 +144,20 @@ def cmd_detect(args: argparse.Namespace) -> dict:
     test = ingest.load_csv(args.data)
     artifacts.check_node_ids(train.node_ids, test.node_ids, "detect --train", "training CSV")
     model = spectra.model_from_dict(artifacts.read(art / "pca_model.json", "pca_model", test.node_ids))
-    scheme = _scheme_from_dict(artifacts.read(art / "scheme.json", "scheme", test.node_ids))
+    scheme_doc = artifacts.read(art / "scheme.json", "scheme", test.node_ids)
+    scheme = ingest.DiscretizationScheme(scheme_doc["edges"], scheme_doc["state_count"])
     tn_doc = artifacts.read(art / "transition_network.json", "transition_network", test.node_ids)
     tn = bayesnet.transition_from_dict(tn_doc)
 
     report = anomaly.tqbayes_detect(test, model, tn, scheme, train.values[-1])
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     body = anomaly.report_to_dict(report)
     artifacts.write(out_dir / "detection_report.json", "detection_report", test.node_ids, body)
     anomaly.write_report_csv(report, out_dir / "detection_report.csv")
     return {
         "rows": test.m,
-        "flagged": len(report.flagged_rows()),
-        "abnormal_cells": len(report.abnormal_cells()),
+        "flagged": int(report.rows.flagged.sum()),
+        "abnormal_cells": int(report.verdicts.abnormal.sum()),
         "out_dir": str(out_dir),
     }
 
@@ -183,7 +171,6 @@ def cmd_redundancy_static(args: argparse.Namespace) -> dict:
     report = replace(report, recoveries=redundancy.static_recovery(data, net.dag, report.redundant_nodes()))
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     body = redundancy.static_report_to_dict(report)
     artifacts.write(out_dir / "redundancy_static.json", "redundancy_static", data.node_ids, body)
     redundancy.write_static_csv(report, data.node_ids, out_dir / "redundancy_static.csv")
@@ -199,7 +186,6 @@ def cmd_redundancy_realtime(args: argparse.Namespace) -> dict:
     scheme = ingest.fit_discretization(data, args.k_states)
     report = redundancy.rsdrda_schedule(data, args.slice_len, args.train_frac, args.tau, scheme, args.max_parents)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     body = redundancy.realtime_report_to_dict(report)
     artifacts.write(out_dir / "redundancy_realtime.json", "redundancy_realtime", data.node_ids, body)
     redundancy.write_realtime_csv(report, data.node_ids, out_dir / "redundancy_realtime.csv")

@@ -115,28 +115,29 @@ class Standardization:
 
 @dataclass(frozen=True)
 class DiscretizationScheme:
-    """Per-node interior bin edges mapping reals onto states {1..K}.
+    """Per-node interior bin edges mapping reals onto states {1..K}, K = state_count >= 2.
 
-    Each node carries exactly K-1 strictly increasing edges; values below
-    the first edge map to state 1, values at or above the last edge map to
-    state K, and a value equal to an edge goes to the higher bin.
+    `edges` is an n x (K-1) matrix, row j node j's finite, strictly increasing edges. Values below the first
+    edge map to state 1, values at or above the last to state K, and a value equal to an edge to the higher bin.
     """
 
-    edges: tuple[np.ndarray, ...]
+    edges: np.ndarray
     state_count: int
 
     def __post_init__(self) -> None:
-        edges = tuple(np.array(e, dtype=float) for e in self.edges)
+        edges = np.array(self.edges, dtype=float)
         object.__setattr__(self, "edges", edges)
-        for j, e in enumerate(edges):
-            if e.shape != (self.state_count - 1,):
-                raise ValueError(f"node {j}: expected {self.state_count - 1} edges, got {e.shape}")
-            if not (np.diff(e) > 0).all():
-                raise ValueError(f"node {j}: edges must be strictly increasing")
+        if self.state_count < 2:
+            raise ValueError(f"state_count must be >= 2, got {self.state_count}")
+        if edges.ndim != 2 or edges.shape[1] != self.state_count - 1:
+            raise ValueError(f"expected an n x {self.state_count - 1} edge matrix, got shape {edges.shape}")
+        bad = np.flatnonzero(~(np.isfinite(edges).all(axis=1) & (np.diff(edges, axis=1) > 0).all(axis=1)))
+        if bad.size:
+            raise ValueError(f"node {bad[0]}: edges must be finite and strictly increasing")
 
     @property
     def n(self) -> int:
-        return len(self.edges)
+        return self.edges.shape[0]
 
 
 @dataclass(frozen=True)
@@ -337,14 +338,12 @@ def standardize(data: SensorDataset) -> tuple[np.ndarray, Standardization]:
 
 def fit_discretization(data: SensorDataset, state_count: int = 3) -> DiscretizationScheme:
     """Fit equal-width bins over each training column's [min, max] range."""
-    if state_count < 2:
-        raise ValueError(f"state_count must be >= 2, got {state_count}")
     lo, hi = data.values.min(axis=0), data.values.max(axis=0)
     bad = np.flatnonzero(lo >= hi)
     if bad.size:
         j = bad[0]
         raise ValueError(f"node {data.node_ids[j]!r} has degenerate range [{lo[j]}, {hi[j]}]")
-    return DiscretizationScheme(tuple(np.linspace(lo, hi, state_count + 1, axis=1)[:, 1:-1]), state_count)
+    return DiscretizationScheme(np.linspace(lo, hi, state_count + 1, axis=1)[:, 1:-1], state_count)
 
 
 def discretize_row(row: np.ndarray, scheme: DiscretizationScheme) -> np.ndarray:
@@ -364,11 +363,8 @@ def discretize(data: SensorDataset, scheme: DiscretizationScheme) -> StateMatrix
 
 def _states(values: np.ndarray, scheme: DiscretizationScheme) -> np.ndarray:
     """The states of every row of an m x n matrix, one column at a time."""
-    states = np.empty(values.shape, dtype=np.int64)
-    for j in range(scheme.n):
-        # side='right' sends a value equal to an edge into the higher bin
-        states[:, j] = 1 + np.searchsorted(scheme.edges[j], values[:, j], side="right")
-    return states
+    # side='right' sends a value equal to an edge into the higher bin
+    return 1 + np.column_stack([np.searchsorted(e, v, side="right") for e, v in zip(scheme.edges, values.T)])
 
 
 def inject_errors(
@@ -533,16 +529,32 @@ _PROFILES = {
 }
 
 
-def _profile_generator(profile: str, params: Iterable[str]) -> Callable[..., np.ndarray]:
-    """The generator of a named profile, once every key in params is one of its parameters."""
+# (test, rule) of each profile parameter's JSON value; the keys of a JSON object, the children of `copies`, are text.
+_PARAM_RULES = {
+    "latents": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "flip": (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]"),
+    "child_noise": (lambda v: v is None or type(v) in (int, float) and v >= 0, "null or a number >= 0"),
+    "noise_frac": (lambda v: type(v) in (int, float) and v >= 0, "a number >= 0"),
+    "copies": (
+        lambda v: v is None or isinstance(v, dict) and all(str(c).isdecimal() and type(p) is int for c, p in v.items()),
+        "null or an object mapping node integers to node integers",
+    ),
+}
+
+
+def _profile_generator(profile: str, params: Mapping[str, object]) -> Callable[..., np.ndarray]:
+    """The generator of a named profile, once every key in params is one of its parameters and its value fits."""
     try:
         gen = _PROFILES[profile]
     except KeyError:
         raise ValueError(f"unknown profile {profile!r}; expected one of {sorted(_PROFILES)}") from None
     accepted = list(inspect.signature(gen).parameters)[3:]  # the parameters after rng, m and n
-    for key in params:
+    for key, value in params.items():
         if key not in accepted:
             raise ValueError(f"--param {key!r} is not a parameter of profile {profile!r}: it takes {accepted}")
+        test, rule = _PARAM_RULES[key]
+        if not test(value):
+            raise ValueError(f"--param {key!r} must be {rule}, got {value!r}")
     return gen
 
 

@@ -75,10 +75,6 @@ class RealtimeRedundancyReport:
     entries: np.recarray  # SCHEDULE_DTYPE
     recoveries: np.recarray  # RECOVERY_DTYPE
 
-    def sleeping_fraction(self, node: int) -> float:
-        sleeping = self.entries.sleeping[self.entries.node == node]
-        return float(sleeping.mean()) if sleeping.size else 0.0
-
 
 def ssdrda(net: StaticNetwork, tau: float = 0.95) -> StaticRedundancyReport:
     """Static redundancy detection over a learned same-slice network.

@@ -193,7 +193,8 @@ def test_criterion_06_tqbayes_localization():
     universe = {(i, j) for i in range(test.m) for j in range(test.n)}
     truth = {(i, child) for i in rows}
     tq_cells = {(i, j) for i in flagged for j in range(test.n)}
-    bayes_cells = set(detection.abnormal_cells())
+    hit = detection.verdicts[detection.verdicts.abnormal]
+    bayes_cells = set(zip(hit.row.tolist(), hit.node.tolist()))
 
     tq_p, tq_r, _ = precision_recall(truth, tq_cells, universe)
     b_p, b_r, _ = precision_recall(truth, bayes_cells, universe)
@@ -284,7 +285,7 @@ def test_criterion_09_ssdrda():
 def test_criterion_10_rsdrda_experiment():
     exact = synth_generate(1, 300, 4, "lagged-copy", copies={1: 0})
     rep_exact = rsdrda_schedule(exact, slice_len=100, train_frac=0.6, tau=0.95, scheme=fit_discretization(exact))
-    sleep_frac = rep_exact.sleeping_fraction(1)
+    sleep_frac = float(rep_exact.entries.sleeping[rep_exact.entries.node == 1].mean())
     pairs = [(exact.values[r.t, r.node], r.estimate) for r in rep_exact.recoveries if r.node == 1]
     exact_rmse = rmse([a for a, _ in pairs], [e for _, e in pairs])
 

@@ -502,8 +502,8 @@ class TestReusedFamilyCounts:
         # drops one edge of the two-cycle.
         repairs = []
 
-        def spy(dag, states):
-            repaired = repair_cycles(dag, states)
+        def spy(dag, counts, m):
+            repaired = repair_cycles(dag, counts, m)
             repairs.append((dag, repaired))
             return repaired
 
@@ -576,30 +576,23 @@ class TestCptCellCap:
         assert min(calls) > 0
 
 
-def on_a_cycle(dag, node):
-    """Whether a path of parent -> child edges leads from node back to itself."""
-    reached, frontier = set(), [node]
-    while frontier:
-        current = frontier.pop()
-        for child in range(dag.n):
-            if current in dag.parents[child] and child not in reached:
-                reached.add(child)
-                frontier.append(child)
-    return node in reached
+def repair(dag, states):
+    """repair_cycles of dag, given each node's count_states table over its parents in dag."""
+    return repair_cycles(dag, [count_states(states, c, ps, lag=0) for c, ps in enumerate(dag.parents)], states.m)
 
 
 class TestRepairCycles:
     def test_acyclic_input_unchanged(self):
         states = chain_states(seed=2, m=300)
         dag = Dag(3, ((), (0,), (1,)))
-        assert repair_cycles(dag, states).parents == dag.parents
+        assert repair(dag, states).parents == dag.parents
 
     def test_symmetric_two_cycle_tie_breaks_lexicographically(self):
         # A symmetric joint count matrix makes both deletion losses exactly
         # equal, so the (child, parent) = (0, 1) edge goes first.
         grid = np.array([[1, 1], [1, 2], [2, 1], [2, 2]] * 25)
         states = states_from_grid(grid, 2)
-        repaired = repair_cycles(Dag(2, ((1,), (0,))), states)
+        repaired = repair(Dag(2, ((1,), (0,))), states)
         assert repaired.parents == ((), (0,))
 
     def test_weaker_edge_of_two_cycle_removed(self):
@@ -608,7 +601,7 @@ class TestRepairCycles:
         dag = Dag(3, ((1,), (0, 2), ()))
         loss_remove_1_to_0 = penalized_family_score(states, 0, [1], 0) - penalized_family_score(states, 0, [], 0)
         loss_remove_0_to_1 = penalized_family_score(states, 1, [0, 2], 0) - penalized_family_score(states, 1, [2], 0)
-        repaired = repair_cycles(dag, states)
+        repaired = repair(dag, states)
         assert repaired.is_acyclic()
         if loss_remove_0_to_1 < loss_remove_1_to_0:
             assert repaired.parents == ((1,), (2,), ())
@@ -619,18 +612,19 @@ class TestRepairCycles:
         rng = np.random.default_rng(9)
         states = states_from_grid(rng.integers(1, 3, size=(400, 3)), 2)
         dag = Dag(3, ((2,), (0,), (1,)))
-        repaired = repair_cycles(dag, states)
+        repaired = repair(dag, states)
         assert repaired.is_acyclic()
         assert len(repaired.edges()) == 2
 
-    def test_each_family_counted_once(self, monkeypatch):
+    def test_repair_counts_nothing(self, monkeypatch):
         # Every node has all three others as parents, so the repair takes
-        # several passes over cycles that share families. Each child is
-        # counted at most once, always with its full parent set, and the
-        # repair removes the same edges as one that counts every family.
+        # several passes over cycles that share families. It scores every
+        # family from the full tables it is given, counts nothing, and
+        # removes the same edges as one that counts every family.
         rng = np.random.default_rng(12)
         states = states_from_grid(rng.integers(1, 3, size=(300, 4)), 2)
         dag = Dag(4, tuple(tuple(p for p in range(4) if p != c) for c in range(4)))
+        counts = [count_states(states, c, ps, lag=0) for c, ps in enumerate(dag.parents)]
         counted = []
 
         def spy(states, node, parents, lag=0):
@@ -638,24 +632,30 @@ class TestRepairCycles:
             return count_states(states, node, parents, lag)
 
         monkeypatch.setattr(bayesnet, "count_states", spy)
-        repaired = repair_cycles(dag, states)
+        repaired = repair_cycles(dag, counts, states.m)
         assert repaired.is_acyclic()
-        assert 0 < len(counted) == len({node for node, _ in counted}) <= dag.n
-        assert all(parents == dag.parents[node] for node, parents in counted)
+        assert counted == []
         assert repaired == oracles.repair_cycles(dag, states)
+
+    def test_repair_rejects_tables_that_do_not_fit_the_dag(self):
+        dag = Dag(2, ((1,), (0,)))
+        with pytest.raises(ValueError, match="need one count table per node: 2 nodes, 1 tables"):
+            repair_cycles(dag, [np.ones((2, 2))], 4)
+        with pytest.raises(ValueError, match=r"node 1 needs 2\^1 = 2 configuration rows, got 1"):
+            repair_cycles(dag, [np.ones((2, 2)), np.ones((1, 2))], 4)
 
     @settings(max_examples=100, deadline=None)
     @given(search_cases(), st.data())
-    def test_search_counts_only_children_on_cycles(self, states, data):
-        # learn_static counts nothing itself: repair_cycles counts each child
-        # on a cycle of the searched graph once, with its searched parents,
-        # and the repaired families' tables are that count summed out.
+    def test_search_is_the_only_counter(self, states, data):
+        # learn_static counts nothing outside structure search: repair_cycles
+        # scores the searched tables, and the repaired families' tables are
+        # those tables summed out.
         max_parents = data.draw(st.integers(0, 3))
         searched, counted = [], []
 
-        def repair_spy(dag, states):
+        def repair_spy(dag, counts, m):
             searched.append(dag)
-            return repair_cycles(dag, states)
+            return repair_cycles(dag, counts, m)
 
         def count_spy(states, node, parents, lag=0):
             counted.append((node, tuple(parents)))
@@ -664,8 +664,7 @@ class TestRepairCycles:
         with patch.object(bayesnet, "repair_cycles", repair_spy), patch.object(bayesnet, "count_states", count_spy):
             net = learn_static(states, max_parents)
         [dag] = searched
-        assert len(counted) == len({node for node, _ in counted})
-        assert all(parents == dag.parents[node] and on_a_cycle(dag, node) for node, parents in counted)
+        assert counted == []
         assert net.dag == oracles.repair_cycles(dag, states)
         assert_counts_reused(net, states, 0)
 

@@ -297,6 +297,36 @@ class TestPipeline:
                          "field 'rows': column 'row' holds float64 values, not int64", id="report-row"),
             pytest.param("detection_report.json", lambda d: d["verdicts"][4].__setitem__(0, 1),
                          "field 'verdicts': column 'abnormal' holds int64 values, not bool", id="verdict-flag"),
+            # These loaded, converted ("0.05" -> 0.05, true -> 1.0), or ended in a bare TypeError.
+            pytest.param("pca_model.json", lambda d: d["means"].__setitem__(0, "1"),
+                         "field 'means' must hold numbers, got '1'", id="means-string"),
+            pytest.param("pca_model.json", lambda d: d.update(alpha="0.05"),
+                         "field 'alpha' must hold numbers, got '0.05'", id="alpha-string"),
+            pytest.param("pca_model.json", lambda d: d.update(t2_limit=True),
+                         "field 't2_limit' must hold numbers, got True", id="t2-limit-bool"),
+            pytest.param("pca_model.json", lambda d: d.update(q_limit="inf"),
+                         "field 'q_limit' must hold numbers or null, got 'inf'", id="q-limit-string"),
+            pytest.param("scheme.json", lambda d: d["edges"][0].__setitem__(0, "1.0"),
+                         "field 'edges' must hold numbers, got '1.0'", id="edge-string"),
+            pytest.param("transition_network.json", lambda d: d["priors"][0].__setitem__(0, False),
+                         "field 'priors' must hold numbers, got False", id="prior-bool"),
+            pytest.param("transition_network.json", lambda d: d.update(parents=5),
+                         "field 'parents' must hold lists, got 5", id="parents-scalar"),
+            pytest.param("static_network.json", lambda d: d.update(counts=5),
+                         "field 'counts' must hold lists, got 5", id="counts-scalar"),
+            pytest.param("static_network.json", lambda d: d["counts"].__setitem__(0, [1, 2]),
+                         "field 'counts' must hold lists, got 1", id="counts-flat"),
+            pytest.param("scheme.json", lambda d: d.update(edges=5),
+                         "field 'edges' must hold lists, got 5", id="edges-scalar"),
+            pytest.param("detection_report.json", lambda d: d.update(t2_limit="3.8"),
+                         "field 't2_limit' must hold numbers, got '3.8'", id="report-t2-limit"),
+            pytest.param("detection_report.json", lambda d: d["rows"][1].__setitem__(0, "1.5"),
+                         "field 'rows': column 'q' must hold numbers or null", id="report-q"),
+            pytest.param("redundancy_realtime.json", lambda d: d["recoveries"][2].__setitem__(0, True),
+                         "field 'recoveries': column 'estimate' must hold numbers or null", id="recovery-estimate"),
+            pytest.param("detection_report.json", lambda d: d.update(verdicts=5),
+                         "field 'verdicts': expected 6 columns of equal length: "
+                         "row, node, observed, predicted, abnormal, uninferable", id="verdicts-scalar"),
         ],
     )
     def test_malformed_artifact_field_names_file_and_field(self, tmp_path, capsys, name, edit, message):
@@ -334,6 +364,14 @@ class TestPipeline:
         assert "artifact shapes disagree" in error["error"]
         assert f"network K={network_k}, scheme K={scheme_k}" in error["error"]
         assert not (mixed / "detection_report.json").exists()
+
+    def test_failed_learn_leaves_no_out_dir(self, tmp_path, capsys):
+        train = tmp_path / "flat.csv"
+        train.write_text("a,b\n1,5\n2,5\n3,5\n")
+        code, out, err = run(capsys, ["learn", "--train", str(train), "--out-dir", str(tmp_path / "art")])
+        assert code == 1 and out == ""
+        assert "zero variance" in json.loads(err)["error"]
+        assert not (tmp_path / "art").exists()
 
     def test_learn_needs_train(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -853,6 +891,31 @@ class TestPipeline:
                 "error": f"--param {key!r} is not a parameter of profile {profile!r}: it takes {accepted}",
                 "type": "ValueError",
             }
+
+    @pytest.mark.parametrize(
+        ("profile", "param", "message"),
+        [
+            ("correlated-drift", "latents=1.5", "'latents' must be an integer >= 0, got 1.5"),
+            ("correlated-drift", "latents=-1", "'latents' must be an integer >= 0, got -1"),
+            ("correlated-drift", "latents=true", "'latents' must be an integer >= 0, got True"),
+            ("copy-child", 'flip="x"', "'flip' must be a number in [0, 1], got 'x'"),
+            ("copy-child", "flip=2", "'flip' must be a number in [0, 1], got 2"),
+            ("copy-child", "child_noise=-1", "'child_noise' must be null or a number >= 0, got -1"),
+            ("lagged-copy", "noise_frac=-1", "'noise_frac' must be a number >= 0, got -1"),
+            ("lagged-copy", "copies=[1]",
+             "'copies' must be null or an object mapping node integers to node integers, got [1]"),
+            ("copy-child", 'copies={"1": 0.5}',
+             "'copies' must be null or an object mapping node integers to node integers, got {'1': 0.5}"),
+            ("copy-child", 'copies={"x": 0}',
+             "'copies' must be null or an object mapping node integers to node integers, got {'x': 0}"),
+        ],
+        ids=["latents-fraction", "latents-negative", "latents-bool", "flip-string", "flip-2", "child-noise-negative",
+             "noise-frac-negative", "copies-list", "copies-fraction", "copies-text-key"],
+    )
+    def test_synth_rejects_bad_param_value_before_generating(self, tmp_path, capsys, profile, param, message):
+        code, out, err = run(capsys, ["synth", "--profile", profile, "--param", param, "--out", str(tmp_path / "x.csv")])
+        assert code == 1 and out == "" and not any(tmp_path.iterdir())
+        assert json.loads(err) == {"error": f"--param {message}", "type": "ValueError"}
 
     def test_synth_out_and_split(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -200,6 +200,27 @@ class TestDiscretization:
         with pytest.raises(ValueError, match=f"state_count must be >= 2, got {k}"):
             StateMatrix(np.ones((3, 2), dtype=np.int64), k)
 
+    @pytest.mark.parametrize(
+        ("edges", "k", "message"),
+        [
+            (np.zeros((2, 0)), 1, "state_count must be >= 2, got 1"),
+            (np.zeros((2, 0)), 0, "state_count must be >= 2, got 0"),
+            ([[0.5, 1.0], [0.5, 1.0]], 2, r"expected an n x 1 edge matrix, got shape \(2, 2\)"),
+            ([0.5, 1.0], 3, r"expected an n x 2 edge matrix, got shape \(2,\)"),
+            ([[0.5], [np.nan]], 2, "node 1: edges must be finite and strictly increasing"),
+            ([[0.5, 1.0], [np.nan, 1.0]], 3, "node 1: edges must be finite and strictly increasing"),
+            ([[0.5, 1.0], [1.0, 1.0]], 3, "node 1: edges must be finite and strictly increasing"),
+        ],
+        ids=["k1", "k0", "wide", "flat", "nan-k2", "nan-k3", "tie"],
+    )
+    def test_scheme_rejects(self, edges, k, message):
+        with pytest.raises(ValueError, match=message):
+            DiscretizationScheme(edges, k)
+
+    def test_scheme_holds_the_fitted_edge_matrix(self):
+        scheme = fit_discretization(make_dataset([[0, 0], [3, 9]]), 3)
+        assert scheme.edges.tolist() == [[1.0, 2.0], [3.0, 6.0]] and scheme.n == 2
+
 
 class TestInjectErrors:
     def test_zero_pct_is_identity(self):

@@ -189,10 +189,8 @@ class TestRsdrdaSchedule:
     def test_lagged_copy_child_sleeps(self):
         data = synth_generate(1, 300, 4, "lagged-copy", copies={1: 0})
         report = rsdrda_schedule(data, slice_len=100, train_frac=0.6, tau=0.95, scheme=fit_discretization(data))
-        assert report.sleeping_fraction(1) == 1.0
-        # i.i.d. drivers and fillers never sleep
-        for node in (0, 2, 3):
-            assert report.sleeping_fraction(node) == 0.0
+        # node 1 sleeps at every step; i.i.d. drivers and fillers never sleep
+        assert (report.entries.sleeping == (report.entries.node == 1)).all()
 
     def test_exact_copy_recovery_rmse_zero(self):
         data = synth_generate(2, 200, 3, "lagged-copy", copies={1: 0})
@@ -235,7 +233,7 @@ class TestRsdrdaSchedule:
             monkeypatch.setattr(bayesnet, name, forbidden)
         report = rsdrda_schedule(data, slice_len=100, train_frac=0.6, tau=0.95, scheme=fit_discretization(data))
         assert searches == [((3, 60, 4), 3, 3, 1)]
-        assert report.sleeping_fraction(1) > 0.5
+        assert report.entries.sleeping[report.entries.node == 1].mean() > 0.5
 
     def test_validation_errors(self):
         data = synth_generate(4, 50, 3, "lagged-copy")
