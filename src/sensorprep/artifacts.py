@@ -33,8 +33,12 @@ _NUMBERS = {
     "k": (_INT, 0), "state_count": (_INT, 0), "parents": (_INT, 2), "q_limit": (_NULLABLE, 0),
     "t2_limit": (_FLOAT, 0), "alpha": (_FLOAT, 0), "means": (_FLOAT, 1), "variances": (_FLOAT, 1),
     "eigenvalues": (_FLOAT, 1), "eigenvectors": (_FLOAT, 2), "edges": (_FLOAT, 2), "priors": (_FLOAT, 2),
-    "counts": (_FLOAT, 3),
+    "counts": (_FLOAT, 3), "slice_len": (_INT, 0), "rule_rows": (_INT, 0), "rule_slice": (_INT, 1),
+    "rule_node": (_INT, 1), "rule_parents": (_INT, 2), "rule_dissimilarities": (_FLOAT, 2),
 }
+# The fields whose lists one level down, one per node or rule, may differ in length. Every other field's lists
+# at one level have one length, as in a matrix (a count table's rows all hold K counts).
+_RAGGED = {"parents", "counts", "rule_parents", "rule_dissimilarities"}
 
 
 class ArtifactError(ValueError):
@@ -105,7 +109,8 @@ def write(path: str | Path, kind: str, node_ids: Sequence[str], body: dict) -> N
 def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str]) -> Document:
     """Load a document of `kind` (or of any kind in a tuple) whose node ids equal `node_ids`.
 
-    A number field (`_NUMBERS`) must nest as `write` nests it and hold its type: 1.7, "1" or true is not converted."""
+    A number field (`_NUMBERS`) must nest as `write` nests it, with lists of one length at each level outside
+    `_RAGGED`, and hold its type: 1.7, "1" or true is not converted."""
     kinds = (kind,) if isinstance(kind, str) else kind
 
     def non_finite(literal: str):  # json.loads alone accepts these; `write_json` never writes them
@@ -129,9 +134,12 @@ def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str])
     doc.path, doc.rerun = path, rerun
     for key, (rule, depth) in _NUMBERS.items():
         items = [doc[key]] if key in doc else []  # a missing field fails where a command reads it
-        for noun, types in [("lists", {list})] * depth + [rule]:
+        for level, (noun, types) in enumerate([("lists", {list})] * depth + [rule]):
             bad = [item for item in items if type(item) not in types]
             if bad:
                 raise ArtifactError(f"{path}: field {key!r} must hold {noun}, got {bad[0]!r}")
+            lengths = sorted({len(item) for item in items}) if level < depth else []
+            if len(lengths) > 1 and not (level == 1 and key in _RAGGED):
+                raise ArtifactError(f"{path}: field {key!r} must hold lists of one length, got lengths {lengths}")
             items = [x for item in items if type(item) is list for x in item]
     return doc

@@ -168,13 +168,13 @@ def cmd_redundancy_static(args: argparse.Namespace) -> dict:
     net = bayesnet.static_from_dict(net_doc)
 
     report = redundancy.ssdrda(net, args.tau)
-    report = replace(report, recoveries=redundancy.static_recovery(data, net.dag, report.redundant_nodes()))
+    report = replace(report, rules=redundancy.static_rules(data, net.dag, report.redundant_nodes()))
 
     out_dir = Path(args.out_dir)
     body = redundancy.static_report_to_dict(report)
     artifacts.write(out_dir / "redundancy_static.json", "redundancy_static", data.node_ids, body)
     redundancy.write_static_csv(report, data.node_ids, out_dir / "redundancy_static.csv")
-    redundancy.write_recovery_csv(report.recoveries, data, out_dir / "recovery_static.csv")
+    redundancy.write_recovery_csv(report.recoveries(data), data, out_dir / "recovery_static.csv")
     return {
         "redundant_nodes": [data.node_ids[i] for i in report.redundant_nodes()],
         "out_dir": str(out_dir),
@@ -189,13 +189,14 @@ def cmd_redundancy_realtime(args: argparse.Namespace) -> dict:
     body = redundancy.realtime_report_to_dict(report)
     artifacts.write(out_dir / "redundancy_realtime.json", "redundancy_realtime", data.node_ids, body)
     redundancy.write_realtime_csv(report, data.node_ids, out_dir / "redundancy_realtime.csv")
-    redundancy.write_recovery_csv(report.recoveries, data, out_dir / "recovery_realtime.csv")
-    per_node = metrics.per_node_rmse(report.recoveries, data.values)
+    recoveries = report.recoveries(data)
+    redundancy.write_recovery_csv(recoveries, data, out_dir / "recovery_realtime.csv")
+    per_node = metrics.per_node_rmse(recoveries, data.values)
     return {
         "inference_entries": len(report.entries),
         "sleeping_entries": int(report.entries.sleeping.sum()),
         "sleeping_nodes": [data.node_ids[i] for i in per_node],
-        "recovered_readings": len(report.recoveries),
+        "recovered_readings": len(recoveries),
         "recovery_rmse": metrics.mean_rmse(list(per_node.values())) if per_node else None,
         "out_dir": str(out_dir),
     }
@@ -254,8 +255,7 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
         data = ingest.load_csv(args.data)
         artifacts.check_node_ids(node_ids, data.node_ids, "evaluate --data", f"truth file {args.truth}")
         red_doc = artifacts.read(args.redundancy, ("redundancy_static", "redundancy_realtime"), node_ids)
-        recoveries = artifacts.records(red_doc["recoveries"], redundancy.RECOVERY_DTYPE, red_doc, "recoveries")
-        per_node = metrics.per_node_rmse(recoveries, data.values)
+        per_node = metrics.per_node_rmse(redundancy.recoveries_from_dict(red_doc, data), data.values)
         doc["recovery"] = {
             "per_node_rmse": {str(node): value for node, value in per_node.items()},
             "mean_rmse": metrics.mean_rmse(list(per_node.values())) if per_node else None,
@@ -332,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="precision/recall and recovery RMSE")
     p.add_argument("--report", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--redundancy", help="redundancy report whose recoveries to score; needs --data")
+    p.add_argument("--redundancy", help="redundancy report whose rules to score on --data")
     p.add_argument("--data", help="the CSV the --redundancy report was made from")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)

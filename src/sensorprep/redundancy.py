@@ -6,7 +6,9 @@ redundant. Real-time mode (RSDRDA) re-learns a transition network per time
 slice and puts a node to sleep whenever its state can be inferred
 confidently from the previous step, propagating inferred posteriors as
 soft evidence for parents that are themselves asleep. Sleeping readings
-are reconstructed as a similarity-weighted mean of parent readings.
+are reconstructed as a similarity-weighted mean of parent readings. A
+report keeps the rule of each rebuilt family, not the rebuilt readings:
+`rebuild` applies the rules to the data again.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .ingest import DiscretizationScheme, SensorDataset, discretize
 from .ingest import _indexed_cells, _label_cells, _number_cells, _write_columns
 
 __all__ = [
+    "RecoveryRules",
     "StaticRedundancyReport",
     "SCHEDULE_DTYPE",
     "RECOVERY_DTYPE",
@@ -32,8 +35,11 @@ __all__ = [
     "rsdrda_infer",
     "rsdrda_schedule",
     "recover",
+    "rebuild",
+    "static_rules",
     "static_recovery",
     "static_report_to_dict",
+    "recoveries_from_dict",
     "realtime_report_to_dict",
     "write_static_csv",
     "write_realtime_csv",
@@ -52,6 +58,20 @@ RECOVERY_DTYPE = np.dtype([("t", np.int64), ("node", np.int64), ("estimate", np.
 
 
 @dataclass(frozen=True)
+class RecoveryRules:
+    """One rule per rebuilt family: rule i rebuilds a reading of `node[i]` as `recover` of the readings of
+    `parents[i]` under `dissimilarities[i]`. A static rule rebuilds rows 0..rows-1 of its node, each from the same
+    row. A realtime rule rebuilds its node's sleeping readings in slice `slice[i]`, from the parents one step
+    earlier."""
+
+    node: list[int]
+    parents: list[list[int]]
+    dissimilarities: list[list[float]]
+    slice: list[int] | None = None
+    rows: int | None = None
+
+
+@dataclass(frozen=True)
 class StaticRedundancyReport:
     """SSDRDA's verdict on every node, indexed by node: `redundant` and
     `criterion` arrays, and each node's `witness`, the row maxima of its table
@@ -61,10 +81,14 @@ class StaticRedundancyReport:
     redundant: np.ndarray  # bool
     criterion: np.ndarray  # float64
     witness: tuple[list[float], ...]
-    recoveries: np.recarray  # RECOVERY_DTYPE
+    rules: RecoveryRules
 
     def redundant_nodes(self) -> list[int]:
         return np.flatnonzero(self.redundant).tolist()
+
+    def recoveries(self, data: SensorDataset) -> np.recarray:
+        """Every reading of the redundant nodes, rebuilt from `data`."""
+        return rebuild(self.rules, data)
 
 
 @dataclass(frozen=True)
@@ -73,7 +97,11 @@ class RealtimeRedundancyReport:
     slice_len: int
     train_frac: float
     entries: np.recarray  # SCHEDULE_DTYPE
-    recoveries: np.recarray  # RECOVERY_DTYPE
+    rules: RecoveryRules
+
+    def recoveries(self, data: SensorDataset) -> np.recarray:
+        """The sleeping readings, rebuilt from `data`, the dataset the schedule was made from."""
+        return rebuild(self.rules, data, self.entries[self.entries.sleeping], self.slice_len)
 
 
 def ssdrda(net: StaticNetwork, tau: float = 0.95) -> StaticRedundancyReport:
@@ -87,7 +115,7 @@ def ssdrda(net: StaticNetwork, tau: float = 0.95) -> StaticRedundancyReport:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     witness = tuple(estimate_cpt(c).max(axis=1).tolist() if ps else [] for c, ps in zip(net.counts, net.dag.parents))
     criterion = np.array([np.mean(w) if w else 0.0 for w in witness])
-    return StaticRedundancyReport(tau, criterion >= tau, criterion, witness, np.recarray(0, dtype=RECOVERY_DTYPE))
+    return StaticRedundancyReport(tau, criterion >= tau, criterion, witness, RecoveryRules([], [], [], rows=0))
 
 
 def rsdrda_infer(node: int, tn: TransitionNetwork, parent_evidence: Sequence[np.ndarray]) -> np.ndarray:
@@ -138,44 +166,84 @@ def recover(parent_values: Sequence[float], dissimilarities: Sequence[float]) ->
         raise ValueError("values and dissimilarities must align")
     if any(d < 0 for d in dists):
         raise ValueError("dissimilarities must be nonnegative")
-    return float(_recover_columns(np.array([[values]]), np.array([dists]))[0, 0])
+    return float(_recover_columns(np.array([values]), np.array([dists]))[0])
+
+
+def static_rules(data: SensorDataset, dag: Dag, redundant_nodes: Sequence[int]) -> RecoveryRules:
+    """The rule of each redundant node: its same-time parents, weighted by the inverse
+    of the RMS distance between standardized columns of the full dataset."""
+    nodes = [int(node) for node in redundant_nodes]
+    parents = [list(dag.parents[node]) for node in nodes]
+    for node, ps in zip(nodes, parents):
+        if not ps:
+            raise ValueError(f"node {node} has no parents to recover from")
+    z = _standardized(data.values.T)
+    dists = [_dissimilarities(z[node], z[ps]).tolist() for node, ps in zip(nodes, parents)]
+    return RecoveryRules(nodes, parents, dists, rows=data.m)
 
 
 def static_recovery(data: SensorDataset, dag: Dag, redundant_nodes: Sequence[int]) -> np.recarray:
-    """Reconstruct every reading of each redundant node from its same-time parents.
+    """Every reading of each redundant node, rebuilt from its same-time parents under `static_rules`."""
+    return rebuild(static_rules(data, dag, redundant_nodes), data)
 
-    Weights follow the inverse of the RMS distance between standardized
-    columns of the full dataset. Returns a `RECOVERY_DTYPE` record array.
+
+def rebuild(
+    rules: RecoveryRules, data: SensorDataset, sleeping: np.ndarray | None = None, slice_len: int = 0
+) -> np.recarray:
+    """The readings that `rules` rebuild from `data`, as `RECOVERY_DTYPE` records.
+
+    Static rules (`sleeping` None) rebuild rows 0..`rules.rows`-1 of each
+    rule's node, rule by rule. Realtime rules rebuild the `sleeping` records'
+    (t, node) readings in their order, each under its node's rule in slice
+    `t // slice_len`, from the parents' readings at t - 1.
     """
-    nodes = np.array([int(node) for node in redundant_nodes], dtype=np.int64)
-    estimates = np.empty((len(nodes), data.m))
-    z = _standardized(data.values.T)
-    for i, node in enumerate(nodes.tolist()):
-        parents = list(dag.parents[node])
-        if not parents:
-            raise ValueError(f"node {node} has no parents to recover from")
-        estimates[i] = _recover_columns(data.values[None, :, parents], _dissimilarities(z[node], z[parents])[None])[0]
-    t = np.tile(np.arange(data.m), len(nodes))
-    return np.rec.fromarrays([t, np.repeat(nodes, data.m), estimates.ravel()], dtype=RECOVERY_DTYPE)
+    node = np.array(rules.node, dtype=np.int64)
+    if sleeping is None:
+        if rules.rows > data.m and len(node):
+            raise ValueError(f"recovery at row {data.m} is outside the data's rows 0..{data.m - 1}")
+        t, rule, lag = np.tile(np.arange(rules.rows), len(node)), np.repeat(np.arange(len(node)), rules.rows), 0
+    else:
+        t, lag = sleeping.t, 1
+        for what, index, low, size in (("row", t, lag, data.m), ("node", sleeping.node, 0, data.n)):
+            outside = index[(index < low) | (index >= size)]
+            if outside.size:
+                raise ValueError(f"recovery at {what} {outside[0]} is outside the data's {what}s {low}..{size - 1}")
+        index = {key: i for i, key in enumerate(zip(rules.slice, rules.node))}
+        keys = zip((t // slice_len).tolist(), sleeping.node.tolist())
+        rule = np.array([index.get(key, -1) for key in keys], dtype=np.int64)
+        if (rule < 0).any():
+            i = int(np.argmax(rule < 0))
+            raise ValueError(f"sleeping reading at row {t[i]}, node {sleeping.node[i]} has no recovery rule")
+    # The rules with p parents are one group: their readings are one r x p stack.
+    sizes = np.array([len(ps) for ps in rules.parents], dtype=np.int64)
+    estimates = np.empty(len(t))
+    for p in set(sizes.tolist()):
+        group = np.flatnonzero(sizes == p)
+        parents = np.array([rules.parents[i] for i in group.tolist()], dtype=np.int64).reshape(-1, p)
+        dists = np.array([rules.dissimilarities[i] for i in group.tolist()], dtype=np.float64).reshape(-1, p)
+        at = np.flatnonzero(sizes[rule] == p)
+        row = np.searchsorted(group, rule[at])  # each reading's rule, as a row of the group
+        estimates[at] = _recover_columns(data.values[(t[at] - lag)[:, None], parents[row]], dists[row])
+    return np.rec.fromarrays([t, node[rule], estimates], dtype=RECOVERY_DTYPE)
 
 
 def _recover_columns(columns: np.ndarray, dissimilarities: np.ndarray) -> np.ndarray:
-    """`recover` for every row of each g x r x p stack of parent readings, given its g x p dissimilarities.
+    """`recover` on each row of an r x p array of parent readings, given the row's p dissimilarities.
 
-    The weights are fixed per (group, parent), so one of the three cases
-    applies to all r rows of a group. The weighted sum accumulates from
+    Each output is elementwise arithmetic on its own row, so it does not
+    depend on which rows share a call. The weighted sum accumulates from
     zero, parent by parent.
     """
-    if columns.shape[-1] == 1:
-        return columns[..., 0]
+    if columns.shape[1] == 1:
+        return columns[:, 0]
     zero = dissimilarities == 0.0
     weights = 1.0 / np.where(zero, 1.0, dissimilarities)
     total, weight_sum = 0.0, 0
-    for j in range(columns.shape[-1]):
-        total = total + weights[:, j, None] * columns[..., j]
+    for j in range(columns.shape[1]):
+        total = total + weights[:, j] * columns[:, j]
         weight_sum = weight_sum + weights[:, j]
     short = zero.any(axis=1)  # the first parent at zero distance wins
-    return np.where(short[:, None], columns[np.arange(len(zero)), :, zero.argmax(axis=1)], total / weight_sum[:, None])
+    return np.where(short, columns[np.arange(len(columns)), zero.argmax(axis=1)], total / weight_sum)
 
 
 def _standardized(columns: np.ndarray) -> np.ndarray:
@@ -208,15 +276,17 @@ def rsdrda_schedule(
     from its parents' evidence at t-1 concentrates at least tau on one
     state. Waking parents contribute point-mass evidence at their observed
     state; sleeping parents contribute the posterior inferred for them.
-    Sleeping readings are recovered from parent readings at t-1 and never
-    fed back into later training. Trailing rows that do not fill a slice
-    are skipped.
+    Each (slice, node) that sleeps at least once gets a recovery rule: its
+    parents, with dissimilarities over the slice's training window. Its
+    sleeping readings are rebuilt from parent readings at t-1 (`rebuild`)
+    and never fed back into later training. Trailing rows that do not fill
+    a slice are skipped.
 
     One `_stacked_search` learns every slice's network. A step reads only
     the evidence of step t-1, and each slice starts from its own window with
     every node awake, so every (slice, node) updates at once: the families
     with d parents, across all slices, are one group, updated by one
-    `_soft_posteriors` call per step and recovered in one pass.
+    `_soft_posteriors` call per step.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
@@ -243,7 +313,6 @@ def rsdrda_schedule(
 
     # Indexed by (slice, inference step, node); NaN marks a node without parents.
     max_post = np.full((len(starts), slice_len - train_len, data.n), math.nan)
-    estimates = np.empty(max_post.shape)
     # Evidence at each slice's last training step: everything is awake.
     evidence = point_mass[states.states[starts + train_len - 1] - 1]
     for step in range(slice_len - train_len):
@@ -255,41 +324,93 @@ def rsdrda_schedule(
             next_evidence[slices[asleep], nodes[asleep]] = posterior[asleep]
         evidence = next_evidence
 
-    # Recover each node's readings from its parents at t-1; only the sleeping ones are read.
+    # The rule of each family that slept, in (slice, node) order.
+    asleep = max_post >= tau
+    slept = asleep.any(axis=1)
     z = _standardized(data.values[training].transpose(0, 2, 1))
+    found = []
     for slices, nodes, parents, _ in groups:
-        previous = (starts[slices] + train_len - 1)[:, None, None] + np.arange(slice_len - train_len)[:, None]
+        keep = slept[slices, nodes]
+        slices, nodes, parents = slices[keep], nodes[keep], parents[keep]
         dists = _dissimilarities(z[slices, nodes], z[slices[:, None], parents])
-        estimates[slices, :, nodes] = _recover_columns(data.values[previous, parents[:, None, :]], dists)
+        found += zip(slices.tolist(), nodes.tolist(), parents.tolist(), dists.tolist())
+    rule_slice, rule_node, rule_parents, rule_dists = map(list, zip(*sorted(found))) if found else ([],) * 4
 
     t = np.repeat(np.add.outer(starts, np.arange(train_len, slice_len)), data.n)
     node = np.tile(np.arange(data.n), len(t) // data.n)
-    asleep = (max_post >= tau).ravel()
-    entries = np.rec.fromarrays([t, node, asleep, max_post.ravel()], dtype=SCHEDULE_DTYPE)
-    recoveries = np.rec.fromarrays([t[asleep], node[asleep], estimates.ravel()[asleep]], dtype=RECOVERY_DTYPE)
-    return RealtimeRedundancyReport(tau, slice_len, train_frac, entries, recoveries)
+    entries = np.rec.fromarrays([t, node, asleep.ravel(), max_post.ravel()], dtype=SCHEDULE_DTYPE)
+    rules = RecoveryRules(rule_node, rule_parents, rule_dists, rule_slice)
+    return RealtimeRedundancyReport(tau, slice_len, train_frac, entries, rules)
+
+
+def _rule_fields(rules: RecoveryRules) -> dict:
+    extent = {"rule_rows": rules.rows} if rules.slice is None else {"rule_slice": rules.slice}
+    return {"rule_node": rules.node, "rule_parents": rules.parents, "rule_dissimilarities": rules.dissimilarities,
+            **extent}
 
 
 def static_report_to_dict(report: StaticRedundancyReport) -> dict:
-    """The `redundancy_static` artifact body: per-node lists indexed by node, recoveries as columns."""
+    """The `redundancy_static` artifact body: per-node lists indexed by node, and the recovery rules."""
     return {
         "tau": float(report.tau),
         "redundant": report.redundant.tolist(),
         "criterion": report.criterion.tolist(),
         "witness": list(report.witness),
-        "recoveries": artifacts.columns(report.recoveries),
+        **_rule_fields(report.rules),
     }
 
 
 def realtime_report_to_dict(report: RealtimeRedundancyReport) -> dict:
-    """The `redundancy_realtime` artifact body: schedule entries and recoveries as columns."""
+    """The `redundancy_realtime` artifact body: schedule entries as columns, and the recovery rules."""
     return {
         "tau": float(report.tau),
         "slice_len": int(report.slice_len),
         "train_frac": float(report.train_frac),
         "entries": artifacts.columns(report.entries),
-        "recoveries": artifacts.columns(report.recoveries),
+        **_rule_fields(report.rules),
     }
+
+
+def recoveries_from_dict(doc: artifacts.Document, data: SensorDataset) -> np.recarray:
+    """The readings that a read `redundancy_static` or `redundancy_realtime` document's rules rebuild from `data`.
+
+    Rule lists of unequal length, a rule that names a node outside the
+    document's or has no parents, parents paired with another number of
+    dissimilarities, a negative dissimilarity, a negative `rule_rows` and a
+    `slice_len` below 1 are each an ArtifactError naming the file and the
+    field.
+    """
+    realtime = doc["kind"] == "redundancy_realtime"
+    rules = RecoveryRules(
+        doc["rule_node"], doc["rule_parents"], doc["rule_dissimilarities"],
+        **({"slice": doc["rule_slice"]} if realtime else {"rows": doc["rule_rows"]}),
+    )
+
+    def fail(key: str, problem: str):
+        raise artifacts.ArtifactError(f"{doc.path}: field {key!r} {problem}")
+
+    for key, value in _rule_fields(rules).items():
+        if isinstance(value, list) and len(value) != len(rules.node):
+            fail(key, f"must hold one entry per rule: got {len(value)} for the {len(rules.node)} in 'rule_node'")
+    n = len(doc["node_ids"])
+    for key, nodes in (("rule_node", rules.node), ("rule_parents", [p for ps in rules.parents for p in ps])):
+        outside = [node for node in nodes if not 0 <= node < n]
+        if outside:
+            fail(key, f"names node {outside[0]}, outside the nodes 0..{n - 1}")
+    for i, (parents, dists) in enumerate(zip(rules.parents, rules.dissimilarities)):
+        if not parents:
+            fail("rule_parents", f"gives rule {i} no parents")
+        if len(dists) != len(parents):
+            fail("rule_dissimilarities", f"gives rule {i} parents {parents} but dissimilarities {dists}")
+        if min(dists) < 0:
+            fail("rule_dissimilarities", f"gives rule {i} the negative dissimilarity {min(dists)}")
+    key, low = ("slice_len", 1) if realtime else ("rule_rows", 0)
+    if doc[key] < low:
+        fail(key, f"must be at least {low}, got {doc[key]}")
+    if not realtime:
+        return rebuild(rules, data)
+    entries = artifacts.records(doc["entries"], SCHEDULE_DTYPE, doc, "entries")
+    return rebuild(rules, data, entries[entries.sleeping], doc["slice_len"])
 
 
 def write_static_csv(report: StaticRedundancyReport, node_ids: Sequence[str], path: str | Path) -> None:
@@ -321,11 +442,12 @@ def write_realtime_csv(report: RealtimeRedundancyReport, node_ids: Sequence[str]
 
 def write_recovery_csv(recoveries: np.recarray, data: SensorDataset, path: str | Path) -> None:
     """Each recovery beside the reading it replaces, `actual`, which is read from `data`."""
+    steps, step = np.unique(recoveries.t, return_inverse=True)  # a static t repeats once per node: format it once
     _write_columns(
         path,
         ["t", "node", "estimate", "actual"],
         [
-            _number_cells(recoveries.t),
+            _indexed_cells(list(_number_cells(steps)), step),
             _label_cells(data.node_ids, recoveries.node),
             _number_cells(recoveries.estimate),
             _number_cells(data.values[recoveries.t, recoveries.node]),

@@ -27,7 +27,9 @@ package keeps only fitted_score, read from a learned network's counts.
 CSV reading is checked against a loader that parses one cell at a
 time, and every CSV writer against one that formats rows through the csv
 module. The per-record JSON report layout that the columnar codec
-replaced is kept here as the reference its decodes must match.
+replaced, which stored every recovered reading, is kept here as the
+reference that decodes, and the readings rebuilt from the recovery rules
+that replaced those readings, must match.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import functools
 import itertools
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -441,9 +444,16 @@ def _point_mass(state: int, k: int) -> np.ndarray:
     return out
 
 
+class ScalarSchedule(NamedTuple):
+    """`scalar_rsdrda_schedule`'s schedule entries and the recoveries of its sleeping readings."""
+
+    entries: np.recarray  # SCHEDULE_DTYPE
+    recoveries: np.recarray  # RECOVERY_DTYPE
+
+
 def scalar_rsdrda_schedule(
     data: SensorDataset, slice_len: int, train_frac: float, tau: float, scheme: DiscretizationScheme, max_parents: int
-) -> RealtimeRedundancyReport:
+) -> ScalarSchedule:
     """One slice after another, one rsdrda_infer call per (step, node with
     parents) and one recover call per sleeping reading: the reference for
     the slice- and step-parallel rsdrda_schedule. Each training window is
@@ -476,12 +486,8 @@ def scalar_rsdrda_schedule(
                     recoveries.append((t, node, estimate))
                     next_evidence[node] = posterior
             evidence = next_evidence
-    return RealtimeRedundancyReport(
-        tau,
-        slice_len,
-        train_frac,
-        np.rec.fromrecords(entries, dtype=SCHEDULE_DTYPE),
-        np.rec.fromrecords(recoveries, dtype=RECOVERY_DTYPE),
+    return ScalarSchedule(
+        np.rec.fromrecords(entries, dtype=SCHEDULE_DTYPE), np.rec.fromrecords(recoveries, dtype=RECOVERY_DTYPE)
     )
 
 
@@ -799,7 +805,7 @@ def legacy_report_from_dict(doc: dict) -> DetectionReport:
     )
 
 
-def legacy_static_report_to_dict(report: StaticRedundancyReport, node_ids) -> dict:
+def legacy_static_report_to_dict(report: StaticRedundancyReport, recoveries: np.recarray, node_ids) -> dict:
     return {
         "mode": "static",
         "tau": float(report.tau),
@@ -813,7 +819,7 @@ def legacy_static_report_to_dict(report: StaticRedundancyReport, node_ids) -> di
             }
             for j in range(len(report.redundant))
         ],
-        "recoveries": _legacy_recoveries(report.recoveries, node_ids),
+        "recoveries": _legacy_recoveries(recoveries, node_ids),
     }
 
 
@@ -823,7 +829,7 @@ def legacy_static_from_dict(doc: dict) -> tuple[list[tuple], np.recarray]:
     return nodes, _legacy_recoveries_from_dicts(doc["recoveries"])
 
 
-def legacy_realtime_report_to_dict(report: RealtimeRedundancyReport, node_ids) -> dict:
+def legacy_realtime_report_to_dict(report: RealtimeRedundancyReport, recoveries: np.recarray, node_ids) -> dict:
     return {
         "mode": "realtime",
         "tau": float(report.tau),
@@ -839,7 +845,7 @@ def legacy_realtime_report_to_dict(report: RealtimeRedundancyReport, node_ids) -
             }
             for t, node, sleeping, max_post in report.entries.tolist()
         ],
-        "recoveries": _legacy_recoveries(report.recoveries, node_ids),
+        "recoveries": _legacy_recoveries(recoveries, node_ids),
     }
 
 

@@ -286,14 +286,14 @@ def test_criterion_10_rsdrda_experiment():
     exact = synth_generate(1, 300, 4, "lagged-copy", copies={1: 0})
     rep_exact = rsdrda_schedule(exact, slice_len=100, train_frac=0.6, tau=0.95, scheme=fit_discretization(exact))
     sleep_frac = float(rep_exact.entries.sleeping[rep_exact.entries.node == 1].mean())
-    pairs = [(exact.values[r.t, r.node], r.estimate) for r in rep_exact.recoveries if r.node == 1]
+    pairs = [(exact.values[r.t, r.node], r.estimate) for r in rep_exact.recoveries(exact) if r.node == 1]
     exact_rmse = rmse([a for a, _ in pairs], [e for _, e in pairs])
 
     noisy = synth_generate(1, 300, 4, "lagged-copy", copies={1: 0}, noise_frac=0.1)
     sigma = 0.1 * float(np.std(noisy.values[:, 0]))
     rep_noisy = rsdrda_schedule(noisy, slice_len=100, train_frac=0.6, tau=0.95, scheme=fit_discretization(noisy))
     by_node: dict[int, list] = {}
-    for r in rep_noisy.recoveries:
+    for r in rep_noisy.recoveries(noisy):
         by_node.setdefault(r.node, []).append((noisy.values[r.t, r.node], r.estimate))
     per_node = [rmse([a for a, _ in p], [e for _, e in p]) for p in by_node.values()]
     noisy_mean = mean_rmse(per_node)

@@ -34,10 +34,11 @@ from sensorprep.redundancy import (
     RECOVERY_DTYPE,
     SCHEDULE_DTYPE,
     realtime_report_to_dict,
+    recoveries_from_dict,
     rsdrda_schedule,
     ssdrda,
-    static_recovery,
     static_report_to_dict,
+    static_rules,
 )
 from sensorprep.spectra import fit_pca_model
 
@@ -165,9 +166,9 @@ class TestRejections:
 @pytest.mark.parametrize("kind", ["redundancy_static", "redundancy_realtime"])
 def test_version_1_redundancy_report_rejected(tmp_path, reports, kind):
     # Version 1 stored a fourth recovery column, `actual`, copied from the data.
-    ids, _, static, realtime = reports
+    ids, _, static, realtime, *_ = reports
     body = static_report_to_dict(static) if kind == "redundancy_static" else realtime_report_to_dict(realtime)
-    body["recoveries"].append(body["recoveries"][2])
+    body["recoveries"] = [[4], [1], [0.5], [0.25]]
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps({**body, "format_version": 1, "kind": kind, "node_ids": list(ids)}))
     message = f"{kind}.json: unknown format_version 1, expected 2; re-run `sensorprep {kind.replace('_', '-')}`$"
@@ -177,7 +178,8 @@ def test_version_1_redundancy_report_rejected(tmp_path, reports, kind):
 
 @pytest.fixture(scope="module")
 def reports():
-    """One report of each kind from small runs, with flagged rows, NaN max_posterior and recoveries."""
+    """One report of each kind from small runs, with flagged rows, NaN max_posterior and recovery rules, and the
+    datasets the redundancy reports were made from."""
     data = synth_generate(3, 400, 6, "copy-child", copies={1: 0, 3: 2}, flip=0.02)
     ids = data.node_ids
     train, test = SensorDataset(data.values[:300], ids), SensorDataset(data.values[300:] * 1.02, ids)
@@ -186,12 +188,12 @@ def reports():
     detection = tqbayes_detect(test, fit_pca_model(train), learn_transition(states, 3), scheme, train.values[-1])
     net = learn_static(states, 3)
     static = ssdrda(net, 0.9)
-    static = replace(static, recoveries=static_recovery(train, net.dag, static.redundant_nodes()))
+    static = replace(static, rules=static_rules(train, net.dag, static.redundant_nodes()))
     lagged = synth_generate(3, 400, 6, "lagged-copy", copies={1: 0, 3: 2}, noise_frac=0.1)
     realtime = rsdrda_schedule(lagged, 100, 0.6, 0.9, fit_discretization(lagged, 3), 3)
-    assert np.isnan(realtime.entries.max_posterior).any() and len(realtime.recoveries)
-    assert len(static.recoveries) and detection.rows.flagged.any()
-    return ids, detection, static, realtime
+    assert np.isnan(realtime.entries.max_posterior).any() and len(realtime.rules.node)
+    assert len(static.rules.node) and detection.rows.flagged.any()
+    return ids, detection, static, realtime, train, lagged
 
 
 def legacy_json(doc):
@@ -201,7 +203,7 @@ def legacy_json(doc):
 
 class TestEquivalenceWithPerRecordLayout:
     def test_detection_report(self, tmp_path, reports):
-        ids, detection, _, _ = reports
+        ids, detection, *_ = reports
         new = report_from_dict(round_trip(tmp_path, "detection_report", report_to_dict(detection), ids))
         old = legacy_report_from_dict(legacy_json(legacy_report_to_dict(detection)))
         assert new.rows.tobytes() == old.rows.tobytes() == detection.rows.tobytes()
@@ -209,25 +211,31 @@ class TestEquivalenceWithPerRecordLayout:
         assert (new.q_limit, new.t2_limit) == (old.q_limit, old.t2_limit)
 
     def test_static_report(self, tmp_path, reports):
-        ids, _, static, _ = reports
+        # The old layout stored every recovered reading; the rules read back rebuild the same bytes.
+        ids, _, static, _, train, _ = reports
         doc = round_trip(tmp_path, "redundancy_static", static_report_to_dict(static), ids)
-        nodes, old_recoveries = legacy_static_from_dict(legacy_json(legacy_static_report_to_dict(static, ids)))
-        assert artifacts.records(doc["recoveries"], RECOVERY_DTYPE).tobytes() == old_recoveries.tobytes()
+        legacy = legacy_json(legacy_static_report_to_dict(static, static.recoveries(train), ids))
+        nodes, old_recoveries = legacy_static_from_dict(legacy)
+        assert recoveries_from_dict(doc, train).tobytes() == old_recoveries.tobytes()
+        assert len(old_recoveries) == len(static.rules.node) * train.m
         per_node = zip(range(len(ids)), doc["redundant"], doc["criterion"], map(tuple, doc["witness"]))
         assert list(per_node) == nodes
 
     def test_realtime_report(self, tmp_path, reports):
-        ids, _, _, realtime = reports
+        ids, _, _, realtime, _, lagged = reports
         doc = round_trip(tmp_path, "redundancy_realtime", realtime_report_to_dict(realtime), ids)
-        legacy = legacy_json(legacy_realtime_report_to_dict(realtime, ids))
+        legacy = legacy_json(legacy_realtime_report_to_dict(realtime, realtime.recoveries(lagged), ids))
         old_entries, old_recoveries = legacy_realtime_from_dict(legacy)
         assert artifacts.records(doc["entries"], SCHEDULE_DTYPE).tobytes() == old_entries.tobytes()
-        assert artifacts.records(doc["recoveries"], RECOVERY_DTYPE).tobytes() == old_recoveries.tobytes()
+        assert recoveries_from_dict(doc, lagged).tobytes() == old_recoveries.tobytes()
+        assert len(old_recoveries) == realtime.entries.sleeping.sum() > len(realtime.rules.node)
 
     def test_empty_recoveries(self, tmp_path):
         n = len(NODE_IDS)
         empty = ssdrda(StaticNetwork(Dag(n, ((),) * n), (np.ones((1, 2), dtype=np.int64),) * n), 0.9)
+        data = SensorDataset(np.ones((4, n)), NODE_IDS)
         doc = round_trip(tmp_path, "redundancy_static", static_report_to_dict(empty))
-        _, old_recoveries = legacy_static_from_dict(legacy_json(legacy_static_report_to_dict(empty, NODE_IDS)))
-        assert doc["recoveries"] == [[], [], []]
-        assert artifacts.records(doc["recoveries"], RECOVERY_DTYPE).tobytes() == old_recoveries.tobytes() == b""
+        legacy = legacy_json(legacy_static_report_to_dict(empty, empty.recoveries(data), NODE_IDS))
+        _, old_recoveries = legacy_static_from_dict(legacy)
+        assert (doc["rule_node"], doc["rule_parents"], doc["rule_dissimilarities"], doc["rule_rows"]) == ([], [], [], 0)
+        assert recoveries_from_dict(doc, data).tobytes() == old_recoveries.tobytes() == b""

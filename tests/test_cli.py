@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 import oracles
-from sensorprep import artifacts
+from sensorprep import artifacts, redundancy
 from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, report_to_dict
 from sensorprep.bayesnet import estimate_cpt, learn_transition, static_from_dict, transition_from_dict
 from sensorprep.cli import main
 from sensorprep.ingest import SensorDataset, discretize, fit_discretization, load_csv, write_csv
-from sensorprep.redundancy import RECOVERY_DTYPE, SCHEDULE_DTYPE
+from sensorprep.redundancy import SCHEDULE_DTYPE
 from sensorprep.spectra import model_from_dict
 
 
@@ -99,6 +99,28 @@ def run_full_pipeline(base, capsys, seed=1):
     return art, outputs
 
 
+def assert_recovery_csv_is_rebuilt(report, csv_path, data):
+    """The recovery CSV beside `report` holds, line by line, the readings that the report's rules rebuild from
+    `data`, each beside the reading it replaces. Returns those readings."""
+    kind = report.stem
+    recoveries = redundancy.recoveries_from_dict(artifacts.read(report, kind, data.node_ids), data)
+    with csv_path.open(newline="") as fh:
+        lines = list(csv.DictReader(fh))
+    assert list(lines[0]) == ["t", "node", "estimate", "actual"]
+    assert len(lines) == len(recoveries) > 0
+    for line, (t, node, estimate) in zip(lines, recoveries.tolist()):
+        assert (int(line["t"]), line["node"], float(line["estimate"])) == (t, data.node_ids[node], estimate)
+        assert float(line["actual"]) == data.values[t, node]
+    return recoveries
+
+
+def stored_readings(doc):
+    """A redundancy report as this format version stored it before recovery rules: the rebuilt readings instead."""
+    for key in ("rule_node", "rule_parents", "rule_dissimilarities", "rule_rows", "rule_slice"):
+        doc.pop(key, None)
+    doc["recoveries"] = [[0], [1], [0.5]]
+
+
 def reading_command(base, art, name):
     """The command that reads `art / name` of a `run_full_pipeline(base, ...)` run, writing into `base / "out"`."""
     data, out = ["--data", str(base / "train.csv")], ["--out-dir", str(base / "out")]
@@ -152,23 +174,51 @@ class TestPipeline:
         ]
         doc = json.loads((art / "redundancy_realtime.json").read_text())
         entries = dict(zip(SCHEDULE_DTYPE.names, doc["entries"]))
-        recoveries = dict(zip(RECOVERY_DTYPE.names, doc["recoveries"]))
         assert summary["inference_entries"] == len(entries["t"])
         assert summary["sleeping_entries"] == sum(entries["sleeping"]) > 0
-        assert summary["recovered_readings"] == len(recoveries["t"])
+        # The report keeps one rule per (slice, node) that slept, not the readings they rebuild.
+        assert "recoveries" not in doc and 0 < len(doc["rule_node"]) < summary["sleeping_entries"]
+        train = load_csv(tmp_path / "train.csv")
+        recoveries = assert_recovery_csv_is_rebuilt(art / "redundancy_realtime.json", art / "recovery_realtime.csv", train)
+        assert summary["recovered_readings"] == len(recoveries) == summary["sleeping_entries"]
         # One number three ways: the summary, `evaluate --data` and perfbench's formula over the CSV,
         # which sums the same squares in another order.
         assert summary["recovery_rmse"] == outputs["evaluate"]["recovery"]["mean_rmse"]
         perfbench_rmse = load_workloads()._mean_rmse(art / "recovery_realtime.csv")
         assert summary["recovery_rmse"] == pytest.approx(perfbench_rmse, rel=1e-12, abs=0)
-        train = load_csv(tmp_path / "train.csv")
-        with (art / "recovery_realtime.csv").open(newline="") as fh:
-            lines = list(csv.DictReader(fh))
-        assert list(lines[0]) == ["t", "node", "estimate", "actual"]
-        assert len(lines) == len(recoveries["t"])
-        for line, t, node, estimate in zip(lines, recoveries["t"], recoveries["node"], recoveries["estimate"]):
-            assert (int(line["t"]), line["node"], float(line["estimate"])) == (t, train.node_ids[node], estimate)
-            assert float(line["actual"]) == train.values[t, node]
+
+    def test_static_recovery_rmse_from_rules(self, tmp_path, capsys):
+        # Static recovery on copy-child data: `evaluate --data` rebuilds the readings from the report's rules and
+        # scores them as perfbench's formula scores the recovery CSV.
+        art, _ = run_full_pipeline(tmp_path, capsys, seed=1)
+        data, out = tmp_path / "copies.csv", tmp_path / "static"
+        for argv in (
+            ["synth", "--profile", "copy-child", "--seed", "1", "--rows", "400", "--cols", "8",
+             "--param", 'copies={"1":0,"3":2,"5":4}', "--param", "flip=0.02", "--out", str(data)],
+            ["learn", "--train", str(data), "--out-dir", str(out)],
+            ["redundancy-static", "--data", str(data), "--artifacts", str(out), "--out-dir", str(out)],
+        ):
+            code, _, err = run(capsys, argv)
+            assert code == 0, err
+        doc = json.loads((out / "redundancy_static.json").read_text())
+        assert "recoveries" not in doc and len(doc["rule_node"]) == sum(doc["redundant"]) >= 3
+        recoveries = assert_recovery_csv_is_rebuilt(out / "redundancy_static.json", out / "recovery_static.csv",
+                                                    load_csv(data))
+        assert len(recoveries) == 400 * len(doc["rule_node"])
+        code, stdout, err = run(capsys, [
+            "evaluate", "--report", str(art / "detection_report.json"), "--truth", str(tmp_path / "truth.json"),
+            "--redundancy", str(out / "redundancy_static.json"), "--data", str(data),
+        ])
+        assert code == 0, err
+        mean_rmse = json.loads(stdout)["recovery"]["mean_rmse"]
+        assert mean_rmse == pytest.approx(load_workloads()._mean_rmse(out / "recovery_static.csv"), rel=1e-12, abs=0)
+        # The rules rebuild the report's 400 rows, which a shorter CSV does not have.
+        code, stdout, err = run(capsys, [
+            "evaluate", "--report", str(art / "detection_report.json"), "--truth", str(tmp_path / "truth.json"),
+            "--redundancy", str(out / "redundancy_static.json"), "--data", str(tmp_path / "test.csv"),
+        ])
+        assert code == 1 and stdout == ""
+        assert json.loads(err) == {"error": "recovery at row 120 is outside the data's rows 0..119", "type": "ValueError"}
 
     def test_realtime_summary_without_recoveries(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -273,12 +323,15 @@ class TestPipeline:
                          "transition_network has no field 'priors'; re-run `sensorprep learn`", id="missing-priors"),
             pytest.param("detection_report.json", lambda d: d.pop("verdicts"),
                          "detection_report has no field 'verdicts'; re-run `sensorprep detect`", id="missing-verdicts"),
-            pytest.param("redundancy_static.json", lambda d: d.pop("recoveries"),
-                         "redundancy_static has no field 'recoveries'; re-run `sensorprep redundancy-static`",
+            pytest.param("redundancy_static.json", stored_readings,
+                         "redundancy_static has no field 'rule_node'; re-run `sensorprep redundancy-static`",
                          id="missing-static-recoveries"),
-            pytest.param("redundancy_realtime.json", lambda d: d.pop("recoveries"),
-                         "redundancy_realtime has no field 'recoveries'; re-run `sensorprep redundancy-realtime`",
+            pytest.param("redundancy_realtime.json", stored_readings,
+                         "redundancy_realtime has no field 'rule_node'; re-run `sensorprep redundancy-realtime`",
                          id="missing-realtime-recoveries"),
+            pytest.param("redundancy_realtime.json", lambda d: d.pop("rule_slice"),
+                         "redundancy_realtime has no field 'rule_slice'; re-run `sensorprep redundancy-realtime`",
+                         id="missing-rule-slice"),
             # The rest used to load, truncated (1.7 -> 1) or coerced ("1" -> 1, 1 -> True).
             pytest.param("pca_model.json", lambda d: d.update(k=1.7), "field 'k' must hold integers, got 1.7", id="k"),
             pytest.param("scheme.json", lambda d: d.update(state_count=3.9),
@@ -289,10 +342,12 @@ class TestPipeline:
                          "field 'parents' must hold integers, got '1'", id="parent-string"),
             pytest.param("static_network.json", lambda d: d["parents"].__setitem__(0, [True]),
                          "field 'parents' must hold integers, got True", id="parent-bool"),
-            pytest.param("redundancy_realtime.json", lambda d: d["recoveries"][0].__setitem__(0, 1.7),
-                         "field 'recoveries': column 't' holds float64 values, not int64", id="recovery-t"),
-            pytest.param("redundancy_static.json", lambda d: d.update(recoveries=[[0], ["1"], [0.5]]),
-                         "field 'recoveries': column 'node' holds <U1 values, not int64", id="recovery-node"),
+            pytest.param("redundancy_realtime.json", lambda d: d["entries"][0].__setitem__(0, 1.7),
+                         "field 'entries': column 't' holds float64 values, not int64", id="recovery-t"),
+            pytest.param("redundancy_static.json", lambda d: d.update(rule_node=["1"]),
+                         "field 'rule_node' must hold integers, got '1'", id="recovery-node"),
+            pytest.param("redundancy_realtime.json", lambda d: d.update(slice_len=80.0),
+                         "field 'slice_len' must hold integers, got 80.0", id="slice-len-float"),
             pytest.param("detection_report.json", lambda d: d["rows"][0].__setitem__(0, 0.5),
                          "field 'rows': column 'row' holds float64 values, not int64", id="report-row"),
             pytest.param("detection_report.json", lambda d: d["verdicts"][4].__setitem__(0, 1),
@@ -322,11 +377,45 @@ class TestPipeline:
                          "field 't2_limit' must hold numbers, got '3.8'", id="report-t2-limit"),
             pytest.param("detection_report.json", lambda d: d["rows"][1].__setitem__(0, "1.5"),
                          "field 'rows': column 'q' must hold numbers or null", id="report-q"),
-            pytest.param("redundancy_realtime.json", lambda d: d["recoveries"][2].__setitem__(0, True),
-                         "field 'recoveries': column 'estimate' must hold numbers or null", id="recovery-estimate"),
+            pytest.param("redundancy_realtime.json", lambda d: d["rule_dissimilarities"][0].__setitem__(0, True),
+                         "field 'rule_dissimilarities' must hold numbers, got True", id="rule-dissimilarity-bool"),
             pytest.param("detection_report.json", lambda d: d.update(verdicts=5),
                          "field 'verdicts': expected 6 columns of equal length: "
                          "row, node, observed, predicted, abnormal, uninferable", id="verdicts-scalar"),
+            # A ragged list ended in numpy's "inhomogeneous shape" ValueError, which named no file or field.
+            pytest.param("scheme.json", lambda d: d["edges"].__setitem__(1, [0.5]),
+                         "field 'edges' must hold lists of one length, got lengths [1, 2]", id="edges-ragged"),
+            pytest.param("pca_model.json", lambda d: d["eigenvectors"][2].pop(),
+                         "field 'eigenvectors' must hold lists of one length, got lengths [7, 8]",
+                         id="eigenvectors-ragged"),
+            pytest.param("transition_network.json", lambda d: d["counts"][0][0].pop(),
+                         "field 'counts' must hold lists of one length, got lengths [2, 3]", id="count-row-short"),
+            # Rules that cannot rebuild a reading of the report's nodes.
+            pytest.param("redundancy_static.json",
+                         lambda d: d.update(rule_node=[1, 2], rule_parents=[[0]], rule_dissimilarities=[[0.5]]),
+                         "field 'rule_parents' must hold one entry per rule: got 1 for the 2 in 'rule_node'",
+                         id="rule-fields-unequal"),
+            pytest.param("redundancy_realtime.json", lambda d: d["rule_node"].__setitem__(0, 8),
+                         "field 'rule_node' names node 8, outside the nodes 0..7", id="rule-node-outside"),
+            pytest.param("redundancy_static.json",
+                         lambda d: d.update(rule_node=[1], rule_parents=[[-1]], rule_dissimilarities=[[0.5]]),
+                         "field 'rule_parents' names node -1, outside the nodes 0..7", id="rule-parent-outside"),
+            pytest.param("redundancy_realtime.json",
+                         lambda d: (d["rule_parents"].__setitem__(0, []), d["rule_dissimilarities"].__setitem__(0, [])),
+                         "field 'rule_parents' gives rule 0 no parents", id="rule-without-parents"),
+            pytest.param("redundancy_static.json",
+                         lambda d: d.update(rule_node=[1], rule_parents=[[0, 2]], rule_dissimilarities=[[0.5]]),
+                         "field 'rule_dissimilarities' gives rule 0 parents [0, 2] but dissimilarities [0.5]",
+                         id="rule-lengths-differ"),
+            pytest.param("redundancy_realtime.json", lambda d: d["rule_dissimilarities"][0].__setitem__(0, -0.5),
+                         "field 'rule_dissimilarities' gives rule 0 the negative dissimilarity -0.5",
+                         id="rule-dissimilarity-negative"),
+            pytest.param("redundancy_realtime.json", lambda d: d.update(slice_len=0),
+                         "field 'slice_len' must be at least 1, got 0", id="slice-len-zero"),
+            pytest.param("redundancy_static.json", lambda d: d.update(rule_rows=-1),
+                         "field 'rule_rows' must be at least 0, got -1", id="rule-rows-negative"),
+            pytest.param("redundancy_static.json", lambda d: d.update(rule_rows=2.0),
+                         "field 'rule_rows' must hold integers, got 2.0", id="rule-rows-float"),
         ],
     )
     def test_malformed_artifact_field_names_file_and_field(self, tmp_path, capsys, name, edit, message):
@@ -805,24 +894,35 @@ class TestPipeline:
                      "but data has 'x'",
             "type": "ArtifactError",
         }
-        # The report was made from train.csv (240 rows); test.csv has 120, which some recoveries lie beyond.
-        t = json.loads((art / "redundancy_realtime.json").read_text())["recoveries"][0]
-        beyond = min(v for v in t if v >= 120)
+        # The report was made from train.csv (240 rows); test.csv has 120, which some sleeping readings lie beyond.
+        doc = json.loads((art / "redundancy_realtime.json").read_text())
+        entries = dict(zip(SCHEDULE_DTYPE.names, doc["entries"]))
+        beyond = min(t for t, asleep in zip(entries["t"], entries["sleeping"]) if asleep and t >= 120)
         code, out, err = run(capsys, argv + [str(tmp_path / "test.csv")])
         assert code == 1 and out == ""
         assert json.loads(err) == {
-            "error": f"recovery at row {beyond} is outside the data's rows 0..119", "type": "ValueError",
+            "error": f"recovery at row {beyond} is outside the data's rows 1..119", "type": "ValueError",
         }
-        # A recovery's node indexes the data's 8 columns: -1 would read the last one, 8 none.
-        doc = json.loads((art / "redundancy_realtime.json").read_text())
-        for node in (-1, 8):
-            doc["recoveries"][1][0] = node
+        # A sleeping reading's node indexes the data's 8 columns: -1 would read the last one, 8 none.
+        first = entries["sleeping"].index(True)
+        t, node = entries["t"][first], entries["node"][first]
+        for node_outside in (-1, 8):
+            doc["entries"][1][first] = node_outside
             (art / "redundancy_realtime.json").write_text(json.dumps(doc))
             code, out, err = run(capsys, argv + [str(tmp_path / "train.csv")])
             assert code == 1 and out == ""
             assert json.loads(err) == {
-                "error": f"recovery at node {node} is outside the data's nodes 0..7", "type": "ValueError",
+                "error": f"recovery at node {node_outside} is outside the data's nodes 0..7", "type": "ValueError",
             }
+        # A sleeping reading is rebuilt by its node's rule in its slice, so each one needs that rule.
+        doc["entries"][1][first] = node
+        doc["rule_slice"] = [s + 1 for s in doc["rule_slice"]]
+        (art / "redundancy_realtime.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv + [str(tmp_path / "train.csv")])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": f"sleeping reading at row {t}, node {node} has no recovery rule", "type": "ValueError",
+        }
 
     @pytest.mark.parametrize(
         ("edit", "message"),

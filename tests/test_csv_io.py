@@ -28,6 +28,7 @@ from sensorprep.redundancy import (
     RECOVERY_DTYPE,
     SCHEDULE_DTYPE,
     RealtimeRedundancyReport,
+    RecoveryRules,
     StaticRedundancyReport,
     write_realtime_csv,
     write_recovery_csv,
@@ -200,7 +201,7 @@ class TestWriters:
             np.array([red for red, _ in nodes], dtype=bool),
             np.array([crit for _, crit in nodes], dtype=np.float64),
             ([],) * len(nodes),
-            np.rec.fromrecords([], dtype=RECOVERY_DTYPE),
+            RecoveryRules([], [], [], rows=0),
         )
         same_bytes(tmp_path_factory, write_static_csv, scalar_write_static_csv, report, ids)
 
@@ -215,7 +216,7 @@ class TestWriters:
     )
     def test_write_realtime_csv(self, tmp_path_factory, entries, ids):
         report = RealtimeRedundancyReport(
-            0.9, 10, 0.6, np.rec.fromrecords(entries, dtype=SCHEDULE_DTYPE), np.rec.fromrecords([], dtype=RECOVERY_DTYPE)
+            0.9, 10, 0.6, np.rec.fromrecords(entries, dtype=SCHEDULE_DTYPE), RecoveryRules([], [], [], [])
         )
         same_bytes(tmp_path_factory, write_realtime_csv, scalar_write_realtime_csv, report, ids)
 
@@ -229,7 +230,7 @@ class TestWriters:
         posterior = np.where(rng.random(rows) < 0.3, np.nan, rng.random(rows))
         entries = np.rec.fromarrays([t, node, rng.random(rows) < 0.5, posterior], dtype=SCHEDULE_DTYPE)
         recoveries = np.rec.fromarrays([t, node, rng.normal(size=rows)], dtype=RECOVERY_DTYPE)
-        report = RealtimeRedundancyReport(0.9, 10, 0.6, entries, recoveries)
+        report = RealtimeRedundancyReport(0.9, 10, 0.6, entries, RecoveryRules([], [], [], []))
         data = SensorDataset(rng.normal(size=(rows, 3)), ids, tuple(range(rows)))
         same_bytes(tmp_path_factory, write_realtime_csv, scalar_write_realtime_csv, report, ids)
         same_bytes(tmp_path_factory, write_recovery_csv, scalar_write_recovery_csv, recoveries, data)
@@ -263,7 +264,7 @@ class TestWriters:
         posterior = np.where(at_edge, np.nan, rng.random(lines))
         entries = np.rec.fromarrays([pair, line % 3, rng.random(lines) < 0.5, posterior], dtype=SCHEDULE_DTYPE)
         recoveries = np.rec.fromarrays([pair, line % 3, rng.normal(size=lines)], dtype=RECOVERY_DTYPE)
-        report = RealtimeRedundancyReport(0.9, 10, 0.6, entries, recoveries)
+        report = RealtimeRedundancyReport(0.9, 10, 0.6, entries, RecoveryRules([], [], [], []))
         same_bytes(tmp_path_factory, write_realtime_csv, scalar_write_realtime_csv, report, ids)
         data = SensorDataset(rng.normal(size=(max(lines, 2) + 1, 3)), ids)
         same_bytes(tmp_path_factory, write_recovery_csv, scalar_write_recovery_csv, recoveries, data)

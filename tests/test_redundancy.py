@@ -14,16 +14,21 @@ from oracles import (
     states_from_grid,
     trivial_scheme,
 )
-from sensorprep import bayesnet, redundancy
+from sensorprep import artifacts, bayesnet, redundancy
 from sensorprep.bayesnet import Dag, StaticNetwork, learn_transition
 from sensorprep.ingest import SensorDataset, discretize, fit_discretization, synth_generate
 from sensorprep.metrics import rmse
 from sensorprep.redundancy import (
+    StaticRedundancyReport,
+    realtime_report_to_dict,
     recover,
+    recoveries_from_dict,
     rsdrda_infer,
     rsdrda_schedule,
     ssdrda,
     static_recovery,
+    static_report_to_dict,
+    static_rules,
 )
 
 
@@ -195,7 +200,7 @@ class TestRsdrdaSchedule:
     def test_exact_copy_recovery_rmse_zero(self):
         data = synth_generate(2, 200, 3, "lagged-copy", copies={1: 0})
         report = rsdrda_schedule(data, slice_len=100, train_frac=0.6, tau=0.95, scheme=fit_discretization(data))
-        pairs = [(data.values[r.t, r.node], r.estimate) for r in report.recoveries if r.node == 1]
+        pairs = [(data.values[r.t, r.node], r.estimate) for r in report.recoveries(data) if r.node == 1]
         assert pairs
         assert rmse([a for a, _ in pairs], [e for _, e in pairs]) == 0.0
 
@@ -293,7 +298,7 @@ class TestStepParallelSchedule:
         ours = rsdrda_schedule(*case)
         theirs = scalar_rsdrda_schedule(*case)
         assert ours.entries.tobytes() == theirs.entries.tobytes()
-        assert ours.recoveries.tobytes() == theirs.recoveries.tobytes()
+        assert ours.recoveries(case[0]).tobytes() == theirs.recoveries.tobytes()
 
     def test_groups_of_one_two_and_three_parents(self):
         # Nodes 3, 4 and 5 follow one, two and three i.i.d. drivers at t-1
@@ -315,7 +320,7 @@ class TestStepParallelSchedule:
         posteriors = ours.entries.max_posterior
         assert ours.entries.sleeping.any() and ((posteriors > 0.9) & (posteriors < 1.0)).any()
         assert ours.entries.tobytes() == theirs.entries.tobytes()
-        assert ours.recoveries.tobytes() == theirs.recoveries.tobytes()
+        assert ours.recoveries(data).tobytes() == theirs.recoveries.tobytes()
 
 
 class TestSliceIndependence:
@@ -332,12 +337,13 @@ class TestSliceIndependence:
         for start in range(0, data.m - slice_len + 1, slice_len):
             alone = SensorDataset(data.values[start : start + slice_len], data.node_ids)
             part = rsdrda_schedule(alone, slice_len, *rest)
+            recoveries = part.recoveries(alone)
             part.entries.t += start
-            part.recoveries.t += start
-            parts.append(part)
+            recoveries.t += start
+            parts.append((part.entries, recoveries))
         whole = rsdrda_schedule(*case)
-        assert whole.entries.tobytes() == np.concatenate([p.entries for p in parts]).tobytes()
-        assert whole.recoveries.tobytes() == np.concatenate([p.recoveries for p in parts]).tobytes()
+        assert whole.entries.tobytes() == np.concatenate([entries for entries, _ in parts]).tobytes()
+        assert whole.recoveries(data).tobytes() == np.concatenate([recoveries for _, recoveries in parts]).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(schedule_cases(), st.data())
@@ -347,10 +353,11 @@ class TestSliceIndependence:
         row = draw.draw(st.integers(slice_len, data.m - 1), label="row")
         values = data.values.copy()
         values[row, draw.draw(st.integers(0, data.n - 1), label="node")] = draw.draw(st.floats(-1.0, 6.0))
+        changed = SensorDataset(values, data.node_ids)
         before = rsdrda_schedule(*case)
-        after = rsdrda_schedule(SensorDataset(values, data.node_ids), slice_len, *rest)
+        after = rsdrda_schedule(changed, slice_len, *rest)
         first = row // slice_len * slice_len  # the first step of the changed slice
-        for a, b in ((before.entries, after.entries), (before.recoveries, after.recoveries)):
+        for a, b in ((before.entries, after.entries), (before.recoveries(data), after.recoveries(changed))):
             assert a[a.t < first].tobytes() == b[b.t < first].tobytes()
 
 
@@ -390,3 +397,66 @@ class TestStaticRecovery:
         data = synth_generate(6, 50, 2, "copy-child")
         with pytest.raises(ValueError, match="no parents"):
             static_recovery(data, Dag(2, ((), ())), [0])
+
+
+@st.composite
+def static_cases(draw):
+    """Data with copied, constant and -0.0 columns, a DAG whose node j draws up to three parents among
+    nodes 0..j-1 in any order, and some of the nodes with parents as the redundant ones."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(m, n))
+    for j in range(n):
+        kind = draw(st.sampled_from(["random", "copy", "scaled-copy", "constant", "negative-zero"]))
+        if kind in ("copy", "scaled-copy") and j > 0:
+            values[:, j] = values[:, draw(st.integers(0, j - 1))] * (1.0 if kind == "copy" else 3.0)
+        elif kind == "constant":
+            values[:, j] = draw(st.integers(-2, 2))
+        elif kind == "negative-zero":
+            values[:, j] = -0.0
+    parents = tuple(
+        tuple(draw(st.lists(st.integers(0, j - 1), unique=True, max_size=3))) if j else () for j in range(n)
+    )
+    nodes = [j for j in range(n) if parents[j] and draw(st.booleans())]
+    return SensorDataset(values, [f"n{j}" for j in range(n)]), Dag(n, parents), nodes
+
+
+def read_back(tmp_path_factory, kind, node_ids, body):
+    """The document `body` becomes once written as a `kind` artifact and read again."""
+    path = tmp_path_factory.mktemp("rules") / f"{kind}.json"
+    artifacts.write(path, kind, node_ids, body)
+    return artifacts.read(path, kind, node_ids)
+
+
+class TestRulesRebuildTheReadings:
+    """A report stores recovery rules, not readings. Written to JSON and read back, the rules rebuild the
+    readings that the pipeline and the scalar oracles recover, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(static_cases())
+    def test_static(self, tmp_path_factory, case):
+        data, dag, nodes = case
+        rules = static_rules(data, dag, nodes)
+        redundant = np.isin(np.arange(data.n), nodes)
+        report = StaticRedundancyReport(0.95, redundant, redundant * 1.0, ([],) * data.n, rules)
+        doc = read_back(tmp_path_factory, "redundancy_static", data.node_ids, static_report_to_dict(report))
+        rebuilt = recoveries_from_dict(doc, data)
+        assert len(rebuilt) == len(nodes) * data.m
+        assert rebuilt.tobytes() == static_recovery(data, dag, nodes).tobytes()
+        assert rebuilt.tobytes() == scalar_static_recovery(data, dag, nodes).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(schedule_cases())
+    def test_realtime(self, tmp_path_factory, case):
+        data = case[0]
+        report = rsdrda_schedule(*case)
+        doc = read_back(tmp_path_factory, "redundancy_realtime", data.node_ids, realtime_report_to_dict(report))
+        rebuilt = recoveries_from_dict(doc, data)
+        assert len(rebuilt) == report.entries.sleeping.sum()
+        assert rebuilt.tobytes() == report.recoveries(data).tobytes()
+        assert rebuilt.tobytes() == scalar_rsdrda_schedule(*case).recoveries.tobytes()
+        # One rule per (slice, node) that slept, in that order.
+        asleep = report.entries[report.entries.sleeping]
+        slept = sorted({(t // report.slice_len, node) for t, node in zip(asleep.t.tolist(), asleep.node.tolist())})
+        assert list(zip(report.rules.slice, report.rules.node)) == slept
