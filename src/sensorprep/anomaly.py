@@ -15,7 +15,8 @@ import numpy as np
 
 from . import artifacts
 from .bayesnet import TransitionNetwork, parent_marginals
-from .ingest import DiscretizationScheme, SensorDataset, _indexed_cells, _number_cells, _write_columns, discretize
+from .ingest import DiscretizationScheme, SensorDataset, discretize
+from .ingest import _distinct_cells, _indexed_cells, _number_cells, _write_columns
 from .spectra import PcaModel, limit_from_json, limit_to_json
 
 __all__ = [
@@ -194,9 +195,9 @@ def write_report_csv(report: DetectionReport, path: str | Path) -> None:
         ["row", "q", "t2", "flagged", "node", "observed", "predicted", "abnormal"],
         [
             *(_indexed_cells(cells, screen) for cells in row_cells),
-            _number_cells(line["node"], blank),
-            _number_cells(line["observed"], blank),
-            _number_cells(line["predicted"], blank | line["uninferable"]),
-            _number_cells(line["abnormal"].astype(np.int64), blank),
+            _distinct_cells(line["node"], blank),
+            _distinct_cells(line["observed"], blank),
+            _distinct_cells(line["predicted"], blank | line["uninferable"]),
+            _distinct_cells(line["abnormal"], blank),
         ],
     )

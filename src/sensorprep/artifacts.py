@@ -33,8 +33,8 @@ _NUMBERS = {
     "k": (_INT, 0), "state_count": (_INT, 0), "parents": (_INT, 2), "q_limit": (_NULLABLE, 0),
     "t2_limit": (_FLOAT, 0), "alpha": (_FLOAT, 0), "means": (_FLOAT, 1), "variances": (_FLOAT, 1),
     "eigenvalues": (_FLOAT, 1), "eigenvectors": (_FLOAT, 2), "edges": (_FLOAT, 2), "priors": (_FLOAT, 2),
-    "counts": (_FLOAT, 3), "slice_len": (_INT, 0), "rule_rows": (_INT, 0), "rule_slice": (_INT, 1),
-    "rule_node": (_INT, 1), "rule_parents": (_INT, 2), "rule_dissimilarities": (_FLOAT, 2),
+    "counts": (_FLOAT, 3), "slice_len": (_INT, 0), "train_frac": (_FLOAT, 0), "rule_rows": (_INT, 0),
+    "rule_slice": (_INT, 1), "rule_node": (_INT, 1), "rule_parents": (_INT, 2), "rule_dissimilarities": (_FLOAT, 2),
 }
 # The fields whose lists one level down, one per node or rule, may differ in length. Every other field's lists
 # at one level have one length, as in a matrix (a count table's rows all hold K counts).

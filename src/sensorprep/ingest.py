@@ -11,7 +11,6 @@ import csv
 import inspect
 import itertools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -279,13 +278,26 @@ def _python_values(column: np.ndarray) -> Iterable:
     )
 
 
-def _number_cells(column: np.ndarray, blank: np.ndarray | None = None) -> Iterable[str]:
-    """Cell text of a numeric column: `repr` of each Python int or float, "" where `blank` is true."""
-    text = map(repr, _python_values(column))
-    if blank is None:
-        return text
-    # A string times True is itself, and times False is "".
-    return map(operator.mul, text, _python_values(~blank))
+def _number_cells(column: np.ndarray) -> Iterable[str]:
+    """Cell text of a numeric column: `repr` of each Python int or float."""
+    return map(repr, _python_values(column))
+
+
+def _distinct_cells(column: np.ndarray, blank: np.ndarray | None = None) -> Iterable[str]:
+    """`_number_cells` of an integer, boolean (as 0 and 1) or float64 column, "" where `blank` is true.
+
+    Each distinct value is formatted once. Floats are told apart by their
+    bits, so 0.0 and -0.0 keep their own text.
+    """
+    if column.dtype.kind == "b":
+        column = column.astype(np.int64)
+    floats = column.dtype.kind == "f"
+    # With return_inverse, np.unique never imports numpy.ma; its plain call does.
+    values, index = np.unique(column.view(np.int64) if floats else column, return_inverse=True)
+    cells = [*map(repr, (values.view(np.float64) if floats else values).tolist()), ""]
+    if blank is not None:
+        index = np.where(blank, len(values), index)
+    return _indexed_cells(cells, index)
 
 
 def _indexed_cells(cells: Sequence[str], index: np.ndarray) -> Iterable[str]:

@@ -23,7 +23,7 @@ import numpy as np
 from . import artifacts
 from .bayesnet import Dag, StaticNetwork, TransitionNetwork, _stacked_search, estimate_cpt
 from .ingest import DiscretizationScheme, SensorDataset, discretize
-from .ingest import _indexed_cells, _label_cells, _number_cells, _write_columns
+from .ingest import _distinct_cells, _label_cells, _number_cells, _write_columns
 
 __all__ = [
     "RecoveryRules",
@@ -41,6 +41,7 @@ __all__ = [
     "static_report_to_dict",
     "recoveries_from_dict",
     "realtime_report_to_dict",
+    "schedule_from_dict",
     "write_static_csv",
     "write_realtime_csv",
     "write_recovery_csv",
@@ -52,6 +53,8 @@ __all__ = [
 SCHEDULE_DTYPE = np.dtype(
     [("t", np.int64), ("node", np.int64), ("sleeping", np.bool_), ("max_posterior", np.float64)]
 )
+# The schedule columns a report stores: `_schedule_steps` rebuilds `t` and `node` from its header.
+_STORED_DTYPE = np.dtype([("sleeping", np.bool_), ("max_posterior", np.float64)])
 # One recovered reading per (step, sleeping or redundant node). The reading it
 # replaces is the input's `values[t, node]`, so a report never copies it.
 RECOVERY_DTYPE = np.dtype([("t", np.int64), ("node", np.int64), ("estimate", np.float64)])
@@ -208,9 +211,12 @@ def rebuild(
             outside = index[(index < low) | (index >= size)]
             if outside.size:
                 raise ValueError(f"recovery at {what} {outside[0]} is outside the data's {what}s {low}..{size - 1}")
-        index = {key: i for i, key in enumerate(zip(rules.slice, rules.node))}
-        keys = zip((t // slice_len).tolist(), sleeping.node.tolist())
-        rule = np.array([index.get(key, -1) for key in keys], dtype=np.int64)
+        # The rule of each (slice, node) that a sleeping reading can fall in; -1 where there is none.
+        slices, rule_slice = t // slice_len, np.array(rules.slice, dtype=np.int64)
+        table = np.full((int(slices.max(initial=-1)) + 1, data.n), -1)
+        known = (rule_slice >= 0) & (rule_slice < len(table)) & (node >= 0) & (node < data.n)
+        table[rule_slice[known], node[known]] = np.flatnonzero(known)
+        rule = table[slices, sleeping.node]
         if (rule < 0).any():
             i = int(np.argmax(rule < 0))
             raise ValueError(f"sleeping reading at row {t[i]}, node {sleeping.node[i]} has no recovery rule")
@@ -296,7 +302,7 @@ def rsdrda_schedule(
         raise ValueError(f"slice_len must be >= 1, got {slice_len}")
     if slice_len > data.m:
         raise ValueError(f"data has {data.m} rows, shorter than one slice of {slice_len}")
-    train_len = int(round(slice_len * train_frac))
+    train_len = _train_len(slice_len, train_frac)
     if train_len < 2:
         raise ValueError(f"training portion of {train_len} samples is too short")
     if train_len >= slice_len:
@@ -336,11 +342,27 @@ def rsdrda_schedule(
         found += zip(slices.tolist(), nodes.tolist(), parents.tolist(), dists.tolist())
     rule_slice, rule_node, rule_parents, rule_dists = map(list, zip(*sorted(found))) if found else ([],) * 4
 
-    t = np.repeat(np.add.outer(starts, np.arange(train_len, slice_len)), data.n)
-    node = np.tile(np.arange(data.n), len(t) // data.n)
+    t, node = _schedule_steps(slice_len, train_frac, data.n, max_post.size)
     entries = np.rec.fromarrays([t, node, asleep.ravel(), max_post.ravel()], dtype=SCHEDULE_DTYPE)
     rules = RecoveryRules(rule_node, rule_parents, rule_dists, rule_slice)
     return RealtimeRedundancyReport(tau, slice_len, train_frac, entries, rules)
+
+
+def _train_len(slice_len: int, train_frac: float) -> int:
+    return int(round(slice_len * train_frac))
+
+
+def _schedule_steps(slice_len: int, train_frac: float, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `t` and `node` columns of a schedule of `count` entries over `n` nodes: every node at each inference
+    step of each full slice, in (slice, step, node) order. A count that is not a whole number of slices is a
+    ValueError."""
+    train_len = _train_len(slice_len, train_frac)
+    per_slice = max(slice_len - train_len, 0) * n
+    slices, rest = divmod(count, per_slice) if per_slice else (0, count)
+    if rest:
+        raise ValueError(f"{count} entries are not a whole number of slices of {per_slice // n} steps x {n} nodes")
+    steps = np.arange(train_len, slice_len if slices else train_len)  # at most `count` steps
+    return np.repeat(np.add.outer(np.arange(slices) * slice_len, steps), n), np.tile(np.arange(n), slices * len(steps))
 
 
 def _rule_fields(rules: RecoveryRules) -> dict:
@@ -361,12 +383,13 @@ def static_report_to_dict(report: StaticRedundancyReport) -> dict:
 
 
 def realtime_report_to_dict(report: RealtimeRedundancyReport) -> dict:
-    """The `redundancy_realtime` artifact body: schedule entries as columns, and the recovery rules."""
+    """The `redundancy_realtime` artifact body: the schedule's `sleeping` and `max_posterior` columns, whose `t` and
+    `node` follow from `slice_len`, `train_frac` and the node ids, and the recovery rules."""
     return {
         "tau": float(report.tau),
         "slice_len": int(report.slice_len),
         "train_frac": float(report.train_frac),
-        "entries": artifacts.columns(report.entries),
+        "entries": artifacts.columns(report.entries[list(_STORED_DTYPE.names)]),
         **_rule_fields(report.rules),
     }
 
@@ -409,8 +432,23 @@ def recoveries_from_dict(doc: artifacts.Document, data: SensorDataset) -> np.rec
         fail(key, f"must be at least {low}, got {doc[key]}")
     if not realtime:
         return rebuild(rules, data)
-    entries = artifacts.records(doc["entries"], SCHEDULE_DTYPE, doc, "entries")
+    entries = schedule_from_dict(doc)
     return rebuild(rules, data, entries[entries.sleeping], doc["slice_len"])
+
+
+def schedule_from_dict(doc: artifacts.Document) -> np.recarray:
+    """A read `redundancy_realtime` document's schedule as `SCHEDULE_DTYPE` records: its stored columns, with `t`
+    and `node` rebuilt as `rsdrda_schedule` builds them. An `entries` field of other columns, or whose length is
+    not a whole number of slices, and a `train_frac` outside (0, 1) are ArtifactErrors naming the file and the
+    field."""
+    stored = artifacts.records(doc["entries"], _STORED_DTYPE, doc, "entries")
+    if not 0 < doc["train_frac"] < 1:
+        raise artifacts.ArtifactError(f"{doc.path}: field 'train_frac' must lie in (0, 1), got {doc['train_frac']}")
+    try:
+        t, node = _schedule_steps(doc["slice_len"], doc["train_frac"], len(doc["node_ids"]), len(stored))
+    except ValueError as exc:
+        raise artifacts.ArtifactError(f"{doc.path}: field 'entries': {exc}") from None
+    return np.rec.fromarrays([t, node, stored.sleeping, stored.max_posterior], dtype=SCHEDULE_DTYPE)
 
 
 def write_static_csv(report: StaticRedundancyReport, node_ids: Sequence[str], path: str | Path) -> None:
@@ -419,7 +457,7 @@ def write_static_csv(report: StaticRedundancyReport, node_ids: Sequence[str], pa
         ["node", "redundant", "criterion"],
         [
             _label_cells(node_ids, np.arange(len(report.redundant))),
-            _number_cells(report.redundant.astype(np.int64)),
+            _distinct_cells(report.redundant),
             _number_cells(report.criterion),
         ],
     )
@@ -427,27 +465,25 @@ def write_static_csv(report: StaticRedundancyReport, node_ids: Sequence[str], pa
 
 def write_realtime_csv(report: RealtimeRedundancyReport, node_ids: Sequence[str], path: str | Path) -> None:
     entries = report.entries
-    steps, step = np.unique(entries.t, return_inverse=True)  # t repeats on every node's line: format it once
     _write_columns(
         path,
         ["t", "node", "state", "max_posterior"],
         [
-            _indexed_cells(list(_number_cells(steps)), step),
+            _distinct_cells(entries.t),
             _label_cells(node_ids, entries.node),
             _label_cells(("waking", "sleeping"), entries.sleeping),
-            _number_cells(entries.max_posterior, np.isnan(entries.max_posterior)),
+            _distinct_cells(entries.max_posterior, np.isnan(entries.max_posterior)),
         ],
     )
 
 
 def write_recovery_csv(recoveries: np.recarray, data: SensorDataset, path: str | Path) -> None:
     """Each recovery beside the reading it replaces, `actual`, which is read from `data`."""
-    steps, step = np.unique(recoveries.t, return_inverse=True)  # a static t repeats once per node: format it once
     _write_columns(
         path,
         ["t", "node", "estimate", "actual"],
         [
-            _indexed_cells(list(_number_cells(steps)), step),
+            _distinct_cells(recoveries.t),
             _label_cells(data.node_ids, recoveries.node),
             _number_cells(recoveries.estimate),
             _number_cells(data.values[recoveries.t, recoveries.node]),

@@ -717,6 +717,13 @@ def scalar_load_csv(path) -> SensorDataset:
     return SensorDataset(np.array(rows), tuple(node_ids), tuple(stamps) if has_ts else None)
 
 
+def number_cells(column: np.ndarray, blank: np.ndarray | None = None) -> list[str]:
+    """Cell text of an integer, boolean (as 0 and 1) or float column, one `repr` per cell, "" where `blank` is true."""
+    values = column.astype(np.int64) if column.dtype.kind == "b" else column
+    blank = np.zeros(len(column), dtype=bool) if blank is None else blank
+    return ["" if b else repr(v) for v, b in zip(values.tolist(), blank.tolist())]
+
+
 def _scalar_write_rows(path, header, rows) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -36,6 +36,7 @@ from sensorprep.redundancy import (
     realtime_report_to_dict,
     recoveries_from_dict,
     rsdrda_schedule,
+    schedule_from_dict,
     ssdrda,
     static_report_to_dict,
     static_rules,
@@ -226,7 +227,7 @@ class TestEquivalenceWithPerRecordLayout:
         doc = round_trip(tmp_path, "redundancy_realtime", realtime_report_to_dict(realtime), ids)
         legacy = legacy_json(legacy_realtime_report_to_dict(realtime, realtime.recoveries(lagged), ids))
         old_entries, old_recoveries = legacy_realtime_from_dict(legacy)
-        assert artifacts.records(doc["entries"], SCHEDULE_DTYPE).tobytes() == old_entries.tobytes()
+        assert schedule_from_dict(doc).tobytes() == old_entries.tobytes()
         assert recoveries_from_dict(doc, lagged).tobytes() == old_recoveries.tobytes()
         assert len(old_recoveries) == realtime.entries.sleeping.sum() > len(realtime.rules.node)
 

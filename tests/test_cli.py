@@ -19,7 +19,6 @@ from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, report
 from sensorprep.bayesnet import estimate_cpt, learn_transition, static_from_dict, transition_from_dict
 from sensorprep.cli import main
 from sensorprep.ingest import SensorDataset, discretize, fit_discretization, load_csv, write_csv
-from sensorprep.redundancy import SCHEDULE_DTYPE
 from sensorprep.spectra import model_from_dict
 
 
@@ -173,9 +172,11 @@ class TestPipeline:
             "sleeping_nodes",
         ]
         doc = json.loads((art / "redundancy_realtime.json").read_text())
-        entries = dict(zip(SCHEDULE_DTYPE.names, doc["entries"]))
-        assert summary["inference_entries"] == len(entries["t"])
-        assert summary["sleeping_entries"] == sum(entries["sleeping"]) > 0
+        # The report stores the schedule's `sleeping` and `max_posterior` columns; `t` and `node` follow from
+        # `slice_len`, `train_frac` and the node ids.
+        sleeping, _ = doc["entries"]
+        assert summary["inference_entries"] == len(sleeping) == 3 * 32 * 8
+        assert summary["sleeping_entries"] == sum(sleeping) > 0
         # The report keeps one rule per (slice, node) that slept, not the readings they rebuild.
         assert "recoveries" not in doc and 0 < len(doc["rule_node"]) < summary["sleeping_entries"]
         train = load_csv(tmp_path / "train.csv")
@@ -342,8 +343,8 @@ class TestPipeline:
                          "field 'parents' must hold integers, got '1'", id="parent-string"),
             pytest.param("static_network.json", lambda d: d["parents"].__setitem__(0, [True]),
                          "field 'parents' must hold integers, got True", id="parent-bool"),
-            pytest.param("redundancy_realtime.json", lambda d: d["entries"][0].__setitem__(0, 1.7),
-                         "field 'entries': column 't' holds float64 values, not int64", id="recovery-t"),
+            pytest.param("redundancy_realtime.json", lambda d: d["entries"][0].__setitem__(0, 1),
+                         "field 'entries': column 'sleeping' holds int64 values, not bool", id="entries-sleeping"),
             pytest.param("redundancy_static.json", lambda d: d.update(rule_node=["1"]),
                          "field 'rule_node' must hold integers, got '1'", id="recovery-node"),
             pytest.param("redundancy_realtime.json", lambda d: d.update(slice_len=80.0),
@@ -416,6 +417,24 @@ class TestPipeline:
                          "field 'rule_rows' must be at least 0, got -1", id="rule-rows-negative"),
             pytest.param("redundancy_static.json", lambda d: d.update(rule_rows=2.0),
                          "field 'rule_rows' must hold integers, got 2.0", id="rule-rows-float"),
+            pytest.param("redundancy_realtime.json", lambda d: d.update(train_frac="0.6"),
+                         "field 'train_frac' must hold numbers, got '0.6'", id="train-frac-string"),
+            pytest.param("redundancy_realtime.json", lambda d: d.update(train_frac=1e300),
+                         "field 'train_frac' must lie in (0, 1), got 1e+300", id="train-frac-outside"),
+            # `t` and `node` of the schedule follow from its length: 3 slices of 32 steps x 8 nodes.
+            pytest.param("redundancy_realtime.json", lambda d: [column.pop() for column in d["entries"]],
+                         "field 'entries': 767 entries are not a whole number of slices of 32 steps x 8 nodes",
+                         id="entries-part-slice"),
+            pytest.param("redundancy_realtime.json", lambda d: d.update(train_frac=0.5),
+                         "field 'entries': 768 entries are not a whole number of slices of 40 steps x 8 nodes",
+                         id="entries-other-train-frac"),
+            pytest.param("redundancy_realtime.json", lambda d: d.update(slice_len=10**15),
+                         "field 'entries': 768 entries are not a whole number of slices of 400000000000000 steps "
+                         "x 8 nodes", id="entries-huge-slice"),
+            pytest.param("redundancy_realtime.json",
+                         lambda d: d.update(entries=[list(range(768)), [i % 8 for i in range(768)], *d["entries"]]),
+                         "field 'entries': expected 2 columns of equal length: sleeping, max_posterior",
+                         id="entries-four-columns"),
         ],
     )
     def test_malformed_artifact_field_names_file_and_field(self, tmp_path, capsys, name, edit, message):
@@ -696,10 +715,10 @@ class TestPipeline:
         assert {(int(r["t"]), r["node"]) for r in schedule_csv} == set(parentless)
         for r in schedule_csv:
             assert (r["max_posterior"] == "") == parentless[int(r["t"]), r["node"]], r
-        doc = json.loads((art / "redundancy_realtime.json").read_text())
-        entries = dict(zip(SCHEDULE_DTYPE.names, doc["entries"]))
-        assert len(entries["t"]) == len(schedule_csv)
-        for t, node, max_post in zip(entries["t"], entries["node"], entries["max_posterior"]):
+        doc = artifacts.read(art / "redundancy_realtime.json", "redundancy_realtime", data.node_ids)
+        entries = redundancy.schedule_from_dict(doc)
+        assert len(entries) == len(schedule_csv)
+        for t, node, max_post in zip(entries.t.tolist(), entries.node.tolist(), doc["entries"][1]):
             assert (max_post is None) == parentless[t, doc["node_ids"][node]], (t, node)
 
     def test_unknown_profile_fails_cleanly(self, tmp_path, capsys):
@@ -896,26 +915,18 @@ class TestPipeline:
         }
         # The report was made from train.csv (240 rows); test.csv has 120, which some sleeping readings lie beyond.
         doc = json.loads((art / "redundancy_realtime.json").read_text())
-        entries = dict(zip(SCHEDULE_DTYPE.names, doc["entries"]))
-        beyond = min(t for t, asleep in zip(entries["t"], entries["sleeping"]) if asleep and t >= 120)
+        entries = redundancy.schedule_from_dict(
+            artifacts.read(art / "redundancy_realtime.json", "redundancy_realtime", doc["node_ids"])
+        )
+        asleep = entries[entries.sleeping]
+        beyond = asleep.t[asleep.t >= 120].min()
         code, out, err = run(capsys, argv + [str(tmp_path / "test.csv")])
         assert code == 1 and out == ""
         assert json.loads(err) == {
             "error": f"recovery at row {beyond} is outside the data's rows 1..119", "type": "ValueError",
         }
-        # A sleeping reading's node indexes the data's 8 columns: -1 would read the last one, 8 none.
-        first = entries["sleeping"].index(True)
-        t, node = entries["t"][first], entries["node"][first]
-        for node_outside in (-1, 8):
-            doc["entries"][1][first] = node_outside
-            (art / "redundancy_realtime.json").write_text(json.dumps(doc))
-            code, out, err = run(capsys, argv + [str(tmp_path / "train.csv")])
-            assert code == 1 and out == ""
-            assert json.loads(err) == {
-                "error": f"recovery at node {node_outside} is outside the data's nodes 0..7", "type": "ValueError",
-            }
         # A sleeping reading is rebuilt by its node's rule in its slice, so each one needs that rule.
-        doc["entries"][1][first] = node
+        t, node = asleep.t[0], asleep.node[0]
         doc["rule_slice"] = [s + 1 for s in doc["rule_slice"]]
         (art / "redundancy_realtime.json").write_text(json.dumps(doc))
         code, out, err = run(capsys, argv + [str(tmp_path / "train.csv")])
@@ -1122,25 +1133,34 @@ class TestEntryPoint:
         assert "learn" in proc.stdout
 
 
-def test_realtime_run_does_not_import_numpy_ma(tmp_path, capsys):
-    # np.unique's first plain call imports numpy.ma, about 1 MB of a realtime run's peak RSS.
+def test_redundancy_runs_do_not_import_numpy_ma(tmp_path, capsys):
+    # np.unique's first plain call imports numpy.ma (about 11 ms and 1 MB of peak RSS), which neither command needs.
+    # A call with return_inverse, as the CSV writers make, does not.
     import subprocess
 
-    code, out, err = run(capsys, [
-        "synth", "--profile", "correlated-drift", "--seed", "1", "--rows", "240", "--cols", "8",
-        "--out", str(tmp_path / "train.csv"),
-    ])
-    assert code == 0, err
+    for argv in (
+        ["synth", "--profile", "copy-child", "--seed", "1", "--rows", "240", "--cols", "8",
+         "--out", str(tmp_path / "train.csv")],
+        ["learn", "--train", str(tmp_path / "train.csv"), "--out-dir", str(tmp_path / "art")],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
     script = (
-        "import sys\nfrom sensorprep.cli import main\n"
-        "code = main(sys.argv[1:])\nprint('numpy.ma' in sys.modules, file=sys.stderr)\nsys.exit(code)"
+        "import json, sys\nfrom sensorprep.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\nsys.exit(max(codes))"
     )
+    commands = [
+        ["redundancy-realtime", "--data", str(tmp_path / "train.csv"), "--slice-len", "80",
+         "--out-dir", str(tmp_path / "realtime")],
+        ["redundancy-static", "--data", str(tmp_path / "train.csv"), "--artifacts", str(tmp_path / "art"),
+         "--out-dir", str(tmp_path / "static")],
+    ]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", script, "redundancy-realtime", "--data", str(tmp_path / "train.csv"),
-         "--slice-len", "80", "--out-dir", str(tmp_path / "art")],
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-c", script, json.dumps(commands)], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["recovered_readings"] > 0
+    realtime, static = map(json.loads, proc.stdout.splitlines())
+    assert realtime["recovered_readings"] > 0 and static["redundant_nodes"]
     assert proc.stderr == "False\n"

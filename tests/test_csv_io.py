@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    number_cells,
     scalar_load_csv,
     scalar_write_csv,
     scalar_write_realtime_csv,
@@ -147,11 +148,57 @@ NODE_IDS = st.one_of(
 )
 
 
+# Integer, boolean and float64 columns: many repeats, values of any size, and spans far wider than the column.
+COLUMNS = st.one_of(
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.integers(-3, 3), max_size=40).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.sampled_from([0, 2**40, -(2**40)]), max_size=40).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.booleans(), max_size=40).map(lambda v: np.array(v, dtype=bool)),
+    st.lists(st.one_of(ANY_FLOATS, st.sampled_from([0.0, -0.0, 0.5])), max_size=40).map(
+        lambda v: np.array(v, dtype=np.float64)
+    ),
+)
+
+
 def same_bytes(tmp_path_factory, write, oracle, *args):
     d = tmp_path_factory.mktemp("write")
     write(*args, d / "new.csv")
     oracle(*args, d / "old.csv")
     assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+class TestDistinctCells:
+    """`_distinct_cells` formats each distinct value once; its cells must be the per-cell `repr` oracle's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(column=COLUMNS, data=st.data())
+    def test_matches_one_repr_per_cell(self, column, data):
+        blank = data.draw(
+            st.none() | st.lists(st.booleans(), min_size=len(column), max_size=len(column)).map(np.array), "blank"
+        )
+        if blank is not None:
+            blank = blank.astype(bool)
+        assert list(ingest._distinct_cells(column, blank)) == number_cells(column, blank)
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            pytest.param(np.array([], dtype=np.int64), id="empty"),
+            pytest.param(np.array([], dtype=bool), id="empty-bool"),
+            pytest.param(np.array([-7]), id="single"),
+            pytest.param(np.array([0, 2**40, 0, 2**40]), id="wide-range"),
+            pytest.param(np.array([-(2**63), 2**63 - 1, -1, 0]), id="int64-extremes"),
+            pytest.param(np.array([True, False, True]), id="bool"),
+            pytest.param(np.array([0.0, -0.0, math.nan, 0.1, -0.0]), id="signed-zero-and-nan"),
+            pytest.param(np.arange(3 * ingest._CHUNK_ROWS + 7) % 5 - 2, id="longer-than-one-chunk"),
+            # A column of a record array is a strided view.
+            pytest.param(np.rec.fromarrays([[3, 1, 3], [0.5, -0.0, 0.5]], names="a,b").b, id="strided"),
+        ],
+    )
+    def test_cases(self, column):
+        assert list(ingest._distinct_cells(column)) == number_cells(column)
+        for blank in (np.ones(len(column), dtype=bool), np.arange(len(column)) % 2 == 0):
+            assert list(ingest._distinct_cells(column, blank)) == number_cells(column, blank)
 
 
 class TestWriters:

@@ -460,3 +460,50 @@ class TestRulesRebuildTheReadings:
         asleep = report.entries[report.entries.sleeping]
         slept = sorted({(t // report.slice_len, node) for t, node in zip(asleep.t.tolist(), asleep.node.tolist())})
         assert list(zip(report.rules.slice, report.rules.node)) == slept
+
+
+class TestScheduleReader:
+    """A report stores the schedule's `sleeping` and `max_posterior` columns; the reader rebuilds `t` and `node`
+    from `slice_len`, `train_frac` and the node ids, as `rsdrda_schedule` builds them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        slice_len=st.integers(3, 30),
+        train_frac=st.floats(0.05, 0.95),
+        slices=st.integers(1, 3),
+        tail=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rebuilt_steps_equal_the_schedule(self, tmp_path_factory, n, slice_len, train_frac, slices, tail, seed):
+        assume(2 <= int(round(slice_len * train_frac)) < slice_len)
+        data = SensorDataset(np.random.default_rng(seed).normal(size=(slices * slice_len + tail, n)),
+                             [f"n{j}" for j in range(n)])
+        report = rsdrda_schedule(data, slice_len, train_frac, 0.6, fit_discretization(data, 2), 2)
+        doc = read_back(tmp_path_factory, "redundancy_realtime", data.node_ids, realtime_report_to_dict(report))
+        assert len(doc["entries"]) == 2
+        entries = redundancy.schedule_from_dict(doc)
+        assert entries.dtype == report.entries.dtype
+        for name in ("t", "node", "sleeping"):
+            assert entries[name].tolist() == report.entries[name].tolist()
+        assert np.array_equal(entries.max_posterior, report.entries.max_posterior, equal_nan=True)
+
+    def test_rebuild_rejects_nodes_outside_the_data(self):
+        # A sleeping reading's node indexes the data's columns: -1 would read the last one, 3 none.
+        data = SensorDataset(np.arange(12.0).reshape(4, 3), ("a", "b", "c"))
+        rules = redundancy.RecoveryRules([1], [[0]], [[0.5]], [0])
+        for node in (-1, 3):
+            sleeping = np.rec.fromarrays([[2], [node], [True], [0.9]], dtype=redundancy.SCHEDULE_DTYPE)
+            with pytest.raises(ValueError, match=f"recovery at node {node} is outside the data's nodes 0..2"):
+                redundancy.rebuild(rules, data, sleeping, 4)
+
+    def test_rebuild_looks_each_rule_up_by_slice_and_node(self):
+        # Rules outside every sleeping reading's slice are ignored; a reading whose (slice, node) has none fails.
+        data = SensorDataset(np.arange(24.0).reshape(8, 3), ("a", "b", "c"))
+        rules = redundancy.RecoveryRules([1, 2, 1, 2], [[0], [0], [2], [1]], [[0.5]] * 4, [1, 0, -1, 9])
+        sleeping = np.rec.fromarrays([[1, 5, 6], [2, 1, 1], [True] * 3, [0.9] * 3], dtype=redundancy.SCHEDULE_DTYPE)
+        rebuilt = redundancy.rebuild(rules, data, sleeping, 4)
+        assert rebuilt.tolist() == [(1, 2, data.values[0, 0]), (5, 1, data.values[4, 0]), (6, 1, data.values[5, 0])]
+        sleeping.node[0] = 1
+        with pytest.raises(ValueError, match="sleeping reading at row 1, node 1 has no recovery rule"):
+            redundancy.rebuild(rules, data, sleeping, 4)
