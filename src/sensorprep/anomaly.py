@@ -17,7 +17,7 @@ from . import artifacts
 from .bayesnet import TransitionNetwork, parent_marginals
 from .ingest import DiscretizationScheme, SensorDataset, discretize
 from .ingest import _distinct_cells, _indexed_cells, _number_cells, _write_columns
-from .spectra import PcaModel, limit_from_json, limit_to_json
+from .spectra import PcaModel, _one_row, _statistics, limit_from_json, limit_to_json
 
 __all__ = [
     "ROW_DTYPE",
@@ -64,20 +64,22 @@ class DetectionReport:
 
 
 def tq_screen(row: np.ndarray, model: PcaModel) -> tuple[float, float, bool]:
-    """Standardize one raw sample and test it against both control limits.
+    """Standardize one raw sample and test it against both control limits: stage one's kernel on one row.
 
     Returns (q, t2, flagged) with flagged true when either statistic
     exceeds its limit. Both equal, bit for bit, `q_statistic` and `t2_statistic` of the standardized row.
     """
-    row = np.asarray(row, dtype=float)
-    if row.shape != (model.standardization.n,):
-        raise ValueError(f"row has shape {row.shape}, expected ({model.standardization.n},)")
-    means, scale, pk, lam = model.screening
-    xbar = (row - means) / scale
-    scores = pk.T @ xbar
-    residual = xbar - pk @ scores
-    q, t2 = float(residual @ residual), float(np.sum(scores * scores / lam))
-    return q, t2, q > model.q_limit or t2 > model.t2_limit
+    q, t2, flagged = _screen(_one_row(row, model.standardization.n), model)
+    return float(q[0]), float(t2[0]), bool(flagged[0])
+
+
+def _screen(values: np.ndarray, model: PcaModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage one over the m x n matrix of raw samples at once: each row's q, t2 and whether either exceeds its limit."""
+    means, scale, _, _ = model.screening
+    z = values - means
+    z /= scale
+    q, t2 = _statistics(z, model)
+    return q, t2, (q > model.q_limit) | (t2 > model.t2_limit)
 
 
 def nb_predict_state(node: int, prev_states: np.ndarray, tn: TransitionNetwork) -> tuple[int, np.ndarray]:
@@ -110,7 +112,7 @@ def tqbayes_detect(
 ) -> DetectionReport:
     """Run the full two-stage detector over a test set.
 
-    Every row is screened one at a time. Stage two then runs over all
+    Stage one screens every row at once. Stage two then runs over all
     flagged rows at once: each inferable node is marked abnormal when the
     state predicted from its parents' previous states disagrees with the
     observed one. The first test row uses the supplied last training row as
@@ -127,9 +129,7 @@ def tqbayes_detect(
     if last_train_row.shape != (test.n,):
         raise ValueError(f"last training row has shape {last_train_row.shape}, expected ({test.n},)")
 
-    rows = np.rec.fromrecords(
-        [(r, *tq_screen(values, model)) for r, values in enumerate(test.values)], dtype=ROW_DTYPE
-    )
+    rows = np.rec.fromarrays([np.arange(test.m), *_screen(test.values, model)], dtype=ROW_DTYPE)
     flagged = np.flatnonzero(rows.flagged)
     # Row 0 of `states` is the last training row, so test row r sits at r + 1.
     states = discretize(SensorDataset(np.vstack([last_train_row, test.values]), test.node_ids), scheme).states

@@ -110,7 +110,7 @@ def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str])
     """Load a document of `kind` (or of any kind in a tuple) whose node ids equal `node_ids`.
 
     A number field (`_NUMBERS`) must nest as `write` nests it, with lists of one length at each level outside
-    `_RAGGED`, and hold its type: 1.7, "1" or true is not converted."""
+    `_RAGGED`, and hold its type: 1.7, "1" or true is not converted, and an integer must fit in 64 bits."""
     kinds = (kind,) if isinstance(kind, str) else kind
 
     def non_finite(literal: str):  # json.loads alone accepts these; `write_json` never writes them
@@ -138,6 +138,10 @@ def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str])
             bad = [item for item in items if type(item) not in types]
             if bad:
                 raise ArtifactError(f"{path}: field {key!r} must hold {noun}, got {bad[0]!r}")
+            if rule is _INT and level == depth:  # numpy and float arithmetic would overflow on a larger one
+                bad = [item for item in items if not -(2**63) <= item < 2**63]
+                if bad:
+                    raise ArtifactError(f"{path}: field {key!r} must hold 64-bit integers, got {bad[0]}")
             lengths = sorted({len(item) for item in items}) if level < depth else []
             if len(lengths) > 1 and not (level == 1 and key in _RAGGED):
                 raise ArtifactError(f"{path}: field {key!r} must hold lists of one length, got lengths {lengths}")

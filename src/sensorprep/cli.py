@@ -13,6 +13,7 @@ error leaves as machine-readable JSON on stderr with exit code 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -154,9 +155,12 @@ def cmd_detect(args: argparse.Namespace) -> dict:
     body = anomaly.report_to_dict(report)
     artifacts.write(out_dir / "detection_report.json", "detection_report", test.node_ids, body)
     anomaly.write_report_csv(report, out_dir / "detection_report.csv")
+    q_fired, t2_fired = report.rows.q > report.q_limit, report.rows.t2 > report.t2_limit
+    by_chart = {"q_only": q_fired & ~t2_fired, "t2_only": t2_fired & ~q_fired, "both": q_fired & t2_fired}
     return {
         "rows": test.m,
         "flagged": int(report.rows.flagged.sum()),
+        "flagged_by_chart": {chart: int(fired.sum()) for chart, fired in by_chart.items()},
         "abnormal_cells": int(report.verdicts.abnormal.sum()),
         "out_dir": str(out_dir),
     }
@@ -265,6 +269,9 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
     return doc
 
 
+# Built once per process, which may run many commands through `main`. Parsing leaves the parser as it was:
+# argparse copies the `--param` list before it appends to it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sensorprep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -400,8 +400,8 @@ def recoveries_from_dict(doc: artifacts.Document, data: SensorDataset) -> np.rec
     Rule lists of unequal length, a rule that names a node outside the
     document's or has no parents, parents paired with another number of
     dissimilarities, a negative dissimilarity, a negative `rule_rows` and a
-    `slice_len` below 1 are each an ArtifactError naming the file and the
-    field.
+    `slice_len` below 1 or above `data`'s rows are each an ArtifactError
+    naming the file and the field.
     """
     realtime = doc["kind"] == "redundancy_realtime"
     rules = RecoveryRules(
@@ -433,6 +433,8 @@ def recoveries_from_dict(doc: artifacts.Document, data: SensorDataset) -> np.rec
     if not realtime:
         return rebuild(rules, data)
     entries = schedule_from_dict(doc)
+    if doc["slice_len"] > data.m:  # `rsdrda_schedule` makes no slice longer than its data
+        fail("slice_len", f"must be at most the data's {data.m} rows, got {doc['slice_len']}")
     return rebuild(rules, data, entries[entries.sleeping], doc["slice_len"])
 
 

@@ -133,23 +133,42 @@ def select_k(eigenvalues: np.ndarray, ratio: float = 0.85) -> int:
 
 
 def q_statistic(xbar_row: np.ndarray, model: PcaModel) -> float:
-    """Squared norm of the row's residual after projection onto the k retained components."""
-    x = np.asarray(xbar_row, dtype=float)
-    if x.shape != (model.n,):
-        raise ValueError(f"row has shape {x.shape}, expected ({model.n},)")
-    pk = model.eigenvectors[:, : model.k]
-    residual = x - pk @ (pk.T @ x)
-    return float(residual @ residual)
+    """Squared norm of the row's residual after projection onto the k retained components: `_residual` on one row.
+
+    Unlike `t2_statistic`, it reads no eigenvalue, so it accepts a model that retains a zero eigenvalue."""
+    return float(_residual(_one_row(xbar_row, model.n), model.eigenvectors[:, : model.k])[1][0])
 
 
 def t2_statistic(xbar_row: np.ndarray, model: PcaModel) -> float:
-    """Mahalanobis-type distance of the row's scores in the retained subspace."""
-    x = np.asarray(xbar_row, dtype=float)
-    if x.shape != (model.n,):
-        raise ValueError(f"row has shape {x.shape}, expected ({model.n},)")
-    _, _, pk, lam = model.screening  # raises unless every retained eigenvalue is strictly positive
-    scores = pk.T @ x
-    return float(np.sum(scores * scores / lam))
+    """Mahalanobis-type distance of the row's scores in the retained subspace: `_statistics` on one row."""
+    return float(_statistics(_one_row(xbar_row, model.n), model)[1][0])
+
+
+def _one_row(row: np.ndarray, n: int) -> np.ndarray:
+    """A 1 x n float copy of one sample, which the kernels may overwrite."""
+    x = np.array(row, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"row has shape {x.shape}, expected ({n},)")
+    return x[None]
+
+
+def _statistics(z: np.ndarray, model: PcaModel) -> tuple[np.ndarray, np.ndarray]:
+    """(q, t2) of every standardized row of the m x n matrix z, which it overwrites.
+
+    With scores S = Z P_k, q is the row-wise squared norm of Z - S P_k^T and
+    t2 is the row-wise sum of S^2 / lambda_k. Raises unless every retained
+    eigenvalue is strictly positive.
+    """
+    _, _, pk, lam = model.screening
+    scores, q = _residual(z, pk)
+    return q, np.sum(scores * scores / lam, axis=1)
+
+
+def _residual(z: np.ndarray, pk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(scores Z P_k, q) of the rows of z; z is left holding the squared residuals, so no m x n copy is kept."""
+    scores = z @ pk
+    z -= scores @ pk.T
+    return scores, np.sum(np.square(z, out=z), axis=1)
 
 
 def q_threshold(eigenvalues: np.ndarray, k: int, alpha: float) -> float:

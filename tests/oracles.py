@@ -7,21 +7,23 @@ structure search from exhaustive DAG enumeration or from one
 penalized_family_score call per candidate.
 
 The package computes each quantity once, in the batched kernel its
-pipelines run; its per-item entry points (nb_predict_state, rsdrda_infer,
-recover, discretize_row, penalized_family_score) are one-row calls of
-those kernels. The per-item arithmetic they used to have lives on here
-under the same names, with nb_predict_state built on
+pipelines run; its per-item entry points (tq_screen, q_statistic,
+t2_statistic, nb_predict_state, rsdrda_infer, recover, discretize_row,
+penalized_family_score) are one-row calls of those kernels. The per-item
+arithmetic they used to have lives on here, mostly under the same names
+(scalar_tq_screen for the Q/T2 screen), with nb_predict_state built on
 digit_parent_marginal, as the references of the equivalence tests:
-batched detection is checked against one nb_predict_state call per
-(flagged row, node), its marginal tables against the per-slice
-mixed-radix digit sum, static recovery against one recover call per
-reading, the slice- and step-parallel RSDRDA schedule against one
-rsdrda_infer and one recover call per (slice, step, node), and structure
-search, per window of a stack, against one penalized_family_score per
-candidate, scored by the per-cell loglik_terms that the package's one-pass
-scoring kernel replaced, and a cycle repair that recounts every family it
-scores and finds each cycle with the hand-written depth-first search
-(find_cycle) that Dag.find_cycle's graphlib call replaced. A network's
+batched screening is checked against one scalar_tq_screen per row, under
+the float policy of assert_screens_equivalent, batched detection against
+one nb_predict_state call per (flagged row, node), its marginal tables
+against the per-slice mixed-radix digit sum, static recovery against one
+recover call per reading, the slice- and step-parallel RSDRDA schedule
+against one rsdrda_infer and one recover call per (slice, step, node), and
+structure search, per window of a stack, against one penalized_family_score
+per candidate, scored by the per-cell loglik_terms that the package's
+one-pass scoring kernel replaced, and a cycle repair that recounts every
+family it scores and finds each cycle with the hand-written depth-first
+search (find_cycle) that Dag.find_cycle's graphlib call replaced. A network's
 log-likelihood (score) is the sum of those per-cell family scores; the
 package keeps only fitted_score, read from a learned network's counts.
 CSV reading is checked against a loader that parses one cell at a
@@ -170,6 +172,40 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -
     return lam[order], v[:, order]
 
 
+def scalar_tq_screen(row: np.ndarray, model: PcaModel) -> tuple[float, float, bool]:
+    """Per-row Q/T2 screening: the one-row formula that stage one's batched kernel replaced."""
+    _, _, pk, lam = model.screening
+    xbar = apply_standardization(row, model.standardization)
+    scores = pk.T @ xbar
+    residual = xbar - pk @ scores
+    q, t2 = float(residual @ residual), float(np.sum(scores * scores / lam))
+    return q, t2, q > model.q_limit or t2 > model.t2_limit
+
+
+def screen_bounds(rows: np.ndarray, model: PcaModel) -> np.ndarray:
+    """Each raw row's bounds on (q, t2), |z|^2 and |z|^2 / lambda_k for the standardized row z, as an m x 2 array."""
+    std = model.standardization
+    norm2 = np.sum(((np.asarray(rows, dtype=float) - std.means) / np.sqrt(std.variances)) ** 2, axis=1)
+    return np.column_stack([norm2, norm2 / model.eigenvalues[model.k - 1]])
+
+
+def assert_screens_equivalent(got, want, bounds: np.ndarray, limits: tuple[float, float]) -> None:
+    """Float-output policy for two screenings (q, t2, flagged) of the same rows.
+
+    q and t2 must agree within 1e-10 of each row's bounds (screen_bounds).
+    Flags must be equal, except on rows whose q or t2 lies within that
+    tolerance of its limit, where the last bits decide.
+    """
+    stats = [np.column_stack([np.asarray(s[0], dtype=float), np.asarray(s[1], dtype=float)]) for s in (got, want)]
+    tolerance = 1e-10 * bounds
+    drift = np.abs(stats[0] - stats[1])
+    worst = int(np.argmax((drift - tolerance).max(axis=1)))
+    assert (drift <= tolerance).all(), f"row {worst}: q/t2 {stats[0][worst]} against {stats[1][worst]}"
+    near_limit = (np.abs(stats[1] - np.asarray(limits, dtype=float)) <= tolerance).any(axis=1)
+    flags = [np.asarray(s[2], dtype=bool) for s in (got, want)]
+    np.testing.assert_array_equal(flags[0][~near_limit], flags[1][~near_limit])
+
+
 def assert_pca_equivalent(got: PcaModel, want: PcaModel, rows: np.ndarray) -> None:
     """Float-output policy for two PCA models fitted to the same data.
 
@@ -191,10 +227,7 @@ def assert_pca_equivalent(got: PcaModel, want: PcaModel, rows: np.ndarray) -> No
     np.testing.assert_allclose([got.q_limit, got.t2_limit], [want.q_limit, want.t2_limit], rtol=1e-10, atol=0.0)
     screened = [np.array([tq_screen(row, model) for row in rows]) for model in (got, want)]
     np.testing.assert_array_equal(screened[0][:, 2], screened[1][:, 2])
-    std = want.standardization
-    norm2 = np.sum(((np.asarray(rows, dtype=float) - std.means) / np.sqrt(std.variances)) ** 2, axis=1)
-    bounds = np.column_stack([norm2, norm2 / want.eigenvalues[want.k - 1]])
-    drift = np.abs(screened[0][:, :2] - screened[1][:, :2]) / bounds
+    drift = np.abs(screened[0][:, :2] - screened[1][:, :2]) / screen_bounds(rows, want)
     assert drift.max() <= 1e-10, f"q/t2 drift {drift.max():.3e} relative"
     projectors = [m.eigenvectors[:, : m.k] @ m.eigenvectors[:, : m.k].T for m in (got, want)]
     np.testing.assert_allclose(projectors[0], projectors[1], rtol=0.0, atol=1e-12)
@@ -395,7 +428,7 @@ def scalar_tqbayes_detect(
     rows = []
     verdicts = []
     for r in range(test.m):
-        q, t2, flagged = tq_screen(test.values[r], model)
+        q, t2, flagged = scalar_tq_screen(test.values[r], model)
         rows.append((r, q, t2, flagged))
         if not flagged:
             continue

@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 
 from oracles import (
     apply_standardization,
+    assert_screens_equivalent,
     brute_nb_posterior,
     random_transition_network,
+    scalar_tq_screen,
     scalar_tqbayes_detect,
+    screen_bounds,
     trivial_scheme,
 )
 from sensorprep.anomaly import (
+    _screen,
     nb_predict_state,
     report_from_dict,
     report_to_dict,
@@ -114,6 +118,72 @@ class TestTqScreen:
         with pytest.raises(ValueError) as got:
             tq_screen(row, model)
         assert str(got.value) == str(reference.value)
+
+
+def detect_rows(rows, model):
+    """The report rows of `tqbayes_detect` over raw rows (at least 2), under a parentless network."""
+    n, k = model.n, 2
+    tn = TransitionNetwork(Dag(n, ((),) * n), (np.ones((1, k), dtype=np.int64),) * n, np.full((n, k), 1.0 / k))
+    test = SensorDataset(rows, [f"n{j}" for j in range(n)])
+    return tqbayes_detect(test, model, tn, trivial_scheme(n, k), rows[0]).rows
+
+
+@st.composite
+def screening_cases(draw):
+    """A PCA model over a random orthonormal basis and spectrum, and 1 to 300 raw rows, some of them at the
+    training mean or inside the retained subspace, where q or t2 is a cancellation near zero."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, n))
+    m = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    spectrum = np.sort(rng.uniform(1e-3, 10.0, n) ** draw(st.sampled_from([1, 3])))[::-1]
+    std = Standardization(rng.uniform(-50.0, 50.0, n), rng.uniform(0.01, 100.0, n))
+    z = rng.standard_normal((m, n)) * draw(st.floats(0.0, 5.0))
+    z[rng.random(m) < 0.1] = 0.0
+    inside = rng.random(m) < 0.1
+    z[inside] = rng.standard_normal((inside.sum(), k)) @ basis[:, :k].T
+    rows = std.means + np.sqrt(std.variances) * z
+    # Limits at quantiles of the oracle's statistics flag some rows, and none or all at the extremes.
+    free = PcaModel(std, spectrum, basis, k, np.inf, np.inf, 0.05)
+    stats = np.array([scalar_tq_screen(row, free)[:2] for row in rows])
+    limits = [float(np.quantile(column, draw(st.floats(0.0, 1.0)))) for column in stats.T]
+    return PcaModel(std, spectrum, basis, k, *limits, 0.05), rows
+
+
+class TestBatchedStageOne:
+    """Stage one screens the whole test matrix in one projection; per row it agrees with the one-row formula."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(screening_cases())
+    def test_matches_per_row_oracle(self, case):
+        model, rows = case
+        got = _screen(rows, model)
+        want = tuple(map(np.array, zip(*(scalar_tq_screen(row, model) for row in rows))))
+        assert_screens_equivalent(got, want, screen_bounds(rows, model), (model.q_limit, model.t2_limit))
+        if len(rows) >= 2:  # a dataset holds at least 2 samples
+            report = detect_rows(rows, model)
+            for name, column in zip(("row", "q", "t2", "flagged"), (np.arange(len(rows)), *got)):
+                np.testing.assert_array_equal(report[name], column)
+
+    @settings(max_examples=100, deadline=None)
+    @given(screening_cases())
+    def test_one_row_alone_matches_it_inside_a_batch(self, case):
+        model, rows = case
+        alone = tuple(map(np.array, zip(*(tq_screen(row, model) for row in rows))))
+        limits = (model.q_limit, model.t2_limit)
+        assert_screens_equivalent(alone, _screen(rows, model), screen_bounds(rows, model), limits)
+
+    def test_statistic_equal_to_its_limit_is_not_flagged(self):
+        # Identity bases make every statistic exact: row (1, 3) keeps score 1 and leaves residual 3, so q = 9;
+        # row (3, 4) kept whole has t2 = 9 + 16 = 25.
+        q_model = PcaModel(Standardization(np.zeros(2), np.ones(2)), [2.0, 1.0], np.eye(2), 1, 9.0, np.inf, 0.05)
+        for model, row, limit in ((q_model, [1.0, 3.0], 9.0), (t2_model(2, 25.0), [3.0, 4.0], 25.0)):
+            rows = np.array([row, np.array(row) * 1.001])
+            assert tq_screen(rows[0], model)[2] is False
+            report = detect_rows(rows, model)
+            assert limit in (report.q[0], report.t2[0])
+            assert report.flagged.tolist() == [False, True]
 
 
 class TestCalibration:

@@ -17,8 +17,8 @@ import oracles
 from sensorprep import artifacts, redundancy
 from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, report_to_dict
 from sensorprep.bayesnet import estimate_cpt, learn_transition, static_from_dict, transition_from_dict
-from sensorprep.cli import main
-from sensorprep.ingest import SensorDataset, discretize, fit_discretization, load_csv, write_csv
+from sensorprep.cli import _build_parser, main
+from sensorprep.ingest import SensorDataset, discretize, fit_discretization, load_csv, synth_generate, write_csv
 from sensorprep.spectra import model_from_dict
 
 
@@ -159,6 +159,21 @@ class TestPipeline:
         row_metrics = outputs["evaluate"]["row_level"]
         assert row_metrics["recall"] == 1.0
         assert row_metrics["tp"] == 30
+
+    def test_detect_summary_counts_the_charts_that_fired(self, tmp_path, capsys):
+        art, outputs = run_full_pipeline(tmp_path, capsys)
+        summary = outputs["detect"]
+        by_chart = summary["flagged_by_chart"]
+        assert sorted(by_chart) == ["both", "q_only", "t2_only"]
+        assert sum(by_chart.values()) == summary["flagged"] > 0
+        doc = json.loads((art / "detection_report.json").read_text())
+        _, q, t2, _ = doc["rows"]
+        q_fired, t2_fired = np.array(q) > doc["q_limit"], np.array(t2) > doc["t2_limit"]
+        assert by_chart == {
+            "q_only": int((q_fired & ~t2_fired).sum()),
+            "t2_only": int((t2_fired & ~q_fired).sum()),
+            "both": int((q_fired & t2_fired).sum()),
+        }
 
     def test_realtime_summary_reports_the_trade_off(self, tmp_path, capsys):
         art, outputs = run_full_pipeline(tmp_path, capsys)
@@ -435,6 +450,14 @@ class TestPipeline:
                          lambda d: d.update(entries=[list(range(768)), [i % 8 for i in range(768)], *d["entries"]]),
                          "field 'entries': expected 2 columns of equal length: sleeping, max_posterior",
                          id="entries-four-columns"),
+            # 3 slices of 400 - 368 = 32 steps fit the entries, but not the 240 rows of the data.
+            pytest.param("redundancy_realtime.json", lambda d: d.update(slice_len=400, train_frac=0.92),
+                         "field 'slice_len' must be at most the data's 240 rows, got 400", id="slice-len-over-rows"),
+            # These ended in a bare OverflowError.
+            pytest.param("redundancy_realtime.json", lambda d: d.update(slice_len=10**400),
+                         f"field 'slice_len' must hold 64-bit integers, got {10**400}", id="slice-len-huge"),
+            pytest.param("redundancy_realtime.json", lambda d: d["rule_slice"].__setitem__(0, 2**63),
+                         f"field 'rule_slice' must hold 64-bit integers, got {2**63}", id="rule-slice-huge"),
         ],
     )
     def test_malformed_artifact_field_names_file_and_field(self, tmp_path, capsys, name, edit, message):
@@ -844,6 +867,22 @@ class TestPipeline:
         assert exc.value.code == 2 and captured.out == ""
         assert f"argument {flag}: invalid int value: '{value}'" in captured.err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_each_call_parses_its_own_flags(self, tmp_path, capsys):
+        # The parser is built once per process; one call's appended --param values do not reach the next call,
+        # where copy-child's `flip` would be an unknown parameter of correlated-drift.
+        assert _build_parser() is _build_parser()
+        for profile, param in (("copy-child", "flip=0.2"), ("correlated-drift", "latents=1")):
+            code, out, err = run(capsys, [
+                "synth", "--profile", profile, "--rows", "40", "--cols", "3", "--param", param,
+                "--out", str(tmp_path / f"{profile}.csv"),
+            ])
+            assert code == 0, err
+        got = load_csv(tmp_path / "correlated-drift.csv")
+        np.testing.assert_array_equal(got.values, synth_generate(0, 40, 3, "correlated-drift", latents=1).values)
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--rows", "ten"])
+        assert exc.value.code == 2 and "argument --rows: invalid int value: 'ten'" in capsys.readouterr().err
 
     def test_disabled_q_test_round_trips_as_strict_json(self, tmp_path, capsys):
         def strict(text):
