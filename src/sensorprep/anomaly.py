@@ -15,7 +15,7 @@ import numpy as np
 
 from . import artifacts
 from .bayesnet import TransitionNetwork, parent_marginals
-from .ingest import DiscretizationScheme, SensorDataset, discretize
+from .ingest import DiscretizationScheme, SensorDataset, StateMatrix, discretize
 from .ingest import _distinct_cells, _indexed_cells, _number_cells, _write_columns
 from .spectra import PcaModel, _one_row, _statistics, limit_from_json, limit_to_json
 
@@ -44,6 +44,8 @@ VERDICT_DTYPE = np.dtype(
         ("uninferable", np.bool_),
     ]
 )
+# The verdict columns that a `detection_report` file stores; `report_from_dict` rebuilds the others.
+_STORED_DTYPE = np.dtype([("observed", np.int64), ("predicted", np.int64)])
 
 
 @dataclass(frozen=True)
@@ -108,16 +110,16 @@ def tqbayes_detect(
     model: PcaModel,
     tn: TransitionNetwork,
     scheme: DiscretizationScheme,
-    last_train_row: np.ndarray,
+    last_states: np.ndarray,
 ) -> DetectionReport:
     """Run the full two-stage detector over a test set.
 
     Stage one screens every row at once. Stage two then runs over all
     flagged rows at once: each inferable node is marked abnormal when the
     state predicted from its parents' previous states disagrees with the
-    observed one. The first test row uses the supplied last training row as
-    its predecessor; later rows use the observed previous test row even if
-    it was itself corrupted.
+    observed one. Test row 0 follows the states `last_states` (the last
+    training row's, which `learn` stores); later rows follow the observed
+    previous test row even if it was itself corrupted.
     """
     k = tn.counts[0].shape[1]
     if test.n != model.n or test.n != tn.dag.n or test.n != scheme.n or scheme.state_count != k:
@@ -125,20 +127,22 @@ def tqbayes_detect(
             f"artifact shapes disagree: data n={test.n}, model n={model.n}, "
             f"network n={tn.dag.n}, scheme n={scheme.n}, network K={k}, scheme K={scheme.state_count}"
         )
-    last_train_row = np.asarray(last_train_row, dtype=float)
-    if last_train_row.shape != (test.n,):
-        raise ValueError(f"last training row has shape {last_train_row.shape}, expected ({test.n},)")
 
     rows = np.rec.fromarrays([np.arange(test.m), *_screen(test.values, model)], dtype=ROW_DTYPE)
     flagged = np.flatnonzero(rows.flagged)
     # Row 0 of `states` is the last training row, so test row r sits at r + 1.
-    states = discretize(SensorDataset(np.vstack([last_train_row, test.values]), test.node_ids), scheme).states
+    states = StateMatrix(np.vstack([last_states, discretize(test, scheme).states]), k).states
     prev, observed = states[flagged], states[flagged + 1].ravel()
     predicted = np.column_stack([_predict_states(node, prev, tn)[0] for node in range(test.n)]).ravel()
-    uninferable = np.tile([not ps for ps in tn.dag.parents], len(flagged))
-    cells = [np.repeat(flagged, test.n), np.tile(np.arange(test.n), len(flagged)), observed, predicted]
-    verdicts = np.rec.fromarrays([*cells, ~uninferable & (predicted != observed), uninferable], dtype=VERDICT_DTYPE)
-    return DetectionReport(model.q_limit, model.t2_limit, rows, verdicts)
+    uninferable = np.array([not ps for ps in tn.dag.parents])
+    return DetectionReport(model.q_limit, model.t2_limit, rows, _verdicts(flagged, observed, predicted, uninferable))
+
+
+def _verdicts(flagged: np.ndarray, observed: np.ndarray, predicted: np.ndarray, uninferable: np.ndarray) -> np.recarray:
+    """Each flagged row's verdicts, node by node: abnormal where an inferable node's two states differ."""
+    n, uninferable = len(uninferable), np.tile(uninferable, len(flagged))
+    cells = [np.repeat(flagged, n), np.tile(np.arange(n), len(flagged)), observed, predicted]
+    return np.rec.fromarrays([*cells, ~uninferable & (predicted != observed), uninferable], dtype=VERDICT_DTYPE)
 
 
 def _predict_states(node: int, prev: np.ndarray, tn: TransitionNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -156,18 +160,29 @@ def _predict_states(node: int, prev: np.ndarray, tn: TransitionNetwork) -> tuple
 
 
 def report_to_dict(report: DetectionReport) -> dict:
-    """The `detection_report` artifact body: both record arrays as columns."""
+    """The `detection_report` artifact body: the rows, and of `tqbayes_detect`'s verdicts what `report_from_dict`
+    cannot rebuild, the `observed` and `predicted` columns and each node's `uninferable` flag (none if none flagged)."""
+    verdicts, flagged = report.verdicts, np.count_nonzero(report.rows.flagged)
     return {
         "q_limit": limit_to_json(report.q_limit),
         "t2_limit": float(report.t2_limit),
         "rows": artifacts.columns(report.rows),
-        "verdicts": artifacts.columns(report.verdicts),
+        "verdicts": artifacts.columns(verdicts[list(_STORED_DTYPE.names)]),
+        "uninferable": verdicts.uninferable[: len(verdicts) // flagged if flagged else 0].tolist(),
     }
 
 
-def report_from_dict(doc: dict) -> DetectionReport:
+def report_from_dict(doc: artifacts.Document) -> DetectionReport:
+    """A read `detection_report` document, with its verdicts rebuilt as `tqbayes_detect` builds them. A `verdicts` or
+    `uninferable` of the wrong length for the flagged rows and the nodes is an ArtifactError naming the field."""
     rows = artifacts.records(doc["rows"], ROW_DTYPE, doc, "rows")
-    verdicts = artifacts.records(doc["verdicts"], VERDICT_DTYPE, doc, "verdicts")
+    stored = artifacts.records(doc["verdicts"], _STORED_DTYPE, doc, "verdicts")
+    flagged, n = rows.row[rows.flagged], len(doc["node_ids"])
+    for key, size, expected in (("uninferable", len(doc["uninferable"]), n if len(flagged) else 0),
+                                ("verdicts", len(stored), len(flagged) * n)):
+        if size != expected:
+            doc.fail(key, f"must hold {expected} entries for {len(flagged)} flagged rows of {n} nodes, got {size}")
+    verdicts = _verdicts(flagged, stored.observed, stored.predicted, np.array(doc["uninferable"], dtype=bool))
     return DetectionReport(limit_from_json(doc["q_limit"]), doc["t2_limit"], rows, verdicts)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -28,13 +28,15 @@ KINDS = dict.fromkeys(("pca_model", "scheme", "static_network", "transition_netw
 }
 # What the numbers of a field must be: (the words an error uses, the JSON types they may take).
 _INT, _FLOAT, _NULLABLE = ("integers", {int}), ("numbers", {int, float}), ("numbers or null", {int, float, type(None)})
-# Each number field that a command reads, in whichever kinds hold it: (its numbers' rule, how many lists deep).
+_BOOL = ("booleans", {bool})
+# Each number (or flag) field that a command reads, in whichever kinds hold it: (its rule, how many lists deep).
 _NUMBERS = {
     "k": (_INT, 0), "state_count": (_INT, 0), "parents": (_INT, 2), "q_limit": (_NULLABLE, 0),
     "t2_limit": (_FLOAT, 0), "alpha": (_FLOAT, 0), "means": (_FLOAT, 1), "variances": (_FLOAT, 1),
     "eigenvalues": (_FLOAT, 1), "eigenvectors": (_FLOAT, 2), "edges": (_FLOAT, 2), "priors": (_FLOAT, 2),
     "counts": (_FLOAT, 3), "slice_len": (_INT, 0), "train_frac": (_FLOAT, 0), "rule_rows": (_INT, 0),
     "rule_slice": (_INT, 1), "rule_node": (_INT, 1), "rule_parents": (_INT, 2), "rule_dissimilarities": (_FLOAT, 2),
+    "last_states": (_INT, 1), "uninferable": (_BOOL, 1),
 }
 # The fields whose lists one level down, one per node or rule, may differ in length. Every other field's lists
 # at one level have one length, as in a matrix (a count table's rows all hold K counts).
@@ -46,10 +48,14 @@ class ArtifactError(ValueError):
 
 
 class Document(dict):
-    """A document `read` returned: reading a missing field is an ArtifactError naming the file, kind and field."""
+    """A document `read` returned: reading a missing field is an ArtifactError naming the file, kind and field,
+    and `fail` raises one naming the file and a field that holds a bad value."""
 
     def __missing__(self, key: str):
         raise ArtifactError(f"{self.path}: {self.get('kind')} has no field {key!r}; {self.rerun}")
+
+    def fail(self, key: str, problem: str) -> NoReturn:
+        raise ArtifactError(f"{self.path}: field {key!r} {problem}")
 
 
 def check_node_ids(expected: Sequence[str], got: Sequence[str], what: str, reference: str) -> None:
@@ -137,13 +143,13 @@ def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str])
         for level, (noun, types) in enumerate([("lists", {list})] * depth + [rule]):
             bad = [item for item in items if type(item) not in types]
             if bad:
-                raise ArtifactError(f"{path}: field {key!r} must hold {noun}, got {bad[0]!r}")
+                doc.fail(key, f"must hold {noun}, got {bad[0]!r}")
             if rule is _INT and level == depth:  # numpy and float arithmetic would overflow on a larger one
                 bad = [item for item in items if not -(2**63) <= item < 2**63]
                 if bad:
-                    raise ArtifactError(f"{path}: field {key!r} must hold 64-bit integers, got {bad[0]}")
+                    doc.fail(key, f"must hold 64-bit integers, got {bad[0]}")
             lengths = sorted({len(item) for item in items}) if level < depth else []
             if len(lengths) > 1 and not (level == 1 and key in _RAGGED):
-                raise ArtifactError(f"{path}: field {key!r} must hold lists of one length, got lengths {lengths}")
+                doc.fail(key, f"must hold lists of one length, got lengths {lengths}")
             items = [x for item in items if type(item) is list for x in item]
     return doc

@@ -94,7 +94,7 @@ def cmd_learn(args: argparse.Namespace) -> dict:
         ("pca_model", spectra.model_to_dict(model)),
         ("scheme", {"state_count": scheme.state_count, "edges": scheme.edges.tolist()}),
         ("static_network", bayesnet.network_to_dict(static)),
-        ("transition_network", bayesnet.network_to_dict(transition)),
+        ("transition_network", {**bayesnet.network_to_dict(transition), "last_states": states.states[-1].tolist()}),
     ):
         artifacts.write(out_dir / f"{kind}.json", kind, train.node_ids, body)
 
@@ -141,16 +141,19 @@ def cmd_inject(args: argparse.Namespace) -> dict:
 
 def cmd_detect(args: argparse.Namespace) -> dict:
     art = Path(args.artifacts)
-    train = ingest.load_csv(args.train)
+    train_ids = ingest.load_node_ids(args.train)  # `learn` stored the one training row `detect` needs
     test = ingest.load_csv(args.data)
-    artifacts.check_node_ids(train.node_ids, test.node_ids, "detect --train", "training CSV")
+    artifacts.check_node_ids(train_ids, test.node_ids, "detect --train", "training CSV")
     model = spectra.model_from_dict(artifacts.read(art / "pca_model.json", "pca_model", test.node_ids))
     scheme_doc = artifacts.read(art / "scheme.json", "scheme", test.node_ids)
     scheme = ingest.DiscretizationScheme(scheme_doc["edges"], scheme_doc["state_count"])
     tn_doc = artifacts.read(art / "transition_network.json", "transition_network", test.node_ids)
-    tn = bayesnet.transition_from_dict(tn_doc)
+    tn, last_states = bayesnet.transition_from_dict(tn_doc), tn_doc["last_states"]
+    k = tn.counts[0].shape[1]
+    if len(last_states) != test.n or not all(1 <= s <= k for s in last_states):
+        tn_doc.fail("last_states", f"must hold {test.n} states in 1..{k}, one per node, got {last_states}")
 
-    report = anomaly.tqbayes_detect(test, model, tn, scheme, train.values[-1])
+    report = anomaly.tqbayes_detect(test, model, tn, scheme, last_states)
     out_dir = Path(args.out_dir)
     body = anomaly.report_to_dict(report)
     artifacts.write(out_dir / "detection_report.json", "detection_report", test.node_ids, body)
@@ -244,9 +247,6 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
 
     # Cell (r, j) is the integer r * n + j, so the universe is a range.
     hit = report.verdicts[report.verdicts.abnormal]
-    outside = hit.node[(hit.node < 0) | (hit.node >= n)]
-    if outside.size:
-        raise ValueError(f"report names node {outside[0]}, outside the truth file's {n} nodes")
     truth_cells = [r * n + j for r in truth_rows for j in range(n)]
     predicted_cells = (hit.row * n + hit.node).tolist()
     cells = metrics.precision_recall(truth_cells, predicted_cells, range(test_rows * n))

@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "DiscretizationScheme",
     "StateMatrix",
     "load_csv",
+    "load_node_ids",
     "write_csv",
     "standardize",
     "fit_discretization",
@@ -181,27 +182,37 @@ def load_csv(path: str | Path) -> SensorDataset:
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        has_ts = bool(header) and header[0] == "timestamp"
-        node_ids = header[1:] if has_ts else header
-        if not node_ids:
-            raise ValueError(f"{path}: header contains no node ids")
-        dup = _first_duplicate(node_ids)
-        if dup is not None:
-            raise ValueError(f"{path}: duplicate node id {dup!r}")
-
+        node_ids, has_ts = _header(reader, path)
         body = _parse_bulk(fh, len(node_ids), has_ts)
         if body is None:
             fh.seek(0)
             next(reader)  # back to the first data row
-            body = _parse_cells(reader, path, len(header), node_ids, has_ts)
+            body = _parse_cells(reader, path, has_ts + len(node_ids), node_ids, has_ts)
     values, stamps = body
     if len(values) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(values)}")
     return SensorDataset(values, tuple(node_ids), stamps)
+
+
+def load_node_ids(path: str | Path) -> tuple[str, ...]:
+    """The node ids of a CSV that `load_csv` reads, from its header alone: no data row is read."""
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
+        return tuple(_header(csv.reader(fh), path)[0])
+
+
+def _header(reader: Iterator[list[str]], path: str | Path) -> tuple[list[str], bool]:
+    """The node ids of the header row that `reader` yields next, and whether a `timestamp` column leads them."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    has_ts = bool(header) and header[0] == "timestamp"
+    node_ids = header[1:] if has_ts else header
+    if not node_ids:
+        raise ValueError(f"{path}: header contains no node ids")
+    if (dup := _first_duplicate(node_ids)) is not None:
+        raise ValueError(f"{path}: duplicate node id {dup!r}")
+    return node_ids, has_ts
 
 
 def _parse_bulk(lines: Iterable[str], width: int, has_ts: bool) -> tuple[np.ndarray, tuple[int, ...] | None] | None:

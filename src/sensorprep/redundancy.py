@@ -399,9 +399,9 @@ def recoveries_from_dict(doc: artifacts.Document, data: SensorDataset) -> np.rec
 
     Rule lists of unequal length, a rule that names a node outside the
     document's or has no parents, parents paired with another number of
-    dissimilarities, a negative dissimilarity, a negative `rule_rows` and a
-    `slice_len` below 1 or above `data`'s rows are each an ArtifactError
-    naming the file and the field.
+    dissimilarities, a negative dissimilarity, a `rule_rows` below 0, a
+    `slice_len` below 1, and either one above `data`'s rows are each an
+    ArtifactError naming the file and the field.
     """
     realtime = doc["kind"] == "redundancy_realtime"
     rules = RecoveryRules(
@@ -409,32 +409,29 @@ def recoveries_from_dict(doc: artifacts.Document, data: SensorDataset) -> np.rec
         **({"slice": doc["rule_slice"]} if realtime else {"rows": doc["rule_rows"]}),
     )
 
-    def fail(key: str, problem: str):
-        raise artifacts.ArtifactError(f"{doc.path}: field {key!r} {problem}")
-
     for key, value in _rule_fields(rules).items():
         if isinstance(value, list) and len(value) != len(rules.node):
-            fail(key, f"must hold one entry per rule: got {len(value)} for the {len(rules.node)} in 'rule_node'")
+            doc.fail(key, f"must hold one entry per rule: got {len(value)} for the {len(rules.node)} in 'rule_node'")
     n = len(doc["node_ids"])
     for key, nodes in (("rule_node", rules.node), ("rule_parents", [p for ps in rules.parents for p in ps])):
         outside = [node for node in nodes if not 0 <= node < n]
         if outside:
-            fail(key, f"names node {outside[0]}, outside the nodes 0..{n - 1}")
+            doc.fail(key, f"names node {outside[0]}, outside the nodes 0..{n - 1}")
     for i, (parents, dists) in enumerate(zip(rules.parents, rules.dissimilarities)):
         if not parents:
-            fail("rule_parents", f"gives rule {i} no parents")
+            doc.fail("rule_parents", f"gives rule {i} no parents")
         if len(dists) != len(parents):
-            fail("rule_dissimilarities", f"gives rule {i} parents {parents} but dissimilarities {dists}")
+            doc.fail("rule_dissimilarities", f"gives rule {i} parents {parents} but dissimilarities {dists}")
         if min(dists) < 0:
-            fail("rule_dissimilarities", f"gives rule {i} the negative dissimilarity {min(dists)}")
+            doc.fail("rule_dissimilarities", f"gives rule {i} the negative dissimilarity {min(dists)}")
     key, low = ("slice_len", 1) if realtime else ("rule_rows", 0)
     if doc[key] < low:
-        fail(key, f"must be at least {low}, got {doc[key]}")
-    if not realtime:
+        doc.fail(key, f"must be at least {low}, got {doc[key]}")
+    entries = schedule_from_dict(doc) if realtime else None
+    if doc[key] > data.m:  # `static_rules` covers its data's rows; `rsdrda_schedule` makes no slice longer
+        doc.fail(key, f"must be at most the data's {data.m} rows, got {doc[key]}")
+    if entries is None:
         return rebuild(rules, data)
-    entries = schedule_from_dict(doc)
-    if doc["slice_len"] > data.m:  # `rsdrda_schedule` makes no slice longer than its data
-        fail("slice_len", f"must be at most the data's {data.m} rows, got {doc['slice_len']}")
     return rebuild(rules, data, entries[entries.sleeping], doc["slice_len"])
 
 
@@ -445,7 +442,7 @@ def schedule_from_dict(doc: artifacts.Document) -> np.recarray:
     field."""
     stored = artifacts.records(doc["entries"], _STORED_DTYPE, doc, "entries")
     if not 0 < doc["train_frac"] < 1:
-        raise artifacts.ArtifactError(f"{doc.path}: field 'train_frac' must lie in (0, 1), got {doc['train_frac']}")
+        doc.fail("train_frac", f"must lie in (0, 1), got {doc['train_frac']}")
     try:
         t, node = _schedule_steps(doc["slice_len"], doc["train_frac"], len(doc["node_ids"]), len(stored))
     except ValueError as exc:

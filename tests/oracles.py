@@ -418,10 +418,11 @@ def scalar_tqbayes_detect(
     model: PcaModel,
     tn: TransitionNetwork,
     scheme: DiscretizationScheme,
-    last_train_row: np.ndarray,
+    last_states: np.ndarray,
 ) -> DetectionReport:
     """Per-row two-stage detection: one discretize_row per flagged row and
-    its predecessor, one nb_predict_state call per node.
+    its predecessor (the states `last_states` before row 0), one
+    nb_predict_state call per node.
 
     The reference for the batched stage two of tqbayes_detect.
     """
@@ -432,8 +433,7 @@ def scalar_tqbayes_detect(
         rows.append((r, q, t2, flagged))
         if not flagged:
             continue
-        prev_raw = last_train_row if r == 0 else test.values[r - 1]
-        prev_states = discretize_row(prev_raw, scheme)
+        prev_states = last_states if r == 0 else discretize_row(test.values[r - 1], scheme)
         observed = discretize_row(test.values[r], scheme)
         for node in range(test.n):
             predicted, _ = nb_predict_state(node, prev_states, tn)

@@ -170,7 +170,8 @@ def test_criterion_06_tqbayes_localization():
     test = SensorDataset(data.values[400:], data.node_ids)
     model = fit_pca_model(train, 0.85, 0.05)
     scheme = fit_discretization(train, 3)
-    tn = learn_transition(discretize(train, scheme), 3)
+    train_states = discretize(train, scheme)
+    tn = learn_transition(train_states, 3)
 
     child = 1
     sd = train.values[:, child].std(ddof=1)
@@ -188,7 +189,7 @@ def test_criterion_06_tqbayes_localization():
     values[rows, child] += 3.0 * sd
     corrupted = SensorDataset(values, test.node_ids)
 
-    detection = tqbayes_detect(corrupted, model, tn, scheme, train.values[-1])
+    detection = tqbayes_detect(corrupted, model, tn, scheme, train_states.states[-1])
     flagged = set(detection.flagged_rows())
     universe = {(i, j) for i in range(test.m) for j in range(test.n)}
     truth = {(i, child) for i in rows}

@@ -15,7 +15,11 @@ from oracles import (
     screen_bounds,
     trivial_scheme,
 )
+from sensorprep import artifacts
 from sensorprep.anomaly import (
+    ROW_DTYPE,
+    VERDICT_DTYPE,
+    DetectionReport,
     _screen,
     nb_predict_state,
     report_from_dict,
@@ -25,7 +29,14 @@ from sensorprep.anomaly import (
     write_report_csv,
 )
 from sensorprep.bayesnet import Dag, TransitionNetwork, learn_transition
-from sensorprep.ingest import SensorDataset, Standardization, discretize, fit_discretization, synth_generate
+from sensorprep.ingest import (
+    SensorDataset,
+    Standardization,
+    discretize,
+    discretize_row,
+    fit_discretization,
+    synth_generate,
+)
 from sensorprep.spectra import PcaModel, fit_pca_model, q_statistic, t2_statistic
 
 
@@ -124,8 +135,8 @@ def detect_rows(rows, model):
     """The report rows of `tqbayes_detect` over raw rows (at least 2), under a parentless network."""
     n, k = model.n, 2
     tn = TransitionNetwork(Dag(n, ((),) * n), (np.ones((1, k), dtype=np.int64),) * n, np.full((n, k), 1.0 / k))
-    test = SensorDataset(rows, [f"n{j}" for j in range(n)])
-    return tqbayes_detect(test, model, tn, trivial_scheme(n, k), rows[0]).rows
+    test, scheme = SensorDataset(rows, [f"n{j}" for j in range(n)]), trivial_scheme(n, k)
+    return tqbayes_detect(test, model, tn, scheme, discretize_row(rows[0], scheme)).rows
 
 
 @st.composite
@@ -278,7 +289,7 @@ class TestTqBayesDetect:
     def test_no_flags_no_verdicts(self, fitted):
         train, test, model, scheme, tn = fitted
         quiet = SensorDataset(np.tile(train.values.mean(axis=0), (5, 1)), test.node_ids)
-        report = tqbayes_detect(quiet, model, tn, scheme, train.values[-1])
+        report = tqbayes_detect(quiet, model, tn, scheme, discretize_row(train.values[-1], scheme))
         assert report.flagged_rows() == []
         assert len(report.verdicts) == 0
 
@@ -293,7 +304,8 @@ class TestTqBayesDetect:
         )
         vals = test.values.copy()
         vals[row, child] += 3.0 * sd
-        report = tqbayes_detect(SensorDataset(vals, test.node_ids), model, tn, scheme, train.values[-1])
+        last_states = discretize_row(train.values[-1], scheme)
+        report = tqbayes_detect(SensorDataset(vals, test.node_ids), model, tn, scheme, last_states)
         assert row in report.flagged_rows()
         marked = {v.node for v in report.verdicts if v.row == row and v.abnormal}
         assert child in marked
@@ -304,13 +316,13 @@ class TestTqBayesDetect:
 
     def test_stage_two_only_on_flagged_rows(self, fitted):
         train, test, model, scheme, tn = fitted
-        report = tqbayes_detect(test, model, tn, scheme, train.values[-1])
+        report = tqbayes_detect(test, model, tn, scheme, discretize_row(train.values[-1], scheme))
         flagged = set(report.flagged_rows())
         assert {v.row for v in report.verdicts} <= flagged
 
     def test_uninferable_nodes_never_abnormal(self, fitted):
         train, test, model, scheme, tn = fitted
-        report = tqbayes_detect(test, model, tn, scheme, train.values[-1])
+        report = tqbayes_detect(test, model, tn, scheme, discretize_row(train.values[-1], scheme))
         for v in report.verdicts:
             if v.uninferable:
                 assert not v.abnormal
@@ -335,20 +347,22 @@ class TestTqBayesDetect:
         shifted = SensorDataset(test.values + shift, test.node_ids)
         # Precondition for the property: no state actually moved.
         np.testing.assert_array_equal(discretize(shifted, scheme).states, clean)
-        report = tqbayes_detect(shifted, flag_all, tn, scheme, train.values[-1])
+        report = tqbayes_detect(shifted, flag_all, tn, scheme, discretize_row(train.values[-1], scheme))
         assert len(report.flagged_rows()) == test.m
         assert all(not v.abnormal for v in report.verdicts)
 
     def test_deterministic_reports(self, fitted):
         train, test, model, scheme, tn = fitted
-        a = tqbayes_detect(test, model, tn, scheme, train.values[-1])
-        b = tqbayes_detect(test, model, tn, scheme, train.values[-1])
+        a = tqbayes_detect(test, model, tn, scheme, discretize_row(train.values[-1], scheme))
+        b = tqbayes_detect(test, model, tn, scheme, discretize_row(train.values[-1], scheme))
         assert report_to_dict(a) == report_to_dict(b)
 
     def test_report_roundtrip_and_csv(self, fitted, tmp_path):
         train, test, model, scheme, tn = fitted
-        report = tqbayes_detect(test, model, tn, scheme, train.values[-1])
-        assert_reports_equal(report_from_dict(report_to_dict(report)), report)
+        report = tqbayes_detect(test, model, tn, scheme, discretize_row(train.values[-1], scheme))
+        artifacts.write(tmp_path / "report.json", "detection_report", test.node_ids, report_to_dict(report))
+        doc = artifacts.read(tmp_path / "report.json", "detection_report", test.node_ids)
+        assert_reports_equal(report_from_dict(doc), report)
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         header = path.read_text().splitlines()[0]
@@ -358,7 +372,38 @@ class TestTqBayesDetect:
         train, test, model, scheme, tn = fitted
         narrow = SensorDataset(test.values[:, :5], test.node_ids[:5])
         with pytest.raises(ValueError, match="disagree"):
-            tqbayes_detect(narrow, model, tn, scheme, train.values[-1])
+            tqbayes_detect(narrow, model, tn, scheme, discretize_row(train.values[-1], scheme))
+
+
+@st.composite
+def detection_reports(draw):
+    """Node ids and a report as `tqbayes_detect` builds one: any rows flagged (none or all of them among the draws),
+    one verdict per (flagged row, node) in that order, and any nodes uninferable (all or none among the draws)."""
+    n, m, k = draw(st.integers(1, 6)), draw(st.integers(2, 20)), draw(st.integers(2, 4))
+    patterns = {"none": lambda size: [False] * size, "all": lambda size: [True] * size,
+                "some": lambda size: draw(st.lists(st.booleans(), min_size=size, max_size=size))}
+    flagged = patterns[draw(st.sampled_from(list(patterns)))](m)
+    uninferable = patterns[draw(st.sampled_from(list(patterns)))](n)
+    statistics = st.lists(st.floats(0.0, 1e6), min_size=m, max_size=m)
+    rows = np.rec.fromarrays([np.arange(m), draw(statistics), draw(statistics), flagged], dtype=ROW_DTYPE)
+    cells = [(r, j) for r in range(m) if flagged[r] for j in range(n)]
+    states = st.lists(st.integers(1, k), min_size=len(cells), max_size=len(cells))
+    verdicts = [(r, j, o, p, not uninferable[j] and o != p, uninferable[j])
+                for (r, j), o, p in zip(cells, draw(states), draw(states))]
+    q_limit = draw(st.sampled_from([np.inf, 2.5]))
+    report = DetectionReport(q_limit, 3.5, rows, np.array(verdicts, dtype=VERDICT_DTYPE).view(np.recarray))
+    return [f"n{j}" for j in range(n)], report
+
+
+class TestReportFile:
+    @settings(max_examples=150, deadline=None)
+    @given(detection_reports())
+    def test_round_trip(self, tmp_path_factory, case):
+        # The file stores the rows, the observed and predicted states and one flag per node; the rest is rebuilt.
+        node_ids, report = case
+        path = tmp_path_factory.mktemp("report") / "detection_report.json"
+        artifacts.write(path, "detection_report", node_ids, report_to_dict(report))
+        assert_reports_equal(report_from_dict(artifacts.read(path, "detection_report", node_ids)), report)
 
 
 @st.composite
@@ -397,7 +442,8 @@ def detection_cases(draw):
         limit = np.inf
     else:
         limit = float(np.quantile((test.values**2).sum(axis=1), draw(st.floats(0.0, 1.0))))
-    return test, t2_model(n, limit), tn, trivial_scheme(n, k), levels[0]
+    scheme = trivial_scheme(n, k)
+    return test, t2_model(n, limit), tn, scheme, discretize_row(levels[0], scheme)
 
 
 class TestBatchedStageTwo:
@@ -421,8 +467,8 @@ class TestBatchedStageTwo:
         # and (2, 1), both disjoint; row 1 follows (1, 1), which predicts 1.
         # Without the fallback, 0/0 would make the argmax state 1.
         values = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-        last_train_row = np.array([1.0, 2.0, 2.0])
-        case = (SensorDataset(values, ["a", "b", "c"]), t2_model(3, -1.0), tn, trivial_scheme(3, k), last_train_row)
+        last_states = np.array([1, 2, 2])
+        case = (SensorDataset(values, ["a", "b", "c"]), t2_model(3, -1.0), tn, trivial_scheme(3, k), last_states)
         report = tqbayes_detect(*case)
         assert_reports_equal(report, scalar_tqbayes_detect(*case))
         node2 = report.verdicts[report.verdicts.node == 2]

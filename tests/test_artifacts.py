@@ -186,7 +186,7 @@ def reports():
     train, test = SensorDataset(data.values[:300], ids), SensorDataset(data.values[300:] * 1.02, ids)
     scheme = fit_discretization(train, 3)
     states = discretize(train, scheme)
-    detection = tqbayes_detect(test, fit_pca_model(train), learn_transition(states, 3), scheme, train.values[-1])
+    detection = tqbayes_detect(test, fit_pca_model(train), learn_transition(states, 3), scheme, states.states[-1])
     net = learn_static(states, 3)
     static = ssdrda(net, 0.9)
     static = replace(static, rules=static_rules(train, net.dag, static.redundant_nodes()))

@@ -18,7 +18,15 @@ from sensorprep import artifacts, redundancy
 from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, report_to_dict
 from sensorprep.bayesnet import estimate_cpt, learn_transition, static_from_dict, transition_from_dict
 from sensorprep.cli import _build_parser, main
-from sensorprep.ingest import SensorDataset, discretize, fit_discretization, load_csv, synth_generate, write_csv
+from sensorprep.ingest import (
+    SensorDataset,
+    discretize,
+    discretize_row,
+    fit_discretization,
+    load_csv,
+    synth_generate,
+    write_csv,
+)
 from sensorprep.spectra import model_from_dict
 
 
@@ -118,6 +126,15 @@ def stored_readings(doc):
     for key in ("rule_node", "rule_parents", "rule_dissimilarities", "rule_rows", "rule_slice"):
         doc.pop(key, None)
     doc["recoveries"] = [[0], [1], [0.5]]
+
+
+def flag_two_rows(doc, verdicts=16, uninferable=8):
+    """A detection report of 8 nodes edited to flag test rows 0 and 1 alone, with `verdicts` stored verdicts and
+    `uninferable` flags."""
+    flagged = doc["rows"][ROW_DTYPE.names.index("flagged")]
+    flagged[:] = [True, True] + [False] * (len(flagged) - 2)
+    doc["verdicts"] = [[1] * verdicts, [1] * verdicts]
+    doc["uninferable"] = [False] * uninferable
 
 
 def reading_command(base, art, name):
@@ -234,7 +251,10 @@ class TestPipeline:
             "--redundancy", str(out / "redundancy_static.json"), "--data", str(tmp_path / "test.csv"),
         ])
         assert code == 1 and stdout == ""
-        assert json.loads(err) == {"error": "recovery at row 120 is outside the data's rows 0..119", "type": "ValueError"}
+        assert json.loads(err) == {
+            "error": f"{out / 'redundancy_static.json'}: field 'rule_rows' must be at most the data's 120 rows, got 400",
+            "type": "ArtifactError",
+        }
 
     def test_realtime_summary_without_recoveries(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -274,18 +294,26 @@ class TestPipeline:
 
     def test_evaluate_rejects_nodes_outside_truth(self, tmp_path, capsys):
         # Cells are encoded as row * n + node, so a node index >= n would
-        # alias a cell of the next row instead of failing. The report's
-        # header matches the truth file; one abnormal verdict names node n.
+        # alias a cell of the next row instead of failing. A verdict's node
+        # is its place among the n of its row, so the report's header, which
+        # matches the truth file, leaves room for no other node: one more
+        # verdict than n per flagged row is an error, not node n.
         art, _ = run_full_pipeline(tmp_path, capsys, seed=2)
         n = len(json.loads((tmp_path / "truth.json").read_text())["node_ids"])
         doc = json.loads((art / "detection_report.json").read_text())
-        verdicts = dict(zip(VERDICT_DTYPE.names, doc["verdicts"]))
-        verdicts["node"][verdicts["abnormal"].index(True)] = n
+        flagged = sum(doc["rows"][ROW_DTYPE.names.index("flagged")])
+        assert len(doc["verdicts"][0]) == flagged * n and len(doc["uninferable"]) == n
+        for column in doc["verdicts"]:
+            column.append(1)
         bad = tmp_path / "bad_report.json"
         bad.write_text(json.dumps(doc))
         code, out, err = run(capsys, ["evaluate", "--report", str(bad), "--truth", str(tmp_path / "truth.json")])
         assert code == 1 and out == ""
-        assert f"outside the truth file's {n} nodes" in json.loads(err)["error"]
+        assert json.loads(err) == {
+            "error": f"{bad}: field 'verdicts' must hold {flagged * n} entries for {flagged} flagged rows of {n} nodes, "
+                     f"got {flagged * n + 1}",
+            "type": "ArtifactError",
+        }
 
     @pytest.mark.parametrize(
         ("narrow", "message"),
@@ -366,8 +394,8 @@ class TestPipeline:
                          "field 'slice_len' must hold integers, got 80.0", id="slice-len-float"),
             pytest.param("detection_report.json", lambda d: d["rows"][0].__setitem__(0, 0.5),
                          "field 'rows': column 'row' holds float64 values, not int64", id="report-row"),
-            pytest.param("detection_report.json", lambda d: d["verdicts"][4].__setitem__(0, 1),
-                         "field 'verdicts': column 'abnormal' holds int64 values, not bool", id="verdict-flag"),
+            pytest.param("detection_report.json", lambda d: d["uninferable"].__setitem__(0, 1),
+                         "field 'uninferable' must hold booleans, got 1", id="verdict-flag"),
             # These loaded, converted ("0.05" -> 0.05, true -> 1.0), or ended in a bare TypeError.
             pytest.param("pca_model.json", lambda d: d["means"].__setitem__(0, "1"),
                          "field 'means' must hold numbers, got '1'", id="means-string"),
@@ -396,8 +424,38 @@ class TestPipeline:
             pytest.param("redundancy_realtime.json", lambda d: d["rule_dissimilarities"][0].__setitem__(0, True),
                          "field 'rule_dissimilarities' must hold numbers, got True", id="rule-dissimilarity-bool"),
             pytest.param("detection_report.json", lambda d: d.update(verdicts=5),
-                         "field 'verdicts': expected 6 columns of equal length: "
-                         "row, node, observed, predicted, abnormal, uninferable", id="verdicts-scalar"),
+                         "field 'verdicts': expected 2 columns of equal length: observed, predicted",
+                         id="verdicts-scalar"),
+            # The report stores 2 verdict columns and one uninferable flag per node, and rebuilds the rest.
+            pytest.param("detection_report.json", lambda d: d.update(verdicts=d["verdicts"] * 3),
+                         "field 'verdicts': expected 2 columns of equal length: observed, predicted",
+                         id="verdicts-six-columns"),
+            pytest.param("detection_report.json", lambda d: flag_two_rows(d, verdicts=15),
+                         "field 'verdicts' must hold 16 entries for 2 flagged rows of 8 nodes, got 15",
+                         id="verdicts-short"),
+            pytest.param("detection_report.json", lambda d: flag_two_rows(d, uninferable=7),
+                         "field 'uninferable' must hold 8 entries for 2 flagged rows of 8 nodes, got 7",
+                         id="uninferable-short"),
+            pytest.param("detection_report.json", lambda d: d.pop("uninferable"),
+                         "detection_report has no field 'uninferable'; re-run `sensorprep detect`",
+                         id="missing-uninferable"),
+            pytest.param("detection_report.json", lambda d: d.update(uninferable=False),
+                         "field 'uninferable' must hold lists, got False", id="uninferable-scalar"),
+            # `detect` reads the last training row's states from the network, not from `--train`.
+            pytest.param("transition_network.json", lambda d: d.pop("last_states"),
+                         "transition_network has no field 'last_states'; re-run `sensorprep learn`",
+                         id="missing-last-states"),
+            pytest.param("transition_network.json", lambda d: d["last_states"].__setitem__(0, 1.5),
+                         "field 'last_states' must hold integers, got 1.5", id="last-states-fraction"),
+            pytest.param("transition_network.json", lambda d: d.update(last_states=[2] * 7 + [0]),
+                         "field 'last_states' must hold 8 states in 1..3, one per node, got [2, 2, 2, 2, 2, 2, 2, 0]",
+                         id="last-states-zero"),
+            pytest.param("transition_network.json", lambda d: d.update(last_states=[2] * 7 + [4]),
+                         "field 'last_states' must hold 8 states in 1..3, one per node, got [2, 2, 2, 2, 2, 2, 2, 4]",
+                         id="last-states-above-k"),
+            pytest.param("transition_network.json", lambda d: d.update(last_states=[2] * 7),
+                         "field 'last_states' must hold 8 states in 1..3, one per node, got [2, 2, 2, 2, 2, 2, 2]",
+                         id="last-states-short"),
             # A ragged list ended in numpy's "inhomogeneous shape" ValueError, which named no file or field.
             pytest.param("scheme.json", lambda d: d["edges"].__setitem__(1, [0.5]),
                          "field 'edges' must hold lists of one length, got lengths [1, 2]", id="edges-ragged"),
@@ -628,8 +686,8 @@ class TestPipeline:
         assert "node id mismatch" in error and "rogue" in error
 
     def test_detect_train_node_id_mismatch(self, tmp_path, capsys):
-        # The last training row is the predecessor of test row 0, so its
-        # columns must name the same nodes in the same order.
+        # `detect --train` reads the training CSV's header alone, which must
+        # name the same nodes in the same order.
         art, _ = run_full_pipeline(tmp_path, capsys, seed=3)
         train = load_csv(tmp_path / "train.csv")
         order = [1, 0] + list(range(2, train.n))
@@ -642,6 +700,28 @@ class TestPipeline:
         assert code == 1 and out == ""
         error = json.loads(err)["error"]
         assert "detect --train: node id mismatch, training CSV has 'node01' but data has 'node00'" in error
+
+    def test_detect_reads_only_the_training_header(self, tmp_path, capsys):
+        # The first test row's predecessor is the last training row, whose states `learn` stored in the network.
+        # So a training CSV of other values, or of its header alone, gives the same bytes and summary.
+        art, outputs = run_full_pipeline(tmp_path, capsys, seed=3)
+        train = load_csv(tmp_path / "train.csv")
+        last_states = discretize_row(train.values[-1], fit_discretization(train, 3)).tolist()
+        assert json.loads((art / "transition_network.json").read_text())["last_states"] == last_states
+        other = tmp_path / "other_train.csv"
+        write_csv(SensorDataset(train.values[::-1] * 3.0 + 7.0, train.node_ids), other)
+        header_only = tmp_path / "header_train.csv"
+        header_only.write_text((tmp_path / "train.csv").read_text().splitlines()[0] + "\n")
+        for i, path in enumerate((other, header_only)):
+            out_dir = tmp_path / f"detect{i}"
+            code, out, err = run(capsys, [
+                "detect", "--train", str(path), "--data", str(tmp_path / "test_bad.csv"),
+                "--artifacts", str(art), "--out-dir", str(out_dir),
+            ])
+            assert code == 0, err
+            assert json.loads(out) == {**outputs["detect"], "out_dir": str(out_dir)}
+            for name in ("detection_report.json", "detection_report.csv"):
+                assert (out_dir / name).read_bytes() == (art / name).read_bytes(), name
 
     def test_inject_train_node_id_mismatch(self, tmp_path, capsys):
         code, out, err = run(capsys, [
@@ -718,9 +798,10 @@ class TestPipeline:
         assert node_lines
         for r in node_lines:
             assert (r["predicted"] == "") == (int(r["node"]) in uninferable), r
-        verdicts = dict(zip(VERDICT_DTYPE.names, json.loads((art / "detection_report.json").read_text())["verdicts"]))
-        assert len(verdicts["node"]) == len(node_lines)
-        assert all(u == (node in uninferable) for node, u in zip(verdicts["node"], verdicts["uninferable"]))
+        # The report stores each verdict's observed and predicted states, and one uninferable flag per node.
+        doc = json.loads((art / "detection_report.json").read_text())
+        assert [len(column) for column in doc["verdicts"]] == [len(node_lines)] * 2
+        assert doc["uninferable"] == [j in uninferable for j in range(len(tn_parents))]
 
         # Real-time schedule: `max_posterior` is null/blank exactly for nodes
         # without parents in their slice's network (slice 80, 48 training rows).

@@ -28,3 +28,17 @@ def test_two_runs_in_different_directories_print_the_same_map():
 def test_the_seed_selects_the_inputs():
     inputs = "learn-static/inputs/data.csv"
     assert digests("--seed", "4")[inputs] != digests("--seed", "5")[inputs]
+
+
+def test_diff_prints_only_the_keys_that_changed_appeared_or_disappeared(tmp_path):
+    found = digests("--seed", "3")
+    changed, dropped = "detect-stream/out/detection_report.json", "learn-static/out/static_network.json"
+    before = {**found, changed: "0" * 64, "detect-stream/out/gone.json": "1" * 64}
+    del before[dropped]
+    path = tmp_path / "before.json"
+    path.write_text(json.dumps(before))
+    assert digests("--seed", "3", "--diff", str(path)) == {
+        changed: ["0" * 64, found[changed]],
+        "detect-stream/out/gone.json": ["1" * 64, None],
+        dropped: [None, found[dropped]],
+    }

@@ -12,9 +12,13 @@ The temporary directory's path is replaced by `<dir>` in file contents and
 stdout before hashing, so two checkouts run at the same seed and size
 print the same map exactly when their outputs are byte-identical:
 
-    python3 tools/output_digests.py --seed 58 > after.json
-    (cd ../parent && python3 tools/output_digests.py --seed 58) > before.json  # a copy of this file there
-    diff before.json after.json
+    (cd ../parent && python3 tools/output_digests.py --seed 58) > before.json
+    python3 tools/output_digests.py --seed 58 --diff before.json
+
+With `--diff BEFORE.json` (a map this tool printed, at the same seed and
+size) it prints only the keys whose digest changed, appeared or
+disappeared, as one JSON object mapping each to `[before, after]`, with
+null on the side that lacks it: `{}` when every output is byte-identical.
 
 The exit status is 1 if any command exited non-zero.
 """
@@ -70,7 +74,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--size", choices=("full", "tiny"), default="full", help="the workloads' full or tiny inputs")
+    parser.add_argument("--diff", metavar="BEFORE.json", help="print only the keys that differ from this map")
     args = parser.parse_args(argv)
+    before = json.loads(Path(args.diff).read_text()) if args.diff else None
     # One BLAS thread, as the benchmark runs; set before numpy loads.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -81,7 +87,10 @@ def main(argv: list[str] | None = None) -> int:
     found: dict[str, object] = {}
     for workload in WORKLOADS.values():
         found.update(workload_digests(cli, workload, args.seed, getattr(workload, args.size)))
-    print(json.dumps(found, indent=1, sort_keys=True))
+    shown = found if before is None else {
+        k: [before.get(k), found.get(k)] for k in before.keys() | found.keys() if before.get(k) != found.get(k)
+    }
+    print(json.dumps(shown, indent=1, sort_keys=True))
     return 1 if any(v != 0 for k, v in found.items() if "/exit/" in k) else 0
 
 
