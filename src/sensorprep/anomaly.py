@@ -17,7 +17,7 @@ from . import artifacts
 from .bayesnet import TransitionNetwork, parent_marginals
 from .ingest import DiscretizationScheme, SensorDataset, StateMatrix, discretize
 from .ingest import _distinct_cells, _indexed_cells, _number_cells, _write_columns
-from .spectra import PcaModel, _one_row, _statistics, limit_from_json, limit_to_json
+from .spectra import PcaModel, _one_row, _statistics, limit_to_json
 
 __all__ = [
     "ROW_DTYPE",
@@ -26,13 +26,13 @@ __all__ = [
     "tq_screen",
     "nb_predict_state",
     "tqbayes_detect",
+    "verdict_records",
     "report_to_dict",
-    "report_from_dict",
     "write_report_csv",
 ]
 
-# One record per screened test row.
-ROW_DTYPE = np.dtype([("row", np.int64), ("q", np.float64), ("t2", np.float64), ("flagged", np.bool_)])
+# One record per screened test row, as a `detection_report` stores it.
+ROW_DTYPE = artifacts.SCHEMA["detection_report"]["rows"][0]
 # One record per (flagged row, node).
 VERDICT_DTYPE = np.dtype(
     [
@@ -44,8 +44,8 @@ VERDICT_DTYPE = np.dtype(
         ("uninferable", np.bool_),
     ]
 )
-# The verdict columns that a `detection_report` file stores; `report_from_dict` rebuilds the others.
-_STORED_DTYPE = np.dtype([("observed", np.int64), ("predicted", np.int64)])
+# The verdict columns that a `detection_report` file stores; `verdict_records` rebuilds the others.
+_STORED_DTYPE = artifacts.SCHEMA["detection_report"]["verdicts"][0]
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,14 @@ def tqbayes_detect(
     prev, observed = states[flagged], states[flagged + 1].ravel()
     predicted = np.column_stack([_predict_states(node, prev, tn)[0] for node in range(test.n)]).ravel()
     uninferable = np.array([not ps for ps in tn.dag.parents])
-    return DetectionReport(model.q_limit, model.t2_limit, rows, _verdicts(flagged, observed, predicted, uninferable))
+    verdicts = verdict_records(flagged, observed, predicted, uninferable)
+    return DetectionReport(model.q_limit, model.t2_limit, rows, verdicts)
 
 
-def _verdicts(flagged: np.ndarray, observed: np.ndarray, predicted: np.ndarray, uninferable: np.ndarray) -> np.recarray:
-    """Each flagged row's verdicts, node by node: abnormal where an inferable node's two states differ."""
+def verdict_records(flagged: np.ndarray, observed: np.ndarray, predicted: np.ndarray, uninferable: np.ndarray
+                    ) -> np.recarray:
+    """The verdicts of the `flagged` rows, row by row and node by node, from their `observed` and `predicted` states
+    and each node's `uninferable` flag: abnormal where an inferable node's two states differ."""
     n, uninferable = len(uninferable), np.tile(uninferable, len(flagged))
     cells = [np.repeat(flagged, n), np.tile(np.arange(n), len(flagged)), observed, predicted]
     return np.rec.fromarrays([*cells, ~uninferable & (predicted != observed), uninferable], dtype=VERDICT_DTYPE)
@@ -160,30 +163,23 @@ def _predict_states(node: int, prev: np.ndarray, tn: TransitionNetwork) -> tuple
 
 
 def report_to_dict(report: DetectionReport) -> dict:
-    """The `detection_report` artifact body: the rows, and of `tqbayes_detect`'s verdicts what `report_from_dict`
-    cannot rebuild, the `observed` and `predicted` columns and each node's `uninferable` flag (none if none flagged)."""
-    verdicts, flagged = report.verdicts, np.count_nonzero(report.rows.flagged)
+    """The `detection_report` artifact body: the rows, and of the verdicts what `verdict_records` cannot rebuild, the
+    `observed` and `predicted` columns and each node's `uninferable` flag (none if none flagged). Verdicts that are
+    not `tqbayes_detect`'s, one per flagged row and node in that order, are a ValueError."""
+    verdicts, flagged = report.verdicts, report.rows.row[report.rows.flagged]
+    n = len(verdicts) // len(flagged) if len(flagged) else 0
+    uninferable = verdicts.uninferable[:n]
+    if len(verdicts) != len(flagged) * n or not np.array_equal(
+        verdict_records(flagged, verdicts.observed, verdicts.predicted, uninferable), verdicts
+    ):
+        raise ValueError("verdicts must be one per flagged row and node, in row then node order")
     return {
         "q_limit": limit_to_json(report.q_limit),
         "t2_limit": float(report.t2_limit),
         "rows": artifacts.columns(report.rows),
         "verdicts": artifacts.columns(verdicts[list(_STORED_DTYPE.names)]),
-        "uninferable": verdicts.uninferable[: len(verdicts) // flagged if flagged else 0].tolist(),
+        "uninferable": uninferable.tolist(),
     }
-
-
-def report_from_dict(doc: artifacts.Document) -> DetectionReport:
-    """A read `detection_report` document, with its verdicts rebuilt as `tqbayes_detect` builds them. A `verdicts` or
-    `uninferable` of the wrong length for the flagged rows and the nodes is an ArtifactError naming the field."""
-    rows = artifacts.records(doc["rows"], ROW_DTYPE, doc, "rows")
-    stored = artifacts.records(doc["verdicts"], _STORED_DTYPE, doc, "verdicts")
-    flagged, n = rows.row[rows.flagged], len(doc["node_ids"])
-    for key, size, expected in (("uninferable", len(doc["uninferable"]), n if len(flagged) else 0),
-                                ("verdicts", len(stored), len(flagged) * n)):
-        if size != expected:
-            doc.fail(key, f"must hold {expected} entries for {len(flagged)} flagged rows of {n} nodes, got {size}")
-    verdicts = _verdicts(flagged, stored.observed, stored.predicted, np.array(doc["uninferable"], dtype=bool))
-    return DetectionReport(limit_from_json(doc["q_limit"]), doc["t2_limit"], rows, verdicts)
 
 
 def write_report_csv(report: DetectionReport, path: str | Path) -> None:

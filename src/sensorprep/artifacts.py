@@ -1,22 +1,28 @@
-"""Versioned JSON codec for every artifact and report.
+"""Versioned JSON codec for every artifact and report, and the one schema of their bodies.
 
 A document is one compact JSON object with sorted keys: the header
 `format_version`, `kind` and `node_ids` beside the body that the kind's
 module builds. A record array is one list per dtype field, in field order,
 with NaN as null. `read` rejects the NaN and Infinity literals that plain
-JSON lacks, and checks the header before the body is used.
+JSON lacks, checks the header, then holds each body field to `SCHEMA` and
+converts it once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import sys
+from collections import ChainMap
 from pathlib import Path
 from typing import NoReturn, Sequence
 
 import numpy as np
 
 __all__ = [
-    "FORMAT_VERSION", "KINDS", "ArtifactError", "check_node_ids", "columns", "records", "write_json", "write", "read"
+    "FORMAT_VERSION", "KINDS", "SCHEMA", "ArtifactError", "check_node_ids", "columns", "records", "write_json", "write",
+    "read",
 ]
 
 FORMAT_VERSION = 2
@@ -26,21 +32,53 @@ KINDS = dict.fromkeys(("pca_model", "scheme", "static_network", "transition_netw
     "redundancy_static": "redundancy-static",
     "redundancy_realtime": "redundancy-realtime",
 }
-# What the numbers of a field must be: (the words an error uses, the JSON types they may take).
-_INT, _FLOAT, _NULLABLE = ("integers", {int}), ("numbers", {int, float}), ("numbers or null", {int, float, type(None)})
-_BOOL = ("booleans", {bool})
-# Each number (or flag) field that a command reads, in whichever kinds hold it: (its rule, how many lists deep).
-_NUMBERS = {
-    "k": (_INT, 0), "state_count": (_INT, 0), "parents": (_INT, 2), "q_limit": (_NULLABLE, 0),
-    "t2_limit": (_FLOAT, 0), "alpha": (_FLOAT, 0), "means": (_FLOAT, 1), "variances": (_FLOAT, 1),
-    "eigenvalues": (_FLOAT, 1), "eigenvectors": (_FLOAT, 2), "edges": (_FLOAT, 2), "priors": (_FLOAT, 2),
-    "counts": (_FLOAT, 3), "slice_len": (_INT, 0), "train_frac": (_FLOAT, 0), "rule_rows": (_INT, 0),
-    "rule_slice": (_INT, 1), "rule_node": (_INT, 1), "rule_parents": (_INT, 2), "rule_dissimilarities": (_FLOAT, 2),
-    "last_states": (_INT, 1), "uninferable": (_BOOL, 1),
+# The JSON types a field's values take: (the words an error uses, the types json.loads gives them, the dtype they
+# read as, the closed range a value must lie in to be cast exactly or to a finite float).
+_INT = ("integers", {int}, np.int64, (-(2**63), 2**63 - 1))
+_NUM = ("numbers", {int, float}, np.float64, (-sys.float_info.max, sys.float_info.max))
+_OPT = ("numbers or null", {int, float, type(None)}, np.float64, _NUM[3])  # null: NaN in a list, +inf alone (a limit)
+_BOOL = ("booleans", {bool}, np.bool_, None)
+# The JSON type of a record column of each dtype kind.
+_COLUMN = {"i": _INT, "f": _OPT, "b": _BOOL}
+# The recovery rules of both redundancy reports: rule i rebuilds readings of node rule_node[i] from rule_parents[i].
+_RULES = {
+    "rule_node": (_INT, "*", "[0, n - 1]"),
+    "rule_parents": (_INT, "len(rule_node); *", "[0, n - 1]"),
+    "rule_dissimilarities": (_NUM, "len(rule_node); len(rule_parents[i])", "[0, inf)"),
 }
-# The fields whose lists one level down, one per node or rule, may differ in length. Every other field's lists
-# at one level have one length, as in a matrix (a count table's rows all hold K counts).
-_RAGGED = {"parents", "counts", "rule_parents", "rule_dissimilarities"}
+# Every body field of every kind: (its JSON type, or for a record field its dtype; its shape; the interval its values
+# lie in, if any). A shape lists the length of each level of nested lists, "" for a number: each an expression in
+# n (the node count), K (the width of a network's count rows) and the other fields, converted, or * for any one
+# length. Lists at one level share one length, except after a ";": the lists one level down may then differ, and
+# the dims after it hold for item i. A record field's shape is its column length. The constructors a command builds
+# from a document check the rest (sorted eigenvalues, acyclic parents, priors that sum to 1, ...).
+SCHEMA = {
+    "pca_model": {
+        "means": (_NUM, "n"), "variances": (_NUM, "n"), "eigenvalues": (_NUM, "n"), "eigenvectors": (_NUM, "n, n"),
+        "k": (_INT, ""), "q_limit": (_OPT, ""), "t2_limit": (_NUM, ""), "alpha": (_NUM, ""),
+    },
+    "scheme": {"state_count": (_INT, ""), "edges": (_NUM, "n, state_count - 1")},
+    "static_network": {"parents": (_INT, "n; *"), "counts": (_INT, "n; K ** len(parents[i]), K")},
+    "transition_network": {
+        "parents": (_INT, "n; *"), "counts": (_INT, "n; K ** len(parents[i]), K"), "priors": (_NUM, "n, K"),
+        "last_states": (_INT, "n", "[1, K]"),
+    },
+    "detection_report": {
+        "q_limit": (_OPT, ""), "t2_limit": (_NUM, ""),
+        "rows": (np.dtype([("row", np.int64), ("q", np.float64), ("t2", np.float64), ("flagged", np.bool_)]), "*"),
+        "verdicts": (np.dtype([("observed", np.int64), ("predicted", np.int64)]), "n * rows.flagged.sum()"),
+        "uninferable": (_BOOL, "n * rows.flagged.any()"),
+    },
+    "redundancy_static": {
+        "tau": (_NUM, ""), "redundant": (_BOOL, "n"), "criterion": (_NUM, "n"), "witness": (_NUM, "n; *"), **_RULES,
+        "rule_rows": (_INT, "", "[0, inf)"),
+    },
+    "redundancy_realtime": {
+        "tau": (_NUM, ""), "slice_len": (_INT, "", "[1, inf)"), "train_frac": (_NUM, "", "(0, 1)"),
+        "entries": (np.dtype([("sleeping", np.bool_), ("max_posterior", np.float64)]), "*"), **_RULES,
+        "rule_slice": (_INT, "len(rule_node)"),
+    },
+}
 
 
 class ArtifactError(ValueError):
@@ -48,14 +86,22 @@ class ArtifactError(ValueError):
 
 
 class Document(dict):
-    """A document `read` returned: reading a missing field is an ArtifactError naming the file, kind and field,
-    and `fail` raises one naming the file and a field that holds a bad value."""
+    """A document `read` returned. Reading a missing field is an ArtifactError naming the file, kind and field,
+    `fail` raises one naming the file and a bad field, and a ValueError raised inside `with document:` (a
+    constructor's check, whose message names the field) leaves as an ArtifactError naming the file."""
 
     def __missing__(self, key: str):
         raise ArtifactError(f"{self.path}: {self.get('kind')} has no field {key!r}; {self.rerun}")
 
     def fail(self, key: str, problem: str) -> NoReturn:
         raise ArtifactError(f"{self.path}: field {key!r} {problem}")
+
+    def __enter__(self) -> Document:
+        return self
+
+    def __exit__(self, _type, exc, _traceback) -> None:
+        if isinstance(exc, ValueError) and not isinstance(exc, ArtifactError):
+            raise ArtifactError(f"{self.path}: {exc}") from None
 
 
 def check_node_ids(expected: Sequence[str], got: Sequence[str], what: str, reference: str) -> None:
@@ -78,21 +124,10 @@ def columns(table: np.ndarray) -> list[list]:
     return out
 
 
-def records(cols: Sequence[list], dtype: np.dtype, doc: dict | None = None, key: str = "") -> np.recarray:
-    """Inverse of `columns`: None reads back as NaN, and an integer or boolean column holding another type is an
-    error (1.5 is not truncated). An error names the file and field when `cols` is `doc[key]` of a read document."""
-    where = f"{getattr(doc, 'path', 'document')}: field {key!r}" if doc is not None else "record array"
-    shaped = isinstance(cols, list) and all(isinstance(c, list) for c in cols)
-    if not shaped or len(cols) != len(dtype.names) or len({len(c) for c in cols}) > 1:
-        raise ArtifactError(f"{where}: expected {len(dtype.names)} columns of equal length: {', '.join(dtype.names)}")
-    for name, c in zip(dtype.names, cols):
-        if dtype[name].kind == "f" and not set(map(type, c)) <= _NULLABLE[1]:
-            raise ArtifactError(f"{where}: column {name!r} must hold numbers or null")
-    arrays = [np.array(c, dtype=dtype[name] if dtype[name].kind == "f" else None) for name, c in zip(dtype.names, cols)]
-    for name, array in zip(dtype.names, arrays):
-        if array.size and array.dtype.kind != dtype[name].kind:
-            raise ArtifactError(f"{where}: column {name!r} holds {array.dtype} values, not {dtype[name]}")
-    return np.rec.fromarrays(arrays, dtype=dtype)
+def records(cols: Sequence[list], dtype: np.dtype) -> np.recarray:
+    """Inverse of `columns`: None reads back as NaN. The columns must be lists of equal length whose values `read`
+    has checked against their dtypes."""
+    return np.rec.fromarrays([np.array(c, dtype=dtype[name]) for name, c in zip(dtype.names, cols)], dtype=dtype)
 
 
 def write_json(path: str | Path, doc: dict) -> None:
@@ -113,10 +148,10 @@ def write(path: str | Path, kind: str, node_ids: Sequence[str], body: dict) -> N
 
 
 def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str]) -> Document:
-    """Load a document of `kind` (or of any kind in a tuple) whose node ids equal `node_ids`.
-
-    A number field (`_NUMBERS`) must nest as `write` nests it, with lists of one length at each level outside
-    `_RAGGED`, and hold its type: 1.7, "1" or true is not converted, and an integer must fit in 64 bits."""
+    """Load a document of `kind` (or of any kind in a tuple) whose node ids equal `node_ids`, each body field held
+    to `SCHEMA` and converted once: a number stays one (a null limit reads as +inf), nested lists become an array
+    (ragged ones, one array per item), and a record field a record array. JSON types are checked before any cast,
+    so 1.7, "1" or true is not converted. A missing field fails where a command reads it."""
     kinds = (kind,) if isinstance(kind, str) else kind
 
     def non_finite(literal: str):  # json.loads alone accepts these; `write_json` never writes them
@@ -138,18 +173,70 @@ def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str])
         raise ArtifactError(f"{path}: missing node_ids; {rerun}")
     check_node_ids(doc["node_ids"], node_ids, doc["kind"], str(path))
     doc.path, doc.rerun = path, rerun
-    for key, (rule, depth) in _NUMBERS.items():
-        items = [doc[key]] if key in doc else []  # a missing field fails where a command reads it
-        for level, (noun, types) in enumerate([("lists", {list})] * depth + [rule]):
-            bad = [item for item in items if type(item) not in types]
-            if bad:
-                doc.fail(key, f"must hold {noun}, got {bad[0]!r}")
-            if rule is _INT and level == depth:  # numpy and float arithmetic would overflow on a larger one
-                bad = [item for item in items if not -(2**63) <= item < 2**63]
-                if bad:
-                    doc.fail(key, f"must hold 64-bit integers, got {bad[0]}")
-            lengths = sorted({len(item) for item in items}) if level < depth else []
-            if len(lengths) > 1 and not (level == 1 and key in _RAGGED):
-                doc.fail(key, f"must hold lists of one length, got lengths {lengths}")
-            items = [x for item in items if type(item) is list for x in item]
+    schema = {key: (*spec, "")[:3] for key, spec in SCHEMA[doc["kind"]].items() if key in doc}
+    for key, (kind_type, shape, _) in schema.items():
+        doc[key] = _converted(doc, key, kind_type, shape)
+    k = next((len(row) for table in doc.get("counts", ()) for row in table), 0)
+    names = ChainMap({"n": len(doc["node_ids"]), "K": k, "inf": math.inf, "len": len}, doc)
+    for key, (kind_type, shape, within) in schema.items():
+        value, (outer, ragged, inner) = doc[key], shape.partition(";")
+        if shape:
+            _check_shape(doc, key, (len(value),) if ragged else np.shape(value), outer, names)
+        for i, item in enumerate(value if ragged else ()):
+            _check_shape(doc, key, item.shape, inner, ChainMap({"i": i}, names), f"item {i} ")
+        if within:
+            lo, hi = eval(_compiled(within[1:-1]), {}, names)
+            v = np.concatenate([np.empty(0, kind_type[2]), *value]) if ragged else np.asarray(value)
+            inside = (v > lo if within[0] == "(" else v >= lo) & (v < hi if within[-1] == ")" else v <= hi)
+            shown = f"{within[0]}{lo}, {hi}{within[-1]}"
+            if not inside.all():
+                doc.fail(key, f"must lie in {within}{'' if shown == within else ' = ' + shown}, got {v[~inside][0]}")
     return doc
+
+
+def _converted(doc: Document, key: str, kind_type: tuple | np.dtype, shape: str):
+    """Field `key` as `read` returns it, once its nesting and JSON types fit its `SCHEMA` entry."""
+    value = doc[key]
+    if isinstance(kind_type, np.dtype):  # a record field
+        if not (type(value) is list and len(value) == len(kind_type.names) and all(type(c) is list for c in value)
+                and len(set(map(len, value))) < 2):
+            doc.fail(key, f"must hold {len(kind_type.names)} columns of equal length: {', '.join(kind_type.names)}")
+        for name, column in zip(kind_type.names, value):
+            _check_values(doc, key, column, _COLUMN[kind_type[name].kind], f"column {name!r} ")
+        return records(value, kind_type)
+    items = [value]
+    for level in range(shape.count(",") + shape.count(";") + 1 if shape else 0):
+        if not all(type(item) is list for item in items):
+            doc.fail(key, f"must hold lists, got {next(item for item in items if type(item) is not list)!r}")
+        lengths = sorted(set(map(len, items)))
+        if len(lengths) > 1 and not (level == 1 and ";" in shape):
+            doc.fail(key, f"must hold lists of one length, got lengths {lengths}")
+        items = [x for item in items for x in item]
+    _check_values(doc, key, items, kind_type)
+    if not shape:
+        return math.inf if value is None else value
+    return [np.array(item, kind_type[2]) for item in value] if ";" in shape else np.array(value, kind_type[2])
+
+
+def _check_values(doc: Document, key: str, values: list, kind_type: tuple, where: str = "") -> None:
+    """Hold the numbers or flags of field `key` to their JSON type, and to its range, before numpy casts them."""
+    noun, types, dtype, bounds = kind_type
+    if not set(map(type, values)) <= types:
+        doc.fail(key, f"{where}must hold {noun}, got {next(v for v in values if type(v) not in types)!r}")
+    numbers = ([v for v in values if v is not None] if type(None) in types else values) if bounds else []
+    if numbers and not bounds[0] <= min(numbers) <= max(numbers) <= bounds[1]:
+        bad = next(v for v in numbers if not bounds[0] <= v <= bounds[1])
+        doc.fail(key, f"{where}must hold {noun} within {np.dtype(dtype).name}, got {bad}")
+
+
+def _check_shape(doc: Document, key: str, got: tuple, dims: str, names: ChainMap, where: str = "") -> None:
+    dims = [dim.strip() for dim in dims.split(",")]
+    want = tuple(None if dim == "*" else int(eval(_compiled(dim), {}, names)) for dim in dims)
+    if len(got) != len(want) or any(w not in (None, g) for g, w in zip(got, want)):
+        doc.fail(key, f"{where}must have shape ({', '.join(dims)}) = {want}, got {got}")
+
+
+@functools.cache
+def _compiled(expression: str):
+    """A `SCHEMA` expression, a constant of this module, compiled once; `eval` runs it over a document's names."""
+    return compile(expression, "<SCHEMA>", "eval")

@@ -38,8 +38,6 @@ __all__ = [
     "parent_marginal",
     "parent_marginals",
     "network_to_dict",
-    "static_from_dict",
-    "transition_from_dict",
 ]
 
 # Cap on K^max_parents * K, the cells of one CPT at the largest parent set.
@@ -64,8 +62,6 @@ class Dag:
     parents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.parents) != self.n:
-            raise ValueError(f"expected {self.n} parent sets, got {len(self.parents)}")
         parents = tuple(tuple(int(p) for p in ps) for ps in self.parents)
         object.__setattr__(self, "parents", parents)
         for i, ps in enumerate(parents):
@@ -73,9 +69,9 @@ class Dag:
                 raise ValueError(f"node {i} has duplicate parents")
             for p in ps:
                 if not 0 <= p < self.n:
-                    raise ValueError(f"node {i}: parent index {p} out of range")
+                    raise ValueError(f"node {i}: parents hold {p}, outside the nodes 0..{self.n - 1}")
                 if p == i:
-                    raise ValueError(f"node {i} cannot be its own parent")
+                    raise ValueError(f"node {i} is one of its own parents")
 
     def edges(self) -> list[tuple[int, int]]:
         """All (parent, child) pairs."""
@@ -107,13 +103,13 @@ def _checked_counts(dag: Dag, counts: Sequence[np.ndarray]) -> tuple[np.ndarray,
     """One H x K int64 count table per node of dag, H = K^|parents|, one K across the network."""
     tables = [np.asarray(c) for c in counts]
     if len(tables) != dag.n:
-        raise ValueError(f"need one count table per node: {dag.n} nodes, {len(tables)} tables")
+        raise ValueError(f"counts must hold one table per node: {dag.n} nodes, {len(tables)} tables")
     for i, (table, parents) in enumerate(zip(tables, dag.parents)):
         whole = table.dtype.kind in "iuf" and np.all(np.isfinite(table) & (table == np.trunc(table)) & (table < 2**63))
         if not whole:
             raise ValueError(f"node {i}: counts must be whole numbers below 2**63")
         if table.ndim != 2:
-            raise ValueError(f"node {i}: count table must be 2-D, got shape {table.shape}")
+            raise ValueError(f"node {i}: counts must be a 2-D table, got shape {table.shape}")
         k = tables[0].shape[1]
         h = k ** len(parents)
         if table.shape[1] != k:
@@ -137,7 +133,7 @@ class StaticNetwork:
 
     def __post_init__(self) -> None:
         if not self.dag.is_acyclic():
-            raise ValueError("graph contains a directed cycle")
+            raise ValueError("parents contain a directed cycle")
         object.__setattr__(self, "counts", _checked_counts(self.dag, self.counts))
 
 
@@ -153,10 +149,8 @@ class TransitionNetwork:
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", _checked_counts(self.dag, self.counts))
         object.__setattr__(self, "priors", np.array(self.priors, dtype=float))
-        if self.priors.shape != (self.dag.n, self.counts[0].shape[1]):
-            raise ValueError(f"priors must be {self.dag.n} x {self.counts[0].shape[1]}")
         if np.abs(self.priors.sum(axis=1) - 1.0).max() > 1e-12:
-            raise ValueError("every prior must sum to 1")
+            raise ValueError("priors must each sum to 1")
 
 
 def count_states(states: StateMatrix, node: int, parents: Sequence[int], lag: int = 0) -> np.ndarray:
@@ -487,14 +481,3 @@ def network_to_dict(net: StaticNetwork | TransitionNetwork) -> dict:
         doc["priors"] = net.priors.tolist()
     return doc
 
-
-def _dag_from_dict(doc: dict) -> Dag:
-    return Dag(len(doc["parents"]), tuple(tuple(ps) for ps in doc["parents"]))
-
-
-def static_from_dict(doc: dict) -> StaticNetwork:
-    return StaticNetwork(_dag_from_dict(doc), doc["counts"])
-
-
-def transition_from_dict(doc: dict) -> TransitionNetwork:
-    return TransitionNetwork(_dag_from_dict(doc), doc["counts"], np.array(doc["priors"]))

@@ -144,14 +144,16 @@ def cmd_detect(args: argparse.Namespace) -> dict:
     train_ids = ingest.load_node_ids(args.train)  # `learn` stored the one training row `detect` needs
     test = ingest.load_csv(args.data)
     artifacts.check_node_ids(train_ids, test.node_ids, "detect --train", "training CSV")
-    model = spectra.model_from_dict(artifacts.read(art / "pca_model.json", "pca_model", test.node_ids))
-    scheme_doc = artifacts.read(art / "scheme.json", "scheme", test.node_ids)
-    scheme = ingest.DiscretizationScheme(scheme_doc["edges"], scheme_doc["state_count"])
-    tn_doc = artifacts.read(art / "transition_network.json", "transition_network", test.node_ids)
-    tn, last_states = bayesnet.transition_from_dict(tn_doc), tn_doc["last_states"]
-    k = tn.counts[0].shape[1]
-    if len(last_states) != test.n or not all(1 <= s <= k for s in last_states):
-        tn_doc.fail("last_states", f"must hold {test.n} states in 1..{k}, one per node, got {last_states}")
+    # Each artifact is its constructor applied to the fields `artifacts.read` checked and converted.
+    with artifacts.read(art / "pca_model.json", "pca_model", test.node_ids) as doc:
+        std = ingest.Standardization(doc["means"], doc["variances"])
+        model = spectra.PcaModel(std, doc["eigenvalues"], doc["eigenvectors"], doc["k"], doc["q_limit"],
+                                 doc["t2_limit"], doc["alpha"])
+    with artifacts.read(art / "scheme.json", "scheme", test.node_ids) as doc:
+        scheme = ingest.DiscretizationScheme(doc["edges"], doc["state_count"])
+    with artifacts.read(art / "transition_network.json", "transition_network", test.node_ids) as doc:
+        tn = bayesnet.TransitionNetwork(bayesnet.Dag(test.n, doc["parents"]), doc["counts"], doc["priors"])
+        last_states = doc["last_states"]
 
     report = anomaly.tqbayes_detect(test, model, tn, scheme, last_states)
     out_dir = Path(args.out_dir)
@@ -171,8 +173,8 @@ def cmd_detect(args: argparse.Namespace) -> dict:
 
 def cmd_redundancy_static(args: argparse.Namespace) -> dict:
     data = ingest.load_csv(args.data)
-    net_doc = artifacts.read(Path(args.artifacts) / "static_network.json", "static_network", data.node_ids)
-    net = bayesnet.static_from_dict(net_doc)
+    with artifacts.read(Path(args.artifacts) / "static_network.json", "static_network", data.node_ids) as doc:
+        net = bayesnet.StaticNetwork(bayesnet.Dag(data.n, doc["parents"]), doc["counts"])
 
     report = redundancy.ssdrda(net, args.tau)
     report = replace(report, rules=redundancy.static_rules(data, net.dag, report.redundant_nodes()))
@@ -234,14 +236,18 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
         raise ValueError("--redundancy and --data go together: --data is the CSV the redundancy report was made from")
     truth_doc = _read_truth(args.truth)
     node_ids = truth_doc["node_ids"]
-    report = anomaly.report_from_dict(artifacts.read(args.report, "detection_report", node_ids))
+    report_doc = artifacts.read(args.report, "detection_report", node_ids)
+    screen, stored = report_doc["rows"], report_doc["verdicts"]
+    verdicts = anomaly.verdict_records(screen.row[screen.flagged], stored.observed, stored.predicted,
+                                       report_doc["uninferable"])
+    report = anomaly.DetectionReport(report_doc["q_limit"], report_doc["t2_limit"], screen, verdicts)
     truth_rows = set(truth_doc["rows"])
     n = len(node_ids)
     test_rows = truth_doc["test_rows"]
     screened = report.rows.row.tolist()
     if screened != list(range(test_rows)):
         row = next((r for i, r in enumerate(screened) if r != i or r >= test_rows), len(screened))
-        raise ValueError(f"report {args.report} does not screen rows 0..{test_rows - 1} of {args.truth}: row {row}")
+        report_doc.fail("rows", f"must screen rows 0..{test_rows - 1} of {args.truth}, got row {row}")
 
     rows = metrics.precision_recall(truth_rows, report.flagged_rows(), range(test_rows))
 

@@ -103,8 +103,6 @@ class Standardization:
     def __post_init__(self) -> None:
         object.__setattr__(self, "means", np.array(self.means, dtype=float))
         object.__setattr__(self, "variances", np.array(self.variances, dtype=float))
-        if self.means.shape != self.variances.shape or self.means.ndim != 1:
-            raise ValueError("means and variances must be equal-length vectors")
         if not (self.variances > 0).all():
             raise ValueError("variances must be strictly positive")
 

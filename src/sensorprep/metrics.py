@@ -64,11 +64,8 @@ def rmse(actual: Sequence[float], estimated: Sequence[float]) -> float:
 
 
 def per_node_rmse(recoveries: np.recarray, values: np.ndarray) -> dict[int, float]:
-    """`rmse` of each node's recoveries (`redundancy.RECOVERY_DTYPE`) against `values[t, node]`, by ascending node."""
-    for what, index, size in (("row", recoveries.t, len(values)), ("node", recoveries.node, values.shape[1])):
-        outside = index[(index < 0) | (index >= size)]
-        if outside.size:
-            raise ValueError(f"recovery at {what} {outside[0]} is outside the data's {what}s 0..{size - 1}")
+    """`rmse` of each node's recoveries (`redundancy.RECOVERY_DTYPE`) against `values[t, node]`, by ascending node.
+    Every (t, node) must index `values`, as `redundancy.rebuild` makes sure."""
     nodes, actual = recoveries.node, values[recoveries.t, recoveries.node]
     # Not np.unique: its first call imports numpy.ma, which no other step of a realtime run needs.
     present = np.flatnonzero(np.bincount(nodes, minlength=values.shape[1])).tolist()

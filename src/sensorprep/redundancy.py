@@ -41,7 +41,6 @@ __all__ = [
     "static_report_to_dict",
     "recoveries_from_dict",
     "realtime_report_to_dict",
-    "schedule_from_dict",
     "write_static_csv",
     "write_realtime_csv",
     "write_recovery_csv",
@@ -54,7 +53,7 @@ SCHEDULE_DTYPE = np.dtype(
     [("t", np.int64), ("node", np.int64), ("sleeping", np.bool_), ("max_posterior", np.float64)]
 )
 # The schedule columns a report stores: `_schedule_steps` rebuilds `t` and `node` from its header.
-_STORED_DTYPE = np.dtype([("sleeping", np.bool_), ("max_posterior", np.float64)])
+_STORED_DTYPE = artifacts.SCHEMA["redundancy_realtime"]["entries"][0]
 # One recovered reading per (step, sleeping or redundant node). The reading it
 # replaces is the input's `values[t, node]`, so a report never copies it.
 RECOVERY_DTYPE = np.dtype([("t", np.int64), ("node", np.int64), ("estimate", np.float64)])
@@ -104,7 +103,7 @@ class RealtimeRedundancyReport:
 
     def recoveries(self, data: SensorDataset) -> np.recarray:
         """The sleeping readings, rebuilt from `data`, the dataset the schedule was made from."""
-        return rebuild(self.rules, data, self.entries[self.entries.sleeping], self.slice_len)
+        return rebuild(self.rules, data, self.entries.sleeping, self.slice_len, self.train_frac)
 
 
 def ssdrda(net: StaticNetwork, tau: float = 0.95) -> StaticRedundancyReport:
@@ -191,37 +190,46 @@ def static_recovery(data: SensorDataset, dag: Dag, redundant_nodes: Sequence[int
 
 
 def rebuild(
-    rules: RecoveryRules, data: SensorDataset, sleeping: np.ndarray | None = None, slice_len: int = 0
+    rules: RecoveryRules, data: SensorDataset, sleeping: np.ndarray | None = None, slice_len: int = 0,
+    train_frac: float = 0.0,
 ) -> np.recarray:
     """The readings that `rules` rebuild from `data`, as `RECOVERY_DTYPE` records.
 
     Static rules (`sleeping` None) rebuild rows 0..`rules.rows`-1 of each
-    rule's node, rule by rule. Realtime rules rebuild the `sleeping` records'
-    (t, node) readings in their order, each under its node's rule in slice
-    `t // slice_len`, from the parents' readings at t - 1.
+    rule's node, rule by rule. Realtime rules rebuild the readings that a
+    schedule's `sleeping` column marks, in its order: the schedule of
+    `slice_len` and `train_frac` that `rsdrda_schedule` makes over `data`'s
+    nodes. Each is rebuilt under its node's rule in its slice, from the
+    parents' readings one step earlier. Errors name the report field at fault.
     """
     node = np.array(rules.node, dtype=np.int64)
     if sleeping is None:
-        if rules.rows > data.m and len(node):
-            raise ValueError(f"recovery at row {data.m} is outside the data's rows 0..{data.m - 1}")
+        if rules.rows > data.m:
+            raise ValueError(f"rule_rows must be at most the data's {data.m} rows, got {rules.rows}")
         t, rule, lag = np.tile(np.arange(rules.rows), len(node)), np.repeat(np.arange(len(node)), rules.rows), 0
     else:
-        t, lag = sleeping.t, 1
-        for what, index, low, size in (("row", t, lag, data.m), ("node", sleeping.node, 0, data.n)):
-            outside = index[(index < low) | (index >= size)]
-            if outside.size:
-                raise ValueError(f"recovery at {what} {outside[0]} is outside the data's {what}s {low}..{size - 1}")
-        # The rule of each (slice, node) that a sleeping reading can fall in; -1 where there is none.
-        slices, rule_slice = t // slice_len, np.array(rules.slice, dtype=np.int64)
-        table = np.full((int(slices.max(initial=-1)) + 1, data.n), -1)
-        known = (rule_slice >= 0) & (rule_slice < len(table)) & (node >= 0) & (node < data.n)
-        table[rule_slice[known], node[known]] = np.flatnonzero(known)
-        rule = table[slices, sleeping.node]
+        t, nodes = _schedule_steps(slice_len, train_frac, data.n, len(sleeping))
+        if len(t) and (t[0] < 1 or t[-1] >= data.m):
+            raise ValueError(f"entries of slice_len {slice_len} span rows {t[0]}..{t[-1]}, outside the data's rows "
+                             f"1..{data.m - 1}")
+        # Each (slice, node) holds the index of its one rule, or -1.
+        table, rule_slice = np.full((len(t) and t[-1] // slice_len + 1, data.n), -1), np.array(rules.slice, np.int64)
+        outside = rule_slice[(rule_slice < 0) | (rule_slice >= len(table))]
+        if outside.size:
+            raise ValueError(f"rule_slice must lie in the schedule's slices 0..{len(table) - 1}, got {outside[0]}")
+        table[rule_slice, node] = np.arange(len(node))
+        if (table[rule_slice, node] != np.arange(len(node))).any():
+            raise ValueError("rule_slice and rule_node must name each (slice, node) once")
+        t, nodes, lag = t[sleeping], nodes[sleeping], 1
+        rule = table[t // slice_len, nodes]
         if (rule < 0).any():
             i = int(np.argmax(rule < 0))
-            raise ValueError(f"sleeping reading at row {t[i]}, node {sleeping.node[i]} has no recovery rule")
+            raise ValueError(f"entries put node {nodes[i]} to sleep at row {t[i]}, but no rule_slice and rule_node "
+                             "rebuild it")
     # The rules with p parents are one group: their readings are one r x p stack.
     sizes = np.array([len(ps) for ps in rules.parents], dtype=np.int64)
+    if (sizes == 0).any():
+        raise ValueError(f"rule_parents give rule {int(np.argmax(sizes == 0))} no parents")
     estimates = np.empty(len(t))
     for p in set(sizes.tolist()):
         group = np.flatnonzero(sizes == p)
@@ -360,7 +368,8 @@ def _schedule_steps(slice_len: int, train_frac: float, n: int, count: int) -> tu
     per_slice = max(slice_len - train_len, 0) * n
     slices, rest = divmod(count, per_slice) if per_slice else (0, count)
     if rest:
-        raise ValueError(f"{count} entries are not a whole number of slices of {per_slice // n} steps x {n} nodes")
+        raise ValueError(f"{count} entries are not a whole number of slices of {per_slice // n} steps x {n} nodes "
+                         f"(slice_len {slice_len}, train_frac {train_frac})")
     steps = np.arange(train_len, slice_len if slices else train_len)  # at most `count` steps
     return np.repeat(np.add.outer(np.arange(slices) * slice_len, steps), n), np.tile(np.arange(n), slices * len(steps))
 
@@ -396,58 +405,13 @@ def realtime_report_to_dict(report: RealtimeRedundancyReport) -> dict:
 
 def recoveries_from_dict(doc: artifacts.Document, data: SensorDataset) -> np.recarray:
     """The readings that a read `redundancy_static` or `redundancy_realtime` document's rules rebuild from `data`.
-
-    Rule lists of unequal length, a rule that names a node outside the
-    document's or has no parents, parents paired with another number of
-    dissimilarities, a negative dissimilarity, a `rule_rows` below 0, a
-    `slice_len` below 1, and either one above `data`'s rows are each an
-    ArtifactError naming the file and the field.
-    """
-    realtime = doc["kind"] == "redundancy_realtime"
-    rules = RecoveryRules(
-        doc["rule_node"], doc["rule_parents"], doc["rule_dissimilarities"],
-        **({"slice": doc["rule_slice"]} if realtime else {"rows": doc["rule_rows"]}),
-    )
-
-    for key, value in _rule_fields(rules).items():
-        if isinstance(value, list) and len(value) != len(rules.node):
-            doc.fail(key, f"must hold one entry per rule: got {len(value)} for the {len(rules.node)} in 'rule_node'")
-    n = len(doc["node_ids"])
-    for key, nodes in (("rule_node", rules.node), ("rule_parents", [p for ps in rules.parents for p in ps])):
-        outside = [node for node in nodes if not 0 <= node < n]
-        if outside:
-            doc.fail(key, f"names node {outside[0]}, outside the nodes 0..{n - 1}")
-    for i, (parents, dists) in enumerate(zip(rules.parents, rules.dissimilarities)):
-        if not parents:
-            doc.fail("rule_parents", f"gives rule {i} no parents")
-        if len(dists) != len(parents):
-            doc.fail("rule_dissimilarities", f"gives rule {i} parents {parents} but dissimilarities {dists}")
-        if min(dists) < 0:
-            doc.fail("rule_dissimilarities", f"gives rule {i} the negative dissimilarity {min(dists)}")
-    key, low = ("slice_len", 1) if realtime else ("rule_rows", 0)
-    if doc[key] < low:
-        doc.fail(key, f"must be at least {low}, got {doc[key]}")
-    entries = schedule_from_dict(doc) if realtime else None
-    if doc[key] > data.m:  # `static_rules` covers its data's rows; `rsdrda_schedule` makes no slice longer
-        doc.fail(key, f"must be at most the data's {data.m} rows, got {doc[key]}")
-    if entries is None:
-        return rebuild(rules, data)
-    return rebuild(rules, data, entries[entries.sleeping], doc["slice_len"])
-
-
-def schedule_from_dict(doc: artifacts.Document) -> np.recarray:
-    """A read `redundancy_realtime` document's schedule as `SCHEDULE_DTYPE` records: its stored columns, with `t`
-    and `node` rebuilt as `rsdrda_schedule` builds them. An `entries` field of other columns, or whose length is
-    not a whole number of slices, and a `train_frac` outside (0, 1) are ArtifactErrors naming the file and the
-    field."""
-    stored = artifacts.records(doc["entries"], _STORED_DTYPE, doc, "entries")
-    if not 0 < doc["train_frac"] < 1:
-        doc.fail("train_frac", f"must lie in (0, 1), got {doc['train_frac']}")
-    try:
-        t, node = _schedule_steps(doc["slice_len"], doc["train_frac"], len(doc["node_ids"]), len(stored))
-    except ValueError as exc:
-        raise artifacts.ArtifactError(f"{doc.path}: field 'entries': {exc}") from None
-    return np.rec.fromarrays([t, node, stored.sleeping, stored.max_posterior], dtype=SCHEDULE_DTYPE)
+    `rebuild`'s errors leave as ArtifactErrors naming the file."""
+    with doc:
+        if doc["kind"] == "redundancy_static":
+            return rebuild(RecoveryRules(doc["rule_node"], doc["rule_parents"], doc["rule_dissimilarities"],
+                                         rows=doc["rule_rows"]), data)
+        rules = RecoveryRules(doc["rule_node"], doc["rule_parents"], doc["rule_dissimilarities"], doc["rule_slice"])
+        return rebuild(rules, data, doc["entries"].sleeping, doc["slice_len"], doc["train_frac"])
 
 
 def write_static_csv(report: StaticRedundancyReport, node_ids: Sequence[str], path: str | Path) -> None:

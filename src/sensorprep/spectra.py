@@ -26,9 +26,7 @@ __all__ = [
     "t2_threshold",
     "fit_pca_model",
     "model_to_dict",
-    "model_from_dict",
     "limit_to_json",
-    "limit_from_json",
 ]
 
 _EIG_CLAMP = 1e-9
@@ -55,16 +53,14 @@ class PcaModel:
         lam = np.array(self.eigenvalues, dtype=float)
         vec = np.array(self.eigenvectors, dtype=float)
         n = lam.shape[0]
-        if vec.shape != (n, n):
-            raise ValueError(f"eigenvector matrix must be {n}x{n}, got {vec.shape}")
         if (np.diff(lam) > 0).any():
             raise ValueError("eigenvalues must be sorted descending")
         if lam.min(initial=0.0) < -_EIG_CLAMP:
-            raise ValueError(f"negative eigenvalue {lam.min()} below clamp tolerance")
+            raise ValueError(f"eigenvalues must be at least -{_EIG_CLAMP}, got {lam.min()}")
         lam = np.where(lam < 0.0, 0.0, lam)
         ortho = np.abs(vec.T @ vec - np.eye(n)).max()
         if ortho >= 1e-8:
-            raise ValueError(f"eigenvector matrix not orthonormal (deviation {ortho:.3e})")
+            raise ValueError(f"eigenvectors not orthonormal (deviation {ortho:.3e})")
         if not 1 <= self.k <= n:
             raise ValueError(f"k must lie in 1..{n}, got {self.k}")
         object.__setattr__(self, "eigenvalues", lam)
@@ -227,13 +223,8 @@ def fit_pca_model(
 
 
 def limit_to_json(limit: float) -> float | None:
-    """Control limit as strict JSON: the disabled Q test (+inf) becomes null."""
+    """Control limit as strict JSON: the disabled Q test (+inf) becomes null, which `artifacts.read` reads as +inf."""
     return None if math.isinf(limit) else float(limit)
-
-
-def limit_from_json(value: float | None) -> float:
-    """Inverse of limit_to_json."""
-    return math.inf if value is None else float(value)
 
 
 def model_to_dict(model: PcaModel) -> dict:
@@ -249,14 +240,3 @@ def model_to_dict(model: PcaModel) -> dict:
         "alpha": float(model.alpha),
     }
 
-
-def model_from_dict(doc: dict) -> PcaModel:
-    return PcaModel(
-        Standardization(np.array(doc["means"]), np.array(doc["variances"])),
-        np.array(doc["eigenvalues"]),
-        np.array(doc["eigenvectors"]),
-        int(doc["k"]),
-        limit_from_json(doc["q_limit"]),
-        float(doc["t2_limit"]),
-        float(doc["alpha"]),
-    )

@@ -45,16 +45,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, tq_screen
+from sensorprep import artifacts
+from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, tq_screen, verdict_records
 from sensorprep.bayesnet import (
     Dag,
+    StaticNetwork,
     TransitionNetwork,
     count_states,
     estimate_cpt,
 )
 from sensorprep.ingest import DiscretizationScheme, SensorDataset, Standardization, StateMatrix, discretize
-from sensorprep.redundancy import RECOVERY_DTYPE, SCHEDULE_DTYPE, RealtimeRedundancyReport, StaticRedundancyReport
-from sensorprep.spectra import PcaModel, limit_from_json, limit_to_json
+from sensorprep.redundancy import (
+    RECOVERY_DTYPE,
+    SCHEDULE_DTYPE,
+    RealtimeRedundancyReport,
+    StaticRedundancyReport,
+    _schedule_steps,
+)
+from sensorprep.spectra import PcaModel, limit_to_json
 
 
 def simpson(f, a: float, b: float, n: int = 4000) -> float:
@@ -838,7 +846,7 @@ def legacy_report_from_dict(doc: dict) -> DetectionReport:
     rows = [tuple(s[f] for f in ROW_DTYPE.names) for s in doc["rows"]]
     verdicts = [tuple(v[f] for f in VERDICT_DTYPE.names) for v in doc["verdicts"]]
     return DetectionReport(
-        limit_from_json(doc["q_limit"]),
+        math.inf if doc["q_limit"] is None else doc["q_limit"],
         doc["t2_limit"],
         np.rec.fromrecords(rows, dtype=ROW_DTYPE),
         np.rec.fromrecords(verdicts, dtype=VERDICT_DTYPE),
@@ -896,3 +904,35 @@ def legacy_realtime_from_dict(doc: dict) -> tuple[np.recarray, np.recarray]:
         for e in doc["entries"]
     ]
     return np.rec.fromrecords(entries, dtype=SCHEDULE_DTYPE), _legacy_recoveries_from_dicts(doc["recoveries"])
+
+
+# Each artifact as the command that reads it builds it: its constructor applied to the fields `artifacts.read`
+# checked and converted.
+
+
+def read_model(path, node_ids) -> PcaModel:
+    with artifacts.read(path, "pca_model", node_ids) as doc:
+        return PcaModel(Standardization(doc["means"], doc["variances"]), doc["eigenvalues"], doc["eigenvectors"],
+                        doc["k"], doc["q_limit"], doc["t2_limit"], doc["alpha"])
+
+
+def read_network(path, kind, node_ids) -> StaticNetwork | TransitionNetwork:
+    with artifacts.read(path, kind, node_ids) as doc:
+        dag = Dag(len(node_ids), doc["parents"])
+        return StaticNetwork(dag, doc["counts"]) if kind == "static_network" else TransitionNetwork(
+            dag, doc["counts"], doc["priors"])
+
+
+def read_report(path, node_ids) -> DetectionReport:
+    doc = artifacts.read(path, "detection_report", node_ids)
+    rows, stored = doc["rows"], doc["verdicts"]
+    verdicts = verdict_records(rows.row[rows.flagged], stored.observed, stored.predicted, doc["uninferable"])
+    return DetectionReport(doc["q_limit"], doc["t2_limit"], rows, verdicts)
+
+
+def read_schedule(doc: artifacts.Document) -> np.recarray:
+    """A read `redundancy_realtime` document's whole schedule: its stored columns beside the `t` and `node` that
+    `rsdrda_schedule` builds for them."""
+    entries = doc["entries"]
+    t, node = _schedule_steps(doc["slice_len"], doc["train_frac"], len(doc["node_ids"]), len(entries))
+    return np.rec.fromarrays([t, node, entries.sleeping, entries.max_posterior], dtype=SCHEDULE_DTYPE)

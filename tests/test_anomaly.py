@@ -10,6 +10,7 @@ from oracles import (
     assert_screens_equivalent,
     brute_nb_posterior,
     random_transition_network,
+    read_report,
     scalar_tq_screen,
     scalar_tqbayes_detect,
     screen_bounds,
@@ -22,7 +23,6 @@ from sensorprep.anomaly import (
     DetectionReport,
     _screen,
     nb_predict_state,
-    report_from_dict,
     report_to_dict,
     tq_screen,
     tqbayes_detect,
@@ -361,8 +361,7 @@ class TestTqBayesDetect:
         train, test, model, scheme, tn = fitted
         report = tqbayes_detect(test, model, tn, scheme, discretize_row(train.values[-1], scheme))
         artifacts.write(tmp_path / "report.json", "detection_report", test.node_ids, report_to_dict(report))
-        doc = artifacts.read(tmp_path / "report.json", "detection_report", test.node_ids)
-        assert_reports_equal(report_from_dict(doc), report)
+        assert_reports_equal(read_report(tmp_path / "report.json", test.node_ids), report)
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         header = path.read_text().splitlines()[0]
@@ -403,7 +402,17 @@ class TestReportFile:
         node_ids, report = case
         path = tmp_path_factory.mktemp("report") / "detection_report.json"
         artifacts.write(path, "detection_report", node_ids, report_to_dict(report))
-        assert_reports_equal(report_from_dict(artifacts.read(path, "detection_report", node_ids)), report)
+        assert_reports_equal(read_report(path, node_ids), report)
+
+    def test_verdicts_out_of_order_rejected_at_write(self):
+        # Verdicts in any other order than one per (flagged row, node) would read back as other verdicts.
+        rows = np.rec.fromarrays([[0, 1], [0.5, 9.0], [0.5, 9.0], [False, True]], dtype=ROW_DTYPE)
+        cells = [(1, j, j + 1, 3 - j, j != 1, False) for j in range(3)]
+        report = DetectionReport(2.5, 3.5, rows, np.rec.fromrecords(cells, dtype=VERDICT_DTYPE))
+        assert report_to_dict(report)["verdicts"] == [[1, 2, 3], [3, 2, 1]]
+        for verdicts in (report.verdicts[::-1], report.verdicts[[0, 1, 2, 0]], report.verdicts[[0, 2]]):
+            with pytest.raises(ValueError, match="verdicts must be one per flagged row and node, in row then node"):
+                report_to_dict(DetectionReport(2.5, 3.5, rows, verdicts))
 
 
 @st.composite

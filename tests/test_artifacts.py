@@ -17,13 +17,14 @@ from oracles import (
     legacy_report_to_dict,
     legacy_static_from_dict,
     legacy_static_report_to_dict,
+    read_report,
+    read_schedule,
 )
 from sensorprep import artifacts
 from sensorprep.anomaly import (
     ROW_DTYPE,
     VERDICT_DTYPE,
     DetectionReport,
-    report_from_dict,
     report_to_dict,
     tqbayes_detect,
 )
@@ -36,7 +37,6 @@ from sensorprep.redundancy import (
     realtime_report_to_dict,
     recoveries_from_dict,
     rsdrda_schedule,
-    schedule_from_dict,
     ssdrda,
     static_report_to_dict,
     static_rules,
@@ -91,16 +91,18 @@ class TestRoundTrip:
                                       [True, False, False]], dtype=VERDICT_DTYPE)
         report = DetectionReport(math.inf, 7.5, rows, verdicts)
         doc = round_trip(tmp_path, "detection_report", report_to_dict(report))
-        assert doc["q_limit"] is None
-        back = report_from_dict(doc)
+        assert json.loads((tmp_path / "detection_report.json").read_text())["q_limit"] is None
+        assert doc["q_limit"] == math.inf
+        back = read_report(tmp_path / "detection_report.json", NODE_IDS)
         assert back.q_limit == math.inf and back.t2_limit == report.t2_limit
         assert back.rows.tobytes() == rows.tobytes() and back.verdicts.tobytes() == verdicts.tobytes()
 
-    def test_ragged_columns_rejected(self):
-        with pytest.raises(ArtifactError, match="3 columns of equal length"):
-            artifacts.records([[1, 2], [3], [0.5, 0.5]], RECOVERY_DTYPE)
-        with pytest.raises(ArtifactError, match="3 columns of equal length"):
-            artifacts.records([[1], [3]], RECOVERY_DTYPE)
+    def test_ragged_columns_rejected(self, tmp_path):
+        # `read` holds a record field to its dtype's columns, of one length, before `records` converts it.
+        message = "field 'entries' must hold 2 columns of equal length: sleeping, max_posterior"
+        for entries in ([[True, False], [0.5]], [[True]], [[True], [0.5], [0.5]], [True, 0.5]):
+            with pytest.raises(ArtifactError, match=message):
+                round_trip(tmp_path, "redundancy_realtime", {"entries": entries})
 
 
 class TestRejections:
@@ -164,6 +166,40 @@ class TestRejections:
             artifacts.read(path, "redundancy_realtime", NODE_IDS)
 
 
+class TestNoSilentCast:
+    """JSON types are checked before numpy casts a value: `np.array([1.5], np.int64)` truncates,
+    `np.array([True, 2])` is int64, and overflow differs between numpy versions."""
+
+    ROWS = [[0, 1], [1.0, 9.0], [1.0, 9.0], [False, True]]
+
+    @pytest.mark.parametrize(
+        ("kind", "body", "message"),
+        [
+            pytest.param("detection_report", {"rows": ROWS, "verdicts": [[True, 2, 1], [1, 2, 1]]},
+                         "field 'verdicts' column 'observed' must hold integers, got True", id="observed-true"),
+            pytest.param("detection_report", {"rows": [[True, 1], *ROWS[1:]]},
+                         "field 'rows' column 'row' must hold integers, got True", id="row-true"),
+            pytest.param("detection_report", {"rows": ROWS, "verdicts": [[1, 2, 1], [1, 1.5, 1]]},
+                         "field 'verdicts' column 'predicted' must hold integers, got 1.5", id="predicted-fraction"),
+            pytest.param("detection_report", {"rows": [ROWS[0], [[], 9.0], *ROWS[2:]]},
+                         r"field 'rows' column 'q' must hold numbers or null, got \[\]", id="q-list"),
+            pytest.param("redundancy_realtime", {"entries": [[[], True], [0.5, 0.5]]},
+                         r"field 'entries' column 'sleeping' must hold booleans, got \[\]", id="sleeping-list"),
+            *(pytest.param(kind, body(big), f"field '{key}' must hold integers within int64, got {big}",
+                           id=f"{key}-{name}")
+              for big, name in ((2**63, "2**63"), (10**400, "10**400"))
+              for kind, key, body in (
+                  ("pca_model", "k", lambda v: {"k": v}),
+                  ("redundancy_realtime", "rule_slice", lambda v: {"rule_slice": [0, v]}),
+                  ("static_network", "counts", lambda v: {"counts": [[[1, v, 1]]] * 3}),
+              )),
+        ],
+    )
+    def test_rejected_naming_file_and_field(self, tmp_path, kind, body, message):
+        with pytest.raises(ArtifactError, match=f"^{tmp_path / kind}.json: {message}$"):
+            round_trip(tmp_path, kind, body)
+
+
 @pytest.mark.parametrize("kind", ["redundancy_static", "redundancy_realtime"])
 def test_version_1_redundancy_report_rejected(tmp_path, reports, kind):
     # Version 1 stored a fourth recovery column, `actual`, copied from the data.
@@ -205,7 +241,8 @@ def legacy_json(doc):
 class TestEquivalenceWithPerRecordLayout:
     def test_detection_report(self, tmp_path, reports):
         ids, detection, *_ = reports
-        new = report_from_dict(round_trip(tmp_path, "detection_report", report_to_dict(detection), ids))
+        round_trip(tmp_path, "detection_report", report_to_dict(detection), ids)
+        new = read_report(tmp_path / "detection_report.json", ids)
         old = legacy_report_from_dict(legacy_json(legacy_report_to_dict(detection)))
         assert new.rows.tobytes() == old.rows.tobytes() == detection.rows.tobytes()
         assert new.verdicts.tobytes() == old.verdicts.tobytes() == detection.verdicts.tobytes()
@@ -227,7 +264,7 @@ class TestEquivalenceWithPerRecordLayout:
         doc = round_trip(tmp_path, "redundancy_realtime", realtime_report_to_dict(realtime), ids)
         legacy = legacy_json(legacy_realtime_report_to_dict(realtime, realtime.recoveries(lagged), ids))
         old_entries, old_recoveries = legacy_realtime_from_dict(legacy)
-        assert schedule_from_dict(doc).tobytes() == old_entries.tobytes()
+        assert read_schedule(doc).tobytes() == old_entries.tobytes()
         assert recoveries_from_dict(doc, lagged).tobytes() == old_recoveries.tobytes()
         assert len(old_recoveries) == realtime.entries.sleeping.sum() > len(realtime.rules.node)
 
@@ -238,5 +275,6 @@ class TestEquivalenceWithPerRecordLayout:
         doc = round_trip(tmp_path, "redundancy_static", static_report_to_dict(empty))
         legacy = legacy_json(legacy_static_report_to_dict(empty, empty.recoveries(data), NODE_IDS))
         _, old_recoveries = legacy_static_from_dict(legacy)
-        assert (doc["rule_node"], doc["rule_parents"], doc["rule_dissimilarities"], doc["rule_rows"]) == ([], [], [], 0)
+        assert [len(doc[key]) for key in ("rule_node", "rule_parents", "rule_dissimilarities")] == [0, 0, 0]
+        assert doc["rule_rows"] == 0
         assert recoveries_from_dict(doc, data).tobytes() == old_recoveries.tobytes() == b""

@@ -23,7 +23,7 @@ from oracles import (
     states_from_grid,
     trivial_scheme,
 )
-from sensorprep import bayesnet
+from sensorprep import artifacts, bayesnet
 from sensorprep.bayesnet import (
     Dag,
     StaticNetwork,
@@ -46,8 +46,6 @@ from sensorprep.bayesnet import (
     parent_marginals,
     penalized_family_score,
     repair_cycles,
-    static_from_dict,
-    transition_from_dict,
 )
 from sensorprep.ingest import SensorDataset, discretize, fit_discretization, synth_generate
 from sensorprep.redundancy import rsdrda_schedule, ssdrda
@@ -639,7 +637,7 @@ class TestRepairCycles:
 
     def test_repair_rejects_tables_that_do_not_fit_the_dag(self):
         dag = Dag(2, ((1,), (0,)))
-        with pytest.raises(ValueError, match="need one count table per node: 2 nodes, 1 tables"):
+        with pytest.raises(ValueError, match="counts must hold one table per node: 2 nodes, 1 tables"):
             repair_cycles(dag, [np.ones((2, 2))], 4)
         with pytest.raises(ValueError, match=r"node 1 needs 2\^1 = 2 configuration rows, got 1"):
             repair_cycles(dag, [np.ones((2, 2)), np.ones((1, 2))], 4)
@@ -767,8 +765,8 @@ class TestCountTablesMatchTheDag:
             ((np.ones((3, 3)), np.ones((3, 3))), r"node 1 needs 3\^0 = 1 configuration rows, got 3"),
             ((np.ones((3, 3)), np.array([[1, -1, 1]])), "node 1: counts must be nonnegative"),
             ((np.ones((3, 3)), np.ones((1, 4))), "node 1 has 4 states, node 0 has 3: one network needs one K"),
-            ((np.ones(3), np.ones((1, 3))), r"node 0: count table must be 2-D, got shape \(3,\)"),
-            ((np.ones((3, 3)),), "need one count table per node: 2 nodes, 1 tables"),
+            ((np.ones(3), np.ones((1, 3))), r"node 0: counts must be a 2-D table, got shape \(3,\)"),
+            ((np.ones((3, 3)),), "counts must hold one table per node: 2 nodes, 1 tables"),
         ],
         ids=["rows-node-0", "rows-node-1", "negative", "mixed-K", "not-2-D", "one-per-node"],
     )
@@ -787,12 +785,16 @@ class TestCountTablesMatchTheDag:
         with pytest.raises(ValueError, match=r"node 1: counts must be whole numbers below 2\*\*63"):
             build(Dag(2, ((1,), ())), (5 * np.eye(3), np.array([row])))
 
-    def test_static_from_dict_rejects_a_fraction_and_loads_whole_floats(self):
-        doc = {"parents": [[], [0]], "counts": [[[2.7, 1, 1]], np.eye(3).tolist()]}
-        with pytest.raises(ValueError, match="node 0: counts must be whole numbers"):
-            static_from_dict(doc)
-        doc["counts"][0] = [[2.0, 1.0, 1.0]]
-        net = static_from_dict(doc)
+    def test_counts_file_holds_json_integers(self, tmp_path):
+        # A fraction, and a whole number written as a float, are not counts; JSON integers load as int64 tables.
+        path = tmp_path / "static_network.json"
+        for table, value in (([[2.7, 1, 1]], "2.7"), ([[2.0, 1.0, 1.0]], "2.0"), ([[2, 1, 1]], None)):
+            artifacts.write(path, "static_network", ["a", "b"], {"parents": [[], [0]],
+                                                                  "counts": [table, np.eye(3, dtype=int).tolist()]})
+            if value is not None:
+                with pytest.raises(artifacts.ArtifactError, match=f"field 'counts' must hold integers, got {value}"):
+                    oracles.read_network(path, "static_network", ["a", "b"])
+        net = oracles.read_network(path, "static_network", ["a", "b"])
         assert [c.dtype for c in net.counts] == [np.int64, np.int64]
         assert net.counts[0].tolist() == [[2, 1, 1]] and net.counts[1].tolist() == np.eye(3, dtype=int).tolist()
 
@@ -810,26 +812,33 @@ class TestCountTablesMatchTheDag:
         assert report.criterion.tolist() == [1.0, 0.0] and report.witness == ([1.0, 1.0, 1.0], [])
 
 
+def write_and_read(tmp_path, kind, net, body=None):
+    """`net` written as a `kind` artifact (with `body` in place of its own, if given) and read back."""
+    ids = [f"n{j}" for j in range(net.dag.n)]
+    artifacts.write(tmp_path / f"{kind}.json", kind, ids, network_to_dict(net) if body is None else body)
+    return oracles.read_network(tmp_path / f"{kind}.json", kind, ids)
+
+
 class TestSerialization:
-    def test_static_roundtrip(self):
+    def test_static_roundtrip(self, tmp_path):
         rng = np.random.default_rng(13)
         states = states_from_grid(rng.integers(1, 3, size=(300, 3)), 2)
         net = learn_static(states, max_parents=2)
-        back = static_from_dict(network_to_dict(net))
+        back = write_and_read(tmp_path, "static_network", net)
         assert back.dag.parents == net.dag.parents
         for orig, copy in zip(net.counts, back.counts):
             np.testing.assert_array_equal(estimate_cpt(orig), estimate_cpt(copy))
             np.testing.assert_array_equal(orig, copy)
 
-    def test_transition_roundtrip(self):
+    def test_transition_roundtrip(self, tmp_path):
         rng = np.random.default_rng(14)
         states = states_from_grid(rng.integers(1, 3, size=(300, 3)), 2)
         tn = learn_transition(states, max_parents=2)
-        back = transition_from_dict(network_to_dict(tn))
+        back = write_and_read(tmp_path, "transition_network", tn)
         assert back.dag.parents == tn.dag.parents
         np.testing.assert_array_equal(back.priors, tn.priors)
 
-    def test_files_with_tables_load_equal(self):
+    def test_files_with_tables_load_equal(self, tmp_path):
         # Files written when each CPT table was stored beside its counts
         # still load: the tables key is ignored and every table, estimated
         # from the counts again, equals the stored one bit for bit.
@@ -839,14 +848,14 @@ class TestSerialization:
         grid[:, 1] = grid[:, 0]  # node 1 copies node 0
         grid[1:, 2] = grid[:-1, 0]  # node 2 copies node 0 one step late
         states = states_from_grid(grid, 3)
-        for net, from_dict, body in (
-            (learn_static(states), static_from_dict, ["counts", "parents"]),
-            (learn_transition(states), transition_from_dict, ["counts", "parents", "priors"]),
+        for net, kind, body in (
+            (learn_static(states), "static_network", ["counts", "parents"]),
+            (learn_transition(states), "transition_network", ["counts", "parents", "priors"]),
         ):
             doc = network_to_dict(net)
             assert sorted(doc) == body
             stored = json.loads(json.dumps({**doc, "tables": [estimate_cpt(c).tolist() for c in net.counts]}))
-            back = from_dict(stored)
+            back = write_and_read(tmp_path, kind, net, stored)
             assert any((c.sum(axis=1) == 0).any() for c in back.counts)
             for table, counts in zip(stored["tables"], back.counts):
                 assert estimate_cpt(counts).tobytes() == np.array(table).tobytes()

@@ -16,7 +16,7 @@ import pytest
 import oracles
 from sensorprep import artifacts, redundancy
 from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, report_to_dict
-from sensorprep.bayesnet import estimate_cpt, learn_transition, static_from_dict, transition_from_dict
+from sensorprep.bayesnet import estimate_cpt, learn_transition
 from sensorprep.cli import _build_parser, main
 from sensorprep.ingest import (
     SensorDataset,
@@ -27,7 +27,6 @@ from sensorprep.ingest import (
     synth_generate,
     write_csv,
 )
-from sensorprep.spectra import model_from_dict
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -170,8 +169,8 @@ class TestPipeline:
         # The summary's score comes from the counts the search kept; it equals a full recount.
         train = load_csv(tmp_path / "train.csv")
         states = discretize(train, fit_discretization(train, 3))
-        static = static_from_dict(json.loads((art / "static_network.json").read_text()))
-        transition = transition_from_dict(json.loads((art / "transition_network.json").read_text()))
+        static = oracles.read_network(art / "static_network.json", "static_network", train.node_ids)
+        transition = oracles.read_network(art / "transition_network.json", "transition_network", train.node_ids)
         assert outputs["learn"]["score"] == oracles.score(states, static.dag, 0) + oracles.score(states, transition.dag, 1)
         row_metrics = outputs["evaluate"]["row_level"]
         assert row_metrics["recall"] == 1.0
@@ -252,7 +251,7 @@ class TestPipeline:
         ])
         assert code == 1 and stdout == ""
         assert json.loads(err) == {
-            "error": f"{out / 'redundancy_static.json'}: field 'rule_rows' must be at most the data's 120 rows, got 400",
+            "error": f"{out / 'redundancy_static.json'}: rule_rows must be at most the data's 120 rows, got 400",
             "type": "ArtifactError",
         }
 
@@ -310,8 +309,8 @@ class TestPipeline:
         code, out, err = run(capsys, ["evaluate", "--report", str(bad), "--truth", str(tmp_path / "truth.json")])
         assert code == 1 and out == ""
         assert json.loads(err) == {
-            "error": f"{bad}: field 'verdicts' must hold {flagged * n} entries for {flagged} flagged rows of {n} nodes, "
-                     f"got {flagged * n + 1}",
+            "error": f"{bad}: field 'verdicts' must have shape (n * rows.flagged.sum()) = ({flagged * n},), "
+                     f"got ({flagged * n + 1},)",
             "type": "ArtifactError",
         }
 
@@ -387,15 +386,20 @@ class TestPipeline:
             pytest.param("static_network.json", lambda d: d["parents"].__setitem__(0, [True]),
                          "field 'parents' must hold integers, got True", id="parent-bool"),
             pytest.param("redundancy_realtime.json", lambda d: d["entries"][0].__setitem__(0, 1),
-                         "field 'entries': column 'sleeping' holds int64 values, not bool", id="entries-sleeping"),
+                         "field 'entries' column 'sleeping' must hold booleans, got 1", id="entries-sleeping"),
             pytest.param("redundancy_static.json", lambda d: d.update(rule_node=["1"]),
                          "field 'rule_node' must hold integers, got '1'", id="recovery-node"),
             pytest.param("redundancy_realtime.json", lambda d: d.update(slice_len=80.0),
                          "field 'slice_len' must hold integers, got 80.0", id="slice-len-float"),
             pytest.param("detection_report.json", lambda d: d["rows"][0].__setitem__(0, 0.5),
-                         "field 'rows': column 'row' holds float64 values, not int64", id="report-row"),
+                         "field 'rows' column 'row' must hold integers, got 0.5", id="report-row"),
             pytest.param("detection_report.json", lambda d: d["uninferable"].__setitem__(0, 1),
                          "field 'uninferable' must hold booleans, got 1", id="verdict-flag"),
+            # true read back as state 1 (row 1), and `evaluate` ran.
+            pytest.param("detection_report.json", lambda d: d["verdicts"][0].__setitem__(0, True),
+                         "field 'verdicts' column 'observed' must hold integers, got True", id="observed-true"),
+            pytest.param("detection_report.json", lambda d: d["rows"][0].__setitem__(1, True),
+                         "field 'rows' column 'row' must hold integers, got True", id="report-row-true"),
             # These loaded, converted ("0.05" -> 0.05, true -> 1.0), or ended in a bare TypeError.
             pytest.param("pca_model.json", lambda d: d["means"].__setitem__(0, "1"),
                          "field 'means' must hold numbers, got '1'", id="means-string"),
@@ -420,21 +424,21 @@ class TestPipeline:
             pytest.param("detection_report.json", lambda d: d.update(t2_limit="3.8"),
                          "field 't2_limit' must hold numbers, got '3.8'", id="report-t2-limit"),
             pytest.param("detection_report.json", lambda d: d["rows"][1].__setitem__(0, "1.5"),
-                         "field 'rows': column 'q' must hold numbers or null", id="report-q"),
+                         "field 'rows' column 'q' must hold numbers or null, got '1.5'", id="report-q"),
             pytest.param("redundancy_realtime.json", lambda d: d["rule_dissimilarities"][0].__setitem__(0, True),
                          "field 'rule_dissimilarities' must hold numbers, got True", id="rule-dissimilarity-bool"),
             pytest.param("detection_report.json", lambda d: d.update(verdicts=5),
-                         "field 'verdicts': expected 2 columns of equal length: observed, predicted",
+                         "field 'verdicts' must hold 2 columns of equal length: observed, predicted",
                          id="verdicts-scalar"),
             # The report stores 2 verdict columns and one uninferable flag per node, and rebuilds the rest.
             pytest.param("detection_report.json", lambda d: d.update(verdicts=d["verdicts"] * 3),
-                         "field 'verdicts': expected 2 columns of equal length: observed, predicted",
+                         "field 'verdicts' must hold 2 columns of equal length: observed, predicted",
                          id="verdicts-six-columns"),
             pytest.param("detection_report.json", lambda d: flag_two_rows(d, verdicts=15),
-                         "field 'verdicts' must hold 16 entries for 2 flagged rows of 8 nodes, got 15",
+                         "field 'verdicts' must have shape (n * rows.flagged.sum()) = (16,), got (15,)",
                          id="verdicts-short"),
             pytest.param("detection_report.json", lambda d: flag_two_rows(d, uninferable=7),
-                         "field 'uninferable' must hold 8 entries for 2 flagged rows of 8 nodes, got 7",
+                         "field 'uninferable' must have shape (n * rows.flagged.any()) = (8,), got (7,)",
                          id="uninferable-short"),
             pytest.param("detection_report.json", lambda d: d.pop("uninferable"),
                          "detection_report has no field 'uninferable'; re-run `sensorprep detect`",
@@ -448,13 +452,13 @@ class TestPipeline:
             pytest.param("transition_network.json", lambda d: d["last_states"].__setitem__(0, 1.5),
                          "field 'last_states' must hold integers, got 1.5", id="last-states-fraction"),
             pytest.param("transition_network.json", lambda d: d.update(last_states=[2] * 7 + [0]),
-                         "field 'last_states' must hold 8 states in 1..3, one per node, got [2, 2, 2, 2, 2, 2, 2, 0]",
+                         "field 'last_states' must lie in [1, K] = [1, 3], got 0",
                          id="last-states-zero"),
             pytest.param("transition_network.json", lambda d: d.update(last_states=[2] * 7 + [4]),
-                         "field 'last_states' must hold 8 states in 1..3, one per node, got [2, 2, 2, 2, 2, 2, 2, 4]",
+                         "field 'last_states' must lie in [1, K] = [1, 3], got 4",
                          id="last-states-above-k"),
             pytest.param("transition_network.json", lambda d: d.update(last_states=[2] * 7),
-                         "field 'last_states' must hold 8 states in 1..3, one per node, got [2, 2, 2, 2, 2, 2, 2]",
+                         "field 'last_states' must have shape (n) = (8,), got (7,)",
                          id="last-states-short"),
             # A ragged list ended in numpy's "inhomogeneous shape" ValueError, which named no file or field.
             pytest.param("scheme.json", lambda d: d["edges"].__setitem__(1, [0.5]),
@@ -467,27 +471,27 @@ class TestPipeline:
             # Rules that cannot rebuild a reading of the report's nodes.
             pytest.param("redundancy_static.json",
                          lambda d: d.update(rule_node=[1, 2], rule_parents=[[0]], rule_dissimilarities=[[0.5]]),
-                         "field 'rule_parents' must hold one entry per rule: got 1 for the 2 in 'rule_node'",
+                         "field 'rule_parents' must have shape (len(rule_node)) = (2,), got (1,)",
                          id="rule-fields-unequal"),
             pytest.param("redundancy_realtime.json", lambda d: d["rule_node"].__setitem__(0, 8),
-                         "field 'rule_node' names node 8, outside the nodes 0..7", id="rule-node-outside"),
+                         "field 'rule_node' must lie in [0, n - 1] = [0, 7], got 8", id="rule-node-outside"),
             pytest.param("redundancy_static.json",
                          lambda d: d.update(rule_node=[1], rule_parents=[[-1]], rule_dissimilarities=[[0.5]]),
-                         "field 'rule_parents' names node -1, outside the nodes 0..7", id="rule-parent-outside"),
+                         "field 'rule_parents' must lie in [0, n - 1] = [0, 7], got -1", id="rule-parent-outside"),
             pytest.param("redundancy_realtime.json",
                          lambda d: (d["rule_parents"].__setitem__(0, []), d["rule_dissimilarities"].__setitem__(0, [])),
-                         "field 'rule_parents' gives rule 0 no parents", id="rule-without-parents"),
+                         "rule_parents give rule 0 no parents", id="rule-without-parents"),
             pytest.param("redundancy_static.json",
                          lambda d: d.update(rule_node=[1], rule_parents=[[0, 2]], rule_dissimilarities=[[0.5]]),
-                         "field 'rule_dissimilarities' gives rule 0 parents [0, 2] but dissimilarities [0.5]",
+                         "field 'rule_dissimilarities' item 0 must have shape (len(rule_parents[i])) = (2,), got (1,)",
                          id="rule-lengths-differ"),
             pytest.param("redundancy_realtime.json", lambda d: d["rule_dissimilarities"][0].__setitem__(0, -0.5),
-                         "field 'rule_dissimilarities' gives rule 0 the negative dissimilarity -0.5",
+                         "field 'rule_dissimilarities' must lie in [0, inf), got -0.5",
                          id="rule-dissimilarity-negative"),
             pytest.param("redundancy_realtime.json", lambda d: d.update(slice_len=0),
-                         "field 'slice_len' must be at least 1, got 0", id="slice-len-zero"),
+                         "field 'slice_len' must lie in [1, inf), got 0", id="slice-len-zero"),
             pytest.param("redundancy_static.json", lambda d: d.update(rule_rows=-1),
-                         "field 'rule_rows' must be at least 0, got -1", id="rule-rows-negative"),
+                         "field 'rule_rows' must lie in [0, inf), got -1", id="rule-rows-negative"),
             pytest.param("redundancy_static.json", lambda d: d.update(rule_rows=2.0),
                          "field 'rule_rows' must hold integers, got 2.0", id="rule-rows-float"),
             pytest.param("redundancy_realtime.json", lambda d: d.update(train_frac="0.6"),
@@ -496,26 +500,29 @@ class TestPipeline:
                          "field 'train_frac' must lie in (0, 1), got 1e+300", id="train-frac-outside"),
             # `t` and `node` of the schedule follow from its length: 3 slices of 32 steps x 8 nodes.
             pytest.param("redundancy_realtime.json", lambda d: [column.pop() for column in d["entries"]],
-                         "field 'entries': 767 entries are not a whole number of slices of 32 steps x 8 nodes",
+                         "767 entries are not a whole number of slices of 32 steps x 8 nodes (slice_len 80, "
+                         "train_frac 0.6)",
                          id="entries-part-slice"),
             pytest.param("redundancy_realtime.json", lambda d: d.update(train_frac=0.5),
-                         "field 'entries': 768 entries are not a whole number of slices of 40 steps x 8 nodes",
+                         "768 entries are not a whole number of slices of 40 steps x 8 nodes (slice_len 80, "
+                         "train_frac 0.5)",
                          id="entries-other-train-frac"),
             pytest.param("redundancy_realtime.json", lambda d: d.update(slice_len=10**15),
-                         "field 'entries': 768 entries are not a whole number of slices of 400000000000000 steps "
-                         "x 8 nodes", id="entries-huge-slice"),
+                         "768 entries are not a whole number of slices of 400000000000000 steps x 8 nodes "
+                         "(slice_len 1000000000000000, train_frac 0.6)", id="entries-huge-slice"),
             pytest.param("redundancy_realtime.json",
                          lambda d: d.update(entries=[list(range(768)), [i % 8 for i in range(768)], *d["entries"]]),
-                         "field 'entries': expected 2 columns of equal length: sleeping, max_posterior",
+                         "field 'entries' must hold 2 columns of equal length: sleeping, max_posterior",
                          id="entries-four-columns"),
             # 3 slices of 400 - 368 = 32 steps fit the entries, but not the 240 rows of the data.
             pytest.param("redundancy_realtime.json", lambda d: d.update(slice_len=400, train_frac=0.92),
-                         "field 'slice_len' must be at most the data's 240 rows, got 400", id="slice-len-over-rows"),
+                         "entries of slice_len 400 span rows 368..1199, outside the data's rows 1..239",
+                         id="slice-len-over-rows"),
             # These ended in a bare OverflowError.
             pytest.param("redundancy_realtime.json", lambda d: d.update(slice_len=10**400),
-                         f"field 'slice_len' must hold 64-bit integers, got {10**400}", id="slice-len-huge"),
+                         f"field 'slice_len' must hold integers within int64, got {10**400}", id="slice-len-huge"),
             pytest.param("redundancy_realtime.json", lambda d: d["rule_slice"].__setitem__(0, 2**63),
-                         f"field 'rule_slice' must hold 64-bit integers, got {2**63}", id="rule-slice-huge"),
+                         f"field 'rule_slice' must hold integers within int64, got {2**63}", id="rule-slice-huge"),
         ],
     )
     def test_malformed_artifact_field_names_file_and_field(self, tmp_path, capsys, name, edit, message):
@@ -638,7 +645,7 @@ class TestPipeline:
         if fault == "rows":
             doc["counts"][node] = doc["counts"][node][:1]
             p = len(doc["parents"][node])
-            message = f"node {node} needs 3^{p} = {3 ** p} configuration rows, got 1"
+            message = f"field 'counts' item {node} must have shape (K ** len(parents[i]), K) = ({3**p}, 3), got (1, 3)"
         else:
             doc["counts"][node][0][0] = -1
             message = f"node {node}: counts must be nonnegative"
@@ -646,7 +653,7 @@ class TestPipeline:
         command = (["redundancy-static"] if kind == "static_network" else ["detect", "--train", str(data)])
         code, out, err = run(capsys, command + ["--data", str(data), "--artifacts", str(art), "--out-dir", str(tmp_path)])
         assert code == 1 and out == ""
-        assert json.loads(err) == {"error": message, "type": "ValueError"}
+        assert json.loads(err) == {"error": f"{path}: {message}", "type": "ArtifactError"}
 
     def test_constant_column_fails_with_named_node(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -819,11 +826,12 @@ class TestPipeline:
         assert {(int(r["t"]), r["node"]) for r in schedule_csv} == set(parentless)
         for r in schedule_csv:
             assert (r["max_posterior"] == "") == parentless[int(r["t"]), r["node"]], r
-        doc = artifacts.read(art / "redundancy_realtime.json", "redundancy_realtime", data.node_ids)
-        entries = redundancy.schedule_from_dict(doc)
+        entries = oracles.read_schedule(artifacts.read(art / "redundancy_realtime.json", "redundancy_realtime",
+                                                       data.node_ids))
         assert len(entries) == len(schedule_csv)
-        for t, node, max_post in zip(entries.t.tolist(), entries.node.tolist(), doc["entries"][1]):
-            assert (max_post is None) == parentless[t, doc["node_ids"][node]], (t, node)
+        stored = json.loads((art / "redundancy_realtime.json").read_text())["entries"][1]
+        for t, node, max_post in zip(entries.t.tolist(), entries.node.tolist(), stored):
+            assert (max_post is None) == parentless[t, data.node_ids[node]], (t, node)
 
     def test_unknown_profile_fails_cleanly(self, tmp_path, capsys):
         code, out, err = run(capsys, [
@@ -987,7 +995,7 @@ class TestPipeline:
         assert summary["q_limit"] is None
         model_doc = strict((art / "pca_model.json").read_text())
         assert model_doc["q_limit"] is None
-        assert model_from_dict(model_doc).q_limit == math.inf
+        assert oracles.read_model(art / "pca_model.json", model_doc["node_ids"]).q_limit == math.inf
 
         code, out, err = run(capsys, [
             "inject", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "test.csv"),
@@ -1033,26 +1041,37 @@ class TestPipeline:
                      "but data has 'x'",
             "type": "ArtifactError",
         }
-        # The report was made from train.csv (240 rows); test.csv has 120, which some sleeping readings lie beyond.
-        doc = json.loads((art / "redundancy_realtime.json").read_text())
-        entries = redundancy.schedule_from_dict(
-            artifacts.read(art / "redundancy_realtime.json", "redundancy_realtime", doc["node_ids"])
-        )
-        asleep = entries[entries.sleeping]
-        beyond = asleep.t[asleep.t >= 120].min()
+        # The report was made from train.csv (240 rows): its 3 slices of 80 rows span rows 48..239, and test.csv
+        # has 120.
+        path = art / "redundancy_realtime.json"
         code, out, err = run(capsys, argv + [str(tmp_path / "test.csv")])
         assert code == 1 and out == ""
         assert json.loads(err) == {
-            "error": f"recovery at row {beyond} is outside the data's rows 1..119", "type": "ValueError",
+            "error": f"{path}: entries of slice_len 80 span rows 48..239, outside the data's rows 1..119",
+            "type": "ArtifactError",
         }
         # A sleeping reading is rebuilt by its node's rule in its slice, so each one needs that rule.
-        t, node = asleep.t[0], asleep.node[0]
-        doc["rule_slice"] = [s + 1 for s in doc["rule_slice"]]
-        (art / "redundancy_realtime.json").write_text(json.dumps(doc))
+        doc = json.loads(path.read_text())
+        entries = oracles.read_schedule(artifacts.read(path, "redundancy_realtime", doc["node_ids"]))
+        asleep = entries[entries.sleeping]
+        first = asleep[(asleep.t // 80 == doc["rule_slice"][0]) & (asleep.node == doc["rule_node"][0])][0]
+        for key in ("rule_slice", "rule_node", "rule_parents", "rule_dissimilarities"):
+            del doc[key][0]
+        path.write_text(json.dumps(doc))
         code, out, err = run(capsys, argv + [str(tmp_path / "train.csv")])
         assert code == 1 and out == ""
         assert json.loads(err) == {
-            "error": f"sleeping reading at row {t}, node {node} has no recovery rule", "type": "ValueError",
+            "error": f"{path}: entries put node {first.node} to sleep at row {first.t}, but no rule_slice and "
+                     "rule_node rebuild it",
+            "type": "ArtifactError",
+        }
+        # A rule outside the schedule's 3 slices rebuilds nothing, and is an error too.
+        doc["rule_slice"][0] = 3
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv + [str(tmp_path / "train.csv")])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": f"{path}: rule_slice must lie in the schedule's slices 0..2, got 3", "type": "ArtifactError",
         }
 
     @pytest.mark.parametrize(
@@ -1104,7 +1123,8 @@ class TestPipeline:
         code, out, err = run(capsys, ["evaluate", "--report", str(report), "--truth", str(truth)])
         assert code == 1 and out == ""
         assert json.loads(err) == {
-            "error": f"report {report} does not screen rows 0..49 of {truth}: row {row}", "type": "ValueError",
+            "error": f"{report}: field 'rows' must screen rows 0..49 of {truth}, got row {row}",
+            "type": "ArtifactError",
         }
 
     # `noise`, `stay` and `levels` are constants of the profiles, not keys.

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensorprep.metrics import ConfusionCounts, mean_rmse, precision_recall, rmse
+from sensorprep.metrics import ConfusionCounts, mean_rmse, per_node_rmse, precision_recall, rmse
+from sensorprep.redundancy import RECOVERY_DTYPE
 
 
 class TestPrecisionRecall:
@@ -120,6 +121,21 @@ class TestRmse:
             rmse([1.0], [1.0, 2.0])
         with pytest.raises(ValueError, match="empty"):
             mean_rmse([])
+
+
+class TestPerNodeRmse:
+    def test_hand_worked(self):
+        # 4 rows x 3 nodes. Node 0 is rebuilt at rows 0 and 2 (errors 3 and 4), node 2 at row 1 (error 0.5), and
+        # node 1 never, so it has no entry.
+        values = np.array([[1.0, 9.0, 5.0], [2.0, 9.0, 6.0], [3.0, 9.0, 7.0], [4.0, 9.0, 8.0]])
+        recoveries = np.rec.fromrecords([(0, 0, 4.0), (1, 2, 6.5), (2, 0, -1.0)], dtype=RECOVERY_DTYPE)
+        per_node = per_node_rmse(recoveries, values)
+        assert list(per_node) == [0, 2]
+        assert per_node[0] == pytest.approx(math.sqrt((3.0**2 + 4.0**2) / 2), rel=1e-15)
+        assert per_node[2] == 0.5
+
+    def test_no_recoveries(self):
+        assert per_node_rmse(np.recarray(0, dtype=RECOVERY_DTYPE), np.ones((3, 2))) == {}
 
 
 class TestConfusionCounts:

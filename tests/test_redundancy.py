@@ -1,5 +1,7 @@
 """Static and real-time redundancy detection plus weighted recovery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,7 @@ from oracles import (
     brute_soft_posterior,
     make_cpt,
     random_transition_network,
+    read_schedule,
     scalar_rsdrda_schedule,
     scalar_static_recovery,
     states_from_grid,
@@ -481,29 +484,37 @@ class TestScheduleReader:
                              [f"n{j}" for j in range(n)])
         report = rsdrda_schedule(data, slice_len, train_frac, 0.6, fit_discretization(data, 2), 2)
         doc = read_back(tmp_path_factory, "redundancy_realtime", data.node_ids, realtime_report_to_dict(report))
-        assert len(doc["entries"]) == 2
-        entries = redundancy.schedule_from_dict(doc)
+        assert doc["entries"].dtype.names == ("sleeping", "max_posterior")
+        entries = read_schedule(doc)
         assert entries.dtype == report.entries.dtype
         for name in ("t", "node", "sleeping"):
             assert entries[name].tolist() == report.entries[name].tolist()
         assert np.array_equal(entries.max_posterior, report.entries.max_posterior, equal_nan=True)
 
-    def test_rebuild_rejects_nodes_outside_the_data(self):
-        # A sleeping reading's node indexes the data's columns: -1 would read the last one, 3 none.
-        data = SensorDataset(np.arange(12.0).reshape(4, 3), ("a", "b", "c"))
-        rules = redundancy.RecoveryRules([1], [[0]], [[0.5]], [0])
-        for node in (-1, 3):
-            sleeping = np.rec.fromarrays([[2], [node], [True], [0.9]], dtype=redundancy.SCHEDULE_DTYPE)
-            with pytest.raises(ValueError, match=f"recovery at node {node} is outside the data's nodes 0..2"):
-                redundancy.rebuild(rules, data, sleeping, 4)
-
     def test_rebuild_looks_each_rule_up_by_slice_and_node(self):
-        # Rules outside every sleeping reading's slice are ignored; a reading whose (slice, node) has none fails.
+        # 2 slices of 4 rows, 2 of them training: the schedule holds rows 2, 3, 6 and 7 of each of the 3 nodes.
         data = SensorDataset(np.arange(24.0).reshape(8, 3), ("a", "b", "c"))
-        rules = redundancy.RecoveryRules([1, 2, 1, 2], [[0], [0], [2], [1]], [[0.5]] * 4, [1, 0, -1, 9])
-        sleeping = np.rec.fromarrays([[1, 5, 6], [2, 1, 1], [True] * 3, [0.9] * 3], dtype=redundancy.SCHEDULE_DTYPE)
-        rebuilt = redundancy.rebuild(rules, data, sleeping, 4)
-        assert rebuilt.tolist() == [(1, 2, data.values[0, 0]), (5, 1, data.values[4, 0]), (6, 1, data.values[5, 0])]
-        sleeping.node[0] = 1
-        with pytest.raises(ValueError, match="sleeping reading at row 1, node 1 has no recovery rule"):
-            redundancy.rebuild(rules, data, sleeping, 4)
+        sleeping = np.isin(np.arange(12), [2, 7, 10])  # (row 2, node 2), (row 6, node 1), (row 7, node 1)
+        rules = redundancy.RecoveryRules([1, 2], [[0], [0]], [[0.5]] * 2, [1, 0])
+        rebuilt = redundancy.rebuild(rules, data, sleeping, 4, 0.5)
+        assert rebuilt.tolist() == [(2, 2, data.values[1, 0]), (6, 1, data.values[5, 0]), (7, 1, data.values[6, 0])]
+        # Every rule names a slice of the schedule, and each (slice, node) has at most one rule.
+        for rule_slice, outside in (([1, -1], -1), ([2, 0], 2)):
+            with pytest.raises(ValueError, match=f"rule_slice must lie in the schedule's slices 0..1, got {outside}"):
+                redundancy.rebuild(replace(rules, slice=rule_slice), data, sleeping, 4, 0.5)
+        twice = redundancy.RecoveryRules([1, 2, 1], [[0], [0], [2]], [[0.5]] * 3, [1, 0, 1])
+        with pytest.raises(ValueError, match=r"rule_slice and rule_node must name each \(slice, node\) once"):
+            redundancy.rebuild(twice, data, sleeping, 4, 0.5)
+        # A sleeping reading whose (slice, node) has no rule fails.
+        sleeping[0] = True
+        with pytest.raises(ValueError, match="entries put node 0 to sleep at row 2, but no rule_slice and rule_node"):
+            redundancy.rebuild(rules, data, sleeping, 4, 0.5)
+
+    def test_rebuild_rejects_a_schedule_beyond_the_data(self):
+        # The schedule of 12 entries spans rows 2..7, so the data needs 8 rows, even if row 7 is not asleep.
+        data = SensorDataset(np.arange(21.0).reshape(7, 3), ("a", "b", "c"))
+        rules = redundancy.RecoveryRules([2], [[0]], [[0.5]], [0])
+        sleeping = np.isin(np.arange(12), [2])
+        with pytest.raises(ValueError, match=r"entries of slice_len 4 span rows 2..7, outside the data's rows 1..6"):
+            redundancy.rebuild(rules, data, sleeping, 4, 0.5)
+        assert redundancy.rebuild(rules, data, sleeping[:6], 4, 0.5).tolist() == [(2, 2, data.values[1, 0])]

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import assert_pca_equivalent, oracle_f_upper, oracle_normal_upper
+from oracles import assert_pca_equivalent, oracle_f_upper, oracle_normal_upper, read_model
 from oracles import jacobi_eigh as oracle_jacobi_eigh
-from sensorprep import spectra
+from sensorprep import artifacts, spectra
 from sensorprep.anomaly import tq_screen
 from sensorprep.ingest import SensorDataset, Standardization, standardize, synth_generate
 from sensorprep.spectra import (
@@ -15,7 +15,6 @@ from sensorprep.spectra import (
     fit_pca,
     fit_pca_model,
     jacobi_eigh,
-    model_from_dict,
     model_to_dict,
     q_statistic,
     q_threshold,
@@ -390,11 +389,12 @@ class TestPcaModel:
         model = identity_model(2, k=1, eigenvalues=[1.0, -5e-10])
         assert model.eigenvalues[1] == 0.0
 
-    def test_serialization_roundtrip_exact(self):
+    def test_serialization_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(17)
         data = SensorDataset(rng.standard_normal((80, 5)) * 2 + 30, tuple("abcde"))
         model = fit_pca_model(data, 0.85, 0.05)
-        back = model_from_dict(model_to_dict(model))
+        artifacts.write(tmp_path / "pca_model.json", "pca_model", data.node_ids, model_to_dict(model))
+        back = read_model(tmp_path / "pca_model.json", data.node_ids)
         np.testing.assert_array_equal(back.eigenvalues, model.eigenvalues)
         np.testing.assert_array_equal(back.eigenvectors, model.eigenvectors)
         np.testing.assert_array_equal(back.standardization.means, model.standardization.means)
