@@ -127,7 +127,7 @@ def columns(table: np.ndarray) -> list[list]:
 def records(cols: Sequence[list], dtype: np.dtype) -> np.recarray:
     """Inverse of `columns`: None reads back as NaN. The columns must be lists of equal length whose values `read`
     has checked against their dtypes."""
-    return np.rec.fromarrays([np.array(c, dtype=dtype[name]) for name, c in zip(dtype.names, cols)], dtype=dtype)
+    return np.rec.fromarrays([np.asarray(c, dtype=dtype[name]) for name, c in zip(dtype.names, cols)], dtype=dtype)
 
 
 def write_json(path: str | Path, doc: dict) -> None:
@@ -201,9 +201,8 @@ def _converted(doc: Document, key: str, kind_type: tuple | np.dtype, shape: str)
         if not (type(value) is list and len(value) == len(kind_type.names) and all(type(c) is list for c in value)
                 and len(set(map(len, value))) < 2):
             doc.fail(key, f"must hold {len(kind_type.names)} columns of equal length: {', '.join(kind_type.names)}")
-        for name, column in zip(kind_type.names, value):
-            _check_values(doc, key, column, _COLUMN[kind_type[name].kind], f"column {name!r} ")
-        return records(value, kind_type)
+        return records([_cast(doc, key, column, column, _COLUMN[kind_type[name].kind], f"column {name!r} ")
+                        for name, column in zip(kind_type.names, value)], kind_type)
     items = [value]
     for level in range(shape.count(",") + shape.count(";") + 1 if shape else 0):
         if not all(type(item) is list for item in items):
@@ -212,21 +211,30 @@ def _converted(doc: Document, key: str, kind_type: tuple | np.dtype, shape: str)
         if len(lengths) > 1 and not (level == 1 and ";" in shape):
             doc.fail(key, f"must hold lists of one length, got lengths {lengths}")
         items = [x for item in items for x in item]
-    _check_values(doc, key, items, kind_type)
-    if not shape:
-        return math.inf if value is None else value
-    return [np.array(item, kind_type[2]) for item in value] if ";" in shape else np.array(value, kind_type[2])
+    if ";" in shape:  # ragged: the flat values are checked, then each item is cast
+        _cast(doc, key, items, items, kind_type)
+        return [np.array(item, kind_type[2]) for item in value]
+    cast = _cast(doc, key, value, items, kind_type)
+    return cast if shape else math.inf if value is None else value
 
 
-def _check_values(doc: Document, key: str, values: list, kind_type: tuple, where: str = "") -> None:
-    """Hold the numbers or flags of field `key` to their JSON type, and to its range, before numpy casts them."""
+def _cast(doc: Document, key: str, value, values: list, kind_type: tuple, where: str = ""):
+    """`value` as an array of its dtype once its numbers or flags, `values`, have their JSON type and fit: an integer
+    int64, a number a finite float64. Types are checked before the cast, which would convert silently (1.5 to 1);
+    the fit is one test of the cast array, and only an error scans `values` to name the first that does not fit."""
     noun, types, dtype, bounds = kind_type
     if not set(map(type, values)) <= types:
         doc.fail(key, f"{where}must hold {noun}, got {next(v for v in values if type(v) not in types)!r}")
-    numbers = ([v for v in values if v is not None] if type(None) in types else values) if bounds else []
-    if numbers and not bounds[0] <= min(numbers) <= max(numbers) <= bounds[1]:
-        bad = next(v for v in numbers if not bounds[0] <= v <= bounds[1])
-        doc.fail(key, f"{where}must hold {noun} within {np.dtype(dtype).name}, got {bad}")
+    try:
+        cast = np.array(value, dtype)
+    except OverflowError:  # an integer beyond the dtype
+        cast = None
+    # A float64 of the largest finite magnitude may be an integer rounded down to it; inf is a JSON 1e400.
+    if bounds and (cast is None or dtype is np.float64 and (np.abs(cast) >= bounds[1]).any()):
+        bad = next((v for v in values if v is not None and not bounds[0] <= v <= bounds[1]), None)
+        if bad is not None:
+            doc.fail(key, f"{where}must hold {noun} within {np.dtype(dtype).name}, got {bad}")
+    return cast
 
 
 def _check_shape(doc: Document, key: str, got: tuple, dims: str, names: ChainMap, where: str = "") -> None:

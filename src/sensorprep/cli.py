@@ -82,8 +82,8 @@ def cmd_synth(args: argparse.Namespace) -> dict:
 
 
 def cmd_learn(args: argparse.Namespace) -> dict:
-    train = ingest.load_csv(args.train)
     out_dir = Path(args.out_dir)
+    train, table, _ = ingest.load_csv_hashed(args.train, out_dir)
     model = spectra.fit_pca_model(train, args.contribution_ratio, args.alpha_warning)
     scheme = ingest.fit_discretization(train, args.k_states)
     states = ingest.discretize(train, scheme)
@@ -97,6 +97,8 @@ def cmd_learn(args: argparse.Namespace) -> dict:
         ("transition_network", {**bayesnet.network_to_dict(transition), "last_states": states.states[-1].tolist()}),
     ):
         artifacts.write(out_dir / f"{kind}.json", kind, train.node_ids, body)
+    # `redundancy-static --artifacts` reads this table in place of parsing the same CSV again.
+    stored = ingest.store_table(train, table)
 
     return {
         "k": model.k,
@@ -105,6 +107,7 @@ def cmd_learn(args: argparse.Namespace) -> dict:
         "static_edges": len(static.dag.edges()),
         "transition_edges": len(transition.dag.edges()),
         "score": bayesnet.fitted_score(static) + bayesnet.fitted_score(transition),
+        "parsed_table": str(table) if stored else None,
         "out_dir": str(out_dir),
     }
 
@@ -154,6 +157,10 @@ def cmd_detect(args: argparse.Namespace) -> dict:
     with artifacts.read(art / "transition_network.json", "transition_network", test.node_ids) as doc:
         tn = bayesnet.TransitionNetwork(bayesnet.Dag(test.n, doc["parents"]), doc["counts"], doc["priors"])
         last_states = doc["last_states"]
+    if scheme.state_count != (k := tn.counts[0].shape[1]):  # two files, each of which fits `artifacts.SCHEMA`
+        raise artifacts.ArtifactError(f"{art / 'scheme.json'} has state_count {scheme.state_count} but "
+                                      f"{art / 'transition_network.json'} counts K={k} states; "
+                                      "re-run `sensorprep learn`")
 
     report = anomaly.tqbayes_detect(test, model, tn, scheme, last_states)
     out_dir = Path(args.out_dir)
@@ -172,7 +179,7 @@ def cmd_detect(args: argparse.Namespace) -> dict:
 
 
 def cmd_redundancy_static(args: argparse.Namespace) -> dict:
-    data = ingest.load_csv(args.data)
+    data, _, parsed = ingest.load_csv_hashed(args.data, args.artifacts)
     with artifacts.read(Path(args.artifacts) / "static_network.json", "static_network", data.node_ids) as doc:
         net = bayesnet.StaticNetwork(bayesnet.Dag(data.n, doc["parents"]), doc["counts"])
 
@@ -183,9 +190,14 @@ def cmd_redundancy_static(args: argparse.Namespace) -> dict:
     body = redundancy.static_report_to_dict(report)
     artifacts.write(out_dir / "redundancy_static.json", "redundancy_static", data.node_ids, body)
     redundancy.write_static_csv(report, data.node_ids, out_dir / "redundancy_static.csv")
-    redundancy.write_recovery_csv(report.recoveries(data), data, out_dir / "recovery_static.csv")
+    recoveries = report.recoveries(data)
+    redundancy.write_recovery_csv(recoveries, data, out_dir / "recovery_static.csv")
+    per_node = metrics.per_node_rmse(recoveries, data.values)
     return {
         "redundant_nodes": [data.node_ids[i] for i in report.redundant_nodes()],
+        "recovered_readings": len(recoveries),
+        "recovery_rmse": metrics.mean_rmse(list(per_node.values())) if per_node else None,
+        "parsed_csv": parsed,
         "out_dir": str(out_dir),
     }
 

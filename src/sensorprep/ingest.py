@@ -7,10 +7,14 @@ real-valued matrices (m samples x n nodes); discrete state matrices use the
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import inspect
+import io
 import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +28,8 @@ __all__ = [
     "DiscretizationScheme",
     "StateMatrix",
     "load_csv",
+    "load_csv_hashed",
+    "store_table",
     "load_node_ids",
     "write_csv",
     "standardize",
@@ -179,17 +185,65 @@ def load_csv(path: str | Path) -> SensorDataset:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        node_ids, has_ts = _header(reader, path)
-        body = _parse_bulk(fh, len(node_ids), has_ts)
-        if body is None:
-            fh.seek(0)
-            next(reader)  # back to the first data row
-            body = _parse_cells(reader, path, has_ts + len(node_ids), node_ids, has_ts)
+        return _read_csv(fh, path)[0]
+
+
+def load_csv_hashed(path: str | Path, tables: str | Path) -> tuple[SensorDataset, Path, bool]:
+    """`load_csv` of the file's bytes, read once; also `tables/parsed-<SHA-256 of those bytes>.npy` and whether the
+    text was parsed. A table `store_table` saved there stands in for the parse if `load_csv` could have read it:
+    the dtype the header implies, at least 2 rows, finite values, increasing timestamps. Else the text is parsed."""
+    path = Path(path)
+    raw = path.read_bytes()
+    table = Path(tables) / f"parsed-{hashlib.sha256(raw).hexdigest()}.npy"
+    # The text stream `load_csv` reads, so each parse and each error is the one it gives.
+    data, parsed = _read_csv(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""), path, table)
+    return data, table, parsed
+
+
+def store_table(data: SensorDataset, path: Path) -> bool:
+    """Save the table of `data` that `load_csv_hashed` reads at `path`, without pickle, through a temporary file that
+    replaces it whole, and delete every other `parsed-*.npy` beside it; False, saving nothing, if a timestamp does
+    not fit int64."""
+    table = np.empty(data.m, _table_dtype(data.n, data.timestamps is not None))
+    table["values"] = data.values
+    try:
+        if data.timestamps is not None:
+            table["timestamp"] = data.timestamps
+    except OverflowError:  # `_parse_cells` takes any Python integer
+        return False
+    temporary = path.with_name(f".{os.getpid()}.{path.name}")
+    np.save(temporary, table, allow_pickle=False)
+    os.replace(temporary, path)
+    for old in set(path.parent.glob("parsed-*.npy")) - {path}:
+        old.unlink()
+    return True
+
+
+def _table_dtype(width: int, has_ts: bool) -> np.dtype:
+    """One row of a CSV: its timestamp, if it has them, and its `width` values."""
+    return np.dtype(([("timestamp", np.int64)] if has_ts else []) + [("values", np.float64, (width,))])
+
+
+def _read_csv(fh, path: Path, table: Path | None = None) -> tuple[SensorDataset, bool]:
+    """The dataset of CSV text, from a stored `table` that fits its header, and whether the text was parsed."""
+    reader = csv.reader(fh)
+    node_ids, has_ts = _header(reader, path)
+    if table is not None:
+        # Memory-mapped, so a header claiming more rows than the file holds fails before anything is read.
+        with contextlib.suppress(OSError, ValueError):  # no table, or one `SensorDataset` rejects
+            stored = np.lib.format.open_memmap(table, mode="r")
+            if stored.dtype == _table_dtype(len(node_ids), has_ts):
+                stamps = tuple(stored["timestamp"].tolist()) if has_ts else None
+                return SensorDataset(stored["values"], tuple(node_ids), stamps), False
+    body = _parse_bulk(fh, len(node_ids), has_ts)
+    if body is None:
+        fh.seek(0)
+        next(reader)  # back to the first data row
+        body = _parse_cells(reader, path, has_ts + len(node_ids), node_ids, has_ts)
     values, stamps = body
     if len(values) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(values)}")
-    return SensorDataset(values, tuple(node_ids), stamps)
+    return SensorDataset(values, tuple(node_ids), stamps), True
 
 
 def load_node_ids(path: str | Path) -> tuple[str, ...]:
@@ -220,8 +274,7 @@ def _parse_bulk(lines: Iterable[str], width: int, has_ts: bool) -> tuple[np.ndar
     return: one row per line (loadtxt skips blank lines, which are an
     error), `width` finite values per row, and integer timestamps.
     """
-    fields = [("timestamp", np.int64)] if has_ts else []
-    dtype = np.dtype(fields + [("values", np.float64, (width,))])
+    dtype = _table_dtype(width, has_ts)
     seen = itertools.count()  # advanced once per line handed to loadtxt
     try:
         with warnings.catch_warnings():

@@ -3,6 +3,7 @@ equivalence with the per-record report layout it replaced."""
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +45,7 @@ from sensorprep.redundancy import (
 from sensorprep.spectra import fit_pca_model
 
 NODE_IDS = ("a", "b", "c")
+MAX = sys.float_info.max
 
 
 def _field_values(dtype):
@@ -193,11 +195,35 @@ class TestNoSilentCast:
                   ("redundancy_realtime", "rule_slice", lambda v: {"rule_slice": [0, v]}),
                   ("static_network", "counts", lambda v: {"counts": [[[1, v, 1]]] * 3}),
               )),
+            # An integer just beyond the largest float64 casts to it without an error; 10**400 does not cast.
+            *(pytest.param(kind, body(big), f"field '{key}' {column}must hold {noun} within float64, got {big}",
+                           id=f"{key}-{name}")
+              for big, name in ((int(MAX) + 1, "max+1"), (-(10**400), "-10**400"))
+              for kind, key, column, noun, body in (
+                  ("pca_model", "t2_limit", "", "numbers", lambda v: {"t2_limit": v}),
+                  ("pca_model", "means", "", "numbers", lambda v: {"means": [0.5, MAX, v]}),
+                  ("redundancy_static", "witness", "", "numbers", lambda v: {"witness": [[], [0.5], [MAX, v]]}),
+                  ("detection_report", "rows", "column 'q' ", "numbers or null",
+                   lambda v: {"rows": [[0, 1], [None, v], [1.0, 9.0], [False, True]]}),
+              )),
         ],
     )
     def test_rejected_naming_file_and_field(self, tmp_path, kind, body, message):
         with pytest.raises(ArtifactError, match=f"^{tmp_path / kind}.json: {message}$"):
             round_trip(tmp_path, kind, body)
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400"])
+    def test_float_literal_beyond_float64_rejected(self, tmp_path, literal):
+        path = tmp_path / "pca_model.json"
+        artifacts.write(path, "pca_model", NODE_IDS, {"means": [0.5, 0.25, 0.125]})
+        path.write_text(path.read_text().replace("0.25", literal))  # json.loads reads it as an infinity
+        message = f"^{path}: field 'means' must hold numbers within float64, got {float(literal)}$"
+        with pytest.raises(ArtifactError, match=message):
+            artifacts.read(path, "pca_model", NODE_IDS)
+
+    def test_largest_finite_numbers_read(self, tmp_path):
+        doc = round_trip(tmp_path, "pca_model", {"means": [int(MAX), -MAX, 0.5], "t2_limit": -int(MAX)})
+        assert doc["means"].tolist() == [MAX, -MAX, 0.5] and doc["t2_limit"] == -int(MAX)
 
 
 @pytest.mark.parametrize("kind", ["redundancy_static", "redundancy_realtime"])

@@ -556,9 +556,10 @@ class TestPipeline:
         ])
         assert code == 1 and out == ""
         error = json.loads(err)
-        assert error["type"] == "ValueError"
-        assert "artifact shapes disagree" in error["error"]
-        assert f"network K={network_k}, scheme K={scheme_k}" in error["error"]
+        assert error["type"] == "ArtifactError"
+        assert error["error"] == (f"{mixed / 'scheme.json'} has state_count {scheme_k} but "
+                                  f"{mixed / 'transition_network.json'} counts K={network_k} states; "
+                                  "re-run `sensorprep learn`")
         assert not (mixed / "detection_report.json").exists()
 
     def test_failed_learn_leaves_no_out_dir(self, tmp_path, capsys):
@@ -615,7 +616,7 @@ class TestPipeline:
         tables = [estimate_cpt(np.array(counts)).tolist() for counts in doc["counts"]]
         tables[3] = [[1.0, 0.0, 0.0]] * len(tables[3])
         (tampered / "static_network.json").write_text(json.dumps({**doc, "tables": tables}))
-        outputs = {}
+        outputs, parsed = {}, {}
         for name, source in (("plain", art), ("tampered", tampered)):
             out_dir = tmp_path / f"out_{name}"
             code, out, err = run(capsys, [
@@ -624,9 +625,11 @@ class TestPipeline:
             assert code == 0, err
             summary = json.loads(out)
             del summary["out_dir"]
+            parsed[name] = summary.pop("parsed_csv")
             outputs[name] = summary, [path.read_bytes() for path in sorted(out_dir.iterdir())]
-        assert outputs["plain"][0] == {"redundant_nodes": []}
+        assert outputs["plain"][0] == {"redundant_nodes": [], "recovered_readings": 0, "recovery_rmse": None}
         assert outputs["tampered"] == outputs["plain"]
+        assert parsed == {"plain": False, "tampered": True}  # only `learn`'s directory holds the parsed table
 
     @pytest.mark.parametrize("kind", ["static_network", "transition_network"])
     @pytest.mark.parametrize("fault", ["rows", "negative"])
@@ -791,7 +794,8 @@ class TestPipeline:
             assert code == 0, err
             assert not numpy_repr.search(out)
         for path in sorted(art.iterdir()):
-            assert not numpy_repr.search(path.read_text()), path.name
+            if path.suffix != ".npy":  # `learn`'s parsed table is binary
+                assert not numpy_repr.search(path.read_text()), path.name
 
         def read_rows(name):
             with (art / name).open(newline="") as fh:
