@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from collections import ChainMap
 from pathlib import Path
 from typing import NoReturn, Sequence
@@ -174,8 +175,10 @@ def read(path: str | Path, kind: str | tuple[str, ...], node_ids: Sequence[str])
     check_node_ids(doc["node_ids"], node_ids, doc["kind"], str(path))
     doc.path, doc.rerun = path, rerun
     schema = {key: (*spec, "")[:3] for key, spec in SCHEMA[doc["kind"]].items() if key in doc}
-    for key, (kind_type, shape, _) in schema.items():
-        doc[key] = _converted(doc, key, kind_type, shape)
+    with warnings.catch_warnings():  # numpy 1.24 wraps an integer beyond int64 with only this warning; 2.x raises
+        warnings.simplefilter("error", DeprecationWarning)
+        for key, (kind_type, shape, _) in schema.items():
+            doc[key] = _converted(doc, key, kind_type, shape)
     k = next((len(row) for table in doc.get("counts", ()) for row in table), 0)
     names = ChainMap({"n": len(doc["node_ids"]), "K": k, "inf": math.inf, "len": len}, doc)
     for key, (kind_type, shape, within) in schema.items():
@@ -211,9 +214,9 @@ def _converted(doc: Document, key: str, kind_type: tuple | np.dtype, shape: str)
         if len(lengths) > 1 and not (level == 1 and ";" in shape):
             doc.fail(key, f"must hold lists of one length, got lengths {lengths}")
         items = [x for item in items for x in item]
-    if ";" in shape:  # ragged: the flat values are checked, then each item is cast
-        _cast(doc, key, items, items, kind_type)
-        return [np.array(item, kind_type[2]) for item in value]
+    if ";" in shape:  # ragged: each item is cast on its own, the values of a 2-D item checked row by row
+        two_d = "," in shape.partition(";")[2]
+        return [_cast(doc, key, item, [x for row in item for x in row] if two_d else item, kind_type) for item in value]
     cast = _cast(doc, key, value, items, kind_type)
     return cast if shape else math.inf if value is None else value
 
@@ -227,7 +230,7 @@ def _cast(doc: Document, key: str, value, values: list, kind_type: tuple, where:
         doc.fail(key, f"{where}must hold {noun}, got {next(v for v in values if type(v) not in types)!r}")
     try:
         cast = np.array(value, dtype)
-    except OverflowError:  # an integer beyond the dtype
+    except (OverflowError, DeprecationWarning):  # an integer beyond int64; `read` makes numpy 1.24's warning an error
         cast = None
     # A float64 of the largest finite magnitude may be an integer rounded down to it; inf is a JSON 1e400.
     if bounds and (cast is None or dtype is np.float64 and (np.abs(cast) >= bounds[1]).any()):

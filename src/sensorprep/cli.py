@@ -83,7 +83,7 @@ def cmd_synth(args: argparse.Namespace) -> dict:
 
 def cmd_learn(args: argparse.Namespace) -> dict:
     out_dir = Path(args.out_dir)
-    train, table, _ = ingest.load_csv_hashed(args.train, out_dir)
+    train, digest, _ = ingest.load_csv_hashed(args.train)
     model = spectra.fit_pca_model(train, args.contribution_ratio, args.alpha_warning)
     scheme = ingest.fit_discretization(train, args.k_states)
     states = ingest.discretize(train, scheme)
@@ -98,7 +98,7 @@ def cmd_learn(args: argparse.Namespace) -> dict:
     ):
         artifacts.write(out_dir / f"{kind}.json", kind, train.node_ids, body)
     # `redundancy-static --artifacts` reads this table in place of parsing the same CSV again.
-    stored = ingest.store_table(train, table)
+    table = ingest.store_table(train, out_dir, digest)
 
     return {
         "k": model.k,
@@ -107,7 +107,7 @@ def cmd_learn(args: argparse.Namespace) -> dict:
         "static_edges": len(static.dag.edges()),
         "transition_edges": len(transition.dag.edges()),
         "score": bayesnet.fitted_score(static) + bayesnet.fitted_score(transition),
-        "parsed_table": str(table) if stored else None,
+        "parsed_table": str(table) if table else None,
         "out_dir": str(out_dir),
     }
 

@@ -185,38 +185,80 @@ def load_csv(path: str | Path) -> SensorDataset:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        return _read_csv(fh, path)[0]
+        return _read_csv(fh, path)
 
 
-def load_csv_hashed(path: str | Path, tables: str | Path) -> tuple[SensorDataset, Path, bool]:
-    """`load_csv` of the file's bytes, read once; also `tables/parsed-<SHA-256 of those bytes>.npy` and whether the
-    text was parsed. A table `store_table` saved there stands in for the parse if `load_csv` could have read it:
-    the dtype the header implies, at least 2 rows, finite values, increasing timestamps. Else the text is parsed."""
+def load_csv_hashed(path: str | Path, tables: str | Path | None = None) -> tuple[SensorDataset, str, bool]:
+    """`load_csv`, the SHA-256 of the file's bytes, and whether the text was parsed.
+
+    The file is hashed as it is read. With `tables`, the header is read,
+    then the rest of the file to hash it, and the table `store_table` saved
+    for those bytes there stands in for the parse if `load_csv` could have
+    read it: the dtype the header implies, one row per line after the
+    header, at least 2 rows, finite values, increasing timestamps. Else
+    the text is parsed from the start, as `load_csv` parses it.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    table = Path(tables) / f"parsed-{hashlib.sha256(raw).hexdigest()}.npy"
-    # The text stream `load_csv` reads, so each parse and each error is the one it gives.
-    data, parsed = _read_csv(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""), path, table)
-    return data, table, parsed
+    raw = _HashingFile(path)  # closed with the text stream over it
+    with io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), encoding="utf-8-sig", newline="") as fh:
+        if tables is not None:
+            node_ids, has_ts = _header(csv.reader(fh), path)
+            table = Path(tables) / f"parsed-{raw.hexdigest()}.npy"
+            rows = raw.lines + (raw.last != b"\n") - 1  # the lines after the header
+            # Memory-mapped, so a header claiming more rows than the file holds fails before anything is read.
+            with contextlib.suppress(OSError, ValueError):  # no table, or one `SensorDataset` rejects
+                stored = np.lib.format.open_memmap(table, mode="r")
+                if stored.dtype == _table_dtype(len(node_ids), has_ts) and len(stored) == rows:
+                    stamps = tuple(stored["timestamp"].tolist()) if has_ts else None
+                    return SensorDataset(stored["values"], tuple(node_ids), stamps), raw.hexdigest(), False
+            fh.seek(0)
+        return _read_csv(fh, path), raw.hexdigest(), True
 
 
-def store_table(data: SensorDataset, path: Path) -> bool:
-    """Save the table of `data` that `load_csv_hashed` reads at `path`, without pickle, through a temporary file that
-    replaces it whole, and delete every other `parsed-*.npy` beside it; False, saving nothing, if a timestamp does
-    not fit int64."""
+class _HashingFile(io.FileIO):
+    """A file that feeds each byte to a SHA-256, and counts its lines, the first time it is read, so a parse that
+    reads it again from the start counts nothing twice."""
+
+    def __init__(self, path: Path) -> None:
+        super().__init__(str(path))  # so an error names the path as `open` does
+        self.sha, self.hashed, self.lines, self.last = hashlib.sha256(), 0, 0, b"\n"
+
+    def readinto(self, buffer) -> int:
+        start, got = self.tell(), super().readinto(buffer)
+        if start <= self.hashed < start + got:
+            new = bytes(memoryview(buffer)[self.hashed - start : got])
+            self.sha.update(new)
+            self.lines, self.last, self.hashed = self.lines + new.count(b"\n"), new[-1:], start + got
+        return got
+
+    def hexdigest(self) -> str:
+        """The SHA-256 of the whole file, reading whatever has not been read."""
+        self.seek(self.hashed)
+        while self.readinto(bytearray(1 << 16)):
+            pass
+        return self.sha.hexdigest()
+
+
+def store_table(data: SensorDataset, tables: str | Path, digest: str) -> Path | None:
+    """Save the table of `data` that `load_csv_hashed` reads for a CSV of SHA-256 `digest` in `tables`, without
+    pickle, through a temporary file that replaces it whole, and delete every other `parsed-*.npy` beside it. The
+    table's path, or None, saving nothing, if a timestamp does not fit int64."""
     table = np.empty(data.m, _table_dtype(data.n, data.timestamps is not None))
     table["values"] = data.values
     try:
-        if data.timestamps is not None:
-            table["timestamp"] = data.timestamps
-    except OverflowError:  # `_parse_cells` takes any Python integer
-        return False
+        with warnings.catch_warnings():  # numpy 1.24 may wrap an integer beyond int64 with only this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            if data.timestamps is not None:
+                table["timestamp"] = data.timestamps
+    except (OverflowError, DeprecationWarning):  # `_parse_cells` takes any Python integer
+        return None
+    path = Path(tables) / f"parsed-{digest}.npy"
     temporary = path.with_name(f".{os.getpid()}.{path.name}")
     np.save(temporary, table, allow_pickle=False)
     os.replace(temporary, path)
     for old in set(path.parent.glob("parsed-*.npy")) - {path}:
         old.unlink()
-    return True
+    return path
 
 
 def _table_dtype(width: int, has_ts: bool) -> np.dtype:
@@ -224,17 +266,10 @@ def _table_dtype(width: int, has_ts: bool) -> np.dtype:
     return np.dtype(([("timestamp", np.int64)] if has_ts else []) + [("values", np.float64, (width,))])
 
 
-def _read_csv(fh, path: Path, table: Path | None = None) -> tuple[SensorDataset, bool]:
-    """The dataset of CSV text, from a stored `table` that fits its header, and whether the text was parsed."""
+def _read_csv(fh, path: Path) -> SensorDataset:
+    """The dataset of the CSV text `fh` holds."""
     reader = csv.reader(fh)
     node_ids, has_ts = _header(reader, path)
-    if table is not None:
-        # Memory-mapped, so a header claiming more rows than the file holds fails before anything is read.
-        with contextlib.suppress(OSError, ValueError):  # no table, or one `SensorDataset` rejects
-            stored = np.lib.format.open_memmap(table, mode="r")
-            if stored.dtype == _table_dtype(len(node_ids), has_ts):
-                stamps = tuple(stored["timestamp"].tolist()) if has_ts else None
-                return SensorDataset(stored["values"], tuple(node_ids), stamps), False
     body = _parse_bulk(fh, len(node_ids), has_ts)
     if body is None:
         fh.seek(0)
@@ -243,7 +278,7 @@ def _read_csv(fh, path: Path, table: Path | None = None) -> tuple[SensorDataset,
     values, stamps = body
     if len(values) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(values)}")
-    return SensorDataset(values, tuple(node_ids), stamps), True
+    return SensorDataset(values, tuple(node_ids), stamps)
 
 
 def load_node_ids(path: str | Path) -> tuple[str, ...]:

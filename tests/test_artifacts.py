@@ -4,6 +4,7 @@ equivalence with the per-record report layout it replaced."""
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -168,6 +169,24 @@ class TestRejections:
             artifacts.read(path, "redundancy_realtime", NODE_IDS)
 
 
+class WrappingNumpy:
+    """numpy as 1.24 casts a Python integer in [2**63, 2**64) to int64: with a DeprecationWarning, wrapped to a
+    negative number. numpy 2 raises OverflowError."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def array(value, dtype=None):
+        try:
+            return np.array(value, dtype)
+        except OverflowError:
+            if dtype is not np.int64:
+                raise
+            warnings.warn("NumPy will stop allowing conversion of out-of-bound Python integers", DeprecationWarning)
+            return np.array(value, np.uint64).astype(np.int64)
+
+
 class TestNoSilentCast:
     """JSON types are checked before numpy casts a value: `np.array([1.5], np.int64)` truncates,
     `np.array([True, 2])` is int64, and overflow differs between numpy versions."""
@@ -211,6 +230,21 @@ class TestNoSilentCast:
     def test_rejected_naming_file_and_field(self, tmp_path, kind, body, message):
         with pytest.raises(ArtifactError, match=f"^{tmp_path / kind}.json: {message}$"):
             round_trip(tmp_path, kind, body)
+
+    @pytest.mark.parametrize(
+        ("kind", "key", "body"),
+        [
+            ("pca_model", "k", lambda v: {"k": v}),
+            ("redundancy_realtime", "rule_slice", lambda v: {"rule_slice": [0, v]}),
+            ("static_network", "counts", lambda v: {"counts": [[[1, v, 1]]] * 3}),
+        ],
+    )
+    def test_rejected_where_numpy_wraps_with_a_warning(self, tmp_path, monkeypatch, kind, key, body):
+        monkeypatch.setattr(artifacts, "np", WrappingNumpy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # as outside pytest, where a DeprecationWarning is not shown
+            with pytest.raises(ArtifactError, match=f"field '{key}' must hold integers within int64, got {2**63}$"):
+                round_trip(tmp_path, kind, body(2**63))
 
     @pytest.mark.parametrize("literal", ["1e400", "-1e400"])
     def test_float_literal_beyond_float64_rejected(self, tmp_path, literal):

@@ -92,6 +92,7 @@ TAMPER = {
     "narrower": (lambda path: retyped(path, drop=1), True),
     "matrix": (lambda path: replaced(path, np.load(path)["values"].copy()), True),
     "nan": (with_nan, True),
+    "one-row-short": (lambda path: replaced(path, np.load(path)[:-1]), True),
     "unordered-or-short": (unordered, True),
 }
 
@@ -141,8 +142,8 @@ def test_dataset_from_the_table_is_the_parsed_one(tmp_path, variant):
     write_data(data, variant)
     run(["learn", "--train", str(data), "--out-dir", str(art)])
     parsed = load_csv(data)
-    stored, table, was_parsed = load_csv_hashed(data, art)
-    assert table == table_path(data, art) and was_parsed is False
+    stored, digest, was_parsed = load_csv_hashed(data, art)
+    assert art / f"parsed-{digest}.npy" == table_path(data, art) and was_parsed is False
     assert type(stored.values) is np.ndarray
     for got, want in ((stored.values, parsed.values), (stored.values.T, parsed.values.T)):
         assert (got.dtype, got.shape, got.strides, got.flags.c_contiguous) == (
@@ -165,6 +166,32 @@ def test_learn_writes_identical_tables_and_replaces_older_ones(tmp_path):
     assert not list((tmp_path / "a").glob(".*"))  # no temporary file is left behind
 
 
+def test_learn_hashes_every_byte_when_the_parse_starts_over(tmp_path):
+    # Quoted cells fail the bulk parse, so the cell parse reads the file again from its start; the file spans
+    # several of the hashing reader's 64 KiB reads.
+    data, art = tmp_path / "data.csv", tmp_path / "art"
+    values = synth_generate(4, 2000, 6, "copy-child", copies={1: 0, 3: 2}, flip=0.02).values
+    data.write_text("a,b,c,d,e,f\n" + "".join(",".join(f'"{v!r}"' for v in row) + "\n" for row in values.tolist()))
+    assert data.stat().st_size > 3 * 2**16
+    learned = run(["learn", "--train", str(data), "--out-dir", str(art)])
+    assert learned["parsed_table"] == str(table_path(data, art))
+    assert redundancy_static(data, art, tmp_path / "out")[0]["parsed_csv"] is False
+
+
+def test_learn_reads_no_stored_table(tmp_path):
+    data, art, fresh = tmp_path / "data.csv", tmp_path / "art", tmp_path / "fresh"
+    write_data(data, "plain")
+    run(["learn", "--train", str(data), "--out-dir", str(art)])
+    table = np.load(table_path(data, art))
+    table["values"] *= 2  # a table that fits the CSV's header but not its text
+    replaced(table_path(data, art), table)
+    assert run(["learn", "--train", str(data), "--out-dir", str(art)]) == {
+        **run(["learn", "--train", str(data), "--out-dir", str(fresh)]), "out_dir": str(art),
+        "parsed_table": str(table_path(data, art))}
+    for path in fresh.iterdir():
+        assert (art / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_timestamps_beyond_int64_store_no_table(tmp_path):
     data, art = tmp_path / "data.csv", tmp_path / "art"
     values = synth_generate(4, 50, 3, "correlated-drift").values
@@ -180,8 +207,8 @@ def test_only_learn_and_redundancy_static_hash_their_csv(tmp_path, monkeypatch):
     calls = []
     hashed = ingest.load_csv_hashed
 
-    def spy(path, tables):
-        calls.append(str(path))
+    def spy(path, tables=None):
+        calls.append((str(path), tables))
         return hashed(path, tables)
 
     monkeypatch.setattr(ingest, "load_csv_hashed", spy)
@@ -199,7 +226,7 @@ def test_only_learn_and_redundancy_static_hash_their_csv(tmp_path, monkeypatch):
          "--redundancy", str(tmp_path / "redundancy_static.json"), "--data", str(train)],
     ):
         run(argv)
-    assert calls == [str(train), str(train)]
+    assert calls == [(str(train), None), (str(train), str(tmp_path))]  # `learn` looks up no table
     expected = load_csv(train).values
     monkeypatch.setattr(ingest, "hashlib", None)  # `load_csv` alone hashes nothing
     assert load_csv(train).values.tobytes() == expected.tobytes()
