@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import sys
 from dataclasses import asdict, replace
@@ -83,7 +84,8 @@ def cmd_synth(args: argparse.Namespace) -> dict:
 
 def cmd_learn(args: argparse.Namespace) -> dict:
     out_dir = Path(args.out_dir)
-    train, digest, _ = ingest.load_csv_hashed(args.train)
+    sha = hashlib.sha256()
+    train = ingest.load_csv(args.train, sha)
     model = spectra.fit_pca_model(train, args.contribution_ratio, args.alpha_warning)
     scheme = ingest.fit_discretization(train, args.k_states)
     states = ingest.discretize(train, scheme)
@@ -98,7 +100,7 @@ def cmd_learn(args: argparse.Namespace) -> dict:
     ):
         artifacts.write(out_dir / f"{kind}.json", kind, train.node_ids, body)
     # `redundancy-static --artifacts` reads this table in place of parsing the same CSV again.
-    table = ingest.store_table(train, out_dir, digest)
+    table = ingest.store_table(train, out_dir, sha.hexdigest())
 
     return {
         "k": model.k,
@@ -107,7 +109,7 @@ def cmd_learn(args: argparse.Namespace) -> dict:
         "static_edges": len(static.dag.edges()),
         "transition_edges": len(transition.dag.edges()),
         "score": bayesnet.fitted_score(static) + bayesnet.fitted_score(transition),
-        "parsed_table": str(table) if table else None,
+        "parsed_table": str(table),
         "out_dir": str(out_dir),
     }
 
@@ -179,7 +181,7 @@ def cmd_detect(args: argparse.Namespace) -> dict:
 
 
 def cmd_redundancy_static(args: argparse.Namespace) -> dict:
-    data, _, parsed = ingest.load_csv_hashed(args.data, args.artifacts)
+    data, parsed = ingest.load_stored(args.data, args.artifacts)
     with artifacts.read(Path(args.artifacts) / "static_network.json", "static_network", data.node_ids) as doc:
         net = bayesnet.StaticNetwork(bayesnet.Dag(data.n, doc["parents"]), doc["counts"])
 

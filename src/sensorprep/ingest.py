@@ -13,7 +13,6 @@ import hashlib
 import inspect
 import io
 import itertools
-import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ __all__ = [
     "DiscretizationScheme",
     "StateMatrix",
     "load_csv",
-    "load_csv_hashed",
+    "load_stored",
     "store_table",
     "load_node_ids",
     "write_csv",
@@ -171,87 +170,96 @@ class StateMatrix:
         return self.states.shape[1]
 
 
-def load_csv(path: str | Path) -> SensorDataset:
+def load_csv(path: str | Path, sha=None) -> SensorDataset:
     """Load a dataset from UTF-8 comma-separated text (a leading byte-order mark is skipped).
 
     First row is the header of node ids; an optional leading column named
-    "timestamp" holds integer epoch seconds. Any cell that does not parse
-    as a finite real is an error naming its (1-based) data row and column.
-
-    The body is parsed by one `np.loadtxt` call. When that call fails, or
-    its result could differ from parsing cell by cell (a skipped blank
-    line, a non-finite value), the body is parsed again cell by cell, which
-    accepts what Python's `float`/`int` accept and names the first bad cell.
+    "timestamp" holds int64 epoch seconds. The body is parsed by one
+    `np.loadtxt` call, quoted cells included. A blank line, a cell it
+    cannot parse (such as `1_0`, non-ASCII digits or a timestamp beyond
+    int64), a non-finite value or unordered timestamps is a ValueError
+    naming the path. With `sha`, a hashlib object, every byte read is fed
+    to it: the whole file, once the dataset is returned.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        return _read_csv(fh, path)
-
-
-def load_csv_hashed(path: str | Path, tables: str | Path | None = None) -> tuple[SensorDataset, str, bool]:
-    """`load_csv`, the SHA-256 of the file's bytes, and whether the text was parsed.
-
-    The file is hashed as it is read. With `tables`, the header is read,
-    then the rest of the file to hash it, and the table `store_table` saved
-    for those bytes there stands in for the parse if `load_csv` could have
-    read it: the dtype the header implies, one row per line after the
-    header, at least 2 rows, finite values, increasing timestamps. Else
-    the text is parsed from the start, as `load_csv` parses it.
-    """
-    path = Path(path)
-    raw = _HashingFile(path)  # closed with the text stream over it
+    raw = open(path, "rb", buffering=0) if sha is None else _HashingFile(path, sha)
     with io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), encoding="utf-8-sig", newline="") as fh:
-        if tables is not None:
-            node_ids, has_ts = _header(csv.reader(fh), path)
-            table = Path(tables) / f"parsed-{raw.hexdigest()}.npy"
-            rows = raw.lines + (raw.last != b"\n") - 1  # the lines after the header
-            # Memory-mapped, so a header claiming more rows than the file holds fails before anything is read.
-            with contextlib.suppress(OSError, ValueError):  # no table, or one `SensorDataset` rejects
-                stored = np.lib.format.open_memmap(table, mode="r")
-                if stored.dtype == _table_dtype(len(node_ids), has_ts) and len(stored) == rows:
-                    stamps = tuple(stored["timestamp"].tolist()) if has_ts else None
-                    return SensorDataset(stored["values"], tuple(node_ids), stamps), raw.hexdigest(), False
-            fh.seek(0)
-        return _read_csv(fh, path), raw.hexdigest(), True
+        node_ids, has_ts = _header(csv.reader(fh), path)
+        width = len(node_ids)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                warnings.simplefilter("error", DeprecationWarning)  # numpy 1.24 reads "1.0" as 1 with only this
+                table = np.loadtxt(_body_lines(fh, has_ts + width), _table_dtype(width, has_ts), delimiter=",",
+                                   comments=None, quotechar='"', ndmin=2)[:, 0]
+            stamps = tuple(table["timestamp"].tolist()) if has_ts else None
+            return SensorDataset(table["values"], tuple(node_ids), stamps)
+        except (ValueError, DeprecationWarning) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 class _HashingFile(io.FileIO):
-    """A file that feeds each byte to a SHA-256, and counts its lines, the first time it is read, so a parse that
-    reads it again from the start counts nothing twice."""
+    """A file that feeds each byte it reads to `sha`."""
 
-    def __init__(self, path: Path) -> None:
-        super().__init__(str(path))  # so an error names the path as `open` does
-        self.sha, self.hashed, self.lines, self.last = hashlib.sha256(), 0, 0, b"\n"
+    def __init__(self, path: Path, sha) -> None:
+        super().__init__(os.fspath(path))  # so an error names the path as `open` does
+        self.sha = sha
 
     def readinto(self, buffer) -> int:
-        start, got = self.tell(), super().readinto(buffer)
-        if start <= self.hashed < start + got:
-            new = bytes(memoryview(buffer)[self.hashed - start : got])
-            self.sha.update(new)
-            self.lines, self.last, self.hashed = self.lines + new.count(b"\n"), new[-1:], start + got
+        got = super().readinto(buffer)
+        self.sha.update(memoryview(buffer)[:got])
         return got
 
-    def hexdigest(self) -> str:
-        """The SHA-256 of the whole file, reading whatever has not been read."""
-        self.seek(self.hashed)
-        while self.readinto(bytearray(1 << 16)):
-            pass
-        return self.sha.hexdigest()
+
+def _body_lines(lines: Iterable[str], width: int) -> Iterator[str]:
+    """`lines`, with a ValueError at a blank one outside a quoted cell, which `np.loadtxt` would skip."""
+    quoted = False
+    for r, line in enumerate(lines, start=1):
+        if line[0] in "\r\n" and not quoted:
+            raise ValueError(f"row {r} has 0 cells, expected {width}")
+        if '"' in line:  # a file that parses holds no literal quote, so its quotes pair up
+            quoted ^= line.count('"') & 1
+        yield line
 
 
-def store_table(data: SensorDataset, tables: str | Path, digest: str) -> Path | None:
-    """Save the table of `data` that `load_csv_hashed` reads for a CSV of SHA-256 `digest` in `tables`, without
-    pickle, through a temporary file that replaces it whole, and delete every other `parsed-*.npy` beside it. The
-    table's path, or None, saving nothing, if a timestamp does not fit int64."""
+def load_stored(path: str | Path, tables: str | Path) -> tuple[SensorDataset, bool]:
+    """The dataset of the CSV at `path`, and whether its text was parsed.
+
+    The file is hashed in one pass that also counts its lines as `load_csv`
+    splits them (at "\\n", "\\r\\n" or a lone "\\r"). The table `store_table`
+    saved in `tables` for those bytes stands in for the parse if `load_csv`
+    could have returned it: the dtype the header implies, one row per line
+    after the header, finite values, increasing timestamps. Else the text
+    is parsed by `load_csv`.
+    """
+    sha, breaks, last = hashlib.sha256(), 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            sha.update(chunk)
+            byte = np.frombuffer(last + chunk, np.uint8)  # after the byte before it, for a "\r\n" split between reads
+            lf = byte[1:] == 10
+            breaks += np.count_nonzero(lf) + np.count_nonzero((byte[:-1] == 13) > lf)  # a "\r" no "\n" follows
+            last = chunk[-1:]
+    rows = breaks + (last != b"\n") - 1  # the lines after the header, the last one ended by a "\r" or by nothing
+    # Memory-mapped, so a header claiming more rows than the file holds fails before anything is read.
+    with contextlib.suppress(OSError, ValueError):  # no table, or a header or table `load_csv` rejects
+        with open(path, newline="", encoding="utf-8-sig") as text:
+            node_ids, has_ts = _header(csv.reader(text), path)
+        stored = np.lib.format.open_memmap(Path(tables) / f"parsed-{sha.hexdigest()}.npy", mode="r")
+        if stored.dtype == _table_dtype(len(node_ids), has_ts) and len(stored) == rows:
+            stamps = tuple(stored["timestamp"].tolist()) if has_ts else None
+            return SensorDataset(stored["values"], tuple(node_ids), stamps), False
+    return load_csv(path), True
+
+
+def store_table(data: SensorDataset, tables: str | Path, digest: str) -> Path:
+    """Save the table of `data` that `load_stored` reads for a CSV of SHA-256 `digest` in `tables`, without pickle,
+    through a temporary file that replaces it whole, and delete every other `parsed-*.npy` beside it. The table's
+    path."""
     table = np.empty(data.m, _table_dtype(data.n, data.timestamps is not None))
     table["values"] = data.values
-    try:
-        with warnings.catch_warnings():  # numpy 1.24 may wrap an integer beyond int64 with only this warning
-            warnings.simplefilter("error", DeprecationWarning)
-            if data.timestamps is not None:
-                table["timestamp"] = data.timestamps
-    except (OverflowError, DeprecationWarning):  # `_parse_cells` takes any Python integer
-        return None
+    if data.timestamps is not None:
+        table["timestamp"] = data.timestamps
     path = Path(tables) / f"parsed-{digest}.npy"
     temporary = path.with_name(f".{os.getpid()}.{path.name}")
     np.save(temporary, table, allow_pickle=False)
@@ -264,21 +272,6 @@ def store_table(data: SensorDataset, tables: str | Path, digest: str) -> Path | 
 def _table_dtype(width: int, has_ts: bool) -> np.dtype:
     """One row of a CSV: its timestamp, if it has them, and its `width` values."""
     return np.dtype(([("timestamp", np.int64)] if has_ts else []) + [("values", np.float64, (width,))])
-
-
-def _read_csv(fh, path: Path) -> SensorDataset:
-    """The dataset of the CSV text `fh` holds."""
-    reader = csv.reader(fh)
-    node_ids, has_ts = _header(reader, path)
-    body = _parse_bulk(fh, len(node_ids), has_ts)
-    if body is None:
-        fh.seek(0)
-        next(reader)  # back to the first data row
-        body = _parse_cells(reader, path, has_ts + len(node_ids), node_ids, has_ts)
-    values, stamps = body
-    if len(values) < 2:
-        raise ValueError(f"{path}: need at least 2 data rows, got {len(values)}")
-    return SensorDataset(values, tuple(node_ids), stamps)
 
 
 def load_node_ids(path: str | Path) -> tuple[str, ...]:
@@ -300,58 +293,6 @@ def _header(reader: Iterator[list[str]], path: str | Path) -> tuple[list[str], b
     if (dup := _first_duplicate(node_ids)) is not None:
         raise ValueError(f"{path}: duplicate node id {dup!r}")
     return node_ids, has_ts
-
-
-def _parse_bulk(lines: Iterable[str], width: int, has_ts: bool) -> tuple[np.ndarray, tuple[int, ...] | None] | None:
-    """Parse every remaining line with one `np.loadtxt` call.
-
-    Returns None unless the result is exactly what `_parse_cells` would
-    return: one row per line (loadtxt skips blank lines, which are an
-    error), `width` finite values per row, and integer timestamps.
-    """
-    dtype = _table_dtype(width, has_ts)
-    seen = itertools.count()  # advanced once per line handed to loadtxt
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            table = np.loadtxt(
-                (line for line, _ in zip(lines, seen)), dtype=dtype, delimiter=",", comments=None, ndmin=2
-            )
-    except ValueError:
-        return None
-    table = table[:, 0]
-    values = table["values"]
-    if len(table) != next(seen) or not np.isfinite(values).all():
-        return None
-    return values, tuple(table["timestamp"].tolist()) if has_ts else None
-
-
-def _parse_cells(
-    reader: Iterable[list[str]], path: Path, width: int, node_ids: list[str], has_ts: bool
-) -> tuple[np.ndarray, tuple[int, ...] | None]:
-    """Parse the data rows one cell at a time; the first bad cell is a ValueError naming it."""
-    rows: list[list[float]] = []
-    stamps: list[int] = []
-    for r, record in enumerate(reader, start=1):
-        if len(record) != width:
-            raise ValueError(f"{path}: row {r} has {len(record)} cells, expected {width}")
-        if has_ts:
-            try:
-                stamps.append(int(record[0]))
-            except ValueError:
-                raise ValueError(f"{path}: row {r}, column 'timestamp': bad integer {record[0]!r}") from None
-        cells = record[1:] if has_ts else record
-        parsed = []
-        for j, cell in enumerate(cells):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ValueError(f"{path}: row {r}, column {node_ids[j]!r}: not a number ({cell!r})") from None
-            if not math.isfinite(v):
-                raise ValueError(f"{path}: row {r}, column {node_ids[j]!r}: non-finite value ({cell!r})")
-            parsed.append(v)
-        rows.append(parsed)
-    return np.array(rows), tuple(stamps) if has_ts else None
 
 
 def write_csv(data: SensorDataset, path: str | Path) -> None:

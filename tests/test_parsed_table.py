@@ -16,7 +16,7 @@ import pytest
 
 from sensorprep import ingest
 from sensorprep.cli import main
-from sensorprep.ingest import SensorDataset, load_csv, load_csv_hashed, synth_generate, write_csv
+from sensorprep.ingest import SensorDataset, load_csv, load_stored, synth_generate, write_csv
 
 OUTPUTS = ("recovery_static.csv", "redundancy_static.csv", "redundancy_static.json")
 
@@ -40,14 +40,21 @@ def table_path(data, art):
     return art / f"parsed-{hashlib.sha256(data.read_bytes()).hexdigest()}.npy"
 
 
+# Each way `write_data` writes the CSV.
+VARIANTS = ["plain", "timestamp", "bom", "lf", "cr"]
+
+
 def write_data(path, variant):
-    """A copy-child CSV with redundant nodes: plain, with a leading `timestamp` column, or after a byte-order mark."""
+    """A copy-child CSV with redundant nodes: plain, with a leading `timestamp` column, after a byte-order mark, or
+    with each line ending in "\\n" or in "\\r" alone instead of "\\r\\n"."""
     data = synth_generate(4, 300, 6, "copy-child", copies={1: 0, 3: 2}, flip=0.02)
     if variant == "timestamp":
         data = SensorDataset(data.values, data.node_ids, tuple(range(1_600_000_000, 1_600_000_300)))
     write_csv(data, path)
     if variant == "bom":
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    if variant in ("lf", "cr"):
+        path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n" if variant == "lf" else b"\r"))
 
 
 def replaced(path, table):
@@ -97,7 +104,7 @@ TAMPER = {
 }
 
 
-@pytest.mark.parametrize("variant", ["plain", "timestamp", "bom"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_redundancy_static_outputs_do_not_depend_on_the_table(tmp_path, variant):
     data, art = tmp_path / "data.csv", tmp_path / "art"
     write_data(data, variant)
@@ -136,14 +143,14 @@ def test_data_one_byte_off_is_parsed(tmp_path):
     assert load_csv(edited).values[-1, -1] != load_csv(data).values[-1, -1]
 
 
-@pytest.mark.parametrize("variant", ["plain", "timestamp", "bom"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_dataset_from_the_table_is_the_parsed_one(tmp_path, variant):
     data, art = tmp_path / "data.csv", tmp_path / "art"
     write_data(data, variant)
     run(["learn", "--train", str(data), "--out-dir", str(art)])
     parsed = load_csv(data)
-    stored, digest, was_parsed = load_csv_hashed(data, art)
-    assert art / f"parsed-{digest}.npy" == table_path(data, art) and was_parsed is False
+    stored, was_parsed = load_stored(data, art)
+    assert table_path(data, art).is_file() and was_parsed is False
     assert type(stored.values) is np.ndarray
     for got, want in ((stored.values, parsed.values), (stored.values.T, parsed.values.T)):
         assert (got.dtype, got.shape, got.strides, got.flags.c_contiguous) == (
@@ -166,15 +173,29 @@ def test_learn_writes_identical_tables_and_replaces_older_ones(tmp_path):
     assert not list((tmp_path / "a").glob(".*"))  # no temporary file is left behind
 
 
-def test_learn_hashes_every_byte_when_the_parse_starts_over(tmp_path):
-    # Quoted cells fail the bulk parse, so the cell parse reads the file again from its start; the file spans
-    # several of the hashing reader's 64 KiB reads.
+def test_quoted_cells_parse_in_bulk_and_hash_every_byte(tmp_path):
+    # The file spans several of the hashing reader's 64 KiB reads.
     data, art = tmp_path / "data.csv", tmp_path / "art"
     values = synth_generate(4, 2000, 6, "copy-child", copies={1: 0, 3: 2}, flip=0.02).values
     data.write_text("a,b,c,d,e,f\n" + "".join(",".join(f'"{v!r}"' for v in row) + "\n" for row in values.tolist()))
     assert data.stat().st_size > 3 * 2**16
     learned = run(["learn", "--train", str(data), "--out-dir", str(art)])
     assert learned["parsed_table"] == str(table_path(data, art))
+    assert redundancy_static(data, art, tmp_path / "out")[0]["parsed_csv"] is False
+    assert load_csv(data).values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_break_at_the_end_of_a_read_counts_once(tmp_path, end):
+    # `redundancy-static` hashes and counts lines 64 KiB at a time; here the first read ends in a "\r", the first
+    # half of a "\r\n" or a line break of its own.
+    data, art = tmp_path / "data.csv", tmp_path / "art"
+    values = synth_generate(4, 2000, 6, "copy-child", copies={1: 0, 3: 2}, flip=0.02).values
+    body = "".join(",".join(map(repr, row)) + end for row in values.tolist())
+    pad = 2**16 - 1 - ("a,b,c,d,e,f" + end + body).rindex("\r", 0, 2**16)
+    data.write_bytes(("a" * (1 + pad) + ",b,c,d,e,f" + end + body).encode())
+    assert data.read_bytes()[2**16 - 1 : 2**16 - 1 + len(end)] == end.encode()
+    run(["learn", "--train", str(data), "--out-dir", str(art)])
     assert redundancy_static(data, art, tmp_path / "out")[0]["parsed_csv"] is False
 
 
@@ -192,26 +213,31 @@ def test_learn_reads_no_stored_table(tmp_path):
         assert (art / path.name).read_bytes() == path.read_bytes(), path.name
 
 
-def test_timestamps_beyond_int64_store_no_table(tmp_path):
+def test_learn_rejects_timestamps_beyond_int64(tmp_path):
     data, art = tmp_path / "data.csv", tmp_path / "art"
     values = synth_generate(4, 50, 3, "correlated-drift").values
     data.write_text("timestamp,a,b,c\n" + "".join(
         f"{2**63 + t},{','.join(map(repr, row))}\n" for t, row in enumerate(values.tolist())))
-    assert run(["learn", "--train", str(data), "--out-dir", str(art)])["parsed_table"] is None
-    assert not list(art.glob("*.npy"))
-    assert run(["redundancy-static", "--data", str(data), "--artifacts", str(art),
-                "--out-dir", str(art)])["parsed_csv"] is True
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["learn", "--train", str(data), "--out-dir", str(art)]) == 1
+    error = json.loads(err.getvalue())
+    assert error["type"] == "ValueError" and error["error"].startswith(f"{data}: ") and str(2**63) in error["error"]
+    assert not art.exists()
 
 
 def test_only_learn_and_redundancy_static_hash_their_csv(tmp_path, monkeypatch):
     calls = []
-    hashed = ingest.load_csv_hashed
+    loaders = {name: getattr(ingest, name) for name in ("load_csv", "load_stored")}
 
-    def spy(path, tables=None):
-        calls.append((str(path), tables))
-        return hashed(path, tables)
+    def spy(name):
+        def call(path, *args):  # `load_csv`'s hash, by its name, or `load_stored`'s tables
+            calls.append((name, str(path), *(getattr(arg, "name", arg) for arg in args)))
+            return loaders[name](path, *args)
+        return call
 
-    monkeypatch.setattr(ingest, "load_csv_hashed", spy)
+    for name in loaders:
+        monkeypatch.setattr(ingest, name, spy(name))
     train, test, bad = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "bad.csv"
     run(["synth", "--profile", "copy-child", "--seed", "2", "--rows", "300", "--cols", "5", "--split", "200",
          "--out-train", str(train), "--out-test", str(test)])
@@ -226,7 +252,10 @@ def test_only_learn_and_redundancy_static_hash_their_csv(tmp_path, monkeypatch):
          "--redundancy", str(tmp_path / "redundancy_static.json"), "--data", str(train)],
     ):
         run(argv)
-    assert calls == [(str(train), None), (str(train), str(tmp_path))]  # `learn` looks up no table
+    # `learn` looks up no table, and `redundancy-static` reads the one it stored.
+    assert calls == [("load_csv", str(train)), ("load_csv", str(test)), ("load_csv", str(train), "sha256"),
+                     ("load_csv", str(bad)), ("load_stored", str(train), str(tmp_path)), ("load_csv", str(train)),
+                     ("load_csv", str(train))]
     expected = load_csv(train).values
     monkeypatch.setattr(ingest, "hashlib", None)  # `load_csv` alone hashes nothing
     assert load_csv(train).values.tobytes() == expected.tobytes()

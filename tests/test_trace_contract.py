@@ -68,6 +68,10 @@ def test_hooks_read_traced_calls(tmp_path, capsys):
         "metrics.precision_recall.universe_size",
     ):
         assert key in counters, key
+    # `learn`, `inject` (its two), `detect` and `redundancy-realtime` each parse their CSVs through `load_csv`;
+    # `detect` reads the training CSV's header alone.
+    size = {name: (tmp_path / f"{name}.csv").stat().st_size for name in ("train", "test", "bad")}
+    assert counters["ingest.load_csv.bytes"] == 3 * size["train"] + size["test"] + size["bad"]
     # Stage one screens the whole test matrix in one call, so detect's summary, not a hook, counts the flags.
     detect = summaries["detect"]
     assert detect["rows"] == 100
