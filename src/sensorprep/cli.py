@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 from dataclasses import asdict, replace
@@ -84,8 +83,7 @@ def cmd_synth(args: argparse.Namespace) -> dict:
 
 def cmd_learn(args: argparse.Namespace) -> dict:
     out_dir = Path(args.out_dir)
-    sha = hashlib.sha256()
-    train = ingest.load_csv(args.train, sha)
+    train = ingest.load_csv(args.train, args.csv_sources)
     model = spectra.fit_pca_model(train, args.contribution_ratio, args.alpha_warning)
     scheme = ingest.fit_discretization(train, args.k_states)
     states = ingest.discretize(train, scheme)
@@ -99,8 +97,6 @@ def cmd_learn(args: argparse.Namespace) -> dict:
         ("transition_network", {**bayesnet.network_to_dict(transition), "last_states": states.states[-1].tolist()}),
     ):
         artifacts.write(out_dir / f"{kind}.json", kind, train.node_ids, body)
-    # `redundancy-static --artifacts` reads this table in place of parsing the same CSV again.
-    table = ingest.store_table(train, out_dir, sha.hexdigest())
 
     return {
         "k": model.k,
@@ -109,7 +105,6 @@ def cmd_learn(args: argparse.Namespace) -> dict:
         "static_edges": len(static.dag.edges()),
         "transition_edges": len(transition.dag.edges()),
         "score": bayesnet.fitted_score(static) + bayesnet.fitted_score(transition),
-        "parsed_table": str(table),
         "out_dir": str(out_dir),
     }
 
@@ -123,8 +118,8 @@ def cmd_inject(args: argparse.Namespace) -> dict:
             listed.add(int(tok))
         except ValueError:
             raise ValueError(f"--rows-list takes comma-separated integers, got {tok.strip()!r}") from None
-    train = ingest.load_csv(args.train)
-    data = ingest.load_csv(args.data)
+    train = ingest.load_csv(args.train, args.csv_sources)
+    data = ingest.load_csv(args.data, args.csv_sources)
     artifacts.check_node_ids(train.node_ids, data.node_ids, "inject", "training CSV")
     if listed:
         rows = sorted(listed)
@@ -147,7 +142,7 @@ def cmd_inject(args: argparse.Namespace) -> dict:
 def cmd_detect(args: argparse.Namespace) -> dict:
     art = Path(args.artifacts)
     train_ids = ingest.load_node_ids(args.train)  # `learn` stored the one training row `detect` needs
-    test = ingest.load_csv(args.data)
+    test = ingest.load_csv(args.data, args.csv_sources)
     artifacts.check_node_ids(train_ids, test.node_ids, "detect --train", "training CSV")
     # Each artifact is its constructor applied to the fields `artifacts.read` checked and converted.
     with artifacts.read(art / "pca_model.json", "pca_model", test.node_ids) as doc:
@@ -181,7 +176,7 @@ def cmd_detect(args: argparse.Namespace) -> dict:
 
 
 def cmd_redundancy_static(args: argparse.Namespace) -> dict:
-    data, parsed = ingest.load_stored(args.data, args.artifacts)
+    data = ingest.load_csv(args.data, args.csv_sources)
     with artifacts.read(Path(args.artifacts) / "static_network.json", "static_network", data.node_ids) as doc:
         net = bayesnet.StaticNetwork(bayesnet.Dag(data.n, doc["parents"]), doc["counts"])
 
@@ -199,13 +194,12 @@ def cmd_redundancy_static(args: argparse.Namespace) -> dict:
         "redundant_nodes": [data.node_ids[i] for i in report.redundant_nodes()],
         "recovered_readings": len(recoveries),
         "recovery_rmse": metrics.mean_rmse(list(per_node.values())) if per_node else None,
-        "parsed_csv": parsed,
         "out_dir": str(out_dir),
     }
 
 
 def cmd_redundancy_realtime(args: argparse.Namespace) -> dict:
-    data = ingest.load_csv(args.data)
+    data = ingest.load_csv(args.data, args.csv_sources)
     scheme = ingest.fit_discretization(data, args.k_states)
     report = redundancy.rsdrda_schedule(data, args.slice_len, args.train_frac, args.tau, scheme, args.max_parents)
     out_dir = Path(args.out_dir)
@@ -276,7 +270,7 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
         for level, (precision, recall, counts) in (("row_level", rows), ("node_level", cells))
     }
     if args.redundancy is not None:
-        data = ingest.load_csv(args.data)
+        data = ingest.load_csv(args.data, args.csv_sources)
         artifacts.check_node_ids(node_ids, data.node_ids, "evaluate --data", f"truth file {args.truth}")
         red_doc = artifacts.read(args.redundancy, ("redundancy_static", "redundancy_realtime"), node_ids)
         per_node = metrics.per_node_rmse(redundancy.recoveries_from_dict(red_doc, data), data.values)
@@ -371,8 +365,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_ranges(args)
+        args.csv_sources = {}  # whether each CSV a command loads was read from its table or its text
         summary = args.func(args)
-        text = json.dumps(summary, sort_keys=True, allow_nan=False)
+        text = json.dumps({**summary, "csv_sources": args.csv_sources} if args.csv_sources else summary,
+                          sort_keys=True, allow_nan=False)
     except Exception as exc:  # deliberate catch-all: the CLI contract is JSON errors
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}, sort_keys=True), file=sys.stderr)
         return 1

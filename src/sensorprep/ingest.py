@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import glob
 import hashlib
 import inspect
 import io
 import itertools
 import os
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +29,6 @@ __all__ = [
     "DiscretizationScheme",
     "StateMatrix",
     "load_csv",
-    "load_stored",
     "store_table",
     "load_node_ids",
     "write_csv",
@@ -170,7 +171,7 @@ class StateMatrix:
         return self.states.shape[1]
 
 
-def load_csv(path: str | Path, sha=None) -> SensorDataset:
+def load_csv(path: str | Path, sources: dict | None = None) -> SensorDataset:
     """Load a dataset from UTF-8 comma-separated text (a leading byte-order mark is skipped).
 
     First row is the header of node ids; an optional leading column named
@@ -178,12 +179,20 @@ def load_csv(path: str | Path, sha=None) -> SensorDataset:
     `np.loadtxt` call, quoted cells included. A blank line, a cell it
     cannot parse (such as `1_0`, non-ASCII digits or a timestamp beyond
     int64), a non-finite value or unordered timestamps is a ValueError
-    naming the path. With `sha`, a hashlib object, every byte read is fed
-    to it: the whole file, once the dataset is returned.
+    naming the path, and the data row (from 1) and column where there is one.
+    The table of the file's bytes that `store_table` saved beside it is read
+    in place of the text if it passes `_stored`'s checks; else the text is
+    parsed, hashed as it is read, and its table saved. With `sources`, a
+    dict, `sources[str(path)]` is set to "table" or "text": the one read.
     """
-    path = Path(path)
-    raw = open(path, "rb", buffering=0) if sha is None else _HashingFile(path, sha)
-    with io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), encoding="utf-8-sig", newline="") as fh:
+    key, path = str(path), Path(path)
+    data = _stored(path) if _tables(path) else None
+    if sources is not None:
+        sources[key] = "text" if data is None else "table"
+    if data is not None:
+        return data
+    sha = hashlib.sha256()
+    with io.TextIOWrapper(io.BufferedReader(_HashingFile(path, sha), 1 << 16), encoding="utf-8-sig", newline="") as fh:
         node_ids, has_ts = _header(csv.reader(fh), path)
         width = len(node_ids)
         try:
@@ -193,22 +202,33 @@ def load_csv(path: str | Path, sha=None) -> SensorDataset:
                 table = np.loadtxt(_body_lines(fh, has_ts + width), _table_dtype(width, has_ts), delimiter=",",
                                    comments=None, quotechar='"', ndmin=2)[:, 0]
             stamps = tuple(table["timestamp"].tolist()) if has_ts else None
-            return SensorDataset(table["values"], tuple(node_ids), stamps)
+            data = SensorDataset(table["values"], tuple(node_ids), stamps)
         except (ValueError, DeprecationWarning) as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            # loadtxt counts data rows from 0 and columns from 1; say the row from 1 and the column's name.
+            names = dict(enumerate(["timestamp"] * has_ts + node_ids, start=1))
+            message = re.sub(r" at row (\d+), column (\d+)\.$",
+                             lambda at: f" at row {int(at[1]) + 1}, column {names.get(int(at[2]), at[2])!r}", str(exc))
+            raise ValueError(f"{path}: {message}") from None
+    store_table(data, path, sha.hexdigest())  # loadtxt read to the end, so every byte is hashed
+    return data
 
 
 class _HashingFile(io.FileIO):
-    """A file that feeds each byte it reads to `sha`."""
+    """A file that feeds each byte read from it or written to it to `sha`."""
 
-    def __init__(self, path: Path, sha) -> None:
-        super().__init__(os.fspath(path))  # so an error names the path as `open` does
+    def __init__(self, path: str | Path, sha, mode: str = "r") -> None:
+        super().__init__(os.fspath(path), mode)  # so an error names the path as `open` does
         self.sha = sha
 
     def readinto(self, buffer) -> int:
         got = super().readinto(buffer)
         self.sha.update(memoryview(buffer)[:got])
         return got
+
+    def write(self, data) -> int:
+        put = super().write(data)
+        self.sha.update(memoryview(data)[:put])
+        return put
 
 
 def _body_lines(lines: Iterable[str], width: int) -> Iterator[str]:
@@ -222,51 +242,64 @@ def _body_lines(lines: Iterable[str], width: int) -> Iterator[str]:
         yield line
 
 
-def load_stored(path: str | Path, tables: str | Path) -> tuple[SensorDataset, bool]:
-    """The dataset of the CSV at `path`, and whether its text was parsed.
-
-    The file is hashed in one pass that also counts its lines as `load_csv`
-    splits them (at "\\n", "\\r\\n" or a lone "\\r"). The table `store_table`
-    saved in `tables` for those bytes stands in for the parse if `load_csv`
-    could have returned it: the dtype the header implies, one row per line
-    after the header, finite values, increasing timestamps. Else the text
-    is parsed by `load_csv`.
-    """
-    sha, breaks, last = hashlib.sha256(), 0, b"\n"
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 16):
-            sha.update(chunk)
-            byte = np.frombuffer(last + chunk, np.uint8)  # after the byte before it, for a "\r\n" split between reads
-            lf = byte[1:] == 10
-            breaks += np.count_nonzero(lf) + np.count_nonzero((byte[:-1] == 13) > lf)  # a "\r" no "\n" follows
-            last = chunk[-1:]
-    rows = breaks + (last != b"\n") - 1  # the lines after the header, the last one ended by a "\r" or by nothing
-    # Memory-mapped, so a header claiming more rows than the file holds fails before anything is read.
-    with contextlib.suppress(OSError, ValueError):  # no table, or a header or table `load_csv` rejects
+def _stored(path: Path) -> SensorDataset | None:
+    """The dataset of the CSV at `path` from the table beside it of its bytes, if the parse could have returned it:
+    of the dtype the header implies, one row per line after the header (split at "\\n", "\\r\\n" or a lone "\\r",
+    counted as the bytes are hashed), passing `SensorDataset`'s checks. Node ids come from the header. Else None."""
+    with contextlib.suppress(OSError, ValueError, csv.Error):
+        sha, breaks, last = hashlib.sha256(), 0, b"\n"
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 16):
+                sha.update(chunk)
+                byte = np.frombuffer(last + chunk, np.uint8)  # after the byte before it: a "\r\n" may span two reads
+                lf = byte[1:] == 10
+                breaks += np.count_nonzero(lf) + np.count_nonzero((byte[:-1] == 13) > lf)  # a "\r" no "\n" follows
+                last = chunk[-1:]
         with open(path, newline="", encoding="utf-8-sig") as text:
-            node_ids, has_ts = _header(csv.reader(text), path)
-        stored = np.lib.format.open_memmap(Path(tables) / f"parsed-{sha.hexdigest()}.npy", mode="r")
+            reader = csv.reader(text)
+            node_ids, has_ts = _header(reader, path)
+        rows = breaks + (last != b"\n") - reader.line_num  # a last line ended by a "\r" or by nothing counts too
+        # Memory-mapped, so a header claiming more rows than the file holds fails before anything is read.
+        stored = np.lib.format.open_memmap(path.with_name(f".{path.name}.parsed-{sha.hexdigest()}.npy"), mode="r")
         if stored.dtype == _table_dtype(len(node_ids), has_ts) and len(stored) == rows:
             stamps = tuple(stored["timestamp"].tolist()) if has_ts else None
-            return SensorDataset(stored["values"], tuple(node_ids), stamps), False
-    return load_csv(path), True
+            return SensorDataset(stored["values"], tuple(node_ids), stamps)
+    return None
 
 
-def store_table(data: SensorDataset, tables: str | Path, digest: str) -> Path:
-    """Save the table of `data` that `load_stored` reads for a CSV of SHA-256 `digest` in `tables`, without pickle,
-    through a temporary file that replaces it whole, and delete every other `parsed-*.npy` beside it. The table's
-    path."""
-    table = np.empty(data.m, _table_dtype(data.n, data.timestamps is not None))
-    table["values"] = data.values
-    if data.timestamps is not None:
-        table["timestamp"] = data.timestamps
-    path = Path(tables) / f"parsed-{digest}.npy"
-    temporary = path.with_name(f".{os.getpid()}.{path.name}")
-    np.save(temporary, table, allow_pickle=False)
-    os.replace(temporary, path)
-    for old in set(path.parent.glob("parsed-*.npy")) - {path}:
-        old.unlink()
-    return path
+def store_table(data: SensorDataset, path: str | Path, digest: str) -> None:
+    """Save `data`'s table beside the CSV at `path`, whose bytes have SHA-256 `digest`, as `load_csv` reads it in
+    place of the text: `.<CSV name>.parsed-<digest>.npy`, without pickle, through a temporary file that replaces it
+    whole. The CSV's tables of other bytes are deleted. Best effort: where it cannot be written, or a timestamp does
+    not fit int64 (`load_csv` rejects such a file), no table is left."""
+    path = Path(path)
+    table_path = path.with_name(f".{path.name}.parsed-{digest}.npy")
+    temporary = table_path.with_name(f"{table_path.name}.{os.getpid()}.tmp")
+    stamps = data.timestamps
+    with contextlib.suppress(OSError):
+        for old in _tables(path) - {table_path}:
+            old.unlink()
+        if stamps is not None and not (-(2**63) <= stamps[0] and stamps[-1] < 2**63):  # increasing: the ends bound it
+            return
+        dtype = _table_dtype(data.n, stamps is not None)
+        header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (data.m,)}
+        try:
+            with open(temporary, "wb") as fh:
+                np.lib.format.write_array_header_1_0(fh, header)  # as `np.save` writes it
+                for i in range(0, data.m, _CHUNK_ROWS):  # a block of rows at a time, as the CSV is written
+                    block = np.empty(min(_CHUNK_ROWS, data.m - i), dtype)
+                    block["values"] = data.values[i : i + _CHUNK_ROWS]
+                    if stamps is not None:
+                        block["timestamp"] = stamps[i : i + _CHUNK_ROWS]
+                    fh.write(block.data)
+            os.replace(temporary, table_path)
+        finally:
+            temporary.unlink(missing_ok=True)
+
+
+def _tables(path: Path) -> set[Path]:
+    """The tables saved beside the CSV at `path`, for any bytes (a 64-digit digest, not another CSV's name)."""
+    return set(path.parent.glob(glob.escape(f".{path.name}.parsed-") + "[0-9a-f]" * 64 + ".npy"))
 
 
 def _table_dtype(width: int, has_ts: bool) -> np.dtype:
@@ -296,13 +329,16 @@ def _header(reader: Iterator[list[str]], path: str | Path) -> tuple[list[str], b
 
 
 def write_csv(data: SensorDataset, path: str | Path) -> None:
-    """Write a dataset in the format load_csv reads, with full float precision."""
+    """Write a dataset in the format load_csv reads, with full float precision, and beside it the table `load_csv`
+    reads in its place (see `store_table`), for the bytes hashed as they are written."""
     header = list(data.node_ids)
     columns = [_number_cells(column) for column in data.values.T]
     if data.timestamps is not None:
         header.insert(0, "timestamp")
         columns.insert(0, map(repr, data.timestamps))
-    _write_columns(path, header, columns)
+    sha = hashlib.sha256()
+    _write_columns(path, header, columns, sha)
+    store_table(data, path, sha.hexdigest())
 
 
 # Lines of a CSV, and rows of each of its columns, that exist as Python objects at once while it is written.
@@ -355,15 +391,17 @@ def _quote(text: str) -> str:
     return text
 
 
-def _write_columns(path: str | Path, header: Iterable[str], columns: Iterable[Iterable[str]]) -> None:
+def _write_columns(path: str | Path, header: Iterable[str], columns: Iterable[Iterable[str]], sha=None) -> None:
     """Write a header and equal-length columns of cell text as the csv module's default dialect does.
 
     That is minimal quoting and "\\r\\n" after every line. Number cells never
     need quotes and `_label_cells` quotes label cells, so data lines are
-    joined directly, and written `_CHUNK_ROWS` lines at a time.
+    joined directly, and written `_CHUNK_ROWS` lines at a time. With `sha`,
+    a hashlib object, every byte written is fed to it.
     """
     lines = map(",".join, zip(*columns, strict=True))
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    raw = io.FileIO(path, "w") if sha is None else _HashingFile(path, sha, "w")
+    with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
         while block := list(itertools.islice(lines, _CHUNK_ROWS)):
             fh.write("\r\n".join(block) + "\r\n")

@@ -195,6 +195,7 @@ class TestPipeline:
         art, outputs = run_full_pipeline(tmp_path, capsys)
         summary = outputs["redundancy-realtime"]
         assert sorted(summary) == [
+            "csv_sources",
             "inference_entries",
             "out_dir",
             "recovered_readings",
@@ -206,6 +207,7 @@ class TestPipeline:
         # The report stores the schedule's `sleeping` and `max_posterior` columns; `t` and `node` follow from
         # `slice_len`, `train_frac` and the node ids.
         sleeping, _ = doc["entries"]
+        assert summary["csv_sources"] == {str(tmp_path / "train.csv"): "table"}  # the table `synth` saved beside it
         assert summary["inference_entries"] == len(sleeping) == 3 * 32 * 8
         assert summary["sleeping_entries"] == sum(sleeping) > 0
         # The report keeps one rule per (slice, node) that slept, not the readings they rebuild.
@@ -616,7 +618,7 @@ class TestPipeline:
         tables = [estimate_cpt(np.array(counts)).tolist() for counts in doc["counts"]]
         tables[3] = [[1.0, 0.0, 0.0]] * len(tables[3])
         (tampered / "static_network.json").write_text(json.dumps({**doc, "tables": tables}))
-        outputs, parsed = {}, {}
+        outputs = {}
         for name, source in (("plain", art), ("tampered", tampered)):
             out_dir = tmp_path / f"out_{name}"
             code, out, err = run(capsys, [
@@ -625,11 +627,10 @@ class TestPipeline:
             assert code == 0, err
             summary = json.loads(out)
             del summary["out_dir"]
-            parsed[name] = summary.pop("parsed_csv")
             outputs[name] = summary, [path.read_bytes() for path in sorted(out_dir.iterdir())]
-        assert outputs["plain"][0] == {"redundant_nodes": [], "recovered_readings": 0, "recovery_rmse": None}
+        assert outputs["plain"][0] == {"redundant_nodes": [], "recovered_readings": 0, "recovery_rmse": None,
+                                       "csv_sources": {str(data): "table"}}
         assert outputs["tampered"] == outputs["plain"]
-        assert parsed == {"plain": False, "tampered": True}  # only `learn`'s directory holds the parsed table
 
     @pytest.mark.parametrize("kind", ["static_network", "transition_network"])
     @pytest.mark.parametrize("fault", ["rows", "negative"])
@@ -794,8 +795,7 @@ class TestPipeline:
             assert code == 0, err
             assert not numpy_repr.search(out)
         for path in sorted(art.iterdir()):
-            if path.suffix != ".npy":  # `learn`'s parsed table is binary
-                assert not numpy_repr.search(path.read_text()), path.name
+            assert not numpy_repr.search(path.read_text()), path.name
 
         def read_rows(name):
             with (art / name).open(newline="") as fh:
@@ -1185,7 +1185,8 @@ class TestPipeline:
         code, out, err = run(capsys, split)
         assert code == 0, err
         assert json.loads(out)["written"] == ["a.csv", "b.csv"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir() if not p.name.startswith(".")) == ["a.csv", "b.csv"]
+        assert sorted(p.name.split(".parsed-")[0] for p in tmp_path.glob(".*.npy")) == [".a.csv", ".b.csv"]
         code, out, err = run(capsys, ["synth", "--rows", "60", "--cols", "3"])
         assert code == 0, err
         assert json.loads(out)["written"] == ["synth.csv"] and (tmp_path / "synth.csv").exists()

@@ -395,10 +395,25 @@ class TestRoundTrip:
     )
     def test_write_then_load_is_exact(self, tmp_path_factory, values, ids, start):
         stamps = None if start is None else tuple(range(start, start + len(values)))
-        data = SensorDataset(np.array(values), ids, stamps)
-        path = tmp_path_factory.mktemp("rt") / "d.csv"
+        self.assert_round_trip(SensorDataset(np.array(values), ids, stamps), tmp_path_factory.mktemp("rt") / "d.csv")
+
+    def test_edge_values_are_exact(self, tmp_path):
+        tiny = np.nextafter(0.0, 1.0)
+        values = [[-0.0, tiny, 1e308], [0.0, -tiny, -1e308], [2.2250738585072014e-308 / 3, -0.0, -5e-324]]
+        ids = ("a,b", 'say "hi"', "line\r\nbreak")
+        self.assert_round_trip(SensorDataset(np.array(values), ids, (-(2**63), 0, 2**63 - 1)), tmp_path / "d.csv")
+
+    @staticmethod
+    def assert_round_trip(data, path):
+        """`write_csv` then `load_csv` give `data` bit for bit through the table it saved and, with the table
+        deleted, through the parse."""
         write_csv(data, path)
-        back = load_csv(path)
-        assert back.node_ids == data.node_ids
-        assert back.timestamps == data.timestamps
-        assert back.values.view(np.int64).tolist() == data.values.view(np.int64).tolist()
+        (table,) = path.parent.glob(f".{path.name}.parsed-*.npy")
+        for read in ("table", "text"):
+            sources = {}
+            back = load_csv(path, sources)
+            assert sources == {str(path): read}
+            assert back.node_ids == data.node_ids
+            assert back.timestamps == data.timestamps
+            assert back.values.view(np.int64).tolist() == data.values.view(np.int64).tolist()
+            table.unlink()

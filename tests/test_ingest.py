@@ -77,9 +77,33 @@ class TestLoadCsv:
         assert data.node_ids == ("a",)
 
     def test_non_numeric_cell(self, tmp_path):
+        # loadtxt counts data rows from 0 and columns from 1; the message counts rows from 1 and names the column.
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1,2\nx,4\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: could not convert string 'x' to float64")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: could not convert string 'x' to float64 at row 2, "
+                                                       "column 'a'")):
+            load_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1,2\n60,3,x\n", "could not convert string 'x' to float64 at row 2, column 'b'"),
+            ("0,1,2\n6.5,3,4\n", "could not convert string '6.5' to int64 at row 2, column 'timestamp'"),
+        ],
+        ids=["value", "timestamp"],
+    )
+    def test_bad_cell_beside_a_timestamp_column(self, tmp_path, body, message):
+        path = tmp_path / "d.csv"
+        path.write_text("timestamp,a,b\n" + body)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_csv(path)
+
+    def test_other_loadtxt_messages_pass_through(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("timestamp,a,b\n0,1,2\n60,3,4,5\n")
+        with pytest.raises(ValueError) as own:
+            np.loadtxt(["0,1,2", "60,3,4,5"], [("timestamp", np.int64), ("values", float, (2,))], delimiter=",")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {own.value}")):
             load_csv(path)
 
     def test_duplicate_header(self, tmp_path):

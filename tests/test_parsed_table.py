@@ -1,22 +1,23 @@
-"""`learn` stores the table it parsed from `--train`; `redundancy-static` reads it in place of parsing the same CSV.
+"""The parsed table beside a CSV stands in for parsing it, and changes nothing a command writes.
 
-The property: with the table `learn` wrote at `<artifacts>/parsed-<sha256 of --data>.npy`, with none, or with a file
-there that `load_csv` could not have read, `redundancy-static` writes the same bytes and prints the same summary,
-apart from `parsed_csv`, as when it parses `--data` itself.
+`write_csv` saves `.<name>.parsed-<sha256 of the CSV's bytes>.npy` beside the CSV it writes, and `load_csv` leaves
+one beside a CSV it parses. The property: with that table present, deleted, or replaced by a file the parse could
+not have given, `load_csv` returns the parse's dataset bit for bit, and `redundancy-static` writes the same bytes and
+prints the same summary, apart from `csv_sources`, which says whether the table or the text was read.
 """
 
 import contextlib
 import hashlib
 import io
 import json
-import shutil
+import re
 
 import numpy as np
 import pytest
 
 from sensorprep import ingest
 from sensorprep.cli import main
-from sensorprep.ingest import SensorDataset, load_csv, load_stored, synth_generate, write_csv
+from sensorprep.ingest import SensorDataset, load_csv, synth_generate, write_csv
 
 OUTPUTS = ("recovery_static.csv", "redundancy_static.csv", "redundancy_static.json")
 
@@ -30,14 +31,33 @@ def run(argv):
 
 
 def redundancy_static(data, art, out):
-    """The summary, without `out_dir`, and the output bytes of one `redundancy-static` run."""
+    """The summary, without `out_dir` and `csv_sources`, what `csv_sources` said of `data`, and the output bytes of
+    one `redundancy-static` run."""
     summary = run(["redundancy-static", "--data", str(data), "--artifacts", str(art), "--out-dir", str(out)])
     assert summary.pop("out_dir") == str(out)
-    return summary, {name: (out / name).read_bytes() for name in OUTPUTS}
+    (path, source), = summary.pop("csv_sources").items()
+    assert path == str(data)
+    return summary, source, {name: (out / name).read_bytes() for name in OUTPUTS}
 
 
-def table_path(data, art):
-    return art / f"parsed-{hashlib.sha256(data.read_bytes()).hexdigest()}.npy"
+def table_path(data):
+    return data.with_name(f".{data.name}.parsed-{hashlib.sha256(data.read_bytes()).hexdigest()}.npy")
+
+
+def tables(directory):
+    return sorted(p.name for p in directory.glob(".*.npy"))
+
+
+def source(path):
+    """The dataset `load_csv` returns for `path`, and whether it read the table or the text."""
+    sources = {}
+    data = load_csv(path, sources)
+    assert list(sources) == [str(path)]
+    return data, sources[str(path)]
+
+
+def bits(data):
+    return data.node_ids, data.timestamps, data.values.dtype, data.values.shape, data.values.tobytes()
 
 
 # Each way `write_data` writes the CSV.
@@ -57,9 +77,28 @@ def write_data(path, variant):
         path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n" if variant == "lf" else b"\r"))
 
 
-def replaced(path, table):
+def made(directory, variant, origin):
+    """A CSV in `directory` beside its one table: the table `write_csv` saved, or the one a parse left."""
+    directory.mkdir()
+    path = directory / "data.csv"
+    write_data(path, variant)
+    if origin == "parse":
+        for table in directory.glob(".*.npy"):
+            table.unlink()
+        assert source(path)[1] == "text"
+    assert tables(directory) == [table_path(path).name]
+    return path
+
+
+def origins(variant):
+    """Who made the table of a `variant` CSV: `write_csv`, whose table is of its own bytes, so only of the variants
+    written as they are, and a parse."""
+    return ["write_csv", "parse"] if variant in ("plain", "timestamp") else ["parse"]
+
+
+def replaced(path, table, **kwargs):
     path.unlink()
-    np.save(path, table)
+    np.save(path, table, **kwargs)
 
 
 def retyped(path, base=np.float64, drop=0):
@@ -88,7 +127,12 @@ def unordered(path):
     replaced(path, table)
 
 
-# How each case leaves the stored table, and whether `redundancy-static` must then parse the CSV.
+def pickled(path):
+    table = np.load(path)
+    replaced(path, np.array([table[0], table[1:]], dtype=object), allow_pickle=True)
+
+
+# How each case leaves the stored table, and whether `load_csv` must then parse the CSV.
 TAMPER = {
     "present": (lambda path: None, False),
     "deleted": (lambda path: path.unlink(), True),
@@ -101,116 +145,125 @@ TAMPER = {
     "nan": (with_nan, True),
     "one-row-short": (lambda path: replaced(path, np.load(path)[:-1]), True),
     "unordered-or-short": (unordered, True),
+    "one-row-long": (lambda path: replaced(path, np.concatenate([np.load(path), np.load(path)[-1:]])), True),
+    "big-endian": (lambda path: replaced(path, np.load(path).astype(np.load(path).dtype.newbyteorder(">"))), True),
+    "two-dimensional": (lambda path: replaced(path, np.load(path)[:, None]), True),
+    "pickled": (pickled, True),
 }
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_redundancy_static_outputs_do_not_depend_on_the_table(tmp_path, variant):
-    data, art = tmp_path / "data.csv", tmp_path / "art"
-    write_data(data, variant)
-    learned = run(["learn", "--train", str(data), "--out-dir", str(art)])
-    table = table_path(data, art)
-    assert learned["parsed_table"] == str(table) and table.is_file()
-    bare = tmp_path / "bare"  # `learn`'s artifacts without the table
-    shutil.copytree(art, bare)
-    table_path(data, bare).unlink()
-    reference = redundancy_static(data, bare, tmp_path / "reference")
-    assert reference[0]["parsed_csv"] is True
-    assert reference[0]["recovered_readings"] > 0 and reference[0]["recovery_rmse"] > 0
+    for origin in origins(variant):
+        check_outputs(tmp_path / origin, variant, origin)
+
+
+def check_outputs(directory, variant, origin):
+    directory.mkdir()
+    reference = made(directory / "reference", variant, origin)
+    art = directory / "art"
+    run(["learn", "--train", str(reference), "--out-dir", str(art)])
+    table_path(reference).unlink()
+    parsed, read = source(reference)
+    assert read == "text" and tables(reference.parent) == [table_path(reference).name]  # the parse left it again
+    summary, read, outputs = redundancy_static(reference, art, directory / "out")
+    assert read == "table" and summary["recovered_readings"] > 0 and summary["recovery_rmse"] > 0
     for case, (tamper, parses) in TAMPER.items():
-        case_art = tmp_path / case
-        shutil.copytree(art, case_art)
-        tamper(table_path(data, case_art))
-        summary, outputs = redundancy_static(data, case_art, tmp_path / "reference")
-        assert summary == {**reference[0], "parsed_csv": parses}, case
-        assert outputs == reference[1], case
+        data = made(directory / case, variant, origin)
+        tamper(table_path(data))
+        got, read = source(data)
+        assert (bits(got), read) == (bits(parsed), "text" if parses else "table"), case
+        # Afterwards the one table beside the CSV is the table of its bytes, whatever was there before.
+        assert tables(data.parent) == [table_path(data).name] and np.array_equal(
+            np.load(table_path(data)), np.load(table_path(reference))), case
+        tamper(table_path(data))
+        expected = (summary, "text" if parses else "table", outputs)
+        assert redundancy_static(data, art, directory / "out") == expected, case
 
 
 def test_data_one_byte_off_is_parsed(tmp_path):
-    data, art = tmp_path / "data.csv", tmp_path / "art"
-    write_data(data, "plain")
-    run(["learn", "--train", str(data), "--out-dir", str(art)])
+    for origin, variant in [(o, v) for v in VARIANTS for o in origins(v)]:
+        check_one_byte_off(tmp_path / f"{origin}-{variant}", variant, origin)
+
+
+def check_one_byte_off(directory, variant, origin):
+    directory.mkdir()
+    data = made(directory / "data", variant, origin)
+    stale = table_path(data)
     text = data.read_bytes()
-    edited = tmp_path / "edited.csv"
-    edited.write_bytes(text[:-3] + (b"1" if text[-3:-2] != b"1" else b"2") + text[-2:])
-    assert len(edited.read_bytes()) == len(text) and edited.read_bytes() != text
-    bare = tmp_path / "bare"
-    shutil.copytree(art, bare)
-    table_path(data, bare).unlink()
-    summary, outputs = redundancy_static(edited, art, tmp_path / "out")
-    assert summary["parsed_csv"] is True
-    assert (summary, outputs) == redundancy_static(edited, bare, tmp_path / "out")
-    assert load_csv(edited).values[-1, -1] != load_csv(data).values[-1, -1]
+    data.write_bytes(text[:-3] + (b"1" if text[-3:-2] != b"1" else b"2") + text[-2:])
+    assert len(data.read_bytes()) == len(text) and data.read_bytes() != text
+    assert tables(data.parent) == [stale.name]
+    edited, read = source(data)
+    assert read == "text" and tables(data.parent) == [table_path(data).name] != [stale.name]
+    again, read = source(data)
+    assert read == "table" and bits(again) == bits(edited)
+    copy = directory / "copy" / "data.csv"  # the same bytes where no table was ever saved
+    copy.parent.mkdir()
+    copy.write_bytes(data.read_bytes())
+    assert bits(source(copy)[0]) == bits(edited)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_dataset_from_the_table_is_the_parsed_one(tmp_path, variant):
-    data, art = tmp_path / "data.csv", tmp_path / "art"
-    write_data(data, variant)
-    run(["learn", "--train", str(data), "--out-dir", str(art)])
-    parsed = load_csv(data)
-    stored, was_parsed = load_stored(data, art)
-    assert table_path(data, art).is_file() and was_parsed is False
+    for origin in origins(variant):
+        check_table_dataset(tmp_path / origin, variant, origin)
+
+
+def check_table_dataset(directory, variant, origin):
+    data = made(directory, variant, origin)
+    stored, read = source(data)
+    assert read == "table"
+    table_path(data).unlink()
+    parsed, read = source(data)
+    assert read == "text"
     assert type(stored.values) is np.ndarray
     for got, want in ((stored.values, parsed.values), (stored.values.T, parsed.values.T)):
         assert (got.dtype, got.shape, got.strides, got.flags.c_contiguous) == (
             want.dtype, want.shape, want.strides, want.flags.c_contiguous)
-    assert stored.values.tobytes() == parsed.values.tobytes()
-    assert stored.node_ids == parsed.node_ids and stored.timestamps == parsed.timestamps
+    assert bits(stored) == bits(parsed)
     if variant == "timestamp":
         assert {type(t) for t in stored.timestamps} == {int}
 
 
-def test_learn_writes_identical_tables_and_replaces_older_ones(tmp_path):
-    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-    write_data(first, "plain")
-    write_data(second, "timestamp")
-    for name in ("a", "b"):
-        run(["learn", "--train", str(first), "--out-dir", str(tmp_path / name)])
-    assert table_path(first, tmp_path / "a").read_bytes() == table_path(first, tmp_path / "b").read_bytes()
-    run(["learn", "--train", str(second), "--out-dir", str(tmp_path / "a")])
-    assert sorted(p.name for p in (tmp_path / "a").glob("*.npy")) == [table_path(second, tmp_path / "a").name]
-    assert not list((tmp_path / "a").glob(".*"))  # no temporary file is left behind
+def test_write_csv_replaces_the_table_of_other_data(tmp_path):
+    first, second = tmp_path / "a" / "data.csv", tmp_path / "b" / "data.csv"
+    for path in (first, second):
+        path.parent.mkdir()
+        write_data(path, "plain")
+    assert table_path(first).read_bytes() == table_path(second).read_bytes()  # one table for the same data
+    other = SensorDataset(np.arange(12.0).reshape(4, 3), ("x", "y", "z"), (1, 2, 3, 4))
+    write_csv(other, first)
+    assert tables(first.parent) == [table_path(first).name] != tables(second.parent)
+    assert not [p for p in first.parent.iterdir() if p.name.endswith(".tmp")]  # no temporary file is left behind
+    back, read = source(first)
+    assert read == "table" and bits(back) == bits(other)
 
 
-def test_quoted_cells_parse_in_bulk_and_hash_every_byte(tmp_path):
-    # The file spans several of the hashing reader's 64 KiB reads.
-    data, art = tmp_path / "data.csv", tmp_path / "art"
-    values = synth_generate(4, 2000, 6, "copy-child", copies={1: 0, 3: 2}, flip=0.02).values
-    data.write_text("a,b,c,d,e,f\n" + "".join(",".join(f'"{v!r}"' for v in row) + "\n" for row in values.tolist()))
-    assert data.stat().st_size > 3 * 2**16
-    learned = run(["learn", "--train", str(data), "--out-dir", str(art)])
-    assert learned["parsed_table"] == str(table_path(data, art))
-    assert redundancy_static(data, art, tmp_path / "out")[0]["parsed_csv"] is False
-    assert load_csv(data).values.tobytes() == values.tobytes()
-
-
-@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
-def test_line_break_at_the_end_of_a_read_counts_once(tmp_path, end):
-    # `redundancy-static` hashes and counts lines 64 KiB at a time; here the first read ends in a "\r", the first
-    # half of a "\r\n" or a line break of its own.
-    data, art = tmp_path / "data.csv", tmp_path / "art"
-    values = synth_generate(4, 2000, 6, "copy-child", copies={1: 0, 3: 2}, flip=0.02).values
-    body = "".join(",".join(map(repr, row)) + end for row in values.tolist())
-    pad = 2**16 - 1 - ("a,b,c,d,e,f" + end + body).rindex("\r", 0, 2**16)
-    data.write_bytes(("a" * (1 + pad) + ",b,c,d,e,f" + end + body).encode())
-    assert data.read_bytes()[2**16 - 1 : 2**16 - 1 + len(end)] == end.encode()
-    run(["learn", "--train", str(data), "--out-dir", str(art)])
-    assert redundancy_static(data, art, tmp_path / "out")[0]["parsed_csv"] is False
-
-
-def test_learn_reads_no_stored_table(tmp_path):
-    data, art, fresh = tmp_path / "data.csv", tmp_path / "art", tmp_path / "fresh"
+def test_tables_of_other_files_are_kept(tmp_path):
+    # `data.csv.parsed-x.csv`'s table starts with `data.csv`'s prefix, but holds no 64-digit digest after it.
+    data, other = tmp_path / "data.csv", tmp_path / "data.csv.parsed-x.csv"
+    write_data(other, "plain")
     write_data(data, "plain")
-    run(["learn", "--train", str(data), "--out-dir", str(art)])
-    table = np.load(table_path(data, art))
-    table["values"] *= 2  # a table that fits the CSV's header but not its text
-    replaced(table_path(data, art), table)
-    assert run(["learn", "--train", str(data), "--out-dir", str(art)]) == {
-        **run(["learn", "--train", str(data), "--out-dir", str(fresh)]), "out_dir": str(art),
-        "parsed_table": str(table_path(data, art))}
-    for path in fresh.iterdir():
-        assert (art / path.name).read_bytes() == path.read_bytes(), path.name
+    assert tables(tmp_path) == sorted([table_path(data).name, table_path(other).name])
+    assert source(other)[1] == "table"
+
+
+@pytest.mark.parametrize("fails", ["save", "replace"])
+def test_a_table_that_cannot_be_saved_leaves_no_file(tmp_path, monkeypatch, fails):
+    data = made(tmp_path / "data", "plain", "write_csv")
+    expected = bits(source(data)[0])
+    table_path(data).unlink()
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(*((ingest, "open") if fails == "save" else (ingest.os, "replace")), refuse, raising=False)
+    got, read = source(data)
+    assert read == "text" and bits(got) == expected
+    assert sorted(p.name for p in data.parent.iterdir()) == ["data.csv"]
+    write_data(data, "timestamp")  # `write_csv` writes the CSV all the same
+    assert sorted(p.name for p in data.parent.iterdir()) == ["data.csv"]
 
 
 def test_learn_rejects_timestamps_beyond_int64(tmp_path):
@@ -223,25 +276,74 @@ def test_learn_rejects_timestamps_beyond_int64(tmp_path):
         assert main(["learn", "--train", str(data), "--out-dir", str(art)]) == 1
     error = json.loads(err.getvalue())
     assert error["type"] == "ValueError" and error["error"].startswith(f"{data}: ") and str(2**63) in error["error"]
-    assert not art.exists()
+    assert not art.exists() and tables(tmp_path) == []
 
 
-def test_only_learn_and_redundancy_static_hash_their_csv(tmp_path, monkeypatch):
-    calls = []
-    loaders = {name: getattr(ingest, name) for name in ("load_csv", "load_stored")}
+def test_timestamps_beyond_int64_save_no_table(tmp_path):
+    data = tmp_path / "data.csv"
+    values = synth_generate(4, 50, 3, "correlated-drift").values
+    write_csv(SensorDataset(values, ("a", "b", "c"), tuple(range(2**63 - 10, 2**63 + 40))), data)
+    assert data.read_text().splitlines()[-1].startswith(f"{2**63 + 39},")
+    assert tables(tmp_path) == []
+    message = f"{data}: could not convert string '{2**63}' to int64 at row 11, column 'timestamp'"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        load_csv(data)
+    assert tables(tmp_path) == []
 
-    def spy(name):
-        def call(path, *args):  # `load_csv`'s hash, by its name, or `load_stored`'s tables
-            calls.append((name, str(path), *(getattr(arg, "name", arg) for arg in args)))
-            return loaders[name](path, *args)
-        return call
 
-    for name in loaders:
-        monkeypatch.setattr(ingest, name, spy(name))
+def test_quoted_cells_parse_in_bulk_and_hash_every_byte(tmp_path):
+    # The file spans several of the hashing reader's 64 KiB reads.
+    data, art = tmp_path / "data.csv", tmp_path / "art"
+    values = synth_generate(4, 2000, 6, "copy-child", copies={1: 0, 3: 2}, flip=0.02).values
+    data.write_text("a,b,c,d,e,f\n" + "".join(",".join(f'"{v!r}"' for v in row) + "\n" for row in values.tolist()))
+    assert data.stat().st_size > 3 * 2**16
+    learned = run(["learn", "--train", str(data), "--out-dir", str(art)])
+    assert learned["csv_sources"] == {str(data): "text"} and tables(tmp_path) == [table_path(data).name]
+    assert redundancy_static(data, art, tmp_path / "out")[1] == "table"
+    assert source(data)[0].values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_break_at_the_end_of_a_read_counts_once(tmp_path, end):
+    # `load_csv` hashes and counts lines 64 KiB at a time; here the first read ends in a "\r", the first half of a
+    # "\r\n" or a line break of its own.
+    data = tmp_path / "data.csv"
+    values = synth_generate(4, 2000, 6, "copy-child", copies={1: 0, 3: 2}, flip=0.02).values
+    body = "".join(",".join(map(repr, row)) + end for row in values.tolist())
+    pad = 2**16 - 1 - ("a,b,c,d,e,f" + end + body).rindex("\r", 0, 2**16)
+    data.write_bytes(("a" * (1 + pad) + ",b,c,d,e,f" + end + body).encode())
+    assert data.read_bytes()[2**16 - 1 : 2**16 - 1 + len(end)] == end.encode()
+    assert source(data)[1] == "text"
+    assert source(data)[1] == "table"
+
+
+def test_header_over_two_lines_counts_as_one(tmp_path):
+    # A node id holding a line break is quoted over two lines of the header; the table still stands for the body.
+    data = tmp_path / "data.csv"
+    write_csv(SensorDataset(np.arange(8.0).reshape(4, 2), ("line\nbreak", 'say "hi"')), data)
+    assert data.read_bytes().startswith(b'"line\nbreak","say ""hi"""\r\n')
+    back, read = source(data)
+    assert read == "table" and back.node_ids == ("line\nbreak", 'say "hi"')
+
+
+def test_a_table_is_trusted_for_its_digest(tmp_path):
+    # The trust model: whoever can write the CSV's directory decides what is read for it. A table of other values,
+    # but of the shape the text implies, saved under the CSV's digest, is read in place of the text.
+    data = made(tmp_path / "data", "plain", "write_csv")
+    table = np.load(table_path(data))
+    table["values"] *= 2
+    replaced(table_path(data), table)
+    doubled, read = source(data)
+    assert read == "table"
+    table_path(data).unlink()
+    assert np.array_equal(doubled.values, 2 * source(data)[0].values)
+
+
+def test_every_command_says_what_it_read(tmp_path):
     train, test, bad = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "bad.csv"
     run(["synth", "--profile", "copy-child", "--seed", "2", "--rows", "300", "--cols", "5", "--split", "200",
          "--out-train", str(train), "--out-test", str(test)])
-    for argv in (
+    commands = [
         ["inject", "--train", str(train), "--data", str(test), "--last-rows", "20", "--out", str(bad),
          "--sidecar", str(tmp_path / "truth.json")],
         ["learn", "--train", str(train), "--out-dir", str(tmp_path)],
@@ -250,12 +352,15 @@ def test_only_learn_and_redundancy_static_hash_their_csv(tmp_path, monkeypatch):
         ["redundancy-realtime", "--data", str(train), "--slice-len", "50", "--out-dir", str(tmp_path)],
         ["evaluate", "--report", str(tmp_path / "detection_report.json"), "--truth", str(tmp_path / "truth.json"),
          "--redundancy", str(tmp_path / "redundancy_static.json"), "--data", str(train)],
-    ):
-        run(argv)
-    # `learn` looks up no table, and `redundancy-static` reads the one it stored.
-    assert calls == [("load_csv", str(train)), ("load_csv", str(test)), ("load_csv", str(train), "sha256"),
-                     ("load_csv", str(bad)), ("load_stored", str(train), str(tmp_path)), ("load_csv", str(train)),
-                     ("load_csv", str(train))]
-    expected = load_csv(train).values
-    monkeypatch.setattr(ingest, "hashlib", None)  # `load_csv` alone hashes nothing
-    assert load_csv(train).values.tobytes() == expected.tobytes()
+    ]
+    # `detect` reads `--train`'s header alone.
+    read = [{str(train): "table", str(test): "table"}, *[{str(path): "table"} for path in (train, bad, train, train,
+                                                                                         train)]]
+    assert [run(argv)["csv_sources"] for argv in commands] == read
+    metrics = run(commands[-1] + ["--out", str(tmp_path / "metrics.json")])
+    assert metrics.pop("csv_sources") == read[-1]  # the metrics file holds the metrics alone
+    assert json.loads((tmp_path / "metrics.json").read_text()) == metrics
+    for argv, sources in zip(commands, read):
+        for table in tmp_path.glob(".*.npy"):
+            table.unlink()
+        assert run(argv)["csv_sources"] == {path: "text" for path in sources}

@@ -52,6 +52,7 @@ def test_hooks_read_traced_calls(tmp_path, capsys):
             ["detect", "--train", str(tmp_path / "train.csv"), "--data", str(tmp_path / "bad.csv"),
              "--artifacts", str(art), "--out-dir", str(art)],
             ["evaluate", "--report", str(art / "detection_report.json"), "--truth", str(tmp_path / "truth.json")],
+            ["redundancy-static", "--data", str(tmp_path / "train.csv"), "--artifacts", str(art), "--out-dir", str(art)],
             ["redundancy-realtime", "--data", str(tmp_path / "train.csv"), "--slice-len", "100", "--out-dir", str(art)],
         ):
             code = main(argv)
@@ -68,10 +69,10 @@ def test_hooks_read_traced_calls(tmp_path, capsys):
         "metrics.precision_recall.universe_size",
     ):
         assert key in counters, key
-    # `learn`, `inject` (its two), `detect` and `redundancy-realtime` each parse their CSVs through `load_csv`;
+    # `learn`, `inject` (its two), `detect` and both redundancy commands each read their CSVs through `load_csv`;
     # `detect` reads the training CSV's header alone.
     size = {name: (tmp_path / f"{name}.csv").stat().st_size for name in ("train", "test", "bad")}
-    assert counters["ingest.load_csv.bytes"] == 3 * size["train"] + size["test"] + size["bad"]
+    assert counters["ingest.load_csv.bytes"] == 4 * size["train"] + size["test"] + size["bad"]
     # Stage one screens the whole test matrix in one call, so detect's summary, not a hook, counts the flags.
     detect = summaries["detect"]
     assert detect["rows"] == 100
