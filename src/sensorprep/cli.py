@@ -70,6 +70,8 @@ def cmd_synth(args: argparse.Namespace) -> dict:
             raise ValueError(f"split must leave at least 2 rows on each side, got {args.split}")
         if not (args.out_train and args.out_test):
             raise ValueError("--split requires --out-train and --out-test")
+        if Path(args.out_train).resolve() == Path(args.out_test).resolve():
+            raise ValueError(f"--out-train and --out-test name one file, {args.out_test!r}; --split writes two")
         train = ingest.SensorDataset(data.values[: args.split], data.node_ids)
         test = ingest.SensorDataset(data.values[args.split :], data.node_ids)
         ingest.write_csv(train, args.out_train)
@@ -118,6 +120,8 @@ def cmd_inject(args: argparse.Namespace) -> dict:
             listed.add(int(tok))
         except ValueError:
             raise ValueError(f"--rows-list takes comma-separated integers, got {tok.strip()!r}") from None
+    if args.rows_list is not None and not listed:
+        raise ValueError(f"--rows-list names no row, got {args.rows_list!r}")
     train = ingest.load_csv(args.train, args.csv_sources)
     data = ingest.load_csv(args.data, args.csv_sources)
     artifacts.check_node_ids(train.node_ids, data.node_ids, "inject", "training CSV")

@@ -29,7 +29,6 @@ __all__ = [
     "DiscretizationScheme",
     "StateMatrix",
     "load_csv",
-    "store_table",
     "load_node_ids",
     "write_csv",
     "standardize",
@@ -180,10 +179,10 @@ def load_csv(path: str | Path, sources: dict | None = None) -> SensorDataset:
     cannot parse (such as `1_0`, non-ASCII digits or a timestamp beyond
     int64), a non-finite value or unordered timestamps is a ValueError
     naming the path, and the data row (from 1) and column where there is one.
-    The table of the file's bytes that `store_table` saved beside it is read
-    in place of the text if it passes `_stored`'s checks; else the text is
-    parsed, hashed as it is read, and its table saved. With `sources`, a
-    dict, `sources[str(path)]` is set to "table" or "text": the one read.
+    The table that `write_csv` saved beside it is read in place of the text
+    if it passes `_stored`'s checks; else the text is parsed. Nothing is
+    written. With `sources`, a dict, `sources[str(path)]` is set to "table"
+    or "text": the one read.
     """
     key, path = str(path), Path(path)
     data = _stored(path) if _tables(path) else None
@@ -191,8 +190,7 @@ def load_csv(path: str | Path, sources: dict | None = None) -> SensorDataset:
         sources[key] = "text" if data is None else "table"
     if data is not None:
         return data
-    sha = hashlib.sha256()
-    with io.TextIOWrapper(io.BufferedReader(_HashingFile(path, sha), 1 << 16), encoding="utf-8-sig", newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         node_ids, has_ts = _header(csv.reader(fh), path)
         width = len(node_ids)
         try:
@@ -202,33 +200,13 @@ def load_csv(path: str | Path, sources: dict | None = None) -> SensorDataset:
                 table = np.loadtxt(_body_lines(fh, has_ts + width), _table_dtype(width, has_ts), delimiter=",",
                                    comments=None, quotechar='"', ndmin=2)[:, 0]
             stamps = tuple(table["timestamp"].tolist()) if has_ts else None
-            data = SensorDataset(table["values"], tuple(node_ids), stamps)
+            return SensorDataset(table["values"], tuple(node_ids), stamps)
         except (ValueError, DeprecationWarning) as exc:
             # loadtxt counts data rows from 0 and columns from 1; say the row from 1 and the column's name.
             names = dict(enumerate(["timestamp"] * has_ts + node_ids, start=1))
             message = re.sub(r" at row (\d+), column (\d+)\.$",
                              lambda at: f" at row {int(at[1]) + 1}, column {names.get(int(at[2]), at[2])!r}", str(exc))
             raise ValueError(f"{path}: {message}") from None
-    store_table(data, path, sha.hexdigest())  # loadtxt read to the end, so every byte is hashed
-    return data
-
-
-class _HashingFile(io.FileIO):
-    """A file that feeds each byte read from it or written to it to `sha`."""
-
-    def __init__(self, path: str | Path, sha, mode: str = "r") -> None:
-        super().__init__(os.fspath(path), mode)  # so an error names the path as `open` does
-        self.sha = sha
-
-    def readinto(self, buffer) -> int:
-        got = super().readinto(buffer)
-        self.sha.update(memoryview(buffer)[:got])
-        return got
-
-    def write(self, data) -> int:
-        put = super().write(data)
-        self.sha.update(memoryview(data)[:put])
-        return put
 
 
 def _body_lines(lines: Iterable[str], width: int) -> Iterator[str]:
@@ -267,36 +245,6 @@ def _stored(path: Path) -> SensorDataset | None:
     return None
 
 
-def store_table(data: SensorDataset, path: str | Path, digest: str) -> None:
-    """Save `data`'s table beside the CSV at `path`, whose bytes have SHA-256 `digest`, as `load_csv` reads it in
-    place of the text: `.<CSV name>.parsed-<digest>.npy`, without pickle, through a temporary file that replaces it
-    whole. The CSV's tables of other bytes are deleted. Best effort: where it cannot be written, or a timestamp does
-    not fit int64 (`load_csv` rejects such a file), no table is left."""
-    path = Path(path)
-    table_path = path.with_name(f".{path.name}.parsed-{digest}.npy")
-    temporary = table_path.with_name(f"{table_path.name}.{os.getpid()}.tmp")
-    stamps = data.timestamps
-    with contextlib.suppress(OSError):
-        for old in _tables(path) - {table_path}:
-            old.unlink()
-        if stamps is not None and not (-(2**63) <= stamps[0] and stamps[-1] < 2**63):  # increasing: the ends bound it
-            return
-        dtype = _table_dtype(data.n, stamps is not None)
-        header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (data.m,)}
-        try:
-            with open(temporary, "wb") as fh:
-                np.lib.format.write_array_header_1_0(fh, header)  # as `np.save` writes it
-                for i in range(0, data.m, _CHUNK_ROWS):  # a block of rows at a time, as the CSV is written
-                    block = np.empty(min(_CHUNK_ROWS, data.m - i), dtype)
-                    block["values"] = data.values[i : i + _CHUNK_ROWS]
-                    if stamps is not None:
-                        block["timestamp"] = stamps[i : i + _CHUNK_ROWS]
-                    fh.write(block.data)
-            os.replace(temporary, table_path)
-        finally:
-            temporary.unlink(missing_ok=True)
-
-
 def _tables(path: Path) -> set[Path]:
     """The tables saved beside the CSV at `path`, for any bytes (a 64-digit digest, not another CSV's name)."""
     return set(path.parent.glob(glob.escape(f".{path.name}.parsed-") + "[0-9a-f]" * 64 + ".npy"))
@@ -330,15 +278,39 @@ def _header(reader: Iterator[list[str]], path: str | Path) -> tuple[list[str], b
 
 def write_csv(data: SensorDataset, path: str | Path) -> None:
     """Write a dataset in the format load_csv reads, with full float precision, and beside it the table `load_csv`
-    reads in its place (see `store_table`), for the bytes hashed as they are written."""
+    reads in its place: `.<CSV name>.parsed-<SHA-256 of the bytes written>.npy`, without pickle, through a temporary
+    file that replaces it whole. The CSV's tables of other bytes are deleted. The table is best effort: where it cannot
+    be written, or a timestamp does not fit int64 (`load_csv` rejects such a file), none is left. No other code saves
+    a table, so a CSV written elsewhere is parsed on every read."""
+    path, stamps = Path(path), data.timestamps
     header = list(data.node_ids)
     columns = [_number_cells(column) for column in data.values.T]
-    if data.timestamps is not None:
+    if stamps is not None:
         header.insert(0, "timestamp")
-        columns.insert(0, map(repr, data.timestamps))
+        columns.insert(0, map(repr, stamps))
     sha = hashlib.sha256()
     _write_columns(path, header, columns, sha)
-    store_table(data, path, sha.hexdigest())
+    table_path = path.with_name(f".{path.name}.parsed-{sha.hexdigest()}.npy")
+    temporary = table_path.with_name(f"{table_path.name}.{os.getpid()}.tmp")
+    with contextlib.suppress(OSError):
+        for old in _tables(path) - {table_path}:
+            old.unlink()
+        if stamps is not None and not (-(2**63) <= stamps[0] and stamps[-1] < 2**63):  # increasing: the ends bound it
+            return
+        dtype = _table_dtype(data.n, stamps is not None)
+        npy_header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (data.m,)}
+        try:
+            with open(temporary, "wb") as fh:
+                np.lib.format.write_array_header_1_0(fh, npy_header)  # as `np.save` writes it
+                for i in range(0, data.m, _CHUNK_ROWS):  # a block of rows at a time, as the CSV is written
+                    block = np.empty(min(_CHUNK_ROWS, data.m - i), dtype)
+                    block["values"] = data.values[i : i + _CHUNK_ROWS]
+                    if stamps is not None:
+                        block["timestamp"] = stamps[i : i + _CHUNK_ROWS]
+                    fh.write(block.data)
+            os.replace(temporary, table_path)
+        finally:
+            temporary.unlink(missing_ok=True)
 
 
 # Lines of a CSV, and rows of each of its columns, that exist as Python objects at once while it is written.
@@ -400,11 +372,15 @@ def _write_columns(path: str | Path, header: Iterable[str], columns: Iterable[It
     a hashlib object, every byte written is fed to it.
     """
     lines = map(",".join, zip(*columns, strict=True))
-    raw = io.FileIO(path, "w") if sha is None else _HashingFile(path, sha, "w")
-    with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        while block := list(itertools.islice(lines, _CHUNK_ROWS)):
-            fh.write("\r\n".join(block) + "\r\n")
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    blocks = iter(lambda: list(itertools.islice(lines, _CHUNK_ROWS)), [])
+    with io.BufferedWriter(io.FileIO(os.fspath(path), "w")) as fh:  # so an error names the path as `open` does
+        for text in itertools.chain([head.getvalue()], ("\r\n".join(block) + "\r\n" for block in blocks)):
+            encoded = text.encode()
+            if sha is not None:
+                sha.update(encoded)
+            fh.write(encoded)
 
 
 def standardize(data: SensorDataset) -> tuple[np.ndarray, Standardization]:

@@ -915,6 +915,10 @@ class TestPipeline:
             pytest.param(["inject", "--last-rows", "5", "--rows-list", ""],
                          "--rows-list does not combine with --last-rows, which corrupts trailing rows instead",
                          id="empty-rows_list-and-last_rows"),
+            pytest.param(["inject", "--rows-list", ","], "--rows-list names no row, got ','", id="rows_list-comma"),
+            pytest.param(["inject", "--rows-list", " , "], "--rows-list names no row, got ' , '",
+                         id="rows_list-blank-tokens"),
+            pytest.param(["inject", "--rows-list", ""], "--rows-list names no row, got ''", id="rows_list-empty"),
             pytest.param(["synth", "--out-train", "a.csv"], "--out-train needs --split; without it synth writes --out",
                          id="out_train-without-split"),
             pytest.param(["synth", "--out-test", "b.csv"], "--out-test needs --split; without it synth writes --out",
@@ -1190,6 +1194,20 @@ class TestPipeline:
         code, out, err = run(capsys, ["synth", "--rows", "60", "--cols", "3"])
         assert code == 0, err
         assert json.loads(out)["written"] == ["synth.csv"] and (tmp_path / "synth.csv").exists()
+
+    @pytest.mark.parametrize("test_name", ["a.csv", "./a.csv", "sub/../a.csv", "absolute"])
+    def test_synth_split_rejects_one_file_for_both(self, tmp_path, capsys, monkeypatch, test_name):
+        # Paths are compared resolved: the test rows written second would otherwise replace the training rows.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        test_name = str(tmp_path / "a.csv") if test_name == "absolute" else test_name
+        code, out, err = run(capsys, ["synth", "--rows", "60", "--cols", "3", "--split", "40",
+                                      "--out-train", "a.csv", "--out-test", test_name])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": f"--out-train and --out-test name one file, {test_name!r}; --split writes two", "type": "ValueError",
+        }
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
     @pytest.mark.parametrize(
         ("rows", "message"),

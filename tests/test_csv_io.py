@@ -111,7 +111,8 @@ class TestLoadCsv:
             assert want[0] == "error" or only_python_accepts(text, want[2]), (got, want)
 
     def test_clean_file_is_parsed_in_bulk(self, tmp_path, monkeypatch):
-        # Quoted cells too, one of them spanning a blank line.
+        # Quoted cells too, one of them spanning a blank line. Every load parses the text, with no table of its bytes
+        # beside it, and leaves none: the stale table `write_csv` saved for the bytes it wrote stays as it was.
         data = ingest.synth_generate(2, 30, 3, "correlated-drift")
         path = tmp_path / "d.csv"
         write_csv(SensorDataset(data.values, data.node_ids, tuple(range(100, 130))), path)
@@ -119,13 +120,16 @@ class TestLoadCsv:
         rows[3] = [b'"' + cell + b'"' for cell in rows[3]]
         rows[5][2] = b'"' + rows[5][2] + b'\n\n"'
         path.write_bytes(b"\r\n".join(map(b",".join, rows)))
+        beside = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         calls = []
         loadtxt = np.loadtxt
         monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1) or loadtxt(*args, **kwargs))
-        back = load_csv(path)
-        assert calls == [1]
-        np.testing.assert_array_equal(back.values, data.values)
-        assert back.timestamps == tuple(range(100, 130))
+        for load in range(1, 4):
+            back = load_csv(path)
+            assert calls == [1] * load
+            np.testing.assert_array_equal(back.values, data.values)
+            assert back.timestamps == tuple(range(100, 130))
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == beside
         assert outcome(load_csv, path) == outcome(scalar_load_csv, path)
 
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
@@ -406,7 +410,7 @@ class TestRoundTrip:
     @staticmethod
     def assert_round_trip(data, path):
         """`write_csv` then `load_csv` give `data` bit for bit through the table it saved and, with the table
-        deleted, through the parse."""
+        deleted, through the parse, which saves none."""
         write_csv(data, path)
         (table,) = path.parent.glob(f".{path.name}.parsed-*.npy")
         for read in ("table", "text"):
@@ -416,4 +420,5 @@ class TestRoundTrip:
             assert back.node_ids == data.node_ids
             assert back.timestamps == data.timestamps
             assert back.values.view(np.int64).tolist() == data.values.view(np.int64).tolist()
-            table.unlink()
+            table.unlink(missing_ok=True)
+        assert [p.name for p in path.parent.iterdir()] == [path.name]

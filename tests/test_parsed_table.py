@@ -1,8 +1,10 @@
 """The parsed table beside a CSV stands in for parsing it, and changes nothing a command writes.
 
-`write_csv` saves `.<name>.parsed-<sha256 of the CSV's bytes>.npy` beside the CSV it writes, and `load_csv` leaves
-one beside a CSV it parses. The property: with that table present, deleted, or replaced by a file the parse could
-not have given, `load_csv` returns the parse's dataset bit for bit, and `redundancy-static` writes the same bytes and
+`write_csv` saves `.<name>.parsed-<sha256 of the CSV's bytes>.npy` beside the CSV it writes; nothing else does, and
+`load_csv` writes nothing. Tests of CSVs that `write_csv` did not write as they are (after a byte-order mark, with
+other line ends, with quoted cells) plant the table `write_csv` saved for the same values under their digest. The
+property: with that table present, deleted, or replaced by a file the parse could not have given, `load_csv` returns
+the parse's dataset bit for bit and leaves the directory as it was, and `redundancy-static` writes the same bytes and
 prints the same summary, apart from `csv_sources`, which says whether the table or the text was read.
 """
 
@@ -11,6 +13,7 @@ import hashlib
 import io
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +51,11 @@ def tables(directory):
     return sorted(p.name for p in directory.glob(".*.npy"))
 
 
+def files(directory):
+    """Every file in `directory`, by name, with its bytes."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
 def source(path):
     """The dataset `load_csv` returns for `path`, and whether it read the table or the text."""
     sources = {}
@@ -77,23 +85,24 @@ def write_data(path, variant):
         path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n" if variant == "lf" else b"\r"))
 
 
-def made(directory, variant, origin):
-    """A CSV in `directory` beside its one table: the table `write_csv` saved, or the one a parse left."""
+def made(directory, variant):
+    """A CSV in `directory` beside its one table: the table `write_csv` saved, under the digest of the variant's
+    bytes."""
     directory.mkdir()
     path = directory / "data.csv"
     write_data(path, variant)
-    if origin == "parse":
-        for table in directory.glob(".*.npy"):
-            table.unlink()
-        assert source(path)[1] == "text"
-    assert tables(directory) == [table_path(path).name]
+    (saved,) = directory.glob(".*.npy")
+    saved.rename(table_path(path))
     return path
 
 
-def origins(variant):
-    """Who made the table of a `variant` CSV: `write_csv`, whose table is of its own bytes, so only of the variants
-    written as they are, and a parse."""
-    return ["write_csv", "parse"] if variant in ("plain", "timestamp") else ["parse"]
+def plant(path, values):
+    """Put beside the CSV at `path` the table `write_csv` saves for `values`, under the digest of `path`'s bytes."""
+    written = path.with_name("written.csv")
+    write_csv(SensorDataset(values, [f"n{j}" for j in range(values.shape[1])]), written)
+    (saved,) = path.parent.glob(".written.csv.parsed-*.npy")
+    saved.rename(table_path(path))
+    written.unlink()
 
 
 def replaced(path, table, **kwargs):
@@ -154,50 +163,42 @@ TAMPER = {
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_redundancy_static_outputs_do_not_depend_on_the_table(tmp_path, variant):
-    for origin in origins(variant):
-        check_outputs(tmp_path / origin, variant, origin)
-
-
-def check_outputs(directory, variant, origin):
-    directory.mkdir()
-    reference = made(directory / "reference", variant, origin)
-    art = directory / "art"
+    reference = made(tmp_path / "reference", variant)
+    art = tmp_path / "art"
     run(["learn", "--train", str(reference), "--out-dir", str(art)])
     table_path(reference).unlink()
     parsed, read = source(reference)
-    assert read == "text" and tables(reference.parent) == [table_path(reference).name]  # the parse left it again
-    summary, read, outputs = redundancy_static(reference, art, directory / "out")
-    assert read == "table" and summary["recovered_readings"] > 0 and summary["recovery_rmse"] > 0
+    assert read == "text" and tables(reference.parent) == []  # the parse wrote nothing
+    summary, read, outputs = redundancy_static(reference, art, tmp_path / "out")
+    assert read == "text" and summary["recovered_readings"] > 0 and summary["recovery_rmse"] > 0
     for case, (tamper, parses) in TAMPER.items():
-        data = made(directory / case, variant, origin)
+        data = made(tmp_path / case, variant)
         tamper(table_path(data))
+        before = files(data.parent)
         got, read = source(data)
         assert (bits(got), read) == (bits(parsed), "text" if parses else "table"), case
-        # Afterwards the one table beside the CSV is the table of its bytes, whatever was there before.
-        assert tables(data.parent) == [table_path(data).name] and np.array_equal(
-            np.load(table_path(data)), np.load(table_path(reference))), case
-        tamper(table_path(data))
+        assert files(data.parent) == before, case  # whatever was beside the CSV is left as it was
         expected = (summary, "text" if parses else "table", outputs)
-        assert redundancy_static(data, art, directory / "out") == expected, case
+        assert redundancy_static(data, art, tmp_path / "out") == expected, case
 
 
 def test_data_one_byte_off_is_parsed(tmp_path):
-    for origin, variant in [(o, v) for v in VARIANTS for o in origins(v)]:
-        check_one_byte_off(tmp_path / f"{origin}-{variant}", variant, origin)
+    for variant in VARIANTS:
+        check_one_byte_off(tmp_path / variant, variant)
 
 
-def check_one_byte_off(directory, variant, origin):
+def check_one_byte_off(directory, variant):
     directory.mkdir()
-    data = made(directory / "data", variant, origin)
+    data = made(directory / "data", variant)
     stale = table_path(data)
     text = data.read_bytes()
     data.write_bytes(text[:-3] + (b"1" if text[-3:-2] != b"1" else b"2") + text[-2:])
     assert len(data.read_bytes()) == len(text) and data.read_bytes() != text
     assert tables(data.parent) == [stale.name]
     edited, read = source(data)
-    assert read == "text" and tables(data.parent) == [table_path(data).name] != [stale.name]
+    assert read == "text" and tables(data.parent) == [stale.name]  # the parse wrote nothing
     again, read = source(data)
-    assert read == "table" and bits(again) == bits(edited)
+    assert read == "text" and bits(again) == bits(edited)
     copy = directory / "copy" / "data.csv"  # the same bytes where no table was ever saved
     copy.parent.mkdir()
     copy.write_bytes(data.read_bytes())
@@ -206,12 +207,7 @@ def check_one_byte_off(directory, variant, origin):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_dataset_from_the_table_is_the_parsed_one(tmp_path, variant):
-    for origin in origins(variant):
-        check_table_dataset(tmp_path / origin, variant, origin)
-
-
-def check_table_dataset(directory, variant, origin):
-    data = made(directory, variant, origin)
+    data = made(tmp_path / "data", variant)
     stored, read = source(data)
     assert read == "table"
     table_path(data).unlink()
@@ -251,19 +247,20 @@ def test_tables_of_other_files_are_kept(tmp_path):
 
 @pytest.mark.parametrize("fails", ["save", "replace"])
 def test_a_table_that_cannot_be_saved_leaves_no_file(tmp_path, monkeypatch, fails):
-    data = made(tmp_path / "data", "plain", "write_csv")
+    data = made(tmp_path / "data", "timestamp")
     expected = bits(source(data)[0])
     table_path(data).unlink()
 
     def refuse(*args, **kwargs):
         raise PermissionError(13, "Permission denied")
 
-    monkeypatch.setattr(*((ingest, "open") if fails == "save" else (ingest.os, "replace")), refuse, raising=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(*((ingest, "open") if fails == "save" else (ingest.os, "replace")), refuse, raising=False)
+        write_data(data, "timestamp")  # `write_csv` writes the CSV all the same
+    assert sorted(p.name for p in data.parent.iterdir()) == ["data.csv"]
     got, read = source(data)
     assert read == "text" and bits(got) == expected
-    assert sorted(p.name for p in data.parent.iterdir()) == ["data.csv"]
-    write_data(data, "timestamp")  # `write_csv` writes the CSV all the same
-    assert sorted(p.name for p in data.parent.iterdir()) == ["data.csv"]
+    assert sorted(p.name for p in data.parent.iterdir()) == ["data.csv"]  # and the parse saves none either
 
 
 def test_learn_rejects_timestamps_beyond_int64(tmp_path):
@@ -292,20 +289,22 @@ def test_timestamps_beyond_int64_save_no_table(tmp_path):
 
 
 def test_quoted_cells_parse_in_bulk_and_hash_every_byte(tmp_path):
-    # The file spans several of the hashing reader's 64 KiB reads.
+    # The file spans several of `_stored`'s 64 KiB reads, which hash it and count its lines.
     data, art = tmp_path / "data.csv", tmp_path / "art"
     values = synth_generate(4, 2000, 6, "copy-child", copies={1: 0, 3: 2}, flip=0.02).values
     data.write_text("a,b,c,d,e,f\n" + "".join(",".join(f'"{v!r}"' for v in row) + "\n" for row in values.tolist()))
     assert data.stat().st_size > 3 * 2**16
     learned = run(["learn", "--train", str(data), "--out-dir", str(art)])
-    assert learned["csv_sources"] == {str(data): "text"} and tables(tmp_path) == [table_path(data).name]
+    assert learned["csv_sources"] == {str(data): "text"} and tables(tmp_path) == []
+    assert source(data)[0].values.tobytes() == values.tobytes()
+    plant(data, values)
     assert redundancy_static(data, art, tmp_path / "out")[1] == "table"
     assert source(data)[0].values.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_line_break_at_the_end_of_a_read_counts_once(tmp_path, end):
-    # `load_csv` hashes and counts lines 64 KiB at a time; here the first read ends in a "\r", the first half of a
+    # `_stored` hashes and counts lines 64 KiB at a time; here the first read ends in a "\r", the first half of a
     # "\r\n" or a line break of its own.
     data = tmp_path / "data.csv"
     values = synth_generate(4, 2000, 6, "copy-child", copies={1: 0, 3: 2}, flip=0.02).values
@@ -313,8 +312,10 @@ def test_line_break_at_the_end_of_a_read_counts_once(tmp_path, end):
     pad = 2**16 - 1 - ("a,b,c,d,e,f" + end + body).rindex("\r", 0, 2**16)
     data.write_bytes(("a" * (1 + pad) + ",b,c,d,e,f" + end + body).encode())
     assert data.read_bytes()[2**16 - 1 : 2**16 - 1 + len(end)] == end.encode()
-    assert source(data)[1] == "text"
-    assert source(data)[1] == "table"
+    assert source(data)[1] == "text" and tables(tmp_path) == []
+    plant(data, values)
+    stored, read = source(data)
+    assert read == "table" and stored.values.tobytes() == values.tobytes()
 
 
 def test_header_over_two_lines_counts_as_one(tmp_path):
@@ -329,7 +330,7 @@ def test_header_over_two_lines_counts_as_one(tmp_path):
 def test_a_table_is_trusted_for_its_digest(tmp_path):
     # The trust model: whoever can write the CSV's directory decides what is read for it. A table of other values,
     # but of the shape the text implies, saved under the CSV's digest, is read in place of the text.
-    data = made(tmp_path / "data", "plain", "write_csv")
+    data = made(tmp_path / "data", "plain")
     table = np.load(table_path(data))
     table["values"] *= 2
     replaced(table_path(data), table)
@@ -340,27 +341,34 @@ def test_a_table_is_trusted_for_its_digest(tmp_path):
 
 
 def test_every_command_says_what_it_read(tmp_path):
-    train, test, bad = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "bad.csv"
+    # Inputs and outputs lie in separate directories, so a command that wrote beside what it read would show.
+    data, corrupted, out = tmp_path / "data", tmp_path / "corrupted", tmp_path / "out"
+    train, test, bad, truth = data / "train.csv", data / "test.csv", corrupted / "bad.csv", corrupted / "truth.json"
+    data.mkdir()
+    corrupted.mkdir()
     run(["synth", "--profile", "copy-child", "--seed", "2", "--rows", "300", "--cols", "5", "--split", "200",
          "--out-train", str(train), "--out-test", str(test)])
     commands = [
         ["inject", "--train", str(train), "--data", str(test), "--last-rows", "20", "--out", str(bad),
-         "--sidecar", str(tmp_path / "truth.json")],
-        ["learn", "--train", str(train), "--out-dir", str(tmp_path)],
-        ["detect", "--train", str(train), "--data", str(bad), "--artifacts", str(tmp_path), "--out-dir", str(tmp_path)],
-        ["redundancy-static", "--data", str(train), "--artifacts", str(tmp_path), "--out-dir", str(tmp_path)],
-        ["redundancy-realtime", "--data", str(train), "--slice-len", "50", "--out-dir", str(tmp_path)],
-        ["evaluate", "--report", str(tmp_path / "detection_report.json"), "--truth", str(tmp_path / "truth.json"),
-         "--redundancy", str(tmp_path / "redundancy_static.json"), "--data", str(train)],
+         "--sidecar", str(truth)],
+        ["learn", "--train", str(train), "--out-dir", str(out)],
+        ["detect", "--train", str(train), "--data", str(bad), "--artifacts", str(out), "--out-dir", str(out)],
+        ["redundancy-static", "--data", str(train), "--artifacts", str(out), "--out-dir", str(out)],
+        ["redundancy-realtime", "--data", str(train), "--slice-len", "50", "--out-dir", str(out)],
+        ["evaluate", "--report", str(out / "detection_report.json"), "--truth", str(truth),
+         "--redundancy", str(out / "redundancy_static.json"), "--data", str(train)],
     ]
     # `detect` reads `--train`'s header alone.
     read = [{str(train): "table", str(test): "table"}, *[{str(path): "table"} for path in (train, bad, train, train,
                                                                                          train)]]
     assert [run(argv)["csv_sources"] for argv in commands] == read
-    metrics = run(commands[-1] + ["--out", str(tmp_path / "metrics.json")])
+    metrics = run(commands[-1] + ["--out", str(out / "metrics.json")])
     assert metrics.pop("csv_sources") == read[-1]  # the metrics file holds the metrics alone
-    assert json.loads((tmp_path / "metrics.json").read_text()) == metrics
+    assert json.loads((out / "metrics.json").read_text()) == metrics
     for argv, sources in zip(commands, read):
-        for table in tmp_path.glob(".*.npy"):
+        for table in tmp_path.glob("*/.*.npy"):
             table.unlink()
+        inputs = {Path(path).parent for path in sources}
+        before = {directory: files(directory) for directory in inputs}
         assert run(argv)["csv_sources"] == {path: "text" for path in sources}
+        assert {directory: files(directory) for directory in inputs} == before  # the parse wrote nothing beside them
