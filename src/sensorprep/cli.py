@@ -114,6 +114,8 @@ def cmd_learn(args: argparse.Namespace) -> dict:
 def cmd_inject(args: argparse.Namespace) -> dict:
     if args.rows_list is not None and args.last_rows is not None:
         raise ValueError("--rows-list does not combine with --last-rows, which corrupts trailing rows instead")
+    if Path(args.out).resolve() == Path(args.sidecar).resolve():
+        raise ValueError(f"--out and --sidecar name one file, {args.sidecar!r}; inject writes two")
     listed = set()
     for tok in filter(str.strip, (args.rows_list or "").split(",")):
         try:

@@ -51,7 +51,7 @@ def _first_duplicate(items) -> str | None:
 
 @dataclass(frozen=True)
 class SensorDataset:
-    """Dense matrix of readings: m time-ordered samples by n sensor nodes.
+    """Dense matrix of readings, float64 in C order: m time-ordered samples by n sensor nodes.
 
     Values must be finite; node ids distinct; timestamps (epoch seconds),
     when present, strictly increasing. Instances are treated as immutable
@@ -63,7 +63,7 @@ class SensorDataset:
     timestamps: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
+        values = np.array(self.values, dtype=float, order="C")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "node_ids", tuple(str(s) for s in self.node_ids))
         if values.ndim != 2:
@@ -179,10 +179,10 @@ def load_csv(path: str | Path, sources: dict | None = None) -> SensorDataset:
     cannot parse (such as `1_0`, non-ASCII digits or a timestamp beyond
     int64), a non-finite value or unordered timestamps is a ValueError
     naming the path, and the data row (from 1) and column where there is one.
-    The table that `write_csv` saved beside it is read in place of the text
-    if it passes `_stored`'s checks; else the text is parsed. Nothing is
-    written. With `sources`, a dict, `sources[str(path)]` is set to "table"
-    or "text": the one read.
+    The table that `write_csv` saved beside a CSV without timestamps is read
+    in place of the text if it passes `_stored`'s checks; else the text is
+    parsed. Nothing is written. With `sources`, a dict, `sources[str(path)]`
+    is set to "table" or "text": the one read.
     """
     key, path = str(path), Path(path)
     data = _stored(path) if _tables(path) else None
@@ -193,11 +193,12 @@ def load_csv(path: str | Path, sources: dict | None = None) -> SensorDataset:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         node_ids, has_ts = _header(csv.reader(fh), path)
         width = len(node_ids)
+        row = np.dtype([("timestamp", np.int64)] * has_ts + [("values", np.float64, (width,))])
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
                 warnings.simplefilter("error", DeprecationWarning)  # numpy 1.24 reads "1.0" as 1 with only this
-                table = np.loadtxt(_body_lines(fh, has_ts + width), _table_dtype(width, has_ts), delimiter=",",
+                table = np.loadtxt(_body_lines(fh, has_ts + width), row, delimiter=",",
                                    comments=None, quotechar='"', ndmin=2)[:, 0]
             stamps = tuple(table["timestamp"].tolist()) if has_ts else None
             return SensorDataset(table["values"], tuple(node_ids), stamps)
@@ -222,8 +223,10 @@ def _body_lines(lines: Iterable[str], width: int) -> Iterator[str]:
 
 def _stored(path: Path) -> SensorDataset | None:
     """The dataset of the CSV at `path` from the table beside it of its bytes, if the parse could have returned it:
-    of the dtype the header implies, one row per line after the header (split at "\\n", "\\r\\n" or a lone "\\r",
-    counted as the bytes are hashed), passing `SensorDataset`'s checks. Node ids come from the header. Else None."""
+    the header has no timestamp column, and the table is a native float64 matrix in C order, of one row per line after
+    the header (split at "\\n", "\\r\\n" or a lone "\\r", counted as the bytes are hashed) and one column per node id,
+    passing `SensorDataset`'s checks. Node ids come from the header. Else None: a table of any other layout, such as
+    the structured `(timestamp, values)` records that earlier versions saved, is ignored and the CSV parsed."""
     with contextlib.suppress(OSError, ValueError, csv.Error):
         sha, breaks, last = hashlib.sha256(), 0, b"\n"
         with open(path, "rb") as fh:
@@ -238,21 +241,15 @@ def _stored(path: Path) -> SensorDataset | None:
             node_ids, has_ts = _header(reader, path)
         rows = breaks + (last != b"\n") - reader.line_num  # a last line ended by a "\r" or by nothing counts too
         # Memory-mapped, so a header claiming more rows than the file holds fails before anything is read.
-        stored = np.lib.format.open_memmap(path.with_name(f".{path.name}.parsed-{sha.hexdigest()}.npy"), mode="r")
-        if stored.dtype == _table_dtype(len(node_ids), has_ts) and len(stored) == rows:
-            stamps = tuple(stored["timestamp"].tolist()) if has_ts else None
-            return SensorDataset(stored["values"], tuple(node_ids), stamps)
+        table = np.lib.format.open_memmap(path.with_name(f".{path.name}.parsed-{sha.hexdigest()}.npy"), mode="r")
+        if not has_ts and table.dtype == float and table.flags.c_contiguous and table.shape == (rows, len(node_ids)):
+            return SensorDataset(table, tuple(node_ids))
     return None
 
 
 def _tables(path: Path) -> set[Path]:
     """The tables saved beside the CSV at `path`, for any bytes (a 64-digit digest, not another CSV's name)."""
     return set(path.parent.glob(glob.escape(f".{path.name}.parsed-") + "[0-9a-f]" * 64 + ".npy"))
-
-
-def _table_dtype(width: int, has_ts: bool) -> np.dtype:
-    """One row of a CSV: its timestamp, if it has them, and its `width` values."""
-    return np.dtype(([("timestamp", np.int64)] if has_ts else []) + [("values", np.float64, (width,))])
 
 
 def load_node_ids(path: str | Path) -> tuple[str, ...]:
@@ -277,12 +274,17 @@ def _header(reader: Iterator[list[str]], path: str | Path) -> tuple[list[str], b
 
 
 def write_csv(data: SensorDataset, path: str | Path) -> None:
-    """Write a dataset in the format load_csv reads, with full float precision, and beside it the table `load_csv`
-    reads in its place: `.<CSV name>.parsed-<SHA-256 of the bytes written>.npy`, without pickle, through a temporary
-    file that replaces it whole. The CSV's tables of other bytes are deleted. The table is best effort: where it cannot
-    be written, or a timestamp does not fit int64 (`load_csv` rejects such a file), none is left. No other code saves
-    a table, so a CSV written elsewhere is parsed on every read."""
+    """Write a dataset in the format load_csv reads, with full float precision, and, when it has no timestamps, beside
+    it the table `load_csv` reads in its place: `.<CSV name>.parsed-<SHA-256 of the bytes written>.npy`, `np.save` of
+    the values without pickle, through a temporary file that replaces it whole. The CSV's tables of other bytes are
+    deleted, so a timestamped dataset leaves none. The table is best effort: where it cannot be written, none is left.
+    No other code saves a table, so a CSV written elsewhere, or with timestamps, is parsed on every read. A node id
+    that `load_csv` would read back as something else is a ValueError before anything is written."""
     path, stamps = Path(path), data.timestamps
+    for j, node in enumerate(data.node_ids):
+        if node != node.strip() or (j, stamps) == (0, None) and (node == "timestamp" or node.startswith("\ufeff")):
+            raise ValueError(f"{path}: node id {node!r} would not load back as written (load_csv strips ids, skips a "
+                             "leading byte-order mark and reads a first 'timestamp' column as timestamps)")
     header = list(data.node_ids)
     columns = [_number_cells(column) for column in data.values.T]
     if stamps is not None:
@@ -295,20 +297,12 @@ def write_csv(data: SensorDataset, path: str | Path) -> None:
     with contextlib.suppress(OSError):
         for old in _tables(path) - {table_path}:
             old.unlink()
-        if stamps is not None and not (-(2**63) <= stamps[0] and stamps[-1] < 2**63):  # increasing: the ends bound it
+        if stamps is not None:
             return
-        dtype = _table_dtype(data.n, stamps is not None)
-        npy_header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (data.m,)}
         try:
-            with open(temporary, "wb") as fh:
-                np.lib.format.write_array_header_1_0(fh, npy_header)  # as `np.save` writes it
-                for i in range(0, data.m, _CHUNK_ROWS):  # a block of rows at a time, as the CSV is written
-                    block = np.empty(min(_CHUNK_ROWS, data.m - i), dtype)
-                    block["values"] = data.values[i : i + _CHUNK_ROWS]
-                    if stamps is not None:
-                        block["timestamp"] = stamps[i : i + _CHUNK_ROWS]
-                    fh.write(block.data)
-            os.replace(temporary, table_path)
+            with open(temporary, "wb") as fh:  # `np.save` writes a file's values through `tofile`, without a copy
+                np.save(fh, data.values, allow_pickle=False)
+            os.replace(temporary, table_path)  # not in place: a reader may have the old table memory-mapped
         finally:
             temporary.unlink(missing_ok=True)
 

@@ -1209,6 +1209,20 @@ class TestPipeline:
         }
         assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
+    @pytest.mark.parametrize("sidecar", ["a.csv", "./a.csv", "sub/../a.csv", "absolute"])
+    def test_inject_rejects_one_file_for_out_and_sidecar(self, tmp_path, capsys, monkeypatch, sidecar):
+        # Paths are compared resolved, before any input is read: the inputs here do not exist.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        sidecar = str(tmp_path / "a.csv") if sidecar == "absolute" else sidecar
+        code, out, err = run(capsys, ["inject", "--train", "missing.csv", "--data", "missing.csv",
+                                      "--out", "a.csv", "--sidecar", sidecar])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": f"--out and --sidecar name one file, {sidecar!r}; inject writes two", "type": "ValueError",
+        }
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
     @pytest.mark.parametrize(
         ("rows", "message"),
         [

@@ -1,11 +1,14 @@
 """The parsed table beside a CSV stands in for parsing it, and changes nothing a command writes.
 
-`write_csv` saves `.<name>.parsed-<sha256 of the CSV's bytes>.npy` beside the CSV it writes; nothing else does, and
-`load_csv` writes nothing. Tests of CSVs that `write_csv` did not write as they are (after a byte-order mark, with
-other line ends, with quoted cells) plant the table `write_csv` saved for the same values under their digest. The
-property: with that table present, deleted, or replaced by a file the parse could not have given, `load_csv` returns
-the parse's dataset bit for bit and leaves the directory as it was, and `redundancy-static` writes the same bytes and
-prints the same summary, apart from `csv_sources`, which says whether the table or the text was read.
+`write_csv` saves `.<name>.parsed-<sha256 of the CSV's bytes>.npy`, `np.save` of the values matrix, beside a CSV
+without timestamps that it writes; nothing else saves one, and `load_csv` writes nothing. Tests of CSVs that
+`write_csv` did not write as they are (after a byte-order mark, with other line ends, with quoted cells, with a
+timestamp column) plant the table `write_csv` saves for the same values under their digest. The property: with that
+table present, deleted, or replaced by a file the parse could not have given (a matrix of another dtype, byte order,
+memory order or shape, the structured records earlier versions saved, a pickle), `load_csv` returns the parse's
+dataset bit for bit and leaves the directory as it was, and `redundancy-static` writes the same bytes and prints the
+same summary, apart from `csv_sources`, which says whether the table or the text was read. A timestamped CSV is
+always parsed, whatever table lies beside it.
 """
 
 import contextlib
@@ -73,8 +76,8 @@ VARIANTS = ["plain", "timestamp", "bom", "lf", "cr"]
 
 
 def write_data(path, variant):
-    """A copy-child CSV with redundant nodes: plain, with a leading `timestamp` column, after a byte-order mark, or
-    with each line ending in "\\n" or in "\\r" alone instead of "\\r\\n"."""
+    """A copy-child CSV with redundant nodes, returned: plain, with a leading `timestamp` column, after a byte-order
+    mark, or with each line ending in "\\n" or in "\\r" alone instead of "\\r\\n"."""
     data = synth_generate(4, 300, 6, "copy-child", copies={1: 0, 3: 2}, flip=0.02)
     if variant == "timestamp":
         data = SensorDataset(data.values, data.node_ids, tuple(range(1_600_000_000, 1_600_000_300)))
@@ -83,16 +86,18 @@ def write_data(path, variant):
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     if variant in ("lf", "cr"):
         path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n" if variant == "lf" else b"\r"))
+    return data
 
 
 def made(directory, variant):
-    """A CSV in `directory` beside its one table: the table `write_csv` saved, under the digest of the variant's
-    bytes."""
+    """A CSV in `directory` beside its one table: the table `write_csv` saves for its values, under the digest of the
+    variant's bytes. For the timestamp variant, which `write_csv` saves no table for, that table must be passed over."""
     directory.mkdir()
     path = directory / "data.csv"
-    write_data(path, variant)
-    (saved,) = directory.glob(".*.npy")
-    saved.rename(table_path(path))
+    values = write_data(path, variant).values
+    for saved in directory.glob(".*.npy"):  # saved under the digest of other bytes, or none at all
+        saved.unlink()
+    plant(path, values)
     return path
 
 
@@ -110,35 +115,21 @@ def replaced(path, table, **kwargs):
     np.save(path, table, **kwargs)
 
 
-def retyped(path, base=np.float64, drop=0):
-    """The stored table saved again with its values cast to `base` and its last `drop` columns gone."""
-    table = np.load(path)
-    width = table.dtype["values"].shape[0] - drop
-    dtype = [(name, table.dtype[name]) for name in table.dtype.names[:-1]] + [("values", base, (width,))]
-    copy = np.zeros(len(table), dtype)
-    for name in table.dtype.names:
-        copy[name] = table[name][:, :width] if name == "values" else table[name]
-    replaced(path, copy)
+def resaved(change, **kwargs):
+    """A tamper case that saves the stored matrix again as `change` returns it."""
+    return lambda path: replaced(path, change(np.load(path)), **kwargs)
 
 
-def with_nan(path):
-    table = np.load(path)
-    table["values"][5, 2] = np.nan
-    replaced(path, table)
+def with_nan(table):
+    table[5, 2] = np.nan
+    return table
 
 
-def unordered(path):
-    table = np.load(path)
-    if "timestamp" in table.dtype.names:
-        table["timestamp"][[3, 4]] = table["timestamp"][[4, 3]]
-    else:
-        table = table[:1]  # too short to be a dataset
-    replaced(path, table)
-
-
-def pickled(path):
-    table = np.load(path)
-    replaced(path, np.array([table[0], table[1:]], dtype=object), allow_pickle=True)
+def structured(table):
+    """The matrix as the `(values)` records that earlier versions saved for a CSV without timestamps."""
+    records = np.zeros(len(table), [("values", np.float64, table.shape[1:])])
+    records["values"] = table
+    return records
 
 
 # How each case leaves the stored table, and whether `load_csv` must then parse the CSV.
@@ -148,16 +139,19 @@ TAMPER = {
     "truncated": (lambda path: path.write_bytes(path.read_bytes()[:-8]), True),
     "header-only": (lambda path: path.write_bytes(path.read_bytes()[:128]), True),
     "not-npy": (lambda path: path.write_text("timestamp,a\n"), True),
-    "float32": (lambda path: retyped(path, base=np.float32), True),
-    "narrower": (lambda path: retyped(path, drop=1), True),
-    "matrix": (lambda path: replaced(path, np.load(path)["values"].copy()), True),
-    "nan": (with_nan, True),
-    "one-row-short": (lambda path: replaced(path, np.load(path)[:-1]), True),
-    "unordered-or-short": (unordered, True),
-    "one-row-long": (lambda path: replaced(path, np.concatenate([np.load(path), np.load(path)[-1:]])), True),
-    "big-endian": (lambda path: replaced(path, np.load(path).astype(np.load(path).dtype.newbyteorder(">"))), True),
-    "two-dimensional": (lambda path: replaced(path, np.load(path)[:, None]), True),
-    "pickled": (pickled, True),
+    "float32": (resaved(lambda table: table.astype(np.float32)), True),
+    "narrower": (resaved(lambda table: table[:, :-1]), True),
+    "structured": (resaved(structured), True),
+    "nan": (resaved(with_nan), True),
+    "one-row-short": (resaved(lambda table: table[:-1]), True),
+    "one-row": (resaved(lambda table: table[:1]), True),  # too short to be a dataset
+    "one-row-long": (resaved(lambda table: np.concatenate([table, table[-1:]])), True),
+    "big-endian": (resaved(lambda table: table.astype(">f8")), True),
+    "fortran-order": (resaved(np.asfortranarray), True),
+    "transposed": (resaved(lambda table: np.ascontiguousarray(table.T)), True),
+    "flat": (resaved(np.ravel), True),
+    "three-dimensional": (resaved(lambda table: table[:, None]), True),
+    "pickled": (resaved(lambda table: np.array([table[0], table[1:]], dtype=object), allow_pickle=True), True),
 }
 
 
@@ -176,9 +170,10 @@ def test_redundancy_static_outputs_do_not_depend_on_the_table(tmp_path, variant)
         tamper(table_path(data))
         before = files(data.parent)
         got, read = source(data)
-        assert (bits(got), read) == (bits(parsed), "text" if parses else "table"), case
+        expected_read = "text" if parses or variant == "timestamp" else "table"
+        assert (bits(got), read) == (bits(parsed), expected_read), case
         assert files(data.parent) == before, case  # whatever was beside the CSV is left as it was
-        expected = (summary, "text" if parses else "table", outputs)
+        expected = (summary, expected_read, outputs)
         assert redundancy_static(data, art, tmp_path / "out") == expected, case
 
 
@@ -209,7 +204,7 @@ def check_one_byte_off(directory, variant):
 def test_dataset_from_the_table_is_the_parsed_one(tmp_path, variant):
     data = made(tmp_path / "data", variant)
     stored, read = source(data)
-    assert read == "table"
+    assert read == ("text" if variant == "timestamp" else "table")
     table_path(data).unlink()
     parsed, read = source(data)
     assert read == "text"
@@ -228,12 +223,46 @@ def test_write_csv_replaces_the_table_of_other_data(tmp_path):
         path.parent.mkdir()
         write_data(path, "plain")
     assert table_path(first).read_bytes() == table_path(second).read_bytes()  # one table for the same data
-    other = SensorDataset(np.arange(12.0).reshape(4, 3), ("x", "y", "z"), (1, 2, 3, 4))
+    other = SensorDataset(np.arange(12.0).reshape(4, 3), ("x", "y", "z"))
     write_csv(other, first)
     assert tables(first.parent) == [table_path(first).name] != tables(second.parent)
     assert not [p for p in first.parent.iterdir() if p.name.endswith(".tmp")]  # no temporary file is left behind
     back, read = source(first)
     assert read == "table" and bits(back) == bits(other)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_the_table_is_np_save_of_the_values(tmp_path, order):
+    values = synth_generate(4, 300, 6, "copy-child").values
+    data = SensorDataset(np.asarray(values, order=order), [f"n{j}" for j in range(6)])
+    write_csv(data, tmp_path / "data.csv")
+    saved = io.BytesIO()
+    np.save(saved, values, allow_pickle=False)
+    assert table_path(tmp_path / "data.csv").read_bytes() == saved.getvalue()
+    back, read = source(tmp_path / "data.csv")
+    assert read == "table" and bits(back) == bits(data)
+
+
+def test_a_timestamped_csv_is_parsed_beside_a_matrix_table(tmp_path):
+    # The table has the shape of the CSV's values, but a timestamp column is read from the text alone.
+    data = tmp_path / "data.csv"
+    written = write_data(data, "timestamp")
+    assert tables(tmp_path) == []
+    plant(data, written.values)
+    got, read = source(data)
+    assert read == "text" and bits(got) == bits(written)
+    assert got.timestamps == tuple(range(1_600_000_000, 1_600_000_300))
+
+
+def test_timestamped_data_over_a_tabled_csv_leaves_no_table(tmp_path):
+    data = tmp_path / "data.csv"
+    plain = write_data(data, "plain")
+    assert tables(tmp_path) == [table_path(data).name]
+    stamped = SensorDataset(plain.values, plain.node_ids, tuple(range(plain.m)))
+    write_csv(stamped, data)
+    assert tables(tmp_path) == []
+    got, read = source(data)
+    assert read == "text" and bits(got) == bits(stamped)
 
 
 def test_tables_of_other_files_are_kept(tmp_path):
@@ -247,7 +276,7 @@ def test_tables_of_other_files_are_kept(tmp_path):
 
 @pytest.mark.parametrize("fails", ["save", "replace"])
 def test_a_table_that_cannot_be_saved_leaves_no_file(tmp_path, monkeypatch, fails):
-    data = made(tmp_path / "data", "timestamp")
+    data = made(tmp_path / "data", "plain")
     expected = bits(source(data)[0])
     table_path(data).unlink()
 
@@ -256,7 +285,7 @@ def test_a_table_that_cannot_be_saved_leaves_no_file(tmp_path, monkeypatch, fail
 
     with monkeypatch.context() as patch:
         patch.setattr(*((ingest, "open") if fails == "save" else (ingest.os, "replace")), refuse, raising=False)
-        write_data(data, "timestamp")  # `write_csv` writes the CSV all the same
+        write_data(data, "plain")  # `write_csv` writes the CSV all the same
     assert sorted(p.name for p in data.parent.iterdir()) == ["data.csv"]
     got, read = source(data)
     assert read == "text" and bits(got) == expected
@@ -331,9 +360,7 @@ def test_a_table_is_trusted_for_its_digest(tmp_path):
     # The trust model: whoever can write the CSV's directory decides what is read for it. A table of other values,
     # but of the shape the text implies, saved under the CSV's digest, is read in place of the text.
     data = made(tmp_path / "data", "plain")
-    table = np.load(table_path(data))
-    table["values"] *= 2
-    replaced(table_path(data), table)
+    replaced(table_path(data), 2 * np.load(table_path(data)))
     doubled, read = source(data)
     assert read == "table"
     table_path(data).unlink()
