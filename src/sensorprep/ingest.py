@@ -223,10 +223,10 @@ def _body_lines(lines: Iterable[str], width: int) -> Iterator[str]:
 
 def _stored(path: Path) -> SensorDataset | None:
     """The dataset of the CSV at `path` from the table beside it of its bytes, if the parse could have returned it:
-    the header has no timestamp column, and the table is a native float64 matrix in C order, of one row per line after
-    the header (split at "\\n", "\\r\\n" or a lone "\\r", counted as the bytes are hashed) and one column per node id,
-    passing `SensorDataset`'s checks. Node ids come from the header. Else None: a table of any other layout, such as
-    the structured `(timestamp, values)` records that earlier versions saved, is ignored and the CSV parsed."""
+    the header has no timestamp column, and the table is a native float64 matrix, in either memory order, of one row
+    per line after the header (split at "\\n", "\\r\\n" or a lone "\\r", counted as the bytes are hashed) and one
+    column per node id, passing `SensorDataset`'s checks. Node ids come from the header. Else None: a table of any
+    other layout, such as the structured `(timestamp, values)` records earlier versions saved, is ignored."""
     with contextlib.suppress(OSError, ValueError, csv.Error):
         sha, breaks, last = hashlib.sha256(), 0, b"\n"
         with open(path, "rb") as fh:
@@ -242,7 +242,7 @@ def _stored(path: Path) -> SensorDataset | None:
         rows = breaks + (last != b"\n") - reader.line_num  # a last line ended by a "\r" or by nothing counts too
         # Memory-mapped, so a header claiming more rows than the file holds fails before anything is read.
         table = np.lib.format.open_memmap(path.with_name(f".{path.name}.parsed-{sha.hexdigest()}.npy"), mode="r")
-        if not has_ts and table.dtype == float and table.flags.c_contiguous and table.shape == (rows, len(node_ids)):
+        if not has_ts and table.dtype == float and table.shape == (rows, len(node_ids)):
             return SensorDataset(table, tuple(node_ids))
     return None
 

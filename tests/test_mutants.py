@@ -28,6 +28,6 @@ def test_an_old_text_not_found_once_is_an_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(mutants, "outcome", None)
     stale = {"file": "src/sensorprep/ingest.py", "old": "no such text", "new": "", "tests": []}
     monkeypatch.setitem(mutants.MUTANTS, "stale", stale)
-    assert mutants.main([]) == 2
+    assert mutants.main() == 2
     message = f"src/sensorprep/ingest.py: the old text occurs 0 times, not once: {'no such text'!r}\n"
     assert capsys.readouterr() == ("", message)

@@ -7,18 +7,16 @@ replacement there, runs `python -m pytest -x -q` on the entry's tests with
 that copy's `src/` first on the path, and prints one JSON object mapping each
 entry's name to "killed" (a test failed) or "survived" (every test passed):
 
-    python3 tools/mutants.py               # every entry
-    python3 tools/mutants.py NAME [NAME]   # the named entries
+    python3 tools/mutants.py
 
 An old text that does not occur exactly once in its file is an error (exit 2),
 reported before any test runs, so the list cannot rot silently. Any other pytest
 exit (a usage error, no test collected) is reported as an error. The status is
-1 unless every entry run was killed. The checkout itself is never edited.
+1 unless every entry was killed. The checkout itself is never edited.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -50,12 +48,6 @@ MUTANTS = {
         "file": INGEST,
         "old": "table.dtype == float",
         "new": 'table.dtype.kind == "f"',
-        "tests": TABLE_TESTS,
-    },
-    "table-in-any-memory-order": {
-        "file": INGEST,
-        "old": " and table.flags.c_contiguous",
-        "new": "",
         "tests": TABLE_TESTS,
     },
     "table-saved-in-place": {
@@ -119,21 +111,14 @@ def outcome(mutant: dict) -> str:
     return {0: "survived", 1: "killed"}.get(done.returncode, f"error: pytest exited {done.returncode}")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", metavar="NAME", help="entries to run (default: all)")
-    args = parser.parse_args(argv)
-    unknown = [name for name in args.names if name not in MUTANTS]
-    if unknown:
-        parser.error(f"unknown entries {unknown}; expected some of {sorted(MUTANTS)}")
-    chosen = {name: MUTANTS[name] for name in args.names or MUTANTS}
+def main() -> int:
     try:
-        for mutant in chosen.values():
+        for mutant in MUTANTS.values():
             mutated(mutant)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    results = {name: outcome(mutant) for name, mutant in chosen.items()}
+    results = {name: outcome(mutant) for name, mutant in MUTANTS.items()}
     print(json.dumps(results, indent=2))
     return 0 if set(results.values()) == {"killed"} else 1
 
