@@ -21,45 +21,45 @@ from .spectra import PcaModel, _one_row, _statistics, limit_to_json
 
 __all__ = [
     "ROW_DTYPE",
-    "VERDICT_DTYPE",
     "DetectionReport",
     "tq_screen",
     "nb_predict_state",
     "tqbayes_detect",
-    "verdict_records",
     "report_to_dict",
+    "report_from_dict",
     "write_report_csv",
 ]
 
 # One record per screened test row, as a `detection_report` stores it.
 ROW_DTYPE = artifacts.SCHEMA["detection_report"]["rows"][0]
-# One record per (flagged row, node).
-VERDICT_DTYPE = np.dtype(
-    [
-        ("row", np.int64),
-        ("node", np.int64),
-        ("observed", np.int64),
-        ("predicted", np.int64),
-        ("abnormal", np.bool_),
-        ("uninferable", np.bool_),
-    ]
-)
-# The verdict columns that a `detection_report` file stores; `verdict_records` rebuilds the others.
-_STORED_DTYPE = artifacts.SCHEMA["detection_report"]["verdicts"][0]
 
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Screening values for every test row plus node verdicts for flagged rows.
+    """Screening values for every test row plus each node's states at the f flagged rows.
 
-    `rows` and `verdicts` are record arrays (`ROW_DTYPE`, `VERDICT_DTYPE`)
-    whose fields are columns, e.g. `report.rows.q`.
+    `rows` is a `ROW_DTYPE` record array whose fields are columns, e.g. `report.rows.q`. `observed` and `predicted`
+    are the f x n state matrices of the flagged rows, in row order, and `uninferable` flags each node without
+    transition parents; any other shape is a ValueError.
     """
 
     q_limit: float
     t2_limit: float
     rows: np.recarray
-    verdicts: np.recarray
+    observed: np.ndarray
+    predicted: np.ndarray
+    uninferable: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = (int(self.rows.flagged.sum()), len(self.uninferable))
+        if self.observed.shape != shape or self.predicted.shape != shape:
+            raise ValueError(f"observed and predicted states must have shape (flagged rows, nodes) = {shape}, "
+                             f"got {self.observed.shape} and {self.predicted.shape}")
+
+    @property
+    def abnormal(self) -> np.ndarray:
+        """The f x n verdicts: an inferable node whose predicted state differs from its observed one."""
+        return ~self.uninferable & (self.predicted != self.observed)
 
     def flagged_rows(self) -> list[int]:
         return self.rows.row[self.rows.flagged].tolist()
@@ -132,20 +132,10 @@ def tqbayes_detect(
     flagged = np.flatnonzero(rows.flagged)
     # Row 0 of `states` is the last training row, so test row r sits at r + 1.
     states = StateMatrix(np.vstack([last_states, discretize(test, scheme).states]), k).states
-    prev, observed = states[flagged], states[flagged + 1].ravel()
-    predicted = np.column_stack([_predict_states(node, prev, tn)[0] for node in range(test.n)]).ravel()
+    prev = states[flagged]
+    predicted = np.column_stack([_predict_states(node, prev, tn)[0] for node in range(test.n)])
     uninferable = np.array([not ps for ps in tn.dag.parents])
-    verdicts = verdict_records(flagged, observed, predicted, uninferable)
-    return DetectionReport(model.q_limit, model.t2_limit, rows, verdicts)
-
-
-def verdict_records(flagged: np.ndarray, observed: np.ndarray, predicted: np.ndarray, uninferable: np.ndarray
-                    ) -> np.recarray:
-    """The verdicts of the `flagged` rows, row by row and node by node, from their `observed` and `predicted` states
-    and each node's `uninferable` flag: abnormal where an inferable node's two states differ."""
-    n, uninferable = len(uninferable), np.tile(uninferable, len(flagged))
-    cells = [np.repeat(flagged, n), np.tile(np.arange(n), len(flagged)), observed, predicted]
-    return np.rec.fromarrays([*cells, ~uninferable & (predicted != observed), uninferable], dtype=VERDICT_DTYPE)
+    return DetectionReport(model.q_limit, model.t2_limit, rows, states[flagged + 1], predicted, uninferable)
 
 
 def _predict_states(node: int, prev: np.ndarray, tn: TransitionNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -163,42 +153,40 @@ def _predict_states(node: int, prev: np.ndarray, tn: TransitionNetwork) -> tuple
 
 
 def report_to_dict(report: DetectionReport) -> dict:
-    """The `detection_report` artifact body: the rows, and of the verdicts what `verdict_records` cannot rebuild, the
-    `observed` and `predicted` columns and each node's `uninferable` flag (none if none flagged). Verdicts that are
-    not `tqbayes_detect`'s, one per flagged row and node in that order, are a ValueError."""
-    verdicts, flagged = report.verdicts, report.rows.row[report.rows.flagged]
-    n = len(verdicts) // len(flagged) if len(flagged) else 0
-    uninferable = verdicts.uninferable[:n]
-    if len(verdicts) != len(flagged) * n or not np.array_equal(
-        verdict_records(flagged, verdicts.observed, verdicts.predicted, uninferable), verdicts
-    ):
-        raise ValueError("verdicts must be one per flagged row and node, in row then node order")
+    """The `detection_report` artifact body: the rows, the observed and predicted states flattened row by row as the
+    `verdicts` columns, and each node's `uninferable` flag (none if no row is flagged)."""
     return {
         "q_limit": limit_to_json(report.q_limit),
         "t2_limit": float(report.t2_limit),
         "rows": artifacts.columns(report.rows),
-        "verdicts": artifacts.columns(verdicts[list(_STORED_DTYPE.names)]),
-        "uninferable": uninferable.tolist(),
+        "verdicts": [report.observed.ravel().tolist(), report.predicted.ravel().tolist()],
+        "uninferable": report.uninferable.tolist() if len(report.observed) else [],
     }
+
+
+def report_from_dict(doc: artifacts.Document) -> DetectionReport:
+    """The report of a read `detection_report` document. Where no row is flagged the file holds no `uninferable`
+    flags, and every node reads as inferable."""
+    rows, verdicts, uninferable = doc["rows"], doc["verdicts"], doc["uninferable"]
+    shape = (int(rows.flagged.sum()), len(doc["node_ids"]))
+    uninferable = uninferable if shape[0] else np.zeros(shape[1], dtype=bool)
+    return DetectionReport(doc["q_limit"], doc["t2_limit"], rows, verdicts.observed.reshape(shape),
+                           verdicts.predicted.reshape(shape), uninferable)
 
 
 def write_report_csv(report: DetectionReport, path: str | Path) -> None:
     """Flat per-row / per-(row, node) layout for external plotting.
 
-    Unflagged rows emit a single line with empty node columns; flagged rows
-    emit one line per verdict naming them, in verdict order. Uninferable
-    nodes leave `predicted` empty.
+    Unflagged rows emit a single line with empty node columns; flagged rows emit one line per node, in node order.
+    Uninferable nodes leave `predicted` empty.
     """
-    rows, verdicts = report.rows, report.verdicts[np.argsort(report.verdicts.row, kind="stable")]
-    first = np.searchsorted(verdicts.row, rows.row, side="left")
-    count = np.searchsorted(verdicts.row, rows.row, side="right") - first
-    # An unflagged row gets one line, from a blank record appended after the verdicts.
-    first = np.where(rows.flagged, first, len(verdicts))
-    count = np.where(rows.flagged, count, 1)
-    screen = np.repeat(np.arange(len(rows)), count)
-    position = first[screen] + np.arange(len(screen)) - np.repeat(np.cumsum(count) - count, count)
-    line = np.concatenate([verdicts, np.zeros(1, VERDICT_DTYPE)])[position]
+    rows, (f, n) = report.rows, report.observed.shape
+    screen = np.repeat(np.arange(len(rows)), np.where(rows.flagged, n, 1))
     blank = ~rows.flagged[screen]
+    # The lines of flagged rows take the flattened cells in turn; an unflagged row's line, a padding cell after them.
+    cell = np.where(blank, f * n, np.cumsum(~blank) - 1)
+    node, observed, predicted, abnormal, uninferable = (np.append(c, np.zeros(1, c.dtype))[cell] for c in (
+        np.tile(np.arange(n), f), report.observed, report.predicted, report.abnormal, np.tile(report.uninferable, f)))
     # The screening cells of a row repeat on each of its lines, so each is formatted once per row.
     row_cells = [list(_number_cells(column)) for column in (rows.row, rows.q, rows.t2, rows.flagged.astype(np.int64))]
     _write_columns(
@@ -206,9 +194,9 @@ def write_report_csv(report: DetectionReport, path: str | Path) -> None:
         ["row", "q", "t2", "flagged", "node", "observed", "predicted", "abnormal"],
         [
             *(_indexed_cells(cells, screen) for cells in row_cells),
-            _distinct_cells(line["node"], blank),
-            _distinct_cells(line["observed"], blank),
-            _distinct_cells(line["predicted"], blank | line["uninferable"]),
-            _distinct_cells(line["abnormal"], blank),
+            _distinct_cells(node, blank),
+            _distinct_cells(observed, blank),
+            _distinct_cells(predicted, blank | uninferable),
+            _distinct_cells(abnormal, blank),
         ],
     )

@@ -176,7 +176,7 @@ def cmd_detect(args: argparse.Namespace) -> dict:
         "rows": test.m,
         "flagged": int(report.rows.flagged.sum()),
         "flagged_by_chart": {chart: int(fired.sum()) for chart, fired in by_chart.items()},
-        "abnormal_cells": int(report.verdicts.abnormal.sum()),
+        "abnormal_cells": int(report.abnormal.sum()),
         "out_dir": str(out_dir),
     }
 
@@ -251,10 +251,7 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
     truth_doc = _read_truth(args.truth)
     node_ids = truth_doc["node_ids"]
     report_doc = artifacts.read(args.report, "detection_report", node_ids)
-    screen, stored = report_doc["rows"], report_doc["verdicts"]
-    verdicts = anomaly.verdict_records(screen.row[screen.flagged], stored.observed, stored.predicted,
-                                       report_doc["uninferable"])
-    report = anomaly.DetectionReport(report_doc["q_limit"], report_doc["t2_limit"], screen, verdicts)
+    report = anomaly.report_from_dict(report_doc)
     truth_rows = set(truth_doc["rows"])
     n = len(node_ids)
     test_rows = truth_doc["test_rows"]
@@ -266,9 +263,9 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
     rows = metrics.precision_recall(truth_rows, report.flagged_rows(), range(test_rows))
 
     # Cell (r, j) is the integer r * n + j, so the universe is a range.
-    hit = report.verdicts[report.verdicts.abnormal]
+    at, node = report.abnormal.nonzero()
     truth_cells = [r * n + j for r in truth_rows for j in range(n)]
-    predicted_cells = (hit.row * n + hit.node).tolist()
+    predicted_cells = (report.rows.row[report.rows.flagged][at] * n + node).tolist()
     cells = metrics.precision_recall(truth_cells, predicted_cells, range(test_rows * n))
 
     doc = {

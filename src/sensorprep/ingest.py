@@ -53,7 +53,7 @@ def _first_duplicate(items) -> str | None:
 class SensorDataset:
     """Dense matrix of readings, float64 in C order: m time-ordered samples by n sensor nodes.
 
-    Values must be finite; node ids distinct; timestamps (epoch seconds),
+    Values must be finite; node ids distinct and not empty; timestamps (epoch seconds),
     when present, strictly increasing. Instances are treated as immutable
     and safe to share between concurrent readers.
     """
@@ -78,6 +78,8 @@ class SensorDataset:
         dup = _first_duplicate(self.node_ids)
         if dup is not None:
             raise ValueError(f"duplicate node id {dup!r}")
+        if "" in self.node_ids:
+            raise ValueError(f"node {self.node_ids.index('')} has an empty id")
         if not np.isfinite(values).all():
             i, j = np.argwhere(~np.isfinite(values))[0]
             raise ValueError(f"non-finite value at row {i + 1}, column {self.node_ids[j]!r}")
@@ -505,20 +507,17 @@ def _gen_copy_child(
     n: int,
     copies: Mapping[int, int] | None = None,
     flip: float = 0.0,
-    child_noise: float | None = None,
 ) -> np.ndarray:
     """Copy children re-reading designated parent nodes at the same instant.
 
     Parents of copies are persistent level-switchers (their own past
     predicts them, which keeps them inferable); remaining nodes draw
-    independent levels each step so they carry no structure at all. With
-    flip == 0 and child_noise == 0 a child column equals its parent column
-    exactly; otherwise the child re-reads the parent's level signal with a
-    per-sample flip probability and its own measurement noise (by default
-    the other nodes', `_MEAS_NOISE`).
+    independent levels each step so they carry no structure at all. A
+    child re-reads the parent's level signal with a per-sample flip
+    probability and its own measurement noise, the other nodes'
+    `_MEAS_NOISE`.
     """
     copies = _copy_assignment(copies, n)
-    child_noise = _MEAS_NOISE if child_noise is None else child_noise
     parent_nodes = set(copies.values())
 
     signal = np.empty((m, n))
@@ -534,15 +533,12 @@ def _gen_copy_child(
         if j not in copies:
             values[:, j] = signal[:, j] + _MEAS_NOISE * rng.standard_normal(m)
     for c, p in sorted(copies.items()):
-        if flip == 0.0 and child_noise == 0.0:
-            values[:, c] = values[:, p]
-            continue
         child_sig = signal[:, p].copy()
         flip_mask = rng.random(m) < flip
         for t in np.nonzero(flip_mask)[0]:
             step = rng.integers(1, _LEVELS)
             child_sig[t] = (child_sig[t] + step) % _LEVELS
-        values[:, c] = child_sig + child_noise * rng.standard_normal(m)
+        values[:, c] = child_sig + _MEAS_NOISE * rng.standard_normal(m)
     return values
 
 
@@ -591,7 +587,6 @@ _PROFILES = {
 _PARAM_RULES = {
     "latents": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     "flip": (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]"),
-    "child_noise": (lambda v: v is None or type(v) in (int, float) and v >= 0, "null or a number >= 0"),
     "noise_frac": (lambda v: type(v) in (int, float) and v >= 0, "a number >= 0"),
     "copies": (
         lambda v: v is None or isinstance(v, dict) and all(str(c).isdecimal() and type(p) is int for c, p in v.items()),

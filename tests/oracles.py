@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from sensorprep import artifacts
-from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, tq_screen, verdict_records
+from sensorprep.anomaly import ROW_DTYPE, DetectionReport, report_from_dict, tq_screen
 from sensorprep.bayesnet import (
     Dag,
     StaticNetwork,
@@ -432,7 +432,8 @@ def scalar_tqbayes_detect(
     its predecessor (the states `last_states` before row 0), one
     nb_predict_state call per node.
 
-    The reference for the batched stage two of tqbayes_detect.
+    The reference for the batched stage two of tqbayes_detect. Its verdicts
+    are legacy records, each with its own abnormal and uninferable flags.
     """
     rows = []
     verdicts = []
@@ -448,12 +449,9 @@ def scalar_tqbayes_detect(
             uninferable = not tn.dag.parents[node]
             abnormal = (not uninferable) and predicted != int(observed[node])
             verdicts.append((r, node, int(observed[node]), predicted, abnormal, uninferable))
-    return DetectionReport(
-        model.q_limit,
-        model.t2_limit,
-        np.rec.fromrecords(rows, dtype=ROW_DTYPE),
-        np.rec.fromrecords(verdicts, dtype=VERDICT_DTYPE),
-    )
+    return report_from_records(model.q_limit, model.t2_limit, np.rec.fromrecords(rows, dtype=ROW_DTYPE),
+                               np.rec.fromrecords(verdicts, dtype=VERDICT_DTYPE),
+                               [not parents for parents in tn.dag.parents])
 
 
 def _training_dissimilarities(window: np.ndarray, node: int, parents) -> list[float]:
@@ -783,16 +781,17 @@ def scalar_write_csv(data: SensorDataset, path) -> None:
 
 
 def scalar_write_report_csv(report: DetectionReport, path) -> None:
-    by_row: dict[int, list[list]] = {}
-    for row, node, observed, predicted, abnormal, uninferable in report.verdicts.tolist():
-        by_row.setdefault(row, []).append([node, observed, "" if uninferable else predicted, int(abnormal)])
+    states = zip(report.observed.tolist(), report.predicted.tolist())  # one pair of lists per flagged row, in turn
+    uninferable = report.uninferable.tolist()
     lines = []
     for row, q, t2, flagged in report.rows.tolist():
         screen = [row, q, t2, int(flagged)]
-        if flagged:
-            lines.extend(screen + cells for cells in by_row.get(row, []))
-        else:
+        if not flagged:
             lines.append(screen + ["", "", "", ""])
+            continue
+        observed, predicted = next(states)
+        for node, (o, p, u) in enumerate(zip(observed, predicted, uninferable)):
+            lines.append(screen + [node, o, "" if u else p, int(not u and o != p)])
     _scalar_write_rows(path, ["row", "q", "t2", "flagged", "node", "observed", "predicted", "abnormal"], lines)
 
 
@@ -821,6 +820,37 @@ def scalar_write_recovery_csv(recoveries: np.recarray, data: SensorDataset, path
 # The per-record report layout written before the columnar codec: one dict
 # per record, each naming its node id.
 
+# One verdict record per (flagged row, node), as reports held them before their state matrices: the row, the node,
+# both states, and the two flags now derived, `abnormal` and `uninferable`.
+VERDICT_DTYPE = np.dtype(
+    [
+        ("row", np.int64),
+        ("node", np.int64),
+        ("observed", np.int64),
+        ("predicted", np.int64),
+        ("abnormal", np.bool_),
+        ("uninferable", np.bool_),
+    ]
+)
+
+
+def verdict_records(report: DetectionReport) -> np.recarray:
+    """A report's verdicts as `VERDICT_DTYPE` records, one per flagged row and node in that order."""
+    (f, n), flagged = report.observed.shape, report.rows.row[report.rows.flagged]
+    cells = [np.repeat(flagged, n), np.tile(np.arange(n), f), report.observed.ravel(), report.predicted.ravel()]
+    return np.rec.fromarrays([*cells, report.abnormal.ravel(), np.tile(report.uninferable, f)], dtype=VERDICT_DTYPE)
+
+
+def report_from_records(q_limit, t2_limit, rows: np.recarray, verdicts: np.recarray, uninferable) -> DetectionReport:
+    """The report whose `VERDICT_DTYPE` records, one per flagged row and node in that order, are `verdicts`, with
+    one `uninferable` flag per node. Each record's row, node and two flags must be the report's own."""
+    shape = (int(rows.flagged.sum()), len(uninferable))
+    uninferable = np.array(uninferable, dtype=bool)
+    report = DetectionReport(q_limit, t2_limit, rows, verdicts.observed.reshape(shape),
+                             verdicts.predicted.reshape(shape), uninferable)
+    assert verdict_records(report).tobytes() == verdicts.tobytes(), "records that no report holds"
+    return report
+
 
 def _legacy_recoveries(recoveries: np.recarray, node_ids) -> list[dict]:
     return [
@@ -838,18 +868,21 @@ def legacy_report_to_dict(report: DetectionReport) -> dict:
         "q_limit": limit_to_json(report.q_limit),
         "t2_limit": float(report.t2_limit),
         "rows": [dict(zip(ROW_DTYPE.names, s)) for s in report.rows.tolist()],
-        "verdicts": [dict(zip(VERDICT_DTYPE.names, v)) for v in report.verdicts.tolist()],
+        "verdicts": [dict(zip(VERDICT_DTYPE.names, v)) for v in verdict_records(report).tolist()],
     }
 
 
-def legacy_report_from_dict(doc: dict) -> DetectionReport:
+def legacy_report_from_dict(doc: dict, n: int) -> DetectionReport:
+    """The report of n nodes that a legacy document holds; with no verdict, every node reads as inferable."""
     rows = [tuple(s[f] for f in ROW_DTYPE.names) for s in doc["rows"]]
-    verdicts = [tuple(v[f] for f in VERDICT_DTYPE.names) for v in doc["verdicts"]]
-    return DetectionReport(
+    verdicts = np.rec.fromrecords([tuple(v[f] for f in VERDICT_DTYPE.names) for v in doc["verdicts"]],
+                                  dtype=VERDICT_DTYPE)
+    return report_from_records(
         math.inf if doc["q_limit"] is None else doc["q_limit"],
         doc["t2_limit"],
         np.rec.fromrecords(rows, dtype=ROW_DTYPE),
-        np.rec.fromrecords(verdicts, dtype=VERDICT_DTYPE),
+        verdicts,
+        verdicts.uninferable[:n] if len(verdicts) else [False] * n,
     )
 
 
@@ -924,10 +957,7 @@ def read_network(path, kind, node_ids) -> StaticNetwork | TransitionNetwork:
 
 
 def read_report(path, node_ids) -> DetectionReport:
-    doc = artifacts.read(path, "detection_report", node_ids)
-    rows, stored = doc["rows"], doc["verdicts"]
-    verdicts = verdict_records(rows.row[rows.flagged], stored.observed, stored.predicted, doc["uninferable"])
-    return DetectionReport(doc["q_limit"], doc["t2_limit"], rows, verdicts)
+    return report_from_dict(artifacts.read(path, "detection_report", node_ids))
 
 
 def read_schedule(doc: artifacts.Document) -> np.recarray:

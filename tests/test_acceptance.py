@@ -194,8 +194,8 @@ def test_criterion_06_tqbayes_localization():
     universe = {(i, j) for i in range(test.m) for j in range(test.n)}
     truth = {(i, child) for i in rows}
     tq_cells = {(i, j) for i in flagged for j in range(test.n)}
-    hit = detection.verdicts[detection.verdicts.abnormal]
-    bayes_cells = set(zip(hit.row.tolist(), hit.node.tolist()))
+    at, node = detection.abnormal.nonzero()
+    bayes_cells = set(zip(np.array(detection.flagged_rows())[at].tolist(), node.tolist()))
 
     tq_p, tq_r, _ = precision_recall(truth, tq_cells, universe)
     b_p, b_r, _ = precision_recall(truth, bayes_cells, universe)

@@ -1,8 +1,11 @@
 """Two-stage detection: screening, state prediction, and localization."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -19,7 +22,6 @@ from oracles import (
 from sensorprep import artifacts
 from sensorprep.anomaly import (
     ROW_DTYPE,
-    VERDICT_DTYPE,
     DetectionReport,
     _screen,
     nb_predict_state,
@@ -55,11 +57,12 @@ def t2_model(n, t2_limit):
 
 def assert_reports_equal(ours, theirs):
     assert (ours.q_limit, ours.t2_limit) == (theirs.q_limit, theirs.t2_limit)
-    for table in ("rows", "verdicts"):
-        a, b = getattr(ours, table), getattr(theirs, table)
-        assert a.dtype == b.dtype and a.shape == b.shape, table
-        for name in a.dtype.names:
-            assert np.array_equal(a[name], b[name]), (table, name)
+    assert ours.rows.dtype == theirs.rows.dtype and ours.rows.shape == theirs.rows.shape
+    for name in ours.rows.dtype.names:
+        assert np.array_equal(ours.rows[name], theirs.rows[name]), name
+    for name in ("observed", "predicted", "uninferable"):
+        a, b = getattr(ours, name), getattr(theirs, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
 
 
 class TestTqScreen:
@@ -291,7 +294,7 @@ class TestTqBayesDetect:
         quiet = SensorDataset(np.tile(train.values.mean(axis=0), (5, 1)), test.node_ids)
         report = tqbayes_detect(quiet, model, tn, scheme, discretize_row(train.values[-1], scheme))
         assert report.flagged_rows() == []
-        assert len(report.verdicts) == 0
+        assert report.observed.shape == report.predicted.shape == (0, test.n)
 
     def test_single_corrupted_node_localized(self, fitted):
         train, test, model, scheme, tn = fitted
@@ -307,7 +310,7 @@ class TestTqBayesDetect:
         last_states = discretize_row(train.values[-1], scheme)
         report = tqbayes_detect(SensorDataset(vals, test.node_ids), model, tn, scheme, last_states)
         assert row in report.flagged_rows()
-        marked = {v.node for v in report.verdicts if v.row == row and v.abnormal}
+        marked = set(np.flatnonzero(report.abnormal[report.flagged_rows().index(row)]).tolist())
         assert child in marked
         # Only nodes whose observed state moved can be accused.
         corrupted_states = discretize(SensorDataset(vals, test.node_ids), scheme).states
@@ -317,17 +320,15 @@ class TestTqBayesDetect:
     def test_stage_two_only_on_flagged_rows(self, fitted):
         train, test, model, scheme, tn = fitted
         report = tqbayes_detect(test, model, tn, scheme, discretize_row(train.values[-1], scheme))
-        flagged = set(report.flagged_rows())
-        assert {v.row for v in report.verdicts} <= flagged
+        assert report.observed.shape == report.predicted.shape == (len(report.flagged_rows()), test.n)
 
     def test_uninferable_nodes_never_abnormal(self, fitted):
         train, test, model, scheme, tn = fitted
         report = tqbayes_detect(test, model, tn, scheme, discretize_row(train.values[-1], scheme))
-        for v in report.verdicts:
-            if v.uninferable:
-                assert not v.abnormal
-            if v.abnormal:
-                assert v.predicted != v.observed
+        differ = report.predicted != report.observed
+        assert differ[:, report.uninferable].any()  # the prior's guess misses somewhere, yet is never an accusation
+        assert not report.abnormal[:, report.uninferable].any()
+        assert np.array_equal(report.abnormal[:, ~report.uninferable], differ[:, ~report.uninferable])
 
     def test_sub_bin_errors_invisible_to_stage_two(self):
         # Shifts below half a bin width cannot move any state, so stage two
@@ -349,7 +350,7 @@ class TestTqBayesDetect:
         np.testing.assert_array_equal(discretize(shifted, scheme).states, clean)
         report = tqbayes_detect(shifted, flag_all, tn, scheme, discretize_row(train.values[-1], scheme))
         assert len(report.flagged_rows()) == test.m
-        assert all(not v.abnormal for v in report.verdicts)
+        assert not report.abnormal.any()
 
     def test_deterministic_reports(self, fitted):
         train, test, model, scheme, tn = fitted
@@ -374,45 +375,63 @@ class TestTqBayesDetect:
             tqbayes_detect(narrow, model, tn, scheme, discretize_row(train.values[-1], scheme))
 
 
+def screening_rows(flagged):
+    """`ROW_DTYPE` records of rows 0..m-1 with the given flags."""
+    m = len(flagged)
+    return np.rec.fromarrays([np.arange(m), np.linspace(0.5, 9.0, m), np.linspace(0.25, 4.0, m), flagged],
+                             dtype=ROW_DTYPE)
+
+
 @st.composite
 def detection_reports(draw):
     """Node ids and a report as `tqbayes_detect` builds one: any rows flagged (none or all of them among the draws),
-    one verdict per (flagged row, node) in that order, and any nodes uninferable (all or none among the draws)."""
+    each node's state at each flagged row, and any nodes uninferable (all or none among the draws)."""
     n, m, k = draw(st.integers(1, 6)), draw(st.integers(2, 20)), draw(st.integers(2, 4))
     patterns = {"none": lambda size: [False] * size, "all": lambda size: [True] * size,
                 "some": lambda size: draw(st.lists(st.booleans(), min_size=size, max_size=size))}
     flagged = patterns[draw(st.sampled_from(list(patterns)))](m)
-    uninferable = patterns[draw(st.sampled_from(list(patterns)))](n)
+    uninferable = np.array(patterns[draw(st.sampled_from(list(patterns)))](n), dtype=bool)
     statistics = st.lists(st.floats(0.0, 1e6), min_size=m, max_size=m)
     rows = np.rec.fromarrays([np.arange(m), draw(statistics), draw(statistics), flagged], dtype=ROW_DTYPE)
-    cells = [(r, j) for r in range(m) if flagged[r] for j in range(n)]
-    states = st.lists(st.integers(1, k), min_size=len(cells), max_size=len(cells))
-    verdicts = [(r, j, o, p, not uninferable[j] and o != p, uninferable[j])
-                for (r, j), o, p in zip(cells, draw(states), draw(states))]
+    states = st.lists(st.integers(1, k), min_size=sum(flagged) * n, max_size=sum(flagged) * n).map(
+        lambda cells: np.array(cells, dtype=np.int64).reshape(sum(flagged), n))
     q_limit = draw(st.sampled_from([np.inf, 2.5]))
-    report = DetectionReport(q_limit, 3.5, rows, np.array(verdicts, dtype=VERDICT_DTYPE).view(np.recarray))
-    return [f"n{j}" for j in range(n)], report
+    return [f"n{j}" for j in range(n)], DetectionReport(q_limit, 3.5, rows, draw(states), draw(states), uninferable)
+
+
+# Two of three nodes uninferable and no row flagged: the file holds no flags, so both read back as inferable.
+NO_FLAGS = (["a", "b", "c"], DetectionReport(2.5, 3.5, screening_rows([False] * 4), np.zeros((0, 3), np.int64),
+                                             np.zeros((0, 3), np.int64), np.array([True, False, True])))
 
 
 class TestReportFile:
     @settings(max_examples=150, deadline=None)
     @given(detection_reports())
+    @example(case=NO_FLAGS)
     def test_round_trip(self, tmp_path_factory, case):
-        # The file stores the rows, the observed and predicted states and one flag per node; the rest is rebuilt.
+        # The file stores the rows, the observed and predicted states and, if a row is flagged, one flag per node.
+        # The report read back writes the same CSV.
         node_ids, report = case
-        path = tmp_path_factory.mktemp("report") / "detection_report.json"
-        artifacts.write(path, "detection_report", node_ids, report_to_dict(report))
-        assert_reports_equal(read_report(path, node_ids), report)
+        d = tmp_path_factory.mktemp("report")
+        artifacts.write(d / "detection_report.json", "detection_report", node_ids, report_to_dict(report))
+        back = read_report(d / "detection_report.json", node_ids)
+        assert_reports_equal(back, replace(report, uninferable=report.uninferable & report.rows.flagged.any()))
+        write_report_csv(report, d / "written.csv")
+        write_report_csv(back, d / "read.csv")
+        assert (d / "read.csv").read_bytes() == (d / "written.csv").read_bytes()
 
-    def test_verdicts_out_of_order_rejected_at_write(self):
-        # Verdicts in any other order than one per (flagged row, node) would read back as other verdicts.
-        rows = np.rec.fromarrays([[0, 1], [0.5, 9.0], [0.5, 9.0], [False, True]], dtype=ROW_DTYPE)
-        cells = [(1, j, j + 1, 3 - j, j != 1, False) for j in range(3)]
-        report = DetectionReport(2.5, 3.5, rows, np.rec.fromrecords(cells, dtype=VERDICT_DTYPE))
+    def test_states_of_another_shape_rejected(self):
+        # One row of three nodes is flagged, so both state matrices are 1 x 3.
+        rows, uninferable = screening_rows([False, True]), np.zeros(3, dtype=bool)
+        states = np.array([[1, 2, 3]])
+        report = DetectionReport(2.5, 3.5, rows, states, states[:, ::-1], uninferable)
         assert report_to_dict(report)["verdicts"] == [[1, 2, 3], [3, 2, 1]]
-        for verdicts in (report.verdicts[::-1], report.verdicts[[0, 1, 2, 0]], report.verdicts[[0, 2]]):
-            with pytest.raises(ValueError, match="verdicts must be one per flagged row and node, in row then node"):
-                report_to_dict(DetectionReport(2.5, 3.5, rows, verdicts))
+        assert report.abnormal.tolist() == [[True, False, True]]
+        message = re.escape("observed and predicted states must have shape (flagged rows, nodes) = (1, 3), got ")
+        for observed, predicted in ((states.ravel(), states), (states, states.T), (states[:, :2], states[:, :2]),
+                                    (np.vstack([states, states]), states)):
+            with pytest.raises(ValueError, match=message):
+                DetectionReport(2.5, 3.5, rows, observed, predicted, uninferable)
 
 
 @st.composite
@@ -480,7 +499,6 @@ class TestBatchedStageTwo:
         case = (SensorDataset(values, ["a", "b", "c"]), t2_model(3, -1.0), tn, trivial_scheme(3, k), last_states)
         report = tqbayes_detect(*case)
         assert_reports_equal(report, scalar_tqbayes_detect(*case))
-        node2 = report.verdicts[report.verdicts.node == 2]
-        assert node2.row.tolist() == [0, 1, 2]
-        assert node2.predicted.tolist() == [2, 1, 2]
-        assert node2.abnormal.tolist() == [True, False, True]
+        assert report.flagged_rows() == [0, 1, 2]
+        assert report.predicted[:, 2].tolist() == [2, 1, 2]
+        assert report.abnormal[:, 2].tolist() == [True, False, True]

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    VERDICT_DTYPE,
     legacy_realtime_from_dict,
     legacy_realtime_report_to_dict,
     legacy_report_from_dict,
@@ -21,11 +22,11 @@ from oracles import (
     legacy_static_report_to_dict,
     read_report,
     read_schedule,
+    verdict_records,
 )
 from sensorprep import artifacts
 from sensorprep.anomaly import (
     ROW_DTYPE,
-    VERDICT_DTYPE,
     DetectionReport,
     report_to_dict,
     tqbayes_detect,
@@ -90,15 +91,15 @@ class TestRoundTrip:
 
     def test_disabled_q_limit_is_null(self, tmp_path):
         rows = np.rec.fromarrays([[0, 1], [0.5, 2.5], [1.0, 0.25], [False, True]], dtype=ROW_DTYPE)
-        verdicts = np.rec.fromarrays([[1] * 3, [0, 1, 2], [1, 2, 3], [1, 2, 1], [False, False, True],
-                                      [True, False, False]], dtype=VERDICT_DTYPE)
-        report = DetectionReport(math.inf, 7.5, rows, verdicts)
+        observed, predicted, uninferable = np.array([[1, 2, 3]]), np.array([[1, 2, 1]]), np.array([True, False, False])
+        report = DetectionReport(math.inf, 7.5, rows, observed, predicted, uninferable)
         doc = round_trip(tmp_path, "detection_report", report_to_dict(report))
         assert json.loads((tmp_path / "detection_report.json").read_text())["q_limit"] is None
         assert doc["q_limit"] == math.inf
         back = read_report(tmp_path / "detection_report.json", NODE_IDS)
         assert back.q_limit == math.inf and back.t2_limit == report.t2_limit
-        assert back.rows.tobytes() == rows.tobytes() and back.verdicts.tobytes() == verdicts.tobytes()
+        assert back.rows.tobytes() == rows.tobytes()
+        assert verdict_records(back).tobytes() == verdict_records(report).tobytes()
 
     def test_ragged_columns_rejected(self, tmp_path):
         # `read` holds a record field to its dtype's columns, of one length, before `records` converts it.
@@ -303,9 +304,9 @@ class TestEquivalenceWithPerRecordLayout:
         ids, detection, *_ = reports
         round_trip(tmp_path, "detection_report", report_to_dict(detection), ids)
         new = read_report(tmp_path / "detection_report.json", ids)
-        old = legacy_report_from_dict(legacy_json(legacy_report_to_dict(detection)))
+        old = legacy_report_from_dict(legacy_json(legacy_report_to_dict(detection)), len(ids))
         assert new.rows.tobytes() == old.rows.tobytes() == detection.rows.tobytes()
-        assert new.verdicts.tobytes() == old.verdicts.tobytes() == detection.verdicts.tobytes()
+        assert verdict_records(new).tobytes() == verdict_records(old).tobytes() == verdict_records(detection).tobytes()
         assert (new.q_limit, new.t2_limit) == (old.q_limit, old.t2_limit)
 
     def test_static_report(self, tmp_path, reports):

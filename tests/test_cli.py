@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from sensorprep import artifacts, redundancy
-from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, report_to_dict
+from sensorprep.anomaly import ROW_DTYPE, DetectionReport, report_to_dict
 from sensorprep.bayesnet import estimate_cpt, learn_transition
 from sensorprep.cli import _build_parser, main
 from sensorprep.ingest import (
@@ -1124,7 +1124,8 @@ class TestPipeline:
         rows = np.recarray(len(screened), dtype=ROW_DTYPE)
         rows.row, rows.q, rows.t2, rows.flagged = screened, 0.0, 0.0, False
         report = tmp_path / "report.json"
-        body = report_to_dict(DetectionReport(1.0, 1.0, rows, np.recarray(0, dtype=VERDICT_DTYPE)))
+        states = np.zeros((0, 2), dtype=np.int64)
+        body = report_to_dict(DetectionReport(1.0, 1.0, rows, states, states, np.zeros(2, dtype=bool)))
         artifacts.write(report, "detection_report", ["a", "b"], body)
         truth = tmp_path / "truth.json"
         truth.write_text(json.dumps({"rows": [3, 5], "node_ids": ["a", "b"], "test_rows": 50}))
@@ -1141,7 +1142,7 @@ class TestPipeline:
         out_csv = tmp_path / "x.csv"
         for profile, accepted in (
             ("correlated-drift", ["latents"]),
-            ("copy-child", ["copies", "flip", "child_noise"]),
+            ("copy-child", ["copies", "flip"]),
             ("lagged-copy", ["copies", "noise_frac"]),
         ):
             code, out, err = run(capsys, ["synth", "--profile", profile, "--param", f"{key}=1", "--out", str(out_csv)])
@@ -1159,7 +1160,6 @@ class TestPipeline:
             ("correlated-drift", "latents=true", "'latents' must be an integer >= 0, got True"),
             ("copy-child", 'flip="x"', "'flip' must be a number in [0, 1], got 'x'"),
             ("copy-child", "flip=2", "'flip' must be a number in [0, 1], got 2"),
-            ("copy-child", "child_noise=-1", "'child_noise' must be null or a number >= 0, got -1"),
             ("lagged-copy", "noise_frac=-1", "'noise_frac' must be a number >= 0, got -1"),
             ("lagged-copy", "copies=[1]",
              "'copies' must be null or an object mapping node integers to node integers, got [1]"),
@@ -1168,8 +1168,8 @@ class TestPipeline:
             ("copy-child", 'copies={"x": 0}',
              "'copies' must be null or an object mapping node integers to node integers, got {'x': 0}"),
         ],
-        ids=["latents-fraction", "latents-negative", "latents-bool", "flip-string", "flip-2", "child-noise-negative",
-             "noise-frac-negative", "copies-list", "copies-fraction", "copies-text-key"],
+        ids=["latents-fraction", "latents-negative", "latents-bool", "flip-string", "flip-2", "noise-frac-negative",
+             "copies-list", "copies-fraction", "copies-text-key"],
     )
     def test_synth_rejects_bad_param_value_before_generating(self, tmp_path, capsys, profile, param, message):
         code, out, err = run(capsys, ["synth", "--profile", profile, "--param", param, "--out", str(tmp_path / "x.csv")])

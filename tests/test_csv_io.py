@@ -29,7 +29,7 @@ from oracles import (
     scalar_write_static_csv,
 )
 from sensorprep import ingest
-from sensorprep.anomaly import ROW_DTYPE, VERDICT_DTYPE, DetectionReport, write_report_csv
+from sensorprep.anomaly import ROW_DTYPE, DetectionReport, write_report_csv
 from sensorprep.ingest import SensorDataset, load_csv, write_csv
 from sensorprep.redundancy import (
     RECOVERY_DTYPE,
@@ -179,6 +179,7 @@ NODE_IDS = st.one_of(
     st.sampled_from(["a,b", 'say "hi"', "line\nbreak", "cr\r", " pad ", "", "plain", "node07"]),
     st.text(max_size=4),
 )
+DATASET_IDS = NODE_IDS.filter(bool)  # a dataset's node ids are not empty
 
 
 # Integer, boolean and float64 columns: many repeats, values of any size, and spans far wider than the column.
@@ -247,7 +248,7 @@ class TestWriters:
     @settings(max_examples=100, deadline=None)
     @given(
         values=st.lists(st.lists(FLOATS, min_size=3, max_size=3), min_size=2, max_size=5),
-        ids=st.lists(NODE_IDS, min_size=3, max_size=3, unique=True),
+        ids=st.lists(DATASET_IDS, min_size=3, max_size=3, unique=True),
         start=st.one_of(st.none(), st.integers(-(10**20), 10**20)),
     )
     def test_write_csv(self, tmp_path_factory, values, ids, start):
@@ -264,22 +265,24 @@ class TestWriters:
     @settings(max_examples=200, deadline=None)
     @given(
         screens=st.lists(st.tuples(st.integers(0, 6), ANY_FLOATS, ANY_FLOATS, st.booleans()), max_size=6),
-        verdicts=st.lists(
-            st.tuples(st.integers(0, 6), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3),
-                      st.booleans(), st.booleans()),
-            max_size=10,
-        ),
+        n=st.integers(0, 3),
+        data=st.data(),
     )
-    def test_write_report_csv(self, tmp_path_factory, screens, verdicts):
-        # Rows may repeat or lack verdicts, and verdicts come in any order.
-        report = DetectionReport(
-            1.0, 2.0, np.rec.fromrecords(screens, dtype=ROW_DTYPE), np.rec.fromrecords(verdicts, dtype=VERDICT_DTYPE)
-        )
+    def test_write_report_csv(self, tmp_path_factory, screens, n, data):
+        # Row numbers may repeat or skip; each flagged row has its own states, in turn.
+        rows = np.rec.fromrecords(screens, dtype=ROW_DTYPE)
+        f = int(rows.flagged.sum())
+        states = st.lists(st.integers(1, 3), min_size=f * n, max_size=f * n).map(
+            lambda cells: np.array(cells, dtype=np.int64).reshape(f, n))
+        uninferable = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        report = DetectionReport(1.0, 2.0, rows, data.draw(states), data.draw(states), uninferable)
         same_bytes(tmp_path_factory, write_report_csv, scalar_write_report_csv, report)
 
     def test_flagged_row_without_verdicts_emits_no_line(self, tmp_path):
+        # A report of no nodes has no verdict at a flagged row.
         rows = np.rec.fromrecords([(0, 1.5, 2.5, True), (1, 0.5, 0.25, False)], dtype=ROW_DTYPE)
-        report = DetectionReport(1.0, 2.0, rows, np.rec.fromrecords([], dtype=VERDICT_DTYPE))
+        states = np.zeros((1, 0), dtype=np.int64)
+        report = DetectionReport(1.0, 2.0, rows, states, states, np.zeros(0, dtype=bool))
         write_report_csv(report, tmp_path / "r.csv")
         assert (tmp_path / "r.csv").read_bytes() == (
             b"row,q,t2,flagged,node,observed,predicted,abnormal\r\n1,0.5,0.25,0,,,,\r\n"
@@ -336,25 +339,22 @@ class TestWriters:
     )
     def test_block_edges(self, tmp_path_factory, lines):
         # Lines are written in blocks of _CHUNK_ROWS. Lines 2i-1 and 2i share a report row and a step t,
-        # so every block edge falls inside a repeated value, and between two blank cells.
+        # so every block edge falls inside a repeated value, and between two blank cells of the realtime CSV.
         rng = np.random.default_rng(lines)
         line = np.arange(lines)
         pair = (line + 1) // 2
         at_edge = (line % ingest._CHUNK_ROWS == 0) | (line % ingest._CHUNK_ROWS == ingest._CHUNK_ROWS - 1)
         ids = ("a,b", "plain", 'q"uote')
 
-        # Row 0 is unflagged (one blank line); every later row is flagged, with the verdicts of its pair.
+        # Row 0 and a last row of one line are unflagged (one blank line each); every other row is flagged, with its
+        # pair of lines for two nodes, the second uninferable (a blank `predicted` cell).
         screened = pair[-1] + 1 if lines else 0
-        rows = np.rec.fromarrays(
-            [np.arange(screened), rng.random(screened), rng.random(screened), np.arange(screened) > 0], dtype=ROW_DTYPE
-        )
-        verdict = line[1:]
-        verdicts = np.rec.fromarrays(
-            [pair[verdict], verdict % 3, rng.integers(1, 4, len(verdict)), rng.integers(1, 4, len(verdict)),
-             rng.random(len(verdict)) < 0.5, at_edge[verdict]],
-            dtype=VERDICT_DTYPE,
-        )
-        same_bytes(tmp_path_factory, write_report_csv, scalar_write_report_csv, DetectionReport(1.0, 2.0, rows, verdicts))
+        flagged = np.bincount(pair, minlength=screened) == 2
+        rows = np.rec.fromarrays([np.arange(screened), rng.random(screened), rng.random(screened), flagged],
+                                 dtype=ROW_DTYPE)
+        observed, predicted = rng.integers(1, 4, (2, flagged.sum(), 2))
+        report = DetectionReport(1.0, 2.0, rows, observed, predicted, np.array([False, True]))
+        same_bytes(tmp_path_factory, write_report_csv, scalar_write_report_csv, report)
 
         posterior = np.where(at_edge, np.nan, rng.random(lines))
         entries = np.rec.fromarrays([pair, line % 3, rng.random(lines) < 0.5, posterior], dtype=SCHEDULE_DTYPE)
@@ -392,7 +392,7 @@ class TestWriters:
     @given(
         values=st.lists(st.lists(FLOATS, min_size=3, max_size=3), min_size=2, max_size=6),
         recoveries=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2), FLOATS), max_size=8),
-        ids=st.lists(NODE_IDS, min_size=3, max_size=3, unique=True),
+        ids=st.lists(DATASET_IDS, min_size=3, max_size=3, unique=True),
     )
     def test_write_recovery_csv(self, tmp_path_factory, values, recoveries, ids):
         # `actual` is each recovery's reading in the data it was made from.

@@ -112,6 +112,16 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="duplicate"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        ("header", "node"), [("a,,b", 1), ("a, ,b", 1), ("a,b,", 2)], ids=["empty", "blank", "trailing-comma"]
+    )
+    def test_header_cell_without_a_name(self, tmp_path, header, node):
+        # One such cell would be a node with an empty id; two already fail as duplicates.
+        path = tmp_path / "d.csv"
+        path.write_text(header + "\n1,2,3\n4,5,6\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: node {node} has an empty id")):
+            load_csv(path)
+
     def test_roundtrip_exact(self, tmp_path):
         data = synth_generate(3, 40, 4, "correlated-drift")
         path = tmp_path / "rt.csv"
@@ -294,10 +304,6 @@ class TestSynthGenerate:
         a = synth_generate(9, 50, 4, "correlated-drift")
         b = synth_generate(9, 50, 4, "correlated-drift")
         np.testing.assert_array_equal(a.values, b.values)
-
-    def test_exact_copy_child(self):
-        data = synth_generate(2, 100, 3, "copy-child", copies={1: 0}, flip=0.0, child_noise=0.0)
-        np.testing.assert_array_equal(data.values[:, 1], data.values[:, 0])
 
     def test_lagged_copy_is_exact_shift(self):
         data = synth_generate(2, 100, 3, "lagged-copy", copies={1: 0})

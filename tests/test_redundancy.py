@@ -366,7 +366,10 @@ class TestSliceIndependence:
 
 class TestStaticRecovery:
     def test_exact_copy_zero_error(self):
-        data = synth_generate(5, 150, 3, "copy-child", copies={1: 0}, flip=0.0, child_noise=0.0)
+        noisy = synth_generate(5, 150, 3, "copy-child", copies={1: 0})
+        values = noisy.values.copy()
+        values[:, 1] = values[:, 0]  # node 1 an exact copy of node 0
+        data = SensorDataset(values, noisy.node_ids)
         entries = static_recovery(data, Dag(3, ((), (0,), ())), [1])
         assert len(entries) == 150
         assert all(r.estimate == data.values[r.t, r.node] for r in entries)

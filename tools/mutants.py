@@ -27,7 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-INGEST, CLI = "src/sensorprep/ingest.py", "src/sensorprep/cli.py"
+INGEST, CLI, ANOMALY = "src/sensorprep/ingest.py", "src/sensorprep/cli.py", "src/sensorprep/anomaly.py"
 TABLE_TESTS = ["tests/test_parsed_table.py"]
 
 # name -> the file, its exact old text, the replacement, and the tests that must fail on the mutant.
@@ -82,6 +82,36 @@ MUTANTS = {
         "old": "if Path(args.out).resolve() == Path(args.sidecar).resolve():",
         "new": "if False:",
         "tests": ["tests/test_cli.py::TestPipeline::test_inject_rejects_one_file_for_out_and_sidecar"],
+    },
+    "dataset-takes-an-empty-node-id": {
+        "file": INGEST,
+        "old": 'if "" in self.node_ids:',
+        "new": "if False:",
+        "tests": ["tests/test_ingest.py::TestLoadCsv::test_header_cell_without_a_name"],
+    },
+    "uninferable-node-accused": {
+        "file": ANOMALY,
+        "old": "return ~self.uninferable & (self.predicted != self.observed)",
+        "new": "return self.predicted != self.observed",
+        "tests": ["tests/test_anomaly.py::TestTqBayesDetect::test_uninferable_nodes_never_abnormal"],
+    },
+    "report-of-any-shape": {
+        "file": ANOMALY,
+        "old": "if self.observed.shape != shape or self.predicted.shape != shape:",
+        "new": "if False:",
+        "tests": ["tests/test_anomaly.py::TestReportFile::test_states_of_another_shape_rejected"],
+    },
+    "unflagged-report-reads-uninferable": {
+        "file": ANOMALY,
+        "old": "else np.zeros(shape[1], dtype=bool)",
+        "new": "else np.ones(shape[1], dtype=bool)",
+        "tests": ["tests/test_anomaly.py::TestReportFile::test_round_trip"],
+    },
+    "predicted-states-from-zero": {
+        "file": ANOMALY,
+        "old": "return np.argmax(posterior, axis=1) + 1, posterior",
+        "new": "return np.argmax(posterior, axis=1), posterior",
+        "tests": ["tests/test_anomaly.py::TestNbPredictState"],
     },
 }
 
