@@ -38,6 +38,7 @@ from .bayesnet import (
     count_states,
     estimate_cpt,
     k2_search,
+    learn_networks,
     learn_static,
     learn_transition,
     repair_cycles,

@@ -35,6 +35,7 @@ __all__ = [
     "repair_cycles",
     "learn_static",
     "learn_transition",
+    "learn_networks",
     "parent_marginal",
     "parent_marginals",
     "network_to_dict",
@@ -263,19 +264,20 @@ def _depth_counts(
     parent_rows and child_rows hold lag-shifted 0-based states, bases the
     configuration index of each node's d - 1 chosen parents. Block i * n + j
     of the (len(nodes) * n, K^d, K) stack counts nodes[i] given its chosen
-    parents then candidate j. The float32 one-hot product of each row block
-    is exact, as a block has far fewer than 2^24 rows.
+    parents then candidate j. The row blocks' float32 one-hot products are summed in
+    float32, exact below 2^24 rows (`_stacked_search` rejects more), then cast to int64 once.
     """
     rows, n = parent_rows.shape
     cols = len(nodes) * k**d
-    total = np.zeros((cols, n * k), dtype=np.int64)
+    total = np.zeros((cols, n * k), dtype=np.float32)
     step = max(1, _BLOCK // max(cols, n * k))
     for lo in range(0, rows, step):
         o = _one_hot(bases[lo : lo + step] * k + child_rows[lo : lo + step, nodes], k**d)
-        total += (o.T @ _one_hot(parent_rows[lo : lo + step], k)).astype(np.int64)
+        total += o.T @ _one_hot(parent_rows[lo : lo + step], k)
     # (node, chosen configuration, child, candidate, candidate state) ->
     # (node, candidate, chosen configuration, candidate state, child)
-    return total.reshape(len(nodes), k ** (d - 1), k, n, k).transpose(0, 3, 1, 4, 2).reshape(-1, k**d, k)
+    counts = total.reshape(len(nodes), k ** (d - 1), k, n, k).transpose(0, 3, 1, 4, 2)
+    return counts.astype(np.int64, order="C").reshape(-1, k**d, k)
 
 
 def _penalized_scores(counts: np.ndarray, m: int) -> np.ndarray:
@@ -308,17 +310,21 @@ def _stacked_search(windows: np.ndarray, k: int, max_parents: int, lag: int) -> 
     _BLOCK cells per block), and `_picks` chooses from the (families x n)
     gain matrix. Returns every family's parents and, per parent count p,
     (the families with p parents, their count_states tables as one stack).
+    States, child states and configuration indices are int16, as each is
+    below K^(max_parents + 1) <= MAX_CPT_CELLS = 4096.
     """
     if max_parents < 0:
         raise ValueError(f"max_parents must be >= 0, got {max_parents}")
     s_count, m, n = windows.shape
     if lag not in (0, 1) or m < 1 + lag:
         raise ValueError(f"need lag 0 or 1 and more than lag rows, got lag {lag} with {m} rows")
+    if m - lag >= 1 << 24:
+        raise ValueError(f"a window of {m} rows counts {m - lag} at lag {lag}; the search counts fewer than 2**24")
     check_cpt_cells(k, max_parents)
-    grid = windows - 1
+    grid = windows.astype(np.int16) - 1
     parent_rows, child_rows = (grid, grid) if lag == 0 else (grid[:, :-1], grid[:, 1:])
     children = child_rows.transpose(0, 2, 1).reshape(s_count * n, -1)  # row f: family f's child states
-    bases = np.zeros(children.shape, dtype=np.int64)  # row f: family f's chosen parents' configuration index
+    bases = np.zeros_like(children)  # row f: family f's chosen parents' configuration index
     parent_sets: list[list[int]] = [[] for _ in range(s_count * n)]
     searching = np.arange(s_count * n)
     current = _penalized_scores(_family_counts(bases, children, 0, k), m)
@@ -432,16 +438,27 @@ def learn_static(states: StateMatrix, max_parents: int = 3) -> StaticNetwork:
 
 
 def learn_transition(states: StateMatrix, max_parents: int = 3) -> TransitionNetwork:
-    """Learn the two-slice network: cross-slice parents, transition counts, priors.
+    """The two-slice network: cross-slice parents, never repaired (the unrolled graph cannot cycle), and counts."""
+    return _transition_network(states, *_searched_network(states, max_parents, lag=1))
 
-    Cross-slice edges cannot form cycles in the unrolled graph, so no
-    repair pass is needed. Priors are single-slice marginal state
-    frequencies.
-    """
-    dag, counts = _searched_network(states, max_parents, lag=1)
+
+def _transition_network(states: StateMatrix, dag: Dag, counts: list[np.ndarray]) -> TransitionNetwork:
+    """The transition network of a lag-1 search's dag and tables, with single-slice state frequencies as priors."""
     grid = states.states.T - 1
     priors = _family_counts(np.zeros_like(grid), grid, 0, states.state_count)[:, 0] / states.m
     return TransitionNetwork(dag, counts, priors)
+
+
+def learn_networks(states: StateMatrix, max_parents: int = 3) -> tuple[StaticNetwork, TransitionNetwork]:
+    """`learn_static` and `learn_transition` of one window, bit for bit, with the lag-1 search on a worker thread.
+
+    The worker runs private code only (lag 1 never calls `repair_cycles`), so every public call stays on this
+    thread. The `with` block joins the worker whatever happens, and `result()` raises the worker's error here."""
+    from concurrent.futures import ThreadPoolExecutor  # here, so that commands that never learn do not load it
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        searched = pool.submit(_searched_network, states, max_parents, 1)
+        return learn_static(states, max_parents), _transition_network(states, *searched.result())
 
 
 def parent_marginals(counts: np.ndarray, parent_count: int) -> np.ndarray:

@@ -89,8 +89,7 @@ def cmd_learn(args: argparse.Namespace) -> dict:
     model = spectra.fit_pca_model(train, args.contribution_ratio, args.alpha_warning)
     scheme = ingest.fit_discretization(train, args.k_states)
     states = ingest.discretize(train, scheme)
-    static = bayesnet.learn_static(states, args.max_parents)
-    transition = bayesnet.learn_transition(states, args.max_parents)
+    static, transition = bayesnet.learn_networks(states, args.max_parents)
 
     for kind, body in (
         ("pca_model", spectra.model_to_dict(model)),

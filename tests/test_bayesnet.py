@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 import tracemalloc
 from contextlib import nullcontext
 from dataclasses import replace
@@ -39,6 +40,7 @@ from sensorprep.bayesnet import (
     family_score,
     fitted_score,
     k2_search,
+    learn_networks,
     learn_static,
     learn_transition,
     network_to_dict,
@@ -438,6 +440,13 @@ class TestStackedSearch:
         for p, (families, counts) in groups.items():
             assert np.array_equal(families, unpruned[p][0]) and np.array_equal(counts, unpruned[p][1])
 
+    @pytest.mark.parametrize("m, lag", [(1 << 24, 0), ((1 << 24) + 1, 1)])
+    def test_window_of_2_24_counted_rows_rejected(self, m, lag):
+        # A broadcast view: the check comes before anything is allocated.
+        windows = np.broadcast_to(np.ones(2, dtype=np.int64), (1, m, 2))
+        with pytest.raises(ValueError, match=f"^a window of {m} rows counts {1 << 24} at lag {lag};"):
+            _stacked_search(windows, 2, 1, lag)
+
     def test_pruning_skips_most_of_depth_2_on_realtime_data(self):
         # Ten 60-row training windows of lagged copies with 10% noise, as RSDRDA learns them.
         data = synth_generate(43, 1000, 40, "lagged-copy", copies={2 * i + 1: 2 * i for i in range(10)}, noise_frac=0.1)
@@ -561,6 +570,7 @@ class TestCptCellCap:
             for learn in (
                 lambda: learn_static(states, max_parents),
                 lambda: learn_transition(states, max_parents),
+                lambda: learn_networks(states, max_parents),  # both searches at once, one on a worker thread
                 # Ten slices of 200 rows, each learned from its first 100.
                 lambda: rsdrda_schedule(data, 200, 0.5, 0.95, trivial_scheme(40, k), max_parents),
             ):
@@ -693,6 +703,69 @@ class TestLearnTransition:
         states = states_from_grid(rng.integers(1, 4, size=(100, 3)), 3)
         tn = learn_transition(states)
         np.testing.assert_allclose(tn.priors.sum(axis=1), 1.0, atol=1e-12)
+
+
+def layered_grid(k, n, m, seed):
+    """An m x n grid over 1..k: two columns of states held for two rows, so
+    that lag-1 parents pay, then columns of one column's upper states and
+    another's lowest bit, all with 5% noise."""
+    rng = np.random.default_rng(seed)
+    grid = np.repeat(rng.integers(0, k, size=(m // 2 + 1, 2)), 2, axis=0)[:m, :n]
+    grid = np.column_stack([grid, np.zeros((m, max(n - 2, 0)), dtype=np.int64)])
+    for j in range(2, n):
+        grid[:, j] = (grid[:, j - 1] // 2 * 2 + grid[:, j - 2] % 2) % k
+    noise = rng.random((m, n)) < 0.05
+    grid[noise] = rng.integers(0, k, size=int(noise.sum()))
+    return grid + 1
+
+
+class TestLearnNetworks:
+    """learn_networks runs the lag-1 search on a worker thread and returns learn_static's and learn_transition's
+    networks."""
+
+    @pytest.mark.parametrize("max_parents", [0, 1, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    def test_equals_the_two_learners(self, k, max_parents):
+        for n in (1, 2, 5):
+            for m in (3, 40, 3000):
+                states = states_from_grid(layered_grid(k, n, m, seed=k * n + m), k)
+                static, transition = learn_networks(states, max_parents)
+                for net, alone, lag in (
+                    (static, learn_static(states, max_parents), 0),
+                    (transition, learn_transition(states, max_parents), 1),
+                ):
+                    assert net.dag == alone.dag, (n, m)
+                    for counts, expected in zip(net.counts, alone.counts, strict=True):
+                        assert counts.dtype == expected.dtype and np.array_equal(counts, expected), (n, m)
+                    assert_counts_reused(net, states, lag)
+                assert transition.priors.tobytes() == learn_transition(states, max_parents).priors.tobytes()
+
+    def test_tables_wider_than_int8_count_exactly(self):
+        # Node 2 at t is node 1's upper states and node 0's lowest bit at t - 1: at K = 8 its table has
+        # 8^3 = 512 configuration-and-state cells, indexed past what int8 holds.
+        rng = np.random.default_rng(8)
+        grid = rng.integers(0, 8, size=(4000, 3))
+        grid[1:, 2] = grid[:-1, 1] // 2 * 2 + grid[:-1, 0] % 2
+        states = states_from_grid(grid + 1, 8)
+        _, transition = learn_networks(states, 3)
+        assert transition.dag.parents[2] == (1, 0)
+        assert_counts_reused(transition, states, 1)
+
+    def test_the_lag_1_search_runs_on_a_joined_worker_thread(self, monkeypatch):
+        # An error in the worker reaching `learn`'s JSON error path is tests/test_cli.py's.
+        states = states_from_grid(layered_grid(3, 5, 200, seed=1), 3)
+        searched = bayesnet._searched_network
+        calls = []
+
+        def spy(states, max_parents, lag):
+            calls.append((lag, threading.current_thread() is threading.main_thread()))
+            return searched(states, max_parents, lag)
+
+        monkeypatch.setattr(bayesnet, "_searched_network", spy)
+        threads = threading.active_count()
+        learn_networks(states, 2)
+        assert sorted(calls) == [(0, True), (1, False)]
+        assert threading.active_count() == threads
 
 
 class TestParentMarginal:

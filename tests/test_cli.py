@@ -8,13 +8,14 @@ import os
 import re
 import shlex
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from sensorprep import artifacts, redundancy
+from sensorprep import artifacts, bayesnet, redundancy
 from sensorprep.anomaly import ROW_DTYPE, DetectionReport, report_to_dict
 from sensorprep.bayesnet import estimate_cpt, learn_transition
 from sensorprep.cli import _build_parser, main
@@ -570,6 +571,28 @@ class TestPipeline:
         code, out, err = run(capsys, ["learn", "--train", str(train), "--out-dir", str(tmp_path / "art")])
         assert code == 1 and out == ""
         assert "zero variance" in json.loads(err)["error"]
+        assert not (tmp_path / "art").exists()
+
+    def test_error_of_the_worker_search_leaves_as_json(self, tmp_path, capsys, monkeypatch):
+        # learn runs the transition search on a worker thread; its error reaches main's JSON error path, and
+        # the thread is joined.
+        code, out, err = run(capsys, ["synth", "--seed", "3", "--rows", "120", "--cols", "4",
+                                      "--out", str(tmp_path / "train.csv")])
+        assert code == 0, err
+        searched = bayesnet._searched_network
+
+        def failing(states, max_parents, lag):
+            if lag == 1:
+                raise MemoryError("no room for the transition search")
+            return searched(states, max_parents, lag)
+
+        monkeypatch.setattr(bayesnet, "_searched_network", failing)
+        threads = threading.active_count()
+        code, out, err = run(capsys, ["learn", "--train", str(tmp_path / "train.csv"),
+                                      "--out-dir", str(tmp_path / "art")])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "no room for the transition search", "type": "MemoryError"}
+        assert threading.active_count() == threads
         assert not (tmp_path / "art").exists()
 
     def test_learn_needs_train(self, tmp_path, capsys):

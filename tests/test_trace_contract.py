@@ -10,7 +10,10 @@ import csv
 import importlib
 import importlib.util
 import json
+import threading
 from pathlib import Path
+
+import numpy as np
 
 from sensorprep.cli import main
 
@@ -83,3 +86,34 @@ def test_hooks_read_traced_calls(tmp_path, capsys):
         schedule = list(csv.DictReader(fh))
     assert counters["redundancy.entries"] == len(schedule) > 0
     assert counters["redundancy.sleeping"] == sum(r["state"] == "sleeping" for r in schedule) > 0
+
+
+def test_learn_traces_every_span_on_the_calling_thread(tmp_path, capsys):
+    # The tracer keeps one span stack per process. learn runs its transition search on a worker thread, which
+    # must open no span: a span opened there would nest under whatever this thread had open.
+    spans = load_spans()
+    assert main(["synth", "--profile", "lagged-copy", "--seed", "5", "--rows", "400", "--cols", "6",
+                 "--out", str(tmp_path / "train.csv")]) == 0
+    capsys.readouterr()
+    opened_on = []
+
+    class ThreadTracer(spans.Tracer):
+        def _open(self, nid):
+            opened_on.append(threading.get_ident())
+            return super()._open(nid)
+
+    tracer = ThreadTracer()
+    tracer.install()
+    try:
+        with tracer.span("cli.learn"):
+            code = main(["learn", "--train", str(tmp_path / "train.csv"), "--out-dir", str(tmp_path / "art")])
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().err
+    assert set(opened_on) == {threading.get_ident()}
+    duration, self_time = tracer.self_times()
+    # perfbench/run.py --self-test's check, with its 1 ns allowance for the rounding of nested durations.
+    assert duration.size > 0 and np.all(self_time <= duration) and np.all(self_time >= -1e-9)
+    calls = {name: n for name, (n, _) in tracer.totals(0).items()}
+    assert (calls["bayesnet.learn_static"], calls["bayesnet.repair_cycles"], calls["bayesnet.learn_transition"]) == (
+        1, 1, 0)

@@ -28,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 INGEST, CLI, ANOMALY = "src/sensorprep/ingest.py", "src/sensorprep/cli.py", "src/sensorprep/anomaly.py"
+BAYESNET = "src/sensorprep/bayesnet.py"
 TABLE_TESTS = ["tests/test_parsed_table.py"]
 
 # name -> the file, its exact old text, the replacement, and the tests that must fail on the mutant.
@@ -112,6 +113,31 @@ MUTANTS = {
         "old": "return np.argmax(posterior, axis=1) + 1, posterior",
         "new": "return np.argmax(posterior, axis=1), posterior",
         "tests": ["tests/test_anomaly.py::TestNbPredictState"],
+    },
+    "worker-searches-at-lag-0": {
+        "file": BAYESNET,
+        "old": "pool.submit(_searched_network, states, max_parents, 1)",
+        "new": "pool.submit(_searched_network, states, max_parents, 0)",
+        "tests": ["tests/test_bayesnet.py::TestLearnNetworks::test_equals_the_two_learners",
+                  "tests/test_trace_contract.py::test_learn_traces_every_span_on_the_calling_thread"],
+    },
+    "search-arrays-as-int8": {
+        "file": BAYESNET,
+        "old": "grid = windows.astype(np.int16) - 1",
+        "new": "grid = windows.astype(np.int8) - 1",
+        "tests": ["tests/test_bayesnet.py::TestLearnNetworks::test_tables_wider_than_int8_count_exactly"],
+    },
+    "empty-cells-scored-as-log-0": {
+        "file": BAYESNET,
+        "old": "    ratio += cells == 0\n",
+        "new": "",
+        "tests": ["tests/test_bayesnet.py::TestStackedSearch::test_loglik_kernel_equals_the_per_cell_terms"],
+    },
+    "picks-without-the-near-tie-scan": {
+        "file": BAYESNET,
+        "old": "for r in np.flatnonzero((top > 1e-12) & ~(top > runner_up + 1e-12)).tolist():",
+        "new": "for r in []:",
+        "tests": ["tests/test_bayesnet.py::TestStackedSearch::test_picks_hand_worked"],
     },
 }
 
